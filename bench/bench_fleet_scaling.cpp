@@ -3,9 +3,8 @@
 //
 // A batch of generated circuits (all four scenario presets round-robin by
 // default) runs through the full synth -> PL-map -> EE -> simulate pipeline
-// at 1, 2 and hardware_concurrency() worker threads, sharing one concurrent
-// NPN trigger cache per fleet.  Reported per thread level: wall time,
-// netlists/s, trigger-search sweeps/s, and the shared-cache hit rate.  The
+// at 1, 2 and hardware_concurrency() worker threads.  Reported per thread
+// level: wall time, netlists/s and trigger-search sweeps/s.  The
 // per-circuit results are bit-identical across the levels (asserted here),
 // so the scaling numbers measure the runner, not noise.
 //
@@ -20,12 +19,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "persist/snapshot.hpp"
 #include "report/json.hpp"
 #include "report/table.hpp"
 #include "runner/runner.hpp"
@@ -88,8 +85,8 @@ int main(int argc, char** argv) {
 
         std::printf("fleet scaling: %zu circuits x %zu gates (%s), %zu vectors\n\n",
                     circuits, gates, scenario_name.c_str(), vectors);
-        report::text_table t({"Threads", "Wall (ms)", "Netlists/s", "Sweeps/s",
-                              "Cache Hit Rate", "Speedup"});
+        report::text_table t(
+            {"Threads", "Wall (ms)", "Netlists/s", "Sweeps/s", "Speedup"});
         report::json scaling = report::json::array();
         double base_wall = 0.0;
         std::vector<runner::fleet_result> fleets;
@@ -103,7 +100,6 @@ int main(int argc, char** argv) {
                        report::fmt(fleet.wall_ms, 0),
                        report::fmt(fleet.netlists_per_s(), 2),
                        report::fmt(fleet.sweeps_per_s(), 0),
-                       report::fmt(100.0 * fleet.cache_hit_rate(), 1) + "%",
                        report::fmt(fleet.wall_ms > 0.0 ? base_wall / fleet.wall_ms
                                                        : 0.0,
                                    2) + "x"});
@@ -183,48 +179,6 @@ int main(int argc, char** argv) {
                     k_ab_rounds, ab_threads, obs_overhead_pct,
                     wall_on / k_ab_rounds, wall_off / k_ab_rounds);
 
-        // Warm-restart phase: a cold fleet saves its trigger-cache snapshot,
-        // an identical fleet reloads it.  The warm run must reproduce every
-        // row bit-for-bit (the snapshot can shift *which* lookup pays each
-        // miss, never a result) and its miss count collapses to ~0 — the
-        // durable-cache payoff as a measured number rather than a claim.
-        const std::string snap_path =
-            (std::filesystem::temp_directory_path() / "bench_fleet_cache.snap")
-                .string();
-        std::filesystem::remove(snap_path);
-        runner::fleet_result cold_fleet;
-        runner::fleet_result warm_fleet;
-        for (int arm = 0; arm < 2; ++arm) {
-            runner::fleet_options opts;
-            opts.num_threads = levels.back();
-            opts.experiment.measure.num_vectors = vectors;
-            if (arm == 0) {
-                opts.cache_save_path = snap_path;
-            } else {
-                opts.cache_load_path = snap_path;
-            }
-            (arm == 0 ? cold_fleet : warm_fleet) = runner::run_fleet(jobs, opts);
-        }
-        for (std::size_t i = 0; i < jobs.size(); ++i) {
-            if (!rows_identical(cold_fleet.results[i].row,
-                                warm_fleet.results[i].row)) {
-                std::fprintf(stderr,
-                             "WARM-RESTART DETERMINISM VIOLATION on %s\n",
-                             cold_fleet.results[i].id.c_str());
-                return 1;
-            }
-        }
-        std::printf(
-            "warm restart: load %s, %llu records loaded, hit rate %.1f%% -> "
-            "%.1f%% (misses %llu -> %llu), rows bit-identical\n",
-            warm_fleet.cache_load_outcome.c_str(),
-            static_cast<unsigned long long>(warm_fleet.cache_loaded),
-            100.0 * cold_fleet.cache_hit_rate(),
-            100.0 * warm_fleet.cache_hit_rate(),
-            static_cast<unsigned long long>(cold_fleet.cache_misses),
-            static_cast<unsigned long long>(warm_fleet.cache_misses));
-        std::filesystem::remove(snap_path);
-
         if (!json_path.empty()) {
             report::json root = report::json::object();
             root.set("schema_version",
@@ -236,20 +190,6 @@ int main(int argc, char** argv) {
             root.set("seed", report::json::number(static_cast<std::int64_t>(seed)));
             root.set("vectors", report::json::number(vectors));
             root.set("obs_overhead_pct", report::json::number(obs_overhead_pct));
-            report::json warm = report::json::object();
-            warm.set("load_outcome",
-                     report::json::str(warm_fleet.cache_load_outcome));
-            warm.set("records_loaded",
-                     report::json::number(warm_fleet.cache_loaded));
-            warm.set("cold_misses", report::json::number(cold_fleet.cache_misses));
-            warm.set("warm_misses", report::json::number(warm_fleet.cache_misses));
-            warm.set("cold_hit_rate",
-                     report::json::number(cold_fleet.cache_hit_rate()));
-            warm.set("warm_hit_rate",
-                     report::json::number(warm_fleet.cache_hit_rate()));
-            warm.set("cold_wall_ms", report::json::number(cold_fleet.wall_ms));
-            warm.set("warm_wall_ms", report::json::number(warm_fleet.wall_ms));
-            root.set("warm_restart", std::move(warm));
             root.set("scaling", std::move(scaling));
             root.write_file(json_path);
         }

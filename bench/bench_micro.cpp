@@ -20,7 +20,6 @@
 #include "bench_circuits/itc99.hpp"
 #include "bool/cube_list.hpp"
 #include "ee/ee_transform.hpp"
-#include "ee/trigger_cache.hpp"
 #include "ee/trigger_search.hpp"
 #include "plogic/pl_mapper.hpp"
 #include "report/json.hpp"
@@ -59,29 +58,6 @@ void bm_trigger_search_lut4_scalar(benchmark::State& state) {
     }
 }
 BENCHMARK(bm_trigger_search_lut4_scalar);
-
-void bm_trigger_search_lut4_cached(benchmark::State& state) {
-    // Netlists reuse functions heavily; model that with a small rotating set.
-    std::vector<bf::truth_table> masters;
-    std::uint64_t seed = 1;
-    while (masters.size() < 32) {
-        seed = mix(seed);
-        const bf::truth_table f(4, seed & 0xffff);
-        if (f.support_size() >= 2) masters.push_back(f);
-    }
-    ee::trigger_cache cache;
-    std::size_t i = 0;
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            ee::find_best_trigger(masters[i++ % masters.size()], {0, 1, 2, 3},
-                                  {}, &cache));
-    }
-    state.counters["hit%"] = cache.hits() + cache.misses() == 0
-                                 ? 0.0
-                                 : 100.0 * static_cast<double>(cache.hits()) /
-                                       static_cast<double>(cache.hits() + cache.misses());
-}
-BENCHMARK(bm_trigger_search_lut4_cached);
 
 void bm_trigger_search_cube_list(benchmark::State& state) {
     std::uint64_t seed = 1;

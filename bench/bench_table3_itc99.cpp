@@ -10,10 +10,9 @@
 // simulator with a nominal delay model, not the authors' qhsim testbed).
 //
 // The suite runs through the sharded fleet runner: circuits are fanned over
-// a worker pool sharing one concurrent NPN trigger cache.  Every reported
-// number is bit-identical to the serial pipeline at any thread count (the
-// runner's determinism contract, enforced in tests/test_runner.cpp); only
-// the wall time changes.
+// a worker pool.  Every reported number is bit-identical to the serial
+// pipeline at any thread count (the runner's determinism contract, enforced
+// in tests/test_runner.cpp); only the wall time changes.
 //
 // Set PLEE_VECTORS to override the number of random vectors (default 100).
 // `--threads N` sizes the worker pool (default: one per hardware thread);
@@ -137,9 +136,7 @@ int main(int argc, char** argv) {
         area_sum += row.area_increase_pct;
         ++counted;
 
-        // The suite shares one fleet cache, so per-row cache counters would
-        // be fake zeros — the real totals live in the "fleet" block below.
-        report::json jrow = report::to_json(row, /*include_cache_counters=*/false);
+        report::json jrow = report::to_json(row);
         jrow.set("id", report::json::str(result.id));
         jrow.set("wall_ms", report::json::number(result.wall_ms));
         json_rows.push(std::move(jrow));
@@ -150,10 +147,9 @@ int main(int argc, char** argv) {
                 "%.1f%% area increase (paper: ~33%%).\n",
                 speedup_sum / counted, area_sum / counted);
     std::printf("Fleet: %u threads, %.0f ms wall, %.2f netlists/s, %.0f "
-                "sweeps/s, shared trigger cache %.1f%% hit rate (%zu entries).\n",
+                "sweeps/s.\n",
                 fleet.threads, fleet.wall_ms, fleet.netlists_per_s(),
-                fleet.sweeps_per_s(), 100.0 * fleet.cache_hit_rate(),
-                fleet.cache_entries);
+                fleet.sweeps_per_s());
 
     if (!json_path.empty()) {
         report::json root = report::json::object();

@@ -1,10 +1,10 @@
 // splitmix64.hpp — the repository's one splitmix64 finalizer.
 //
-// Both the trigger-cache key mixer and the workload generator's random
-// stream rely on this exact constant/shift sequence: cache keys for their
-// collision distribution (asserted in tests/test_trigger_cache.cpp) and the
-// generator for its byte-identical-per-seed determinism contract.  Keep the
-// single definition here so the two can never drift apart.
+// The workload generator's random stream, the fault injector's stateless
+// fire decisions and the runner's retry jitter all hash through this exact
+// constant/shift sequence; the generator relies on it for its
+// byte-identical-per-seed determinism contract.  Keep the single definition
+// here so the users can never drift apart.
 
 #pragma once
 

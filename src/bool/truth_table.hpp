@@ -194,7 +194,7 @@ public:
 
     /// Negates the inputs selected by `mask`: the result g satisfies
     /// g(x) = f(x ^ mask).  One half-swap (or word exchange) per set bit —
-    /// this is the word kernel behind NPN canonicalization.  `mask` must lie
+    /// the workload generator's NPN scrambling uses it.  `mask` must lie
     /// within the variable range.
     truth_table negate_inputs(std::uint32_t mask) const;
 

@@ -6,7 +6,6 @@
 #include <stdexcept>
 #include <thread>
 
-#include "ee/trigger_cache.hpp"
 #include "fault/injector.hpp"
 #include "obs/registry.hpp"
 #include "rt/errors.hpp"
@@ -25,11 +24,10 @@ struct search_job {
 /// is position-addressed, so any work interleaving yields the same result.
 void search_worker(const pl::pl_netlist& pl, const std::vector<search_job>& jobs,
                    const ee_options& options, std::atomic<std::size_t>& next,
-                   trigger_memo& cache,
                    std::vector<std::optional<trigger_candidate>>& best) {
     const search_options& search = options.search;
     // Worker threads have no fault scope of their own; adopt the job's so
-    // injected ee.search/cache.lookup decisions are per-job deterministic.
+    // injected ee.search decisions are per-job deterministic.
     fault::injector::scope scope(fault::injector::hash(options.context));
     constexpr std::size_t k_chunk = 16;
     for (;;) {
@@ -45,7 +43,7 @@ void search_worker(const pl::pl_netlist& pl, const std::vector<search_job>& jobs
         const std::size_t end = std::min(begin + k_chunk, jobs.size());
         for (std::size_t i = begin; i < end; ++i) {
             best[i] = find_best_trigger(pl.gate(jobs[i].master).function,
-                                        jobs[i].pin_arrivals, search, &cache)
+                                        jobs[i].pin_arrivals, search)
                           .best;
         }
     }
@@ -75,10 +73,8 @@ ee_stats apply_early_evaluation(pl::pl_netlist& pl, const ee_options& options) {
     }
     stats.masters_considered = jobs.size();
 
-    // Phase 1 — search, read-only over the netlist and safe to fan out.
-    // Each worker memoizes into its own cache (netlists reuse functions
-    // heavily); the caches are merged afterwards for the stats and because
-    // the search itself is deterministic with or without memo hits.
+    // Phase 1 — search, read-only over the netlist and safe to fan out: each
+    // master's search is a pure function of its truth table and arrivals.
     std::vector<std::optional<trigger_candidate>> best(jobs.size());
     unsigned threads = options.num_threads != 0 ? options.num_threads
                                                 : std::thread::hardware_concurrency();
@@ -86,38 +82,27 @@ ee_stats apply_early_evaluation(pl::pl_netlist& pl, const ee_options& options) {
     threads = static_cast<unsigned>(
         std::min<std::size_t>(threads, std::max<std::size_t>(jobs.size(), 1)));
 
-    trigger_cache cache;
-    trigger_memo* shared = options.shared_cache;
+    std::atomic<std::size_t> next{0};
     if (threads <= 1) {
-        std::atomic<std::size_t> next{0};
-        search_worker(pl, jobs, options, next,
-                      shared != nullptr ? *shared : cache, best);
+        search_worker(pl, jobs, options, next, best);
     } else {
-        std::vector<trigger_cache> caches(threads);
         std::vector<std::exception_ptr> errors(threads);
-        std::atomic<std::size_t> next{0};
         std::vector<std::thread> pool;
         pool.reserve(threads - 1);
         // A throw inside any leg (including the main-thread one) must still
         // join the pool and then propagate to the caller, exactly as the
-        // sequential pass would have propagated it.  With a shared memo all
-        // legs use it directly (it is thread-safe by contract); otherwise
-        // each leg memoizes privately and the caches merge after the join.
-        auto leg_cache = [&](unsigned t) -> trigger_memo& {
-            return shared != nullptr ? *shared
-                                     : static_cast<trigger_memo&>(caches[t]);
-        };
+        // sequential pass would have propagated it.
         for (unsigned t = 1; t < threads; ++t) {
             pool.emplace_back([&, t] {
                 try {
-                    search_worker(pl, jobs, options, next, leg_cache(t), best);
+                    search_worker(pl, jobs, options, next, best);
                 } catch (...) {
                     errors[t] = std::current_exception();
                 }
             });
         }
         try {
-            search_worker(pl, jobs, options, next, leg_cache(0), best);
+            search_worker(pl, jobs, options, next, best);
         } catch (...) {
             errors[0] = std::current_exception();
         }
@@ -125,15 +110,7 @@ ee_stats apply_early_evaluation(pl::pl_netlist& pl, const ee_options& options) {
         for (const std::exception_ptr& e : errors) {
             if (e) std::rethrow_exception(e);
         }
-        if (shared == nullptr) {
-            for (const trigger_cache& c : caches) cache.merge_from(c);
-        }
     }
-    // With a shared memo the counters belong to its owner (fleet-level); the
-    // pass-local stats deterministically read zero at any thread count.
-    stats.cache_hits = cache.hits();
-    stats.cache_misses = cache.misses();
-    stats.cache_entries = cache.size();
 
     // Phase 2 — mutate, serial and in gate order: identical output to the
     // original sequential pass regardless of the thread count above.

@@ -23,8 +23,6 @@
 
 namespace plee::ee {
 
-class trigger_memo;
-
 struct ee_options {
     search_options search;
     /// Re-verify the marked graph after the transform (throws on failure).
@@ -35,13 +33,6 @@ struct ee_options {
     /// netlist mutation phase stays serial in gate order — so the transform
     /// is bit-identical for every thread count.
     unsigned num_threads = 0;
-    /// An external trigger memo (typically a fleet-shared
-    /// ee::concurrent_trigger_cache) used by every worker thread instead of
-    /// the pass's private per-thread caches.  Must be thread-safe when
-    /// num_threads != 1.  Memoization is pure, so the transform result is
-    /// unchanged; the pass-local cache counters in ee_stats read zero and
-    /// the shared cache's owner carries the fleet-level counters instead.
-    trigger_memo* shared_cache = nullptr;
     /// Cooperative cancellation: every worker polls the token at each
     /// work-queue chunk and raises plee::job_timeout when it has expired, so
     /// a pathological search stops within one chunk of extra work.  Not
@@ -69,10 +60,6 @@ struct ee_stats {
     std::size_t masters_considered = 0;
     std::size_t triggers_added = 0;
     std::vector<applied_trigger> applied;
-    /// Trigger-cache counters, merged across worker threads.
-    std::uint64_t cache_hits = 0;
-    std::uint64_t cache_misses = 0;
-    std::size_t cache_entries = 0;
 };
 
 /// Applies Early Evaluation in place.  Arrival depths are computed once on

@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "bool/support.hpp"
-#include "ee/trigger_cache.hpp"
 
 namespace plee::ee {
 
@@ -234,8 +233,7 @@ double equation1_cost(double coverage_percent, int master_max_arrival,
 
 search_result find_best_trigger(const bf::truth_table& master,
                                 const std::vector<int>& pin_arrivals,
-                                const search_options& options,
-                                trigger_memo* cache) {
+                                const search_options& options) {
     if (static_cast<int>(pin_arrivals.size()) != master.num_vars()) {
         throw std::invalid_argument("find_best_trigger: arrival count != arity");
     }
@@ -259,13 +257,9 @@ search_result find_best_trigger(const bf::truth_table& master,
         trigger_candidate cand;
         cand.support = support;
         if (options.method == trigger_method::exact) {
-            if (options.use_scalar_kernels) {
-                cand.function = scalar::exact_trigger_function(master, support);
-            } else {
-                cand.function = cache != nullptr
-                                    ? cache->exact(master, support)
-                                    : exact_trigger_function(master, support);
-            }
+            cand.function = options.use_scalar_kernels
+                                ? scalar::exact_trigger_function(master, support)
+                                : exact_trigger_function(master, support);
         } else {
             cand.function = options.use_scalar_kernels
                                 ? scalar::cube_list_trigger_function(master, *cover,

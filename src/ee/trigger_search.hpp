@@ -120,17 +120,12 @@ struct search_result {
     std::vector<trigger_candidate> all;
 };
 
-class trigger_memo;
-
 /// Evaluates every support subset of the master's inputs and returns the
 /// best implementable candidate (if any) under `options`.  `pin_arrivals`
-/// holds the arrival depth of each master input signal, pin-ordered.
-/// A non-null `cache` memoizes exact trigger functions across calls (pure
-/// speedup; results are identical).  Any trigger_memo works: a private
-/// trigger_cache or a fleet-shared concurrent_trigger_cache.
+/// holds the arrival depth of each master input signal, pin-ordered.  A
+/// pure function of its arguments, so concurrent calls need no locking.
 search_result find_best_trigger(const bf::truth_table& master,
                                 const std::vector<int>& pin_arrivals,
-                                const search_options& options = {},
-                                trigger_memo* cache = nullptr);
+                                const search_options& options = {});
 
 }  // namespace plee::ee

@@ -8,19 +8,19 @@
 #include "bool/splitmix64.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/registry.hpp"
+#include "rt/parse.hpp"
 
 namespace plee::fault {
 
 namespace {
 
-constexpr std::array<const char*, 6> k_points = {
-    "synth.map", "ee.search",  "sim.fire",
-    "cache.lookup", "cache.save", "cache.load"};
+constexpr std::array<const char*, 3> k_points = {"synth.map", "ee.search",
+                                                 "sim.fire"};
 
 thread_local std::uint64_t t_scope = 0;
 
-/// The stateless fire decision shared by throwing, delaying and torn fates:
-/// a pure hash of (seed, point, scope, site) mapped to [0, 1).
+/// The stateless fire decision shared by throwing and delaying fates: a
+/// pure hash of (seed, point, scope, site) mapped to [0, 1).
 double stateless_draw(std::uint64_t seed, const char* point,
                       std::uint64_t site) {
     const std::uint64_t u = bf::splitmix64(
@@ -93,7 +93,7 @@ void injector::configure(const std::string& spec) {
             const std::string key = entry.substr(0, eq);
             const std::string value = entry.substr(eq + 1);
             if (key == "seed") {
-                seed = std::strtoull(value.c_str(), nullptr, 10);
+                seed = parse_unsigned<std::uint64_t>("fault::injector: seed", value);
             } else {
                 if (!known_point(key)) {
                     throw std::invalid_argument(
@@ -103,10 +103,9 @@ void injector::configure(const std::string& spec) {
                 const std::size_t colon = value.find(':');
                 const std::string prob =
                     colon == std::string::npos ? value : value.substr(0, colon);
-                char* parse_end = nullptr;
-                config.probability = std::strtod(prob.c_str(), &parse_end);
-                if (parse_end == prob.c_str() || config.probability < 0.0 ||
-                    config.probability > 1.0) {
+                config.probability =
+                    parse_non_negative("fault::injector: " + key, prob);
+                if (config.probability > 1.0) {
                     throw std::invalid_argument(
                         "fault::injector: bad probability '" + prob + "'");
                 }
@@ -116,10 +115,9 @@ void injector::configure(const std::string& spec) {
                         config.cls = failure_class::transient;
                     } else if (kind == "permanent") {
                         config.cls = failure_class::permanent;
-                    } else if (kind == "torn") {
-                        config.torn = true;
                     } else if (kind.rfind("delay=", 0) == 0) {
-                        config.delay_ms = std::strtod(kind.c_str() + 6, nullptr);
+                        config.delay_ms = parse_non_negative(
+                            "fault::injector: " + key + " delay", kind.substr(6));
                         if (config.delay_ms <= 0.0) {
                             throw std::invalid_argument(
                                 "fault::injector: bad delay '" + kind + "'");
@@ -152,9 +150,7 @@ void injector::check_slow(const char* point, std::uint64_t site) {
         config = it->second;
         seed = seed_;
     }
-    // Torn configs never throw or delay: the corruption happens in the I/O
-    // path via torn_offset(), not at the check.
-    if (config.probability <= 0.0 || config.torn) return;
+    if (config.probability <= 0.0) return;
     // Stateless decision: a pure hash of (seed, point, scope, site) — no RNG
     // stream, so outcomes are independent of thread interleaving.
     const double draw = stateless_draw(seed, point, site);
@@ -173,34 +169,6 @@ void injector::check_slow(const char* point, std::uint64_t site) {
         return;
     }
     throw injected_fault(point, site, config.cls);
-}
-
-std::size_t injector::torn_offset(const char* point, std::uint64_t site,
-                                  std::size_t size) {
-    if (!enabled() || size == 0) return size;
-    point_config config;
-    std::uint64_t seed;
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        const auto it = points_.find(point);
-        if (it == points_.end()) return size;
-        config = it->second;
-        seed = seed_;
-    }
-    if (!config.torn || config.probability <= 0.0) return size;
-    if (stateless_draw(seed, point, site) >= config.probability) return size;
-    // A second independent hash picks where the tear lands, so the offset
-    // is seeded but uncorrelated with the fire decision.
-    const std::uint64_t u = bf::splitmix64(
-        bf::splitmix64(seed ^ hash(point) ^ t_scope) ^ site ^ 0x7063u);
-    const std::size_t offset = static_cast<std::size_t>(u % size);
-    static obs::counter& injected =
-        obs::registry::global().get_counter("fault.injected");
-    injected.add();
-    if (obs::flight_recorder* recorder = obs::current_recorder()) {
-        recorder->record_note("fault.torn", point, offset);
-    }
-    return offset;
 }
 
 }  // namespace plee::fault

@@ -11,17 +11,14 @@
 //   synth.map     entry of the PL mapping stage (once per pipeline run)
 //   ee.search     every trigger-search work-queue chunk
 //   sim.fire      the simulator event loops, once per cancel-check interval
-//   cache.lookup  every shared concurrent trigger-cache lookup
-//   cache.save    trigger-cache snapshot save (supports the ':torn' fate)
-//   cache.load    trigger-cache snapshot load (supports the ':torn' fate)
 //
 // Decisions are *stateless*: whether a check fires depends only on
 // (seed, point, scope, site) where `scope` is a thread-local context hash
 // (the runner scopes each attempt as "jobid#attempt") and `site` is the
-// caller's stable position (event count, chunk index, cache key).  No draw
-// order, no shared RNG state — so which jobs fail is bit-identical across
-// thread counts and interleavings, which is what lets tests assert exact
-// fleet outcomes under injection.
+// caller's stable position (event count, chunk index).  No draw order, no
+// shared RNG state — so which jobs fail is bit-identical across thread
+// counts and interleavings, which is what lets tests assert exact fleet
+// outcomes under injection.
 //
 // Spec grammar (the --inject argument; see src/runner/README.md):
 //
@@ -31,10 +28,6 @@
 //          | POINT '=' PROB ':transient'          (throw, transient)
 //          | POINT '=' PROB ':permanent'          (throw, permanent)
 //          | POINT '=' PROB ':delay=' MS          (sleep MS milliseconds)
-//          | POINT '=' PROB ':torn'               (truncate the I/O buffer at
-//                                                  a seeded offset; only the
-//                                                  cache.save / cache.load
-//                                                  points consult this fate)
 //
 // e.g.  --inject 'seed=42;ee.search=0.5;sim.fire=1:delay=5'
 
@@ -71,7 +64,6 @@ struct point_config {
     double probability = 0.0;                     ///< [0, 1]
     failure_class cls = failure_class::transient; ///< class of the throw
     double delay_ms = 0.0;  ///< > 0: sleep instead of throwing
-    bool torn = false;      ///< truncate instead of throwing (torn_offset())
 };
 
 class injector {
@@ -83,7 +75,8 @@ public:
     static bool known_point(const std::string& point);
 
     /// Parses the spec grammar above and arms the instance.  Throws
-    /// std::invalid_argument on malformed specs or unknown points.
+    /// std::invalid_argument on malformed specs (every number must parse
+    /// whole) or unknown points.
     void configure(const std::string& spec);
 
     /// Programmatic single-point arming (tests).
@@ -97,23 +90,10 @@ public:
 
     /// The injection point: inert = one atomic load.  `site` is any value
     /// stable across re-runs at this call site (event count, chunk index).
-    /// Points armed with the ':torn' fate never throw here — torn is a data
-    /// corruption, not a failure, and is consulted through torn_offset().
     void check(const char* point, std::uint64_t site) {
         if (!enabled()) return;
         check_slow(point, site);
     }
-
-    /// The torn-write fate: when `point` is armed ':torn' and the stateless
-    /// (seed, point, scope, site) decision fires, returns the seeded
-    /// truncation offset in [0, size); otherwise returns `size` (keep every
-    /// byte).  The snapshot save path truncates its encoded buffer at the
-    /// returned offset *and then completes the atomic rename normally* —
-    /// modelling a write that the filesystem tore but the metadata committed
-    /// — and the load path truncates the bytes it read, modelling a torn
-    /// read.  Deterministic for fixed (seed, scope, site, size).
-    std::size_t torn_offset(const char* point, std::uint64_t site,
-                            std::size_t size);
 
     /// Scopes checks on this thread to a job context (hash of "id#attempt");
     /// nested scopes restore the outer one on destruction.

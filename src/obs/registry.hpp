@@ -6,9 +6,9 @@
 // function-local `static` — and the hot path is then a single relaxed
 // atomic add with no lock and no hash:
 //
-//     static obs::counter& hits =
-//         obs::registry::global().get_counter("ee.cache.hits");
-//     hits.add();
+//     static obs::counter& triggers =
+//         obs::registry::global().get_counter("ee.triggers_added");
+//     triggers.add();
 //
 // References returned by the getters are stable for the life of the process:
 // reset() zeroes values but never destroys or reallocates a metric, so cached

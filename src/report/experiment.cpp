@@ -105,7 +105,7 @@ experiment_row run_ee_experiment(const std::string& description,
     return row;
 }
 
-json to_json(const experiment_row& row, bool include_cache_counters) {
+json to_json(const experiment_row& row) {
     json j = json::object();
     j.set("description", json::str(row.description));
     j.set("pl_gates", json::number(row.pl_gates));
@@ -125,12 +125,6 @@ json to_json(const experiment_row& row, bool include_cache_counters) {
     j.set("vectors_per_s", json::number(row.vectors_per_s()));
     if (row.lanes > 1) {
         j.set("lockstep_fraction", json::number(row.lockstep_fraction));
-    }
-    if (include_cache_counters) {
-        j.set("trigger_cache_hits", json::number(static_cast<std::int64_t>(
-                                        row.ee_detail.cache_hits)));
-        j.set("trigger_cache_misses", json::number(static_cast<std::int64_t>(
-                                          row.ee_detail.cache_misses)));
     }
     // Present only when the run collected them (telemetry on): the paper's
     // claim is distributional, so the row carries the distributions, in ns

@@ -94,10 +94,6 @@ experiment_row run_ee_experiment(const std::string& description,
 class json;
 
 /// One experiment row as a JSON object (the schema of BENCH_itc99.json).
-/// Pass include_cache_counters = false when the run used a fleet-shared
-/// trigger cache: the per-pass counters read zero there (the shared cache's
-/// owner holds the real totals), and emitting fake zeros would corrupt the
-/// cross-PR perf tracking these artifacts exist for.
-json to_json(const experiment_row& row, bool include_cache_counters = true);
+json to_json(const experiment_row& row);
 
 }  // namespace plee::report

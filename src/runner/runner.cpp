@@ -177,39 +177,11 @@ fleet_result run_fleet(const std::vector<fleet_job>& jobs,
     threads = static_cast<unsigned>(
         std::min<std::size_t>(threads, std::max<std::size_t>(jobs.size(), 1)));
     fleet.threads = threads;
-    fleet.shared_cache = options.share_trigger_cache;
     fleet.results.resize(jobs.size());
-    if (!options.share_trigger_cache &&
-        (!options.cache_load_path.empty() || !options.cache_save_path.empty())) {
-        throw std::invalid_argument(
-            "run_fleet: cache_load_path/cache_save_path require "
-            "share_trigger_cache (private per-job memos have no fleet-wide "
-            "cache to persist)");
-    }
     if (jobs.empty()) return fleet;
 
-    ee::concurrent_trigger_cache shared_cache;
-    // Warm restart: merge a prior snapshot into the shared memo before any
-    // worker starts.  Every degradation (missing file, torn record, flipped
-    // bit, future version) is a smaller-or-empty merge, never a failure.
-    if (!options.cache_load_path.empty()) {
-        persist::load_options lo;
-        lo.verify = options.cache_verify;
-        lo.expected_mode = shared_cache.mode();
-        const persist::load_result loaded =
-            persist::load_snapshot(options.cache_load_path, lo);
-        fleet.cache_loaded = loaded.loaded();
-        fleet.cache_rejected = loaded.rejected;
-        fleet.cache_salvaged = loaded.outcome == persist::load_outcome::salvaged
-                                   ? loaded.loaded()
-                                   : 0;
-        fleet.cache_load_outcome = persist::to_string(loaded.outcome);
-        if (loaded.loaded() > 0) shared_cache.merge_from_snapshot(loaded.image);
-    }
     report::experiment_options experiment = options.experiment;
     experiment.ee.num_threads = std::max(options.ee_threads_per_job, 1u);
-    experiment.ee.shared_cache =
-        options.share_trigger_cache ? &shared_cache : nullptr;
 
     std::vector<std::exception_ptr> errors(jobs.size());
     std::atomic<std::size_t> next{0};
@@ -229,20 +201,6 @@ fleet_result run_fleet(const std::vector<fleet_job>& jobs,
         for (std::thread& t : pool) t.join();
     }
     fleet.wall_ms = timer.elapsed_ms();
-
-    // Persist the warmed memo after the join — also on interrupted or
-    // partially-failed fleets (the cache holds only verified pure-function
-    // entries regardless of job outcomes).  Atomic rename means a crash or
-    // failure here never clobbers the previous snapshot; the error is
-    // reported, not thrown, because the fleet's results are already in hand.
-    if (!options.cache_save_path.empty()) {
-        try {
-            persist::save_snapshot(options.cache_save_path,
-                                   shared_cache.export_image());
-        } catch (const std::exception& e) {
-            fleet.cache_save_error = e.what();
-        }
-    }
 
     if (options.fail_fast) {
         for (const std::exception_ptr& e : errors) {
@@ -281,13 +239,6 @@ fleet_result run_fleet(const std::vector<fleet_job>& jobs,
             r.row.stats_no_ee.events + r.row.stats_ee.events;
         fleet.total_vectors += r.row.vectors_measured;
         fleet.total_sim_wall_ms += r.row.sim_wall_ms;
-        fleet.cache_hits += r.row.ee_detail.cache_hits;
-        fleet.cache_misses += r.row.ee_detail.cache_misses;
-        // Private per-job memos overlap entry-for-entry on similar circuits;
-        // the fleet figure keeps the largest memo instead of a
-        // double-counting sum (see fleet_result::cache_entries).
-        fleet.cache_entries =
-            std::max(fleet.cache_entries, r.row.ee_detail.cache_entries);
     }
     // Vector-weighted lockstep fraction over the lane-mode jobs.
     double lane_vectors = 0.0;
@@ -300,13 +251,6 @@ fleet_result run_fleet(const std::vector<fleet_job>& jobs,
     }
     if (lane_vectors > 0.0) {
         fleet.lockstep_fraction = lockstep_weighted / lane_vectors;
-    }
-    if (options.share_trigger_cache) {
-        // Per-job counters read zero under a shared memo; the fleet totals
-        // live in the concurrent cache.
-        fleet.cache_hits = shared_cache.hits();
-        fleet.cache_misses = shared_cache.misses();
-        fleet.cache_entries = shared_cache.size();
     }
     if (options.telemetry) {
         // One registry flush per fleet — the census the sinks export.
@@ -327,7 +271,6 @@ report::json to_json(const fleet_result& fleet, bool include_rows) {
     report::json j = report::json::object();
     j.set("schema_version", report::json::number(k_fleet_schema_version));
     j.set("threads", report::json::number(static_cast<std::int64_t>(fleet.threads)));
-    j.set("shared_cache", report::json::boolean(fleet.shared_cache));
     j.set("netlists", report::json::number(fleet.results.size()));
     j.set("jobs_ok", report::json::number(fleet.jobs_ok));
     j.set("jobs_failed", report::json::number(fleet.jobs_failed));
@@ -349,25 +292,6 @@ report::json to_json(const fleet_result& fleet, bool include_rows) {
     j.set("total_vectors", report::json::number(fleet.total_vectors));
     j.set("vectors_per_s", report::json::number(fleet.vectors_per_s()));
     j.set("lockstep_fraction", report::json::number(fleet.lockstep_fraction));
-    j.set("cache_hits", report::json::number(static_cast<std::int64_t>(fleet.cache_hits)));
-    j.set("cache_misses",
-          report::json::number(static_cast<std::int64_t>(fleet.cache_misses)));
-    j.set("cache_entries", report::json::number(fleet.cache_entries));
-    j.set("cache_hit_rate", report::json::number(fleet.cache_hit_rate()));
-    // Warm-restart accounting (additive fields — no schema bump; all zero
-    // when no snapshot load ran).
-    j.set("cache_loaded",
-          report::json::number(static_cast<std::int64_t>(fleet.cache_loaded)));
-    j.set("cache_salvaged",
-          report::json::number(static_cast<std::int64_t>(fleet.cache_salvaged)));
-    j.set("cache_rejected",
-          report::json::number(static_cast<std::int64_t>(fleet.cache_rejected)));
-    if (!fleet.cache_load_outcome.empty()) {
-        j.set("cache_load_outcome", report::json::str(fleet.cache_load_outcome));
-    }
-    if (!fleet.cache_save_error.empty()) {
-        j.set("cache_save_error", report::json::str(fleet.cache_save_error));
-    }
     if (!fleet.delay_hist_no_ee.empty()) {
         j.set("delay_hist_no_ee_ns",
               obs::hist_to_json(fleet.delay_hist_no_ee, 1e3));
@@ -381,9 +305,7 @@ report::json to_json(const fleet_result& fleet, bool include_rows) {
     if (include_rows) {
         report::json rows = report::json::array();
         for (const job_result& r : fleet.results) {
-            // Per-row cache counters are only meaningful without the shared
-            // memo; the fleet-level counters above are authoritative.
-            report::json row = report::to_json(r.row, !fleet.shared_cache);
+            report::json row = report::to_json(r.row);
             row.set("id", report::json::str(r.id));
             row.set("status", report::json::str(to_string(r.status)));
             row.set("attempts",

@@ -4,16 +4,13 @@
 // runner generalizes that into the repository's scaling seam: a batch of
 // netlists (ITC99 reproductions, synthetic workloads, imported BLIF — any
 // nl::netlist) is fanned across a worker pool, each worker running the full
-// synth -> PL-map -> EE-transform -> simulate pipeline on its shard, with
-// one concurrent NPN-canonical trigger cache shared by every circuit.  The
-// cache is keyed on function classes, not netlist context, so every
-// circuit's lookups warm the memo for all the others.
+// synth -> PL-map -> EE-transform -> simulate pipeline on its shard.  Jobs
+// share no state.
 //
 // Determinism contract: per-circuit results are written to slots addressed
 // by job index and each pipeline run is pure given its options, so the
 // fleet result — including every experiment row — is bit-identical for any
-// thread count and any work interleaving.  Only the wall-clock figures and
-// (with a shared cache) which circuit pays each canonical miss vary.
+// thread count and any work interleaving.  Only the wall-clock figures vary.
 //
 // Failure contract (graceful degradation): one pathological job must not
 // discard the rest of the fleet.  Each job runs under its own cancel token
@@ -32,12 +29,10 @@
 #include <string>
 #include <vector>
 
-#include "ee/concurrent_cache.hpp"
 #include "netlist/netlist.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/histogram.hpp"
 #include "obs/span.hpp"
-#include "persist/snapshot.hpp"
 #include "report/experiment.hpp"
 #include "rt/cancel.hpp"
 
@@ -47,7 +42,7 @@ namespace plee::runner {
 /// hence BENCH_fleet.json).  Artifacts without the field predate versioning
 /// (read them as version 0); bump this on any breaking shape change.  See
 /// docs/schemas.md.
-inline constexpr int k_fleet_schema_version = 1;
+inline constexpr int k_fleet_schema_version = 2;
 
 /// One circuit to push through the pipeline.
 struct fleet_job {
@@ -90,13 +85,8 @@ struct fleet_options {
     /// Worker threads sharding the job list.  0 = one per hardware thread.
     unsigned num_threads = 0;
     /// Per-circuit pipeline knobs (mapping, EE search, measurement).  The
-    /// runner owns ee.shared_cache and ee.num_threads; values set there are
-    /// overridden per job.
+    /// runner owns ee.num_threads; a value set there is overridden per job.
     report::experiment_options experiment{};
-    /// Share one concurrent NPN trigger cache across all jobs (the fleet's
-    /// raison d'être).  Off = every job keeps the private per-pass caches,
-    /// reproducing the standalone pipeline exactly, counters included.
-    bool share_trigger_cache = true;
     /// Inner EE-search threads per job.  The outer job shards already
     /// saturate the machine, so the default keeps each pass sequential.
     unsigned ee_threads_per_job = 1;
@@ -120,19 +110,6 @@ struct fleet_options {
     /// compiled in but unwired — the baseline arm of the instrumentation
     /// overhead A/B in bench_fleet_scaling.
     bool telemetry = true;
-    /// Warm-restart persistence for the shared trigger cache (see
-    /// src/persist/): load this snapshot into the cache before fan-out
-    /// (missing/corrupt files degrade to salvage or cold start, never an
-    /// error) ...
-    std::string cache_load_path;
-    /// ... and atomically save the cache here after the join (failures land
-    /// in fleet_result::cache_save_error, not an exception).  Both require
-    /// share_trigger_cache — run_fleet throws std::invalid_argument
-    /// otherwise, since private per-job caches have no fleet-wide memo to
-    /// persist.
-    std::string cache_save_path;
-    /// Oracle re-verification level for loaded trigger records.
-    persist::verify_mode cache_verify = persist::verify_mode::full;
     /// Fleet-wide interrupt token (the tools' SIGINT/SIGTERM hook): chained
     /// as the parent of every per-attempt job token, and polled between
     /// jobs, so one cancel() stops the whole fleet at its next checks.
@@ -159,8 +136,7 @@ struct job_result {
 struct fleet_result {
     std::vector<job_result> results;  ///< in job submission order
     unsigned threads = 1;
-    bool shared_cache = true;  ///< whether one fleet-wide trigger memo ran
-    double wall_ms = 0.0;      ///< whole-fleet wall time
+    double wall_ms = 0.0;  ///< whole-fleet wall time
 
     // Outcome census.  jobs_ok counts ok + retried_ok; jobs_retried counts
     // every job whose attempts > 1 (including ones that still failed).
@@ -200,35 +176,7 @@ struct fleet_result {
     /// Per-job wall-time distribution in integer microseconds, over *all*
     /// jobs (failed ones burn wall time too).  Empty with telemetry off.
     obs::hist_snapshot job_wall_hist_us;
-    /// Trigger-cache counters: the shared concurrent cache's totals when
-    /// sharing, the summed per-job lookup counters otherwise.
-    std::uint64_t cache_hits = 0;
-    std::uint64_t cache_misses = 0;
-    /// Distinct cached triggers.  Sharing: the concurrent cache's entry
-    /// count.  Not sharing: the *largest* per-job memo — private caches
-    /// warmed by similar circuits hold overlapping entries, so summing them
-    /// would double-count every shared class; the max is an exact figure for
-    /// identical jobs and a distinct-entry lower bound otherwise.
-    std::size_t cache_entries = 0;
-    /// Snapshot warm-restart accounting (all zero when no --cache-load ran):
-    /// records admitted into the shared cache, records admitted from a
-    /// *damaged* snapshot (== cache_loaded when the load salvaged, 0 on a
-    /// clean load), and records dropped by checksums/bounds/oracle checks.
-    std::uint64_t cache_loaded = 0;
-    std::uint64_t cache_salvaged = 0;
-    std::uint64_t cache_rejected = 0;
-    /// "clean" / "salvaged" / "cold" when a load was requested; empty else.
-    std::string cache_load_outcome;
-    /// what() of a failed cache save; empty when the save succeeded or none
-    /// was requested.  A failed save never fails the fleet.
-    std::string cache_save_error;
 
-    double cache_hit_rate() const {
-        const std::uint64_t total = cache_hits + cache_misses;
-        return total == 0 ? 0.0
-                          : static_cast<double>(cache_hits) /
-                                static_cast<double>(total);
-    }
     double netlists_per_s() const {
         return wall_ms <= 0.0 ? 0.0
                               : 1000.0 * static_cast<double>(jobs_ok) / wall_ms;

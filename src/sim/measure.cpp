@@ -181,6 +181,12 @@ measure_result measure_average_delay(const pl::pl_netlist& pl,
         throw std::invalid_argument(
             "measure_average_delay: lanes must be 1 or 64");
     }
+    // An average over no vectors is not a measurement: without this check
+    // the run "succeeds" with a 0 ns delay and nothing verified.
+    if (options.num_vectors == 0) {
+        throw std::invalid_argument(
+            "measure_average_delay: num_vectors must be > 0");
+    }
     const std::vector<stimulus_block> blocks =
         make_stimulus(options.num_vectors, pl.sources().size(), options.seed);
 

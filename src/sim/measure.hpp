@@ -45,7 +45,8 @@
 namespace plee::sim {
 
 struct measure_options {
-    std::size_t num_vectors = 100;  ///< the paper's 100 random simulations
+    /// The paper's 100 random simulations.  0 throws std::invalid_argument.
+    std::size_t num_vectors = 100;
     std::uint64_t seed = 0x9e3779b97f4a7c15ull;
     /// Stimulus lanes evaluated at once: 1 = the sequential-wave protocol,
     /// k_lanes (64) = lane-parallel independent vectors.  Anything else

@@ -209,16 +209,6 @@ TEST(EeTransform, DefaultThreadCountMatchesSequential) {
     expect_identical_netlists(autop.pl, seq.pl);
 }
 
-TEST(EeTransform, CacheCountersAreReported) {
-    pl::map_result mapped = pl::map_to_phased_logic(ripple_adder());
-    const ee_stats stats = apply_early_evaluation(mapped.pl);
-    // The adder reuses the same full-adder LUTs: the canonical cache must
-    // have both compulsory misses and reuse hits.
-    EXPECT_GT(stats.cache_misses, 0u);
-    EXPECT_GT(stats.cache_hits, 0u);
-    EXPECT_GT(stats.cache_entries, 0u);
-}
-
 TEST(EeTransform, IdempotencePerMasterIsEnforced) {
     pl::map_result mapped = pl::map_to_phased_logic(ripple_adder());
     const ee_stats first = apply_early_evaluation(mapped.pl);

@@ -60,7 +60,7 @@ TEST_F(FaultInjection, InertWhenUnconfigured) {
     inj.clear();
     EXPECT_FALSE(inj.enabled());
     EXPECT_NO_THROW(inj.check("sim.fire", 0));
-    EXPECT_NO_THROW(inj.check("cache.lookup", 12345));
+    EXPECT_NO_THROW(inj.check("ee.search", 12345));
 }
 
 TEST_F(FaultInjection, SpecParsing) {
@@ -77,6 +77,11 @@ TEST_F(FaultInjection, SpecParsing) {
     EXPECT_THROW(inj.configure("ee.search=1:frobnicate"),
                  std::invalid_argument);
     EXPECT_THROW(inj.configure("sim.fire=1:delay=-2"), std::invalid_argument);
+    // Every number must parse whole: no trailing garbage, no NaN.
+    EXPECT_THROW(inj.configure("seed=12abc;ee.search=1"), std::invalid_argument);
+    EXPECT_THROW(inj.configure("ee.search=0.5x"), std::invalid_argument);
+    EXPECT_THROW(inj.configure("ee.search=nan"), std::invalid_argument);
+    EXPECT_THROW(inj.configure("sim.fire=1:delay=5ms"), std::invalid_argument);
     // ...and a malformed tail arms nothing: the previous config survives.
     EXPECT_THROW(inj.configure("ee.search=1;bogus.point=1"),
                  std::invalid_argument);
@@ -88,40 +93,18 @@ TEST_F(FaultInjection, SpecParsing) {
     EXPECT_FALSE(inj.enabled());
 }
 
-TEST_F(FaultInjection, SnapshotPointsAndTornFateParse) {
+TEST_F(FaultInjection, OnlyPipelinePointsAreKnown) {
+    // Specs written for the trigger memo's points or its ':torn' fate must
+    // fail loudly, not arm nothing.
     fault::injector& inj = fault::injector::instance();
-    EXPECT_TRUE(fault::injector::known_point("cache.save"));
-    EXPECT_TRUE(fault::injector::known_point("cache.load"));
-
-    inj.configure("seed=3;cache.save=1:torn;cache.load=0.5:torn");
-    EXPECT_TRUE(inj.enabled());
-    // Torn is a data fate, not a failure fate: the check API never throws
-    // for a torn-armed point.
-    EXPECT_NO_THROW(inj.check("cache.save", 0));
-    EXPECT_NO_THROW(inj.check("cache.load", 0));
-
-    // Throwing fates on the snapshot points still work.
-    inj.configure("seed=3;cache.save=1:permanent");
-    EXPECT_THROW(inj.check("cache.save", 0), fault::injected_fault);
-}
-
-TEST_F(FaultInjection, TornOffsetIsSeededDeterministicAndBounded) {
-    fault::injector& inj = fault::injector::instance();
-
-    // Unarmed (or armed without :torn): every byte is kept.
-    EXPECT_EQ(inj.torn_offset("cache.save", 1, 1000), 1000u);
-    inj.configure("seed=5;cache.save=1:permanent");
-    EXPECT_EQ(inj.torn_offset("cache.save", 1, 1000), 1000u);
-
-    inj.configure("seed=5;cache.save=1:torn");
-    const std::size_t a = inj.torn_offset("cache.save", 1, 1000);
-    EXPECT_LT(a, 1000u);
-    EXPECT_EQ(inj.torn_offset("cache.save", 1, 1000), a);  // stateless
-    // Different sites and seeds land elsewhere (deterministically).
-    const std::size_t b = inj.torn_offset("cache.save", 2, 1000);
-    inj.configure("seed=6;cache.save=1:torn");
-    const std::size_t c = inj.torn_offset("cache.save", 1, 1000);
-    EXPECT_TRUE(a != b || a != c);
+    for (const char* point : {"cache.lookup", "cache.save", "cache.load"}) {
+        EXPECT_FALSE(fault::injector::known_point(point)) << point;
+        EXPECT_THROW(inj.configure(std::string(point) + "=1"),
+                     std::invalid_argument)
+            << point;
+    }
+    EXPECT_THROW(inj.configure("ee.search=1:torn"), std::invalid_argument);
+    EXPECT_FALSE(inj.enabled());
 }
 
 TEST_F(FaultInjection, DecisionsAreStatelessScopedAndSeeded) {

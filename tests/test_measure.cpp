@@ -95,6 +95,20 @@ TEST(Measure, DelayIsSeedStableForFixedCircuit) {
     EXPECT_DOUBLE_EQ(r1.avg_delay, r2.avg_delay);
 }
 
+TEST(Measure, ZeroVectorsIsRejectedInBothProtocols) {
+    // An average over no vectors would report 0 ns and verify nothing.
+    const nl::netlist n = alu_netlist();
+    const pl::map_result mapped = pl::map_to_phased_logic(n);
+    for (const std::size_t lanes : {std::size_t{1}, k_lanes}) {
+        measure_options opts;
+        opts.num_vectors = 0;
+        opts.lanes = lanes;
+        EXPECT_THROW(measure_average_delay(mapped.pl, &n, opts),
+                     std::invalid_argument)
+            << "lanes=" << lanes;
+    }
+}
+
 TEST(Measure, DelayModelScalesResults) {
     const nl::netlist n = alu_netlist();
     const pl::map_result mapped = pl::map_to_phased_logic(n);

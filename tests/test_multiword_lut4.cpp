@@ -1,21 +1,13 @@
 // Exhaustive LUT4 regression for the multiword truth-table refactor: the
 // ≤ 6-variable path must be byte-identical to the pre-refactor single-word
 // engine.  Over all 2^16 LUT4 masters and all 14 candidate support sets this
-// locks down (1) the trigger functions against the retained per-minterm
-// scalar oracle — including that their storage stays entirely in word 0,
-// (2) the canonical (P and NPN) forms — word 0 only, class counts unchanged
-// — and (3) the cache keys, which must reproduce the pre-refactor
-// single-word splitmix64 mix bit-for-bit so a warm cache layout carries
-// across the refactor.
+// locks down the trigger functions against the retained per-minterm scalar
+// oracle — including that their storage stays entirely in word 0.
 
 #include <gtest/gtest.h>
 
-#include <set>
-
-#include "bool/splitmix64.hpp"
 #include "bool/support.hpp"
 #include "bool/truth_table.hpp"
-#include "ee/trigger_cache.hpp"
 #include "ee/trigger_search.hpp"
 
 namespace plee::ee {
@@ -23,14 +15,6 @@ namespace {
 
 bool single_word(const bf::tt_words& words) {
     return words[1] == 0 && words[2] == 0 && words[3] == 0;
-}
-
-/// The pre-refactor key mixer, verbatim: one word, no chaining.
-std::uint64_t legacy_mix_key(std::uint64_t bits, std::uint32_t support,
-                             int num_vars) {
-    return bf::splitmix64(
-        bits ^ bf::splitmix64((static_cast<std::uint64_t>(support) << 8) |
-                              static_cast<std::uint64_t>(num_vars)));
 }
 
 TEST(MultiwordLut4, TriggersMatchScalarOracleAndStaySingleWord) {
@@ -47,69 +31,6 @@ TEST(MultiwordLut4, TriggersMatchScalarOracleAndStaySingleWord) {
             ASSERT_EQ(word.bits(), ref.bits());
         }
     }
-}
-
-TEST(MultiwordLut4, CacheKeysReproduceTheSingleWordMix) {
-    // The multiword mixer chains splitmix64 through every active word; with
-    // one active word the chain must collapse to the legacy formula, for
-    // every function and support of the LUT4 space (and for the function-
-    // level keys with support 0).
-    const std::vector<std::uint32_t>& supports = bf::cached_support_subsets(0xf, 3);
-    for (std::uint32_t f = 0; f <= 0xffffu; ++f) {
-        const bf::tt_words words{f, 0, 0, 0};
-        ASSERT_EQ(trigger_cache::mix_key(words, 0, 4), legacy_mix_key(f, 0, 4));
-        for (std::uint32_t s : supports) {
-            ASSERT_EQ(trigger_cache::mix_key(words, s, 4), legacy_mix_key(f, s, 4))
-                << "master=" << f << " support=" << s;
-            // The single-word convenience overload is the same key.
-            ASSERT_EQ(trigger_cache::mix_key(static_cast<std::uint64_t>(f), s, 4),
-                      legacy_mix_key(f, s, 4));
-        }
-    }
-}
-
-TEST(MultiwordLut4, CanonicalClassesStaySingleWordWithUnchangedCounts) {
-    // P-canonicalization over the full space: canonical words stay in word
-    // 0 and the class count is still 3984.  (The NPN count of 222 over the
-    // full space is asserted by test_trigger_cache_npn; here a fixed sample
-    // pins the NPN forms to word 0 as well.)
-    std::set<std::uint64_t> p_classes;
-    for (std::uint32_t f = 0; f <= 0xffffu; ++f) {
-        const trigger_cache::canonical_form canon =
-            trigger_cache::canonicalize(bf::truth_table(4, f));
-        ASSERT_TRUE(single_word(canon.bits)) << "master=" << f;
-        p_classes.insert(canon.bits[0]);
-    }
-    EXPECT_EQ(p_classes.size(), 3984u);
-
-    std::uint64_t state = 0x1ee7;
-    for (int trial = 0; trial < 512; ++trial) {
-        state = bf::splitmix64(state + trial);
-        const trigger_cache::canonical_form canon =
-            trigger_cache::npn_canonicalize(bf::truth_table(4, state & 0xffff));
-        ASSERT_TRUE(single_word(canon.bits));
-    }
-}
-
-TEST(MultiwordLut4, CachedTriggersByteIdenticalThroughBothCanonModes) {
-    // End-to-end through the memo: for every LUT4 function and support, the
-    // P-mode and NPN-mode caches must both return the scalar oracle's exact
-    // bits through the multiword path.
-    trigger_cache p_cache(canon_mode::p);
-    trigger_cache npn_cache(canon_mode::npn);
-    for (std::uint32_t f = 0; f <= 0xffffu; ++f) {
-        const bf::truth_table master(4, f);
-        for (std::uint32_t s : bf::cached_support_subsets(0xf, 3)) {
-            const bf::truth_table ref = scalar::exact_trigger_function(master, s);
-            ASSERT_EQ(p_cache.exact(master, s).bits(), ref.bits())
-                << "master=" << f << " support=" << s;
-            ASSERT_EQ(npn_cache.exact(master, s).bits(), ref.bits())
-                << "master=" << f << " support=" << s;
-        }
-    }
-    // The class collapse the scheme rests on, unchanged by the refactor.
-    EXPECT_EQ(p_cache.size(), 3984u * 14u);
-    EXPECT_LT(npn_cache.size(), p_cache.size());
 }
 
 }  // namespace

@@ -15,8 +15,6 @@
 #include "bool/splitmix64.hpp"
 #include "bool/support.hpp"
 #include "bool/truth_table.hpp"
-#include "ee/concurrent_cache.hpp"
-#include "ee/trigger_cache.hpp"
 #include "ee/trigger_search.hpp"
 
 namespace plee::bf {
@@ -357,59 +355,6 @@ TEST(MultiwordTrigger, FullSearchMatchesScalarKernelsOnWideMasters) {
                 ASSERT_EQ(w.best->support, s.best->support);
                 ASSERT_EQ(w.best->function, s.best->function);
             }
-        }
-    }
-}
-
-TEST(MultiwordTrigger, CachesAreTransparentOnWideMasters) {
-    // Wide masters memoize on concrete bits (identity canonical form); the
-    // cached result must still equal the direct kernel, repeats must hit,
-    // and the private and fleet-shared caches must agree.
-    sm_stream rng(15);
-    trigger_cache cache;
-    concurrent_trigger_cache shared;
-    std::vector<truth_table> masters;
-    for (int trial = 0; trial < 10; ++trial) masters.push_back(random_table(7, rng));
-    const std::vector<std::uint32_t>& supports =
-        bf::cached_support_subsets(0x7f, 3);
-    for (const truth_table& m : masters) {
-        for (std::uint32_t s : supports) {
-            const truth_table direct = exact_trigger_function(m, s);
-            ASSERT_EQ(cache.exact(m, s), direct);
-            ASSERT_EQ(shared.exact(m, s), direct);
-        }
-    }
-    const std::uint64_t misses = cache.misses();
-    for (const truth_table& m : masters) {
-        for (std::uint32_t s : supports) cache.exact(m, s);
-    }
-    EXPECT_EQ(cache.misses(), misses);  // second sweep is all hits
-    EXPECT_EQ(cache.hits() + cache.misses(),
-              2 * masters.size() * supports.size());
-}
-
-TEST(MultiwordTrigger, PCanonicalizationIsPermutationInvariantAtSevenVars) {
-    // The exhaustive orbit sweep stays exact above the single-word limit
-    // even though the caches choose not to pay for it (identity form): any
-    // permutation of a 7-var function canonicalizes to the same words.
-    sm_stream rng(16);
-    for (int trial = 0; trial < 3; ++trial) {
-        const truth_table f = random_table(7, rng);
-        const trigger_cache::canonical_form canon = trigger_cache::canonicalize(f);
-        for (int variant = 0; variant < 3; ++variant) {
-            std::vector<int> perm(7);
-            for (int v = 0; v < 7; ++v) perm[static_cast<std::size_t>(v)] = v;
-            for (int v = 6; v > 0; --v) {
-                std::swap(perm[static_cast<std::size_t>(v)],
-                          perm[rng.next() % static_cast<std::uint64_t>(v + 1)]);
-            }
-            const truth_table g = f.permute(perm);
-            ASSERT_EQ(trigger_cache::canonicalize(g).bits, canon.bits);
-            // The recorded witness reproduces the canonical words.
-            const trigger_cache::canonical_form cg = trigger_cache::canonicalize(g);
-            std::vector<int> witness(7);
-            for (int v = 0; v < 7; ++v) witness[v] = cg.perm[v];
-            ASSERT_EQ(g.permute(witness).words(), canon.bits);
         }
     }
 }

@@ -1,7 +1,6 @@
 // Tests for the sharded fleet runner: bit-identical results against the
-// serial single-circuit pipeline on b05/b07/b10 at several thread counts
-// (with and without the shared trigger cache), aggregate accounting,
-// cross-circuit cache reuse, and error propagation.
+// serial single-circuit pipeline on b05/b07/b10 at several thread counts,
+// aggregate accounting, graceful degradation, and error propagation.
 
 #include "runner/runner.hpp"
 
@@ -59,20 +58,15 @@ TEST(FleetRunner, BitIdenticalToSerialPipelineAtAnyThreadCount) {
     }
 
     for (unsigned threads : {1u, 2u, 5u}) {
-        for (bool share : {true, false}) {
-            fleet_options opts;
-            opts.num_threads = threads;
-            opts.share_trigger_cache = share;
-            opts.experiment = fast_options();
-            const fleet_result fleet = run_fleet(jobs, opts);
-            ASSERT_EQ(fleet.results.size(), ids.size());
-            for (std::size_t i = 0; i < ids.size(); ++i) {
-                EXPECT_EQ(fleet.results[i].id, ids[i]);
-                expect_rows_identical(
-                    fleet.results[i].row, serial[i],
-                    ids[i] + " threads=" + std::to_string(threads) +
-                        " share=" + std::to_string(share));
-            }
+        fleet_options opts;
+        opts.num_threads = threads;
+        opts.experiment = fast_options();
+        const fleet_result fleet = run_fleet(jobs, opts);
+        ASSERT_EQ(fleet.results.size(), ids.size());
+        for (std::size_t i = 0; i < ids.size(); ++i) {
+            EXPECT_EQ(fleet.results[i].id, ids[i]);
+            expect_rows_identical(fleet.results[i].row, serial[i],
+                                  ids[i] + " threads=" + std::to_string(threads));
         }
     }
 }
@@ -106,41 +100,32 @@ TEST(FleetRunner, AggregatesMatchTheRows) {
     EXPECT_GT(fleet.wall_ms, 0.0);
     EXPECT_GT(fleet.netlists_per_s(), 0.0);
     EXPECT_GT(fleet.sweeps_per_s(), 0.0);
-    EXPECT_GE(fleet.cache_hit_rate(), 0.0);
-    EXPECT_LE(fleet.cache_hit_rate(), 1.0);
-    // Shared-cache mode reports the fleet-level counters, and something was
-    // actually memoized.
-    EXPECT_GT(fleet.cache_hits + fleet.cache_misses, 0u);
 
     const report::json j = to_json(fleet);
     const std::string dump = j.dump();
     EXPECT_NE(dump.find("\"netlists_per_s\""), std::string::npos);
-    EXPECT_NE(dump.find("\"cache_hit_rate\""), std::string::npos);
     EXPECT_NE(dump.find("\"rows\""), std::string::npos);
 }
 
-TEST(FleetRunner, SharedCacheServesEveryCircuitFromOneMemo) {
-    // Two copies of the same circuit: with the shared cache the second copy
-    // must add zero misses — every class was canonicalized and solved once.
+TEST(FleetRunner, ZeroVectorJobFailsWithTheMeasurementError) {
+    // A measurement over no vectors would report a 0 ns delay; the job must
+    // land failed with the measurement's own message instead.
     fleet_job job;
     job.id = "w";
     job.description = "w";
-    job.netlist =
-        wl::generate(wl::scenario_params(wl::scenario::datapath_like, 80, 21));
-
-    fleet_options opts;
-    opts.num_threads = 1;
-    opts.experiment.measure.num_vectors = 2;
-    const fleet_result one = run_fleet({job}, opts);
-
-    const fleet_result two = run_fleet({job, job}, opts);
-    EXPECT_EQ(two.cache_misses, one.cache_misses);
-    EXPECT_GT(two.cache_hits, one.cache_hits);
-
-    // Without sharing, both copies pay their own misses.
-    opts.share_trigger_cache = false;
-    const fleet_result isolated = run_fleet({job, job}, opts);
-    EXPECT_EQ(isolated.cache_misses, 2 * one.cache_misses);
+    job.netlist = wl::generate(wl::scenario_params(wl::scenario::random_dag, 20, 1));
+    for (const std::size_t lanes : {std::size_t{1}, std::size_t{64}}) {
+        fleet_options opts;
+        opts.experiment.measure.num_vectors = 0;
+        opts.experiment.measure.lanes = lanes;
+        const fleet_result fleet = run_fleet({job}, opts);
+        ASSERT_EQ(fleet.results.size(), 1u);
+        EXPECT_EQ(fleet.results[0].status, job_status::failed) << lanes;
+        EXPECT_NE(fleet.results[0].error.find("num_vectors must be > 0"),
+                  std::string::npos)
+            << fleet.results[0].error;
+        EXPECT_EQ(fleet.jobs_ok, 0u);
+    }
 }
 
 /// A job whose netlist fails validation at the mapping stage.
@@ -200,10 +185,10 @@ TEST(FleetRunner, FailFastRestoresThrowingContract) {
 TEST(FleetRunner, FailingJobsDoNotPerturbSurvivorRows) {
     // The fleet-integrity matrix: two healthy benchmark jobs ride alongside a
     // job that exhausts its (per-job) simulator event budget mid-measurement
-    // and a job that fails validation outright.  At every thread count, with
-    // and without the shared trigger cache, the fleet must return all four
-    // results, classify exactly the two bad jobs as non-ok, and leave the
-    // survivors' rows bit-identical to the serial single-circuit pipeline.
+    // and a job that fails validation outright.  At every thread count the
+    // fleet must return all four results, classify exactly the two bad jobs
+    // as non-ok, and leave the survivors' rows bit-identical to the serial
+    // single-circuit pipeline.
     const std::vector<std::string> ids = {"b05", "b07"};
     std::vector<fleet_job> jobs;
     std::vector<report::experiment_row> serial;
@@ -224,47 +209,30 @@ TEST(FleetRunner, FailingJobsDoNotPerturbSurvivorRows) {
     jobs.push_back(std::move(starved));
     jobs.push_back(malformed_job("bad"));
 
-    // Reference entry count for a shared cache fed only by the survivors:
-    // both bad jobs die before their EE search runs, so they must not add a
-    // single (bogus or otherwise) entry to the shared memo.
-    fleet_options clean_opts;
-    clean_opts.num_threads = 1;
-    clean_opts.experiment = fast_options();
-    const fleet_result clean =
-        run_fleet({jobs[0], jobs[1]}, clean_opts);
-    ASSERT_TRUE(clean.all_ok());
-
     for (unsigned threads : {1u, 2u, 5u}) {
-        for (bool share : {true, false}) {
-            fleet_options opts;
-            opts.num_threads = threads;
-            opts.share_trigger_cache = share;
-            opts.experiment = fast_options();
-            const fleet_result fleet = run_fleet(jobs, opts);
-            const std::string label = "threads=" + std::to_string(threads) +
-                                      " share=" + std::to_string(share);
+        fleet_options opts;
+        opts.num_threads = threads;
+        opts.experiment = fast_options();
+        const fleet_result fleet = run_fleet(jobs, opts);
+        const std::string label = "threads=" + std::to_string(threads);
 
-            ASSERT_EQ(fleet.results.size(), jobs.size()) << label;
-            EXPECT_EQ(fleet.jobs_ok, 2u) << label;
-            EXPECT_EQ(fleet.jobs_budget_exhausted, 1u) << label;
-            EXPECT_EQ(fleet.jobs_failed, 1u) << label;
-            EXPECT_EQ(fleet.results[2].status, job_status::budget_exhausted)
-                << label;
-            // Typed context: circuit id, event count and queue kind in what().
-            EXPECT_NE(fleet.results[2].error.find("starved"), std::string::npos)
-                << fleet.results[2].error;
-            EXPECT_NE(fleet.results[2].error.find("event budget exhausted"),
-                      std::string::npos)
-                << fleet.results[2].error;
-            EXPECT_EQ(fleet.results[3].status, job_status::failed) << label;
-            for (std::size_t i = 0; i < ids.size(); ++i) {
-                EXPECT_EQ(fleet.results[i].status, job_status::ok) << label;
-                expect_rows_identical(fleet.results[i].row, serial[i],
-                                      ids[i] + " " + label);
-            }
-            if (share) {
-                EXPECT_EQ(fleet.cache_entries, clean.cache_entries) << label;
-            }
+        ASSERT_EQ(fleet.results.size(), jobs.size()) << label;
+        EXPECT_EQ(fleet.jobs_ok, 2u) << label;
+        EXPECT_EQ(fleet.jobs_budget_exhausted, 1u) << label;
+        EXPECT_EQ(fleet.jobs_failed, 1u) << label;
+        EXPECT_EQ(fleet.results[2].status, job_status::budget_exhausted)
+            << label;
+        // Typed context: circuit id, event count and queue kind in what().
+        EXPECT_NE(fleet.results[2].error.find("starved"), std::string::npos)
+            << fleet.results[2].error;
+        EXPECT_NE(fleet.results[2].error.find("event budget exhausted"),
+                  std::string::npos)
+            << fleet.results[2].error;
+        EXPECT_EQ(fleet.results[3].status, job_status::failed) << label;
+        for (std::size_t i = 0; i < ids.size(); ++i) {
+            EXPECT_EQ(fleet.results[i].status, job_status::ok) << label;
+            expect_rows_identical(fleet.results[i].row, serial[i],
+                                  ids[i] + " " + label);
         }
     }
 }

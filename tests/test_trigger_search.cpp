@@ -10,7 +10,6 @@
 #include <bit>
 
 #include "bool/support.hpp"
-#include "ee/trigger_cache.hpp"
 
 namespace plee::ee {
 namespace {
@@ -169,34 +168,6 @@ TEST(TriggerSearch, CubeListCoverageNeverExceedsExact) {
             EXPECT_TRUE((cubes & ~exact).is_constant_zero());
         }
     }
-}
-
-
-TEST(TriggerSearch, CacheIsTransparentAndHits) {
-    // Cached and uncached searches must agree bit-for-bit; repeated masters
-    // must hit the memo.
-    ee::trigger_cache cache;
-    std::uint64_t state = 321;
-    for (int trial = 0; trial < 30; ++trial) {
-        state = state * 6364136223846793005ull + 1442695040888963407ull;
-        const bf::truth_table master(4, state & 0xffff);
-        if (master.support_size() < 2) continue;
-        const std::vector<int> arrivals = {3, 2, 1, 0};
-        const search_result plain = find_best_trigger(master, arrivals);
-        const search_result cached = find_best_trigger(master, arrivals, {}, &cache);
-        ASSERT_EQ(plain.all.size(), cached.all.size());
-        for (std::size_t i = 0; i < plain.all.size(); ++i) {
-            EXPECT_EQ(plain.all[i].function, cached.all[i].function);
-            EXPECT_EQ(plain.all[i].cost, cached.all[i].cost);
-        }
-        EXPECT_EQ(plain.best.has_value(), cached.best.has_value());
-        // Second pass over the same master: every support set must hit.
-        const std::uint64_t hits_before = cache.hits();
-        find_best_trigger(master, arrivals, {}, &cache);
-        EXPECT_GT(cache.hits(), hits_before);
-    }
-    EXPECT_GT(cache.size(), 0u);
-    EXPECT_GT(cache.misses(), 0u);
 }
 
 // Property: a trigger firing on an assignment really determines the master.

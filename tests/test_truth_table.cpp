@@ -343,6 +343,23 @@ TEST(TruthTableKernels, PermuteMatchesPerMintermModel) {
     }
 }
 
+TEST(TruthTableKernels, NegateInputsMatchesPerMintermModelAndIsAnInvolution) {
+    std::uint64_t s = 8;
+    for (int trial = 0; trial < 100; ++trial) {
+        for (int n = 1; n <= k_word_vars; ++n) {
+            const truth_table f = random_table(n, s);
+            const std::uint32_t mask =
+                static_cast<std::uint32_t>(next_state(s)) & ((1u << n) - 1);
+            const truth_table g = f.negate_inputs(mask);
+            for (std::uint32_t m = 0; m < f.num_minterms(); ++m) {
+                ASSERT_EQ(g.eval(m), f.eval(m ^ mask)) << "n=" << n << " m=" << m;
+            }
+            ASSERT_EQ(g.negate_inputs(mask), f) << "n=" << n;
+        }
+    }
+    EXPECT_THROW(truth_table(2, 0x6).negate_inputs(0x4), std::invalid_argument);
+}
+
 TEST(TruthTableKernels, ExpandIsVacuous) {
     std::uint64_t s = 7;
     for (int trial = 0; trial < 100; ++trial) {

@@ -10,7 +10,6 @@
 
 #include "bool/cube_list.hpp"
 #include "bool/support.hpp"
-#include "ee/trigger_cache.hpp"
 #include "ee/trigger_search.hpp"
 
 namespace plee::ee {
@@ -50,24 +49,6 @@ TEST(WordParallel, CubeListTriggerMatchesScalarOnAllLut4Masters) {
             ASSERT_EQ(word, ref) << "master=" << f << " support=" << s;
         }
     }
-}
-
-TEST(WordParallel, CanonicalCacheMatchesDirectOnAllLut4Masters) {
-    // The P-canonical cache must be transparent for every function, and the
-    // 2^16 functions must collapse to their 3984 permutation classes.  (The
-    // NPN default is cross-checked the same way in test_trigger_cache_npn.)
-    trigger_cache cache(canon_mode::p);
-    for (std::uint32_t f = 0; f <= 0xffffu; ++f) {
-        const bf::truth_table master(4, f);
-        for (std::uint32_t s : bf::cached_support_subsets(0xf, 3)) {
-            const bf::truth_table direct = exact_trigger_function(master, s);
-            const bf::truth_table cached = cache.exact(master, s);
-            ASSERT_EQ(direct, cached) << "master=" << f << " support=" << s;
-        }
-    }
-    EXPECT_EQ(cache.canonicalized_masters(), 65536u);
-    EXPECT_EQ(cache.size(), 3984u * 14u);  // permutation classes x support sets
-    EXPECT_GT(cache.hits(), cache.misses());
 }
 
 TEST(WordParallel, FullSearchMatchesScalarKernels) {

@@ -20,9 +20,11 @@
 //   --delays D     delay model: default | tie (all components 1.0 — the
 //                  split-storm stressor: every EE race is a tie)
 //   --no-check     skip the per-firing EE invariant check in the simulator
-//   --no-share     per-circuit private trigger caches instead of the
-//                  fleet-shared concurrent cache
 //   --json PATH    write the fleet result (summary + rows) as JSON
+//
+// Numeric values must parse whole (no sign on counts, no trailing
+// characters; durations finite and >= 0) and --vectors must be > 0; a bad
+// value is a usage error naming the flag (exit 1).
 //
 // Fault tolerance (see src/runner/README.md for the full semantics):
 //   --job-deadline-ms MS   per-job wall-clock deadline (0 = none)
@@ -30,20 +32,10 @@
 //   --fail-fast            abort the fleet on the first job failure
 //   --inject SPEC          arm the deterministic fault injector, e.g.
 //                          'seed=42;ee.search=0.5;sim.fire=1:delay=5'.
-//                          Points: synth.map | ee.search | sim.fire |
-//                          cache.lookup | cache.save | cache.load.  Fates:
+//                          Points: synth.map | ee.search | sim.fire.  Fates:
 //                          PROB (throw transient), :transient, :permanent,
-//                          :delay=MS, and :torn (cache.save/cache.load only:
-//                          truncate the snapshot I/O at a seeded offset).
-//                          An unknown point name is a usage error (exit 1).
-//
-// Cache persistence (see src/persist/snapshot.hpp and docs/schemas.md):
-//   --cache-load PATH      merge a trigger-cache snapshot into the shared
-//                          cache before fan-out; corrupt/missing snapshots
-//                          degrade to salvage or cold start, never an error
-//   --cache-save PATH      atomically save the shared cache after the join
-//   --cache-verify MODE    oracle re-check of loaded triggers:
-//                          off | sampled | full              (default full)
+//                          :delay=MS.  An unknown point name is a usage error
+//                          (exit 1).
 //
 // Telemetry (see src/obs/README.md and docs/schemas.md):
 //   --metrics-out PATH     write the process metrics registry as Prometheus
@@ -63,9 +55,9 @@
 // SIGINT/SIGTERM: the first signal trips a fleet-wide cancel token —
 // in-flight jobs stop at their next cooperative poll, queued jobs never
 // start — and the partial results plus every requested sink (--json,
-// --metrics-out, --trace-out, --cache-save) are still flushed through the
-// atomic-rename path before exiting 2.  A second signal hard-exits
-// immediately (status 130).
+// --metrics-out, --trace-out) are still flushed through the atomic-rename
+// path before exiting 2.  A second signal hard-exits immediately (status
+// 130).
 
 #include <unistd.h>
 
@@ -81,10 +73,11 @@
 #include "fault/injector.hpp"
 #include "obs/registry.hpp"
 #include "obs/sink.hpp"
-#include "persist/snapshot.hpp"
 #include "report/json.hpp"
 #include "report/table.hpp"
+#include "rt/atomic_write.hpp"
 #include "rt/cancel.hpp"
+#include "rt/parse.hpp"
 #include "runner/runner.hpp"
 #include "sim/measure.hpp"
 #include "workload/workload.hpp"
@@ -100,18 +93,14 @@ void usage(const char* argv0) {
         "       [--gates G] [--seed S] [--threads N] [--vectors V]\n"
         "       [--queue calendar|heap] [--lanes 1|64] "
         "[--lane-policy vector|fork|replay]\n"
-        "       [--delays default|tie] [--no-check] [--no-share]\n"
+        "       [--delays default|tie] [--no-check]\n"
         "       [--job-deadline-ms MS] [--max-retries N] [--fail-fast]\n"
         "       [--inject SPEC] [--json PATH]\n"
-        "       [--cache-load PATH] [--cache-save PATH] "
-        "[--cache-verify off|sampled|full]\n"
         "       [--metrics-out PATH] [--trace-out PATH] [--no-telemetry]\n"
         "\n"
-        "  --inject points: synth.map ee.search sim.fire cache.lookup "
-        "cache.save cache.load\n"
-        "  --inject fates:  PROB | PROB:transient | PROB:permanent |\n"
-        "                   PROB:delay=MS | PROB:torn (cache.save/cache.load "
-        "only)\n",
+        "  --inject points: synth.map ee.search sim.fire\n"
+        "  --inject fates:  PROB | PROB:transient | PROB:permanent | "
+        "PROB:delay=MS\n",
         argv0);
 }
 
@@ -131,12 +120,6 @@ extern "C" void on_signal(int) {
 
 bool interrupted() {
     return g_signal_count.load(std::memory_order_relaxed) > 0;
-}
-
-/// Every sink goes through the atomic temp+fsync+rename path so an
-/// interrupt (or crash) never leaves a half-written artifact.
-void write_text_file(const std::string& path, const std::string& text) {
-    persist::atomic_write_text(path, text);
 }
 
 /// The --trace-out JSONL stream: one "job" record per job, one trailing
@@ -191,7 +174,6 @@ int main(int argc, char** argv) {
     bool seed_given = false;
     unsigned threads = 0;
     std::size_t vectors = 20;
-    bool share = true;
     sim::queue_kind queue = sim::sim_options{}.queue;
     sim::lane_split_policy lane_policy = sim::sim_options{}.lane_policy;
     bool tie_delays = false;
@@ -205,94 +187,76 @@ int main(int argc, char** argv) {
     unsigned max_retries = 0;
     bool fail_fast = false;
     std::string inject_spec;
-    std::string cache_load_path;
-    std::string cache_save_path;
-    persist::verify_mode cache_verify = persist::verify_mode::full;
-    for (int i = 1; i < argc; ++i) {
-        auto next = [&]() -> const char* { return i + 1 < argc ? argv[++i] : nullptr; };
-        if (std::strcmp(argv[i], "--circuits") == 0) {
-            if (const char* v = next()) circuits = v; else { usage(argv[0]); return 1; }
-        } else if (std::strcmp(argv[i], "--scenario") == 0) {
-            if (const char* v = next()) scenario_name = v; else { usage(argv[0]); return 1; }
-        } else if (std::strcmp(argv[i], "--gates") == 0) {
-            if (const char* v = next()) gates = std::strtoull(v, nullptr, 10);
-            else { usage(argv[0]); return 1; }
-        } else if (std::strcmp(argv[i], "--seed") == 0) {
-            if (const char* v = next()) { seed = std::strtoull(v, nullptr, 10); seed_given = true; }
-            else { usage(argv[0]); return 1; }
-        } else if (std::strcmp(argv[i], "--threads") == 0) {
-            if (const char* v = next()) threads = static_cast<unsigned>(std::strtoul(v, nullptr, 10));
-            else { usage(argv[0]); return 1; }
-        } else if (std::strcmp(argv[i], "--vectors") == 0) {
-            if (const char* v = next()) vectors = std::strtoull(v, nullptr, 10);
-            else { usage(argv[0]); return 1; }
-        } else if (std::strcmp(argv[i], "--queue") == 0) {
-            const char* v = next();
-            if (v == nullptr) { usage(argv[0]); return 1; }
-            try {
-                queue = sim::queue_kind_from_string(v);
-            } catch (const std::invalid_argument&) {
-                usage(argv[0]);
-                return 1;
+    try {
+        for (int i = 1; i < argc; ++i) {
+            const char* arg = argv[i];
+            // Every option but the switches takes a value.
+            auto value = [&]() -> std::string {
+                if (i + 1 >= argc) {
+                    throw std::invalid_argument(std::string(arg) +
+                                                ": missing value");
+                }
+                return argv[++i];
+            };
+            if (std::strcmp(arg, "--circuits") == 0) {
+                circuits = value();
+            } else if (std::strcmp(arg, "--scenario") == 0) {
+                scenario_name = value();
+            } else if (std::strcmp(arg, "--gates") == 0) {
+                gates = parse_unsigned<std::size_t>(arg, value());
+            } else if (std::strcmp(arg, "--seed") == 0) {
+                seed = parse_unsigned<std::uint64_t>(arg, value());
+                seed_given = true;
+            } else if (std::strcmp(arg, "--threads") == 0) {
+                threads = parse_unsigned<unsigned>(arg, value());
+            } else if (std::strcmp(arg, "--vectors") == 0) {
+                vectors = parse_unsigned<std::size_t>(arg, value());
+                if (vectors == 0) {
+                    throw std::invalid_argument("--vectors: must be > 0");
+                }
+            } else if (std::strcmp(arg, "--queue") == 0) {
+                queue = sim::queue_kind_from_string(value());
+            } else if (std::strcmp(arg, "--lanes") == 0) {
+                lanes = parse_unsigned<std::size_t>(arg, value());
+                if (lanes != 1 && lanes != sim::k_lanes) {
+                    throw std::invalid_argument("--lanes: must be 1 or 64");
+                }
+            } else if (std::strcmp(arg, "--lane-policy") == 0) {
+                lane_policy = sim::lane_split_policy_from_string(value());
+            } else if (std::strcmp(arg, "--delays") == 0) {
+                const std::string v = value();
+                if (v == "tie") {
+                    tie_delays = true;
+                } else if (v != "default") {
+                    throw std::invalid_argument("--delays: expected default or "
+                                                "tie, got '" + v + "'");
+                }
+            } else if (std::strcmp(arg, "--no-check") == 0) {
+                check_early_value = false;
+            } else if (std::strcmp(arg, "--job-deadline-ms") == 0) {
+                job_deadline_ms = parse_non_negative(arg, value());
+            } else if (std::strcmp(arg, "--max-retries") == 0) {
+                max_retries = parse_unsigned<unsigned>(arg, value());
+            } else if (std::strcmp(arg, "--fail-fast") == 0) {
+                fail_fast = true;
+            } else if (std::strcmp(arg, "--inject") == 0) {
+                inject_spec = value();
+            } else if (std::strcmp(arg, "--json") == 0) {
+                json_path = value();
+            } else if (std::strcmp(arg, "--metrics-out") == 0) {
+                metrics_path = value();
+            } else if (std::strcmp(arg, "--trace-out") == 0) {
+                trace_path = value();
+            } else if (std::strcmp(arg, "--no-telemetry") == 0) {
+                telemetry = false;
+            } else {
+                throw std::invalid_argument(std::string("unknown option ") + arg);
             }
-        } else if (std::strcmp(argv[i], "--lanes") == 0) {
-            const char* v = next();
-            if (v == nullptr) { usage(argv[0]); return 1; }
-            lanes = std::strtoull(v, nullptr, 10);
-            if (lanes != 1 && lanes != sim::k_lanes) { usage(argv[0]); return 1; }
-        } else if (std::strcmp(argv[i], "--lane-policy") == 0) {
-            const char* v = next();
-            if (v == nullptr) { usage(argv[0]); return 1; }
-            try {
-                lane_policy = sim::lane_split_policy_from_string(v);
-            } catch (const std::invalid_argument&) {
-                usage(argv[0]);
-                return 1;
-            }
-        } else if (std::strcmp(argv[i], "--delays") == 0) {
-            const char* v = next();
-            if (v == nullptr) { usage(argv[0]); return 1; }
-            if (std::strcmp(v, "tie") == 0) tie_delays = true;
-            else if (std::strcmp(v, "default") != 0) { usage(argv[0]); return 1; }
-        } else if (std::strcmp(argv[i], "--no-check") == 0) {
-            check_early_value = false;
-        } else if (std::strcmp(argv[i], "--no-share") == 0) {
-            share = false;
-        } else if (std::strcmp(argv[i], "--job-deadline-ms") == 0) {
-            if (const char* v = next()) job_deadline_ms = std::strtod(v, nullptr);
-            else { usage(argv[0]); return 1; }
-        } else if (std::strcmp(argv[i], "--max-retries") == 0) {
-            if (const char* v = next()) max_retries = static_cast<unsigned>(std::strtoul(v, nullptr, 10));
-            else { usage(argv[0]); return 1; }
-        } else if (std::strcmp(argv[i], "--fail-fast") == 0) {
-            fail_fast = true;
-        } else if (std::strcmp(argv[i], "--inject") == 0) {
-            if (const char* v = next()) inject_spec = v; else { usage(argv[0]); return 1; }
-        } else if (std::strcmp(argv[i], "--cache-load") == 0) {
-            if (const char* v = next()) cache_load_path = v; else { usage(argv[0]); return 1; }
-        } else if (std::strcmp(argv[i], "--cache-save") == 0) {
-            if (const char* v = next()) cache_save_path = v; else { usage(argv[0]); return 1; }
-        } else if (std::strcmp(argv[i], "--cache-verify") == 0) {
-            const char* v = next();
-            if (v == nullptr) { usage(argv[0]); return 1; }
-            try {
-                cache_verify = persist::parse_verify_mode(v);
-            } catch (const std::invalid_argument&) {
-                usage(argv[0]);
-                return 1;
-            }
-        } else if (std::strcmp(argv[i], "--json") == 0) {
-            if (const char* v = next()) json_path = v; else { usage(argv[0]); return 1; }
-        } else if (std::strcmp(argv[i], "--metrics-out") == 0) {
-            if (const char* v = next()) metrics_path = v; else { usage(argv[0]); return 1; }
-        } else if (std::strcmp(argv[i], "--trace-out") == 0) {
-            if (const char* v = next()) trace_path = v; else { usage(argv[0]); return 1; }
-        } else if (std::strcmp(argv[i], "--no-telemetry") == 0) {
-            telemetry = false;
-        } else {
-            usage(argv[0]);
-            return 1;
         }
+    } catch (const std::invalid_argument& e) {
+        std::fprintf(stderr, "plee_fleet: %s\n", e.what());
+        usage(argv[0]);
+        return 1;
     }
 
     if (!inject_spec.empty()) {
@@ -315,7 +279,8 @@ int main(int argc, char** argv) {
             !circuits.empty() &&
             circuits.find_first_not_of("0123456789") == std::string::npos;
         if (synthetic) {
-            const std::size_t count = std::strtoull(circuits.c_str(), nullptr, 10);
+            const std::size_t count =
+                parse_unsigned<std::size_t>("--circuits", circuits);
             if (count == 0) {
                 std::fprintf(stderr, "plee_fleet: --circuits must be > 0\n");
                 return 1;
@@ -355,7 +320,6 @@ int main(int argc, char** argv) {
 
         runner::fleet_options opts;
         opts.num_threads = threads;
-        opts.share_trigger_cache = share;
         opts.job_deadline_ms = job_deadline_ms;
         opts.max_retries = max_retries;
         opts.fail_fast = fail_fast;
@@ -371,9 +335,6 @@ int main(int argc, char** argv) {
         opts.experiment.measure.sim.check_early_value = check_early_value;
         opts.telemetry = telemetry;
         if (seed_given) opts.experiment.measure.seed = seed;
-        opts.cache_load_path = cache_load_path;
-        opts.cache_save_path = cache_save_path;
-        opts.cache_verify = cache_verify;
         opts.fleet_cancel = &g_interrupt;
         const runner::fleet_result fleet = runner::run_fleet(jobs, opts);
 
@@ -414,25 +375,6 @@ int main(int argc, char** argv) {
                         "fleet's measurements\n",
                         fleet.lockstep_fraction);
         }
-        std::printf("trigger cache (%s): %.1f%% hit rate, %llu hits / %llu "
-                    "misses, %zu entries\n",
-                    share ? "fleet-shared" : "per-circuit",
-                    100.0 * fleet.cache_hit_rate(),
-                    static_cast<unsigned long long>(fleet.cache_hits),
-                    static_cast<unsigned long long>(fleet.cache_misses),
-                    fleet.cache_entries);
-        if (!fleet.cache_load_outcome.empty()) {
-            std::printf("cache snapshot load (%s): %llu loaded (%llu from "
-                        "salvage), %llu rejected\n",
-                        fleet.cache_load_outcome.c_str(),
-                        static_cast<unsigned long long>(fleet.cache_loaded),
-                        static_cast<unsigned long long>(fleet.cache_salvaged),
-                        static_cast<unsigned long long>(fleet.cache_rejected));
-        }
-        if (!fleet.cache_save_error.empty()) {
-            std::fprintf(stderr, "plee_fleet: cache save failed: %s\n",
-                         fleet.cache_save_error.c_str());
-        }
 
         if (!fleet.delay_hist_no_ee.empty() && !fleet.delay_hist_ee.empty()) {
             // The paper's comparison as a distribution, not a mean: fleet-wide
@@ -452,17 +394,17 @@ int main(int argc, char** argv) {
         if (!json_path.empty()) {
             report::json root = runner::to_json(fleet);
             root.set("bench", report::json::str("plee_fleet"));
-            write_text_file(json_path, root.dump());
+            atomic_write_text(json_path, root.dump());
             std::printf("wrote %s\n", json_path.c_str());
         }
         if (!metrics_path.empty()) {
-            write_text_file(
+            atomic_write_text(
                 metrics_path,
                 obs::to_prometheus(obs::registry::global().snapshot()));
             std::printf("wrote %s\n", metrics_path.c_str());
         }
         if (!trace_path.empty()) {
-            write_text_file(trace_path, trace_jsonl(fleet));
+            atomic_write_text(trace_path, trace_jsonl(fleet));
             std::printf("wrote %s\n", trace_path.c_str());
         }
         if (interrupted()) {

@@ -30,43 +30,41 @@
 //                      text exposition (see src/obs/README.md)
 //   --trace-out FILE   write a JSONL telemetry stream: the run's stage-span
 //                      breakdown plus a registry snapshot (docs/schemas.md)
-//   --cache-load FILE  merge a trigger-cache snapshot (src/persist/) into
-//                      this run's cache before the EE search; corrupt or
-//                      missing snapshots degrade to salvage/cold, never fail
-//   --cache-save FILE  atomically save the warmed cache afterwards
-//   --cache-verify M   oracle re-check of loaded triggers:
-//                      off | sampled | full (default full)
+//
+// Numeric values must parse whole (no sign on counts, no trailing
+// characters; --threshold finite and >= 0) and --vectors must be > 0; a bad
+// value is a usage error naming the flag.
 //
 // Exit status: 0 = ok, 1 = verification failure / bad arguments / fatal
 // error, 2 = interrupted (SIGINT/SIGTERM: the first signal cancels the
-// run cooperatively and still flushes --metrics-out/--trace-out/
-// --cache-save through the atomic-rename path; a second signal hard-exits).
+// run cooperatively and still flushes --metrics-out/--trace-out through
+// the atomic-rename path; a second signal hard-exits).
 
 #include <unistd.h>
 
 #include <atomic>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <optional>
+#include <stdexcept>
 #include <string>
 
 #include "bench_circuits/itc99.hpp"
 #include "bool/support.hpp"
-#include "ee/concurrent_cache.hpp"
 #include "ee/ee_transform.hpp"
 #include "netlist/blif.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/registry.hpp"
 #include "obs/sink.hpp"
 #include "obs/span.hpp"
-#include "persist/snapshot.hpp"
 #include "plogic/pl_mapper.hpp"
 #include "report/json.hpp"
 #include "report/table.hpp"
+#include "rt/atomic_write.hpp"
 #include "rt/cancel.hpp"
+#include "rt/parse.hpp"
 #include "sim/measure.hpp"
 #include "sim/vcd.hpp"
 
@@ -94,9 +92,6 @@ struct cli_options {
     bool per_trigger_report = false;
     std::string metrics_out;
     std::string trace_out;
-    std::string cache_load;
-    std::string cache_save;
-    persist::verify_mode cache_verify = persist::verify_mode::full;
 };
 
 void usage() {
@@ -107,9 +102,7 @@ void usage() {
                  "[--lanes 1|64] [--lane-policy vector|fork|replay]\n"
                  "                 [--delays default|tie] [--no-check] [--dot FILE] "
                  "[--vcd FILE] [--blif-out FILE] [--report]\n"
-                 "                 [--metrics-out FILE] [--trace-out FILE]\n"
-                 "                 [--cache-load FILE] [--cache-save FILE] "
-                 "[--cache-verify off|sampled|full]\n");
+                 "                 [--metrics-out FILE] [--trace-out FILE]\n");
 }
 
 std::optional<cli_options> parse(int argc, char** argv) {
@@ -125,10 +118,12 @@ std::optional<cli_options> parse(int argc, char** argv) {
         } else if (arg == "--blif") {
             if (const char* v = next()) o.blif_in = v; else return std::nullopt;
         } else if (arg == "--vectors") {
-            if (const char* v = next()) o.vectors = std::strtoull(v, nullptr, 10);
-            else return std::nullopt;
+            const char* v = next();
+            if (v == nullptr) return std::nullopt;
+            o.vectors = parse_unsigned<std::size_t>(arg, v);
+            if (o.vectors == 0) throw std::invalid_argument("--vectors: must be > 0");
         } else if (arg == "--threshold") {
-            if (const char* v = next()) o.threshold = std::strtod(v, nullptr);
+            if (const char* v = next()) o.threshold = parse_non_negative(arg, v);
             else return std::nullopt;
         } else if (arg == "--method") {
             const char* v = next();
@@ -139,13 +134,10 @@ std::optional<cli_options> parse(int argc, char** argv) {
         } else if (arg == "--no-ee") {
             o.apply_ee = false;
         } else if (arg == "--threads") {
-            if (const char* v = next()) {
-                o.threads = static_cast<unsigned>(std::strtoul(v, nullptr, 10));
-            } else {
-                return std::nullopt;
-            }
+            if (const char* v = next()) o.threads = parse_unsigned<unsigned>(arg, v);
+            else return std::nullopt;
         } else if (arg == "--seed") {
-            if (const char* v = next()) o.seed = std::strtoull(v, nullptr, 10);
+            if (const char* v = next()) o.seed = parse_unsigned<std::uint64_t>(arg, v);
             else return std::nullopt;
         } else if (arg == "--queue") {
             const char* v = next();
@@ -158,8 +150,10 @@ std::optional<cli_options> parse(int argc, char** argv) {
         } else if (arg == "--lanes") {
             const char* v = next();
             if (v == nullptr) return std::nullopt;
-            o.lanes = std::strtoull(v, nullptr, 10);
-            if (o.lanes != 1 && o.lanes != sim::k_lanes) return std::nullopt;
+            o.lanes = parse_unsigned<std::size_t>(arg, v);
+            if (o.lanes != 1 && o.lanes != sim::k_lanes) {
+                throw std::invalid_argument("--lanes: must be 1 or 64");
+            }
         } else if (arg == "--lane-policy") {
             const char* v = next();
             if (v == nullptr) return std::nullopt;
@@ -187,18 +181,6 @@ std::optional<cli_options> parse(int argc, char** argv) {
             if (const char* v = next()) o.metrics_out = v; else return std::nullopt;
         } else if (arg == "--trace-out") {
             if (const char* v = next()) o.trace_out = v; else return std::nullopt;
-        } else if (arg == "--cache-load") {
-            if (const char* v = next()) o.cache_load = v; else return std::nullopt;
-        } else if (arg == "--cache-save") {
-            if (const char* v = next()) o.cache_save = v; else return std::nullopt;
-        } else if (arg == "--cache-verify") {
-            const char* v = next();
-            if (v == nullptr) return std::nullopt;
-            try {
-                o.cache_verify = persist::parse_verify_mode(v);
-            } catch (const std::invalid_argument&) {
-                return std::nullopt;
-            }
         } else {
             std::fprintf(stderr, "unknown option: %s\n", arg.c_str());
             return std::nullopt;
@@ -206,12 +188,6 @@ std::optional<cli_options> parse(int argc, char** argv) {
     }
     if (o.bench.empty() == o.blif_in.empty()) return std::nullopt;  // exactly one
     return o;
-}
-
-/// All sinks go through the atomic temp+fsync+rename path, so an interrupt
-/// never leaves a half-written artifact.
-void write_text_file(const std::string& path, const std::string& text) {
-    persist::atomic_write_text(path, text);
 }
 
 /// First SIGINT/SIGTERM cancels the run cooperatively (one atomic store —
@@ -230,7 +206,12 @@ extern "C" void on_signal(int) {
 }  // namespace
 
 int main(int argc, char** argv) {
-    const std::optional<cli_options> parsed = parse(argc, argv);
+    std::optional<cli_options> parsed;
+    try {
+        parsed = parse(argc, argv);
+    } catch (const std::invalid_argument& e) {
+        std::fprintf(stderr, "plee_flow: %s\n", e.what());
+    }
     if (!parsed) {
         usage();
         return 1;
@@ -246,24 +227,12 @@ int main(int argc, char** argv) {
     obs::flight_recorder recorder;
     const obs::recorder_scope ambient_recorder(&recorder);
 
-    // The run's trigger cache when snapshots are in play.  Without either
-    // cache flag the EE pass keeps its private per-pass caches, reproducing
-    // the standalone counters exactly.
-    ee::concurrent_trigger_cache cache;
-    const bool use_cache = !o.cache_load.empty() || !o.cache_save.empty();
-
     // Sink flushing is shared between the normal exit and the interrupt
     // path, so a cancelled run still lands complete, atomically-renamed
     // artifacts.
     const auto flush_sinks = [&]() {
-        if (!o.cache_save.empty()) {
-            const obs::scoped_span span(&trace, "cache.save");
-            persist::save_snapshot(o.cache_save, cache.export_image());
-            std::printf("wrote %s (%zu cache entries)\n", o.cache_save.c_str(),
-                        cache.size() + cache.canonicalized_masters());
-        }
         if (!o.metrics_out.empty()) {
-            write_text_file(o.metrics_out, obs::to_prometheus(
+            atomic_write_text(o.metrics_out, obs::to_prometheus(
                                                obs::registry::global().snapshot()));
             std::printf("wrote %s\n", o.metrics_out.c_str());
         }
@@ -277,7 +246,7 @@ int main(int argc, char** argv) {
             metrics.set("type", report::json::str("metrics"));
             metrics.set("metrics",
                         obs::metrics_to_json(obs::registry::global().snapshot()));
-            write_text_file(o.trace_out, flow.dump_compact() + "\n" +
+            atomic_write_text(o.trace_out, flow.dump_compact() + "\n" +
                                              metrics.dump_compact() + "\n");
             std::printf("wrote %s\n", o.trace_out.c_str());
         }
@@ -315,22 +284,6 @@ int main(int argc, char** argv) {
         if (!health.ok()) return 1;
 
         // --- Early Evaluation ---------------------------------------------------
-        if (use_cache && !o.cache_load.empty()) {
-            const obs::scoped_span span(&trace, "cache.load");
-            persist::load_options lo;
-            lo.verify = o.cache_verify;
-            lo.expected_mode = cache.mode();
-            const persist::load_result loaded =
-                persist::load_snapshot(o.cache_load, lo);
-            if (loaded.loaded() > 0) cache.merge_from_snapshot(loaded.image);
-            std::printf("cache snapshot load (%s): %llu loaded, %llu "
-                        "rejected%s%s\n",
-                        persist::to_string(loaded.outcome),
-                        static_cast<unsigned long long>(loaded.loaded()),
-                        static_cast<unsigned long long>(loaded.rejected),
-                        loaded.detail.empty() ? "" : " — ",
-                        loaded.detail.c_str());
-        }
         if (o.apply_ee) {
             ee::ee_options opts;
             opts.search.cost_threshold = o.threshold;
@@ -338,7 +291,6 @@ int main(int argc, char** argv) {
             opts.num_threads = o.threads;
             opts.recorder = &recorder;
             opts.cancel = &g_interrupt;
-            if (use_cache) opts.shared_cache = &cache;
             const ee::ee_stats stats = [&] {
                 const obs::scoped_span span(&trace, "ee.search");
                 return ee::apply_early_evaluation(mapped.pl, opts);
@@ -462,7 +414,7 @@ int main(int argc, char** argv) {
                         std::min<std::size_t>(o.vectors, 10));
         }
 
-        // --- Sinks (cache snapshot + telemetry) ------------------------------
+        // --- Sinks (telemetry) -------------------------------------------------
         flush_sinks();
         return 0;
     } catch (const job_timeout& e) {
