@@ -1,16 +1,18 @@
-// bench_sim_queue — events/s of the two pl_simulator event-queue engines.
+// bench_sim_queue — events/s of the two scalar pl_simulator engines.
 //
 // The measure phase is the dominant per-circuit cost of a fleet job, so this
 // bench times the simulator alone: a fleet mix of generated circuits (all
 // four scenario presets round-robin) is mapped, EE-transformed, and then
-// simulated repeatedly under both queue engines with identical stimulus.
+// simulated repeatedly under both scalar engines with identical stimulus.
 // Before any timing, every circuit is cross-checked — wave records, stats
 // and traces must be bit-identical between the engines (non-zero exit
 // otherwise), so the throughput numbers compare two implementations of the
 // same computation.
 //
-// Reported per scenario and for the whole mix: events/s under the heap and
-// calendar engines and the speedup.  The mix row can fan circuits across
+// Reported per scenario and for the whole mix: events/s under the
+// time-ordered heap engine (queue_kind::binary_heap) and the queue-free
+// dataflow engine (queue_kind::calendar, whose JSON column keeps the
+// calendar_ name) and the speedup.  The mix row can fan circuits across
 // worker threads (--threads) to mirror how the fleet runner drives shards.
 //
 // The `lanes` row measures the lane-parallel mode on the same mix.  Before
@@ -461,7 +463,7 @@ int main(int argc, char** argv) {
         }
 
         report::text_table t(
-            {"Workload", "Heap ev/s", "Calendar ev/s", "Speedup"});
+            {"Workload", "Heap ev/s", "Dataflow ev/s", "Speedup"});
         report::json rows = report::json::array();
         const auto add_row = [&](const std::string& name,
                                  const std::vector<const circuit*>& group,

@@ -1,6 +1,12 @@
-// calendar_queue.hpp — a bucketed timing-wheel event queue for pl_simulator.
+// calendar_queue.hpp — a bucketed timing-wheel event queue for pl_simulator's
+// lane engine (run_lanes).
 //
-// The simulator's events are token deposits, dense in time and popped in
+// Only the lane engine uses it: the scalar path runs the queue-free
+// dataflow engine by default and std::push_heap over `deposit` as its
+// time-ordered reference (see pl_sim.hpp).  The lane engine keeps a queue
+// while its fork policy checkpoints and restores pending deposits.
+//
+// The lane engine's events are token deposits, dense in time and popped in
 // strict (time, seq) order.  A binary heap pays O(log n) comparisons and
 // 24-byte record shuffles per operation; a calendar queue exploits the
 // structure of simulated time instead: event times are bucketed by a
@@ -19,15 +25,15 @@
 // hand-built netlist, about to throw anyway) falls back to the overflow
 // heap, which preserves exact pop order.
 //
-// Ordering contract (what makes the two engines bit-identical): events are
-// popped in exactly increasing (time, seq) — the same total order the heap's
-// comparator induces.  Bucketing never reorders across buckets because
-// tick(t) is monotone in t, and a bucket is sorted by (time, seq) when its
-// tick becomes current.  Chain order within a bucket is already seq order
-// and event times arrive nearly sorted, so the drain sort is an adaptive
-// insertion sort (linear on the common nearly-sorted case) with a std::sort
-// fallback for large buckets.  Late arrivals into the in-drain run are
-// inserted at their sorted position.
+// Ordering contract: events are popped in exactly increasing (time, seq) —
+// the same total order the heap engine's comparator induces.  Bucketing
+// never reorders across buckets because tick(t) is monotone in t, and a
+// bucket is sorted by (time, seq) when its tick becomes current.  Chain
+// order within a bucket is already seq order and event times arrive nearly
+// sorted, so the drain sort is an adaptive insertion sort (linear on the
+// common nearly-sorted case) with a std::sort fallback for large buckets.
+// Late arrivals into the in-drain run are inserted at their sorted
+// position.
 //
 // Capacity management: the ring covers the window [cur_tick, cur_tick + N).
 // N is sized from the delay model (every deposit lands at most one gate
@@ -58,13 +64,13 @@ struct deposit {
     }
 };
 
-/// The calendar engine's 16-byte event: (seq, edge, value) packed into one
+/// The calendar queue's 16-byte event: (seq, edge, value) packed into one
 /// key as [seq:39][edge:24][value:1].  seq owns the top bits and is unique,
 /// so ordering by (time, key) is exactly ordering by (time, seq) — the same
 /// total order the heap comparator induces — while halving every copy, sort
-/// move and cache line the queue touches.  The layout caps the engine at
-/// 2^24 edges and 2^39 events per run; pl_simulator falls back to the heap
-/// engine (identical results) beyond that.
+/// move and cache line the queue touches.  The layout caps the lane engine
+/// at 2^24 edges and 2^39 events per run; run_lanes falls back to 64 scalar
+/// runs (identical results) beyond that.
 struct cal_event {
     double time = 0.0;
     std::uint64_t key = 0;

@@ -6,9 +6,9 @@
 // of "event budget exhausted" lines could not say which circuit, how far it
 // got, or on which engine.  Each type here carries the circuit label
 // (sim_options::label, set by the fleet runner to the job id), the event
-// count at failure and the queue engine, and renders them into what(), so a
-// single log line is actionable.  All are permanent (the simulator is
-// deterministic given its stimulus).
+// count at failure and the engine ("heap", "dataflow" or "lanes"), and
+// renders them into what(), so a single log line is actionable.  All are
+// permanent (the simulator is deterministic given its stimulus).
 
 #pragma once
 
@@ -44,8 +44,9 @@ public:
         : sim_error("event budget exhausted", label, events, queue) {}
 };
 
-/// The event queue drained before every wave stabilized; the message embeds
-/// the liveness diagnostic (waves stable, starving gates, first example).
+/// The engine ran out of enabled firings before every wave stabilized; the
+/// message embeds the liveness diagnostic (waves stable, starving gates,
+/// first example).
 class deadlock_error : public sim_error {
 public:
     deadlock_error(const std::string& label, const std::string& diagnostic,

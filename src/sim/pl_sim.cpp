@@ -67,6 +67,11 @@ queue_kind queue_kind_from_string(const std::string& name) {
                                 "' (expected heap | binary_heap | calendar)");
 }
 
+const char* engine_name(queue_kind kind, std::size_t lanes) {
+    if (kind == queue_kind::binary_heap) return "heap";
+    return lanes == 1 ? "dataflow" : "calendar";
+}
+
 const char* to_string(lane_split_policy policy) {
     switch (policy) {
         case lane_split_policy::vector: return "vector";
@@ -133,6 +138,30 @@ pl_simulator::pl_simulator(const pl::pl_netlist& pl, sim_options options)
     }
 }
 
+void pl_simulator::throw_occupied(pl::edge_id edge, const char* engine) const {
+    throw invariant_violation("token deposited onto an occupied edge " +
+                                  std::to_string(edge) +
+                                  " (marked-graph safety violation)",
+                              options_.label, stats_.events, engine);
+}
+
+/// The event checks every engine shares: the max_events budget, and once
+/// per k_cancel_check_events events the cancel poll, the sim.fire fault
+/// point and the progress beat.  Engines call it out of line, only when the
+/// count passes the budget or lands on a check boundary.
+void pl_simulator::check_events(std::uint64_t events, const char* engine) {
+    if (events > options_.max_events) {
+        throw budget_exhausted(options_.label, events, engine);
+    }
+    if (options_.cancel != nullptr && options_.cancel->expired()) {
+        throw job_timeout("sim.events", options_.label, events);
+    }
+    fault::injector::instance().check("sim.fire", events);
+    if (options_.recorder != nullptr) {
+        options_.recorder->record("sim.progress", events, waves_stable_);
+    }
+}
+
 void pl_simulator::reset() {
     stats_ = {};
     trace_on_ = options_.collect_trace;
@@ -154,12 +183,7 @@ void pl_simulator::schedule(pl::edge_id edge, bool value, double time) {
 
 void pl_simulator::place(pl::edge_id edge, bool value, double time) {
     token_slot& slot = tokens_[edge];
-    if (slot.present) {
-        throw invariant_violation(
-            "token deposited onto an occupied edge " + std::to_string(edge) +
-                " (marked-graph safety violation)",
-            options_.label, stats_.events, "heap");
-    }
+    if (slot.present) throw_occupied(edge, "heap");
     slot = {true, value, time};
     const pl::pl_edge& e = pl_.edge(edge);
     if (options_.collect_trace && e.kind == pl::edge_kind::data) {
@@ -372,18 +396,10 @@ void pl_simulator::run_heap() {
     // every stat independent of where the last sink record lands in the
     // queue's pop order.
     while (!heap_.empty()) {
-        if (++stats_.events > options_.max_events) {
-            throw budget_exhausted(options_.label, stats_.events, "heap");
-        }
-        if ((stats_.events & (k_cancel_check_events - 1)) == 0) {
-            if (options_.cancel != nullptr && options_.cancel->expired()) {
-                throw job_timeout("sim.events", options_.label, stats_.events);
-            }
-            fault::injector::instance().check("sim.fire", stats_.events);
-            if (options_.recorder != nullptr) {
-                options_.recorder->record("sim.progress", stats_.events,
-                                          waves_stable_);
-            }
+        const std::uint64_t events = ++stats_.events;
+        if (events > options_.max_events ||
+            (events & (k_cancel_check_events - 1)) == 0) {
+            check_events(events, "heap");
         }
         std::pop_heap(heap_.begin(), heap_.end(), std::greater<>());
         const deposit d = heap_.back();
@@ -393,19 +409,30 @@ void pl_simulator::run_heap() {
 }
 
 // ---------------------------------------------------------------------------
-// Throughput engine: calendar queue over SoA tokens and CSR adjacency.
+// Dataflow engine: SoA tokens and CSR adjacency, no event queue.
+//
+// A PL circuit is a live, safe marked graph, and under the Figure 1/2 delay
+// model every token time is a max/min recurrence over the times of the
+// tokens its producing firing consumed.  With firings capped at the wave
+// horizon, the set of firings is the same in any enabling order, so nothing
+// needs replaying in time order: a firing writes each output token directly
+// (present bit, value, time) and a consumer whose last missing input just
+// arrived goes onto a LIFO worklist.  One deposit is one event, exactly as
+// one popped deposit is in the heap engine, so every stat matches it.
 // ---------------------------------------------------------------------------
 
-void pl_simulator::place_fast(pl::edge_id edge, bool value, double time) {
+/// One deposit = one event: the event checks, the occupied-edge safety
+/// check, the token write and the consumer's enabling.
+void pl_simulator::deposit_token(pl::edge_id edge, bool value, double time) {
+    const std::uint64_t events = ++stats_.events;
+    if (events > options_.max_events ||
+        (events & (k_cancel_check_events - 1)) == 0) {
+        check_events(events, "dataflow");
+    }
     const std::size_t word = edge >> 6;
     const std::uint64_t bit = std::uint64_t{1} << (edge & 63);
     const std::uint64_t present = tok_present_[word];
-    if (present & bit) {
-        throw invariant_violation(
-            "token deposited onto an occupied edge " + std::to_string(edge) +
-                " (marked-graph safety violation)",
-            options_.label, stats_.events, "calendar");
-    }
+    if (present & bit) throw_occupied(edge, "dataflow");
     tok_present_[word] = present | bit;
     tok_value_[word] = value ? tok_value_[word] | bit : tok_value_[word] & ~bit;
     tok_time_[edge] = time;
@@ -413,7 +440,7 @@ void pl_simulator::place_fast(pl::edge_id edge, bool value, double time) {
         trace_.push_back({time, edge, value});
     }
     const pl::gate_id g = topo_.edge_to[edge];
-    if (--pending_[g] == 0) try_fire_fast(g);
+    if (--pending_[g] == 0) worklist_.push_back(g);
 }
 
 void pl_simulator::fire_source_fast(pl::gate_id g) {
@@ -435,13 +462,9 @@ void pl_simulator::fire_source_fast(pl::gate_id g) {
         const bool value = stim_bit(wave, d.env_slot);
         const double t_out = t_ready + options_.delays.d_source;
         input_stable_[wave] = std::max(input_stable_[wave], t_out);
-        const std::uint64_t tick = calendar_.tick_of(t_out);
-        std::uint64_t seq = next_seq_;
         for (std::uint32_t i = d.out_begin; i < d.out_end; ++i) {
-            calendar_.push_at(
-                tick, {t_out, cal_event::pack(seq++, topo_.out_flat[i], value)});
+            deposit_token(topo_.out_flat[i], value, t_out);
         }
-        next_seq_ = seq;
     }
 }
 
@@ -463,13 +486,9 @@ void pl_simulator::record_sink_fast(pl::gate_id g) {
     ++stats_.firings;
 
     const double t_ack = t_ready + options_.delays.ack_delay();
-    const std::uint64_t tick = calendar_.tick_of(t_ack);
-    std::uint64_t seq = next_seq_;
     for (std::uint32_t i = d.out_begin; i < d.out_end; ++i) {
-        calendar_.push_at(
-            tick, {t_ack, cal_event::pack(seq++, topo_.out_flat[i], false)});
+        deposit_token(topo_.out_flat[i], false, t_ack);
     }
-    next_seq_ = seq;
 
     if (wave >= num_waves_) return;  // drain beyond the measured horizon
     wave_outputs_[wave][d.env_slot] = tok_val;
@@ -575,39 +594,30 @@ void pl_simulator::try_fire_fast(pl::gate_id g) {
                     throw invariant_violation(
                         "efire token disagrees with the trigger function (EE "
                         "invariant violated)",
-                        options_.label, stats_.events, "calendar");
+                        options_.label, stats_.events, "dataflow");
                 }
             }
             break;
         }
         default:
             throw invariant_violation("unexpected gate kind in firing",
-                                      options_.label, stats_.events, "calendar");
+                                      options_.label, stats_.events, "dataflow");
     }
 
     const double t_ack = t_ready + options_.delays.ack_delay();
-    const std::uint64_t tick_out = calendar_.tick_of(t_out);
-    const std::uint64_t tick_ack = calendar_.tick_of(t_ack);
     const pl::edge_id* const out_flat = topo_.out_flat.data();
-    std::uint64_t seq = next_seq_;
     for (std::uint32_t i = d.out_begin; i < d.out_end; ++i) {
         const pl::edge_id e = out_flat[i];
-        if (topo_.edge_is_ack[e]) {
-            calendar_.push_at(tick_ack, {t_ack, cal_event::pack(seq++, e, value)});
-        } else {
-            calendar_.push_at(tick_out, {t_out, cal_event::pack(seq++, e, value)});
-        }
+        deposit_token(e, value, topo_.edge_is_ack[e] ? t_ack : t_out);
     }
-    next_seq_ = seq;
 }
 
-void pl_simulator::run_calendar() {
+void pl_simulator::run_dataflow() {
     const std::size_t num_edges = pl_.num_edges();
     tok_present_.assign((num_edges + 63) / 64, 0);
     tok_value_.assign((num_edges + 63) / 64, 0);
     tok_time_.assign(num_edges, 0.0);
-    calendar_.reset(bucket_width_for(options_.delays),
-                    max_delay_for(options_.delays), num_edges);
+    worklist_.clear();
 
     // Initial marking: tokens in place at t = 0.
     for (pl::edge_id e = 0; e < num_edges; ++e) {
@@ -622,7 +632,9 @@ void pl_simulator::run_calendar() {
     }
 
     // Kick off every gate enabled by the initial marking (same rules as the
-    // reference engine, read from the descriptors).
+    // reference engine, read from the descriptors), then fire enabled gates
+    // until none is left.  The wave-horizon cap in try_fire_fast bounds the
+    // firings, so the worklist always empties.
     for (pl::gate_id g = 0; g < pl_.num_gates(); ++g) {
         if (pending_[g] == 0 && in_count_[g] != 0) try_fire_fast(g);
         if (pending_[g] == 0 && in_count_[g] == 0 &&
@@ -631,44 +643,11 @@ void pl_simulator::run_calendar() {
             try_fire_fast(g);
         }
     }
-
-    // The event counter lives in a register for the loop (stats_.events is a
-    // uint64 the queue's stores could alias, forcing reloads) and is written
-    // back on every exit path.
-    std::uint64_t events = stats_.events;
-    const std::uint64_t max_events = options_.max_events;
-    cancel_token* const cancel = options_.cancel;
-    try {
-        // Drain to quiescence (see run_heap): the wave-horizon cap bounds
-        // the stream and full drain makes the stats pop-order-independent.
-        while (!calendar_.empty()) {
-            if (++events > max_events) {
-                throw budget_exhausted(options_.label, events, "calendar");
-            }
-            if ((events & (k_cancel_check_events - 1)) == 0) {
-                // Sync the registered counter so any throw below (including
-                // from place_fast) reports an event count at most one check
-                // interval stale.
-                stats_.events = events;
-                if (cancel != nullptr && cancel->expired()) {
-                    throw job_timeout("sim.events", options_.label, events);
-                }
-                fault::injector::instance().check("sim.fire", events);
-                if (options_.recorder != nullptr) {
-                    options_.recorder->record("sim.progress", events,
-                                              waves_stable_);
-                }
-            }
-            // Argument loads happen before the call, so the reference going
-            // stale on an in-run push inside place_fast is harmless.
-            const cal_event& dep = calendar_.pop_min();
-            place_fast(dep.edge(), dep.value(), dep.time);
-        }
-    } catch (...) {
-        stats_.events = events;
-        throw;
+    while (!worklist_.empty()) {
+        const pl::gate_id g = worklist_.back();
+        worklist_.pop_back();
+        try_fire_fast(g);
     }
-    stats_.events = events;
 }
 
 // ---------------------------------------------------------------------------
@@ -735,21 +714,22 @@ std::vector<wave_record> pl_simulator::run_packed(
                                              std::size_t{1} << 20));
     }
 
-    // The calendar engine packs (seq, edge, value) into one 64-bit key;
-    // netlists or event budgets beyond that layout fall back to the heap
-    // engine, which produces identical results.
-    const bool calendar_fits = pl_.num_edges() < cal_event::k_max_edges &&
-                               options_.max_events < cal_event::k_max_seq / 2;
-    const bool use_heap =
-        options_.queue == queue_kind::binary_heap || !calendar_fits;
+    const bool use_heap = options_.queue == queue_kind::binary_heap;
     if (use_heap) {
         run_heap();
     } else {
-        run_calendar();
+        run_dataflow();
     }
+    // The trace contract: sorted by (time, edge), one edge's deposits in
+    // wave order (the stable sort keeps each engine's per-edge order).
+    std::stable_sort(trace_.begin(), trace_.end(),
+                     [](const trace_event& a, const trace_event& b) {
+                         return a.time != b.time ? a.time < b.time
+                                                 : a.edge < b.edge;
+                     });
     if (waves_stable_ < num_waves_) {
         throw deadlock_error(options_.label, deadlock_diagnostic(),
-                             stats_.events, use_heap ? "heap" : "calendar");
+                             stats_.events, use_heap ? "heap" : "dataflow");
     }
 
     std::vector<wave_record> records;
@@ -768,9 +748,10 @@ std::vector<wave_record> pl_simulator::run_packed(
 // ---------------------------------------------------------------------------
 // Lane engine: 64 independent single-vector runs through one event stream.
 //
-// Structure mirrors the calendar engine: same queue, same presence bitset,
-// same time array, same (time, seq) pop order.  What changes is the payload
-// — every data token carries a 64-bit value word instead of one bit.  The
+// Token state is the dataflow engine's (same presence bitset, same time
+// array), but deposits go through a calendar queue (calendar_queue.hpp) in
+// the heap engine's (time, seq) pop order.  What changes is the payload —
+// every data token carries a 64-bit value word instead of one bit.  The
 // cal_event key has no room for a word, so the word rides in a side array
 // (lane_sched_) indexed by edge: marked-graph safety guarantees at most one
 // deposit in flight per edge, and lane_inflight_ enforces it (an unsafe
@@ -822,12 +803,7 @@ void pl_simulator::schedule_lanes_vec(pl::edge_id edge, std::uint64_t word,
 void pl_simulator::place_lanes(pl::edge_id edge, double time) {
     const std::size_t word = edge >> 6;
     const std::uint64_t bit = std::uint64_t{1} << (edge & 63);
-    if (tok_present_[word] & bit) {
-        throw invariant_violation(
-            "token deposited onto an occupied edge " + std::to_string(edge) +
-                " (marked-graph safety violation)",
-            options_.label, stats_.events, "lanes");
-    }
+    if (tok_present_[word] & bit) throw_occupied(edge, "lanes");
     tok_present_[word] |= bit;
     lane_inflight_[word] &= ~bit;
     lane_value_[edge] = lane_sched_[edge];
@@ -1579,25 +1555,15 @@ void pl_simulator::run_lane_fork(lane_block_result& result) {
 void pl_simulator::run_lane_events() {
     std::uint64_t events = stats_.events;
     const std::uint64_t max_events = options_.max_events;
-    cancel_token* const cancel = options_.cancel;
     try {
         // Drain to quiescence (see run_heap): with firings capped at the
         // wave horizon the calendar empties deterministically, and every
         // lane pass observes the same firing set regardless of pop order.
         while (!calendar_.empty()) {
-            if (++events > max_events) {
-                throw budget_exhausted(options_.label, events, "lanes");
-            }
-            if ((events & (k_cancel_check_events - 1)) == 0) {
+            if (++events > max_events ||
+                (events & (k_cancel_check_events - 1)) == 0) {
                 stats_.events = events;
-                if (cancel != nullptr && cancel->expired()) {
-                    throw job_timeout("sim.events", options_.label, events);
-                }
-                fault::injector::instance().check("sim.fire", events);
-                if (options_.recorder != nullptr) {
-                    options_.recorder->record("sim.progress", events,
-                                              waves_stable_);
-                }
+                check_events(events, "lanes");
             }
             const cal_event& dep = calendar_.pop_min();
             place_lanes(dep.edge(), dep.time);

@@ -21,35 +21,53 @@
 // token deposited onto an occupied edge (safety violation) or a deadlock
 // before the run completes (liveness violation) raises an error.
 //
-// ## Two event-queue engines
+// ## Two scalar engines
 //
-// The simulator is the dominant per-circuit cost of a fleet job (the measure
-// phase dwarfs the EE phase), so the hot path exists twice behind
+// The simulator is the dominant per-circuit cost of a fleet job, and the
+// sequential-wave protocol (run / run_packed) exists twice behind
 // sim_options::queue:
 //
-//  * queue_kind::calendar (default) — the throughput engine.  Pending
-//    deposits live in a bucketed timing wheel (calendar_queue.hpp) keyed on
-//    quantized delay-model ticks: O(1) schedule/pop instead of the heap's
-//    O(log n), with 16-byte packed events ([seq|edge|value] in one key) on
-//    an intrusive edge-indexed node pool — no allocation on the hot path.
-//    Token state is structure-of-arrays — a packed presence bitset, a value
-//    bitset and a flat time array — and gate adjacency comes from the CSR
-//    arrays of pl::flat_topology, so a firing walks contiguous id ranges
-//    instead of chasing per-gate std::vector headers.  Per-gate firing
-//    metadata (kind, pin counts, CSR offsets, LUT bits, trigger pin-packing
-//    map) is precomputed into one cache-line-aligned descriptor array.
-//    Netlists beyond the packed-key range (2^24 edges / 2^38 events) fall
-//    back to the heap engine transparently.
+//  * queue_kind::calendar (default) — the queue-free dataflow engine.  A PL
+//    circuit is a live, safe marked graph (Section 2), and under the
+//    Figure 1/2 delay model every token time is a max/min recurrence over
+//    the times of the tokens its firing consumed.  The wave-horizon cap
+//    (src/sim/README.md) makes the set of firings the same in any enabling
+//    order, so the times are too, and a time-ordered event list adds
+//    nothing to exactness.  A firing writes each output token directly
+//    (present bit, value, and t_out or t_ack as its time), and a consumer
+//    whose pending-input count reaches 0 goes onto a LIFO gate worklist
+//    that run_packed drains.  Token state is structure-of-arrays (presence
+//    and value bitsets, a flat time array), adjacency comes from the CSR
+//    arrays of pl::flat_topology, and per-gate firing metadata (kind, pin
+//    counts, CSR offsets, LUT bits, trigger pin-packing map) is
+//    precomputed into one cache-line-aligned descriptor array.  The lane
+//    engine's vector policy rests on the same confluence, and static timing
+//    analysis computes arrival times by max-plus propagation with no event
+//    list for the same reason.
 //
 //  * queue_kind::binary_heap — the seed's std::push_heap engine over
-//    array-of-structs token slots, kept as an independent reference
-//    implementation for golden cross-checking.
+//    array-of-structs token slots, popping deposits in (time, seq) order;
+//    kept as the time-ordered reference for golden cross-checking.
 //
-// Both engines pop deposits in exactly increasing (time, seq) order, so wave
-// records, stats and traces are bit-identical between them — asserted over
-// the ITC99 suite and every workload preset by tests/test_sim_queue.cpp, and
-// cross-checked at bench time by bench_sim_queue (~3x events/s on the fleet
-// mix, BENCH_sim.json).
+// Contracts of the two engines (tests/test_sim_queue.cpp asserts them over
+// the ITC99 suite, every workload preset and stress delay models; the
+// cross-check also runs at bench time in bench_sim_queue, BENCH_sim.json):
+//
+//  * Results.  Wave records and every sim_run_stats counter are
+//    bit-identical between the engines.
+//  * Event count.  stats().events counts token deposits: one per popped
+//    deposit in the heap engine, one per written output token in the
+//    dataflow engine.  Both run the periodic checks (cancel poll, sim.fire
+//    fault point, sim.progress beat) every k_cancel_check_events deposits.
+//  * Trace order.  trace() is stable-sorted by (time, edge) at the end of
+//    run_packed; one edge's deposits stay in wave order.
+//  * Unsafe netlists.  The dataflow engine deposits at firing time, so it
+//    checks the untimed marking: on a netlist pl_netlist::verify()
+//    rejects, it reports every over-deposit the firing rule allows, even
+//    where the heap engine's timing hides it.  A source with no acknowledge
+//    input, run pipelined over 2 vectors, throws invariant_violation on the
+//    default engine and completes on the heap engine.  Mapper output is
+//    safe by construction, so measured results are unaffected.
 //
 // ## Lane-parallel mode (run_lanes)
 //
@@ -108,11 +126,13 @@
 
 namespace plee::sim {
 
-/// Which event-queue engine runs the simulation.  Results are bit-identical
-/// either way; only throughput differs.
+/// Which scalar engine runs the sequential-wave protocol.  Results are
+/// bit-identical either way; only throughput differs.
 enum class queue_kind : std::uint8_t {
-    binary_heap,  ///< reference engine: std::push_heap over deposit structs
-    calendar,     ///< timing-wheel engine over the SoA/CSR hot path (default)
+    binary_heap,  ///< time-ordered reference: std::push_heap over deposits
+    /// Queue-free dataflow engine (default).  run_lanes keeps its calendar
+    /// queue (calendar_queue.hpp) under this value.
+    calendar,
 };
 
 /// What run_lanes does when an EE master's mixed efire word makes lane
@@ -145,7 +165,7 @@ struct sim_options {
     /// Hard limit on processed events (runaway guard).  Tripping it raises
     /// sim::budget_exhausted (see sim/errors.hpp).
     std::uint64_t max_events = 100'000'000;
-    /// Event-queue engine selection.
+    /// Scalar engine selection (see queue_kind).
     queue_kind queue = queue_kind::calendar;
     /// Lane-engine divergence handling (see lane_split_policy).
     lane_split_policy lane_policy = lane_split_policy::vector;
@@ -178,6 +198,9 @@ const char* to_string(queue_kind kind);
 /// Accepts "heap" / "binary_heap" and "calendar"; throws
 /// std::invalid_argument for anything else.
 queue_kind queue_kind_from_string(const std::string& name);
+/// The engine a measurement runs on: "heap" under binary_heap, otherwise
+/// "dataflow" for the scalar path (lanes == 1) and "calendar" for run_lanes.
+const char* engine_name(queue_kind kind, std::size_t lanes);
 
 const char* to_string(lane_split_policy policy);
 /// Accepts "vector", "fork" and "replay"; throws std::invalid_argument
@@ -209,10 +232,11 @@ struct wave_record {
 };
 
 struct sim_run_stats {
-    /// events and firings count engine work (one word-firing serves up to 64
-    /// lanes in lane mode); the ee_* counters count per-lane semantics (a
-    /// lane-pass firing contributes once per lane the pass retains), so EE
-    /// hit rates agree with the equivalent serial runs.
+    /// events (token deposits) and firings count engine work (one
+    /// word-firing serves up to 64 lanes in lane mode); the ee_* counters
+    /// count per-lane semantics (a lane-pass firing contributes once per
+    /// lane the pass retains), so EE hit rates agree with the equivalent
+    /// serial runs.
     std::uint64_t events = 0;
     std::uint64_t firings = 0;
     std::uint64_t ee_hits = 0;    ///< master firings with efire == 1
@@ -301,8 +325,9 @@ public:
         return fork_depth_counts_;
     }
 
-    /// Token arrivals recorded by the last run (empty unless
-    /// options.collect_trace); ordered by processing, not strictly by time.
+    /// Data-token arrivals recorded by the last run (empty unless
+    /// options.collect_trace), sorted by (time, edge); one edge's deposits
+    /// are in wave order.
     const std::vector<trace_event>& trace() const { return trace_; }
 
 private:
@@ -336,6 +361,8 @@ private:
     };
 
     void reset();
+    void check_events(std::uint64_t events, const char* engine);
+    [[noreturn]] void throw_occupied(pl::edge_id edge, const char* engine) const;
     std::string deadlock_diagnostic() const;
 
     // --- Reference engine (binary heap, AoS token slots) -------------------
@@ -346,9 +373,9 @@ private:
     void fire_source(pl::gate_id g);
     void record_sink(pl::gate_id g);
 
-    // --- Throughput engine (calendar queue, SoA tokens, CSR adjacency) -----
-    void run_calendar();
-    void place_fast(pl::edge_id edge, bool value, double time);
+    // --- Dataflow engine (LIFO worklist, SoA tokens, CSR adjacency) --------
+    void run_dataflow();
+    void deposit_token(pl::edge_id edge, bool value, double time);
     void try_fire_fast(pl::gate_id g);
     void fire_source_fast(pl::gate_id g);
     void record_sink_fast(pl::gate_id g);
@@ -459,14 +486,15 @@ private:
     std::vector<token_slot> tokens_;  ///< per edge (AoS)
     std::vector<deposit> heap_;       ///< min-heap via std::push_heap
 
-    // Per-run state — throughput engine.
+    // Per-run state — dataflow and lane engines.
     std::vector<std::uint64_t> tok_present_;  ///< presence bitset, per edge
     std::vector<std::uint64_t> tok_value_;    ///< value bitset, per edge
     std::vector<double> tok_time_;            ///< arrival time, per edge
-    calendar_queue calendar_;
+    std::vector<pl::gate_id> worklist_;       ///< dataflow: enabled gates, LIFO
+    calendar_queue calendar_;                 ///< lane engine only
 
     // Per-run state — shared.
-    bool trace_on_ = false;  ///< options_.collect_trace, hoisted for place_fast
+    bool trace_on_ = false;  ///< options_.collect_trace, hoisted
     std::vector<std::uint32_t> pending_;      ///< per gate: inputs without tokens
     std::vector<std::uint32_t> fired_waves_;  ///< per gate: completed firings
     std::uint64_t next_seq_ = 0;

@@ -1,10 +1,12 @@
-// Golden cross-check of the two pl_simulator event-queue engines: the
-// binary-heap reference and the calendar/SoA/CSR throughput engine must
-// produce bit-identical wave records, stats and traces on every circuit
-// family — the ITC99 suite and all four workload scenario presets — in
-// pipelined and non-pipelined mode, with trace collection on and off, under
-// stress delay models (tie-heavy, overflow-heavy, all-zero), and through
-// the fleet runner at several thread counts.
+// Golden cross-check of the two scalar pl_simulator engines: the
+// time-ordered binary-heap reference and the default queue-free dataflow
+// engine must produce bit-identical wave records, stats and traces on every
+// circuit family — the ITC99 suite and all four workload scenario presets —
+// in pipelined and non-pipelined mode, with trace collection on and off,
+// under stress delay models (tie-heavy, wide-spread, all-zero), and through
+// the fleet runner at several thread counts.  Also locks the engines'
+// contracts: trace order, early EE outputs timed before the master's own
+// readiness, and the unsafe-netlist behaviour.
 
 #include <string>
 #include <vector>
@@ -16,6 +18,7 @@
 #include "plogic/pl_mapper.hpp"
 #include "plogic/pl_netlist.hpp"
 #include "runner/runner.hpp"
+#include "sim/errors.hpp"
 #include "sim/measure.hpp"
 #include "sim/pl_sim.hpp"
 #include "workload/workload.hpp"
@@ -164,16 +167,15 @@ TEST(SimQueue, StressDelayModelsBitIdentical) {
         ties.d_source = 1.0;
     check_all_modes(pl, "ties", 6, ties);
 
-    // Overflow-heavy: a 5e5x spread between the smallest and largest delay
-    // puts every gate deposit far beyond the calendar's ring window, forcing
-    // the overflow-heap path on essentially every push.
+    // Spread-heavy: a 5e5x spread between the smallest and largest delay,
+    // so early and late deposits interleave across many time scales.
     delay_model spread;
     spread.d_source = 1e-4;
     spread.d_lut = 50.0;
     check_all_modes(pl, "spread", 4, spread);
 
-    // Degenerate all-zero model: bucket width falls back, every event lands
-    // at time 0 on tick 0, and ordering is pure seq.
+    // Degenerate all-zero model: every event lands at time 0, so the heap's
+    // order is pure seq and the trace order is pure edge order.
     delay_model zero;
     zero.d_celem = zero.d_lut = zero.d_latch = zero.d_ee_penalty =
         zero.d_source = 0.0;
@@ -196,10 +198,9 @@ TEST(SimQueue, EventBudgetExhaustsIdentically) {
     }
 }
 
-TEST(SimQueue, OversizedEventBudgetFallsBackToHeapEngine) {
-    // max_events beyond the packed-key range silently selects the heap
-    // engine; results are identical either way, so only equality and
-    // completion are observable.
+TEST(SimQueue, OversizedEventBudgetNeedsNoFallback) {
+    // The dataflow engine has no packed queue key to overflow, so a 2^60
+    // budget runs on it directly and matches the heap engine.
     const pl::pl_netlist pl = map_with_ee(bench::make_b02());
     const std::vector<std::vector<bool>> vectors =
         random_vectors(10, pl.sources().size(), 3);
@@ -218,6 +219,195 @@ TEST(SimQueue, OversizedEventBudgetFallsBackToHeapEngine) {
         EXPECT_EQ(a[w].output_stable, b[w].output_stable);
     }
     EXPECT_EQ(fallback.stats().events, reference.stats().events);
+}
+
+/// The trace contract: sorted by (time, edge), and one edge's deposits in
+/// wave order.  Wave order is checked where the waves are known from
+/// outside the trace: the k-th deposit on each source's first output edge
+/// carries stimulus k, and the k-th deposit on each sink's input edge
+/// carries output k; the latest of those is the wave's stable time.
+void expect_trace_contract(const pl::pl_netlist& pl,
+                           const std::vector<std::vector<bool>>& vectors,
+                           const engine_run& run, const std::string& label) {
+    for (std::size_t i = 1; i < run.trace.size(); ++i) {
+        const trace_event& a = run.trace[i - 1];
+        const trace_event& b = run.trace[i];
+        ASSERT_TRUE(a.time < b.time || (a.time == b.time && a.edge <= b.edge))
+            << label << " #" << i;
+    }
+    std::vector<std::vector<const trace_event*>> by_edge(pl.num_edges());
+    for (const trace_event& ev : run.trace) by_edge[ev.edge].push_back(&ev);
+    const std::size_t waves = run.waves.size();
+    std::vector<double> input_stable(waves, 0.0);
+    std::vector<double> output_stable(waves, 0.0);
+    for (std::size_t i = 0; i < pl.sources().size(); ++i) {
+        const pl::pl_gate& src = pl.gate(pl.sources()[i]);
+        if (src.out_edges.empty()) continue;
+        const auto& deps = by_edge[src.out_edges.front()];
+        ASSERT_EQ(deps.size(), waves) << label << " source " << i;
+        for (std::size_t k = 0; k < waves; ++k) {
+            EXPECT_EQ(deps[k]->value, vectors[k][i]) << label << " wave " << k;
+            input_stable[k] = std::max(input_stable[k], deps[k]->time);
+        }
+    }
+    for (std::size_t j = 0; j < pl.sinks().size(); ++j) {
+        // A sink fed straight from a register reads wave 0 from the initial
+        // marking, which is not traced: its k-th deposit is wave k + 1.
+        const pl::edge_id in = pl.gate(pl.sinks()[j]).data_in.front();
+        const std::size_t skip = pl.edge(in).init_token ? 1 : 0;
+        const auto& deps = by_edge[in];
+        ASSERT_EQ(deps.size(), waves) << label << " sink " << j;
+        for (std::size_t k = skip; k < waves; ++k) {
+            EXPECT_EQ(deps[k - skip]->value, run.waves[k].outputs[j])
+                << label << " wave " << k;
+            output_stable[k] = std::max(output_stable[k], deps[k - skip]->time);
+        }
+    }
+    for (std::size_t k = 0; k < waves; ++k) {
+        EXPECT_EQ(input_stable[k], run.waves[k].input_stable)
+            << label << " wave " << k;
+        EXPECT_EQ(output_stable[k], run.waves[k].output_stable)
+            << label << " wave " << k;
+    }
+}
+
+TEST(SimQueue, TraceSortedByTimeThenEdgeInWaveOrder) {
+    const pl::pl_netlist pl = map_with_ee(
+        wl::generate(wl::scenario_params(wl::scenario::control_fsm, 80, 5)));
+    delay_model ties;
+    ties.d_celem = ties.d_lut = ties.d_latch = ties.d_ee_penalty =
+        ties.d_source = 1.0;
+    delay_model zero;
+    zero.d_celem = zero.d_lut = zero.d_latch = zero.d_ee_penalty =
+        zero.d_source = 0.0;
+    const std::vector<std::vector<bool>> vectors =
+        random_vectors(8, pl.sources().size(), 17);
+    for (const auto& [name, delays] :
+         {std::pair<const char*, delay_model>{"default", {}},
+          {"ties", ties},
+          {"zero", zero}}) {
+        for (bool non_pipelined : {true, false}) {
+            for (queue_kind queue :
+                 {queue_kind::binary_heap, queue_kind::calendar}) {
+                const std::string label =
+                    std::string(name) + " " + to_string(queue) +
+                    (non_pipelined ? " non-pipelined" : " pipelined");
+                expect_trace_contract(
+                    pl, vectors,
+                    simulate(pl, queue, non_pipelined, true, vectors, delays),
+                    label);
+            }
+        }
+    }
+}
+
+/// Sources a and b feed the EE master m = a AND c, where c is b behind a
+/// chain of `chain` inverters; m's trigger fires on a == 0.  Every data
+/// edge has its own initially marked acknowledge, so the netlist is live
+/// and safe.  With a == 0 the early output is timed before the slow input
+/// arrives, i.e. before m's own t_ready.
+pl::pl_netlist ee_pair_behind_slow_input(int chain) {
+    pl::pl_netlist pl;
+    const pl::gate_id a = pl.add_gate(pl::gate_kind::source, "a");
+    const pl::gate_id b = pl.add_gate(pl::gate_kind::source, "b");
+    pl::gate_id prev = b;
+    for (int i = 0; i < chain; ++i) {
+        const pl::gate_id inv =
+            pl.add_gate(pl::gate_kind::compute, "inv" + std::to_string(i));
+        pl.set_function(inv, ~bf::truth_table::variable(1, 0));
+        pl.add_data_edge(prev, inv, 0, false, false);
+        pl.add_ack_edge(inv, prev, true);
+        prev = inv;
+    }
+    const pl::gate_id m = pl.add_gate(pl::gate_kind::compute, "m");
+    pl.set_function(m, bf::truth_table::variable(2, 0) &
+                           bf::truth_table::variable(2, 1));
+    pl.add_data_edge(a, m, 0, false, false);
+    pl.add_data_edge(prev, m, 1, false, false);
+    pl.add_ack_edge(m, a, true);
+    pl.add_ack_edge(m, prev, true);
+    const pl::gate_id y = pl.add_gate(pl::gate_kind::sink, "y");
+    pl.add_data_edge(m, y, 0, false, false);
+    pl.add_ack_edge(y, m, true);
+    pl.attach_trigger(m, ~bf::truth_table::variable(1, 0), 0b01);
+    return pl;
+}
+
+TEST(SimQueue, EarlyOutputBeforeMasterReadyMatchesHeap) {
+    constexpr int k_chain = 3;
+    const pl::pl_netlist pl = ee_pair_behind_slow_input(k_chain);
+    ASSERT_TRUE(pl.verify().ok()) << pl.verify().violation;
+    std::vector<std::vector<bool>> vectors;
+    for (int k = 0; k < 16; ++k) vectors.push_back({k % 3 == 2, (k & 1) != 0});
+    const delay_model d{};
+    const double slow_arrival = d.d_source + k_chain * d.gate_delay();
+    for (bool non_pipelined : {true, false}) {
+        for (bool trace : {false, true}) {
+            const std::string label =
+                std::string(non_pipelined ? "non-pipelined" : "pipelined") +
+                (trace ? " trace" : "");
+            const engine_run heap = simulate(pl, queue_kind::binary_heap,
+                                             non_pipelined, trace, vectors);
+            const engine_run dataflow = simulate(pl, queue_kind::calendar,
+                                                 non_pipelined, trace, vectors);
+            // Wave 0 has a == 0: its output lands before m's slow input.
+            EXPECT_LT(dataflow.waves[0].output_stable, slow_arrival) << label;
+            EXPECT_GT(dataflow.stats.ee_wins, 0u) << label;
+            expect_identical(heap, dataflow, label);
+        }
+    }
+}
+
+TEST(SimQueue, UnsafeNetlistOverDepositsThrowOnDataflowEngine) {
+    // A source with no acknowledge input free-runs.  verify() rejects the
+    // netlist; the dataflow engine reports the second wave's deposit onto
+    // the still-occupied edge, which the heap engine's timing hides (the
+    // consumer fires between the two deposits there).
+    pl::pl_netlist pl;
+    const pl::gate_id src = pl.add_gate(pl::gate_kind::source, "in");
+    const pl::gate_id g = pl.add_gate(pl::gate_kind::compute, "g");
+    pl.set_function(g, bf::truth_table::variable(1, 0));
+    const pl::gate_id snk = pl.add_gate(pl::gate_kind::sink, "out");
+    pl.add_data_edge(src, g, 0, false, false);
+    pl.add_data_edge(g, snk, 0, false, false);
+    pl.add_ack_edge(snk, g, true);
+    EXPECT_FALSE(pl.verify().ok());
+
+    sim_options opts;
+    opts.non_pipelined = false;
+    const std::vector<std::vector<bool>> vectors = {{true}, {false}};
+    opts.queue = queue_kind::calendar;
+    pl_simulator dataflow(pl, opts);
+    EXPECT_THROW(dataflow.run(vectors), invariant_violation);
+    opts.queue = queue_kind::binary_heap;
+    pl_simulator heap(pl, opts);
+    EXPECT_NO_THROW(heap.run(vectors));
+}
+
+TEST(SimQueue, SafetyViolationDetectedOnBothEngines) {
+    // The overrun of test_pl_sim's SafetyViolationDetectedDynamically: an
+    // unacknowledged source outruns a gate blocked on a second input.
+    pl::pl_netlist pl;
+    const pl::gate_id src = pl.add_gate(pl::gate_kind::source, "in");
+    const pl::gate_id slow = pl.add_gate(pl::gate_kind::compute, "slow");
+    pl.set_function(slow, bf::truth_table::variable(2, 0) &
+                              bf::truth_table::variable(2, 1));
+    const pl::gate_id late = pl.add_gate(pl::gate_kind::source, "late");
+    const pl::gate_id snk = pl.add_gate(pl::gate_kind::sink, "out");
+    pl.add_data_edge(src, slow, 0, false, false);
+    pl.add_data_edge(late, slow, 1, false, false);
+    pl.add_data_edge(slow, snk, 0, false, false);
+    pl.add_ack_edge(snk, slow, true);
+    pl.add_ack_edge(slow, late, true);
+    for (queue_kind queue : {queue_kind::binary_heap, queue_kind::calendar}) {
+        sim_options opts;
+        opts.queue = queue;
+        opts.non_pipelined = false;
+        pl_simulator sim(pl, opts);
+        EXPECT_THROW(sim.run({{true, false}, {true, false}, {true, false}}),
+                     invariant_violation)
+            << to_string(queue);
+    }
 }
 
 TEST(SimQueue, QueueKindStrings) {

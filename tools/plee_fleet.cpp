@@ -14,7 +14,10 @@
 //   --seed S       generator + stimulus seed                  (default fixed)
 //   --threads N    worker pool size, 0 = hardware_concurrency (default 0)
 //   --vectors V    random vectors per measurement             (default 20)
-//   --queue Q      simulator event queue: calendar | heap     (default calendar)
+//   --queue Q      simulator engine: calendar | heap          (default calendar)
+//                  (calendar = the queue-free dataflow engine at --lanes 1
+//                  and the calendar-queue lane engine at --lanes 64; heap =
+//                  the time-ordered reference; results are bit-identical)
 //   --lanes L      stimulus lanes per engine pass: 1 | 64     (default 1)
 //   --lane-policy P lane divergence handling: vector|fork|replay (default vector)
 //   --delays D     delay model: default | tie (all components 1.0 — the
@@ -363,10 +366,10 @@ int main(int argc, char** argv) {
                     "exhausted, %zu retried\n",
                     fleet.jobs_ok, fleet.jobs_failed, fleet.jobs_timed_out,
                     fleet.jobs_budget_exhausted, fleet.jobs_retried);
-        std::printf("simulator (%s queue, %zu lanes): %llu events in %.0f ms "
+        std::printf("simulator (%s engine, %zu lanes): %llu events in %.0f ms "
                     "of summed shard time = %.0f events/s per core, %.0f "
                     "vectors/s\n",
-                    sim::to_string(queue), lanes,
+                    sim::engine_name(queue, lanes), lanes,
                     static_cast<unsigned long long>(fleet.total_sim_events),
                     fleet.total_sim_wall_ms, fleet.sim_events_per_s(),
                     fleet.vectors_per_s());

@@ -13,8 +13,10 @@
 //                      (default 0 = hardware_concurrency; bit-identical
 //                      results at any count)
 //   --seed S           stimulus seed                        (default fixed)
-//   --queue Q          simulator event queue: calendar | heap
-//                      (default calendar; results are bit-identical)
+//   --queue Q          simulator engine: calendar | heap (default calendar =
+//                      the queue-free dataflow engine at --lanes 1 and the
+//                      calendar-queue lane engine at --lanes 64; heap = the
+//                      time-ordered reference; results are bit-identical)
 //   --lanes L          stimulus lanes per engine pass: 1 | 64
 //                      (default 1 = the paper's sequential protocol; 64 =
 //                      independent vectors, lane-parallel; see sim/README.md)
@@ -264,8 +266,8 @@ int main(int argc, char** argv) {
                     netlist.num_luts(), netlist.dffs().size(),
                     netlist.inputs().size(), netlist.outputs().size());
         if (!o.blif_out.empty()) {
-            std::ofstream out(o.blif_out);
-            out << nl::to_blif(netlist, o.bench.empty() ? "imported" : o.bench);
+            const std::string model = o.bench.empty() ? "imported" : o.bench;
+            atomic_write_text(o.blif_out, nl::to_blif(netlist, model));
             std::printf("wrote %s\n", o.blif_out.c_str());
         }
 
@@ -324,8 +326,7 @@ int main(int argc, char** argv) {
             }
         }
         if (!o.dot_out.empty()) {
-            std::ofstream out(o.dot_out);
-            out << mapped.pl.to_dot("plee_flow");
+            atomic_write_text(o.dot_out, mapped.pl.to_dot("plee_flow"));
             std::printf("wrote %s\n", o.dot_out.c_str());
         }
 
@@ -356,9 +357,9 @@ int main(int argc, char** argv) {
         std::printf("simulated %zu vectors: avg delay %.2f ns (min %.2f, max "
                     "%.2f, stddev %.2f), outputs match golden model\n",
                     o.vectors, r.avg_delay, r.min_delay, r.max_delay, r.stddev);
-        std::printf("simulator (%s queue, %zu lanes): %llu events in %.1f ms "
+        std::printf("simulator (%s engine, %zu lanes): %llu events in %.1f ms "
                     "= %.0f events/s, %.0f vectors/s\n",
-                    sim::to_string(o.queue), o.lanes,
+                    sim::engine_name(o.queue, o.lanes), o.lanes,
                     static_cast<unsigned long long>(r.stats.events),
                     r.sim_wall_ms,
                     r.sim_wall_ms > 0.0
@@ -408,8 +409,7 @@ int main(int argc, char** argv) {
             sim::pl_simulator tracer(mapped.pl, sopts);
             tracer.run(sim::random_vectors(std::min<std::size_t>(o.vectors, 10),
                                            mapped.pl.sources().size(), o.seed));
-            std::ofstream out(o.vcd_out);
-            out << sim::to_vcd(mapped.pl, tracer.trace());
+            atomic_write_text(o.vcd_out, sim::to_vcd(mapped.pl, tracer.trace()));
             std::printf("wrote %s (first %zu vectors)\n", o.vcd_out.c_str(),
                         std::min<std::size_t>(o.vectors, 10));
         }
