@@ -1,32 +1,24 @@
-// bench_sim_queue — events/s of the two scalar pl_simulator engines.
+// bench_sim_queue — throughput of pl_simulator's two engines.
 //
 // The measure phase is the dominant per-circuit cost of a fleet job, so this
 // bench times the simulator alone: a fleet mix of generated circuits (all
 // four scenario presets round-robin) is mapped, EE-transformed, and then
-// simulated repeatedly under both scalar engines with identical stimulus.
-// Before any timing, every circuit is cross-checked — wave records, stats
-// and traces must be bit-identical between the engines (non-zero exit
-// otherwise), so the throughput numbers compare two implementations of the
-// same computation.
+// simulated repeatedly with identical stimulus.
 //
-// Reported per scenario and for the whole mix: events/s under the
-// time-ordered heap engine (queue_kind::binary_heap) and the queue-free
-// dataflow engine (queue_kind::calendar, whose JSON column keeps the
-// calendar_ name) and the speedup.  The mix row can fan circuits across
-// worker threads (--threads) to mirror how the fleet runner drives shards.
+// Reported per scenario and for the whole mix: events/s of the dataflow
+// engine (the sequential-wave protocol, run / run_packed).  The mix row can
+// fan circuits across worker threads (--threads) to mirror how the fleet
+// runner drives shards.  tests/test_sim_queue.cpp checks the engine
+// against a time-ordered reference.
 //
-// The `lanes` row measures the lane-parallel mode on the same mix.  Before
-// timing, run_lanes under the default vector policy is cross-checked
-// against 64 serial per-vector runs on every circuit (bit-identical
-// outputs, times, delays and EE counters, non-zero exit on mismatch), and
-// the three divergence policies — vector, fork-at-split, and the
-// replay-from-t0 baseline (policy=replay, grouping off) — are cross-checked
-// against each other the same way.  Then an interleaved A/B times the
+// The `lanes` row measures the lane engine (run_lanes) on the same mix.
+// Before timing, run_lanes is cross-checked against 64 serial per-vector
+// runs on every circuit (bit-identical outputs, times, delays and EE
+// counters, non-zero exit on mismatch).  Then an interleaved A/B times the
 // synchronous measure path — the lanes=1 golden loop (set/eval/read/latch
-// per vector) against the 64-lane word-parallel loop — plus the PL event
-// engine serial vs run_lanes under all three policies, reporting vectors/s
-// each way and the fork arm's achieved lockstep fraction (the vector
-// policy's is 1.0 by construction: it never splits a pass).
+// per vector) against the 64-lane word-parallel loop — plus the PL serial
+// runs against run_lanes, reporting vectors/s each way and the divergent
+// share (the lane deposits that carried a per-lane time slab).
 //
 //   --circuits N       netlists in the mix                   (default 12)
 //   --gates G          LUTs per netlist                      (default 150)
@@ -73,61 +65,13 @@ struct circuit {
     std::vector<sim::stimulus_block> blocks;  ///< same stimulus, lane-packed
 };
 
-struct engine_output {
-    std::vector<sim::wave_record> waves;
-    sim::sim_run_stats stats;
-    std::vector<sim::trace_event> trace;
-};
-
-engine_output run_once(const circuit& c, sim::queue_kind queue,
-                       bool collect_trace) {
-    sim::sim_options opts;
-    opts.queue = queue;
-    opts.collect_trace = collect_trace;
-    sim::pl_simulator simulator(c.pl, opts);
-    engine_output out;
-    out.waves = simulator.run(c.vectors);
-    out.stats = simulator.stats();
-    out.trace = simulator.trace();
-    return out;
-}
-
-bool outputs_identical(const engine_output& a, const engine_output& b) {
-    if (a.waves.size() != b.waves.size()) return false;
-    for (std::size_t i = 0; i < a.waves.size(); ++i) {
-        const sim::wave_record& x = a.waves[i];
-        const sim::wave_record& y = b.waves[i];
-        if (x.outputs != y.outputs || x.release_time != y.release_time ||
-            x.input_stable != y.input_stable ||
-            x.output_stable != y.output_stable) {
-            return false;
-        }
-    }
-    if (a.stats.events != b.stats.events || a.stats.firings != b.stats.firings ||
-        a.stats.ee_hits != b.stats.ee_hits ||
-        a.stats.ee_misses != b.stats.ee_misses ||
-        a.stats.ee_wins != b.stats.ee_wins) {
-        return false;
-    }
-    if (a.trace.size() != b.trace.size()) return false;
-    for (std::size_t i = 0; i < a.trace.size(); ++i) {
-        if (a.trace[i].time != b.trace[i].time ||
-            a.trace[i].edge != b.trace[i].edge ||
-            a.trace[i].value != b.trace[i].value) {
-            return false;
-        }
-    }
-    return true;
-}
-
 /// Wall ms of the simulation runs themselves for every circuit in `group`,
 /// fanned over `threads` workers (atomic work queue, same scheme as the
 /// fleet runner).  Simulator construction (the per-netlist CSR/descriptor
 /// build) happens outside the clock — this is the same cut
 /// measure_average_delay uses for sim_wall_ms, so events/s here and the
 /// fleet's sim_events_per_s measure the same thing.
-double timed_pass(const std::vector<const circuit*>& group,
-                  sim::queue_kind queue, unsigned threads,
+double timed_pass(const std::vector<const circuit*>& group, unsigned threads,
                   std::uint64_t* events_out) {
     std::atomic<std::size_t> next{0};
     std::atomic<std::uint64_t> events{0};
@@ -137,9 +81,7 @@ double timed_pass(const std::vector<const circuit*>& group,
             const std::size_t i = next.fetch_add(1);
             if (i >= group.size()) return;
             const circuit& c = *group[i];
-            sim::sim_options opts;
-            opts.queue = queue;
-            sim::pl_simulator simulator(c.pl, opts);
+            sim::pl_simulator simulator(c.pl);
             const wall_timer timer;
             simulator.run(c.vectors);
             events.fetch_add(simulator.stats().events);
@@ -160,14 +102,14 @@ double timed_pass(const std::vector<const circuit*>& group,
     return static_cast<double>(wall_ns.load()) * 1e-6;
 }
 
-/// Best-of-R events/s for one engine over a circuit group.
+/// Best-of-R events/s over a circuit group.
 double best_events_per_s(const std::vector<const circuit*>& group,
-                         sim::queue_kind queue, unsigned threads, int repeat,
+                         unsigned threads, int repeat,
                          std::uint64_t* events_out) {
     double best = 0.0;
     for (int r = 0; r < repeat; ++r) {
         std::uint64_t events = 0;
-        const double ms = timed_pass(group, queue, threads, &events);
+        const double ms = timed_pass(group, threads, &events);
         if (ms > 0.0) best = std::max(best, 1000.0 * static_cast<double>(events) / ms);
         *events_out = events;
     }
@@ -178,41 +120,17 @@ double best_events_per_s(const std::vector<const circuit*>& group,
 
 struct lane_check {
     bool ok = true;
-    std::uint64_t lane_vectors = 0;
-    std::uint64_t lane_blocks = 0;
-    std::uint64_t lane_runs = 0;
+    std::uint64_t events = 0;
     std::uint64_t lane_splits = 0;
-    std::uint64_t lane_forks = 0;
+    std::uint64_t lane_slab_deposits = 0;
 
-    /// Run-merging achieved vs possible, passes = from-t0 runs + fork
-    /// resumes (mirrors measure_lanes' definition, aggregated).
-    double lockstep_fraction() const {
-        const std::uint64_t passes =
-            std::min(lane_vectors, lane_runs + lane_forks);
-        return lane_vectors > lane_blocks
-                   ? static_cast<double>(lane_vectors - passes) /
-                         static_cast<double>(lane_vectors - lane_blocks)
-                   : 1.0;
+    /// The lane deposits that carried a per-lane time slab, per event.
+    double divergent_share() const {
+        return events == 0 ? 0.0
+                           : static_cast<double>(lane_slab_deposits) /
+                                 static_cast<double>(events);
     }
 };
-
-/// The replay-from-t0 baseline configuration: divergence handling exactly as
-/// before fork-at-split landed (every minority branch replays, no
-/// trigger-aware grouping).
-sim::sim_options replay_baseline_options() {
-    sim::sim_options opts;
-    opts.lane_policy = sim::lane_split_policy::replay;
-    opts.lane_group = false;
-    return opts;
-}
-
-/// Fork-at-split with trigger-aware grouping: the scalar divergence
-/// machinery the vector default replaced, kept as an explicit A/B arm.
-sim::sim_options fork_options() {
-    sim::sim_options opts;
-    opts.lane_policy = sim::lane_split_policy::fork;
-    return opts;
-}
 
 /// Lane engine golden gate: run_lanes over every block of `c` must match 64
 /// serial single-vector runs bit for bit — sink values, per-vector stable
@@ -230,11 +148,9 @@ lane_check check_lanes_vs_serial(const circuit& c) {
         lane_total.ee_hits += ls.ee_hits;
         lane_total.ee_misses += ls.ee_misses;
         lane_total.ee_wins += ls.ee_wins;
-        out.lane_vectors += ls.lane_vectors;
-        out.lane_blocks += ls.lane_blocks;
-        out.lane_runs += ls.lane_runs;
+        out.events += ls.events;
         out.lane_splits += ls.lane_splits;
-        out.lane_forks += ls.lane_forks;
+        out.lane_slab_deposits += ls.lane_slab_deposits;
         for (std::size_t lane = 0; lane < block.num_vectors; ++lane) {
             block.extract(lane, one[0]);
             const std::vector<sim::wave_record> waves = ref.run(one);
@@ -311,70 +227,12 @@ double pl_serial_pass(const circuit& c) {
     return timer.elapsed_ms();
 }
 
-/// One timed pass of the PL lane engine, run_lanes per block, under the
-/// given options (vector default vs fork-at-split vs the replay baseline).
-double pl_lane_pass(const circuit& c, const sim::sim_options& opts) {
-    sim::pl_simulator simulator(c.pl, opts);
+/// One timed pass of the PL lane engine, run_lanes per block.
+double pl_lane_pass(const circuit& c) {
+    sim::pl_simulator simulator(c.pl);
     const wall_timer timer;
     for (const sim::stimulus_block& b : c.blocks) simulator.run_lanes(b);
     return timer.elapsed_ms();
-}
-
-/// Three-policy agreement gate: vector (the default), fork-at-split, and
-/// the replay-from-t0 baseline over the same blocks must agree on every
-/// per-lane output bit, stable time and delay, and on the summed EE
-/// counters.  Also accumulates the fork arm's pass accounting (for its
-/// lockstep fraction, which characterizes the mix's divergence) and each
-/// scalar policy's from-t0 run count so the report can show the replays
-/// forking avoided.
-bool check_policies_agree(const circuit& c, lane_check* fork_check,
-                          std::uint64_t* replay_runs) {
-    sim::pl_simulator vec_sim(c.pl, sim::sim_options{});
-    sim::pl_simulator fork_sim(c.pl, fork_options());
-    sim::pl_simulator replay_sim(c.pl, replay_baseline_options());
-    sim::sim_run_stats vec_total{};
-    sim::sim_run_stats fork_total{};
-    sim::sim_run_stats replay_total{};
-    for (const sim::stimulus_block& block : c.blocks) {
-        const sim::lane_block_result vr = vec_sim.run_lanes(block);
-        const sim::lane_block_result fr = fork_sim.run_lanes(block);
-        const sim::lane_block_result rr = replay_sim.run_lanes(block);
-        const sim::sim_run_stats& vs = vec_sim.stats();
-        const sim::sim_run_stats& fs = fork_sim.stats();
-        const sim::sim_run_stats& rs = replay_sim.stats();
-        vec_total.ee_hits += vs.ee_hits;
-        vec_total.ee_misses += vs.ee_misses;
-        vec_total.ee_wins += vs.ee_wins;
-        fork_total.ee_hits += fs.ee_hits;
-        fork_total.ee_misses += fs.ee_misses;
-        fork_total.ee_wins += fs.ee_wins;
-        replay_total.ee_hits += rs.ee_hits;
-        replay_total.ee_misses += rs.ee_misses;
-        replay_total.ee_wins += rs.ee_wins;
-        fork_check->lane_vectors += fs.lane_vectors;
-        fork_check->lane_blocks += fs.lane_blocks;
-        fork_check->lane_runs += fs.lane_runs;
-        fork_check->lane_splits += fs.lane_splits;
-        fork_check->lane_forks += fs.lane_forks;
-        *replay_runs += rs.lane_runs;
-        if (fr.outputs != rr.outputs || vr.outputs != fr.outputs) return false;
-        for (std::size_t lane = 0; lane < block.num_vectors; ++lane) {
-            if (fr.input_stable[lane] != rr.input_stable[lane] ||
-                fr.output_stable[lane] != rr.output_stable[lane] ||
-                fr.delay(lane) != rr.delay(lane) ||
-                vr.input_stable[lane] != fr.input_stable[lane] ||
-                vr.output_stable[lane] != fr.output_stable[lane] ||
-                vr.delay(lane) != fr.delay(lane)) {
-                return false;
-            }
-        }
-    }
-    return vec_total.ee_hits == fork_total.ee_hits &&
-           vec_total.ee_misses == fork_total.ee_misses &&
-           vec_total.ee_wins == fork_total.ee_wins &&
-           fork_total.ee_hits == replay_total.ee_hits &&
-           fork_total.ee_misses == replay_total.ee_misses &&
-           fork_total.ee_wins == replay_total.ee_wins;
 }
 
 }  // namespace
@@ -438,23 +296,6 @@ int main(int argc, char** argv) {
             mix.push_back(std::move(c));
         }
 
-        // Golden gate before any timing: both engines, bit-identical
-        // everything (trace collection on, so trace contents are covered).
-        for (const circuit& c : mix) {
-            const engine_output heap =
-                run_once(c, sim::queue_kind::binary_heap, true);
-            const engine_output cal = run_once(c, sim::queue_kind::calendar, true);
-            if (!outputs_identical(heap, cal)) {
-                std::fprintf(stderr,
-                             "FAIL: engines disagree on %s (gates=%zu seed=%llu)\n",
-                             c.scenario.c_str(), gates,
-                             static_cast<unsigned long long>(seed));
-                return 1;
-            }
-        }
-        std::printf("cross-check: %zu circuits bit-identical across engines\n\n",
-                    mix.size());
-
         std::map<std::string, std::vector<const circuit*>> by_scenario;
         std::vector<const circuit*> all;
         for (const circuit& c : mix) {
@@ -462,38 +303,29 @@ int main(int argc, char** argv) {
             all.push_back(&c);
         }
 
-        report::text_table t(
-            {"Workload", "Heap ev/s", "Dataflow ev/s", "Speedup"});
+        report::text_table t({"Workload", "Dataflow ev/s"});
         report::json rows = report::json::array();
         const auto add_row = [&](const std::string& name,
                                  const std::vector<const circuit*>& group,
                                  unsigned row_threads) {
             std::uint64_t events = 0;
-            const double heap = best_events_per_s(
-                group, sim::queue_kind::binary_heap, row_threads, repeat, &events);
-            const double cal = best_events_per_s(
-                group, sim::queue_kind::calendar, row_threads, repeat, &events);
-            const double speedup = heap > 0.0 ? cal / heap : 0.0;
-            t.add_row({name, report::fmt(heap, 0), report::fmt(cal, 0),
-                       report::fmt(speedup, 2) + "x"});
+            const double rate =
+                best_events_per_s(group, row_threads, repeat, &events);
+            t.add_row({name, report::fmt(rate, 0)});
             report::json j = report::json::object();
             j.set("workload", report::json::str(name));
             j.set("threads",
                   report::json::number(static_cast<std::int64_t>(row_threads)));
             j.set("events_per_run",
                   report::json::number(static_cast<std::int64_t>(events)));
-            j.set("heap_events_per_s", report::json::number(heap));
-            j.set("calendar_events_per_s", report::json::number(cal));
-            j.set("speedup", report::json::number(speedup));
+            j.set("events_per_s", report::json::number(rate));
             rows.push(std::move(j));
-            return speedup;
         };
 
         for (const auto& [name, group] : by_scenario) {
             add_row(name, group, /*row_threads=*/1);
         }
-        const double mix_speedup =
-            add_row("fleet-mix", all, threads);
+        add_row("fleet-mix", all, threads);
         std::printf("%zu circuits x %zu gates, %zu vectors, best of %d "
                     "(fleet-mix at %u threads)\n\n%s\n",
                     circuits, gates, vectors, repeat, threads,
@@ -513,41 +345,16 @@ int main(int argc, char** argv) {
                              static_cast<unsigned long long>(seed));
                 return 1;
             }
-            lanes.lane_vectors += lc.lane_vectors;
-            lanes.lane_blocks += lc.lane_blocks;
-            lanes.lane_runs += lc.lane_runs;
+            lanes.events += lc.events;
             lanes.lane_splits += lc.lane_splits;
-            lanes.lane_forks += lc.lane_forks;
+            lanes.lane_slab_deposits += lc.lane_slab_deposits;
         }
-        std::printf("cross-check: lane engine (vector policy) bit-identical "
-                    "to serial runs on %zu circuits (%llu divergent words "
-                    "widened)\n",
+        std::printf("cross-check: lane engine bit-identical to serial runs on "
+                    "%zu circuits (%llu divergent EE firings, divergent share "
+                    "%.4f)\n",
                     mix.size(),
-                    static_cast<unsigned long long>(lanes.lane_splits));
-
-        // Agreement gate: the vector default, fork-at-split, and the
-        // replay-from-t0 baseline must produce identical per-lane results
-        // (non-zero exit otherwise).
-        lane_check fork_arm{};
-        std::uint64_t replay_runs = 0;
-        for (const circuit& c : mix) {
-            if (!check_policies_agree(c, &fork_arm, &replay_runs)) {
-                std::fprintf(stderr,
-                             "FAIL: lane divergence policies disagree on "
-                             "%s (gates=%zu seed=%llu)\n",
-                             c.scenario.c_str(), gates,
-                             static_cast<unsigned long long>(seed));
-                return 1;
-            }
-        }
-        std::printf("cross-check: vector == fork == replay per-lane on %zu "
-                    "circuits (fork: %llu runs + %llu resumes, lockstep "
-                    "%.3f; replay: %llu runs)\n",
-                    mix.size(),
-                    static_cast<unsigned long long>(fork_arm.lane_runs),
-                    static_cast<unsigned long long>(fork_arm.lane_forks),
-                    fork_arm.lockstep_fraction(),
-                    static_cast<unsigned long long>(replay_runs));
+                    static_cast<unsigned long long>(lanes.lane_splits),
+                    lanes.divergent_share());
 
         // Interleaved A/B: within every repetition each circuit runs the
         // scalar pass immediately followed by the lane pass, so frequency
@@ -556,8 +363,6 @@ int main(int argc, char** argv) {
         double sync_lane_ms = 1e300;
         double pl_serial_ms = 1e300;
         double pl_lane_ms = 1e300;
-        double pl_fork_ms = 1e300;
-        double pl_replay_ms = 1e300;
         std::size_t scalar_sink = 0;
         std::uint64_t lane_sink = 0;
         std::vector<std::vector<std::vector<bool>>> sync_vecs;
@@ -570,21 +375,17 @@ int main(int argc, char** argv) {
                 lane_vectors, mix[i].pl.sources().size(), s));
         }
         for (int r = 0; r < repeat; ++r) {
-            double sc = 0.0, sl = 0.0, es = 0.0, el = 0.0, ef = 0.0, er = 0.0;
+            double sc = 0.0, sl = 0.0, es = 0.0, el = 0.0;
             for (std::size_t i = 0; i < mix.size(); ++i) {
                 sc += sync_scalar_pass(mix[i], sync_vecs[i], &scalar_sink);
                 sl += sync_lane_pass(mix[i], sync_blocks[i], &lane_sink);
                 es += pl_serial_pass(mix[i]);
-                el += pl_lane_pass(mix[i], sim::sim_options{});
-                ef += pl_lane_pass(mix[i], fork_options());
-                er += pl_lane_pass(mix[i], replay_baseline_options());
+                el += pl_lane_pass(mix[i]);
             }
             sync_scalar_ms = std::min(sync_scalar_ms, sc);
             sync_lane_ms = std::min(sync_lane_ms, sl);
             pl_serial_ms = std::min(pl_serial_ms, es);
             pl_lane_ms = std::min(pl_lane_ms, el);
-            pl_fork_ms = std::min(pl_fork_ms, ef);
-            pl_replay_ms = std::min(pl_replay_ms, er);
         }
         // Keep the per-vector output reads observable so the timed passes
         // cannot be optimized away.
@@ -602,28 +403,19 @@ int main(int argc, char** argv) {
         const double sync_lane_vps = vps(total_sync_vectors, sync_lane_ms);
         const double pl_serial_vps = vps(total_pl_vectors, pl_serial_ms);
         const double pl_lane_vps = vps(total_pl_vectors, pl_lane_ms);
-        const double pl_fork_vps = vps(total_pl_vectors, pl_fork_ms);
-        const double pl_replay_vps = vps(total_pl_vectors, pl_replay_ms);
         const double sync_speedup =
             sync_scalar_vps > 0.0 ? sync_lane_vps / sync_scalar_vps : 0.0;
         const double pl_speedup =
             pl_serial_vps > 0.0 ? pl_lane_vps / pl_serial_vps : 0.0;
-        const double pl_fork_speedup =
-            pl_serial_vps > 0.0 ? pl_fork_vps / pl_serial_vps : 0.0;
-        const double pl_replay_speedup =
-            pl_serial_vps > 0.0 ? pl_replay_vps / pl_serial_vps : 0.0;
         std::printf("\nlanes row (%zu lanes, %zu vectors/circuit on the sync "
                     "path, best of %d):\n",
                     sim::k_lanes, lane_vectors, repeat);
         std::printf("  sync golden path: scalar %.0f vec/s, lane %.0f vec/s "
                     "= %.1fx\n",
                     sync_scalar_vps, sync_lane_vps, sync_speedup);
-        std::printf("  pl event engine : serial %.0f vec/s, vector %.0f "
-                    "vec/s = %.1fx, fork %.0f vec/s = %.1fx, replay %.0f "
-                    "vec/s = %.1fx, lockstep(fork) %.3f\n\n",
-                    pl_serial_vps, pl_lane_vps, pl_speedup, pl_fork_vps,
-                    pl_fork_speedup, pl_replay_vps, pl_replay_speedup,
-                    fork_arm.lockstep_fraction());
+        std::printf("  pl engines      : serial %.0f vec/s, lane %.0f vec/s "
+                    "= %.1fx\n\n",
+                    pl_serial_vps, pl_lane_vps, pl_speedup);
         {
             report::json j = report::json::object();
             j.set("workload", report::json::str("lanes"));
@@ -640,27 +432,11 @@ int main(int argc, char** argv) {
                   report::json::number(pl_serial_vps));
             j.set("pl_lane_vectors_per_s", report::json::number(pl_lane_vps));
             j.set("pl_speedup", report::json::number(pl_speedup));
-            j.set("pl_lane_fork_vectors_per_s",
-                  report::json::number(pl_fork_vps));
-            j.set("pl_fork_speedup", report::json::number(pl_fork_speedup));
-            j.set("pl_lane_replay_vectors_per_s",
-                  report::json::number(pl_replay_vps));
-            j.set("pl_replay_speedup",
-                  report::json::number(pl_replay_speedup));
             j.set("lane_splits",
                   report::json::number(
                       static_cast<std::int64_t>(lanes.lane_splits)));
-            j.set("lane_forks",
-                  report::json::number(
-                      static_cast<std::int64_t>(fork_arm.lane_forks)));
-            j.set("lane_runs_fork",
-                  report::json::number(
-                      static_cast<std::int64_t>(fork_arm.lane_runs)));
-            j.set("lane_runs_replay",
-                  report::json::number(
-                      static_cast<std::int64_t>(replay_runs)));
-            j.set("lockstep_fraction_fork",
-                  report::json::number(fork_arm.lockstep_fraction()));
+            j.set("divergent_share",
+                  report::json::number(lanes.divergent_share()));
             rows.push(std::move(j));
         }
 
@@ -708,12 +484,9 @@ int main(int argc, char** argv) {
             doc.set("seed",
                     report::json::number(static_cast<std::int64_t>(seed)));
             doc.set("rows", std::move(rows));
-            doc.set("fleet_mix_speedup", report::json::number(mix_speedup));
             doc.set("lanes", report::json::number(
                                  static_cast<std::int64_t>(sim::k_lanes)));
             doc.set("sync_lane_speedup", report::json::number(sync_speedup));
-            doc.set("lockstep_fraction",
-                    report::json::number(lanes.lockstep_fraction()));
             // Full bucket dumps so cross-PR tooling can diff the whole
             // distributions, not just the summary quantiles.
             doc.set("delay_hist_no_ee_ns",

@@ -9,8 +9,8 @@
 // consumer/kind arrays so `place` never touches pl_edge records either.
 //
 // The flattening is purely structural (no per-run state) and is shared by
-// both event-queue engines of sim::pl_simulator; it is equally usable by any
-// other pass that walks PL adjacency at scale.
+// both engines of sim::pl_simulator; it is equally usable by any other pass
+// that walks PL adjacency at scale.
 
 #pragma once
 

@@ -83,17 +83,6 @@ experiment_row run_ee_experiment(const std::string& description,
 
     row.lanes = measure.lanes;
     row.vectors_measured = base.delays.size() + with_ee.delays.size();
-    if (measure.lanes > 1) {
-        // Weight each measurement's run-merging by its vector count.
-        const double total = static_cast<double>(row.vectors_measured);
-        row.lockstep_fraction =
-            total > 0.0
-                ? (base.lockstep_fraction * static_cast<double>(base.delays.size()) +
-                   with_ee.lockstep_fraction *
-                       static_cast<double>(with_ee.delays.size())) /
-                      total
-                : 1.0;
-    }
 
     row.delay_diff = row.delay_no_ee - row.delay_ee;
     row.area_increase_pct =
@@ -124,7 +113,7 @@ json to_json(const experiment_row& row) {
     j.set("vectors_measured", json::number(row.vectors_measured));
     j.set("vectors_per_s", json::number(row.vectors_per_s()));
     if (row.lanes > 1) {
-        j.set("lockstep_fraction", json::number(row.lockstep_fraction));
+        j.set("divergent_share", json::number(row.divergent_share()));
     }
     // Present only when the run collected them (telemetry on): the paper's
     // claim is distributional, so the row carries the distributions, in ns

@@ -70,9 +70,6 @@ struct experiment_row {
     /// Vectors measured across both runs — with sim_wall_ms this tracks
     /// measurement vectors/s per circuit.
     std::size_t vectors_measured = 0;
-    /// Lane mode: run-merging fraction across both measurements (see
-    /// measure_result::lockstep_fraction); 1.0 when lanes == 1.
-    double lockstep_fraction = 1.0;
     /// Per-vector completion-time distributions (integer picoseconds; see
     /// measure_result::delay_hist).  Empty when telemetry was off.
     obs::hist_snapshot delay_hist_no_ee;
@@ -83,6 +80,15 @@ struct experiment_row {
         return sim_wall_ms > 0.0
                    ? static_cast<double>(vectors_measured) * 1e3 / sim_wall_ms
                    : 0.0;
+    }
+    /// Lane mode: the share of both measurements' sim events that carried a
+    /// per-lane time slab — the divergent EE cones' share of the work.
+    double divergent_share() const {
+        const std::uint64_t events = stats_no_ee.events + stats_ee.events;
+        return events == 0 ? 0.0
+                           : static_cast<double>(stats_no_ee.lane_slab_deposits +
+                                                 stats_ee.lane_slab_deposits) /
+                                 static_cast<double>(events);
     }
 };
 

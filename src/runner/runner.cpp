@@ -238,19 +238,9 @@ fleet_result run_fleet(const std::vector<fleet_job>& jobs,
         fleet.total_sim_events +=
             r.row.stats_no_ee.events + r.row.stats_ee.events;
         fleet.total_vectors += r.row.vectors_measured;
+        fleet.total_lane_slab_deposits += r.row.stats_no_ee.lane_slab_deposits +
+                                          r.row.stats_ee.lane_slab_deposits;
         fleet.total_sim_wall_ms += r.row.sim_wall_ms;
-    }
-    // Vector-weighted lockstep fraction over the lane-mode jobs.
-    double lane_vectors = 0.0;
-    double lockstep_weighted = 0.0;
-    for (const job_result& r : fleet.results) {
-        if (!job_succeeded(r.status) || r.row.lanes <= 1) continue;
-        const double v = static_cast<double>(r.row.vectors_measured);
-        lane_vectors += v;
-        lockstep_weighted += r.row.lockstep_fraction * v;
-    }
-    if (lane_vectors > 0.0) {
-        fleet.lockstep_fraction = lockstep_weighted / lane_vectors;
     }
     if (options.telemetry) {
         // One registry flush per fleet — the census the sinks export.
@@ -291,7 +281,7 @@ report::json to_json(const fleet_result& fleet, bool include_rows) {
     j.set("sim_events_per_s", report::json::number(fleet.sim_events_per_s()));
     j.set("total_vectors", report::json::number(fleet.total_vectors));
     j.set("vectors_per_s", report::json::number(fleet.vectors_per_s()));
-    j.set("lockstep_fraction", report::json::number(fleet.lockstep_fraction));
+    j.set("divergent_share", report::json::number(fleet.divergent_share()));
     if (!fleet.delay_hist_no_ee.empty()) {
         j.set("delay_hist_no_ee_ns",
               obs::hist_to_json(fleet.delay_hist_no_ee, 1e3));

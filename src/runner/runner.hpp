@@ -42,7 +42,7 @@ namespace plee::runner {
 /// hence BENCH_fleet.json).  Artifacts without the field predate versioning
 /// (read them as version 0); bump this on any breaking shape change.  See
 /// docs/schemas.md.
-inline constexpr int k_fleet_schema_version = 2;
+inline constexpr int k_fleet_schema_version = 3;
 
 /// One circuit to push through the pipeline.
 struct fleet_job {
@@ -160,9 +160,9 @@ struct fleet_result {
     std::uint64_t total_sim_events = 0;
     /// Vectors measured across the succeeded jobs (both measurements each).
     std::size_t total_vectors = 0;
-    /// Vector-weighted mean lockstep fraction over the succeeded lane-mode
-    /// jobs (1.0 when no job ran lanes, or every block stayed lockstep).
-    double lockstep_fraction = 1.0;
+    /// Lane-engine deposits that carried a per-lane time slab, summed over
+    /// the succeeded jobs (0 at lanes = 1).
+    std::uint64_t total_lane_slab_deposits = 0;
     /// Summed per-job event-simulation wall time (ms).  Unlike wall_ms this
     /// excludes synthesis/mapping/EE-search, so events/s measures the
     /// simulator engine itself.
@@ -193,6 +193,14 @@ struct fleet_result {
                    ? 0.0
                    : 1000.0 * static_cast<double>(total_sim_events) /
                          total_sim_wall_ms;
+    }
+    /// The divergent EE cones' share of the simulator's work: slab
+    /// deposits per sim event (0 at lanes = 1, where nothing is a slab).
+    double divergent_share() const {
+        return total_sim_events == 0
+                   ? 0.0
+                   : static_cast<double>(total_lane_slab_deposits) /
+                         static_cast<double>(total_sim_events);
     }
     /// Measurement throughput: vectors measured per second of simulation
     /// wall time, summed over every measurement in the fleet.

@@ -6,9 +6,10 @@
 // of "event budget exhausted" lines could not say which circuit, how far it
 // got, or on which engine.  Each type here carries the circuit label
 // (sim_options::label, set by the fleet runner to the job id), the event
-// count at failure and the engine ("heap", "dataflow" or "lanes"), and
-// renders them into what(), so a single log line is actionable.  All are
-// permanent (the simulator is deterministic given its stimulus).
+// count at failure and the engine ("dataflow" for the sequential-wave
+// protocol, "lane" for run_lanes), and renders them into what() as
+// "(after N events, <engine> engine)", so a single log line is actionable.
+// All are permanent (the simulator is deterministic given its stimulus).
 
 #pragma once
 
@@ -23,10 +24,10 @@ namespace plee::sim {
 class sim_error : public plee_error {
 public:
     sim_error(const std::string& message, const std::string& label,
-              std::uint64_t events, const char* queue)
+              std::uint64_t events, const char* engine)
         : plee_error("pl_simulator[" + (label.empty() ? "?" : label) +
                          "]: " + message + " (after " + std::to_string(events) +
-                         " events, " + queue + " queue)",
+                         " events, " + engine + " engine)",
                      failure_class::permanent),
           events_(events) {}
 
@@ -40,8 +41,8 @@ private:
 class budget_exhausted : public sim_error {
 public:
     budget_exhausted(const std::string& label, std::uint64_t events,
-                     const char* queue)
-        : sim_error("event budget exhausted", label, events, queue) {}
+                     const char* engine)
+        : sim_error("event budget exhausted", label, events, engine) {}
 };
 
 /// The engine ran out of enabled firings before every wave stabilized; the
@@ -50,8 +51,8 @@ public:
 class deadlock_error : public sim_error {
 public:
     deadlock_error(const std::string& label, const std::string& diagnostic,
-                   std::uint64_t events, const char* queue)
-        : sim_error("deadlock — " + diagnostic, label, events, queue) {}
+                   std::uint64_t events, const char* engine)
+        : sim_error("deadlock — " + diagnostic, label, events, engine) {}
 };
 
 /// Dynamic marked-graph safety or EE invariant violation — the simulator
@@ -60,8 +61,8 @@ public:
 class invariant_violation : public sim_error {
 public:
     invariant_violation(const std::string& message, const std::string& label,
-                        std::uint64_t events, const char* queue)
-        : sim_error(message, label, events, queue) {}
+                        std::uint64_t events, const char* engine)
+        : sim_error(message, label, events, engine) {}
 };
 
 }  // namespace plee::sim

@@ -70,9 +70,6 @@ void measure_lanes(const pl::pl_netlist& pl, const nl::netlist* golden,
     std::vector<lane_block_result> lane_results;
     lane_results.reserve(blocks.size());
     sim_run_stats total{};
-    result.fork_depth_counts.assign(k_lanes + 1, 0);
-    std::uint64_t lockstep_num = 0;  ///< merged pass-slots actually saved
-    std::uint64_t lockstep_den = 0;  ///< merged pass-slots possible
     {
         const obs::scoped_span span(options.trace, "sim.run");
         const wall_timer timer;
@@ -86,30 +83,8 @@ void measure_lanes(const pl::pl_netlist& pl, const nl::netlist* golden,
             total.ee_wins += s.ee_wins;
             total.lane_blocks += s.lane_blocks;
             total.lane_vectors += s.lane_vectors;
-            total.lane_runs += s.lane_runs;
             total.lane_splits += s.lane_splits;
-            total.lane_forks += s.lane_forks;
-            total.lane_groups += s.lane_groups;
-            total.lane_replays += s.lane_replays;
-            total.lane_fork_depth_max =
-                std::max(total.lane_fork_depth_max, s.lane_fork_depth_max);
-            total.lane_fork_bytes_peak =
-                std::max(total.lane_fork_bytes_peak, s.lane_fork_bytes_peak);
-            const auto& depths = simulator.fork_depth_counts();
-            for (std::size_t i = 0; i < depths.size(); ++i) {
-                result.fork_depth_counts[i] += depths[i];
-            }
-            // Lockstep bookkeeping over splittable blocks only: a
-            // single-vector block has no lanes to merge, so it contributes
-            // nothing to either side (the old v==b shortcut reported such
-            // workloads as "fully lockstep" even when their passes split).
-            if (s.lane_vectors > 1) {
-                lockstep_num +=
-                    s.lane_vectors - std::min<std::uint64_t>(
-                                         s.lane_vectors,
-                                         s.lane_runs + s.lane_forks);
-                lockstep_den += s.lane_vectors - 1;
-            }
+            total.lane_slab_deposits += s.lane_slab_deposits;
         }
         result.sim_wall_ms = timer.elapsed_ms();
     }
@@ -143,22 +118,6 @@ void measure_lanes(const pl::pl_netlist& pl, const nl::netlist* golden,
         for (std::size_t lane = 0; lane < r.num_vectors; ++lane) {
             result.delays.push_back(r.delay(lane));
         }
-    }
-    // Run-merging achieved vs possible.  Passes = from-t0 runs + fork
-    // resumes; every block needs >= 1 pass, every vector can cost at most
-    // one.  1.0 is reserved for genuinely divergence-free workloads: no
-    // split ever happened and every block finished in a single pass.
-    // Otherwise the ratio is computed over splittable (multi-vector) blocks
-    // only — degenerate single-vector blocks can neither merge nor split,
-    // so they no longer drag the metric to a fake "fully lockstep".
-    if (total.lane_splits == 0 && total.lane_forks == 0 &&
-        total.lane_runs == total.lane_blocks) {
-        result.lockstep_fraction = 1.0;
-    } else {
-        result.lockstep_fraction =
-            lockstep_den > 0 ? static_cast<double>(lockstep_num) /
-                                   static_cast<double>(lockstep_den)
-                             : 0.0;
     }
 }
 
@@ -239,27 +198,15 @@ measure_result measure_average_delay(const pl::pl_netlist& pl,
             obs::registry::global().get_histogram("sim.vector_delay_ps");
         static obs::histogram& wall_hist =
             obs::registry::global().get_histogram("sim.measure_wall_us");
-        static obs::counter& lane_forks =
-            obs::registry::global().get_counter("sim.lane_forks");
-        static obs::counter& replays_avoided =
-            obs::registry::global().get_counter("sim.lane_replays_avoided");
-        static obs::histogram& fork_depth_hist =
-            obs::registry::global().get_histogram("sim.lane_fork_depth");
+        static obs::counter& slab_deposits =
+            obs::registry::global().get_counter("sim.lane_slab_deposits");
         events.add(result.stats.events);
         firings.add(result.stats.firings);
         vectors.add(result.delays.size());
         ee_hits.add(result.stats.ee_hits);
         ee_misses.add(result.stats.ee_misses);
         ee_wins.add(result.stats.ee_wins);
-        // Every fork resume is exactly one from-t0 replay that did not
-        // happen, so the two counters share a value by construction.
-        lane_forks.add(result.stats.lane_forks);
-        replays_avoided.add(result.stats.lane_forks);
-        for (std::size_t d = 0; d < result.fork_depth_counts.size(); ++d) {
-            if (result.fork_depth_counts[d] != 0) {
-                fork_depth_hist.record_n(d, result.fork_depth_counts[d]);
-            }
-        }
+        slab_deposits.add(result.stats.lane_slab_deposits);
         delay_hist.merge(result.delay_hist);
         wall_hist.record(result.sim_wall_ms <= 0.0
                              ? 0

@@ -18,12 +18,12 @@
 //    are stable.  Delays include the self-timed hand-off between waves.
 //  * lanes == 64 — the throughput protocol: each vector is an independent
 //    single-vector simulation from reset, and 64 of them advance through one
-//    lane-parallel event stream (pl_simulator::run_lanes).  Per-vector
+//    lane-parallel engine pass (pl_simulator::run_lanes).  Per-vector
 //    results are bit-identical to running each vector alone; the golden
 //    check runs through the 64-lane synchronous model.  This is the path the
 //    BENCH_sim.json `lanes` row measures (~an order of magnitude more
-//    vectors/s on the sync golden model, and run-merging on the PL side
-//    whenever lanes stay in lockstep — see lockstep_fraction).
+//    vectors/s on the sync golden model, and several times the serial PL
+//    vectors/s).
 //
 // The two protocols measure different quantities for sequential hand-off
 // reasons (wave k's delay starts at wave k-1's stabilization in the
@@ -83,20 +83,6 @@ struct measure_result {
     /// dominates quantization.  Empty when measure_options::telemetry is
     /// false.
     obs::hist_snapshot delay_hist;
-    /// Lane mode: the fraction of possible run merging achieved, where an
-    /// engine pass is a from-t0 run or a fork resume.  Computed as
-    /// sum(vectors_b - passes_b) / sum(vectors_b - 1) over multi-vector
-    /// blocks only — single-vector (degenerate) blocks can neither merge
-    /// nor split and contribute to neither side.  1.0 is reserved for
-    /// genuinely divergence-free workloads (zero splits, zero forks, one
-    /// pass per block); 0.0 = every vector needed its own pass (also what
-    /// the scalar heap fallback reports for multi-vector blocks).  1.0 when
-    /// lanes == 1 vacuously.
-    double lockstep_fraction = 1.0;
-    /// Lane mode: fork_depth_counts[d] = checkpoints created at nesting
-    /// depth d (index 0 unused — a fork's depth is >= 1).  Sized k_lanes + 1
-    /// in lane mode, empty when lanes == 1.
-    std::vector<std::uint64_t> fork_depth_counts;
 
     /// Measurement throughput (0 when the run was too fast to time).
     double vectors_per_s() const {

@@ -9,86 +9,6 @@
 
 namespace plee::sim {
 
-namespace {
-
-/// Calendar bucket width: the smallest positive delay-model component, so
-/// deposits separated by at least one delay land in distinct ticks and
-/// same-time deposits share a bucket.  Falls back to 1.0 for an all-zero
-/// (degenerate) model.
-double bucket_width_for(const delay_model& d) {
-    double width = 0.0;
-    for (double v : {d.d_celem, d.d_lut, d.d_latch, d.d_ee_penalty, d.d_source}) {
-        if (v > 0.0 && (width == 0.0 || v < width)) width = v;
-    }
-    return width > 0.0 ? width : 1.0;
-}
-
-/// Largest single-deposit look-ahead the model can produce (every scheduled
-/// time is at most this far past the event that scheduled it) — sizes the
-/// calendar's ring window.
-double max_delay_for(const delay_model& d) {
-    return std::max({d.d_source, d.gate_delay() + d.d_ee_penalty,
-                     d.through_delay(), d.ack_delay(), d.efire_delay()});
-}
-
-/// Field-by-field stats accumulation for the scalar-fallback path: every
-/// counter a run produces is added (maxima for the watermark fields), so
-/// nothing is silently dropped when summing per-lane runs into block totals.
-void add_run_stats(sim_run_stats& total, const sim_run_stats& s) {
-    total.events += s.events;
-    total.firings += s.firings;
-    total.ee_hits += s.ee_hits;
-    total.ee_misses += s.ee_misses;
-    total.ee_wins += s.ee_wins;
-    total.lane_splits += s.lane_splits;
-    total.lane_forks += s.lane_forks;
-    total.lane_groups += s.lane_groups;
-    total.lane_replays += s.lane_replays;
-    total.lane_fork_depth_max =
-        std::max(total.lane_fork_depth_max, s.lane_fork_depth_max);
-    total.lane_fork_bytes_peak =
-        std::max(total.lane_fork_bytes_peak, s.lane_fork_bytes_peak);
-}
-
-}  // namespace
-
-const char* to_string(queue_kind kind) {
-    switch (kind) {
-        case queue_kind::binary_heap: return "heap";
-        case queue_kind::calendar: return "calendar";
-    }
-    return "?";
-}
-
-queue_kind queue_kind_from_string(const std::string& name) {
-    if (name == "heap" || name == "binary_heap") return queue_kind::binary_heap;
-    if (name == "calendar") return queue_kind::calendar;
-    throw std::invalid_argument("unknown queue kind: '" + name +
-                                "' (expected heap | binary_heap | calendar)");
-}
-
-const char* engine_name(queue_kind kind, std::size_t lanes) {
-    if (kind == queue_kind::binary_heap) return "heap";
-    return lanes == 1 ? "dataflow" : "calendar";
-}
-
-const char* to_string(lane_split_policy policy) {
-    switch (policy) {
-        case lane_split_policy::vector: return "vector";
-        case lane_split_policy::fork: return "fork";
-        case lane_split_policy::replay: return "replay";
-    }
-    return "?";
-}
-
-lane_split_policy lane_split_policy_from_string(const std::string& name) {
-    if (name == "vector") return lane_split_policy::vector;
-    if (name == "fork") return lane_split_policy::fork;
-    if (name == "replay") return lane_split_policy::replay;
-    throw std::invalid_argument("unknown lane split policy: '" + name +
-                                "' (expected vector | fork | replay)");
-}
-
 pl_simulator::pl_simulator(const pl::pl_netlist& pl, sim_options options)
     : pl_(pl), options_(options), topo_(pl) {
     const std::size_t num_gates = pl.num_gates();
@@ -127,9 +47,6 @@ pl_simulator::pl_simulator(const pl::pl_netlist& pl, sim_options options)
             d.trig_pin_count = count;
         }
     }
-    for (pl::gate_id g = 0; g < num_gates; ++g) {
-        if (desc_[g].efire_in != pl::k_invalid_edge) ++num_masters_;
-    }
     for (std::size_t i = 0; i < pl.sources().size(); ++i) {
         desc_[pl.sources()[i]].env_slot = static_cast<std::uint32_t>(i);
     }
@@ -143,6 +60,13 @@ void pl_simulator::throw_occupied(pl::edge_id edge, const char* engine) const {
                                   std::to_string(edge) +
                                   " (marked-graph safety violation)",
                               options_.label, stats_.events, engine);
+}
+
+void pl_simulator::throw_ee_mismatch(const char* engine) const {
+    throw invariant_violation(
+        "efire token disagrees with the trigger function (EE invariant "
+        "violated)",
+        options_.label, stats_.events, engine);
 }
 
 /// The event checks every engine shares: the max_events budget, and once
@@ -166,245 +90,38 @@ void pl_simulator::reset() {
     stats_ = {};
     trace_on_ = options_.collect_trace;
     trace_.clear();
-    next_seq_ = 0;
     pending_ = in_count_;
     fired_waves_.assign(pl_.num_gates(), 0);
-    fork_depth_counts_.fill(0);
+    tok_present_.assign((pl_.num_edges() + 63) / 64, 0);
+    worklist_.clear();
 }
 
-// ---------------------------------------------------------------------------
-// Reference engine: binary heap over AoS token slots (the seed's hot path).
-// ---------------------------------------------------------------------------
-
-void pl_simulator::schedule(pl::edge_id edge, bool value, double time) {
-    heap_.push_back({time, next_seq_++, edge, value});
-    std::push_heap(heap_.begin(), heap_.end(), std::greater<>());
-}
-
-void pl_simulator::place(pl::edge_id edge, bool value, double time) {
-    token_slot& slot = tokens_[edge];
-    if (slot.present) throw_occupied(edge, "heap");
-    slot = {true, value, time};
-    const pl::pl_edge& e = pl_.edge(edge);
-    if (options_.collect_trace && e.kind == pl::edge_kind::data) {
-        trace_.push_back({time, edge, value});
-    }
-    if (--pending_[e.to] == 0) try_fire(e.to);
-}
-
-void pl_simulator::fire_source(pl::gate_id g) {
-    const pl::pl_gate& gate = pl_.gate(g);
-    // A source with acknowledge inputs fires once per enabling; a source with
-    // no feedback constraints (all its acks were shared away, or it is being
-    // abused in a hand-built netlist) free-runs through every released wave —
-    // which is exactly how an over-eager environment overruns an unsafe
-    // design, and the dynamic safety check then reports it.
-    while (pending_[g] == 0) {
-        const std::size_t wave = fired_waves_[g];
-        if (wave >= num_waves_ || wave >= released_waves_) return;
-
-        double t_ready = release_time_[wave];
-        for (pl::edge_id e : gate.in_edges) t_ready = std::max(t_ready, tokens_[e].time);
-        for (pl::edge_id e : gate.in_edges) {
-            tokens_[e].present = false;
-            ++pending_[g];
+/// Fires every gate the initial marking enables, then every gate a firing
+/// enables, until none is left.  The wave-horizon cap in the firing
+/// functions bounds the firings, so the worklist always empties.
+template <bool Lanes>
+void pl_simulator::run_worklist() {
+    const auto fire = [this](pl::gate_id g) {
+        if constexpr (Lanes) {
+            try_fire_lanes(g);
+        } else {
+            try_fire_fast(g);
         }
-        ++fired_waves_[g];
-        ++stats_.firings;
-
-        const bool value = stim_bit(wave, desc_[g].env_slot);
-        const double t_out = t_ready + options_.delays.d_source;
-        input_stable_[wave] = std::max(input_stable_[wave], t_out);
-        for (pl::edge_id e : gate.out_edges) schedule(e, value, t_out);
-    }
-}
-
-void pl_simulator::record_sink(pl::gate_id g) {
-    const pl::pl_gate& gate = pl_.gate(g);
-    const pl::edge_id data_edge = gate.data_in.front();
-    const token_slot tok = tokens_[data_edge];
-    const std::size_t wave = fired_waves_[g];
-
-    for (pl::edge_id e : gate.in_edges) {
-        tokens_[e].present = false;
-        ++pending_[g];
-    }
-    ++fired_waves_[g];
-    ++stats_.firings;
-
-    double t_ready = tok.time;
-    for (pl::edge_id e : gate.in_edges) t_ready = std::max(t_ready, tokens_[e].time);
-    for (pl::edge_id e : gate.out_edges) {
-        schedule(e, false, t_ready + options_.delays.ack_delay());
-    }
-
-    if (wave >= num_waves_) return;  // drain beyond the measured horizon
-    wave_outputs_[wave][desc_[g].env_slot] = tok.value;
-    output_stable_[wave] = std::max(output_stable_[wave], tok.time);
-    if (--sinks_pending_[wave] == 0) {
-        ++waves_stable_;
-        if (options_.non_pipelined && wave + 1 < num_waves_) {
-            release_time_[wave + 1] = output_stable_[wave];
-            ++released_waves_;
-            for (pl::gate_id src : pl_.sources()) {
-                if (pending_[src] == 0) fire_source(src);
-            }
-        }
-    }
-}
-
-void pl_simulator::try_fire(pl::gate_id g) {
-    if (pending_[g] != 0) return;
-    // Wave horizon: a live marked graph fires every gate exactly once per
-    // wave, so an enabling past num_waves_ firings is post-completion drain
-    // (tokens circulating a feedback loop after the last sink recorded).
-    // Refusing it makes firings, events, and the EE hit/miss/win counters
-    // order-independent — identical across queue disciplines and lane
-    // policies — instead of depending on the race between loop circulation
-    // and the final sink record popping.
-    if (fired_waves_[g] >= num_waves_) return;
-    const pl::pl_gate& gate = pl_.gate(g);
-
-    switch (gate.kind) {
-        case pl::gate_kind::source:
-            fire_source(g);
-            return;
-        case pl::gate_kind::sink:
-            record_sink(g);
-            return;
-        default:
-            break;
-    }
-
-    // Common firing: compute readiness, consume, emit.
-    double t_ready = 0.0;
-    for (pl::edge_id e : gate.in_edges) t_ready = std::max(t_ready, tokens_[e].time);
-
-    // Gather the LUT operand values before consuming.
-    std::uint32_t minterm = 0;
-    for (std::size_t pin = 0; pin < gate.data_in.size(); ++pin) {
-        if (tokens_[gate.data_in[pin]].value) minterm |= 1u << pin;
-    }
-    double efire_time = 0.0;
-    bool efire_value = false;
-    const bool has_trigger = gate.efire_in != pl::k_invalid_edge;
-    if (has_trigger) {
-        efire_time = tokens_[gate.efire_in].time;
-        efire_value = tokens_[gate.efire_in].value;
-    }
-    double t_data = 0.0;
-    for (pl::edge_id e : gate.data_in) t_data = std::max(t_data, tokens_[e].time);
-
-    for (pl::edge_id e : gate.in_edges) {
-        tokens_[e].present = false;
-        ++pending_[g];
-    }
-    ++fired_waves_[g];
-    ++stats_.firings;
-
-    bool value = false;
-    double t_out = 0.0;
-    switch (gate.kind) {
-        case pl::gate_kind::const_source:
-            value = gate.const_value;
-            t_out = t_ready + options_.delays.d_source;
-            break;
-        case pl::gate_kind::through:
-            value = (minterm & 1u) != 0;  // identity on the D token
-            t_out = t_ready + options_.delays.through_delay();
-            break;
-        case pl::gate_kind::trigger:
-            value = gate.function.eval(minterm);
-            t_out = t_ready + options_.delays.gate_delay();
-            break;
-        case pl::gate_kind::compute: {
-            value = gate.function.eval(minterm);
-            if (!has_trigger) {
-                t_out = t_ready + options_.delays.gate_delay();
-                break;
-            }
-            // EE master: normal completion pays the extra C-element; a
-            // 1-valued efire token opens the output latch early.
-            const double normal =
-                t_data + options_.delays.gate_delay() + options_.delays.d_ee_penalty;
-            if (efire_value) {
-                const double early = efire_time + options_.delays.efire_delay();
-                t_out = std::min(early, normal);
-                ++stats_.ee_hits;
-                if (early < normal) ++stats_.ee_wins;
-            } else {
-                t_out = normal;
-                ++stats_.ee_misses;
-            }
-            if (options_.check_early_value) {
-                // Recompute the trigger from the master's consumed operands
-                // through the precomputed pin-packing map.
-                const gate_desc& d = desc_[g];
-                std::uint32_t packed = 0;
-                for (std::uint8_t i = 0; i < d.trig_pin_count; ++i) {
-                    packed |= ((minterm >> d.trig_pins[i]) & 1u) << i;
-                }
-                const bool trig_value =
-                    (d.trig_fn_bits[packed >> 6] >> (packed & 63)) & 1u;
-                if (trig_value != efire_value) {
-                    throw invariant_violation(
-                        "efire token disagrees with the trigger function (EE "
-                        "invariant violated)",
-                        options_.label, stats_.events, "heap");
-                }
-            }
-            break;
-        }
-        default:
-            throw invariant_violation("unexpected gate kind in firing",
-                                      options_.label, stats_.events, "heap");
-    }
-
-    const double t_ack = t_ready + options_.delays.ack_delay();
-    for (pl::edge_id e : gate.out_edges) {
-        const pl::pl_edge& edge = pl_.edge(e);
-        schedule(e, value, edge.kind == pl::edge_kind::ack ? t_ack : t_out);
-    }
-}
-
-void pl_simulator::run_heap() {
-    tokens_.assign(pl_.num_edges(), {});
-    heap_.clear();
-    // Initial marking: tokens in place at t = 0.
-    for (pl::edge_id e = 0; e < pl_.num_edges(); ++e) {
-        const pl::pl_edge& edge = pl_.edge(e);
-        if (edge.init_token) {
-            tokens_[e] = {true, edge.init_value, 0.0};
-            --pending_[edge.to];
-        }
-    }
-
-    // Kick off every gate enabled by the initial marking.
+    };
     for (pl::gate_id g = 0; g < pl_.num_gates(); ++g) {
-        if (pending_[g] == 0 && !pl_.gate(g).in_edges.empty()) try_fire(g);
-        // Sources with no acknowledge inputs (no consumers needing them) may
-        // also be enabled with zero in-edges.
-        if (pending_[g] == 0 && pl_.gate(g).in_edges.empty() &&
-            pl_.gate(g).kind == pl::gate_kind::source &&
-            !pl_.gate(g).out_edges.empty()) {
-            try_fire(g);
+        if (pending_[g] == 0 && in_count_[g] != 0) fire(g);
+        // Sources with no acknowledge inputs (no consumers needing them) are
+        // enabled with zero in-edges.
+        if (pending_[g] == 0 && in_count_[g] == 0 &&
+            desc_[g].kind == pl::gate_kind::source &&
+            desc_[g].out_end != desc_[g].out_begin) {
+            fire(g);
         }
     }
-
-    // Drain to quiescence: the wave-horizon cap in try_fire bounds the event
-    // stream, and popping it fully (rather than stopping at stability) keeps
-    // every stat independent of where the last sink record lands in the
-    // queue's pop order.
-    while (!heap_.empty()) {
-        const std::uint64_t events = ++stats_.events;
-        if (events > options_.max_events ||
-            (events & (k_cancel_check_events - 1)) == 0) {
-            check_events(events, "heap");
-        }
-        std::pop_heap(heap_.begin(), heap_.end(), std::greater<>());
-        const deposit d = heap_.back();
-        heap_.pop_back();
-        place(d.edge, d.value, d.time);
+    while (!worklist_.empty()) {
+        const pl::gate_id g = worklist_.back();
+        worklist_.pop_back();
+        fire(g);
     }
 }
 
@@ -418,17 +135,14 @@ void pl_simulator::run_heap() {
 // needs replaying in time order: a firing writes each output token directly
 // (present bit, value, time) and a consumer whose last missing input just
 // arrived goes onto a LIFO worklist.  One deposit is one event, exactly as
-// one popped deposit is in the heap engine, so every stat matches it.
+// one popped deposit is in a time-ordered simulation, so every stat matches
+// one (tests/heap_oracle.hpp).
 // ---------------------------------------------------------------------------
 
 /// One deposit = one event: the event checks, the occupied-edge safety
 /// check, the token write and the consumer's enabling.
 void pl_simulator::deposit_token(pl::edge_id edge, bool value, double time) {
-    const std::uint64_t events = ++stats_.events;
-    if (events > options_.max_events ||
-        (events & (k_cancel_check_events - 1)) == 0) {
-        check_events(events, "dataflow");
-    }
+    count_event("dataflow");
     const std::size_t word = edge >> 6;
     const std::uint64_t bit = std::uint64_t{1} << (edge & 63);
     const std::uint64_t present = tok_present_[word];
@@ -445,6 +159,11 @@ void pl_simulator::deposit_token(pl::edge_id edge, bool value, double time) {
 
 void pl_simulator::fire_source_fast(pl::gate_id g) {
     const gate_desc& d = desc_[g];
+    // A source with acknowledge inputs fires once per enabling; a source with
+    // no feedback constraints (all its acks were shared away, or it is being
+    // abused in a hand-built netlist) free-runs through every released wave —
+    // which is exactly how an over-eager environment overruns an unsafe
+    // design, and the dynamic safety check then reports it.
     while (pending_[g] == 0) {
         const std::size_t wave = fired_waves_[g];
         if (wave >= num_waves_ || wave >= released_waves_) return;
@@ -507,7 +226,14 @@ void pl_simulator::record_sink_fast(pl::gate_id g) {
 
 void pl_simulator::try_fire_fast(pl::gate_id g) {
     if (pending_[g] != 0) return;
-    if (fired_waves_[g] >= num_waves_) return;  // wave horizon (see try_fire)
+    // Wave horizon: a live marked graph fires every gate exactly once per
+    // wave, so an enabling past num_waves_ firings is post-completion drain
+    // (tokens circulating a feedback loop after the last sink recorded).
+    // Refusing it makes firings, events, and the EE hit/miss/win counters
+    // order-independent — identical across firing orders and engines —
+    // instead of depending on the race between loop circulation and the
+    // final sink record.
+    if (fired_waves_[g] >= num_waves_) return;
     const gate_desc& d = desc_[g];
 
     switch (d.kind) {
@@ -572,6 +298,8 @@ void pl_simulator::try_fire_fast(pl::gate_id g) {
                 t_out = t_ready + options_.delays.gate_delay();
                 break;
             }
+            // EE master: normal completion pays the extra C-element; a
+            // 1-valued efire token opens the output latch early.
             const double normal =
                 t_data + options_.delays.gate_delay() + options_.delays.d_ee_penalty;
             if (efire_value) {
@@ -583,20 +311,16 @@ void pl_simulator::try_fire_fast(pl::gate_id g) {
                 t_out = normal;
                 ++stats_.ee_misses;
             }
-            if (options_.check_early_value) {
-                std::uint32_t packed = 0;
-                for (std::uint8_t i = 0; i < d.trig_pin_count; ++i) {
-                    packed |= ((minterm >> d.trig_pins[i]) & 1u) << i;
-                }
-                const bool trig_value =
-                    (d.trig_fn_bits[packed >> 6] >> (packed & 63)) & 1u;
-                if (trig_value != efire_value) {
-                    throw invariant_violation(
-                        "efire token disagrees with the trigger function (EE "
-                        "invariant violated)",
-                        options_.label, stats_.events, "dataflow");
-                }
+            // The EE invariant: the trigger recomputed from the master's
+            // consumed operands through the precomputed pin-packing map
+            // must equal the efire token.
+            std::uint32_t packed = 0;
+            for (std::uint8_t i = 0; i < d.trig_pin_count; ++i) {
+                packed |= ((minterm >> d.trig_pins[i]) & 1u) << i;
             }
+            const bool trig_value =
+                (d.trig_fn_bits[packed >> 6] >> (packed & 63)) & 1u;
+            if (trig_value != efire_value) throw_ee_mismatch("dataflow");
             break;
         }
         default:
@@ -612,46 +336,8 @@ void pl_simulator::try_fire_fast(pl::gate_id g) {
     }
 }
 
-void pl_simulator::run_dataflow() {
-    const std::size_t num_edges = pl_.num_edges();
-    tok_present_.assign((num_edges + 63) / 64, 0);
-    tok_value_.assign((num_edges + 63) / 64, 0);
-    tok_time_.assign(num_edges, 0.0);
-    worklist_.clear();
-
-    // Initial marking: tokens in place at t = 0.
-    for (pl::edge_id e = 0; e < num_edges; ++e) {
-        const pl::pl_edge& edge = pl_.edge(e);
-        if (edge.init_token) {
-            const std::size_t word = e >> 6;
-            const std::uint64_t bit = std::uint64_t{1} << (e & 63);
-            tok_present_[word] |= bit;
-            if (edge.init_value) tok_value_[word] |= bit;
-            --pending_[edge.to];
-        }
-    }
-
-    // Kick off every gate enabled by the initial marking (same rules as the
-    // reference engine, read from the descriptors), then fire enabled gates
-    // until none is left.  The wave-horizon cap in try_fire_fast bounds the
-    // firings, so the worklist always empties.
-    for (pl::gate_id g = 0; g < pl_.num_gates(); ++g) {
-        if (pending_[g] == 0 && in_count_[g] != 0) try_fire_fast(g);
-        if (pending_[g] == 0 && in_count_[g] == 0 &&
-            desc_[g].kind == pl::gate_kind::source &&
-            desc_[g].out_end != desc_[g].out_begin) {
-            try_fire_fast(g);
-        }
-    }
-    while (!worklist_.empty()) {
-        const pl::gate_id g = worklist_.back();
-        worklist_.pop_back();
-        try_fire_fast(g);
-    }
-}
-
 // ---------------------------------------------------------------------------
-// Engine-independent driver.
+// Sequential-wave driver.
 // ---------------------------------------------------------------------------
 
 std::vector<wave_record> pl_simulator::run(
@@ -661,7 +347,7 @@ std::vector<wave_record> pl_simulator::run(
             throw std::invalid_argument("pl_simulator::run: vector width mismatch");
         }
     }
-    // Transpose into the packed layout both engines now read from.
+    // Transpose into the packed layout the engine reads from.
     const std::size_t width = pl_.sources().size();
     packed_stim_.assign((vectors.size() + k_lanes - 1) / k_lanes, {});
     for (auto& block : packed_stim_) {
@@ -714,14 +400,24 @@ std::vector<wave_record> pl_simulator::run_packed(
                                              std::size_t{1} << 20));
     }
 
-    const bool use_heap = options_.queue == queue_kind::binary_heap;
-    if (use_heap) {
-        run_heap();
-    } else {
-        run_dataflow();
+    const std::size_t num_edges = pl_.num_edges();
+    tok_value_.assign((num_edges + 63) / 64, 0);
+    tok_time_.assign(num_edges, 0.0);
+    // Initial marking: tokens in place at t = 0.
+    for (pl::edge_id e = 0; e < num_edges; ++e) {
+        const pl::pl_edge& edge = pl_.edge(e);
+        if (edge.init_token) {
+            const std::size_t word = e >> 6;
+            const std::uint64_t bit = std::uint64_t{1} << (e & 63);
+            tok_present_[word] |= bit;
+            if (edge.init_value) tok_value_[word] |= bit;
+            --pending_[edge.to];
+        }
     }
+    run_worklist<false>();
+
     // The trace contract: sorted by (time, edge), one edge's deposits in
-    // wave order (the stable sort keeps each engine's per-edge order).
+    // wave order (the stable sort keeps the engine's per-edge order).
     std::stable_sort(trace_.begin(), trace_.end(),
                      [](const trace_event& a, const trace_event& b) {
                          return a.time != b.time ? a.time < b.time
@@ -729,7 +425,7 @@ std::vector<wave_record> pl_simulator::run_packed(
                      });
     if (waves_stable_ < num_waves_) {
         throw deadlock_error(options_.label, deadlock_diagnostic(),
-                             stats_.events, use_heap ? "heap" : "dataflow");
+                             stats_.events, "dataflow");
     }
 
     std::vector<wave_record> records;
@@ -746,425 +442,190 @@ std::vector<wave_record> pl_simulator::run_packed(
 }
 
 // ---------------------------------------------------------------------------
-// Lane engine: 64 independent single-vector runs through one event stream.
+// Lane engine: 64 independent single-vector runs in one pass.
 //
-// Token state is the dataflow engine's (same presence bitset, same time
-// array), but deposits go through a calendar queue (calendar_queue.hpp) in
-// the heap engine's (time, seq) pop order.  What changes is the payload —
-// every data token carries a 64-bit value word instead of one bit.  The
-// cal_event key has no room for a word, so the word rides in a side array
-// (lane_sched_) indexed by edge: marked-graph safety guarantees at most one
-// deposit in flight per edge, and lane_inflight_ enforces it (an unsafe
-// netlist throws here instead of at place time).
+// The dataflow engine's presence bitset, time array and worklist, with a
+// 64-bit value word per token (lane_value_) in place of one bit.  Values
+// are timing-independent, so the words are right for every lane; times
+// stay one shared scalar per edge (tok_time_) except on the divergent cone
+// of an EE master whose mixed efire word lets some lanes take the early
+// path.  Such edges carry a 64-double slab entry (lane_time_) flagged in
+// lane_time_varies_; times that reconverge (a max absorbed the early
+// token) drop back to a scalar.  Token times obey the same confluent
+// max/min recurrence per lane as values do, so divergence never needs a
+// second pass.  Every gate fires at most once per block (the single wave),
+// so every edge takes at most one deposit per block and the varies bitset,
+// cleared per block, needs no clearing at scalar deposits.
 // ---------------------------------------------------------------------------
 
-void pl_simulator::schedule_lanes(std::uint64_t tick, double time,
-                                  pl::edge_id edge, std::uint64_t word) {
+void pl_simulator::deposit_lanes(pl::edge_id edge, std::uint64_t word,
+                                 double time) {
+    count_event("lane");
     const std::size_t w = edge >> 6;
     const std::uint64_t bit = std::uint64_t{1} << (edge & 63);
-    if (lane_inflight_[w] & bit) {
-        throw invariant_violation(
-            "two deposits in flight on edge " + std::to_string(edge) +
-                " (lane engine requires a safe netlist)",
-            options_.label, stats_.events, "lanes");
-    }
-    lane_inflight_[w] |= bit;
-    lane_sched_[edge] = word;
-    if (lane_vec_) lane_time_varies_[w] &= ~bit;  // uniform emission
-    calendar_.push_at(tick, {time, cal_event::pack(next_seq_++, edge, false)});
-}
-
-/// Vector-time emission: the deposit's per-lane times land in the slab, the
-/// calendar orders the event by their maximum (any order that respects the
-/// firing rule yields the same times — the recurrence is confluent).
-void pl_simulator::schedule_lanes_vec(pl::edge_id edge, std::uint64_t word,
-                                      const double* times) {
-    const std::size_t w = edge >> 6;
-    const std::uint64_t bit = std::uint64_t{1} << (edge & 63);
-    if (lane_inflight_[w] & bit) {
-        throw invariant_violation(
-            "two deposits in flight on edge " + std::to_string(edge) +
-                " (lane engine requires a safe netlist)",
-            options_.label, stats_.events, "lanes");
-    }
-    lane_inflight_[w] |= bit;
-    lane_sched_[edge] = word;
-    lane_time_varies_[w] |= bit;
-    double* const slot = lane_time_.data() + std::size_t{edge} * k_lanes;
-    double rep = 0.0;
-    for (std::size_t l = 0; l < k_lanes; ++l) {
-        slot[l] = times[l];
-        rep = std::max(rep, times[l]);
-    }
-    calendar_.push_at(calendar_.tick_of(rep),
-                      {rep, cal_event::pack(next_seq_++, edge, false)});
-}
-
-void pl_simulator::place_lanes(pl::edge_id edge, double time) {
-    const std::size_t word = edge >> 6;
-    const std::uint64_t bit = std::uint64_t{1} << (edge & 63);
-    if (tok_present_[word] & bit) throw_occupied(edge, "lanes");
-    tok_present_[word] |= bit;
-    lane_inflight_[word] &= ~bit;
-    lane_value_[edge] = lane_sched_[edge];
+    if (tok_present_[w] & bit) throw_occupied(edge, "lane");
+    tok_present_[w] |= bit;
+    lane_value_[edge] = word;
     tok_time_[edge] = time;
     const pl::gate_id g = topo_.edge_to[edge];
-    if (--pending_[g] == 0) {
-        lane_vec_ ? try_fire_lanes_vec(g) : try_fire_lanes(g);
+    if (--pending_[g] == 0) worklist_.push_back(g);
+}
+
+void pl_simulator::deposit_lanes_slab(pl::edge_id edge, std::uint64_t word,
+                                      const double* times) {
+    count_event("lane");
+    ++stats_.lane_slab_deposits;
+    const std::size_t w = edge >> 6;
+    const std::uint64_t bit = std::uint64_t{1} << (edge & 63);
+    if (tok_present_[w] & bit) throw_occupied(edge, "lane");
+    tok_present_[w] |= bit;
+    lane_time_varies_[w] |= bit;
+    lane_value_[edge] = word;
+    if (lane_time_.empty()) lane_time_.resize(pl_.num_edges() * k_lanes);
+    std::copy_n(times, k_lanes, lane_time_.data() + std::size_t{edge} * k_lanes);
+    const pl::gate_id g = topo_.edge_to[edge];
+    if (--pending_[g] == 0) worklist_.push_back(g);
+}
+
+void pl_simulator::gather_times(const pl::edge_id* edges, std::uint32_t begin,
+                                std::uint32_t end, double* out) const {
+    for (std::uint32_t i = begin; i < end; ++i) {
+        const pl::edge_id e = edges[i];
+        if (edge_time_varies(e)) {
+            const double* const t = lane_time_.data() + std::size_t{e} * k_lanes;
+            for (std::size_t l = 0; l < k_lanes; ++l) out[l] = std::max(out[l], t[l]);
+        } else {
+            const double s = tok_time_[e];
+            for (std::size_t l = 0; l < k_lanes; ++l) out[l] = std::max(out[l], s);
+        }
+    }
+}
+
+void pl_simulator::consume_lanes(pl::gate_id g, double* tr) {
+    const gate_desc& d = desc_[g];
+    gather_times(topo_.in_flat.data(), d.in_begin, d.in_end, tr);
+    for (std::uint32_t i = d.in_begin; i < d.in_end; ++i) {
+        const pl::edge_id e = topo_.in_flat[i];
+        tok_present_[e >> 6] &= ~(std::uint64_t{1} << (e & 63));
+    }
+    pending_[g] = in_count_[g];
+    ++fired_waves_[g];
+    ++stats_.firings;
+}
+
+void pl_simulator::emit_lanes(const gate_desc& d, std::uint64_t value,
+                              const double* to, const double* ta) {
+    const bool out_uniform = std::all_of(
+        to + 1, to + k_lanes, [to](double t) { return t == to[0]; });
+    const bool ack_uniform = std::all_of(
+        ta + 1, ta + k_lanes, [ta](double t) { return t == ta[0]; });
+    for (std::uint32_t i = d.out_begin; i < d.out_end; ++i) {
+        const pl::edge_id e = topo_.out_flat[i];
+        const bool ack = topo_.edge_is_ack[e] != 0;
+        const double* const t = ack ? ta : to;
+        if (ack ? ack_uniform : out_uniform) {
+            deposit_lanes(e, value, t[0]);
+        } else {
+            deposit_lanes_slab(e, value, t);
+        }
+    }
+}
+
+/// The EE invariant, word-wide for every occupied lane: the trigger
+/// recomputed from the master's consumed operands must equal the efire
+/// word.  Throws invariant_violation otherwise.
+void pl_simulator::check_trigger_lanes(const gate_desc& d,
+                                       const std::uint64_t* ins,
+                                       std::uint64_t efire_word) const {
+    std::uint64_t tins[bf::k_max_vars];
+    for (std::uint8_t i = 0; i < d.trig_pin_count; ++i) {
+        tins[i] = ins[d.trig_pins[i]];
+    }
+    const std::uint64_t trig = bf::truth_table::eval_word_lanes(
+        d.trig_fn_bits.data(), d.trig_pin_count, tins);
+    if ((trig ^ efire_word) & lane_mask_) throw_ee_mismatch("lane");
+}
+
+/// A firing's lane-packed output word (LUT and trigger gates through the
+/// word kernel).
+std::uint64_t pl_simulator::lane_word(const gate_desc& d,
+                                      const std::uint64_t* ins) const {
+    switch (d.kind) {
+        case pl::gate_kind::const_source:
+            return d.const_value ? ~std::uint64_t{0} : 0;
+        case pl::gate_kind::through:
+            return d.num_data != 0 ? ins[0] : 0;  // identity on the D token
+        default:
+            return bf::truth_table::eval_word_lanes(d.fn_bits.data(),
+                                                    d.num_data, ins);
+    }
+}
+
+/// t_out - t_ready of a firing without an efire input.
+double pl_simulator::fire_delay(const gate_desc& d) const {
+    switch (d.kind) {
+        case pl::gate_kind::const_source: return options_.delays.d_source;
+        case pl::gate_kind::through: return options_.delays.through_delay();
+        default: return options_.delays.gate_delay();
     }
 }
 
 void pl_simulator::fire_source_lanes(pl::gate_id g) {
     const gate_desc& d = desc_[g];
-    while (pending_[g] == 0) {
-        const std::size_t wave = fired_waves_[g];
-        if (wave >= num_waves_ || wave >= released_waves_) return;
-
-        double t_ready = release_time_[wave];
-        for (std::uint32_t i = d.in_begin; i < d.in_end; ++i) {
-            const pl::edge_id e = topo_.in_flat[i];
-            t_ready = std::max(t_ready, tok_time_[e]);
-            tok_present_[e >> 6] &= ~(std::uint64_t{1} << (e & 63));
-        }
-        pending_[g] = in_count_[g];
-        ++fired_waves_[g];
-        ++stats_.firings;
-
-        const std::uint64_t word = lane_block_->words[d.env_slot];
-        const double t_out = t_ready + options_.delays.d_source;
-        input_stable_[wave] = std::max(input_stable_[wave], t_out);
-        const std::uint64_t tick = calendar_.tick_of(t_out);
-        for (std::uint32_t i = d.out_begin; i < d.out_end; ++i) {
-            schedule_lanes(tick, t_out, topo_.out_flat[i], word);
-        }
+    double to[k_lanes];
+    std::fill_n(to, k_lanes, 0.0);
+    consume_lanes(g, to);
+    for (std::size_t l = 0; l < k_lanes; ++l) {
+        to[l] += options_.delays.d_source;
+        input_stable_lane_[l] = std::max(input_stable_lane_[l], to[l]);
     }
+    emit_lanes(d, lane_block_->words[d.env_slot], to, to);
 }
 
 void pl_simulator::record_sink_lanes(pl::gate_id g) {
     const gate_desc& d = desc_[g];
     const pl::edge_id data_edge = topo_.data_flat[d.data_begin];
-    const std::uint64_t tok_word = lane_value_[data_edge];
-    const double tok_time = tok_time_[data_edge];
-    const std::size_t wave = fired_waves_[g];
-
-    double t_ready = tok_time;
-    for (std::uint32_t i = d.in_begin; i < d.in_end; ++i) {
-        const pl::edge_id e = topo_.in_flat[i];
-        t_ready = std::max(t_ready, tok_time_[e]);
-        tok_present_[e >> 6] &= ~(std::uint64_t{1} << (e & 63));
-    }
-    pending_[g] = in_count_[g];
-    ++fired_waves_[g];
-    ++stats_.firings;
-
-    const double t_ack = t_ready + options_.delays.ack_delay();
-    const std::uint64_t tick = calendar_.tick_of(t_ack);
-    for (std::uint32_t i = d.out_begin; i < d.out_end; ++i) {
-        schedule_lanes(tick, t_ack, topo_.out_flat[i], 0);
-    }
-
-    if (wave >= num_waves_) return;  // drain beyond the measured horizon
-    lane_sink_words_[d.env_slot] = tok_word;
-    output_stable_[wave] = std::max(output_stable_[wave], tok_time);
-    if (--sinks_pending_[wave] == 0) ++waves_stable_;
-}
-
-// ---------------------------------------------------------------------------
-// Vector-time firing (lane_split_policy::vector).  Identical firing rules to
-// the scalar lane path, but a token's arrival time is per-lane wherever the
-// EE cone made it diverge: such edges carry a 64-double slab entry
-// (lane_time_) flagged in lane_time_varies_, everything else keeps the
-// shared scalar in tok_time_.  Marked-graph token times are a max/min
-// recurrence over the producing firing's input times, so they are exact and
-// order-independent per lane — divergence never needs a split, and times
-// that reconverge (the max absorbed the early token) drop back to scalar.
-// ---------------------------------------------------------------------------
-
-/// Max-accumulates the [begin, end) edges' per-lane arrival times into
-/// out[0..63] (callers pre-fill with the floor, usually 0).
-void pl_simulator::gather_times_vec(const pl::edge_id* edges,
-                                    std::uint32_t begin, std::uint32_t end,
-                                    double* out) const {
-    for (std::uint32_t i = begin; i < end; ++i) {
-        const pl::edge_id e = edges[i];
-        if (edge_time_varies(e)) {
-            const double* const t =
-                lane_time_.data() + std::size_t{e} * k_lanes;
-            for (std::size_t l = 0; l < k_lanes; ++l) {
-                out[l] = std::max(out[l], t[l]);
-            }
-        } else {
-            const double s = tok_time_[e];
-            for (std::size_t l = 0; l < k_lanes; ++l) {
-                out[l] = std::max(out[l], s);
-            }
-        }
-    }
-}
-
-void pl_simulator::record_sink_lanes_vec(pl::gate_id g) {
-    const gate_desc& d = desc_[g];
-    const pl::edge_id data_edge = topo_.data_flat[d.data_begin];
-    const std::uint64_t tok_word = lane_value_[data_edge];
-    const std::size_t wave = fired_waves_[g];
-
     double tv[k_lanes];
-    if (edge_time_varies(data_edge)) {
-        const double* const t =
-            lane_time_.data() + std::size_t{data_edge} * k_lanes;
-        for (std::size_t l = 0; l < k_lanes; ++l) tv[l] = t[l];
-    } else {
-        const double s = tok_time_[data_edge];
-        for (std::size_t l = 0; l < k_lanes; ++l) tv[l] = s;
-    }
-    double tr[k_lanes];
-    for (std::size_t l = 0; l < k_lanes; ++l) tr[l] = tv[l];
-    gather_times_vec(topo_.in_flat.data(), d.in_begin, d.in_end, tr);
-    for (std::uint32_t i = d.in_begin; i < d.in_end; ++i) {
-        const pl::edge_id e = topo_.in_flat[i];
-        tok_present_[e >> 6] &= ~(std::uint64_t{1} << (e & 63));
-    }
-    pending_[g] = in_count_[g];
-    ++fired_waves_[g];
-    ++stats_.firings;
-
+    std::fill_n(tv, k_lanes, 0.0);
+    gather_times(&data_edge, 0, 1, tv);
     double ta[k_lanes];
-    double ta_min = tr[0] + options_.delays.ack_delay();
-    double ta_max = ta_min;
+    std::copy_n(tv, k_lanes, ta);
+    consume_lanes(g, ta);
     for (std::size_t l = 0; l < k_lanes; ++l) {
-        ta[l] = tr[l] + options_.delays.ack_delay();
-        ta_min = std::min(ta_min, ta[l]);
-        ta_max = std::max(ta_max, ta[l]);
-    }
-    const bool ack_uniform = ta_min == ta_max;
-    const std::uint64_t tick = calendar_.tick_of(ta_max);
-    for (std::uint32_t i = d.out_begin; i < d.out_end; ++i) {
-        const pl::edge_id e = topo_.out_flat[i];
-        if (ack_uniform) {
-            schedule_lanes(tick, ta_max, e, 0);
-        } else {
-            schedule_lanes_vec(e, 0, ta);
-        }
-    }
-
-    if (wave >= num_waves_) return;  // drain beyond the measured horizon
-    lane_sink_words_[d.env_slot] = tok_word;
-    for (std::size_t l = 0; l < k_lanes; ++l) {
+        ta[l] += options_.delays.ack_delay();
         output_stable_lane_[l] = std::max(output_stable_lane_[l], tv[l]);
     }
-    if (--sinks_pending_[wave] == 0) ++waves_stable_;
+    emit_lanes(d, 0, ta, ta);
+    lane_sink_words_[d.env_slot] = lane_value_[data_edge];
+    if (--sinks_pending_[0] == 0) ++waves_stable_;
 }
 
-void pl_simulator::try_fire_lanes_vec(pl::gate_id g) {
+void pl_simulator::try_fire_lanes(pl::gate_id g) {
     if (pending_[g] != 0) return;
-    if (fired_waves_[g] >= num_waves_) return;  // wave horizon (see try_fire)
+    if (fired_waves_[g] >= num_waves_) return;  // wave horizon (try_fire_fast)
     const gate_desc& d = desc_[g];
 
     switch (d.kind) {
         case pl::gate_kind::source:
-            // Sources fire exactly once per released wave from uniform
-            // state (stimulus broadcast at t = 0), so the scalar path is
-            // exact; late ack arrivals hit its released_waves_ guard.
             fire_source_lanes(g);
             return;
         case pl::gate_kind::sink:
-            record_sink_lanes_vec(g);
+            record_sink_lanes(g);
             return;
         default:
             break;
     }
 
     const pl::edge_id* const in_flat = topo_.in_flat.data();
-    bool vary = false;
     for (std::uint32_t i = d.in_begin; i < d.in_end; ++i) {
         if (edge_time_varies(in_flat[i])) {
-            vary = true;
-            break;
-        }
-    }
-    if (!vary) {
-        // All inputs share one time per edge: the scalar-input body computes
-        // the exact same doubles, and only a divergent EE emission (mixed
-        // efire word with the early path faster) widens the output to
-        // per-lane times instead of splitting the pass.
-        try_fire_lanes_impl<true>(g);
-        return;
-    }
-
-    const double* const tok_time = tok_time_.data();
-    const pl::edge_id* const data_flat = topo_.data_flat.data() + d.data_begin;
-    double tr[k_lanes];
-    for (std::size_t l = 0; l < k_lanes; ++l) tr[l] = 0.0;
-    gather_times_vec(in_flat, d.in_begin, d.in_end, tr);
-    for (std::uint32_t i = d.in_begin; i < d.in_end; ++i) {
-        const pl::edge_id e = in_flat[i];
-        tok_present_[e >> 6] &= ~(std::uint64_t{1} << (e & 63));
-    }
-    std::uint64_t ins[bf::k_max_vars];
-    double td[k_lanes];
-    for (std::size_t l = 0; l < k_lanes; ++l) td[l] = 0.0;
-    for (std::uint8_t pin = 0; pin < d.num_data; ++pin) {
-        ins[pin] = lane_value_[data_flat[pin]];
-    }
-    const bool has_trigger = d.efire_in != pl::k_invalid_edge;
-    std::uint64_t efire_word = 0;
-    double ef[k_lanes];
-    if (has_trigger) {
-        gather_times_vec(data_flat, 0, d.num_data, td);
-        efire_word = lane_value_[d.efire_in];
-        if (edge_time_varies(d.efire_in)) {
-            const double* const t =
-                lane_time_.data() + std::size_t{d.efire_in} * k_lanes;
-            for (std::size_t l = 0; l < k_lanes; ++l) ef[l] = t[l];
-        } else {
-            const double s = tok_time[d.efire_in];
-            for (std::size_t l = 0; l < k_lanes; ++l) ef[l] = s;
-        }
-    }
-
-    pending_[g] = in_count_[g];
-    ++fired_waves_[g];
-    ++stats_.firings;
-
-    std::uint64_t value = 0;
-    double to[k_lanes];
-    switch (d.kind) {
-        case pl::gate_kind::const_source:
-            value = d.const_value ? ~std::uint64_t{0} : 0;
-            for (std::size_t l = 0; l < k_lanes; ++l) {
-                to[l] = tr[l] + options_.delays.d_source;
-            }
-            break;
-        case pl::gate_kind::through:
-            value = d.num_data != 0 ? ins[0] : 0;
-            for (std::size_t l = 0; l < k_lanes; ++l) {
-                to[l] = tr[l] + options_.delays.through_delay();
-            }
-            break;
-        case pl::gate_kind::trigger:
-            value = bf::truth_table::eval_word_lanes(d.fn_bits.data(),
-                                                     d.num_data, ins);
-            for (std::size_t l = 0; l < k_lanes; ++l) {
-                to[l] = tr[l] + options_.delays.gate_delay();
-            }
-            break;
-        case pl::gate_kind::compute: {
-            value = bf::truth_table::eval_word_lanes(d.fn_bits.data(),
-                                                     d.num_data, ins);
-            if (!has_trigger) {
-                for (std::size_t l = 0; l < k_lanes; ++l) {
-                    to[l] = tr[l] + options_.delays.gate_delay();
-                }
-                break;
-            }
-            if (options_.check_early_value) {
-                std::uint64_t tins[bf::k_max_vars];
-                for (std::uint8_t i = 0; i < d.trig_pin_count; ++i) {
-                    tins[i] = ins[d.trig_pins[i]];
-                }
-                const std::uint64_t trig = bf::truth_table::eval_word_lanes(
-                    d.trig_fn_bits.data(), d.trig_pin_count, tins);
-                if ((trig ^ efire_word) & lane_mask_) {
-                    throw invariant_violation(
-                        "efire token disagrees with the trigger function (EE "
-                        "invariant violated)",
-                        options_.label, stats_.events, "lanes");
-                }
-            }
-            const std::uint64_t hit = efire_word & lane_mask_;
-            std::uint64_t divergent = 0;
-            for (std::size_t l = 0; l < k_lanes; ++l) {
-                const double normal = td[l] + options_.delays.gate_delay() +
-                                      options_.delays.d_ee_penalty;
-                if ((hit >> l) & 1u) {
-                    const double early =
-                        ef[l] + options_.delays.efire_delay();
-                    to[l] = std::min(early, normal);
-                    if (early < normal) {
-                        divergent |= std::uint64_t{1} << l;
-                    }
-                } else {
-                    to[l] = normal;
-                }
-            }
-            lane_hits_ += static_cast<std::uint64_t>(std::popcount(hit));
-            lane_misses_ += static_cast<std::uint64_t>(
-                std::popcount(lane_mask_ & ~efire_word));
-            lane_wins_ +=
-                static_cast<std::uint64_t>(std::popcount(divergent));
-            if (hit != 0 && hit != lane_mask_ && divergent != 0) {
-                ++stats_.lane_splits;  // a scalar pass would fork/replay here
-            }
-            break;
-        }
-        default:
-            throw invariant_violation("unexpected gate kind in firing",
-                                      options_.label, stats_.events, "lanes");
-    }
-
-    double to_min = to[0];
-    double to_max = to[0];
-    double ta[k_lanes];
-    double ta_min = tr[0] + options_.delays.ack_delay();
-    double ta_max = ta_min;
-    for (std::size_t l = 0; l < k_lanes; ++l) {
-        to_min = std::min(to_min, to[l]);
-        to_max = std::max(to_max, to[l]);
-        ta[l] = tr[l] + options_.delays.ack_delay();
-        ta_min = std::min(ta_min, ta[l]);
-        ta_max = std::max(ta_max, ta[l]);
-    }
-    const bool out_uniform = to_min == to_max;
-    const bool ack_uniform = ta_min == ta_max;
-    const std::uint64_t tick_out = calendar_.tick_of(to_max);
-    const std::uint64_t tick_ack = calendar_.tick_of(ta_max);
-    const pl::edge_id* const out_flat = topo_.out_flat.data();
-    for (std::uint32_t i = d.out_begin; i < d.out_end; ++i) {
-        const pl::edge_id e = out_flat[i];
-        if (topo_.edge_is_ack[e]) {
-            if (ack_uniform) {
-                schedule_lanes(tick_ack, ta_max, e, value);
-            } else {
-                schedule_lanes_vec(e, value, ta);
-            }
-        } else {
-            if (out_uniform) {
-                schedule_lanes(tick_out, to_max, e, value);
-            } else {
-                schedule_lanes_vec(e, value, to);
-            }
-        }
-    }
-}
-
-/// Shared firing body for the scalar lane path (Vec = false, the fork /
-/// replay policies) and the vector path's uniform-input case (Vec = true).
-/// The two differ only at a divergent EE master: the scalar path splits the
-/// mask (defer_minority), the vector path widens the emission to per-lane
-/// times; and the vector path's EE counters are lane-summed popcounts
-/// instead of per-pass scalars (its mask never narrows).
-template <bool Vec>
-void pl_simulator::try_fire_lanes_impl(pl::gate_id g) {
-    if (pending_[g] != 0) return;
-    if (fired_waves_[g] >= num_waves_) return;  // wave horizon (see try_fire)
-    const gate_desc& d = desc_[g];
-
-    switch (d.kind) {
-        case pl::gate_kind::source:
-            fire_source_lanes(g);
+            try_fire_lanes_slab(g);
             return;
-        case pl::gate_kind::sink:
-            if constexpr (Vec) {
-                record_sink_lanes_vec(g);
-            } else {
-                record_sink_lanes(g);
-            }
-            return;
-        default:
-            break;
+        }
     }
 
-    const pl::edge_id* const in_flat = topo_.in_flat.data();
+    // Every input carries one time for all lanes: the scalar arithmetic of
+    // the dataflow engine, on value words.
     const double* const tok_time = tok_time_.data();
     double t_ready = 0.0;
     for (std::uint32_t i = d.in_begin; i < d.in_end; ++i) {
@@ -1180,563 +641,103 @@ void pl_simulator::try_fire_lanes_impl(pl::gate_id g) {
         ins[pin] = lane_value_[e];
         t_data = std::max(t_data, tok_time[e]);
     }
-    const bool has_trigger = d.efire_in != pl::k_invalid_edge;
-    double efire_time = 0.0;
-    std::uint64_t efire_word = 0;
-    if (has_trigger) {
-        efire_time = tok_time[d.efire_in];
-        efire_word = lane_value_[d.efire_in];
-    }
-
     pending_[g] = in_count_[g];
     ++fired_waves_[g];
     ++stats_.firings;
 
-    std::uint64_t value = 0;
-    double t_out = 0.0;
-    switch (d.kind) {
-        case pl::gate_kind::const_source:
-            value = d.const_value ? ~std::uint64_t{0} : 0;
-            t_out = t_ready + options_.delays.d_source;
-            break;
-        case pl::gate_kind::through:
-            value = d.num_data != 0 ? ins[0] : 0;  // identity on the D token
-            t_out = t_ready + options_.delays.through_delay();
-            break;
-        case pl::gate_kind::trigger:
-            value = bf::truth_table::eval_word_lanes(d.fn_bits.data(),
-                                                     d.num_data, ins);
-            t_out = t_ready + options_.delays.gate_delay();
-            break;
-        case pl::gate_kind::compute: {
-            value = bf::truth_table::eval_word_lanes(d.fn_bits.data(),
-                                                     d.num_data, ins);
-            if (!has_trigger) {
-                t_out = t_ready + options_.delays.gate_delay();
-                break;
-            }
-            if (options_.check_early_value) {
-                // Values are timing-independent, so the invariant is checked
-                // word-wide for every lane this pass still owns.
-                std::uint64_t tins[bf::k_max_vars];
-                for (std::uint8_t i = 0; i < d.trig_pin_count; ++i) {
-                    tins[i] = ins[d.trig_pins[i]];
-                }
-                const std::uint64_t trig = bf::truth_table::eval_word_lanes(
-                    d.trig_fn_bits.data(), d.trig_pin_count, tins);
-                if ((trig ^ efire_word) & lane_mask_) {
-                    throw invariant_violation(
-                        "efire token disagrees with the trigger function (EE "
-                        "invariant violated)",
-                        options_.label, stats_.events, "lanes");
-                }
-            }
-            // The only divergence point: a mixed efire word means the lanes
-            // disagree on which output path fires.  But the paths only
-            // matter when the early one is actually faster — with
-            // early >= normal every lane's t_out is `normal` regardless of
-            // its efire bit, so the word stays whole and only the per-lane
-            // hit/miss accounting differs.  When the timing genuinely
-            // diverges, the scalar path keeps the majority in lockstep and
-            // checkpoints (fork) or defers (replay) the minority; the
-            // vector path emits per-lane times instead and never splits.
-            const double normal =
-                t_data + options_.delays.gate_delay() + options_.delays.d_ee_penalty;
-            const double early = efire_time + options_.delays.efire_delay();
-            std::uint64_t hit = efire_word & lane_mask_;
-            const bool diverges =
-                hit != 0 && hit != lane_mask_ && early < normal;
-            if constexpr (Vec) {
-                lane_hits_ += static_cast<std::uint64_t>(std::popcount(hit));
-                lane_misses_ += static_cast<std::uint64_t>(
-                    std::popcount(lane_mask_ & ~efire_word));
-                if (early < normal) {
-                    lane_wins_ +=
-                        static_cast<std::uint64_t>(std::popcount(hit));
-                }
-                if (diverges) {
-                    // A scalar pass would fork/replay here; widen instead.
-                    ++stats_.lane_splits;
-                    double to[k_lanes];
-                    for (std::size_t l = 0; l < k_lanes; ++l) {
-                        to[l] = ((hit >> l) & 1u) ? early : normal;
-                    }
-                    const double t_ack =
-                        t_ready + options_.delays.ack_delay();
-                    const std::uint64_t tick_ack = calendar_.tick_of(t_ack);
-                    const pl::edge_id* const out_flat = topo_.out_flat.data();
-                    for (std::uint32_t i = d.out_begin; i < d.out_end; ++i) {
-                        const pl::edge_id e = out_flat[i];
-                        if (topo_.edge_is_ack[e]) {
-                            schedule_lanes(tick_ack, t_ack, e, value);
-                        } else {
-                            schedule_lanes_vec(e, value, to);
-                        }
-                    }
-                    return;
-                }
-                t_out = hit == lane_mask_ ? std::min(early, normal) : normal;
-            } else {
-                if (diverges) {
-                    const std::uint64_t miss = lane_mask_ & ~efire_word;
-                    const std::uint64_t keep =
-                        2 * std::popcount(hit) >= std::popcount(lane_mask_)
-                            ? hit
-                            : miss;
-                    ++stats_.lane_splits;
-                    defer_minority(g, lane_mask_ ^ keep, efire_word, value,
-                                   t_ready, t_data, efire_time);
-                    lane_mask_ = keep;
-                    hit = efire_word & lane_mask_;
-                }
-                if (hit == lane_mask_) {
-                    t_out = std::min(early, normal);
-                    ++lane_hits_;
-                    if (early < normal) ++lane_wins_;
-                } else if (hit == 0) {
-                    t_out = normal;
-                    ++lane_misses_;
-                } else {
-                    // Mixed, non-diverging: one shared t_out, per-lane
-                    // outcome.
-                    t_out = normal;
-                    for (std::uint64_t w = hit; w != 0; w &= w - 1) {
-                        ++lane_mixed_hits_[std::countr_zero(w)];
-                    }
-                    for (std::uint64_t w = lane_mask_ & ~efire_word; w != 0;
-                         w &= w - 1) {
-                        ++lane_mixed_misses_[std::countr_zero(w)];
-                    }
-                }
-            }
-            break;
-        }
-        default:
-            throw invariant_violation("unexpected gate kind in firing",
-                                      options_.label, stats_.events, "lanes");
-    }
-
+    const std::uint64_t value = lane_word(d, ins);
     const double t_ack = t_ready + options_.delays.ack_delay();
-    const std::uint64_t tick_out = calendar_.tick_of(t_out);
-    const std::uint64_t tick_ack = calendar_.tick_of(t_ack);
+    double t_out = t_ready + fire_delay(d);
+    if (d.efire_in != pl::k_invalid_edge) {
+        const std::uint64_t efire_word = lane_value_[d.efire_in];
+        check_trigger_lanes(d, ins, efire_word);
+        const double normal =
+            t_data + options_.delays.gate_delay() + options_.delays.d_ee_penalty;
+        const double early = tok_time[d.efire_in] + options_.delays.efire_delay();
+        const std::uint64_t hit = efire_word & lane_mask_;
+        stats_.ee_hits += static_cast<std::uint64_t>(std::popcount(hit));
+        stats_.ee_misses += static_cast<std::uint64_t>(
+            std::popcount(lane_mask_ & ~efire_word));
+        if (early < normal) {
+            stats_.ee_wins += static_cast<std::uint64_t>(std::popcount(hit));
+        }
+        if (hit != 0 && hit != lane_mask_ && early < normal) {
+            // The lanes disagree on which output path wins: per-lane times.
+            ++stats_.lane_splits;
+            double to[k_lanes];
+            double ta[k_lanes];
+            for (std::size_t l = 0; l < k_lanes; ++l) {
+                to[l] = ((hit >> l) & 1u) ? early : normal;
+                ta[l] = t_ack;
+            }
+            emit_lanes(d, value, to, ta);
+            return;
+        }
+        // With early >= normal every lane's t_out is `normal` whatever its
+        // efire bit, so a mixed word stays whole.
+        t_out = hit == lane_mask_ ? std::min(early, normal) : normal;
+    }
     const pl::edge_id* const out_flat = topo_.out_flat.data();
     for (std::uint32_t i = d.out_begin; i < d.out_end; ++i) {
         const pl::edge_id e = out_flat[i];
-        if (topo_.edge_is_ack[e]) {
-            schedule_lanes(tick_ack, t_ack, e, value);
-        } else {
-            schedule_lanes(tick_out, t_out, e, value);
-        }
+        deposit_lanes(e, value, topo_.edge_is_ack[e] ? t_ack : t_out);
     }
 }
 
-void pl_simulator::try_fire_lanes(pl::gate_id g) {
-    try_fire_lanes_impl<false>(g);
-}
-
-void pl_simulator::run_lane_pass(std::uint64_t mask, lane_block_result& result) {
-    lane_mask_ = mask;
-    lane_depth_ = 0;
-    lane_hits_ = lane_misses_ = lane_wins_ = 0;
-    lane_mixed_hits_.fill(0);
-    lane_mixed_misses_.fill(0);
-    next_seq_ = 0;
-    pending_ = in_count_;
-    fired_waves_.assign(pl_.num_gates(), 0);
-    num_waves_ = 1;
-    released_waves_ = 1;
-    release_time_.assign(1, 0.0);
-    input_stable_.assign(1, 0.0);
-    output_stable_.assign(1, 0.0);
-    sinks_pending_.assign(1, pl_.sinks().size());
-    waves_stable_ = 0;
-
-    const std::size_t num_edges = pl_.num_edges();
-    tok_present_.assign((num_edges + 63) / 64, 0);
-    tok_time_.assign(num_edges, 0.0);
-    lane_value_.assign(num_edges, 0);
-    lane_sched_.assign(num_edges, 0);
-    lane_inflight_.assign((num_edges + 63) / 64, 0);
-    lane_vec_ = options_.lane_policy == lane_split_policy::vector;
-    if (lane_vec_) {
-        lane_time_.assign(num_edges * k_lanes, 0.0);
-        lane_time_varies_.assign((num_edges + 63) / 64, 0);
-        output_stable_lane_.fill(0.0);
-    }
-    calendar_.reset(bucket_width_for(options_.delays),
-                    max_delay_for(options_.delays), num_edges);
-
-    // Initial marking: tokens in place at t = 0, values broadcast to every
-    // lane (the marking is per-netlist, not per-vector).
-    for (pl::edge_id e = 0; e < num_edges; ++e) {
-        const pl::pl_edge& edge = pl_.edge(e);
-        if (edge.init_token) {
-            tok_present_[e >> 6] |= std::uint64_t{1} << (e & 63);
-            lane_value_[e] = edge.init_value ? ~std::uint64_t{0} : 0;
-            --pending_[edge.to];
-        }
-    }
-    for (pl::gate_id g = 0; g < pl_.num_gates(); ++g) {
-        if (pending_[g] == 0 && in_count_[g] != 0) {
-            lane_vec_ ? try_fire_lanes_vec(g) : try_fire_lanes(g);
-        }
-        if (pending_[g] == 0 && in_count_[g] == 0 &&
-            desc_[g].kind == pl::gate_kind::source &&
-            desc_[g].out_end != desc_[g].out_begin) {
-            lane_vec_ ? try_fire_lanes_vec(g) : try_fire_lanes(g);
-        }
+/// try_fire_lanes for a gate with a slab input: the same firing rule,
+/// evaluated per lane.
+void pl_simulator::try_fire_lanes_slab(pl::gate_id g) {
+    const gate_desc& d = desc_[g];
+    const pl::edge_id* const data_flat = topo_.data_flat.data() + d.data_begin;
+    double tr[k_lanes];
+    std::fill_n(tr, k_lanes, 0.0);
+    consume_lanes(g, tr);
+    std::uint64_t ins[bf::k_max_vars];
+    for (std::uint8_t pin = 0; pin < d.num_data; ++pin) {
+        ins[pin] = lane_value_[data_flat[pin]];
     }
 
-    run_lane_events();
-    ++stats_.lane_runs;
-    commit_lane_pass(result);
-}
-
-/// Checkpoint (fork policy) or defer (replay policy / budget overflow) the
-/// minority lanes of a mixed efire word.  Called from try_fire_lanes at the
-/// exact split point: gate g's inputs are consumed and its firing counted,
-/// but its output deposits are not yet scheduled — the one piece of state
-/// the branches disagree on is g's t_out, which is decided here for the
-/// minority (uniform by construction: it is entirely hit-side or miss-side).
-void pl_simulator::defer_minority(pl::gate_id g, std::uint64_t minority,
-                                  std::uint64_t efire_word, std::uint64_t value,
-                                  double t_ready, double t_data,
-                                  double efire_time) {
-    if (options_.lane_policy == lane_split_policy::replay) {
-        lane_deferred_.push_back(minority);
-        ++stats_.lane_replays;
+    const std::uint64_t value = lane_word(d, ins);
+    double to[k_lanes];
+    double ta[k_lanes];
+    for (std::size_t l = 0; l < k_lanes; ++l) {
+        ta[l] = tr[l] + options_.delays.ack_delay();
+    }
+    if (d.efire_in == pl::k_invalid_edge) {
+        const double delay = fire_delay(d);
+        for (std::size_t l = 0; l < k_lanes; ++l) to[l] = tr[l] + delay;
+        emit_lanes(d, value, to, ta);
         return;
     }
 
-    lane_fork_record rec;
-    if (!lane_fork_pool_.empty()) {
-        // Reuse a retired record's vector capacities: defer_minority is on
-        // the hot split path and three fresh allocations per fork show up.
-        rec = std::move(lane_fork_pool_.back());
-        lane_fork_pool_.pop_back();
-        rec.tokens.clear();
-        rec.deposits.clear();
-    }
-    rec.mask = minority;
-    rec.depth = lane_depth_ + 1;
-    rec.next_seq = next_seq_;
-    rec.input_stable = input_stable_[0];
-    rec.output_stable = output_stable_[0];
-    rec.sinks_pending = sinks_pending_[0];
-    rec.hits = lane_hits_;
-    rec.misses = lane_misses_;
-    rec.wins = lane_wins_;
-    rec.mixed_hits = lane_mixed_hits_;
-    rec.mixed_misses = lane_mixed_misses_;
-    rec.fired_waves = fired_waves_;
-    // Present tokens, sparse over the presence bitset (g's inputs are
-    // already cleared, so they are correctly absent).
-    for (std::size_t w = 0; w < tok_present_.size(); ++w) {
-        for (std::uint64_t bits = tok_present_[w]; bits != 0; bits &= bits - 1) {
-            const pl::edge_id e = static_cast<pl::edge_id>(
-                (w << 6) + static_cast<std::size_t>(std::countr_zero(bits)));
-            rec.tokens.push_back({e, lane_value_[e], tok_time_[e]});
-        }
-    }
-    // Pending deposits: the calendar's event set plus each event's lane
-    // payload word (rides in lane_sched_, not the packed key).
-    cal_scratch_.clear();
-    calendar_.snapshot_pending(cal_scratch_);
-    rec.deposits.reserve(cal_scratch_.size());
-    for (const cal_event& d : cal_scratch_) {
-        rec.deposits.push_back({d, lane_sched_[d.edge()]});
-    }
-    // The split master's emission on this branch's output path, plus its
-    // per-lane EE accounting (the majority's accounting happens at the
-    // caller after the mask shrinks).
-    rec.split_gate = g;
-    rec.split_value = value;
-    rec.split_t_ack = t_ready + options_.delays.ack_delay();
-    const double normal =
-        t_data + options_.delays.gate_delay() + options_.delays.d_ee_penalty;
-    if ((efire_word & minority) != 0) {
-        const double early = efire_time + options_.delays.efire_delay();
-        rec.split_t_out = std::min(early, normal);
-        ++rec.hits;
-        if (early < normal) ++rec.wins;
-    } else {
-        rec.split_t_out = normal;
-        ++rec.misses;
-    }
-
-    rec.footprint = rec.bytes();
-    if (lane_fork_bytes_ + rec.footprint > options_.lane_fork_budget_bytes) {
-        // Budget pressure degrades to replay: identical results, the branch
-        // just pays the from-t0 prefix again instead of holding memory.
-        lane_deferred_.push_back(minority);
-        ++stats_.lane_replays;
-        lane_fork_pool_.push_back(std::move(rec));
-        return;
-    }
-    lane_fork_bytes_ += rec.footprint;
-    stats_.lane_fork_bytes_peak =
-        std::max<std::uint64_t>(stats_.lane_fork_bytes_peak, lane_fork_bytes_);
-    stats_.lane_fork_depth_max =
-        std::max<std::uint64_t>(stats_.lane_fork_depth_max, rec.depth);
-    ++stats_.lane_forks;
-    fork_depth_counts_[std::min<std::size_t>(rec.depth, k_lanes)] += 1;
-    lane_forks_.push_back(std::move(rec));
-}
-
-/// Resume the most recent fork record: rebuild the pass state it captured,
-/// re-emit the split master's outputs on the minority's timing, and re-enter
-/// the event loop mid-stream.  Times stay absolute (no epoch rebasing), so
-/// every computed per-lane time is bit-identical to the serial run's.
-void pl_simulator::run_lane_fork(lane_block_result& result) {
-    lane_fork_record rec = std::move(lane_forks_.back());
-    lane_forks_.pop_back();
-    lane_fork_bytes_ -= rec.footprint;
-
-    lane_mask_ = rec.mask;
-    lane_depth_ = rec.depth;
-    lane_hits_ = rec.hits;
-    lane_misses_ = rec.misses;
-    lane_wins_ = rec.wins;
-    lane_mixed_hits_ = rec.mixed_hits;
-    lane_mixed_misses_ = rec.mixed_misses;
-    next_seq_ = rec.next_seq;
-    num_waves_ = 1;
-    released_waves_ = 1;
-    release_time_.assign(1, 0.0);
-    input_stable_.assign(1, rec.input_stable);
-    output_stable_.assign(1, rec.output_stable);
-    sinks_pending_.assign(1, rec.sinks_pending);
-    waves_stable_ = 0;  // a split can only happen while sinks are pending
-    fired_waves_ = rec.fired_waves;
-
-    const std::size_t num_edges = pl_.num_edges();
-    tok_present_.assign((num_edges + 63) / 64, 0);
-    lane_inflight_.assign((num_edges + 63) / 64, 0);
-    // lane_value_ / lane_sched_ / tok_time_ keep stale entries: the engine
-    // only reads the value or time of a present token or an in-flight
-    // deposit, and both sets are rebuilt below.
-    pending_ = in_count_;
-    for (const lane_fork_token& t : rec.tokens) {
-        tok_present_[t.edge >> 6] |= std::uint64_t{1} << (t.edge & 63);
-        lane_value_[t.edge] = t.value;
-        tok_time_[t.edge] = t.time;
-        --pending_[topo_.edge_to[t.edge]];
-    }
-    cal_scratch_.clear();
-    for (const lane_fork_deposit& d : rec.deposits) {
-        const pl::edge_id e = d.event.edge();
-        lane_sched_[e] = d.word;
-        lane_inflight_[e >> 6] |= std::uint64_t{1} << (e & 63);
-        cal_scratch_.push_back(d.event);
-    }
-    calendar_.restore(bucket_width_for(options_.delays),
-                      max_delay_for(options_.delays), num_edges, cal_scratch_);
-
-    // The split master's outputs, scheduled on this branch's output path.
-    const gate_desc& d = desc_[rec.split_gate];
-    const std::uint64_t tick_out = calendar_.tick_of(rec.split_t_out);
-    const std::uint64_t tick_ack = calendar_.tick_of(rec.split_t_ack);
-    for (std::uint32_t i = d.out_begin; i < d.out_end; ++i) {
-        const pl::edge_id e = topo_.out_flat[i];
-        if (topo_.edge_is_ack[e]) {
-            schedule_lanes(tick_ack, rec.split_t_ack, e, rec.split_value);
-        } else {
-            schedule_lanes(tick_out, rec.split_t_out, e, rec.split_value);
-        }
-    }
-
-    lane_fork_pool_.push_back(std::move(rec));
-    run_lane_events();
-    commit_lane_pass(result);
-}
-
-/// The shared lane event loop + deadlock check (identical for from-t0
-/// passes and fork resumes).
-void pl_simulator::run_lane_events() {
-    std::uint64_t events = stats_.events;
-    const std::uint64_t max_events = options_.max_events;
-    try {
-        // Drain to quiescence (see run_heap): with firings capped at the
-        // wave horizon the calendar empties deterministically, and every
-        // lane pass observes the same firing set regardless of pop order.
-        while (!calendar_.empty()) {
-            if (++events > max_events ||
-                (events & (k_cancel_check_events - 1)) == 0) {
-                stats_.events = events;
-                check_events(events, "lanes");
+    const std::uint64_t efire_word = lane_value_[d.efire_in];
+    check_trigger_lanes(d, ins, efire_word);
+    double td[k_lanes];
+    std::fill_n(td, k_lanes, 0.0);
+    gather_times(data_flat, 0, d.num_data, td);
+    double ef[k_lanes];
+    std::fill_n(ef, k_lanes, 0.0);
+    gather_times(&d.efire_in, 0, 1, ef);
+    const std::uint64_t hit = efire_word & lane_mask_;
+    std::uint64_t divergent = 0;
+    for (std::size_t l = 0; l < k_lanes; ++l) {
+        const double normal = td[l] + options_.delays.gate_delay() +
+                              options_.delays.d_ee_penalty;
+        to[l] = normal;
+        if ((hit >> l) & 1u) {
+            const double early = ef[l] + options_.delays.efire_delay();
+            if (early < normal) {
+                to[l] = early;
+                divergent |= std::uint64_t{1} << l;
             }
-            const cal_event& dep = calendar_.pop_min();
-            place_lanes(dep.edge(), dep.time);
-        }
-    } catch (...) {
-        stats_.events = events;
-        throw;
-    }
-    stats_.events = events;
-    if (waves_stable_ < num_waves_) {
-        throw deadlock_error(options_.label, deadlock_diagnostic(),
-                             stats_.events, "lanes");
-    }
-}
-
-/// Commit the lanes the just-finished pass retained into the block result.
-/// Values are correct for every lane, so masking is only needed because
-/// other branches land with their own (correct) timing.
-void pl_simulator::commit_lane_pass(lane_block_result& result) {
-    const std::uint64_t kept = lane_mask_;
-    for (std::size_t j = 0; j < lane_sink_words_.size(); ++j) {
-        result.outputs[j] =
-            (result.outputs[j] & ~kept) | (lane_sink_words_[j] & kept);
-    }
-    if (lane_vec_) {
-        // Vector passes already accumulate lane-summed popcounts, and each
-        // lane carries its own stability time from the per-lane slab.
-        stats_.ee_hits += lane_hits_;
-        stats_.ee_misses += lane_misses_;
-        stats_.ee_wins += lane_wins_;
-        for (std::uint64_t rest = kept; rest != 0; rest &= rest - 1) {
-            const std::size_t lane =
-                static_cast<std::size_t>(std::countr_zero(rest));
-            result.input_stable[lane] = input_stable_[0];
-            result.output_stable[lane] = output_stable_lane_[lane];
-            result.release[lane] = release_time_[0];
-        }
-        return;
-    }
-    const std::uint64_t n = static_cast<std::uint64_t>(std::popcount(kept));
-    stats_.ee_hits += lane_hits_ * n;
-    stats_.ee_misses += lane_misses_ * n;
-    stats_.ee_wins += lane_wins_ * n;
-    for (std::uint64_t rest = kept; rest != 0; rest &= rest - 1) {
-        const std::size_t lane =
-            static_cast<std::size_t>(std::countr_zero(rest));
-        stats_.ee_hits += lane_mixed_hits_[lane];
-        stats_.ee_misses += lane_mixed_misses_[lane];
-        result.input_stable[lane] = input_stable_[0];
-        result.output_stable[lane] = output_stable_[0];
-        result.release[lane] = release_time_[0];
-    }
-}
-
-/// Trigger-aware grouping: an untimed value-only dataflow pass over the PL
-/// netlist (same firing rules as the lane engine, no queue, no times)
-/// records every EE master's efire word in firing order; the block's lanes
-/// are then partitioned by the first masters whose words are mixed, so
-/// lanes predicted to take different output paths never share a pass.
-/// Pure prediction: a truncated frontier, a capped group count, or an
-/// abandoned prepass only means some groups still split — correctness is
-/// carried by the fork/replay machinery either way.  Fills group_masks_.
-void pl_simulator::plan_lane_groups(const stimulus_block& block) {
-    group_masks_.clear();
-    const std::uint64_t full = block.lane_mask();
-    group_masks_.push_back(full);
-    if (options_.lane_policy == lane_split_policy::vector ||
-        !options_.lane_group || block.num_vectors < 2 || num_masters_ == 0) {
-        return;  // vector passes never split, so one full-mask group is best
-    }
-
-    constexpr std::size_t k_frontier = 8;  ///< mixed words worth collecting
-    constexpr std::size_t k_group_cap = 8;  ///< passes worth pre-paying
-    const std::size_t num_edges = pl_.num_edges();
-    const std::size_t num_gates = pl_.num_gates();
-    pre_value_.assign(num_edges, 0);
-    pre_pending_ = in_count_;
-    pre_fired_.assign(num_gates, 0);
-    pre_worklist_.clear();
-    std::size_t sinks_left = pl_.sinks().size();
-    std::uint64_t mixed[k_frontier];
-    std::size_t num_mixed = 0;
-
-    for (pl::edge_id e = 0; e < num_edges; ++e) {
-        const pl::pl_edge& edge = pl_.edge(e);
-        if (edge.init_token) {
-            pre_value_[e] = edge.init_value ? ~std::uint64_t{0} : 0;
-            --pre_pending_[edge.to];
         }
     }
-    for (pl::gate_id g = 0; g < num_gates; ++g) {
-        if (pre_pending_[g] != 0) continue;
-        if (in_count_[g] != 0 || (desc_[g].kind == pl::gate_kind::source &&
-                                  desc_[g].out_end != desc_[g].out_begin)) {
-            pre_worklist_.push_back(g);
-        }
-    }
-
-    const auto emit = [&](pl::edge_id e, std::uint64_t word) {
-        pre_value_[e] = word;
-        const pl::gate_id to = topo_.edge_to[e];
-        if (--pre_pending_[to] == 0) pre_worklist_.push_back(to);
-    };
-    // Firing budget: the timed pass's firings are bounded by the ack
-    // round-trips of one wave; anything past this bound is a pathological
-    // netlist and the prediction is abandoned mid-way (harmless).
-    std::size_t budget = 64 * num_gates + 4096;
-    while (!pre_worklist_.empty() && sinks_left > 0 &&
-           num_mixed < k_frontier && budget-- > 0) {
-        const pl::gate_id g = pre_worklist_.back();
-        pre_worklist_.pop_back();
-        const gate_desc& d = desc_[g];
-        if (d.kind == pl::gate_kind::source) {
-            if (pre_fired_[g] >= 1) continue;  // single-wave protocol
-            pre_pending_[g] = in_count_[g];
-            ++pre_fired_[g];
-            const std::uint64_t word = block.words[d.env_slot];
-            for (std::uint32_t i = d.out_begin; i < d.out_end; ++i) {
-                emit(topo_.out_flat[i], word);
-            }
-            continue;
-        }
-        if (d.kind == pl::gate_kind::sink) {
-            pre_pending_[g] = in_count_[g];
-            if (pre_fired_[g]++ == 0) --sinks_left;
-            for (std::uint32_t i = d.out_begin; i < d.out_end; ++i) {
-                emit(topo_.out_flat[i], 0);
-            }
-            continue;
-        }
-        std::uint64_t ins[bf::k_max_vars];
-        for (std::uint8_t pin = 0; pin < d.num_data; ++pin) {
-            ins[pin] = pre_value_[topo_.data_flat[d.data_begin + pin]];
-        }
-        pre_pending_[g] = in_count_[g];
-        ++pre_fired_[g];
-        std::uint64_t value = 0;
-        switch (d.kind) {
-            case pl::gate_kind::const_source:
-                value = d.const_value ? ~std::uint64_t{0} : 0;
-                break;
-            case pl::gate_kind::through:
-                value = d.num_data != 0 ? ins[0] : 0;
-                break;
-            default:  // trigger / compute
-                value = bf::truth_table::eval_word_lanes(d.fn_bits.data(),
-                                                         d.num_data, ins);
-                break;
-        }
-        if (d.efire_in != pl::k_invalid_edge) {
-            const std::uint64_t efire = pre_value_[d.efire_in] & full;
-            if (efire != 0 && efire != full) mixed[num_mixed++] = efire;
-        }
-        for (std::uint32_t i = d.out_begin; i < d.out_end; ++i) {
-            emit(topo_.out_flat[i], value);
-        }
-    }
-
-    // Partition by the collected frontier: earlier mixed masters first (they
-    // are the dominant, earliest-splitting ones), larger fragment keeps its
-    // slot so group order tracks expected size.
-    for (std::size_t i = 0; i < num_mixed && group_masks_.size() < k_group_cap;
-         ++i) {
-        const std::size_t groups = group_masks_.size();
-        for (std::size_t j = 0;
-             j < groups && group_masks_.size() < k_group_cap; ++j) {
-            const std::uint64_t a = group_masks_[j] & mixed[i];
-            const std::uint64_t b = group_masks_[j] & ~mixed[i];
-            if (a == 0 || b == 0) continue;
-            group_masks_[j] = std::popcount(a) >= std::popcount(b) ? a : b;
-            group_masks_.push_back(group_masks_[j] == a ? b : a);
-        }
-    }
+    stats_.ee_hits += static_cast<std::uint64_t>(std::popcount(hit));
+    stats_.ee_misses +=
+        static_cast<std::uint64_t>(std::popcount(lane_mask_ & ~efire_word));
+    stats_.ee_wins += static_cast<std::uint64_t>(std::popcount(divergent));
+    if (hit != 0 && hit != lane_mask_ && divergent != 0) ++stats_.lane_splits;
+    emit_lanes(d, value, to, ta);
 }
 
 lane_block_result pl_simulator::run_lanes(const stimulus_block& block) {
@@ -1757,71 +758,51 @@ lane_block_result pl_simulator::run_lanes(const stimulus_block& block) {
             "engine (lane tokens have no single trace value)");
     }
 
-    lane_block_result result;
-    result.num_vectors = block.num_vectors;
-    result.outputs.assign(pl_.sinks().size(), 0);
-
-    const bool calendar_fits = pl_.num_edges() < cal_event::k_max_edges &&
-                               options_.max_events < cal_event::k_max_seq / 2;
-    if (options_.queue == queue_kind::binary_heap || !calendar_fits) {
-        // Scalar fallback: one run per lane, identical results by
-        // construction.  Stats are summed so callers see block totals, and
-        // the running total is committed before a rethrow so a lane that
-        // throws mid-loop leaves block-consistent counters behind (the
-        // throwing lane's own partial stats included), mirroring the lane
-        // event loop's catch block.
-        sim_run_stats total{};
-        total.lane_blocks = 1;
-        total.lane_vectors = block.num_vectors;
-        std::vector<std::vector<bool>> one(1);
-        for (std::size_t lane = 0; lane < block.num_vectors; ++lane) {
-            block.extract(lane, one.front());
-            std::vector<wave_record> recs;
-            try {
-                recs = run(one);
-            } catch (...) {
-                add_run_stats(total, stats_);
-                stats_ = total;
-                throw;
-            }
-            add_run_stats(total, stats_);
-            ++total.lane_runs;
-            const wave_record& rec = recs.front();
-            for (std::size_t j = 0; j < rec.outputs.size(); ++j) {
-                if (rec.outputs[j]) {
-                    result.outputs[j] |= std::uint64_t{1} << lane;
-                }
-            }
-            result.input_stable[lane] = rec.input_stable;
-            result.output_stable[lane] = rec.output_stable;
-            result.release[lane] = rec.release_time;
-        }
-        stats_ = total;
-        return result;
-    }
-
     reset();
     stats_.lane_blocks = 1;
     stats_.lane_vectors = block.num_vectors;
     lane_block_ = &block;
+    lane_mask_ = block.lane_mask();
+    num_waves_ = 1;
+    sinks_pending_.assign(1, pl_.sinks().size());
+    waves_stable_ = 0;
     lane_sink_words_.assign(pl_.sinks().size(), 0);
-    lane_forks_.clear();
-    lane_fork_bytes_ = 0;
-    plan_lane_groups(block);
-    stats_.lane_groups = group_masks_.size();
-    lane_deferred_ = group_masks_;
-    // Forks drain LIFO (depth-first) so the live checkpoint chain stays a
-    // single root-to-leaf path — that is what bounds lane_fork_bytes_.
-    while (!lane_deferred_.empty() || !lane_forks_.empty()) {
-        if (!lane_forks_.empty()) {
-            run_lane_fork(result);
-        } else {
-            const std::uint64_t mask = lane_deferred_.back();
-            lane_deferred_.pop_back();
-            run_lane_pass(mask, result);
+    input_stable_lane_.fill(0.0);
+    output_stable_lane_.fill(0.0);
+
+    // Values and times are only read off present tokens, so only the
+    // initial marking needs writing: values broadcast to every lane (the
+    // marking is per-netlist, not per-vector) at t = 0.
+    const std::size_t num_edges = pl_.num_edges();
+    tok_time_.resize(num_edges);
+    lane_value_.resize(num_edges);
+    lane_time_varies_.assign((num_edges + 63) / 64, 0);
+    for (pl::edge_id e = 0; e < num_edges; ++e) {
+        const pl::pl_edge& edge = pl_.edge(e);
+        if (edge.init_token) {
+            tok_present_[e >> 6] |= std::uint64_t{1} << (e & 63);
+            lane_value_[e] = edge.init_value ? ~std::uint64_t{0} : 0;
+            tok_time_[e] = 0.0;
+            --pending_[edge.to];
         }
     }
+    run_worklist<true>();
     lane_block_ = nullptr;
+    if (waves_stable_ < num_waves_) {
+        throw deadlock_error(options_.label, deadlock_diagnostic(),
+                             stats_.events, "lane");
+    }
+
+    lane_block_result result;
+    result.num_vectors = block.num_vectors;
+    result.outputs.resize(lane_sink_words_.size());
+    for (std::size_t j = 0; j < lane_sink_words_.size(); ++j) {
+        result.outputs[j] = lane_sink_words_[j] & lane_mask_;
+    }
+    for (std::size_t lane = 0; lane < block.num_vectors; ++lane) {
+        result.input_stable[lane] = input_stable_lane_[lane];
+        result.output_stable[lane] = output_stable_lane_[lane];
+    }
     return result;
 }
 

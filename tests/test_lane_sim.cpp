@@ -1,8 +1,8 @@
 // Tests for the 64-lane word-parallel simulation mode: the sync golden
-// model's lane kernel, the PL event engine's run_lanes (lockstep, divergence
-// splits, stats accounting, heap fallback), the lane-packed stimulus, and
-// the lanes=64 measurement path.  The contract under test everywhere: lane L
-// is bit-identical to a scalar/serial run of lane L's vector alone.
+// model's lane kernel, the PL lane engine's run_lanes (lockstep, divergent
+// per-lane times, stats accounting), the lane-packed stimulus, and the
+// lanes=64 measurement path.  The contract under test everywhere: lane L is
+// bit-identical to a scalar/serial run of lane L's vector alone.
 
 #include <algorithm>
 #include <cstdint>
@@ -14,6 +14,7 @@
 
 #include "bench_circuits/itc99.hpp"
 #include "ee/ee_transform.hpp"
+#include "heap_oracle.hpp"
 #include "netlist/sync_sim.hpp"
 #include "plogic/pl_mapper.hpp"
 #include "sim/errors.hpp"
@@ -55,7 +56,7 @@ built_circuit build_bench(const std::string& id, bool with_ee) {
 /// summed counters of the serial runs.
 void expect_lanes_match_serial(const pl::pl_netlist& plnl, std::uint64_t seed,
                                std::size_t count, sim_options opts = {},
-                               std::uint64_t* splits_out = nullptr) {
+                               sim_run_stats* lane_out = nullptr) {
     const std::vector<stimulus_block> blocks =
         make_stimulus(count, plnl.sources().size(), seed);
     pl_simulator lane_sim(plnl, opts);
@@ -69,11 +70,13 @@ void expect_lanes_match_serial(const pl::pl_netlist& plnl, std::uint64_t seed,
         const sim_run_stats& ls = lane_sim.stats();
         EXPECT_EQ(ls.lane_blocks, 1u);
         EXPECT_EQ(ls.lane_vectors, block.num_vectors);
-        EXPECT_GE(ls.lane_runs, 1u);
+        EXPECT_LE(ls.lane_slab_deposits, ls.events);
         lane_total.ee_hits += ls.ee_hits;
         lane_total.ee_misses += ls.ee_misses;
         lane_total.ee_wins += ls.ee_wins;
+        lane_total.events += ls.events;
         lane_total.lane_splits += ls.lane_splits;
+        lane_total.lane_slab_deposits += ls.lane_slab_deposits;
         for (std::size_t lane = 0; lane < block.num_vectors; ++lane) {
             block.extract(lane, one[0]);
             const std::vector<wave_record> waves = ref.run(one);
@@ -98,7 +101,7 @@ void expect_lanes_match_serial(const pl::pl_netlist& plnl, std::uint64_t seed,
     EXPECT_EQ(lane_total.ee_hits, ref_total.ee_hits);
     EXPECT_EQ(lane_total.ee_misses, ref_total.ee_misses);
     EXPECT_EQ(lane_total.ee_wins, ref_total.ee_wins);
-    if (splits_out != nullptr) *splits_out = lane_total.lane_splits;
+    if (lane_out != nullptr) *lane_out = lane_total;
 }
 
 // --- Stimulus ------------------------------------------------------------
@@ -221,32 +224,17 @@ sim_options tie_delay_options() {
 }
 
 TEST(LaneSim, DivergenceSplitsStayBitIdentical) {
-    // Under the default (vector) policy a divergent efire word widens the
-    // emission to per-lane times instead of splitting; with tie delays and
-    // EE applied the 64 lanes must actually exercise that path.
+    // A divergent efire word widens the emission to per-lane times; with
+    // tie delays and EE applied the 64 lanes must actually exercise that
+    // path, and the slab deposits are a share of the events.
     sim_options opts = tie_delay_options();
-    std::uint64_t splits = 0;
+    sim_run_stats lanes{};
     const built_circuit c =
         build_preset(wl::scenario::datapath_like, 120, 11, true);
-    expect_lanes_match_serial(c.pl, /*seed=*/23, /*count=*/64, opts, &splits);
-    EXPECT_GT(splits, 0u);
-}
-
-TEST(LaneSim, VectorPolicyNeverForksOrReplays) {
-    // The vector default runs exactly one pass per block: divergence is
-    // absorbed by the per-lane time slab, never by forking or replaying.
-    const built_circuit c =
-        build_preset(wl::scenario::datapath_like, 120, 11, true);
-    const std::vector<stimulus_block> blocks =
-        make_stimulus(64, c.pl.sources().size(), 23);
-    pl_simulator simulator(c.pl, tie_delay_options());
-    simulator.run_lanes(blocks.front());
-    const sim_run_stats& s = simulator.stats();
-    EXPECT_GT(s.lane_splits, 0u);  // divergence genuinely happened...
-    EXPECT_EQ(s.lane_runs, 1u);    // ...yet one pass served all 64 lanes
-    EXPECT_EQ(s.lane_forks, 0u);
-    EXPECT_EQ(s.lane_replays, 0u);
-    EXPECT_EQ(s.lane_fork_bytes_peak, 0u);
+    expect_lanes_match_serial(c.pl, /*seed=*/23, /*count=*/64, opts, &lanes);
+    EXPECT_GT(lanes.lane_splits, 0u);
+    EXPECT_GT(lanes.lane_slab_deposits, 0u);
+    EXPECT_LE(lanes.lane_slab_deposits, lanes.events);
 }
 
 // --- Satellite regressions: lane accounting ------------------------------
@@ -282,168 +270,24 @@ TEST(LaneSim, EeCountersAreOrderIndependentOnSequentialCircuits) {
     pl_simulator cal(c.pl);
     cal.run(vectors);
     EXPECT_EQ(cal.stats().ee_hits + cal.stats().ee_misses, masters * n);
-    sim_options heap_opts;
-    heap_opts.queue = queue_kind::binary_heap;
-    pl_simulator heap(c.pl, heap_opts);
+    testing::heap_oracle heap(c.pl);
     heap.run(vectors);
     EXPECT_EQ(heap.stats().ee_hits, cal.stats().ee_hits);
     EXPECT_EQ(heap.stats().ee_misses, cal.stats().ee_misses);
     EXPECT_EQ(heap.stats().ee_wins, cal.stats().ee_wins);
 }
 
-TEST(LaneSim, HeapFallbackCommitsStatsBeforeBudgetThrow) {
-    // Regression: the scalar heap fallback used to lose the completed
-    // per-vector runs' stats when a later vector blew the event budget —
-    // the totals must be committed before the exception propagates.
-    const built_circuit c =
-        build_preset(wl::scenario::control_fsm, 60, 13, true);
-    const std::vector<stimulus_block> blocks =
-        make_stimulus(40, c.pl.sources().size(), 77);
-
-    // Probe one lane's serial event count.  With firings capped at the wave
-    // horizon every single-vector run of a circuit pops the same number of
-    // events, so the per-run budget trips at a known point.
-    sim_options probe_opts;
-    probe_opts.queue = queue_kind::binary_heap;
-    pl_simulator probe(c.pl, probe_opts);
-    std::vector<std::vector<bool>> one(1);
-    blocks.front().extract(0, one.front());
-    probe.run(one);
-    const std::uint64_t per_run = probe.stats().events;
-    ASSERT_GT(per_run, 1u);
-
-    sim_options tight = probe_opts;
-    tight.max_events = per_run - 1;
-    pl_simulator simulator(c.pl, tight);
-    EXPECT_THROW(simulator.run_lanes(blocks.front()), budget_exhausted);
-    // The block totals and the failing run's partial work must both be
-    // visible after the throw — the old fallback lost them, leaving the
-    // flight recorder's "events before death" column reading zero.
-    const sim_run_stats& s = simulator.stats();
-    EXPECT_EQ(s.lane_blocks, 1u);
-    EXPECT_EQ(s.lane_vectors, blocks.front().num_vectors);
-    EXPECT_EQ(s.lane_runs, 0u);  // the throwing run never completed
-    EXPECT_EQ(s.events, per_run);  // budget + the offending increment
-}
-
-// --- Split-storm suite: the scalar fork/replay machinery -----------------
-
-TEST(LaneSim, SplitStormForkStaysBitIdentical) {
-    // Explicit fork policy under adversarial tie delays: every divergent
-    // word checkpoints the minority and resumes it mid-stream, and the
-    // result must still match 64 serial runs bit for bit.
-    sim_options opts = tie_delay_options();
-    opts.lane_policy = lane_split_policy::fork;
-    opts.lane_group = false;
-    std::uint64_t splits = 0;
-    const built_circuit c =
-        build_preset(wl::scenario::datapath_like, 150, 29, true);
-    expect_lanes_match_serial(c.pl, /*seed=*/41, /*count=*/64, opts, &splits);
-    EXPECT_GT(splits, 0u);
-}
-
-TEST(LaneSim, SplitStormForkAccounting) {
-    // Fork must beat replay on from-t0 runs, stay within its byte budget,
-    // and agree with the vector default on every per-lane result.
-    const built_circuit c =
-        build_preset(wl::scenario::datapath_like, 150, 29, true);
-    const std::vector<stimulus_block> blocks =
-        make_stimulus(64, c.pl.sources().size(), 41);
-
-    sim_options fork_opts = tie_delay_options();
-    fork_opts.lane_policy = lane_split_policy::fork;
-    fork_opts.lane_group = false;
-    sim_options replay_opts = tie_delay_options();
-    replay_opts.lane_policy = lane_split_policy::replay;
-    replay_opts.lane_group = false;
-    sim_options vec_opts = tie_delay_options();
-
-    pl_simulator fork_sim(c.pl, fork_opts);
-    pl_simulator replay_sim(c.pl, replay_opts);
-    pl_simulator vec_sim(c.pl, vec_opts);
-    const lane_block_result fr = fork_sim.run_lanes(blocks.front());
-    const lane_block_result rr = replay_sim.run_lanes(blocks.front());
-    const lane_block_result vr = vec_sim.run_lanes(blocks.front());
-    const sim_run_stats& fs = fork_sim.stats();
-    const sim_run_stats& rs = replay_sim.stats();
-
-    EXPECT_GT(fs.lane_splits, 0u);
-    EXPECT_GT(fs.lane_forks, 0u);
-    EXPECT_GT(fs.lane_fork_depth_max, 0u);
-    EXPECT_LT(fs.lane_runs, rs.lane_runs);  // resumes replace from-t0 runs
-    EXPECT_LE(fs.lane_fork_bytes_peak, fork_opts.lane_fork_budget_bytes);
-
-    EXPECT_EQ(fr.outputs, rr.outputs);
-    EXPECT_EQ(fr.outputs, vr.outputs);
-    for (std::size_t lane = 0; lane < fr.num_vectors; ++lane) {
-        EXPECT_DOUBLE_EQ(fr.output_stable[lane], rr.output_stable[lane]);
-        EXPECT_DOUBLE_EQ(fr.output_stable[lane], vr.output_stable[lane]);
-        EXPECT_DOUBLE_EQ(fr.delay(lane), vr.delay(lane));
-    }
-    EXPECT_EQ(fs.ee_hits, rs.ee_hits);
-    EXPECT_EQ(fs.ee_misses, rs.ee_misses);
-    EXPECT_EQ(fs.ee_wins, rs.ee_wins);
-    EXPECT_EQ(fs.ee_hits, vec_sim.stats().ee_hits);
-    EXPECT_EQ(fs.ee_misses, vec_sim.stats().ee_misses);
-    EXPECT_EQ(fs.ee_wins, vec_sim.stats().ee_wins);
-}
-
-TEST(LaneSim, ForkBudgetOverflowDegradesToReplay) {
-    // A fork budget too small for any checkpoint forces every minority
-    // branch back to a from-t0 replay — slower, but still bit-identical.
-    sim_options opts = tie_delay_options();
-    opts.lane_policy = lane_split_policy::fork;
-    opts.lane_group = false;
-    opts.lane_fork_budget_bytes = 1;
-    std::uint64_t splits = 0;
-    const built_circuit c =
-        build_preset(wl::scenario::datapath_like, 120, 11, true);
-    expect_lanes_match_serial(c.pl, /*seed=*/23, /*count=*/64, opts, &splits);
-    EXPECT_GT(splits, 0u);
-
-    const std::vector<stimulus_block> blocks =
-        make_stimulus(64, c.pl.sources().size(), 23);
-    pl_simulator simulator(c.pl, opts);
-    simulator.run_lanes(blocks.front());
-    EXPECT_GT(simulator.stats().lane_replays, 0u);
-    EXPECT_EQ(simulator.stats().lane_forks, 0u);
-}
-
 TEST(LaneSim, PureLockstepWithoutEarlyEvaluation) {
-    // No EE masters -> no divergence source: one pass serves all 64 lanes.
+    // No EE masters -> no divergence source: no deposit needs a per-lane
+    // time slab.
     const built_circuit c =
         build_preset(wl::scenario::random_dag, 80, 9, false);
     const std::vector<stimulus_block> blocks =
         make_stimulus(64, c.pl.sources().size(), 31);
     pl_simulator simulator(c.pl);
     simulator.run_lanes(blocks.front());
-    EXPECT_EQ(simulator.stats().lane_runs, 1u);
+    EXPECT_EQ(simulator.stats().lane_slab_deposits, 0u);
     EXPECT_EQ(simulator.stats().lane_splits, 0u);
-}
-
-TEST(LaneSim, HeapEngineFallsBackToSerialAndMatchesCalendar) {
-    const built_circuit c =
-        build_preset(wl::scenario::control_fsm, 60, 13, true);
-    const std::vector<stimulus_block> blocks =
-        make_stimulus(40, c.pl.sources().size(), 77);
-    sim_options heap_opts;
-    heap_opts.queue = queue_kind::binary_heap;
-    pl_simulator heap_sim(c.pl, heap_opts);
-    pl_simulator cal_sim(c.pl);
-    const lane_block_result h = heap_sim.run_lanes(blocks.front());
-    const lane_block_result k = cal_sim.run_lanes(blocks.front());
-    ASSERT_EQ(h.num_vectors, k.num_vectors);
-    EXPECT_EQ(h.outputs, k.outputs);
-    for (std::size_t lane = 0; lane < h.num_vectors; ++lane) {
-        EXPECT_DOUBLE_EQ(h.input_stable[lane], k.input_stable[lane]);
-        EXPECT_DOUBLE_EQ(h.output_stable[lane], k.output_stable[lane]);
-    }
-    // The fallback is 40 scalar runs; the per-lane EE semantics still agree.
-    EXPECT_EQ(heap_sim.stats().lane_runs, 40u);
-    EXPECT_EQ(heap_sim.stats().lane_vectors, 40u);
-    EXPECT_EQ(heap_sim.stats().ee_hits, cal_sim.stats().ee_hits);
-    EXPECT_EQ(heap_sim.stats().ee_misses, cal_sim.stats().ee_misses);
-    EXPECT_EQ(heap_sim.stats().ee_wins, cal_sim.stats().ee_wins);
 }
 
 TEST(LaneSim, RejectsBadArguments) {
@@ -481,8 +325,7 @@ TEST(LaneMeasure, MatchesSerialPerVectorReference) {
     EXPECT_EQ(r.lanes, k_lanes);
     EXPECT_EQ(r.mismatched_waves, 0u);
     ASSERT_EQ(r.delays.size(), 100u);
-    EXPECT_GE(r.lockstep_fraction, 0.0);
-    EXPECT_LE(r.lockstep_fraction, 1.0);
+    EXPECT_LE(r.stats.lane_slab_deposits, r.stats.events);
 
     // Every reported delay must equal a fresh serial single-vector run.
     const std::vector<std::vector<bool>> vectors =
@@ -492,58 +335,6 @@ TEST(LaneMeasure, MatchesSerialPerVectorReference) {
         const std::vector<wave_record> waves = ref.run({vectors[v]});
         EXPECT_DOUBLE_EQ(r.delays[v], waves.front().delay()) << "vector " << v;
     }
-}
-
-TEST(LaneMeasure, LockstepFractionCountsForkPasses) {
-    // With the fork policy under tie delays the passes genuinely split, so
-    // lockstep must land strictly below 1.0, and the per-depth checkpoint
-    // histogram must account for every fork the engine reported.
-    const built_circuit c =
-        build_preset(wl::scenario::datapath_like, 120, 11, true);
-    measure_options mo;
-    mo.num_vectors = 128;
-    mo.seed = 23;
-    mo.lanes = k_lanes;
-    mo.sim = tie_delay_options();
-    mo.sim.lane_policy = lane_split_policy::fork;
-    mo.sim.lane_group = false;
-    const measure_result r = measure_average_delay(c.pl, &c.sync, mo);
-    EXPECT_GT(r.stats.lane_splits, 0u);
-    EXPECT_GE(r.lockstep_fraction, 0.0);
-    EXPECT_LT(r.lockstep_fraction, 1.0);
-    std::uint64_t depth_sum = 0;
-    for (const std::uint64_t n : r.fork_depth_counts) depth_sum += n;
-    EXPECT_EQ(depth_sum, r.stats.lane_forks);
-}
-
-TEST(LaneMeasure, SingleVectorBlocksDoNotFakeLockstep) {
-    // Regression: a trailing 1-vector block can neither merge nor split, so
-    // it must contribute to neither side of the lockstep ratio — the old
-    // per-block vectors==runs shortcut let degenerate blocks drag a
-    // splitting workload toward a fake "fully lockstep" reading.
-    const built_circuit c =
-        build_preset(wl::scenario::datapath_like, 120, 11, true);
-    measure_options mo;
-    mo.seed = 23;
-    mo.lanes = k_lanes;
-    mo.sim = tie_delay_options();
-    mo.sim.lane_policy = lane_split_policy::fork;
-    mo.sim.lane_group = false;
-    mo.num_vectors = 64;
-    const measure_result full = measure_average_delay(c.pl, &c.sync, mo);
-    ASSERT_GT(full.stats.lane_splits, 0u);
-    ASSERT_LT(full.lockstep_fraction, 1.0);
-    mo.num_vectors = 65;  // same full block plus a degenerate 1-vector block
-    const measure_result padded = measure_average_delay(c.pl, &c.sync, mo);
-    EXPECT_DOUBLE_EQ(padded.lockstep_fraction, full.lockstep_fraction);
-
-    // A genuinely divergence-free workload still reads exactly 1.0.
-    measure_options lone;
-    lone.num_vectors = 1;
-    lone.seed = 23;
-    lone.lanes = k_lanes;
-    const measure_result single = measure_average_delay(c.pl, &c.sync, lone);
-    EXPECT_DOUBLE_EQ(single.lockstep_fraction, 1.0);
 }
 
 TEST(LaneMeasure, RejectsUnsupportedLaneCounts) {

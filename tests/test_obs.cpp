@@ -443,7 +443,7 @@ TEST(ObsEndToEnd, BudgetExhaustedJobReportsFlightDumpAndSpanBreakdown) {
     for (const span_record& s : r.spans) EXPECT_GE(s.dur_ms, 0.0);
 
     const std::string dump = runner::to_json(fleet).dump();
-    EXPECT_NE(dump.find("\"schema_version\": 2"), std::string::npos);
+    EXPECT_NE(dump.find("\"schema_version\": 3"), std::string::npos);
     EXPECT_NE(dump.find("\"flight_recorder\""), std::string::npos);
     EXPECT_NE(dump.find("\"spans\""), std::string::npos);
     EXPECT_NE(dump.find("\"job.budget_exhausted\""), std::string::npos);

@@ -259,7 +259,8 @@ TEST(PlSim, DeadlockDetectedOnBrokenMarking) {
         // what() carries the liveness diagnostic plus the engine context.
         EXPECT_EQ(e.classify(), failure_class::permanent);
         EXPECT_NE(std::string(e.what()).find("deadlock"), std::string::npos);
-        EXPECT_NE(std::string(e.what()).find("queue"), std::string::npos);
+        EXPECT_NE(std::string(e.what()).find("dataflow engine"),
+                  std::string::npos);
     }
 }
 

@@ -1,12 +1,12 @@
-// Golden cross-check of the two scalar pl_simulator engines: the
-// time-ordered binary-heap reference and the default queue-free dataflow
-// engine must produce bit-identical wave records, stats and traces on every
-// circuit family — the ITC99 suite and all four workload scenario presets —
-// in pipelined and non-pipelined mode, with trace collection on and off,
-// under stress delay models (tie-heavy, wide-spread, all-zero), and through
-// the fleet runner at several thread counts.  Also locks the engines'
-// contracts: trace order, early EE outputs timed before the master's own
-// readiness, and the unsafe-netlist behaviour.
+// Golden cross-check of the queue-free dataflow engine against the
+// time-ordered binary-heap oracle (heap_oracle.hpp): the two must produce
+// bit-identical wave records, stats and traces on every circuit family —
+// the ITC99 suite and all four workload scenario presets — in pipelined and
+// non-pipelined mode, with trace collection on and off, and under stress
+// delay models (tie-heavy, wide-spread, all-zero).  Also locks the
+// engines' contracts: the event budget, trace order, early EE outputs
+// timed before the master's own readiness, and the unsafe-netlist
+// behaviour of both the dataflow and the lane engine.
 
 #include <string>
 #include <vector>
@@ -15,9 +15,9 @@
 
 #include "bench_circuits/itc99.hpp"
 #include "ee/ee_transform.hpp"
+#include "heap_oracle.hpp"
 #include "plogic/pl_mapper.hpp"
 #include "plogic/pl_netlist.hpp"
-#include "runner/runner.hpp"
 #include "sim/errors.hpp"
 #include "sim/measure.hpp"
 #include "sim/pl_sim.hpp"
@@ -32,21 +32,37 @@ struct engine_run {
     std::vector<trace_event> trace;
 };
 
-engine_run simulate(const pl::pl_netlist& pl, queue_kind queue,
-                    bool non_pipelined, bool collect_trace,
-                    const std::vector<std::vector<bool>>& vectors,
-                    const delay_model& delays = {}) {
-    sim_options opts;
-    opts.queue = queue;
-    opts.non_pipelined = non_pipelined;
-    opts.collect_trace = collect_trace;
-    opts.delays = delays;
-    pl_simulator simulator(pl, opts);
+/// Which implementation simulate() drives.
+enum class engine { heap_oracle, dataflow };
+
+const char* to_string(engine e) {
+    return e == engine::heap_oracle ? "heap" : "dataflow";
+}
+
+template <class Simulator>
+engine_run run_engine(Simulator& simulator,
+                      const std::vector<std::vector<bool>>& vectors) {
     engine_run run;
     run.waves = simulator.run(vectors);
     run.stats = simulator.stats();
     run.trace = simulator.trace();
     return run;
+}
+
+engine_run simulate(const pl::pl_netlist& pl, engine which,
+                    bool non_pipelined, bool collect_trace,
+                    const std::vector<std::vector<bool>>& vectors,
+                    const delay_model& delays = {}) {
+    sim_options opts;
+    opts.non_pipelined = non_pipelined;
+    opts.collect_trace = collect_trace;
+    opts.delays = delays;
+    if (which == engine::heap_oracle) {
+        testing::heap_oracle oracle(pl, opts);
+        return run_engine(oracle, vectors);
+    }
+    pl_simulator simulator(pl, opts);
+    return run_engine(simulator, vectors);
 }
 
 /// Bit-identical means exact: outputs, all three timestamps of every wave,
@@ -75,7 +91,8 @@ void expect_identical(const engine_run& heap, const engine_run& cal,
     }
 }
 
-/// Both engines across all four (pipelined x trace) modes.
+/// The oracle and the dataflow engine across all four (pipelined x trace)
+/// modes.
 void check_all_modes(const pl::pl_netlist& pl, const std::string& label,
                      std::size_t num_vectors, const delay_model& delays = {}) {
     const std::vector<std::vector<bool>> vectors =
@@ -85,9 +102,9 @@ void check_all_modes(const pl::pl_netlist& pl, const std::string& label,
             const std::string mode =
                 label + (non_pipelined ? " non-pipelined" : " pipelined") +
                 (trace ? " trace" : "");
-            expect_identical(simulate(pl, queue_kind::binary_heap, non_pipelined,
+            expect_identical(simulate(pl, engine::heap_oracle, non_pipelined,
                                       trace, vectors, delays),
-                             simulate(pl, queue_kind::calendar, non_pipelined,
+                             simulate(pl, engine::dataflow, non_pipelined,
                                       trace, vectors, delays),
                              mode);
         }
@@ -122,9 +139,9 @@ TEST(SimQueue, WorkloadPresetsBitIdentical) {
 TEST(SimQueue, WideArityLut6PlusPipelineBitIdentical) {
     // The multiword end-to-end: a workload-generated wide-arity netlist
     // (LUT5-8 gates, multiword truth tables), EE-transformed, must simulate
-    // bit-identically on both engines — and the run must actually exercise
-    // the wide path: at least one attached trigger must belong to a master
-    // with more than 6 data pins.
+    // bit-identically on the oracle and the engine — and the run must
+    // actually exercise the wide path: at least one attached trigger must
+    // belong to a master with more than 6 data pins.
     for (wl::scenario kind : {wl::scenario::lut6_dag, wl::scenario::lut8_datapath}) {
         const nl::netlist netlist =
             wl::generate(wl::scenario_params(kind, 160, 2026));
@@ -186,31 +203,33 @@ TEST(SimQueue, EventBudgetExhaustsIdentically) {
     const pl::pl_netlist pl = map_with_ee(bench::make_b05());
     const std::vector<std::vector<bool>> vectors =
         random_vectors(50, pl.sources().size(), 1);
-    for (queue_kind queue : {queue_kind::binary_heap, queue_kind::calendar}) {
-        sim_options opts;
-        opts.queue = queue;
-        opts.max_events = 1000;
-        pl_simulator simulator(pl, opts);
-        EXPECT_THROW(simulator.run(vectors), std::runtime_error)
-            << to_string(queue);
-        // Both engines stop at exactly the budget boundary.
-        EXPECT_EQ(simulator.stats().events, 1001u) << to_string(queue);
-    }
+    sim_options opts;
+    opts.max_events = 1000;
+    testing::heap_oracle oracle(pl, opts);
+    EXPECT_THROW(oracle.run(vectors), budget_exhausted);
+    pl_simulator simulator(pl, opts);
+    EXPECT_THROW(simulator.run(vectors), budget_exhausted);
+    // Every engine stops at exactly the budget boundary, the lane engine
+    // included.
+    EXPECT_EQ(oracle.stats().events, 1001u);
+    EXPECT_EQ(simulator.stats().events, 1001u);
+    const std::vector<stimulus_block> blocks =
+        make_stimulus(64, pl.sources().size(), 1);
+    pl_simulator lanes(pl, opts);
+    EXPECT_THROW(lanes.run_lanes(blocks.front()), budget_exhausted);
+    EXPECT_EQ(lanes.stats().events, 1001u);
 }
 
 TEST(SimQueue, OversizedEventBudgetNeedsNoFallback) {
     // The dataflow engine has no packed queue key to overflow, so a 2^60
-    // budget runs on it directly and matches the heap engine.
+    // budget runs on it directly and matches the oracle.
     const pl::pl_netlist pl = map_with_ee(bench::make_b02());
     const std::vector<std::vector<bool>> vectors =
         random_vectors(10, pl.sources().size(), 3);
     sim_options huge;
-    huge.queue = queue_kind::calendar;
     huge.max_events = std::uint64_t{1} << 60;
     pl_simulator fallback(pl, huge);
-    sim_options heap_opts;
-    heap_opts.queue = queue_kind::binary_heap;
-    pl_simulator reference(pl, heap_opts);
+    testing::heap_oracle reference(pl);
     const std::vector<wave_record> a = fallback.run(vectors);
     const std::vector<wave_record> b = reference.run(vectors);
     ASSERT_EQ(a.size(), b.size());
@@ -287,14 +306,13 @@ TEST(SimQueue, TraceSortedByTimeThenEdgeInWaveOrder) {
           {"ties", ties},
           {"zero", zero}}) {
         for (bool non_pipelined : {true, false}) {
-            for (queue_kind queue :
-                 {queue_kind::binary_heap, queue_kind::calendar}) {
+            for (engine which : {engine::heap_oracle, engine::dataflow}) {
                 const std::string label =
-                    std::string(name) + " " + to_string(queue) +
+                    std::string(name) + " " + to_string(which) +
                     (non_pipelined ? " non-pipelined" : " pipelined");
                 expect_trace_contract(
                     pl, vectors,
-                    simulate(pl, queue, non_pipelined, true, vectors, delays),
+                    simulate(pl, which, non_pipelined, true, vectors, delays),
                     label);
             }
         }
@@ -346,9 +364,9 @@ TEST(SimQueue, EarlyOutputBeforeMasterReadyMatchesHeap) {
             const std::string label =
                 std::string(non_pipelined ? "non-pipelined" : "pipelined") +
                 (trace ? " trace" : "");
-            const engine_run heap = simulate(pl, queue_kind::binary_heap,
+            const engine_run heap = simulate(pl, engine::heap_oracle,
                                              non_pipelined, trace, vectors);
-            const engine_run dataflow = simulate(pl, queue_kind::calendar,
+            const engine_run dataflow = simulate(pl, engine::dataflow,
                                                  non_pipelined, trace, vectors);
             // Wave 0 has a == 0: its output lands before m's slow input.
             EXPECT_LT(dataflow.waves[0].output_stable, slow_arrival) << label;
@@ -361,7 +379,7 @@ TEST(SimQueue, EarlyOutputBeforeMasterReadyMatchesHeap) {
 TEST(SimQueue, UnsafeNetlistOverDepositsThrowOnDataflowEngine) {
     // A source with no acknowledge input free-runs.  verify() rejects the
     // netlist; the dataflow engine reports the second wave's deposit onto
-    // the still-occupied edge, which the heap engine's timing hides (the
+    // the still-occupied edge, which the oracle's timing hides (the
     // consumer fires between the two deposits there).
     pl::pl_netlist pl;
     const pl::gate_id src = pl.add_gate(pl::gate_kind::source, "in");
@@ -376,11 +394,9 @@ TEST(SimQueue, UnsafeNetlistOverDepositsThrowOnDataflowEngine) {
     sim_options opts;
     opts.non_pipelined = false;
     const std::vector<std::vector<bool>> vectors = {{true}, {false}};
-    opts.queue = queue_kind::calendar;
     pl_simulator dataflow(pl, opts);
     EXPECT_THROW(dataflow.run(vectors), invariant_violation);
-    opts.queue = queue_kind::binary_heap;
-    pl_simulator heap(pl, opts);
+    testing::heap_oracle heap(pl, opts);
     EXPECT_NO_THROW(heap.run(vectors));
 }
 
@@ -399,69 +415,36 @@ TEST(SimQueue, SafetyViolationDetectedOnBothEngines) {
     pl.add_data_edge(slow, snk, 0, false, false);
     pl.add_ack_edge(snk, slow, true);
     pl.add_ack_edge(slow, late, true);
-    for (queue_kind queue : {queue_kind::binary_heap, queue_kind::calendar}) {
-        sim_options opts;
-        opts.queue = queue;
-        opts.non_pipelined = false;
-        pl_simulator sim(pl, opts);
-        EXPECT_THROW(sim.run({{true, false}, {true, false}, {true, false}}),
-                     invariant_violation)
-            << to_string(queue);
-    }
-}
+    sim_options opts;
+    opts.non_pipelined = false;
+    const std::vector<std::vector<bool>> overrun = {
+        {true, false}, {true, false}, {true, false}};
+    testing::heap_oracle oracle(pl, opts);
+    EXPECT_THROW(oracle.run(overrun), invariant_violation);
+    pl_simulator dataflow(pl, opts);
+    EXPECT_THROW(dataflow.run(overrun), invariant_violation);
 
-TEST(SimQueue, QueueKindStrings) {
-    EXPECT_STREQ(to_string(queue_kind::binary_heap), "heap");
-    EXPECT_STREQ(to_string(queue_kind::calendar), "calendar");
-    EXPECT_EQ(queue_kind_from_string("heap"), queue_kind::binary_heap);
-    EXPECT_EQ(queue_kind_from_string("binary_heap"), queue_kind::binary_heap);
-    EXPECT_EQ(queue_kind_from_string("calendar"), queue_kind::calendar);
-    EXPECT_THROW(queue_kind_from_string("splay"), std::invalid_argument);
-}
-
-TEST(SimQueue, FleetRunsBitIdenticalAcrossEnginesAndThreads) {
-    std::vector<runner::fleet_job> jobs;
-    runner::fleet_job b05;
-    b05.id = "b05";
-    b05.description = "b05";
-    b05.netlist = bench::build_benchmark("b05");
-    jobs.push_back(std::move(b05));
-    for (int i = 0; i < 2; ++i) {
-        runner::fleet_job job;
-        job.id = "w" + std::to_string(i);
-        job.description = job.id;
-        job.netlist = wl::generate(wl::scenario_params(
-            wl::all_scenarios()[static_cast<std::size_t>(i)], 90,
-            40 + static_cast<std::uint64_t>(i)));
-        jobs.push_back(std::move(job));
-    }
-
-    std::vector<runner::fleet_result> fleets;
-    for (queue_kind queue : {queue_kind::binary_heap, queue_kind::calendar}) {
-        for (unsigned threads : {1u, 2u}) {
-            runner::fleet_options opts;
-            opts.num_threads = threads;
-            opts.experiment.measure.num_vectors = 10;
-            opts.experiment.measure.sim.queue = queue;
-            fleets.push_back(runner::run_fleet(jobs, opts));
-        }
-    }
-    const runner::fleet_result& base = fleets.front();
-    EXPECT_GT(base.total_sim_events, 0u);
-    EXPECT_GT(base.sim_events_per_s(), 0.0);
-    for (const runner::fleet_result& other : fleets) {
-        ASSERT_EQ(other.results.size(), base.results.size());
-        EXPECT_EQ(other.total_sim_events, base.total_sim_events);
-        for (std::size_t i = 0; i < base.results.size(); ++i) {
-            EXPECT_EQ(other.results[i].row.delay_no_ee,
-                      base.results[i].row.delay_no_ee);
-            EXPECT_EQ(other.results[i].row.delay_ee,
-                      base.results[i].row.delay_ee);
-            EXPECT_EQ(other.results[i].row.stats_ee.events,
-                      base.results[i].row.stats_ee.events);
-            EXPECT_EQ(other.results[i].row.stats_ee.ee_hits,
-                      base.results[i].row.stats_ee.ee_hits);
-        }
+    // The lane engine runs a single wave, so it needs an edge that is
+    // occupied from the start: the source's only deposit lands on an
+    // initially marked edge whose consumer still waits for an acknowledge
+    // that only its own output could earn.
+    pl::pl_netlist marked;
+    const pl::gate_id in = marked.add_gate(pl::gate_kind::source, "in");
+    const pl::gate_id buf = marked.add_gate(pl::gate_kind::compute, "buf");
+    marked.set_function(buf, bf::truth_table::variable(1, 0));
+    const pl::gate_id out = marked.add_gate(pl::gate_kind::sink, "out");
+    marked.add_data_edge(in, buf, 0, true, false);
+    marked.add_data_edge(buf, out, 0, false, false);
+    marked.add_ack_edge(out, buf, false);
+    pl_simulator lanes(marked);
+    const std::vector<stimulus_block> blocks = make_stimulus(64, 1, 5);
+    try {
+        lanes.run_lanes(blocks.front());
+        FAIL() << "expected sim::invariant_violation";
+    } catch (const invariant_violation& e) {
+        EXPECT_NE(std::string(e.what()).find("occupied edge"),
+                  std::string::npos);
+        EXPECT_NE(std::string(e.what()).find("lane engine"), std::string::npos);
     }
 }
 

@@ -14,15 +14,11 @@
 //   --seed S       generator + stimulus seed                  (default fixed)
 //   --threads N    worker pool size, 0 = hardware_concurrency (default 0)
 //   --vectors V    random vectors per measurement             (default 20)
-//   --queue Q      simulator engine: calendar | heap          (default calendar)
-//                  (calendar = the queue-free dataflow engine at --lanes 1
-//                  and the calendar-queue lane engine at --lanes 64; heap =
-//                  the time-ordered reference; results are bit-identical)
 //   --lanes L      stimulus lanes per engine pass: 1 | 64     (default 1)
-//   --lane-policy P lane divergence handling: vector|fork|replay (default vector)
+//                  (1 = the sequential-wave protocol on the dataflow
+//                  engine, 64 = independent vectors on the lane engine)
 //   --delays D     delay model: default | tie (all components 1.0 — the
-//                  split-storm stressor: every EE race is a tie)
-//   --no-check     skip the per-firing EE invariant check in the simulator
+//                  lane-divergence stressor: every EE race is a tie)
 //   --json PATH    write the fleet result (summary + rows) as JSON
 //
 // Numeric values must parse whole (no sign on counts, no trailing
@@ -94,9 +90,7 @@ void usage(const char* argv0) {
         stderr,
         "usage: %s [--circuits N|itc99|bXX,bYY] [--scenario S|mixed]\n"
         "       [--gates G] [--seed S] [--threads N] [--vectors V]\n"
-        "       [--queue calendar|heap] [--lanes 1|64] "
-        "[--lane-policy vector|fork|replay]\n"
-        "       [--delays default|tie] [--no-check]\n"
+        "       [--lanes 1|64] [--delays default|tie]\n"
         "       [--job-deadline-ms MS] [--max-retries N] [--fail-fast]\n"
         "       [--inject SPEC] [--json PATH]\n"
         "       [--metrics-out PATH] [--trace-out PATH] [--no-telemetry]\n"
@@ -177,11 +171,8 @@ int main(int argc, char** argv) {
     bool seed_given = false;
     unsigned threads = 0;
     std::size_t vectors = 20;
-    sim::queue_kind queue = sim::sim_options{}.queue;
-    sim::lane_split_policy lane_policy = sim::sim_options{}.lane_policy;
     bool tie_delays = false;
     std::size_t lanes = 1;
-    bool check_early_value = true;
     std::string json_path;
     std::string metrics_path;
     std::string trace_path;
@@ -217,15 +208,11 @@ int main(int argc, char** argv) {
                 if (vectors == 0) {
                     throw std::invalid_argument("--vectors: must be > 0");
                 }
-            } else if (std::strcmp(arg, "--queue") == 0) {
-                queue = sim::queue_kind_from_string(value());
             } else if (std::strcmp(arg, "--lanes") == 0) {
                 lanes = parse_unsigned<std::size_t>(arg, value());
                 if (lanes != 1 && lanes != sim::k_lanes) {
                     throw std::invalid_argument("--lanes: must be 1 or 64");
                 }
-            } else if (std::strcmp(arg, "--lane-policy") == 0) {
-                lane_policy = sim::lane_split_policy_from_string(value());
             } else if (std::strcmp(arg, "--delays") == 0) {
                 const std::string v = value();
                 if (v == "tie") {
@@ -234,8 +221,6 @@ int main(int argc, char** argv) {
                     throw std::invalid_argument("--delays: expected default or "
                                                 "tie, got '" + v + "'");
                 }
-            } else if (std::strcmp(arg, "--no-check") == 0) {
-                check_early_value = false;
             } else if (std::strcmp(arg, "--job-deadline-ms") == 0) {
                 job_deadline_ms = parse_non_negative(arg, value());
             } else if (std::strcmp(arg, "--max-retries") == 0) {
@@ -328,14 +313,12 @@ int main(int argc, char** argv) {
         opts.fail_fast = fail_fast;
         opts.experiment.measure.num_vectors = vectors;
         opts.experiment.measure.lanes = lanes;
-        opts.experiment.measure.sim.queue = queue;
-        opts.experiment.measure.sim.lane_policy = lane_policy;
         if (tie_delays) {
             // Every delay component equal: all EE races tie, so mixed efire
-            // words (and thus splits) are as frequent as the stimulus allows.
+            // words (and thus divergent lane times) are as frequent as the
+            // stimulus allows.
             opts.experiment.measure.sim.delays = {1.0, 1.0, 1.0, 1.0, 1.0};
         }
-        opts.experiment.measure.sim.check_early_value = check_early_value;
         opts.telemetry = telemetry;
         if (seed_given) opts.experiment.measure.seed = seed;
         opts.fleet_cancel = &g_interrupt;
@@ -369,14 +352,14 @@ int main(int argc, char** argv) {
         std::printf("simulator (%s engine, %zu lanes): %llu events in %.0f ms "
                     "of summed shard time = %.0f events/s per core, %.0f "
                     "vectors/s\n",
-                    sim::engine_name(queue, lanes), lanes,
+                    lanes == 1 ? "dataflow" : "lane", lanes,
                     static_cast<unsigned long long>(fleet.total_sim_events),
                     fleet.total_sim_wall_ms, fleet.sim_events_per_s(),
                     fleet.vectors_per_s());
         if (lanes > 1) {
-            std::printf("lane engine: lockstep fraction %.3f across the "
-                        "fleet's measurements\n",
-                        fleet.lockstep_fraction);
+            std::printf("lane engine: %.4f of the fleet's sim events carried "
+                        "per-lane time slabs (divergent EE cones)\n",
+                        fleet.divergent_share());
         }
 
         if (!fleet.delay_hist_no_ee.empty() && !fleet.delay_hist_ee.empty()) {

@@ -13,19 +13,15 @@
 //                      (default 0 = hardware_concurrency; bit-identical
 //                      results at any count)
 //   --seed S           stimulus seed                        (default fixed)
-//   --queue Q          simulator engine: calendar | heap (default calendar =
-//                      the queue-free dataflow engine at --lanes 1 and the
-//                      calendar-queue lane engine at --lanes 64; heap = the
-//                      time-ordered reference; results are bit-identical)
 //   --lanes L          stimulus lanes per engine pass: 1 | 64
-//                      (default 1 = the paper's sequential protocol; 64 =
-//                      independent vectors, lane-parallel; see sim/README.md)
-//   --lane-policy P    lane divergence handling: vector | fork | replay (default vector)
+//                      (default 1 = the paper's sequential protocol on the
+//                      dataflow engine; 64 = independent vectors on the lane
+//                      engine; see sim/README.md)
 //   --delays D         delay model: default | tie (all components 1.0, the
-//                      split-storm stressor)
-//   --no-check         skip the per-firing EE invariant check
+//                      lane-divergence stressor)
 //   --dot FILE         write the PL netlist (post-EE) as Graphviz
-//   --vcd FILE         write a token waveform of the measured run
+//   --vcd FILE         write a token waveform of the first 10 vectors (a
+//                      sequential-wave run under the measured delay model)
 //   --blif-out FILE    re-export the synchronous netlist as BLIF
 //   --report           per-trigger detail (support, coverage, cost)
 //   --metrics-out FILE write the process metrics registry as Prometheus
@@ -83,11 +79,8 @@ struct cli_options {
     bool apply_ee = true;
     unsigned threads = 0;  // 0 = hardware_concurrency
     std::uint64_t seed = 0x9e3779b97f4a7c15ull;
-    sim::queue_kind queue = sim::sim_options{}.queue;
-    sim::lane_split_policy lane_policy = sim::sim_options{}.lane_policy;
     bool tie_delays = false;
     std::size_t lanes = 1;
-    bool check_early_value = true;
     std::string dot_out;
     std::string vcd_out;
     std::string blif_out;
@@ -100,10 +93,9 @@ void usage() {
     std::fprintf(stderr,
                  "usage: plee_flow (--bench bXX | --blif FILE) [--vectors N] "
                  "[--threshold X]\n                 [--method exact|cube] [--no-ee] "
-                 "[--threads N] [--seed S]\n                 [--queue calendar|heap] "
-                 "[--lanes 1|64] [--lane-policy vector|fork|replay]\n"
-                 "                 [--delays default|tie] [--no-check] [--dot FILE] "
-                 "[--vcd FILE] [--blif-out FILE] [--report]\n"
+                 "[--threads N] [--seed S]\n                 [--lanes 1|64] "
+                 "[--delays default|tie] [--dot FILE] [--vcd FILE]\n"
+                 "                 [--blif-out FILE] [--report]\n"
                  "                 [--metrics-out FILE] [--trace-out FILE]\n");
 }
 
@@ -141,14 +133,6 @@ std::optional<cli_options> parse(int argc, char** argv) {
         } else if (arg == "--seed") {
             if (const char* v = next()) o.seed = parse_unsigned<std::uint64_t>(arg, v);
             else return std::nullopt;
-        } else if (arg == "--queue") {
-            const char* v = next();
-            if (v == nullptr) return std::nullopt;
-            try {
-                o.queue = sim::queue_kind_from_string(v);
-            } catch (const std::invalid_argument&) {
-                return std::nullopt;
-            }
         } else if (arg == "--lanes") {
             const char* v = next();
             if (v == nullptr) return std::nullopt;
@@ -156,21 +140,11 @@ std::optional<cli_options> parse(int argc, char** argv) {
             if (o.lanes != 1 && o.lanes != sim::k_lanes) {
                 throw std::invalid_argument("--lanes: must be 1 or 64");
             }
-        } else if (arg == "--lane-policy") {
-            const char* v = next();
-            if (v == nullptr) return std::nullopt;
-            try {
-                o.lane_policy = sim::lane_split_policy_from_string(v);
-            } catch (const std::invalid_argument&) {
-                return std::nullopt;
-            }
         } else if (arg == "--delays") {
             const char* v = next();
             if (v == nullptr) return std::nullopt;
             if (std::string(v) == "tie") o.tie_delays = true;
             else if (std::string(v) != "default") return std::nullopt;
-        } else if (arg == "--no-check") {
-            o.check_early_value = false;
         } else if (arg == "--dot") {
             if (const char* v = next()) o.dot_out = v; else return std::nullopt;
         } else if (arg == "--vcd") {
@@ -335,17 +309,11 @@ int main(int argc, char** argv) {
         mopts.num_vectors = o.vectors;
         mopts.seed = o.seed;
         mopts.lanes = o.lanes;
-        // Lane tokens carry no single trace value; the VCD path below runs
-        // its own scalar tracer, so the measured run stays trace-free.
-        mopts.sim.collect_trace = !o.vcd_out.empty() && o.lanes == 1;
-        mopts.sim.queue = o.queue;
-        mopts.sim.lane_policy = o.lane_policy;
         if (o.tie_delays) {
             // Every delay component equal: all EE races tie, maximizing
-            // mixed efire words (and thus lane splits).
+            // mixed efire words (and thus divergent lane times).
             mopts.sim.delays = {1.0, 1.0, 1.0, 1.0, 1.0};
         }
-        mopts.sim.check_early_value = o.check_early_value;
         mopts.sim.recorder = &recorder;
         mopts.sim.cancel = &g_interrupt;
         mopts.trace = &trace;
@@ -359,7 +327,7 @@ int main(int argc, char** argv) {
                     o.vectors, r.avg_delay, r.min_delay, r.max_delay, r.stddev);
         std::printf("simulator (%s engine, %zu lanes): %llu events in %.1f ms "
                     "= %.0f events/s, %.0f vectors/s\n",
-                    sim::engine_name(o.queue, o.lanes), o.lanes,
+                    o.lanes == 1 ? "dataflow" : "lane", o.lanes,
                     static_cast<unsigned long long>(r.stats.events),
                     r.sim_wall_ms,
                     r.sim_wall_ms > 0.0
@@ -367,19 +335,13 @@ int main(int argc, char** argv) {
                         : 0.0,
                     r.vectors_per_s());
         if (o.lanes > 1) {
-            std::printf("lane engine (%s policy): %llu runs + %llu forks over "
-                        "%llu blocks (%llu groups, %llu splits, %llu replays), "
-                        "lockstep fraction %.3f, fork peak %llu B\n",
-                        sim::to_string(o.lane_policy),
-                        static_cast<unsigned long long>(r.stats.lane_runs),
-                        static_cast<unsigned long long>(r.stats.lane_forks),
+            std::printf("lane engine: %llu blocks, %llu divergent EE firings, "
+                        "%llu of %llu events carried per-lane time slabs\n",
                         static_cast<unsigned long long>(r.stats.lane_blocks),
-                        static_cast<unsigned long long>(r.stats.lane_groups),
                         static_cast<unsigned long long>(r.stats.lane_splits),
-                        static_cast<unsigned long long>(r.stats.lane_replays),
-                        r.lockstep_fraction,
                         static_cast<unsigned long long>(
-                            r.stats.lane_fork_bytes_peak));
+                            r.stats.lane_slab_deposits),
+                        static_cast<unsigned long long>(r.stats.events));
         }
         if (r.stats.ee_hits + r.stats.ee_misses > 0) {
             std::printf("EE firings: %llu hits / %llu misses (%llu strictly "
@@ -400,12 +362,11 @@ int main(int argc, char** argv) {
         }
 
         if (!o.vcd_out.empty()) {
-            // Re-run with tracing (measure_average_delay constructs its own
-            // simulator; a short dedicated run keeps the file readable).
-            sim::sim_options sopts;
+            // A short dedicated sequential-wave run under the measurement's
+            // own options keeps the file readable; lane tokens carry no
+            // single trace value, so this is the only traced run.
+            sim::sim_options sopts = mopts.sim;
             sopts.collect_trace = true;
-            sopts.queue = o.queue;
-            sopts.check_early_value = o.check_early_value;
             sim::pl_simulator tracer(mapped.pl, sopts);
             tracer.run(sim::random_vectors(std::min<std::size_t>(o.vectors, 10),
                                            mapped.pl.sources().size(), o.seed));
