@@ -1,17 +1,21 @@
-// bench_sim_queue — throughput of pl_simulator's two engines.
+// bench_sim_queue — throughput of pl_simulator's evaluator on its two
+// protocols.
 //
 // The measure phase is the dominant per-circuit cost of a fleet job, so this
 // bench times the simulator alone: a fleet mix of generated circuits (all
-// four scenario presets round-robin) is mapped, EE-transformed, and then
-// simulated repeatedly with identical stimulus.
+// six scenario presets round-robin) is mapped, EE-transformed, and then
+// simulated repeatedly with identical stimulus.  pl_simulator compiles each
+// netlist into a static wave schedule in its constructor; every timed pass
+// constructs its simulator (and so compiles) outside the clock, the same
+// cut measure_average_delay uses for sim_wall_ms.
 //
-// Reported per scenario and for the whole mix: events/s of the dataflow
-// engine (the sequential-wave protocol, run / run_packed).  The mix row can
-// fan circuits across worker threads (--threads) to mirror how the fleet
-// runner drives shards.  tests/test_sim_queue.cpp checks the engine
-// against a time-ordered reference.
+// Reported per scenario and for the whole mix: events/s of the
+// sequential-wave protocol (run / run_packed).  The mix row can fan
+// circuits across worker threads (--threads) to mirror how the fleet runner
+// drives shards.  tests/test_sim_queue.cpp checks the evaluator against a
+// time-ordered reference.
 //
-// The `lanes` row measures the lane engine (run_lanes) on the same mix.
+// The `lanes` row measures the lane protocol (run_lanes) on the same mix.
 // Before timing, run_lanes is cross-checked against 64 serial per-vector
 // runs on every circuit (bit-identical outputs, times, delays and EE
 // counters, non-zero exit on mismatch).  Then an interleaved A/B times the
@@ -25,7 +29,7 @@
 //   --vectors V        random vectors per run                (default 60)
 //   --lane-vectors LV  vectors for the sync lanes A/B        (default 8192)
 //   --seed S           generator + stimulus seed             (default 1)
-//   --repeat R         timed repetitions per engine          (default 3)
+//   --repeat R         timed repetitions per protocol        (default 3)
 //   --threads T        worker threads for the fleet-mix row  (default 1)
 //   --json PATH        write BENCH_sim.json for cross-PR perf tracking
 
@@ -67,10 +71,10 @@ struct circuit {
 
 /// Wall ms of the simulation runs themselves for every circuit in `group`,
 /// fanned over `threads` workers (atomic work queue, same scheme as the
-/// fleet runner).  Simulator construction (the per-netlist CSR/descriptor
-/// build) happens outside the clock — this is the same cut
-/// measure_average_delay uses for sim_wall_ms, so events/s here and the
-/// fleet's sim_events_per_s measure the same thing.
+/// fleet runner).  Simulator construction (the schedule compile) happens
+/// outside the clock — this is the same cut measure_average_delay uses for
+/// sim_wall_ms, so events/s here and the fleet's sim_events_per_s measure
+/// the same thing.
 double timed_pass(const std::vector<const circuit*>& group, unsigned threads,
                   std::uint64_t* events_out) {
     std::atomic<std::size_t> next{0};
@@ -132,7 +136,7 @@ struct lane_check {
     }
 };
 
-/// Lane engine golden gate: run_lanes over every block of `c` must match 64
+/// Lane protocol golden gate: run_lanes over every block of `c` must match 64
 /// serial single-vector runs bit for bit — sink values, per-vector stable
 /// times — and the summed EE counters must be equal.
 lane_check check_lanes_vs_serial(const circuit& c) {
@@ -214,8 +218,8 @@ double sync_lane_pass(const circuit& c,
     return timer.elapsed_ms();
 }
 
-/// One timed pass of the PL event engine, one single-vector run per vector
-/// (the serial reference the lane engine is checked against).
+/// One timed pass of the sequential-wave protocol, one single-vector run
+/// per vector (the serial reference the lane protocol is checked against).
 double pl_serial_pass(const circuit& c) {
     sim::pl_simulator simulator(c.pl, sim::sim_options{});
     std::vector<std::vector<bool>> one(1);
@@ -227,7 +231,7 @@ double pl_serial_pass(const circuit& c) {
     return timer.elapsed_ms();
 }
 
-/// One timed pass of the PL lane engine, run_lanes per block.
+/// One timed pass of the lane protocol, run_lanes per block.
 double pl_lane_pass(const circuit& c) {
     sim::pl_simulator simulator(c.pl);
     const wall_timer timer;
@@ -303,7 +307,7 @@ int main(int argc, char** argv) {
             all.push_back(&c);
         }
 
-        report::text_table t({"Workload", "Dataflow ev/s"});
+        report::text_table t({"Workload", "Sequential-wave ev/s"});
         report::json rows = report::json::array();
         const auto add_row = [&](const std::string& name,
                                  const std::vector<const circuit*>& group,
@@ -339,7 +343,7 @@ int main(int argc, char** argv) {
             const lane_check lc = check_lanes_vs_serial(c);
             if (!lc.ok) {
                 std::fprintf(stderr,
-                             "FAIL: lane engine diverges from serial runs on "
+                             "FAIL: lane protocol diverges from serial runs on "
                              "%s (gates=%zu seed=%llu)\n",
                              c.scenario.c_str(), gates,
                              static_cast<unsigned long long>(seed));
@@ -349,7 +353,7 @@ int main(int argc, char** argv) {
             lanes.lane_splits += lc.lane_splits;
             lanes.lane_slab_deposits += lc.lane_slab_deposits;
         }
-        std::printf("cross-check: lane engine bit-identical to serial runs on "
+        std::printf("cross-check: lane protocol bit-identical to serial runs on "
                     "%zu circuits (%llu divergent EE firings, divergent share "
                     "%.4f)\n",
                     mix.size(),
@@ -413,7 +417,7 @@ int main(int argc, char** argv) {
         std::printf("  sync golden path: scalar %.0f vec/s, lane %.0f vec/s "
                     "= %.1fx\n",
                     sync_scalar_vps, sync_lane_vps, sync_speedup);
-        std::printf("  pl engines      : serial %.0f vec/s, lane %.0f vec/s "
+        std::printf("  pl protocols    : serial %.0f vec/s, lane %.0f vec/s "
                     "= %.1fx\n\n",
                     pl_serial_vps, pl_lane_vps, pl_speedup);
         {

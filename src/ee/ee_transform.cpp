@@ -122,12 +122,12 @@ ee_stats apply_early_evaluation(pl::pl_netlist& pl, const ee_options& options) {
         ++stats.triggers_added;
     }
 
-    if (options.verify) {
-        const pl::mg_report report = pl.verify();
-        if (!report.ok()) {
-            throw std::logic_error("apply_early_evaluation: marked graph invalid: " +
-                                   report.violation);
-        }
+    // Re-verify the marked graph (throws on failure); the pass is remembered
+    // on the netlist for the simulator.
+    const pl::mg_report report = pl.verify();
+    if (!report.ok()) {
+        throw std::logic_error("apply_early_evaluation: marked graph invalid: " +
+                               report.violation);
     }
 
     // Process-wide pass accounting; one flush per transform, not per gate.

@@ -25,8 +25,6 @@ namespace plee::ee {
 
 struct ee_options {
     search_options search;
-    /// Re-verify the marked graph after the transform (throws on failure).
-    bool verify = true;
     /// Worker threads for the per-gate trigger search (the netlist-scale hot
     /// loop).  0 = one per hardware thread, 1 = fully sequential.  The
     /// search phase is pure, results are collected per gate index, and the

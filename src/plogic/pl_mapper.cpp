@@ -259,12 +259,12 @@ map_result map_to_phased_logic(const nl::netlist& input, const map_options& opti
         }
     }
 
-    if (options.verify) {
-        const mg_report report = pl.verify();
-        if (!report.ok()) {
-            throw std::logic_error("map_to_phased_logic: marked graph invalid: " +
-                                   report.violation);
-        }
+    // Full marked-graph verification; a pass is remembered on the netlist,
+    // so the simulator does not repeat it.
+    const mg_report report = pl.verify();
+    if (!report.ok()) {
+        throw std::logic_error("map_to_phased_logic: marked graph invalid: " +
+                               report.violation);
     }
     return result;
 }

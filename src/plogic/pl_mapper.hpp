@@ -32,9 +32,6 @@ struct map_options {
     /// Apply the feedback-sharing optimizations.  When false every data edge
     /// gets its own acknowledge edge (always correct, maximally conservative).
     bool share_feedbacks = true;
-    /// Run full marked-graph verification after mapping (recommended; the
-    /// mapper throws std::logic_error when verification fails).
-    bool verify = true;
 };
 
 struct map_stats {

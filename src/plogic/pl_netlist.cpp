@@ -21,6 +21,7 @@ const char* to_string(gate_kind kind) {
 }
 
 gate_id pl_netlist::add_gate(gate_kind kind, std::string name) {
+    verified_.clear();
     pl_gate g;
     g.kind = kind;
     g.name = std::move(name);
@@ -32,6 +33,7 @@ gate_id pl_netlist::add_gate(gate_kind kind, std::string name) {
 }
 
 void pl_netlist::set_function(gate_id g, const bf::truth_table& fn) {
+    verified_.clear();
     if (gates_[g].kind != gate_kind::compute && gates_[g].kind != gate_kind::trigger) {
         throw std::invalid_argument("set_function: gate has no LUT");
     }
@@ -39,6 +41,7 @@ void pl_netlist::set_function(gate_id g, const bf::truth_table& fn) {
 }
 
 void pl_netlist::set_const_value(gate_id g, bool value) {
+    verified_.clear();
     if (gates_[g].kind != gate_kind::const_source) {
         throw std::invalid_argument("set_const_value: not a constant source");
     }
@@ -47,6 +50,7 @@ void pl_netlist::set_const_value(gate_id g, bool value) {
 
 edge_id pl_netlist::add_data_edge(gate_id from, gate_id to, int to_pin,
                                   bool init_token, bool init_value) {
+    verified_.clear();
     if (from >= gates_.size() || to >= gates_.size()) {
         throw std::invalid_argument("add_data_edge: gate out of range");
     }
@@ -72,6 +76,7 @@ edge_id pl_netlist::add_data_edge(gate_id from, gate_id to, int to_pin,
 }
 
 edge_id pl_netlist::add_ack_edge(gate_id from, gate_id to, bool init_token) {
+    verified_.clear();
     if (from >= gates_.size() || to >= gates_.size()) {
         throw std::invalid_argument("add_ack_edge: gate out of range");
     }
@@ -89,6 +94,7 @@ edge_id pl_netlist::add_ack_edge(gate_id from, gate_id to, bool init_token) {
 
 gate_id pl_netlist::attach_trigger(gate_id master, const bf::truth_table& fn,
                                    std::uint32_t support_mask) {
+    verified_.clear();
     pl_gate& m = gates_[master];
     if (m.kind != gate_kind::compute) {
         throw std::invalid_argument("attach_trigger: master must be a compute gate");
@@ -158,7 +164,11 @@ marked_graph pl_netlist::to_marked_graph() const {
     return mg;
 }
 
-mg_report pl_netlist::verify() const { return to_marked_graph().verify(); }
+mg_report pl_netlist::verify() const {
+    mg_report report = to_marked_graph().verify();
+    if (report.ok()) verified_.passed = true;
+    return report;
+}
 
 std::vector<int> pl_netlist::arrival_depth() const {
     // Longest path over token-free data edges.  depth[g] is the arrival

@@ -17,6 +17,7 @@
 
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -114,8 +115,13 @@ public:
     // --- Analysis -----------------------------------------------------------
     /// Marked-graph image (tokens = initial markings) for verification.
     marked_graph to_marked_graph() const;
-    /// Full well-formed / live / safe verification.
+    /// Full well-formed / live / safe verification.  A passed result is
+    /// remembered until the next mutation; every mutator above clears it.
     mg_report verify() const;
+    /// True when verify() has passed since the last mutation.  The
+    /// simulator runs verify() only when this is false, so a netlist the
+    /// mapper or the EE transform just verified is not verified twice.
+    bool verified() const { return verified_.passed.load(); }
 
     /// Arrival depth of each gate's output signal: "the maximum path length
     /// in terms of PL gates from the primary circuit inputs" (Section 3).
@@ -126,10 +132,28 @@ public:
     std::string to_dot(const std::string& graph_name = "pl") const;
 
 private:
+    /// verify()'s memo.  Atomic, so concurrent verify() calls on one const
+    /// netlist do not race; a copy carries the value.
+    struct verify_memo {
+        std::atomic<bool> passed{false};
+        verify_memo() = default;
+        verify_memo(const verify_memo& other) : passed(other.passed.load()) {}
+        verify_memo& operator=(const verify_memo& other) {
+            passed.store(other.passed.load());
+            return *this;
+        }
+        /// Called by every mutator: a locked store only when set, so
+        /// building a netlist edge by edge pays a plain load per call.
+        void clear() {
+            if (passed.load()) passed.store(false);
+        }
+    };
+
     std::vector<pl_gate> gates_;
     std::vector<pl_edge> edges_;
     std::vector<gate_id> sources_;
     std::vector<gate_id> sinks_;
+    mutable verify_memo verified_;
 };
 
 }  // namespace plee::pl

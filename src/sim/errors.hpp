@@ -1,7 +1,7 @@
 // errors.hpp — typed simulator failures.
 //
 // The simulator's three deliberate runtime failures — event-budget
-// exhaustion, deadlock, and the dynamic marked-graph/EE invariant checks —
+// exhaustion, deadlock, and the marked-graph/EE invariant checks —
 // were indistinguishable runtime_error/logic_errors before; a fleet log full
 // of "event budget exhausted" lines could not say which circuit, how far it
 // got, or on which engine.  Each type here carries the circuit label
@@ -45,9 +45,9 @@ public:
         : sim_error("event budget exhausted", label, events, engine) {}
 };
 
-/// The engine ran out of enabled firings before every wave stabilized; the
-/// message embeds the liveness diagnostic (waves stable, starving gates,
-/// first example).
+/// The netlist cannot complete a wave: a token-free cycle (the message
+/// names a gate on it and how many gates can never fire) or a sink without
+/// a data input.  Raised by the first run, before any firing.
 class deadlock_error : public sim_error {
 public:
     deadlock_error(const std::string& label, const std::string& diagnostic,
@@ -55,9 +55,11 @@ public:
         : sim_error("deadlock — " + diagnostic, label, events, engine) {}
 };
 
-/// Dynamic marked-graph safety or EE invariant violation — the simulator
-/// doubling as a checker of the theory; always a bug in the netlist or the
-/// transform, never recoverable.
+/// A netlist pl_netlist::verify() rejects (raised by the first run, before
+/// any firing), marked out-edges of one producer with different initial
+/// values (raised by the constructor, engine "schedule"), or an efire token
+/// that disagrees with its trigger function — always a bug in the netlist
+/// or the transform, never recoverable.
 class invariant_violation : public sim_error {
 public:
     invariant_violation(const std::string& message, const std::string& label,

@@ -9,29 +9,170 @@
 
 namespace plee::sim {
 
+namespace {
+
+/// A register's identity table: minterm m maps to m & 1.
+constexpr std::uint64_t k_identity_word = 0xaaaaaaaaaaaaaaaaull;
+
+bool fires(const pl::pl_gate& gate) {
+    return !gate.in_edges.empty() ||
+           (gate.kind == pl::gate_kind::source && !gate.out_edges.empty());
+}
+
+}  // namespace
+
 pl_simulator::pl_simulator(const pl::pl_netlist& pl, sim_options options)
-    : pl_(pl), options_(options), topo_(pl) {
-    const std::size_t num_gates = pl.num_gates();
-    desc_.resize(num_gates);
-    in_count_.resize(num_gates);
+    : pl_(pl), options_(std::move(options)) {
+    compile();
+}
+
+// ---------------------------------------------------------------------------
+// Compile: the FIFO Kahn order over token-free edges, one in-ref per input
+// edge, and the wave -1 preset.
+// ---------------------------------------------------------------------------
+
+void pl_simulator::compile() {
+    const std::size_t num_gates = pl_.num_gates();
+    if (num_gates >= (std::size_t{1} << 29)) {
+        throw std::length_error("pl_simulator: too many gates for a 32-bit ref");
+    }
+    std::vector<std::uint32_t> indeg(num_gates, 0);
+    for (const pl::pl_edge& e : pl_.edges()) {
+        if (!e.init_token) ++indeg[e.to];
+    }
+    std::vector<pl::gate_id> order;
+    order.reserve(num_gates);
     for (pl::gate_id g = 0; g < num_gates; ++g) {
-        const pl::pl_gate& gate = pl.gate(g);
-        gate_desc& d = desc_[g];
+        if (indeg[g] == 0) order.push_back(g);
+    }
+    for (std::size_t head = 0; head < order.size(); ++head) {
+        for (pl::edge_id e : pl_.gate(order[head]).out_edges) {
+            const pl::pl_edge& edge = pl_.edge(e);
+            if (!edge.init_token && --indeg[edge.to] == 0) order.push_back(edge.to);
+        }
+    }
+    if (order.size() < num_gates) {
+        // Every gate left over waits on a token-free edge from another one
+        // left over, so walking back along such edges closes the cycle.
+        pl::gate_id g = static_cast<pl::gate_id>(
+            std::find_if(indeg.begin(), indeg.end(),
+                         [](std::uint32_t d) { return d != 0; }) -
+            indeg.begin());
+        std::vector<bool> seen(num_gates, false);
+        while (!seen[g]) {
+            seen[g] = true;
+            for (pl::edge_id e : pl_.gate(g).in_edges) {
+                const pl::pl_edge& edge = pl_.edge(e);
+                if (!edge.init_token && indeg[edge.from] != 0) {
+                    g = edge.from;
+                    break;
+                }
+            }
+        }
+        failure_ = failure::deadlock;
+        failure_text_ = "token-free cycle through gate " + std::to_string(g) +
+                        " '" + pl_.gate(g).name + "' (" +
+                        std::to_string(num_gates - order.size()) + " of " +
+                        std::to_string(num_gates) + " gates can never fire)";
+        return;
+    }
+    // Safety is a precondition, checked once: the mapper and the EE
+    // transform leave a passed verify() remembered on the netlist.
+    if (!pl_.verified()) {
+        const pl::mg_report report = pl_.verify();
+        if (!report.ok()) {
+            failure_ = failure::invalid;
+            failure_text_ =
+                "netlist fails marked-graph verification: " + report.violation;
+            return;
+        }
+    }
+    for (pl::gate_id g : pl_.sinks()) {
+        if (pl_.gate(g).data_in.empty()) {
+            failure_ = failure::deadlock;
+            failure_text_ = "sink " + std::to_string(g) + " '" +
+                            pl_.gate(g).name + "' has no data input";
+            return;
+        }
+    }
+
+    constexpr std::uint32_t k_unscheduled = 0xffffffffu;
+    std::vector<std::uint32_t> pos(num_gates, k_unscheduled);
+    std::vector<pl::gate_id> scheduled;
+    for (pl::gate_id g : order) {
+        if (!fires(pl_.gate(g))) continue;
+        pos[g] = static_cast<std::uint32_t>(scheduled.size());
+        scheduled.push_back(g);
+    }
+    const std::size_t n = scheduled.size();
+    const auto ref_of = [&](pl::edge_id e) {
+        const pl::pl_edge& edge = pl_.edge(e);
+        const std::uint32_t slot =
+            2 * pos[edge.from] + (edge.kind == pl::edge_kind::ack ? 1u : 0u);
+        return (slot << 1) | (edge.init_token ? 1u : 0u);
+    };
+    times_.assign(6 * n, 0.0);  // the preset buffer's times stay 0
+    values_.assign(3 * n, 0);
+    desc_.resize(n);
+    trace_off_.assign(n + 1, 0);
+    for (std::uint32_t s = 0; s < n; ++s) {
+        const pl::gate_id g = scheduled[s];
+        const pl::pl_gate& gate = pl_.gate(g);
+        gate_desc& d = desc_[s];
         d.kind = gate.kind;
         d.num_data = static_cast<std::uint8_t>(gate.data_in.size());
-        d.const_value = gate.const_value;
-        d.in_begin = topo_.in_off[g];
-        d.in_end = topo_.in_off[g + 1];
-        d.data_begin = topo_.data_off[g];
-        d.out_begin = topo_.out_off[g];
-        d.out_end = topo_.out_off[g + 1];
-        d.efire_in = gate.efire_in;
-        d.fn_bits = gate.function.words();
-        in_count_[g] = d.in_end - d.in_begin;
+        d.in_begin = static_cast<std::uint32_t>(refs_.size());
+        for (pl::edge_id e : gate.in_edges) refs_.push_back(ref_of(e));
+        d.in_end = d.data_begin = static_cast<std::uint32_t>(refs_.size());
+        for (pl::edge_id e : gate.data_in) refs_.push_back(ref_of(e));
+        if (gate.efire_in != pl::k_invalid_edge) d.efire = ref_of(gate.efire_in);
+
+        bool marked = false;
+        std::uint64_t& preset = values_[2 * n + s];
+        for (pl::edge_id e : gate.out_edges) {
+            const pl::pl_edge& edge = pl_.edge(e);
+            if (edge.kind == pl::edge_kind::ack) {
+                ++d.ack_outs;
+                continue;
+            }
+            ++d.data_outs;
+            trace_edges_.push_back(e);
+            if (!edge.init_token) continue;
+            const std::uint64_t value = edge.init_value ? ~std::uint64_t{0} : 0;
+            if (marked && preset != value) {
+                throw invariant_violation(
+                    "marked data out-edges of gate " + std::to_string(g) + " '" +
+                        gate.name + "' carry different initial values",
+                    options_.label, 0, "schedule");
+            }
+            marked = true;
+            preset = value;
+        }
+        trace_off_[s + 1] = static_cast<std::uint32_t>(trace_edges_.size());
+
+        const delay_model& dm = options_.delays;
+        switch (gate.kind) {
+            case pl::gate_kind::source:
+            case pl::gate_kind::const_source:
+                d.delay = dm.d_source;
+                d.fn_bits.fill(gate.const_value ? ~std::uint64_t{0} : 0);
+                break;
+            case pl::gate_kind::sink:
+                d.delay = dm.ack_delay();  // sinks emit acknowledges only
+                break;
+            case pl::gate_kind::through:
+                d.delay = dm.through_delay();
+                d.fn_bits.fill(k_identity_word);
+                break;
+            default:
+                d.delay = dm.gate_delay();
+                d.fn_bits = gate.function.words();
+                break;
+        }
         if (gate.trigger != pl::k_invalid_gate) {
             // Master of an EE pair: bake the trigger function and its
-            // pin-packing map in, so neither engine allocates at fire time.
-            const pl::pl_gate& trig = pl.gate(gate.trigger);
+            // pin-packing map in, so no firing allocates.
+            const pl::pl_gate& trig = pl_.gate(gate.trigger);
             d.trig_fn_bits = trig.function.words();
             std::uint8_t count = 0;
             for (std::uint8_t v = 0; v < 32; ++v) {
@@ -47,19 +188,12 @@ pl_simulator::pl_simulator(const pl::pl_netlist& pl, sim_options options)
             d.trig_pin_count = count;
         }
     }
-    for (std::size_t i = 0; i < pl.sources().size(); ++i) {
-        desc_[pl.sources()[i]].env_slot = static_cast<std::uint32_t>(i);
+    for (const std::vector<pl::gate_id>* env : {&pl_.sources(), &pl_.sinks()}) {
+        for (std::size_t i = 0; i < env->size(); ++i) {
+            const std::uint32_t p = pos[(*env)[i]];
+            if (p != k_unscheduled) desc_[p].env_slot = static_cast<std::uint32_t>(i);
+        }
     }
-    for (std::size_t i = 0; i < pl.sinks().size(); ++i) {
-        desc_[pl.sinks()[i]].env_slot = static_cast<std::uint32_t>(i);
-    }
-}
-
-void pl_simulator::throw_occupied(pl::edge_id edge, const char* engine) const {
-    throw invariant_violation("token deposited onto an occupied edge " +
-                                  std::to_string(edge) +
-                                  " (marked-graph safety violation)",
-                              options_.label, stats_.events, engine);
 }
 
 void pl_simulator::throw_ee_mismatch(const char* engine) const {
@@ -69,275 +203,46 @@ void pl_simulator::throw_ee_mismatch(const char* engine) const {
         options_.label, stats_.events, engine);
 }
 
-/// The event checks every engine shares: the max_events budget, and once
-/// per k_cancel_check_events events the cancel poll, the sim.fire fault
-/// point and the progress beat.  Engines call it out of line, only when the
-/// count passes the budget or lands on a check boundary.
-void pl_simulator::check_events(std::uint64_t events, const char* engine) {
-    if (events > options_.max_events) {
-        throw budget_exhausted(options_.label, events, engine);
-    }
-    if (options_.cancel != nullptr && options_.cancel->expired()) {
-        throw job_timeout("sim.events", options_.label, events);
-    }
-    fault::injector::instance().check("sim.fire", events);
-    if (options_.recorder != nullptr) {
-        options_.recorder->record("sim.progress", events, waves_stable_);
-    }
-}
-
-void pl_simulator::reset() {
+/// Resets the per-run state and raises what compile() found wrong with the
+/// netlist.
+void pl_simulator::begin_run(const char* engine) {
     stats_ = {};
-    trace_on_ = options_.collect_trace;
     trace_.clear();
-    pending_ = in_count_;
-    fired_waves_.assign(pl_.num_gates(), 0);
-    tok_present_.assign((pl_.num_edges() + 63) / 64, 0);
-    worklist_.clear();
-}
-
-/// Fires every gate the initial marking enables, then every gate a firing
-/// enables, until none is left.  The wave-horizon cap in the firing
-/// functions bounds the firings, so the worklist always empties.
-template <bool Lanes>
-void pl_simulator::run_worklist() {
-    const auto fire = [this](pl::gate_id g) {
-        if constexpr (Lanes) {
-            try_fire_lanes(g);
-        } else {
-            try_fire_fast(g);
-        }
-    };
-    for (pl::gate_id g = 0; g < pl_.num_gates(); ++g) {
-        if (pending_[g] == 0 && in_count_[g] != 0) fire(g);
-        // Sources with no acknowledge inputs (no consumers needing them) are
-        // enabled with zero in-edges.
-        if (pending_[g] == 0 && in_count_[g] == 0 &&
-            desc_[g].kind == pl::gate_kind::source &&
-            desc_[g].out_end != desc_[g].out_begin) {
-            fire(g);
-        }
+    waves_stable_ = 0;
+    next_check_ = k_cancel_check_events;
+    check_at_ = std::min(next_check_, options_.max_events);
+    if (failure_ == failure::deadlock) {
+        throw deadlock_error(options_.label, failure_text_, 0, engine);
     }
-    while (!worklist_.empty()) {
-        const pl::gate_id g = worklist_.back();
-        worklist_.pop_back();
-        fire(g);
+    if (failure_ == failure::invalid) {
+        throw invariant_violation(failure_text_, options_.label, 0, engine);
     }
 }
 
-// ---------------------------------------------------------------------------
-// Dataflow engine: SoA tokens and CSR adjacency, no event queue.
-//
-// A PL circuit is a live, safe marked graph, and under the Figure 1/2 delay
-// model every token time is a max/min recurrence over the times of the
-// tokens its producing firing consumed.  With firings capped at the wave
-// horizon, the set of firings is the same in any enabling order, so nothing
-// needs replaying in time order: a firing writes each output token directly
-// (present bit, value, time) and a consumer whose last missing input just
-// arrived goes onto a LIFO worklist.  One deposit is one event, exactly as
-// one popped deposit is in a time-ordered simulation, so every stat matches
-// one (tests/heap_oracle.hpp).
-// ---------------------------------------------------------------------------
-
-/// One deposit = one event: the event checks, the occupied-edge safety
-/// check, the token write and the consumer's enabling.
-void pl_simulator::deposit_token(pl::edge_id edge, bool value, double time) {
-    count_event("dataflow");
-    const std::size_t word = edge >> 6;
-    const std::uint64_t bit = std::uint64_t{1} << (edge & 63);
-    const std::uint64_t present = tok_present_[word];
-    if (present & bit) throw_occupied(edge, "dataflow");
-    tok_present_[word] = present | bit;
-    tok_value_[word] = value ? tok_value_[word] | bit : tok_value_[word] & ~bit;
-    tok_time_[edge] = time;
-    if (trace_on_ && !topo_.edge_is_ack[edge]) {
-        trace_.push_back({time, edge, value});
-    }
-    const pl::gate_id g = topo_.edge_to[edge];
-    if (--pending_[g] == 0) worklist_.push_back(g);
-}
-
-void pl_simulator::fire_source_fast(pl::gate_id g) {
-    const gate_desc& d = desc_[g];
-    // A source with acknowledge inputs fires once per enabling; a source with
-    // no feedback constraints (all its acks were shared away, or it is being
-    // abused in a hand-built netlist) free-runs through every released wave —
-    // which is exactly how an over-eager environment overruns an unsafe
-    // design, and the dynamic safety check then reports it.
-    while (pending_[g] == 0) {
-        const std::size_t wave = fired_waves_[g];
-        if (wave >= num_waves_ || wave >= released_waves_) return;
-
-        double t_ready = release_time_[wave];
-        for (std::uint32_t i = d.in_begin; i < d.in_end; ++i) {
-            const pl::edge_id e = topo_.in_flat[i];
-            t_ready = std::max(t_ready, tok_time_[e]);
-            tok_present_[e >> 6] &= ~(std::uint64_t{1} << (e & 63));
+/// The event checks both protocols share: at every multiple of
+/// k_cancel_check_events the count crossed, the cancel poll, the sim.fire
+/// fault point and the progress beat; past max_events, the budget, which
+/// reports exactly max_events + 1 events.
+void pl_simulator::check_events(const char* engine) {
+    while (next_check_ <= stats_.events && next_check_ <= options_.max_events) {
+        if (options_.cancel != nullptr && options_.cancel->expired()) {
+            throw job_timeout("sim.events", options_.label, next_check_);
         }
-        pending_[g] = in_count_[g];
-        ++fired_waves_[g];
-        ++stats_.firings;
-
-        const bool value = stim_bit(wave, d.env_slot);
-        const double t_out = t_ready + options_.delays.d_source;
-        input_stable_[wave] = std::max(input_stable_[wave], t_out);
-        for (std::uint32_t i = d.out_begin; i < d.out_end; ++i) {
-            deposit_token(topo_.out_flat[i], value, t_out);
+        fault::injector::instance().check("sim.fire", next_check_);
+        if (options_.recorder != nullptr) {
+            options_.recorder->record("sim.progress", next_check_, waves_stable_);
         }
+        next_check_ += k_cancel_check_events;
     }
-}
-
-void pl_simulator::record_sink_fast(pl::gate_id g) {
-    const gate_desc& d = desc_[g];
-    const pl::edge_id data_edge = topo_.data_flat[d.data_begin];
-    const bool tok_val = token_value(data_edge);
-    const double tok_time = tok_time_[data_edge];
-    const std::size_t wave = fired_waves_[g];
-
-    double t_ready = tok_time;
-    for (std::uint32_t i = d.in_begin; i < d.in_end; ++i) {
-        const pl::edge_id e = topo_.in_flat[i];
-        t_ready = std::max(t_ready, tok_time_[e]);
-        tok_present_[e >> 6] &= ~(std::uint64_t{1} << (e & 63));
+    if (stats_.events > options_.max_events) {
+        stats_.events = options_.max_events + 1;
+        throw budget_exhausted(options_.label, stats_.events, engine);
     }
-    pending_[g] = in_count_[g];
-    ++fired_waves_[g];
-    ++stats_.firings;
-
-    const double t_ack = t_ready + options_.delays.ack_delay();
-    for (std::uint32_t i = d.out_begin; i < d.out_end; ++i) {
-        deposit_token(topo_.out_flat[i], false, t_ack);
-    }
-
-    if (wave >= num_waves_) return;  // drain beyond the measured horizon
-    wave_outputs_[wave][d.env_slot] = tok_val;
-    output_stable_[wave] = std::max(output_stable_[wave], tok_time);
-    if (--sinks_pending_[wave] == 0) {
-        ++waves_stable_;
-        if (options_.non_pipelined && wave + 1 < num_waves_) {
-            release_time_[wave + 1] = output_stable_[wave];
-            ++released_waves_;
-            for (pl::gate_id src : pl_.sources()) {
-                if (pending_[src] == 0) fire_source_fast(src);
-            }
-        }
-    }
-}
-
-void pl_simulator::try_fire_fast(pl::gate_id g) {
-    if (pending_[g] != 0) return;
-    // Wave horizon: a live marked graph fires every gate exactly once per
-    // wave, so an enabling past num_waves_ firings is post-completion drain
-    // (tokens circulating a feedback loop after the last sink recorded).
-    // Refusing it makes firings, events, and the EE hit/miss/win counters
-    // order-independent — identical across firing orders and engines —
-    // instead of depending on the race between loop circulation and the
-    // final sink record.
-    if (fired_waves_[g] >= num_waves_) return;
-    const gate_desc& d = desc_[g];
-
-    switch (d.kind) {
-        case pl::gate_kind::source:
-            fire_source_fast(g);
-            return;
-        case pl::gate_kind::sink:
-            record_sink_fast(g);
-            return;
-        default:
-            break;
-    }
-
-    // Readiness + consume in one pass, then LUT operands, then emit
-    // (clearing presence leaves values and times intact).
-    const pl::edge_id* const in_flat = topo_.in_flat.data();
-    const double* const tok_time = tok_time_.data();
-    double t_ready = 0.0;
-    for (std::uint32_t i = d.in_begin; i < d.in_end; ++i) {
-        const pl::edge_id e = in_flat[i];
-        t_ready = std::max(t_ready, tok_time[e]);
-        tok_present_[e >> 6] &= ~(std::uint64_t{1} << (e & 63));
-    }
-    const pl::edge_id* const data_flat = topo_.data_flat.data() + d.data_begin;
-    std::uint32_t minterm = 0;
-    double t_data = 0.0;
-    for (std::uint8_t pin = 0; pin < d.num_data; ++pin) {
-        const pl::edge_id e = data_flat[pin];
-        minterm |= static_cast<std::uint32_t>(token_value(e)) << pin;
-        t_data = std::max(t_data, tok_time[e]);
-    }
-    const bool has_trigger = d.efire_in != pl::k_invalid_edge;
-    double efire_time = 0.0;
-    bool efire_value = false;
-    if (has_trigger) {
-        efire_time = tok_time[d.efire_in];
-        efire_value = token_value(d.efire_in);
-    }
-
-    pending_[g] = in_count_[g];
-    ++fired_waves_[g];
-    ++stats_.firings;
-
-    bool value = false;
-    double t_out = 0.0;
-    switch (d.kind) {
-        case pl::gate_kind::const_source:
-            value = d.const_value;
-            t_out = t_ready + options_.delays.d_source;
-            break;
-        case pl::gate_kind::through:
-            value = (minterm & 1u) != 0;  // identity on the D token
-            t_out = t_ready + options_.delays.through_delay();
-            break;
-        case pl::gate_kind::trigger:
-            value = (d.fn_bits[minterm >> 6] >> (minterm & 63)) & 1u;
-            t_out = t_ready + options_.delays.gate_delay();
-            break;
-        case pl::gate_kind::compute: {
-            value = (d.fn_bits[minterm >> 6] >> (minterm & 63)) & 1u;
-            if (!has_trigger) {
-                t_out = t_ready + options_.delays.gate_delay();
-                break;
-            }
-            // EE master: normal completion pays the extra C-element; a
-            // 1-valued efire token opens the output latch early.
-            const double normal =
-                t_data + options_.delays.gate_delay() + options_.delays.d_ee_penalty;
-            if (efire_value) {
-                const double early = efire_time + options_.delays.efire_delay();
-                t_out = std::min(early, normal);
-                ++stats_.ee_hits;
-                if (early < normal) ++stats_.ee_wins;
-            } else {
-                t_out = normal;
-                ++stats_.ee_misses;
-            }
-            // The EE invariant: the trigger recomputed from the master's
-            // consumed operands through the precomputed pin-packing map
-            // must equal the efire token.
-            std::uint32_t packed = 0;
-            for (std::uint8_t i = 0; i < d.trig_pin_count; ++i) {
-                packed |= ((minterm >> d.trig_pins[i]) & 1u) << i;
-            }
-            const bool trig_value =
-                (d.trig_fn_bits[packed >> 6] >> (packed & 63)) & 1u;
-            if (trig_value != efire_value) throw_ee_mismatch("dataflow");
-            break;
-        }
-        default:
-            throw invariant_violation("unexpected gate kind in firing",
-                                      options_.label, stats_.events, "dataflow");
-    }
-
-    const double t_ack = t_ready + options_.delays.ack_delay();
-    const pl::edge_id* const out_flat = topo_.out_flat.data();
-    for (std::uint32_t i = d.out_begin; i < d.out_end; ++i) {
-        const pl::edge_id e = out_flat[i];
-        deposit_token(e, value, topo_.edge_is_ack[e] ? t_ack : t_out);
-    }
+    check_at_ = std::min(next_check_, options_.max_events);
 }
 
 // ---------------------------------------------------------------------------
-// Sequential-wave driver.
+// Sequential waves: the schedule evaluated wave after wave.
 // ---------------------------------------------------------------------------
 
 std::vector<wave_record> pl_simulator::run(
@@ -347,7 +252,7 @@ std::vector<wave_record> pl_simulator::run(
             throw std::invalid_argument("pl_simulator::run: vector width mismatch");
         }
     }
-    // Transpose into the packed layout the engine reads from.
+    // Transpose into the packed layout the evaluator reads from.
     const std::size_t width = pl_.sources().size();
     packed_stim_.assign((vectors.size() + k_lanes - 1) / k_lanes, {});
     for (auto& block : packed_stim_) {
@@ -384,361 +289,124 @@ std::vector<wave_record> pl_simulator::run_packed(
         throw std::invalid_argument("pl_simulator::run: netlist has no outputs");
     }
 
-    reset();
+    begin_run("dataflow");
     stim_ = blocks.data();
-    num_waves_ = count;
-    released_waves_ = options_.non_pipelined ? 1 : num_waves_;
-    release_time_.assign(num_waves_, 0.0);
-    input_stable_.assign(num_waves_, 0.0);
-    output_stable_.assign(num_waves_, 0.0);
-    sinks_pending_.assign(num_waves_, pl_.sinks().size());
-    waves_stable_ = 0;
-    wave_outputs_.assign(num_waves_, std::vector<bool>(pl_.sinks().size(), false));
+    std::vector<wave_record> records(count);
+    for (wave_record& rec : records) rec.outputs.assign(pl_.sinks().size(), false);
     if (options_.collect_trace) {
-        // One data token per data edge per wave in the common case.
-        trace_.reserve(std::min<std::size_t>(num_waves_ * topo_.num_data_edges,
+        // One data token per data edge per wave.
+        trace_.reserve(std::min<std::size_t>(count * trace_edges_.size(),
                                              std::size_t{1} << 20));
     }
-
-    const std::size_t num_edges = pl_.num_edges();
-    tok_value_.assign((num_edges + 63) / 64, 0);
-    tok_time_.assign(num_edges, 0.0);
-    // Initial marking: tokens in place at t = 0.
-    for (pl::edge_id e = 0; e < num_edges; ++e) {
-        const pl::pl_edge& edge = pl_.edge(e);
-        if (edge.init_token) {
-            const std::size_t word = e >> 6;
-            const std::uint64_t bit = std::uint64_t{1} << (e & 63);
-            tok_present_[word] |= bit;
-            if (edge.init_value) tok_value_[word] |= bit;
-            --pending_[edge.to];
-        }
-    }
-    run_worklist<false>();
+    run_waves(records);
 
     // The trace contract: sorted by (time, edge), one edge's deposits in
-    // wave order (the stable sort keeps the engine's per-edge order).
+    // wave order (the stable sort keeps the emission order per edge).
     std::stable_sort(trace_.begin(), trace_.end(),
                      [](const trace_event& a, const trace_event& b) {
                          return a.time != b.time ? a.time < b.time
                                                  : a.edge < b.edge;
                      });
-    if (waves_stable_ < num_waves_) {
-        throw deadlock_error(options_.label, deadlock_diagnostic(),
-                             stats_.events, "dataflow");
-    }
-
-    std::vector<wave_record> records;
-    records.reserve(num_waves_);
-    for (std::size_t w = 0; w < num_waves_; ++w) {
-        wave_record rec;
-        rec.outputs = wave_outputs_[w];
-        rec.release_time = release_time_[w];
-        rec.input_stable = input_stable_[w];
-        rec.output_stable = output_stable_[w];
-        records.push_back(std::move(rec));
-    }
     return records;
 }
 
+/// Wave k writes parity buffer k & 1 and reads marked refs from buffer
+/// (k - 1) & 1, or from the wave -1 preset when k == 0.  A wave is complete
+/// before the next starts, so a source's release time (the previous wave's
+/// output_stable, non-pipelined) is known when it fires.
+void pl_simulator::run_waves(std::vector<wave_record>& records) {
+    const std::size_t n = desc_.size();
+    const gate_desc* const desc = desc_.data();
+    const in_ref* const refs = refs_.data();
+    const delay_model& dm = options_.delays;
+    const double ack_delay = dm.ack_delay();
+    const double gate_delay = dm.gate_delay();
+    const double efire_delay = dm.efire_delay();
+    const bool trace_on = options_.collect_trace;
+    for (std::size_t k = 0; k < records.size(); ++k) {
+        wave_record& rec = records[k];
+        const std::size_t prev = k == 0 ? 2 : (k - 1) & 1;
+        double* const t_cur = times_.data() + (k & 1) * 2 * n;
+        std::uint64_t* const v_cur = values_.data() + (k & 1) * n;
+        const double* const tb[2] = {t_cur, times_.data() + prev * 2 * n};
+        const std::uint64_t* const vb[2] = {v_cur, values_.data() + prev * n};
+        if (options_.non_pipelined && k > 0) {
+            rec.release_time = records[k - 1].output_stable;
+        }
+        for (std::uint32_t s = 0; s < n; ++s) {
+            const gate_desc& d = desc[s];
+            double t_ready = d.kind == pl::gate_kind::source ? rec.release_time : 0.0;
+            for (std::uint32_t i = d.in_begin; i < d.in_end; ++i) {
+                const in_ref r = refs[i];
+                t_ready = std::max(t_ready, tb[r & 1][r >> 1]);
+            }
+            std::uint32_t minterm = 0;
+            double t_data = 0.0;
+            for (std::uint8_t pin = 0; pin < d.num_data; ++pin) {
+                const in_ref r = refs[d.data_begin + pin];
+                minterm |= static_cast<std::uint32_t>(vb[r & 1][r >> 2] & 1u) << pin;
+                t_data = std::max(t_data, tb[r & 1][r >> 1]);
+            }
+            bool value = (d.fn_bits[minterm >> 6] >> (minterm & 63)) & 1u;
+            double t_out = t_ready + d.delay;
+            double t_ack = t_ready + ack_delay;
+            if (d.efire != k_no_ref) {
+                // EE master: normal completion pays the extra C-element; a
+                // 1-valued efire token opens the output latch early.
+                const double normal = t_data + gate_delay + dm.d_ee_penalty;
+                const bool efire_value = vb[d.efire & 1][d.efire >> 2] & 1u;
+                if (efire_value) {
+                    const double early = tb[d.efire & 1][d.efire >> 1] + efire_delay;
+                    t_out = std::min(early, normal);
+                    ++stats_.ee_hits;
+                    if (early < normal) ++stats_.ee_wins;
+                } else {
+                    t_out = normal;
+                    ++stats_.ee_misses;
+                }
+                // The EE invariant: the trigger recomputed from the master's
+                // operands through the pin-packing map must equal the efire
+                // token.
+                std::uint32_t packed = 0;
+                for (std::uint8_t i = 0; i < d.trig_pin_count; ++i) {
+                    packed |= ((minterm >> d.trig_pins[i]) & 1u) << i;
+                }
+                if (((d.trig_fn_bits[packed >> 6] >> (packed & 63)) & 1u) !=
+                    static_cast<std::uint64_t>(efire_value)) {
+                    throw_ee_mismatch("dataflow");
+                }
+            } else if (d.kind == pl::gate_kind::source) {
+                value = stim_bit(k, d.env_slot);
+                t_ack = t_out;
+                rec.input_stable = std::max(rec.input_stable, t_out);
+            } else if (d.kind == pl::gate_kind::sink) {
+                rec.outputs[d.env_slot] = (minterm & 1u) != 0;
+                rec.output_stable = std::max(rec.output_stable, t_data);
+            }
+            t_cur[2 * s] = t_out;
+            t_cur[2 * s + 1] = t_ack;
+            v_cur[s] = value;
+            ++stats_.firings;
+            count_events(d.data_outs + d.ack_outs, "dataflow");
+            if (trace_on) {
+                for (std::uint32_t i = trace_off_[s]; i < trace_off_[s + 1]; ++i) {
+                    trace_.push_back({t_out, trace_edges_[i], value});
+                }
+            }
+        }
+        waves_stable_ = k + 1;
+    }
+}
+
 // ---------------------------------------------------------------------------
-// Lane engine: 64 independent single-vector runs in one pass.
+// Lanes: the schedule's single wave over 64-bit value words.
 //
-// The dataflow engine's presence bitset, time array and worklist, with a
-// 64-bit value word per token (lane_value_) in place of one bit.  Values
-// are timing-independent, so the words are right for every lane; times
-// stay one shared scalar per edge (tok_time_) except on the divergent cone
-// of an EE master whose mixed efire word lets some lanes take the early
-// path.  Such edges carry a 64-double slab entry (lane_time_) flagged in
-// lane_time_varies_; times that reconverge (a max absorbed the early
-// token) drop back to a scalar.  Token times obey the same confluent
-// max/min recurrence per lane as values do, so divergence never needs a
-// second pass.  Every gate fires at most once per block (the single wave),
-// so every edge takes at most one deposit per block and the varies bitset,
-// cleared per block, needs no clearing at scalar deposits.
+// Values are timing-independent, so the words are right for every lane;
+// times stay one shared scalar per slot except on the divergent cone of an
+// EE master whose mixed efire word lets some lanes take the early path.
+// Such a slot holds a 64-double slab instead, flagged in varies_; times
+// that reconverge (a max absorbed the early token) drop back to a scalar.
 // ---------------------------------------------------------------------------
-
-void pl_simulator::deposit_lanes(pl::edge_id edge, std::uint64_t word,
-                                 double time) {
-    count_event("lane");
-    const std::size_t w = edge >> 6;
-    const std::uint64_t bit = std::uint64_t{1} << (edge & 63);
-    if (tok_present_[w] & bit) throw_occupied(edge, "lane");
-    tok_present_[w] |= bit;
-    lane_value_[edge] = word;
-    tok_time_[edge] = time;
-    const pl::gate_id g = topo_.edge_to[edge];
-    if (--pending_[g] == 0) worklist_.push_back(g);
-}
-
-void pl_simulator::deposit_lanes_slab(pl::edge_id edge, std::uint64_t word,
-                                      const double* times) {
-    count_event("lane");
-    ++stats_.lane_slab_deposits;
-    const std::size_t w = edge >> 6;
-    const std::uint64_t bit = std::uint64_t{1} << (edge & 63);
-    if (tok_present_[w] & bit) throw_occupied(edge, "lane");
-    tok_present_[w] |= bit;
-    lane_time_varies_[w] |= bit;
-    lane_value_[edge] = word;
-    if (lane_time_.empty()) lane_time_.resize(pl_.num_edges() * k_lanes);
-    std::copy_n(times, k_lanes, lane_time_.data() + std::size_t{edge} * k_lanes);
-    const pl::gate_id g = topo_.edge_to[edge];
-    if (--pending_[g] == 0) worklist_.push_back(g);
-}
-
-void pl_simulator::gather_times(const pl::edge_id* edges, std::uint32_t begin,
-                                std::uint32_t end, double* out) const {
-    for (std::uint32_t i = begin; i < end; ++i) {
-        const pl::edge_id e = edges[i];
-        if (edge_time_varies(e)) {
-            const double* const t = lane_time_.data() + std::size_t{e} * k_lanes;
-            for (std::size_t l = 0; l < k_lanes; ++l) out[l] = std::max(out[l], t[l]);
-        } else {
-            const double s = tok_time_[e];
-            for (std::size_t l = 0; l < k_lanes; ++l) out[l] = std::max(out[l], s);
-        }
-    }
-}
-
-void pl_simulator::consume_lanes(pl::gate_id g, double* tr) {
-    const gate_desc& d = desc_[g];
-    gather_times(topo_.in_flat.data(), d.in_begin, d.in_end, tr);
-    for (std::uint32_t i = d.in_begin; i < d.in_end; ++i) {
-        const pl::edge_id e = topo_.in_flat[i];
-        tok_present_[e >> 6] &= ~(std::uint64_t{1} << (e & 63));
-    }
-    pending_[g] = in_count_[g];
-    ++fired_waves_[g];
-    ++stats_.firings;
-}
-
-void pl_simulator::emit_lanes(const gate_desc& d, std::uint64_t value,
-                              const double* to, const double* ta) {
-    const bool out_uniform = std::all_of(
-        to + 1, to + k_lanes, [to](double t) { return t == to[0]; });
-    const bool ack_uniform = std::all_of(
-        ta + 1, ta + k_lanes, [ta](double t) { return t == ta[0]; });
-    for (std::uint32_t i = d.out_begin; i < d.out_end; ++i) {
-        const pl::edge_id e = topo_.out_flat[i];
-        const bool ack = topo_.edge_is_ack[e] != 0;
-        const double* const t = ack ? ta : to;
-        if (ack ? ack_uniform : out_uniform) {
-            deposit_lanes(e, value, t[0]);
-        } else {
-            deposit_lanes_slab(e, value, t);
-        }
-    }
-}
-
-/// The EE invariant, word-wide for every occupied lane: the trigger
-/// recomputed from the master's consumed operands must equal the efire
-/// word.  Throws invariant_violation otherwise.
-void pl_simulator::check_trigger_lanes(const gate_desc& d,
-                                       const std::uint64_t* ins,
-                                       std::uint64_t efire_word) const {
-    std::uint64_t tins[bf::k_max_vars];
-    for (std::uint8_t i = 0; i < d.trig_pin_count; ++i) {
-        tins[i] = ins[d.trig_pins[i]];
-    }
-    const std::uint64_t trig = bf::truth_table::eval_word_lanes(
-        d.trig_fn_bits.data(), d.trig_pin_count, tins);
-    if ((trig ^ efire_word) & lane_mask_) throw_ee_mismatch("lane");
-}
-
-/// A firing's lane-packed output word (LUT and trigger gates through the
-/// word kernel).
-std::uint64_t pl_simulator::lane_word(const gate_desc& d,
-                                      const std::uint64_t* ins) const {
-    switch (d.kind) {
-        case pl::gate_kind::const_source:
-            return d.const_value ? ~std::uint64_t{0} : 0;
-        case pl::gate_kind::through:
-            return d.num_data != 0 ? ins[0] : 0;  // identity on the D token
-        default:
-            return bf::truth_table::eval_word_lanes(d.fn_bits.data(),
-                                                    d.num_data, ins);
-    }
-}
-
-/// t_out - t_ready of a firing without an efire input.
-double pl_simulator::fire_delay(const gate_desc& d) const {
-    switch (d.kind) {
-        case pl::gate_kind::const_source: return options_.delays.d_source;
-        case pl::gate_kind::through: return options_.delays.through_delay();
-        default: return options_.delays.gate_delay();
-    }
-}
-
-void pl_simulator::fire_source_lanes(pl::gate_id g) {
-    const gate_desc& d = desc_[g];
-    double to[k_lanes];
-    std::fill_n(to, k_lanes, 0.0);
-    consume_lanes(g, to);
-    for (std::size_t l = 0; l < k_lanes; ++l) {
-        to[l] += options_.delays.d_source;
-        input_stable_lane_[l] = std::max(input_stable_lane_[l], to[l]);
-    }
-    emit_lanes(d, lane_block_->words[d.env_slot], to, to);
-}
-
-void pl_simulator::record_sink_lanes(pl::gate_id g) {
-    const gate_desc& d = desc_[g];
-    const pl::edge_id data_edge = topo_.data_flat[d.data_begin];
-    double tv[k_lanes];
-    std::fill_n(tv, k_lanes, 0.0);
-    gather_times(&data_edge, 0, 1, tv);
-    double ta[k_lanes];
-    std::copy_n(tv, k_lanes, ta);
-    consume_lanes(g, ta);
-    for (std::size_t l = 0; l < k_lanes; ++l) {
-        ta[l] += options_.delays.ack_delay();
-        output_stable_lane_[l] = std::max(output_stable_lane_[l], tv[l]);
-    }
-    emit_lanes(d, 0, ta, ta);
-    lane_sink_words_[d.env_slot] = lane_value_[data_edge];
-    if (--sinks_pending_[0] == 0) ++waves_stable_;
-}
-
-void pl_simulator::try_fire_lanes(pl::gate_id g) {
-    if (pending_[g] != 0) return;
-    if (fired_waves_[g] >= num_waves_) return;  // wave horizon (try_fire_fast)
-    const gate_desc& d = desc_[g];
-
-    switch (d.kind) {
-        case pl::gate_kind::source:
-            fire_source_lanes(g);
-            return;
-        case pl::gate_kind::sink:
-            record_sink_lanes(g);
-            return;
-        default:
-            break;
-    }
-
-    const pl::edge_id* const in_flat = topo_.in_flat.data();
-    for (std::uint32_t i = d.in_begin; i < d.in_end; ++i) {
-        if (edge_time_varies(in_flat[i])) {
-            try_fire_lanes_slab(g);
-            return;
-        }
-    }
-
-    // Every input carries one time for all lanes: the scalar arithmetic of
-    // the dataflow engine, on value words.
-    const double* const tok_time = tok_time_.data();
-    double t_ready = 0.0;
-    for (std::uint32_t i = d.in_begin; i < d.in_end; ++i) {
-        const pl::edge_id e = in_flat[i];
-        t_ready = std::max(t_ready, tok_time[e]);
-        tok_present_[e >> 6] &= ~(std::uint64_t{1} << (e & 63));
-    }
-    const pl::edge_id* const data_flat = topo_.data_flat.data() + d.data_begin;
-    std::uint64_t ins[bf::k_max_vars];
-    double t_data = 0.0;
-    for (std::uint8_t pin = 0; pin < d.num_data; ++pin) {
-        const pl::edge_id e = data_flat[pin];
-        ins[pin] = lane_value_[e];
-        t_data = std::max(t_data, tok_time[e]);
-    }
-    pending_[g] = in_count_[g];
-    ++fired_waves_[g];
-    ++stats_.firings;
-
-    const std::uint64_t value = lane_word(d, ins);
-    const double t_ack = t_ready + options_.delays.ack_delay();
-    double t_out = t_ready + fire_delay(d);
-    if (d.efire_in != pl::k_invalid_edge) {
-        const std::uint64_t efire_word = lane_value_[d.efire_in];
-        check_trigger_lanes(d, ins, efire_word);
-        const double normal =
-            t_data + options_.delays.gate_delay() + options_.delays.d_ee_penalty;
-        const double early = tok_time[d.efire_in] + options_.delays.efire_delay();
-        const std::uint64_t hit = efire_word & lane_mask_;
-        stats_.ee_hits += static_cast<std::uint64_t>(std::popcount(hit));
-        stats_.ee_misses += static_cast<std::uint64_t>(
-            std::popcount(lane_mask_ & ~efire_word));
-        if (early < normal) {
-            stats_.ee_wins += static_cast<std::uint64_t>(std::popcount(hit));
-        }
-        if (hit != 0 && hit != lane_mask_ && early < normal) {
-            // The lanes disagree on which output path wins: per-lane times.
-            ++stats_.lane_splits;
-            double to[k_lanes];
-            double ta[k_lanes];
-            for (std::size_t l = 0; l < k_lanes; ++l) {
-                to[l] = ((hit >> l) & 1u) ? early : normal;
-                ta[l] = t_ack;
-            }
-            emit_lanes(d, value, to, ta);
-            return;
-        }
-        // With early >= normal every lane's t_out is `normal` whatever its
-        // efire bit, so a mixed word stays whole.
-        t_out = hit == lane_mask_ ? std::min(early, normal) : normal;
-    }
-    const pl::edge_id* const out_flat = topo_.out_flat.data();
-    for (std::uint32_t i = d.out_begin; i < d.out_end; ++i) {
-        const pl::edge_id e = out_flat[i];
-        deposit_lanes(e, value, topo_.edge_is_ack[e] ? t_ack : t_out);
-    }
-}
-
-/// try_fire_lanes for a gate with a slab input: the same firing rule,
-/// evaluated per lane.
-void pl_simulator::try_fire_lanes_slab(pl::gate_id g) {
-    const gate_desc& d = desc_[g];
-    const pl::edge_id* const data_flat = topo_.data_flat.data() + d.data_begin;
-    double tr[k_lanes];
-    std::fill_n(tr, k_lanes, 0.0);
-    consume_lanes(g, tr);
-    std::uint64_t ins[bf::k_max_vars];
-    for (std::uint8_t pin = 0; pin < d.num_data; ++pin) {
-        ins[pin] = lane_value_[data_flat[pin]];
-    }
-
-    const std::uint64_t value = lane_word(d, ins);
-    double to[k_lanes];
-    double ta[k_lanes];
-    for (std::size_t l = 0; l < k_lanes; ++l) {
-        ta[l] = tr[l] + options_.delays.ack_delay();
-    }
-    if (d.efire_in == pl::k_invalid_edge) {
-        const double delay = fire_delay(d);
-        for (std::size_t l = 0; l < k_lanes; ++l) to[l] = tr[l] + delay;
-        emit_lanes(d, value, to, ta);
-        return;
-    }
-
-    const std::uint64_t efire_word = lane_value_[d.efire_in];
-    check_trigger_lanes(d, ins, efire_word);
-    double td[k_lanes];
-    std::fill_n(td, k_lanes, 0.0);
-    gather_times(data_flat, 0, d.num_data, td);
-    double ef[k_lanes];
-    std::fill_n(ef, k_lanes, 0.0);
-    gather_times(&d.efire_in, 0, 1, ef);
-    const std::uint64_t hit = efire_word & lane_mask_;
-    std::uint64_t divergent = 0;
-    for (std::size_t l = 0; l < k_lanes; ++l) {
-        const double normal = td[l] + options_.delays.gate_delay() +
-                              options_.delays.d_ee_penalty;
-        to[l] = normal;
-        if ((hit >> l) & 1u) {
-            const double early = ef[l] + options_.delays.efire_delay();
-            if (early < normal) {
-                to[l] = early;
-                divergent |= std::uint64_t{1} << l;
-            }
-        }
-    }
-    stats_.ee_hits += static_cast<std::uint64_t>(std::popcount(hit));
-    stats_.ee_misses +=
-        static_cast<std::uint64_t>(std::popcount(lane_mask_ & ~efire_word));
-    stats_.ee_wins += static_cast<std::uint64_t>(std::popcount(divergent));
-    if (hit != 0 && hit != lane_mask_ && divergent != 0) ++stats_.lane_splits;
-    emit_lanes(d, value, to, ta);
-}
 
 lane_block_result pl_simulator::run_lanes(const stimulus_block& block) {
     if (block.width != pl_.sources().size()) {
@@ -755,43 +423,27 @@ lane_block_result pl_simulator::run_lanes(const stimulus_block& block) {
     if (options_.collect_trace) {
         throw std::invalid_argument(
             "pl_simulator::run_lanes: waveform tracing requires the scalar "
-            "engine (lane tokens have no single trace value)");
+            "protocol (lane tokens have no single trace value)");
     }
 
-    reset();
+    begin_run("lane");
     stats_.lane_blocks = 1;
     stats_.lane_vectors = block.num_vectors;
-    lane_block_ = &block;
     lane_mask_ = block.lane_mask();
-    num_waves_ = 1;
-    sinks_pending_.assign(1, pl_.sinks().size());
-    waves_stable_ = 0;
     lane_sink_words_.assign(pl_.sinks().size(), 0);
     input_stable_lane_.fill(0.0);
     output_stable_lane_.fill(0.0);
-
-    // Values and times are only read off present tokens, so only the
-    // initial marking needs writing: values broadcast to every lane (the
-    // marking is per-netlist, not per-vector) at t = 0.
-    const std::size_t num_edges = pl_.num_edges();
-    tok_time_.resize(num_edges);
-    lane_value_.resize(num_edges);
-    lane_time_varies_.assign((num_edges + 63) / 64, 0);
-    for (pl::edge_id e = 0; e < num_edges; ++e) {
-        const pl::pl_edge& edge = pl_.edge(e);
-        if (edge.init_token) {
-            tok_present_[e >> 6] |= std::uint64_t{1} << (e & 63);
-            lane_value_[e] = edge.init_value ? ~std::uint64_t{0} : 0;
-            tok_time_[e] = 0.0;
-            --pending_[edge.to];
-        }
+    if (!slab_pool_) {
+        // At most one slab per slot; uninitialized, since varies_ gates
+        // every read.
+        const std::size_t slots = 2 * desc_.size();
+        slab_pool_ = std::make_unique_for_overwrite<double[]>(slots * k_lanes);
+        varies_.assign(slots, 0);
+        slab_of_.assign(slots, 0);
     }
-    run_worklist<true>();
-    lane_block_ = nullptr;
-    if (waves_stable_ < num_waves_) {
-        throw deadlock_error(options_.label, deadlock_diagnostic(),
-                             stats_.events, "lane");
-    }
+    slabs_used_ = 0;
+    run_lane_wave(block);
+    waves_stable_ = 1;
 
     lane_block_result result;
     result.num_vectors = block.num_vectors;
@@ -806,24 +458,191 @@ lane_block_result pl_simulator::run_lanes(const stimulus_block& block) {
     return result;
 }
 
-std::string pl_simulator::deadlock_diagnostic() const {
-    std::size_t starving = 0;
-    pl::gate_id example = pl::k_invalid_gate;
-    for (pl::gate_id g = 0; g < pl_.num_gates(); ++g) {
-        if (pending_[g] > 0) {
-            ++starving;
-            if (example == pl::k_invalid_gate) example = g;
+void pl_simulator::run_lane_wave(const stimulus_block& block) {
+    const std::size_t n = desc_.size();
+    const delay_model& dm = options_.delays;
+    const double ack_delay = dm.ack_delay();
+    for (std::uint32_t s = 0; s < n; ++s) {
+        const gate_desc& d = desc_[s];
+        bool slab = d.kind == pl::gate_kind::source || d.kind == pl::gate_kind::sink;
+        for (std::uint32_t i = d.in_begin; i < d.in_end && !slab; ++i) {
+            slab = lane_varies(refs_[i]);
+        }
+        ++stats_.firings;
+        if (slab) {
+            fire_lanes_slab(s, block);
+            count_events(d.data_outs + d.ack_outs, "lane");
+            continue;
+        }
+
+        // Every input carries one time for all lanes: the scalar arithmetic
+        // of run_waves, on value words.
+        double t_ready = 0.0;
+        for (std::uint32_t i = d.in_begin; i < d.in_end; ++i) {
+            t_ready = std::max(t_ready, lane_time(refs_[i]));
+        }
+        std::uint64_t ins[bf::k_max_vars];
+        lane_operands(d, ins);
+        const std::uint64_t value =
+            bf::truth_table::eval_word_lanes(d.fn_bits.data(), d.num_data, ins);
+        const double t_ack = t_ready + ack_delay;
+        double t_out = t_ready + d.delay;
+        if (d.efire != k_no_ref) {
+            const std::uint64_t efire_word = lane_value(d.efire);
+            check_trigger_lanes(d, ins, efire_word);
+            double t_data = 0.0;
+            for (std::uint8_t pin = 0; pin < d.num_data; ++pin) {
+                t_data = std::max(t_data, lane_time(refs_[d.data_begin + pin]));
+            }
+            const double normal = t_data + dm.gate_delay() + dm.d_ee_penalty;
+            const double early = lane_time(d.efire) + dm.efire_delay();
+            const std::uint64_t hit = efire_word & lane_mask_;
+            stats_.ee_hits += static_cast<std::uint64_t>(std::popcount(hit));
+            stats_.ee_misses += static_cast<std::uint64_t>(
+                std::popcount(lane_mask_ & ~efire_word));
+            if (early < normal) {
+                stats_.ee_wins += static_cast<std::uint64_t>(std::popcount(hit));
+            }
+            if (hit != 0 && hit != lane_mask_ && early < normal) {
+                // The lanes disagree on which output path wins: per-lane times.
+                ++stats_.lane_splits;
+                double to[k_lanes];
+                double ta[k_lanes];
+                for (std::size_t l = 0; l < k_lanes; ++l) {
+                    to[l] = ((hit >> l) & 1u) ? early : normal;
+                    ta[l] = t_ack;
+                }
+                store_lanes(s, value, to, ta);
+                count_events(d.data_outs + d.ack_outs, "lane");
+                continue;
+            }
+            // With early >= normal every lane's t_out is `normal` whatever its
+            // efire bit, so a mixed word stays whole.
+            t_out = hit == lane_mask_ ? std::min(early, normal) : normal;
+        }
+        times_[2 * s] = t_out;
+        times_[2 * s + 1] = t_ack;
+        varies_[2 * s] = varies_[2 * s + 1] = 0;
+        values_[s] = value;
+        count_events(d.data_outs + d.ack_outs, "lane");
+    }
+}
+
+void pl_simulator::fire_lanes_slab(std::uint32_t s, const stimulus_block& block) {
+    const gate_desc& d = desc_[s];
+    const delay_model& dm = options_.delays;
+    double tr[k_lanes];
+    std::fill_n(tr, k_lanes, 0.0);
+    gather_lanes(refs_.data() + d.in_begin, d.in_end - d.in_begin, tr);
+    double to[k_lanes];
+    double ta[k_lanes];
+    for (std::size_t l = 0; l < k_lanes; ++l) ta[l] = tr[l] + dm.ack_delay();
+    if (d.kind == pl::gate_kind::source) {
+        for (std::size_t l = 0; l < k_lanes; ++l) {
+            to[l] = tr[l] + d.delay;
+            input_stable_lane_[l] = std::max(input_stable_lane_[l], to[l]);
+        }
+        store_lanes(s, block.words[d.env_slot], to, to);
+        return;
+    }
+    if (d.kind == pl::gate_kind::sink) {
+        const in_ref data = refs_[d.data_begin];
+        std::fill_n(to, k_lanes, 0.0);
+        gather_lanes(&data, 1, to);
+        for (std::size_t l = 0; l < k_lanes; ++l) {
+            output_stable_lane_[l] = std::max(output_stable_lane_[l], to[l]);
+        }
+        lane_sink_words_[d.env_slot] = lane_value(data);
+        store_lanes(s, 0, ta, ta);
+        return;
+    }
+
+    std::uint64_t ins[bf::k_max_vars];
+    lane_operands(d, ins);
+    const std::uint64_t value =
+        bf::truth_table::eval_word_lanes(d.fn_bits.data(), d.num_data, ins);
+    if (d.efire == k_no_ref) {
+        for (std::size_t l = 0; l < k_lanes; ++l) to[l] = tr[l] + d.delay;
+        store_lanes(s, value, to, ta);
+        return;
+    }
+    // An EE master with a slab input: the firing rule per lane.
+    const std::uint64_t efire_word = lane_value(d.efire);
+    check_trigger_lanes(d, ins, efire_word);
+    double td[k_lanes];
+    std::fill_n(td, k_lanes, 0.0);
+    gather_lanes(refs_.data() + d.data_begin, d.num_data, td);
+    double ef[k_lanes];
+    std::fill_n(ef, k_lanes, 0.0);
+    gather_lanes(&d.efire, 1, ef);
+    const std::uint64_t hit = efire_word & lane_mask_;
+    std::uint64_t divergent = 0;
+    for (std::size_t l = 0; l < k_lanes; ++l) {
+        const double normal = td[l] + dm.gate_delay() + dm.d_ee_penalty;
+        to[l] = normal;
+        if ((hit >> l) & 1u) {
+            const double early = ef[l] + dm.efire_delay();
+            if (early < normal) {
+                to[l] = early;
+                divergent |= std::uint64_t{1} << l;
+            }
         }
     }
-    std::string msg = std::to_string(waves_stable_) + "/" +
-                      std::to_string(num_waves_) + " waves stable, " +
-                      std::to_string(starving) + " gates waiting";
-    if (example != pl::k_invalid_gate) {
-        msg += " (first: gate " + std::to_string(example) + " '" +
-               pl_.gate(example).name + "' missing " +
-               std::to_string(pending_[example]) + " tokens)";
+    stats_.ee_hits += static_cast<std::uint64_t>(std::popcount(hit));
+    stats_.ee_misses +=
+        static_cast<std::uint64_t>(std::popcount(lane_mask_ & ~efire_word));
+    stats_.ee_wins += static_cast<std::uint64_t>(std::popcount(divergent));
+    if (hit != 0 && hit != lane_mask_ && divergent != 0) ++stats_.lane_splits;
+    store_lanes(s, value, to, ta);
+}
+
+void pl_simulator::gather_lanes(const in_ref* refs, std::uint32_t n,
+                                double* out) const {
+    for (std::uint32_t i = 0; i < n; ++i) {
+        const in_ref r = refs[i];
+        if (lane_varies(r)) {
+            const double* const t =
+                slab_pool_.get() + std::size_t{slab_of_[r >> 1]} * k_lanes;
+            for (std::size_t l = 0; l < k_lanes; ++l) out[l] = std::max(out[l], t[l]);
+        } else {
+            const double t = lane_time(r);
+            for (std::size_t l = 0; l < k_lanes; ++l) out[l] = std::max(out[l], t);
+        }
     }
-    return msg;
+}
+
+void pl_simulator::store_lanes(std::uint32_t s, std::uint64_t value,
+                               const double* to, const double* ta) {
+    const gate_desc& d = desc_[s];
+    values_[s] = value;
+    const auto store = [this](std::uint32_t slot, const double* t,
+                              std::uint32_t outs) {
+        if (std::all_of(t + 1, t + k_lanes, [t](double x) { return x == t[0]; })) {
+            times_[slot] = t[0];
+            varies_[slot] = 0;
+            return;
+        }
+        varies_[slot] = 1;
+        slab_of_[slot] = slabs_used_;
+        std::copy_n(t, k_lanes, slab_pool_.get() + std::size_t{slabs_used_++} * k_lanes);
+        stats_.lane_slab_deposits += outs;
+    };
+    store(2 * s, to, d.data_outs);
+    store(2 * s + 1, ta, d.ack_outs);
+}
+
+/// The EE invariant, word-wide for every occupied lane: the trigger
+/// recomputed from the master's operands must equal the efire word.
+void pl_simulator::check_trigger_lanes(const gate_desc& d,
+                                       const std::uint64_t* ins,
+                                       std::uint64_t efire_word) const {
+    std::uint64_t tins[bf::k_max_vars];
+    for (std::uint8_t i = 0; i < d.trig_pin_count; ++i) {
+        tins[i] = ins[d.trig_pins[i]];
+    }
+    const std::uint64_t trig = bf::truth_table::eval_word_lanes(
+        d.trig_fn_bits.data(), d.trig_pin_count, tins);
+    if ((trig ^ efire_word) & lane_mask_) throw_ee_mismatch("lane");
 }
 
 }  // namespace plee::sim

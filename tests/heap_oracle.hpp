@@ -5,8 +5,8 @@
 // token slots.  It runs the sequential-wave protocol of
 // sim::pl_simulator::run — same firing rule, delay model, wave horizon,
 // EE invariant check and typed failures — but replays deposits in time
-// order instead of relying on the confluence of token times, so it is an
-// independent oracle for the queue-free dataflow engine.  It is built only
+// order instead of following a compiled wave schedule, so it is an
+// independent oracle for pl_simulator's evaluator.  It is built only
 // on pl::pl_netlist's public API and shares no code with the engine it
 // checks.  Header-only; slow and simple by design.
 

@@ -1,8 +1,13 @@
 // Unit tests for the PL netlist container itself: gate/edge construction
-// rules, trigger attachment wiring, arrival-depth analysis, statistics and
-// the marked-graph image.
+// rules, trigger attachment wiring, arrival-depth analysis, statistics, the
+// marked-graph image and the verify() memo.
 
 #include "plogic/pl_netlist.hpp"
+
+#include <atomic>
+#include <thread>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -158,6 +163,88 @@ TEST(PlNetlist, EdgeRangeChecks) {
     const gate_id s = pl.add_gate(gate_kind::source, "s");
     EXPECT_THROW(pl.add_data_edge(s, 42, 0, false, false), std::invalid_argument);
     EXPECT_THROW(pl.add_ack_edge(42, s, false), std::invalid_argument);
+}
+
+TEST(PlNetlist, EveryMutatorClearsTheVerifyMemo) {
+    chain_fixture f;
+    EXPECT_FALSE(f.pl.verified());
+    const auto reverify = [&f] {
+        ASSERT_TRUE(f.pl.verify().ok());
+        ASSERT_TRUE(f.pl.verified());
+    };
+    reverify();
+    const gate_id k = f.pl.add_gate(gate_kind::const_source, "k");
+    EXPECT_FALSE(f.pl.verified()) << "add_gate";
+    reverify();
+    f.pl.set_const_value(k, true);
+    EXPECT_FALSE(f.pl.verified()) << "set_const_value";
+    reverify();
+    f.pl.set_function(f.g2, bf::truth_table::variable(1, 0));
+    EXPECT_FALSE(f.pl.verified()) << "set_function";
+    reverify();
+    f.pl.attach_trigger(f.g1, ~bf::truth_table::variable(1, 0), 0b01);
+    EXPECT_FALSE(f.pl.verified()) << "attach_trigger";
+    reverify();
+    const gate_id y2 = f.pl.add_gate(gate_kind::sink, "y2");
+    reverify();
+    f.pl.add_data_edge(f.g2, y2, 0, false, false);
+    EXPECT_FALSE(f.pl.verified()) << "add_data_edge";
+    // The new edge lies on no cycle yet: a failed verify() leaves the memo
+    // cleared.
+    EXPECT_FALSE(f.pl.verify().ok());
+    EXPECT_FALSE(f.pl.verified());
+    f.pl.add_ack_edge(y2, f.g2, true);
+    EXPECT_FALSE(f.pl.verified()) << "add_ack_edge";
+    reverify();
+}
+
+TEST(PlNetlist, FailedVerifyNeverSetsTheMemo) {
+    pl_netlist pl;
+    const gate_id s = pl.add_gate(gate_kind::source, "s");
+    const gate_id y = pl.add_gate(gate_kind::sink, "y");
+    pl.add_data_edge(s, y, 0, false, false);  // no acknowledge: no cycle
+    EXPECT_FALSE(pl.verify().ok());
+    EXPECT_FALSE(pl.verified());
+    pl.add_ack_edge(y, s, false);  // a cycle, but token-free: not live
+    EXPECT_FALSE(pl.verify().ok());
+    EXPECT_FALSE(pl.verified());
+}
+
+TEST(PlNetlist, CopiesCarryTheVerifyMemo) {
+    chain_fixture f;
+    const pl_netlist before = f.pl;
+    EXPECT_FALSE(before.verified());
+    ASSERT_TRUE(f.pl.verify().ok());
+    const pl_netlist copy = f.pl;
+    EXPECT_TRUE(copy.verified());
+    pl_netlist assigned;
+    assigned = f.pl;
+    EXPECT_TRUE(assigned.verified());
+    const pl_netlist moved = std::move(assigned);
+    EXPECT_TRUE(moved.verified());
+    // A copy's memo is its own: mutating the copy leaves the original's.
+    pl_netlist mutated = f.pl;
+    mutated.add_gate(gate_kind::compute, "extra");
+    EXPECT_FALSE(mutated.verified());
+    EXPECT_TRUE(f.pl.verified());
+}
+
+TEST(PlNetlist, ConcurrentVerifyOnOneConstNetlist) {
+    chain_fixture f;
+    f.pl.attach_trigger(f.g1, ~bf::truth_table::variable(1, 0), 0b01);
+    const pl_netlist& shared = f.pl;
+    std::atomic<int> passed{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < 2; ++t) {
+        threads.emplace_back([&shared, &passed] {
+            for (int i = 0; i < 50; ++i) {
+                if (shared.verify().ok() && shared.verified()) ++passed;
+            }
+        });
+    }
+    for (std::thread& t : threads) t.join();
+    EXPECT_EQ(passed.load(), 100);
+    EXPECT_TRUE(shared.verified());
 }
 
 TEST(PlNetlist, KindNames) {

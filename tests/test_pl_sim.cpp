@@ -261,12 +261,18 @@ TEST(PlSim, DeadlockDetectedOnBrokenMarking) {
         EXPECT_NE(std::string(e.what()).find("deadlock"), std::string::npos);
         EXPECT_NE(std::string(e.what()).find("dataflow engine"),
                   std::string::npos);
+        // The diagnostic names a gate on the token-free cycle in -> g -> in.
+        EXPECT_NE(std::string(e.what()).find("token-free cycle through gate 0 'in'"),
+                  std::string::npos)
+            << e.what();
     }
 }
 
-TEST(PlSim, SafetyViolationDetectedDynamically) {
+TEST(PlSim, UnsafeNetlistRejectedBeforeTheRun) {
     // A producer with NO feedback at all can overrun its consumer: the
-    // source fires wave 2 while wave 1's token still sits on the edge.
+    // source could fire wave 2 while wave 1's token still sits on the edge.
+    // verify() rejects it, so the first run throws before any firing, in
+    // both environment modes.
     pl::pl_netlist pl;
     const pl::gate_id src = pl.add_gate(pl::gate_kind::source, "in");
     const pl::gate_id slow = pl.add_gate(pl::gate_kind::compute, "slow");
@@ -281,14 +287,14 @@ TEST(PlSim, SafetyViolationDetectedDynamically) {
     pl.add_ack_edge(slow, late, true);
     // note: no ack from `slow` back to `src` — src free-runs.
 
-    pl_simulator sim(pl);
-    sim_options opts;
-    // The unacked source fires as fast as released waves allow; in pipelined
-    // mode it overruns the blocked `slow` gate.
-    opts.non_pipelined = false;
-    pl_simulator sim2(pl, opts);
-    EXPECT_THROW(sim2.run({{true, false}, {true, false}, {true, false}}),
-                 invariant_violation);
+    for (bool non_pipelined : {true, false}) {
+        sim_options opts;
+        opts.non_pipelined = non_pipelined;
+        pl_simulator sim(pl, opts);
+        EXPECT_THROW(sim.run({{true, false}, {true, false}, {true, false}}),
+                     invariant_violation);
+        EXPECT_EQ(sim.stats().events, 0u);
+    }
 }
 
 }  // namespace

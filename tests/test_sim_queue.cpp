@@ -1,12 +1,12 @@
-// Golden cross-check of the queue-free dataflow engine against the
-// time-ordered binary-heap oracle (heap_oracle.hpp): the two must produce
-// bit-identical wave records, stats and traces on every circuit family —
-// the ITC99 suite and all four workload scenario presets — in pipelined and
-// non-pipelined mode, with trace collection on and off, and under stress
-// delay models (tie-heavy, wide-spread, all-zero).  Also locks the
-// engines' contracts: the event budget, trace order, early EE outputs
-// timed before the master's own readiness, and the unsafe-netlist
-// behaviour of both the dataflow and the lane engine.
+// Golden cross-check of the schedule evaluator's sequential-wave protocol
+// against the time-ordered binary-heap oracle (heap_oracle.hpp): the two
+// must produce bit-identical wave records, stats and traces on every
+// circuit family — the ITC99 suite and all four workload scenario presets —
+// in pipelined and non-pipelined mode, with trace collection on and off, and
+// under stress delay models (tie-heavy, wide-spread, all-zero).  Also locks
+// the evaluator's contracts: the event budget, trace order, early EE outputs
+// timed before the master's own readiness, and the rejection of unsafe,
+// dead and split-reset netlists on both protocols.
 
 #include <string>
 #include <vector>
@@ -376,11 +376,12 @@ TEST(SimQueue, EarlyOutputBeforeMasterReadyMatchesHeap) {
     }
 }
 
-TEST(SimQueue, UnsafeNetlistOverDepositsThrowOnDataflowEngine) {
-    // A source with no acknowledge input free-runs.  verify() rejects the
-    // netlist; the dataflow engine reports the second wave's deposit onto
-    // the still-occupied edge, which the oracle's timing hides (the
-    // consumer fires between the two deposits there).
+TEST(SimQueue, UnsafeNetlistRejectedByFirstRunInBothModes) {
+    // A source with no acknowledge input free-runs, so verify() rejects the
+    // netlist.  Safety is a precondition of the schedule: the first run
+    // raises the violation in both environment modes, where the oracle's
+    // timing hides the overrun (the consumer fires between the two
+    // deposits there).
     pl::pl_netlist pl;
     const pl::gate_id src = pl.add_gate(pl::gate_kind::source, "in");
     const pl::gate_id g = pl.add_gate(pl::gate_kind::compute, "g");
@@ -391,17 +392,28 @@ TEST(SimQueue, UnsafeNetlistOverDepositsThrowOnDataflowEngine) {
     pl.add_ack_edge(snk, g, true);
     EXPECT_FALSE(pl.verify().ok());
 
-    sim_options opts;
-    opts.non_pipelined = false;
     const std::vector<std::vector<bool>> vectors = {{true}, {false}};
-    pl_simulator dataflow(pl, opts);
-    EXPECT_THROW(dataflow.run(vectors), invariant_violation);
-    testing::heap_oracle heap(pl, opts);
-    EXPECT_NO_THROW(heap.run(vectors));
+    for (bool non_pipelined : {true, false}) {
+        sim_options opts;
+        opts.non_pipelined = non_pipelined;
+        pl_simulator dataflow(pl, opts);
+        try {
+            dataflow.run(vectors);
+            FAIL() << "expected sim::invariant_violation";
+        } catch (const invariant_violation& e) {
+            EXPECT_EQ(e.events(), 0u);
+            EXPECT_NE(std::string(e.what()).find("lies on no directed cycle"),
+                      std::string::npos);
+            EXPECT_NE(std::string(e.what()).find("dataflow engine"),
+                      std::string::npos);
+        }
+        testing::heap_oracle heap(pl, opts);
+        EXPECT_NO_THROW(heap.run(vectors));
+    }
 }
 
-TEST(SimQueue, SafetyViolationDetectedOnBothEngines) {
-    // The overrun of test_pl_sim's SafetyViolationDetectedDynamically: an
+TEST(SimQueue, SafetyAndLivenessViolationsDetectedOnBothProtocols) {
+    // The overrun of test_pl_sim's UnsafeNetlistRejectedBeforeTheRun: an
     // unacknowledged source outruns a gate blocked on a second input.
     pl::pl_netlist pl;
     const pl::gate_id src = pl.add_gate(pl::gate_kind::source, "in");
@@ -424,10 +436,9 @@ TEST(SimQueue, SafetyViolationDetectedOnBothEngines) {
     pl_simulator dataflow(pl, opts);
     EXPECT_THROW(dataflow.run(overrun), invariant_violation);
 
-    // The lane engine runs a single wave, so it needs an edge that is
-    // occupied from the start: the source's only deposit lands on an
-    // initially marked edge whose consumer still waits for an acknowledge
-    // that only its own output could earn.
+    // The lane protocol on a netlist whose consumer waits for an
+    // acknowledge that only its own output could earn: buf -> out -> buf is
+    // a token-free cycle, so run_lanes reports the deadlock.
     pl::pl_netlist marked;
     const pl::gate_id in = marked.add_gate(pl::gate_kind::source, "in");
     const pl::gate_id buf = marked.add_gate(pl::gate_kind::compute, "buf");
@@ -440,12 +451,50 @@ TEST(SimQueue, SafetyViolationDetectedOnBothEngines) {
     const std::vector<stimulus_block> blocks = make_stimulus(64, 1, 5);
     try {
         lanes.run_lanes(blocks.front());
-        FAIL() << "expected sim::invariant_violation";
-    } catch (const invariant_violation& e) {
-        EXPECT_NE(std::string(e.what()).find("occupied edge"),
-                  std::string::npos);
+        FAIL() << "expected sim::deadlock_error";
+    } catch (const deadlock_error& e) {
+        EXPECT_NE(std::string(e.what()).find("token-free cycle through gate 1 'buf'"),
+                  std::string::npos)
+            << e.what();
         EXPECT_NE(std::string(e.what()).find("lane engine"), std::string::npos);
     }
+}
+
+TEST(SimQueue, MarkedOutEdgesWithDifferentInitialValuesRejected) {
+    // The schedule presets one wave -1 value per producer, so two initially
+    // marked data out-edges of one register must agree on it.
+    const auto reg_with_two_sinks = [](bool a_init, bool b_init) {
+        pl::pl_netlist pl;
+        const pl::gate_id in = pl.add_gate(pl::gate_kind::source, "in");
+        const pl::gate_id reg = pl.add_gate(pl::gate_kind::through, "reg");
+        const pl::gate_id a = pl.add_gate(pl::gate_kind::sink, "a");
+        const pl::gate_id b = pl.add_gate(pl::gate_kind::sink, "b");
+        pl.add_data_edge(in, reg, 0, false, false);
+        pl.add_ack_edge(reg, in, true);
+        pl.add_data_edge(reg, a, 0, true, a_init);
+        pl.add_ack_edge(a, reg, false);
+        pl.add_data_edge(reg, b, 0, true, b_init);
+        pl.add_ack_edge(b, reg, false);
+        return pl;
+    };
+    const pl::pl_netlist split = reg_with_two_sinks(false, true);
+    ASSERT_TRUE(split.verify().ok()) << split.verify().violation;
+    sim_options opts;
+    opts.label = "split-reset";
+    try {
+        pl_simulator simulator(split, opts);
+        FAIL() << "expected sim::invariant_violation";
+    } catch (const invariant_violation& e) {
+        EXPECT_NE(std::string(e.what()).find("gate 1 'reg'"), std::string::npos)
+            << e.what();
+        EXPECT_NE(std::string(e.what()).find("split-reset"), std::string::npos);
+    }
+    // With equal initial values the same netlist simulates.
+    const pl::pl_netlist same = reg_with_two_sinks(true, true);
+    pl_simulator simulator(same);
+    const std::vector<wave_record> waves = simulator.run({{false}, {false}});
+    EXPECT_EQ(waves[0].outputs, (std::vector<bool>{true, true}));
+    EXPECT_EQ(waves[1].outputs, (std::vector<bool>{false, false}));
 }
 
 }  // namespace
