@@ -4,8 +4,10 @@
 // (Section 4): for every compute gate, run the trigger search weighted by the
 // gate's input arrival depths; when an implementable candidate exists, attach
 // a trigger gate (the paper's master/trigger EE pair, Figure 2).  The pass
-// re-verifies the marked graph afterwards — the added edges form single-token
-// cycles by construction, so liveness and safety are preserved.
+// checks the marked graph afterwards with pl_netlist::reverify(): every
+// added edge closes a single-token 2-cycle with its acknowledge, so on a
+// netlist verified before the pass (every mapped one) only the new edges
+// and liveness need checking; any other netlist gets the full verify().
 //
 // Setting `search.cost_threshold` > 0 reproduces the paper's area/delay
 // trade-off: "Thresholding the cost function allows for a tradeoff in area

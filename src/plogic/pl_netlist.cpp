@@ -94,6 +94,9 @@ edge_id pl_netlist::add_ack_edge(gate_id from, gate_id to, bool init_token) {
 
 gate_id pl_netlist::attach_trigger(gate_id master, const bf::truth_table& fn,
                                    std::uint32_t support_mask) {
+    // The gadget only appends edges, each on a one-token 2-cycle, so the
+    // edge count of the last passed check survives for reverify().
+    const edge_id checked = verified_.edges.load();
     verified_.clear();
     pl_gate& m = gates_[master];
     if (m.kind != gate_kind::compute) {
@@ -134,6 +137,7 @@ gate_id pl_netlist::attach_trigger(gate_id master, const bf::truth_table& fn,
 
     gates_[master].trigger = trig;
     gates_[master].efire_in = efire;
+    verified_.edges.store(checked);
     return trig;
 }
 
@@ -166,7 +170,70 @@ marked_graph pl_netlist::to_marked_graph() const {
 
 mg_report pl_netlist::verify() const {
     mg_report report = to_marked_graph().verify();
-    if (report.ok()) verified_.passed = true;
+    if (report.ok()) verified_.pass(edges_.size());
+    return report;
+}
+
+mg_report pl_netlist::reverify() const {
+    const edge_id checked = verified_.edges.load();
+    if (checked == k_invalid_edge) return verify();
+    mg_report report = verify_appended(*this, checked);
+    if (report.ok()) verified_.pass(edges_.size());
+    return report;
+}
+
+mg_report verify_appended(const pl_netlist& pl, edge_id first_appended) {
+    if (first_appended > pl.num_edges()) {
+        throw std::invalid_argument("verify_appended: first edge out of range");
+    }
+    mg_report report;
+    report.well_formed = true;
+    for (edge_id i = first_appended; i < pl.num_edges(); ++i) {
+        const pl_edge& e = pl.edge(i);
+        // The return edge e.to -> e.from sits in both of these lists; scan
+        // the shorter (a trigger's, for every gadget edge).
+        const std::vector<edge_id>& out = pl.gate(e.to).out_edges;
+        const std::vector<edge_id>& in = pl.gate(e.from).in_edges;
+        const std::vector<edge_id>& scan = out.size() <= in.size() ? out : in;
+        const bool closed = std::any_of(scan.begin(), scan.end(), [&](edge_id b) {
+            const pl_edge& back = pl.edge(b);
+            return back.from == e.to && back.to == e.from &&
+                   back.init_token != e.init_token;
+        });
+        if (!closed) {
+            report.well_formed = false;
+            report.violation = "appended edge " + std::to_string(i) + " (" +
+                               std::to_string(e.from) + "->" +
+                               std::to_string(e.to) +
+                               ", m=" + std::to_string(e.init_token ? 1 : 0) +
+                               ") closes no one-token 2-cycle";
+            break;
+        }
+    }
+
+    std::vector<std::uint32_t> indeg(pl.num_gates(), 0);
+    for (const pl_edge& e : pl.edges()) {
+        if (!e.init_token) ++indeg[e.to];
+    }
+    std::vector<gate_id> ready;
+    for (gate_id g = 0; g < pl.num_gates(); ++g) {
+        if (indeg[g] == 0) ready.push_back(g);
+    }
+    std::size_t reached = 0;
+    while (!ready.empty()) {
+        const gate_id g = ready.back();
+        ready.pop_back();
+        ++reached;
+        for (edge_id idx : pl.gate(g).out_edges) {
+            const pl_edge& e = pl.edge(idx);
+            if (!e.init_token && --indeg[e.to] == 0) ready.push_back(e.to);
+        }
+    }
+    report.live = reached == pl.num_gates();
+    if (!report.live && report.violation.empty()) {
+        report.violation = "token-free directed cycle (no token circulation possible)";
+    }
+    report.safe = report.well_formed && report.live;
     return report;
 }
 

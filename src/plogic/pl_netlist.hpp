@@ -118,10 +118,18 @@ public:
     /// Full well-formed / live / safe verification.  A passed result is
     /// remembered until the next mutation; every mutator above clears it.
     mg_report verify() const;
-    /// True when verify() has passed since the last mutation.  The
-    /// simulator runs verify() only when this is false, so a netlist the
-    /// mapper or the EE transform just verified is not verified twice.
+    /// The EE transform's check: when every mutation since the last passed
+    /// check was attach_trigger, runs verify_appended() from that check's
+    /// edge count (verified_edges()); otherwise the full verify().  A pass
+    /// is remembered exactly like verify()'s.
+    mg_report reverify() const;
+    /// True when verify() or reverify() has passed since the last mutation.
+    /// The simulator runs verify() only when this is false, so a netlist
+    /// the mapper or the EE transform just checked is not checked twice.
     bool verified() const { return verified_.passed.load(); }
+    /// num_edges() at the last passed check.  attach_trigger keeps it,
+    /// every other mutator resets it to k_invalid_edge.
+    edge_id verified_edges() const { return verified_.edges.load(); }
 
     /// Arrival depth of each gate's output signal: "the maximum path length
     /// in terms of PL gates from the primary circuit inputs" (Section 3).
@@ -132,20 +140,28 @@ public:
     std::string to_dot(const std::string& graph_name = "pl") const;
 
 private:
-    /// verify()'s memo.  Atomic, so concurrent verify() calls on one const
-    /// netlist do not race; a copy carries the value.
+    /// The memo of verify() and reverify().  Atomic, so concurrent checks
+    /// on one const netlist do not race; a copy carries the values.
     struct verify_memo {
         std::atomic<bool> passed{false};
+        std::atomic<edge_id> edges{k_invalid_edge};  ///< see verified_edges()
         verify_memo() = default;
-        verify_memo(const verify_memo& other) : passed(other.passed.load()) {}
+        verify_memo(const verify_memo& other)
+            : passed(other.passed.load()), edges(other.edges.load()) {}
         verify_memo& operator=(const verify_memo& other) {
             passed.store(other.passed.load());
+            edges.store(other.edges.load());
             return *this;
         }
-        /// Called by every mutator: a locked store only when set, so
-        /// building a netlist edge by edge pays a plain load per call.
+        void pass(std::size_t num_edges) {
+            edges.store(static_cast<edge_id>(num_edges));
+            passed.store(true);
+        }
+        /// Called by every mutator: locked stores only when set, so
+        /// building a netlist edge by edge pays two plain loads per call.
         void clear() {
             if (passed.load()) passed.store(false);
+            if (edges.load() != k_invalid_edge) edges.store(k_invalid_edge);
         }
     };
 
@@ -155,5 +171,21 @@ private:
     std::vector<gate_id> sinks_;
     mutable verify_memo verified_;
 };
+
+/// reverify()'s incremental check, for a netlist whose full verify() passed
+/// when it had `first_appended` edges and that has only gained edges (and
+/// gates) since.  It runs two passes:
+///  * every appended edge lies on a 2-cycle whose two edges carry exactly
+///    one token between them, as each edge of an attach_trigger gadget does
+///    with its acknowledge;
+///  * one Kahn pass over the token-free edges reaches every gate.
+/// When both hold, verify() would pass too: appended edges only add
+/// cycles, so the old edges stay well-formed, and once the graph is live,
+/// safe; the 2-cycle makes each appended edge well-formed and safe; the
+/// Kahn pass decides liveness.  The rule is sufficient, not necessary: an
+/// appended edge may close a one-token cycle only through older edges, and
+/// this check rejects it, as not well-formed, while verify() passes it.
+/// O(V+E), and a pure function of the netlist: it leaves the memo alone.
+mg_report verify_appended(const pl_netlist& pl, edge_id first_appended);
 
 }  // namespace plee::pl

@@ -1,12 +1,14 @@
 // experiment.hpp — the end-to-end Table 3 experiment pipeline.
 //
-// One row of the paper's Table 3 is produced by:
-//   synchronous netlist -> PL mapping -> measure (100 random vectors)
-//                        -> EE transform -> measure again
+// One row of the paper's Table 3 is produced by one pass:
+//   synchronous netlist -> PL mapping -> stimulus and golden outputs
+//     -> measure (100 random vectors) -> EE transform, in place
+//     -> measure again, on the same vectors
 // and reporting: PL gate count, EE gate count, both average delays, the
 // delay difference, % area increase (EE gates / PL gates) and % delay
-// decrease.  Both measurements verify the PL outputs against the synchronous
-// golden simulation wave-by-wave.
+// decrease.  The netlist is mapped once and the golden model runs once;
+// each measurement checks its PL outputs against those golden outputs
+// wave by wave and fails on its own mismatches.
 
 #pragma once
 
@@ -35,11 +37,12 @@ struct experiment_options {
     /// scope; the fleet runner sets "jobid#attempt", standalone runs default
     /// to the row description.
     std::string fault_context;
-    /// Per-job trace: the pipeline opens one span per stage (map_to_pl.plain
-    /// → measure.plain → map_to_pl.ee → ee.search → measure.ee, with
-    /// sim.run / sim.golden children inside each measure).  Spans close on
-    /// exception unwind, so a failed run still carries a partial breakdown.
-    /// Not owned; null = untraced.
+    /// Per-job trace: the pipeline opens one span per stage, once each
+    /// (map_to_pl → measure.reference → measure.plain → ee.search →
+    /// measure.ee), with a sim.golden child inside measure.reference and a
+    /// sim.run child inside each measure arm.  Spans close on exception
+    /// unwind, so a failed run still carries a partial breakdown.  Not
+    /// owned; null = untraced.
     obs::trace* trace = nullptr;
     /// Per-job flight recorder, threaded into both simulator engines and the
     /// EE search (progress beats at the cancel-check cadence).  Not owned;

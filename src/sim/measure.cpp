@@ -24,35 +24,44 @@ namespace {
         failure_class::permanent);
 }
 
-/// Sequential-wave protocol: one run over all vectors, golden-checked
-/// against the scalar synchronous model wave by wave.
-void measure_serial(const pl::pl_netlist& pl, const nl::netlist* golden,
-                    const measure_options& options,
-                    const std::vector<stimulus_block>& blocks,
-                    measure_result& result) {
+/// Counts the vectors whose outputs differ from the reference's golden
+/// outputs; `got` has the layout of measure_reference::expected.
+std::size_t count_mismatches(const measure_reference& reference,
+                             const std::vector<std::uint64_t>& got) {
+    std::size_t mismatched = 0;
+    const std::size_t n = reference.num_outputs;
+    for (std::size_t b = 0; b < reference.blocks.size(); ++b) {
+        std::uint64_t diff = 0;
+        for (std::size_t j = 0; j < n; ++j) {
+            diff |= got[b * n + j] ^ reference.expected[b * n + j];
+        }
+        mismatched += static_cast<std::size_t>(
+            std::popcount(diff & reference.blocks[b].lane_mask()));
+    }
+    return mismatched;
+}
+
+/// Sequential-wave protocol: one run over all vectors.  Both protocols
+/// pack the PL outputs like measure_reference::expected into `outputs`.
+void measure_serial(const pl::pl_netlist& pl, const measure_reference& reference,
+                    const measure_options& options, measure_result& result,
+                    std::vector<std::uint64_t>& outputs) {
     pl_simulator simulator(pl, options.sim);
     std::vector<wave_record> waves;
     {
         const obs::scoped_span span(options.trace, "sim.run");
         const wall_timer timer;
-        waves = simulator.run_packed(blocks);
+        waves = simulator.run_packed(reference.blocks);
         result.sim_wall_ms = timer.elapsed_ms();
     }
     result.stats = simulator.stats();
 
-    if (golden != nullptr) {
-        const obs::scoped_span span(options.trace, "sim.golden");
-        nl::sync_simulator gold(*golden);
-        std::vector<bool> inputs;
-        for (std::size_t w = 0; w < waves.size(); ++w) {
-            blocks[w / k_lanes].extract(w % k_lanes, inputs);
-            gold.set_inputs(inputs);
-            gold.eval();
-            if (!gold.outputs_equal(waves[w].outputs)) ++result.mismatched_waves;
-            gold.latch();
-        }
-        if (result.mismatched_waves > 0 && options.require_functional_match) {
-            throw_mismatch(options, result.mismatched_waves, waves.size());
+    const std::size_t n = pl.sinks().size();
+    outputs.assign(reference.blocks.size() * n, 0);
+    for (std::size_t w = 0; w < waves.size(); ++w) {
+        for (std::size_t j = 0; j < n; ++j) {
+            outputs[(w / k_lanes) * n + j] |=
+                std::uint64_t{waves[w].outputs[j]} << (w % k_lanes);
         }
     }
 
@@ -60,20 +69,18 @@ void measure_serial(const pl::pl_netlist& pl, const nl::netlist* golden,
     for (const wave_record& w : waves) result.delays.push_back(w.delay());
 }
 
-/// Lane-parallel protocol: 64 independent single-vector runs per block,
-/// golden-checked against the 64-lane synchronous model word-wide.
-void measure_lanes(const pl::pl_netlist& pl, const nl::netlist* golden,
-                   const measure_options& options,
-                   const std::vector<stimulus_block>& blocks,
-                   measure_result& result) {
+/// Lane-parallel protocol: 64 independent single-vector runs per block.
+void measure_lanes(const pl::pl_netlist& pl, const measure_reference& reference,
+                   const measure_options& options, measure_result& result,
+                   std::vector<std::uint64_t>& outputs) {
     pl_simulator simulator(pl, options.sim);
     std::vector<lane_block_result> lane_results;
-    lane_results.reserve(blocks.size());
+    lane_results.reserve(reference.blocks.size());
     sim_run_stats total{};
     {
         const obs::scoped_span span(options.trace, "sim.run");
         const wall_timer timer;
-        for (const stimulus_block& block : blocks) {
+        for (const stimulus_block& block : reference.blocks) {
             lane_results.push_back(simulator.run_lanes(block));
             const sim_run_stats& s = simulator.stats();
             total.events += s.events;
@@ -90,34 +97,48 @@ void measure_lanes(const pl::pl_netlist& pl, const nl::netlist* golden,
     }
     result.stats = total;
 
-    if (golden != nullptr) {
-        const obs::scoped_span span(options.trace, "sim.golden");
-        nl::sync_lane_simulator gold(*golden);
-        std::vector<std::uint64_t> expected(golden->outputs().size());
-        std::size_t mismatched = 0;
-        for (std::size_t b = 0; b < blocks.size(); ++b) {
-            gold.reset();
-            gold.set_inputs(blocks[b].words.data(), blocks[b].width);
-            gold.eval();
-            gold.output_values(expected.data());
-            std::uint64_t diff = 0;
-            const std::uint64_t mask = blocks[b].lane_mask();
-            for (std::size_t j = 0; j < expected.size(); ++j) {
-                diff |= (lane_results[b].outputs[j] ^ expected[j]) & mask;
-            }
-            mismatched += static_cast<std::size_t>(std::popcount(diff));
-        }
-        result.mismatched_waves = mismatched;
-        if (mismatched > 0 && options.require_functional_match) {
-            throw_mismatch(options, mismatched, options.num_vectors);
-        }
-    }
-
-    result.delays.reserve(options.num_vectors);
     for (const lane_block_result& r : lane_results) {
+        outputs.insert(outputs.end(), r.outputs.begin(), r.outputs.end());
         for (std::size_t lane = 0; lane < r.num_vectors; ++lane) {
             result.delays.push_back(r.delay(lane));
         }
+    }
+}
+
+/// The golden model's outputs on the reference's stimulus, in its layout.
+void run_golden(const nl::netlist& golden, measure_reference& reference) {
+    const std::vector<nl::cell_id>& outputs = golden.outputs();
+    const std::size_t n = outputs.size();
+    reference.golden = true;
+    reference.num_outputs = n;
+    reference.expected.assign(reference.blocks.size() * n, 0);
+    if (reference.lanes == 1) {
+        nl::sync_simulator gold(golden);
+        std::vector<bool> inputs;
+        for (std::size_t b = 0; b < reference.blocks.size(); ++b) {
+            const stimulus_block& block = reference.blocks[b];
+            for (std::size_t lane = 0; lane < block.num_vectors; ++lane) {
+                block.extract(lane, inputs);
+                gold.set_inputs(inputs);
+                gold.eval();
+                for (std::size_t j = 0; j < n; ++j) {
+                    reference.expected[b * n + j] |=
+                        std::uint64_t{gold.value_of(outputs[j])} << lane;
+                }
+                gold.latch();
+            }
+        }
+        return;
+    }
+    nl::sync_lane_simulator gold(golden);
+    for (std::size_t b = 0; b < reference.blocks.size(); ++b) {
+        const stimulus_block& block = reference.blocks[b];
+        gold.reset();
+        gold.set_inputs(block.words.data(), block.width);
+        gold.eval();
+        std::uint64_t* expected = reference.expected.data() + b * n;
+        gold.output_values(expected);
+        for (std::size_t j = 0; j < n; ++j) expected[j] &= block.lane_mask();
     }
 }
 
@@ -133,28 +154,79 @@ std::vector<std::vector<bool>> random_vectors(std::size_t count, std::size_t wid
     return vectors;
 }
 
-measure_result measure_average_delay(const pl::pl_netlist& pl,
-                                     const nl::netlist* golden,
-                                     const measure_options& options) {
+measure_reference make_measure_reference(const nl::netlist* golden,
+                                         std::size_t width,
+                                         const measure_options& options) {
     if (options.lanes != 1 && options.lanes != k_lanes) {
         throw std::invalid_argument(
-            "measure_average_delay: lanes must be 1 or 64");
+            "make_measure_reference: lanes must be 1 or 64");
     }
     // An average over no vectors is not a measurement: without this check
     // the run "succeeds" with a 0 ns delay and nothing verified.
     if (options.num_vectors == 0) {
         throw std::invalid_argument(
-            "measure_average_delay: num_vectors must be > 0");
+            "make_measure_reference: num_vectors must be > 0");
     }
-    const std::vector<stimulus_block> blocks =
-        make_stimulus(options.num_vectors, pl.sources().size(), options.seed);
+    if (golden != nullptr && golden->inputs().size() != width) {
+        throw std::invalid_argument(
+            "make_measure_reference: width " + std::to_string(width) +
+            " != " + std::to_string(golden->inputs().size()) +
+            " golden inputs");
+    }
+    measure_reference reference;
+    reference.lanes = options.lanes;
+    reference.width = width;
+    reference.blocks = make_stimulus(options.num_vectors, width, options.seed);
+    if (golden != nullptr) {
+        const obs::scoped_span span(options.trace, "sim.golden");
+        run_golden(*golden, reference);
+    }
+    return reference;
+}
+
+measure_result measure_average_delay(const pl::pl_netlist& pl,
+                                     const nl::netlist* golden,
+                                     const measure_options& options) {
+    return measure_average_delay(
+        pl, make_measure_reference(golden, pl.sources().size(), options),
+        options);
+}
+
+measure_result measure_average_delay(const pl::pl_netlist& pl,
+                                     const measure_reference& reference,
+                                     const measure_options& options) {
+    if (reference.width != pl.sources().size()) {
+        throw std::invalid_argument(
+            "measure_average_delay: reference width " +
+            std::to_string(reference.width) + " != " +
+            std::to_string(pl.sources().size()) + " sources");
+    }
+    if (reference.lanes != options.lanes) {
+        throw std::invalid_argument(
+            "measure_average_delay: reference built for lanes " +
+            std::to_string(reference.lanes) + ", measuring lanes " +
+            std::to_string(options.lanes));
+    }
+    if (reference.golden && reference.num_outputs != pl.sinks().size()) {
+        throw std::invalid_argument(
+            "measure_average_delay: golden model has " +
+            std::to_string(reference.num_outputs) + " outputs, netlist " +
+            std::to_string(pl.sinks().size()) + " sinks");
+    }
 
     measure_result result;
     result.lanes = options.lanes;
+    std::vector<std::uint64_t> outputs;
     if (options.lanes == 1) {
-        measure_serial(pl, golden, options, blocks, result);
+        measure_serial(pl, reference, options, result, outputs);
     } else {
-        measure_lanes(pl, golden, options, blocks, result);
+        measure_lanes(pl, reference, options, result, outputs);
+    }
+    if (reference.golden) {
+        result.mismatched_waves = count_mismatches(reference, outputs);
+        if (result.mismatched_waves > 0 && options.require_functional_match) {
+            throw_mismatch(options, result.mismatched_waves, result.delays.size());
+        }
     }
 
     double sum = 0.0;

@@ -11,6 +11,14 @@
 // against the synchronous simulation, proving the PL mapping (and any Early
 // Evaluation circuitry) functionally transparent.
 //
+// A measure_reference holds the stimulus and the golden model's outputs on
+// it.  Both depend only on the golden netlist, the source count and the
+// options, so a Table 3 row builds one reference and measures its plain and
+// its EE netlist against it (the EE transform adds no sources): one stimulus
+// draw and one golden run per row.  Each measurement still counts its own
+// mismatches.  measure_average_delay(pl, golden, options) builds a
+// reference and measures once.
+//
 // Two stimulus protocols, selected by measure_options::lanes:
 //
 //  * lanes == 1 (default) — the paper's sequential protocol: one simulator
@@ -53,7 +61,9 @@ struct measure_options {
     /// throws std::invalid_argument.
     std::size_t lanes = 1;
     sim_options sim{};
-    /// Throw std::logic_error if PL outputs diverge from the golden netlist.
+    /// Throw a permanent plee_error if PL outputs diverge from the golden
+    /// outputs ("... diverge from the synchronous golden model on k of n
+    /// waves"); when false, only measure_result::mismatched_waves says so.
     bool require_functional_match = true;
     /// Per-job trace to hang "sim.run" / "sim.golden" spans on.  Not owned;
     /// null = untraced.
@@ -92,13 +102,49 @@ struct measure_result {
     }
 };
 
+/// The stimulus of a measurement and, optionally, the golden model's
+/// outputs on it.  Build it with make_measure_reference.
+struct measure_reference {
+    std::size_t lanes = 1;  ///< the protocol `expected` was computed under
+    std::size_t width = 0;  ///< inputs per vector: the PL source count
+    std::vector<stimulus_block> blocks;
+    /// True when `expected` holds a golden netlist's outputs.
+    bool golden = false;
+    std::size_t num_outputs = 0;
+    /// Golden outputs, one word per output per block: bit L of word
+    /// b * num_outputs + j is output j of vector 64*b + L.  At lanes 1 that
+    /// vector is wave 64*b + L of one sequential run; at lanes 64 it runs
+    /// alone from reset.  Lanes past a block's num_vectors are zero.
+    std::vector<std::uint64_t> expected;
+};
+
 /// Deterministic pseudo-random stimulus, one vector per wave.  Unpacks
 /// make_stimulus blocks, so lane L of block B == vector 64*B + L per seed.
 std::vector<std::vector<bool>> random_vectors(std::size_t count, std::size_t width,
                                               std::uint64_t seed);
 
-/// Runs the measurement protocol.  `golden` may be null to skip the
-/// functional comparison (e.g. for hand-built PL netlists).
+/// Draws options.num_vectors vectors of `width` inputs from options.seed
+/// and, when `golden` is not null, runs the golden model over them once
+/// under the options.lanes protocol, in a "sim.golden" span.  Throws
+/// std::invalid_argument when options.lanes is not 1 or 64,
+/// options.num_vectors is 0, or `width` is not the golden input count.
+measure_reference make_measure_reference(const nl::netlist* golden,
+                                         std::size_t width,
+                                         const measure_options& options = {});
+
+/// Runs the measurement protocol over the reference's stimulus and, when it
+/// carries golden outputs, counts the waves whose PL outputs differ.
+/// options.num_vectors and options.seed are not read: the reference fixes
+/// the stimulus.  Throws std::invalid_argument when the reference's width
+/// is not pl's source count, its protocol is not options.lanes, or its
+/// golden output count is not pl's sink count.
+measure_result measure_average_delay(const pl::pl_netlist& pl,
+                                     const measure_reference& reference,
+                                     const measure_options& options = {});
+
+/// make_measure_reference for pl's sources, then the measurement.
+/// `golden` may be null to skip the functional comparison (e.g. for
+/// hand-built PL netlists).
 measure_result measure_average_delay(const pl::pl_netlist& pl,
                                      const nl::netlist* golden,
                                      const measure_options& options = {});

@@ -77,7 +77,7 @@ void pl_simulator::compile() {
         return;
     }
     // Safety is a precondition, checked once: the mapper and the EE
-    // transform leave a passed verify() remembered on the netlist.
+    // transform leave a passed check remembered on the netlist.
     if (!pl_.verified()) {
         const pl::mg_report report = pl_.verify();
         if (!report.ok()) {

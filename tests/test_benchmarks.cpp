@@ -75,6 +75,8 @@ TEST_P(BenchmarkPipeline, EarlyEvaluationPreservesBehaviour) {
     const nl::netlist n = build_benchmark(GetParam());
     pl::map_result mapped = pl::map_to_phased_logic(n);
     const ee::ee_stats stats = ee::apply_early_evaluation(mapped.pl);
+    // The transform's incremental check passed; the full one must agree.
+    EXPECT_TRUE(mapped.pl.verified());
     EXPECT_TRUE(mapped.pl.verify().ok());
 
     sim::measure_options opts;
@@ -100,6 +102,7 @@ TEST_P(CpuPipeline, EndToEndEquivalence) {
     const nl::netlist n = build_benchmark(GetParam());
     pl::map_result mapped = pl::map_to_phased_logic(n);
     ee::apply_early_evaluation(mapped.pl);
+    EXPECT_TRUE(mapped.pl.verified());
     EXPECT_TRUE(mapped.pl.verify().ok());
 
     sim::measure_options opts;

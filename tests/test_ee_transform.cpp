@@ -43,11 +43,32 @@ TEST(EeTransform, AddsTriggersToAdder) {
 
 TEST(EeTransform, GraphStaysLiveAndSafe) {
     pl::map_result mapped = pl::map_to_phased_logic(ripple_adder());
+    // The mapper's verify() leaves its edge count for the incremental check.
+    const std::size_t mapped_edges = mapped.pl.num_edges();
+    ASSERT_EQ(mapped.pl.verified_edges(), mapped_edges);
     apply_early_evaluation(mapped.pl);
+    ASSERT_GT(mapped.pl.num_edges(), mapped_edges);
+    EXPECT_TRUE(mapped.pl.verified());
+    EXPECT_EQ(mapped.pl.verified_edges(), mapped.pl.num_edges());
+    EXPECT_TRUE(
+        pl::verify_appended(mapped.pl, static_cast<pl::edge_id>(mapped_edges)).ok());
     const pl::mg_report report = mapped.pl.verify();
     EXPECT_TRUE(report.well_formed);
     EXPECT_TRUE(report.live);
     EXPECT_TRUE(report.safe);
+}
+
+TEST(EeTransform, NetlistWithoutAPassedCheckGetsTheFullVerify) {
+    pl::map_result mapped = pl::map_to_phased_logic(ripple_adder());
+    // Rewriting a function is a mutation: it drops the mapper's mark.
+    pl::gate_id g = 0;
+    while (mapped.pl.gate(g).kind != pl::gate_kind::compute) ++g;
+    mapped.pl.set_function(g, mapped.pl.gate(g).function);
+    ASSERT_EQ(mapped.pl.verified_edges(), pl::k_invalid_edge);
+    const ee_stats stats = apply_early_evaluation(mapped.pl);
+    EXPECT_GT(stats.triggers_added, 0u);
+    EXPECT_TRUE(mapped.pl.verified());
+    EXPECT_EQ(mapped.pl.verified_edges(), mapped.pl.num_edges());
 }
 
 TEST(EeTransform, PairingMetadataConsistent) {

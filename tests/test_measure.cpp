@@ -1,12 +1,17 @@
 // Tests for the measurement harness (Section 4's protocol): random stimulus
-// generation, delay statistics, and the golden functional cross-check.
+// generation, delay statistics, the golden functional cross-check and the
+// shared measure_reference.
 
 #include "sim/measure.hpp"
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "ee/ee_transform.hpp"
+#include "netlist/sync_sim.hpp"
 #include "plogic/pl_mapper.hpp"
+#include "rt/errors.hpp"
 #include "synth/rtl.hpp"
 
 namespace plee::sim {
@@ -22,6 +27,61 @@ nl::netlist alu_netlist() {
     m.output_bus("y", m.mux2(sel, sum, dif));
     m.output("eq", m.eq(a, b));
     return m.build();
+}
+
+/// A registered accumulator: a wrong LUT corrupts its state, so one
+/// sequential run keeps diverging on later waves, while every lane-protocol
+/// vector starts again from reset.
+nl::netlist accumulator_netlist() {
+    syn::module_builder m("acc");
+    const syn::bus a = m.input_bus("a", 4);
+    const syn::bus acc = m.new_register("acc", 4, 0);
+    m.connect_register(acc, m.add(acc, a).sum);
+    m.output_bus("acc", acc);
+    m.output("eq", m.eq(acc, a));
+    return m.build();
+}
+
+/// `n` with minterm `m` of LUT cell `c` flipped; cell ids are unchanged.
+nl::netlist with_flipped_minterm(const nl::netlist& n, nl::cell_id c,
+                                 std::uint32_t m) {
+    nl::netlist out;
+    for (nl::cell_id id = 0; id < n.num_cells(); ++id) {
+        const nl::cell& cell = n.at(id);
+        switch (cell.kind) {
+            case nl::cell_kind::input: out.add_input(cell.name); break;
+            case nl::cell_kind::constant: out.add_constant(cell.const_value); break;
+            case nl::cell_kind::lut: {
+                bf::truth_table fn = cell.function;
+                if (id == c) fn.set(m, !fn.eval(m));
+                out.add_lut(fn, cell.fanins, cell.name);
+                break;
+            }
+            case nl::cell_kind::dff:
+                out.add_dff(cell.fanins[0], cell.init_value, cell.name);
+                break;
+            case nl::cell_kind::output: out.add_output(cell.name, cell.fanins[0]); break;
+        }
+    }
+    return out;
+}
+
+/// Vectors on which two synchronous netlists' outputs differ: one run over
+/// all of them, or each from reset.
+std::size_t diverging_vectors(const nl::netlist& a, const nl::netlist& b,
+                              const std::vector<std::vector<bool>>& vectors,
+                              bool from_reset) {
+    nl::sync_simulator sa(a);
+    nl::sync_simulator sb(b);
+    std::size_t diverging = 0;
+    for (const std::vector<bool>& v : vectors) {
+        if (from_reset) {
+            sa.reset();
+            sb.reset();
+        }
+        if (sa.cycle(v) != sb.cycle(v)) ++diverging;
+    }
+    return diverging;
 }
 
 TEST(Measure, RandomVectorsAreDeterministicPerSeed) {
@@ -107,6 +167,98 @@ TEST(Measure, ZeroVectorsIsRejectedInBothProtocols) {
                      std::invalid_argument)
             << "lanes=" << lanes;
     }
+}
+
+TEST(Measure, AWrongLutFailsTheGoldenCheckInBothProtocols) {
+    const nl::netlist golden = accumulator_netlist();
+    const pl::map_result healthy = pl::map_to_phased_logic(golden);
+    const std::size_t width = healthy.pl.sources().size();
+    constexpr std::size_t k_vectors = 100;
+    const std::vector<std::vector<bool>> vectors =
+        random_vectors(k_vectors, width, measure_options{}.seed);
+
+    // The first LUT minterm whose flip shows on some waves, but not all.
+    nl::cell_id lut = nl::k_invalid_cell;
+    std::uint32_t minterm = 0;
+    std::size_t serial_count = 0;
+    for (nl::cell_id c = 0; c < golden.num_cells() && lut == nl::k_invalid_cell; ++c) {
+        if (golden.at(c).kind != nl::cell_kind::lut) continue;
+        for (std::uint32_t m = 0; m < golden.at(c).function.num_minterms(); ++m) {
+            const std::size_t count = diverging_vectors(
+                golden, with_flipped_minterm(golden, c, m), vectors, false);
+            if (count > 0 && count < k_vectors) {
+                lut = c;
+                minterm = m;
+                serial_count = count;
+                break;
+            }
+        }
+    }
+    ASSERT_NE(lut, nl::k_invalid_cell);
+    const std::size_t lane_count = diverging_vectors(
+        golden, with_flipped_minterm(golden, lut, minterm), vectors, true);
+    ASSERT_GT(lane_count, 0u);
+
+    pl::map_result wrong = pl::map_to_phased_logic(golden);
+    const pl::gate_id g = wrong.gate_of_cell[lut];
+    bf::truth_table fn = wrong.pl.gate(g).function;
+    fn.set(minterm, !fn.eval(minterm));
+    wrong.pl.set_function(g, fn);
+
+    for (const std::size_t lanes : {std::size_t{1}, k_lanes}) {
+        SCOPED_TRACE("lanes=" + std::to_string(lanes));
+        const std::size_t expected = lanes == 1 ? serial_count : lane_count;
+        measure_options opts;
+        opts.num_vectors = k_vectors;
+        opts.lanes = lanes;
+        try {
+            measure_average_delay(wrong.pl, &golden, opts);
+            ADD_FAILURE() << "a wrong LUT passed the golden check";
+        } catch (const plee_error& e) {
+            EXPECT_NE(std::string(e.what()).find(
+                          "diverge from the synchronous golden model on " +
+                          std::to_string(expected) + " of 100 waves"),
+                      std::string::npos)
+                << e.what();
+        }
+
+        opts.require_functional_match = false;
+        EXPECT_EQ(measure_average_delay(wrong.pl, &golden, opts).mismatched_waves,
+                  expected);
+        // One reference serves both netlists, as it does a Table 3 row's arms.
+        const measure_reference reference =
+            make_measure_reference(&golden, width, opts);
+        EXPECT_EQ(measure_average_delay(wrong.pl, reference, opts).mismatched_waves,
+                  expected);
+        EXPECT_EQ(measure_average_delay(healthy.pl, reference, opts).mismatched_waves,
+                  0u);
+    }
+}
+
+TEST(Measure, ReferenceMustMatchTheNetlistAndProtocol) {
+    const nl::netlist n = alu_netlist();
+    const pl::map_result mapped = pl::map_to_phased_logic(n);
+    const std::size_t width = mapped.pl.sources().size();
+    measure_options opts;
+    opts.num_vectors = 10;
+    const measure_reference reference = make_measure_reference(&n, width, opts);
+    EXPECT_EQ(measure_average_delay(mapped.pl, reference, opts).delays.size(), 10u);
+
+    EXPECT_THROW(make_measure_reference(&n, width - 1, opts),
+                 std::invalid_argument);
+    const measure_reference narrow =
+        make_measure_reference(nullptr, width - 1, opts);
+    EXPECT_THROW(measure_average_delay(mapped.pl, narrow, opts),
+                 std::invalid_argument);
+    measure_options lanes = opts;
+    lanes.lanes = k_lanes;
+    EXPECT_THROW(measure_average_delay(mapped.pl, reference, lanes),
+                 std::invalid_argument);
+    // Both protocol checks happen before any stimulus is drawn.
+    lanes.lanes = 8;
+    EXPECT_THROW(make_measure_reference(&n, width, lanes), std::invalid_argument);
+    opts.num_vectors = 0;
+    EXPECT_THROW(make_measure_reference(&n, width, opts), std::invalid_argument);
 }
 
 TEST(Measure, DelayModelScalesResults) {

@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "synth/rtl.hpp"
 
@@ -90,6 +92,42 @@ TEST(Experiment, ThresholdSuppressesEe) {
     const experiment_row row = run_ee_experiment("suppressed", n, opts);
     EXPECT_EQ(row.ee_gates, 0u);
     EXPECT_EQ(row.area_increase_pct, 0.0);
+}
+
+TEST(Experiment, TraceNamesEachStageOnceInPipelineOrder) {
+    syn::module_builder m("stages");
+    const syn::bus a = m.input_bus("a", 4);
+    const syn::bus acc = m.new_register("acc", 4, 0);
+    m.connect_register(acc, m.add(acc, a).sum);
+    m.output_bus("acc", acc);
+    const nl::netlist n = m.build();
+
+    obs::trace trace;
+    experiment_options opts;
+    opts.measure.num_vectors = 10;
+    opts.trace = &trace;
+    const experiment_row row = run_ee_experiment("stages", n, opts);
+    ASSERT_GT(row.ee_gates, 0u);
+
+    // One map, one stimulus draw with one golden run, and one span per arm.
+    const std::vector<obs::span_record>& spans = trace.spans();
+    std::vector<std::string> stages;
+    std::vector<std::string> children;
+    for (const obs::span_record& s : spans) {
+        if (s.parent < 0) {
+            stages.push_back(s.name);
+        } else {
+            children.push_back(spans[static_cast<std::size_t>(s.parent)].name +
+                               "/" + s.name);
+        }
+    }
+    EXPECT_EQ(stages, (std::vector<std::string>{"map_to_pl", "measure.reference",
+                                                "measure.plain", "ee.search",
+                                                "measure.ee"}));
+    EXPECT_EQ(children,
+              (std::vector<std::string>{"measure.reference/sim.golden",
+                                        "measure.plain/sim.run",
+                                        "measure.ee/sim.run"}));
 }
 
 TEST(Json, SerializesNestedValuesDeterministically) {

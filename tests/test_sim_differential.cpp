@@ -237,6 +237,10 @@ TEST(SimDifferential, RandomConfigurationsAgreeWithEveryReference) {
         check_netlist(c, sync, plain.pl, "plain");
         pl::map_result with_ee = pl::map_to_phased_logic(sync);
         ee::apply_early_evaluation(with_ee.pl);
+        // The transform's incremental check passed; the full one must agree.
+        ASSERT_TRUE(with_ee.pl.verified());
+        const pl::mg_report full = with_ee.pl.verify();
+        ASSERT_TRUE(full.ok()) << full.violation;
         check_netlist(c, sync, with_ee.pl, "ee");
         if (HasFailure()) return;  // the first failing configuration is enough
     }
