@@ -1,7 +1,7 @@
 // splitmix64.hpp — the repository's one splitmix64 finalizer.
 //
-// The workload generator's random stream, the fault injector's stateless
-// fire decisions and the runner's retry jitter all hash through this exact
+// The workload generator's random stream, the seeded test generators and
+// the repository benchmark's per-job seeds all hash through this exact
 // constant/shift sequence; the generator relies on it for its
 // byte-identical-per-seed determinism contract.  Keep the single definition
 // here so the users can never drift apart.

@@ -6,7 +6,6 @@
 #include <stdexcept>
 #include <thread>
 
-#include "fault/injector.hpp"
 #include "obs/registry.hpp"
 #include "rt/errors.hpp"
 
@@ -26,9 +25,6 @@ void search_worker(const pl::pl_netlist& pl, const std::vector<search_job>& jobs
                    const ee_options& options, std::atomic<std::size_t>& next,
                    std::vector<std::optional<trigger_candidate>>& best) {
     const search_options& search = options.search;
-    // Worker threads have no fault scope of their own; adopt the job's so
-    // injected ee.search decisions are per-job deterministic.
-    fault::injector::scope scope(fault::injector::hash(options.context));
     constexpr std::size_t k_chunk = 16;
     for (;;) {
         const std::size_t begin = next.fetch_add(k_chunk, std::memory_order_relaxed);
@@ -36,7 +32,6 @@ void search_worker(const pl::pl_netlist& pl, const std::vector<search_job>& jobs
         if (options.cancel != nullptr && options.cancel->expired()) {
             throw job_timeout("ee.search", options.context, begin);
         }
-        fault::injector::instance().check("ee.search", begin);
         if (options.recorder != nullptr) {
             options.recorder->record("ee.chunk", begin, jobs.size());
         }

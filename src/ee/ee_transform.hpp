@@ -38,8 +38,8 @@ struct ee_options {
     /// a pathological search stops within one chunk of extra work.  Not
     /// owned; null = never cancelled.
     cancel_token* cancel = nullptr;
-    /// Job context for cancellation messages and fault-injection scoping
-    /// ("b05#2" = job id, attempt 2).  Empty is fine for standalone passes.
+    /// Job label for cancellation messages ("b05" = job id).  Empty is
+    /// fine for standalone passes.
     std::string context;
     /// Flight recorder: every worker records an "ee.chunk" event per
     /// work-queue chunk it claims (the same cadence as the cancel poll), so

@@ -18,9 +18,9 @@
 //
 // The importer treats its input as untrusted: every malformed construct —
 // bad cover characters, width mismatches, truncation mid-continuation or
-// before .end, cyclic or undriven nets — raises blif_error (a permanent
-// plee_error), never an unclassified exception and never undefined
-// behaviour, so a fleet job fed a hostile deck rejects it cleanly.
+// before .end, cyclic or undriven nets — raises blif_error (a plee_error),
+// never an untyped exception and never undefined behaviour, so a fleet job
+// fed a hostile deck rejects it cleanly.
 
 #pragma once
 
@@ -34,8 +34,7 @@ namespace plee::nl {
 
 /// Malformed-BLIF diagnostic.  `line()` is the 1-based source line the error
 /// is attributable to, or 0 for whole-file conditions (missing .model,
-/// undriven output port).  Classified permanent: re-parsing the same bytes
-/// fails the same way.
+/// undriven output port).
 class blif_error : public plee_error {
 public:
     blif_error(int line, const std::string& what)

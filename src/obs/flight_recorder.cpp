@@ -3,11 +3,6 @@
 #include <utility>
 
 namespace plee::obs {
-namespace {
-
-thread_local flight_recorder* t_current = nullptr;
-
-}  // namespace
 
 flight_recorder::flight_recorder(std::size_t capacity)
     : ring_(capacity == 0 ? 1 : capacity) {}
@@ -61,13 +56,5 @@ void flight_recorder::clear() {
     total_ = 0;
     timer_.restart();
 }
-
-flight_recorder* current_recorder() { return t_current; }
-
-recorder_scope::recorder_scope(flight_recorder* r) : saved_(t_current) {
-    t_current = r;
-}
-
-recorder_scope::~recorder_scope() { t_current = saved_; }
 
 }  // namespace plee::obs

@@ -5,9 +5,9 @@
 // moments before*.  The flight recorder answers that: a fixed-size ring of
 // the last ~128 coarse events — simulator progress beats (one per
 // k_cancel_check_events = 1024 events, riding the cancel-poll branch the hot
-// loops already take), EE-search chunk starts, fault injections, retries and
-// error sites — dumped into the failure report for non-ok jobs.  Healthy
-// jobs pay for the recording but never serialize it.
+// loops already take), EE-search chunk starts and error sites — dumped into
+// the failure report for non-ok jobs.  Healthy jobs pay for the recording but
+// never serialize it.
 //
 // Cost model: record() takes a mutex, but is called at the cancel-check
 // cadence (every 1024 simulator events), so the amortized hot-loop cost is
@@ -16,13 +16,8 @@
 //
 // `tag` must be a string literal (or otherwise static storage): events store
 // the pointer, not a copy.  The optional `note` is an owned string for the
-// rare sites (errors, faults) that need dynamic context.
-//
-// The fault injector fires deep inside stages that know nothing about jobs,
-// so the recorder also has a thread-local ambient channel: the runner
-// installs the current job's recorder with `recorder_scope`, and
-// `current_recorder()` retrieves it (nullptr when none — e.g. plain library
-// use), mirroring how fault::injector scopes itself.
+// rare sites (errors) that need dynamic context.  Stages record only into
+// the recorder their options hand them; null means off.
 
 #pragma once
 
@@ -72,22 +67,6 @@ private:
     wall_timer timer_;
     std::vector<fr_event> ring_;  ///< fixed size; slot = total_ % capacity
     std::uint64_t total_ = 0;
-};
-
-/// The ambient recorder for this thread, or nullptr.
-flight_recorder* current_recorder();
-
-/// Installs `r` as this thread's ambient recorder for the scope's lifetime,
-/// restoring the previous one on exit (scopes nest).
-class recorder_scope {
-public:
-    explicit recorder_scope(flight_recorder* r);
-    ~recorder_scope();
-    recorder_scope(const recorder_scope&) = delete;
-    recorder_scope& operator=(const recorder_scope&) = delete;
-
-private:
-    flight_recorder* saved_ = nullptr;
 };
 
 }  // namespace plee::obs

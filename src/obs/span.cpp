@@ -22,10 +22,4 @@ void trace::close(std::size_t index) {
     if (current_ == static_cast<int>(index)) current_ = s.parent;
 }
 
-void trace::clear() {
-    spans_.clear();
-    current_ = -1;
-    timer_.restart();
-}
-
 }  // namespace plee::obs

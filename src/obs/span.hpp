@@ -55,10 +55,6 @@ public:
     /// innermost-first) is well-defined.
     void close(std::size_t index);
 
-    /// Drops all spans and re-arms the epoch (per-attempt reuse in the
-    /// runner: a retried job reports only its final attempt's spans).
-    void clear();
-
     const std::vector<span_record>& spans() const { return spans_; }
     double elapsed_ms() const { return timer_.elapsed_ms(); }
 

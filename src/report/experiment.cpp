@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "fault/injector.hpp"
 #include "obs/sink.hpp"
 #include "report/json.hpp"
 #include "rt/errors.hpp"
@@ -15,27 +14,21 @@ experiment_row run_ee_experiment(const std::string& description,
     experiment_row row;
     row.description = description;
 
-    // One failure context for the whole run: typed errors and injected-fault
-    // decisions key on it, so a fleet log line names the job and attempt.
-    const std::string context =
-        options.fault_context.empty() ? description : options.fault_context;
-    fault::injector::scope fault_scope(fault::injector::hash(context));
-    // Ambient recorder for this thread: stages that cannot take a recorder
-    // parameter (the fault injector) still find the job's ring.
-    obs::recorder_scope ambient_recorder(options.recorder);
+    // One label for the whole run, so every typed error names the job.
+    const std::string label =
+        options.label.empty() ? description : options.label;
     sim::measure_options measure = options.measure;
-    measure.sim.label = context;
+    measure.sim.label = label;
     measure.sim.cancel = options.cancel;
     measure.sim.recorder = options.recorder;
     measure.trace = options.trace;
-    measure.telemetry = options.telemetry;
     ee::ee_options ee_opts = options.ee;
     ee_opts.cancel = options.cancel;
-    ee_opts.context = context;
+    ee_opts.context = label;
     ee_opts.recorder = options.recorder;
-    const auto stage_gate = [&](const char* stage, std::uint64_t site) {
+    const auto stage_gate = [&](const char* stage) {
         if (options.cancel != nullptr && options.cancel->expired()) {
-            throw job_timeout(stage, context, site);
+            throw job_timeout(stage, label, 0);
         }
     };
 
@@ -43,10 +36,9 @@ experiment_row run_ee_experiment(const std::string& description,
     // (sim.golden nests inside measure.reference, sim.run inside each
     // measure arm), so the trace reads as the stage sequence of the header
     // comment.
-    stage_gate("pipeline.map", 0);
+    stage_gate("pipeline.map");
     pl::map_result mapped = [&] {
         const obs::scoped_span span(options.trace, "map_to_pl");
-        fault::injector::instance().check("synth.map", 0);
         return pl::map_to_phased_logic(netlist, options.map);
     }();
     row.pl_gates = mapped.pl.num_pl_gates();
@@ -69,7 +61,7 @@ experiment_row run_ee_experiment(const std::string& description,
 
     // Early Evaluation applied in place to the measured mapping: its
     // simulator is gone, and row.pl_gates was read above.
-    stage_gate("pipeline.ee", 0);
+    stage_gate("pipeline.ee");
     {
         const obs::scoped_span span(options.trace, "ee.search");
         row.ee_detail = ee::apply_early_evaluation(mapped.pl, ee_opts);

@@ -30,13 +30,13 @@ struct experiment_options {
     ee::ee_options ee{};
     sim::measure_options measure{};
     /// Cooperative cancellation for the whole pipeline run: polled between
-    /// stages, inside the EE search chunks and inside the simulator event
-    /// loops.  Expiry raises plee::job_timeout.  Not owned.
+    /// stages, per stimulus block of the golden run, inside the EE search
+    /// chunks and inside the simulator event loops.  Expiry raises
+    /// plee::job_timeout.  Not owned.
     cancel_token* cancel = nullptr;
-    /// Failure context threaded into every typed error and fault-injection
-    /// scope; the fleet runner sets "jobid#attempt", standalone runs default
-    /// to the row description.
-    std::string fault_context;
+    /// Job label threaded into every typed error; the fleet runner sets the
+    /// job id, standalone runs default to the row description.
+    std::string label;
     /// Per-job trace: the pipeline opens one span per stage, once each
     /// (map_to_pl → measure.reference → measure.plain → ee.search →
     /// measure.ee), with a sim.golden child inside measure.reference and a
@@ -48,9 +48,6 @@ struct experiment_options {
     /// EE search (progress beats at the cancel-check cadence).  Not owned;
     /// null = off.
     obs::flight_recorder* recorder = nullptr;
-    /// false skips observable-only work (per-vector delay histograms, the
-    /// registry flush) — the "compiled-in-but-idle" arm of the overhead A/B.
-    bool telemetry = true;
 };
 
 struct experiment_row {

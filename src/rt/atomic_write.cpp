@@ -14,8 +14,7 @@ namespace {
 
 [[noreturn]] void throw_errno(const std::string& what, const std::string& path) {
     throw plee_error("atomic_write_text: " + what + " '" + path +
-                         "': " + std::strerror(errno),
-                     failure_class::transient);
+                     "': " + std::strerror(errno));
 }
 
 std::string dirname_of(const std::string& path) {

@@ -15,8 +15,7 @@ namespace plee {
 /// file `<path>.tmp.<pid>` in the same directory, which is fsynced and then
 /// renamed over `path`; the directory is fsynced afterwards so the rename
 /// itself is durable.  A failure at any step removes the temporary file,
-/// leaves `path` untouched and throws plee::plee_error (classified
-/// transient: the cause is the environment, not the job).
+/// leaves `path` untouched and throws plee::plee_error.
 void atomic_write_text(const std::string& path, const std::string& text);
 
 }  // namespace plee

@@ -6,63 +6,35 @@
 // budget, a simulator deadlock, a blown deadline and a malformed input call
 // for different responses (report, report, cancel, reject).  Every
 // deliberate throw in the pipeline therefore derives from plee::plee_error,
-// which carries a transient/permanent classification:
-//
-//   * permanent — re-running the same job yields the same failure (the
-//     pipeline is deterministic: deadlocks, budget exhaustion, bad inputs).
-//   * transient — the failure is environmental (an injected fault, an
-//     external resource); the runner may retry with backoff.
-//
-// Deadline expiry (job_timeout) is classified permanent: the pipeline is
-// deterministic, so a job that blew its deadline once will blow it again,
-// and retrying would multiply the very wall time the deadline bounds.
-// Exceptions that do not derive from plee_error (std::bad_alloc, logic
-// errors from third-party code) classify as permanent.
+// and the fleet runner maps the exception type to the job's terminal
+// status.  The pipeline is a pure function of circuit and stimulus, so a
+// failed job would fail the same way again: each job runs once.
 
 #pragma once
 
 #include <cstdint>
-#include <exception>
 #include <stdexcept>
 #include <string>
 
 namespace plee {
 
-enum class failure_class : std::uint8_t {
-    transient,  ///< environmental — a retry may succeed
-    permanent,  ///< deterministic — a retry repeats the failure
-};
-
-inline const char* to_string(failure_class cls) {
-    return cls == failure_class::transient ? "transient" : "permanent";
-}
-
 /// Base of every deliberate pipeline throw.
 class plee_error : public std::runtime_error {
 public:
-    explicit plee_error(const std::string& what,
-                        failure_class cls = failure_class::permanent)
-        : std::runtime_error(what), cls_(cls) {}
-
-    failure_class classify() const { return cls_; }
-
-private:
-    failure_class cls_;
+    explicit plee_error(const std::string& what) : std::runtime_error(what) {}
 };
 
 /// Cooperative deadline/cancellation expiry: a cancel_token tripped while the
 /// job was mid-pipeline.  `where` names the check site ("sim.events",
-/// "ee.search"), `context` the job ("b05#2" = job id, attempt 2), and
-/// `progress` how far the stage got (events processed, chunks searched) —
-/// the partial-work snapshot a fleet log needs to tell a near-miss from a
-/// hang.
+/// "ee.search"), `label` the job ("b05" = job id), and `progress` how far
+/// the stage got (events processed, chunks searched, vectors run) — the
+/// partial-work snapshot a fleet log needs to tell a near-miss from a hang.
 class job_timeout : public plee_error {
 public:
-    job_timeout(const std::string& where, const std::string& context,
+    job_timeout(const std::string& where, const std::string& label,
                 std::uint64_t progress)
-        : plee_error(where + "[" + context + "]: deadline exceeded after " +
-                         std::to_string(progress) + " work units",
-                     failure_class::permanent),
+        : plee_error(where + "[" + label + "]: deadline exceeded after " +
+                     std::to_string(progress) + " work units"),
           progress_(progress) {}
 
     std::uint64_t progress() const { return progress_; }
@@ -70,17 +42,5 @@ public:
 private:
     std::uint64_t progress_;
 };
-
-/// Classification of an in-flight exception: plee_error reports its own
-/// class, anything else is permanent.
-inline failure_class classify_exception(std::exception_ptr e) {
-    try {
-        std::rethrow_exception(e);
-    } catch (const plee_error& pe) {
-        return pe.classify();
-    } catch (...) {
-        return failure_class::permanent;
-    }
-}
 
 }  // namespace plee

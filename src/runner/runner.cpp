@@ -2,12 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cmath>
-#include <exception>
 #include <thread>
 
-#include "bool/splitmix64.hpp"
 #include "obs/registry.hpp"
 #include "obs/sink.hpp"
 #include "report/json.hpp"
@@ -19,104 +16,51 @@ namespace plee::runner {
 
 namespace {
 
-std::uint64_t fnv1a(const std::string& s) {
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    for (const char c : s) {
-        h ^= static_cast<unsigned char>(c);
-        h *= 0x100000001b3ull;
-    }
-    return h;
-}
-
-/// Runs one job to its terminal status: at most 1 + max_retries pipeline
-/// attempts, each under a fresh deadline-armed cancel token.  Fills the
-/// slot's row/status/error/attempts; stores the final failure for
-/// fail_fast.  Never throws.
+/// Runs one job once, under a fresh deadline-armed cancel token, and fills
+/// its slot's row/status/error.  Never throws.
 void run_job(const fleet_job& job, const report::experiment_options& experiment,
-             const fleet_options& options, job_result& out,
-             std::exception_ptr& error) {
-    const unsigned max_attempts = options.max_retries + 1;
+             const fleet_options& options, job_result& out) {
     const wall_timer timer;
     out.id = job.id;
-    // Telemetry state for the whole job: the trace restarts per attempt (the
-    // report carries the final attempt's breakdown), the recorder persists
-    // across attempts so a post-mortem shows the retry history too.
     obs::trace trace;
     obs::flight_recorder recorder;
-    for (unsigned attempt = 1; attempt <= max_attempts; ++attempt) {
-        out.attempts = attempt;
-        cancel_token token;
-        if (options.job_deadline_ms > 0.0) {
-            token.set_deadline_after_ms(options.job_deadline_ms);
-        }
-        // Chain under the fleet-wide interrupt token: a SIGINT cancels this
-        // attempt at its next cooperative poll, same path as a deadline.
-        token.set_parent(options.fleet_cancel);
-        report::experiment_options opts = experiment;
-        opts.cancel = &token;
-        opts.fault_context = job.id + "#" + std::to_string(attempt);
-        if (job.max_events != 0) opts.measure.sim.max_events = job.max_events;
-        if (job.lanes != 0) opts.measure.lanes = job.lanes;
-        opts.telemetry = options.telemetry;
-        if (options.telemetry) {
-            trace.clear();
-            opts.trace = &trace;
-            opts.recorder = &recorder;
-            recorder.record("job.attempt", attempt, max_attempts);
-        }
-        try {
-            out.row =
-                report::run_ee_experiment(job.description, job.netlist, opts);
-            out.status = attempt > 1 ? job_status::retried_ok : job_status::ok;
-            out.error.clear();
-            error = nullptr;
-            break;
-        } catch (const job_timeout& e) {
-            // Permanent by policy: the pipeline is deterministic and a retry
-            // would multiply the wall time the deadline exists to bound.
-            out.status = job_status::timed_out;
-            out.error = e.what();
-            error = std::current_exception();
-            if (options.telemetry) {
-                recorder.record_note("job.timeout", out.error, attempt);
-            }
-            break;
-        } catch (const sim::budget_exhausted& e) {
-            out.status = job_status::budget_exhausted;
-            out.error = e.what();
-            error = std::current_exception();
-            if (options.telemetry) {
-                recorder.record_note("job.budget_exhausted", out.error, attempt);
-            }
-            break;
-        } catch (const std::exception& e) {
-            out.status = job_status::failed;
-            out.error = e.what();
-            error = std::current_exception();
-            if (options.telemetry) {
-                recorder.record_note("job.error", out.error, attempt);
-            }
-            if (classify_exception(error) == failure_class::transient &&
-                attempt < max_attempts) {
-                const double backoff_ms = retry_backoff_ms(
-                    job.id, attempt, options.retry_backoff_base_ms);
-                if (options.telemetry) {
-                    recorder.record("job.retry", attempt + 1,
-                                    static_cast<std::uint64_t>(backoff_ms));
-                }
-                std::this_thread::sleep_for(
-                    std::chrono::duration<double, std::milli>(backoff_ms));
-                continue;
-            }
-            break;
-        }
+    cancel_token token;
+    if (options.job_deadline_ms > 0.0) {
+        token.set_deadline_after_ms(options.job_deadline_ms);
+    }
+    // Chain under the fleet-wide interrupt token: a SIGINT cancels this job
+    // at its next cooperative poll, same path as a deadline.
+    token.set_parent(options.fleet_cancel);
+    report::experiment_options opts = experiment;
+    opts.cancel = &token;
+    opts.label = job.id;
+    if (job.max_events != 0) opts.measure.sim.max_events = job.max_events;
+    if (job.lanes != 0) opts.measure.lanes = job.lanes;
+    if (options.telemetry) {
+        opts.trace = &trace;
+        opts.recorder = &recorder;
+    }
+    const auto fail = [&](job_status status, const char* tag, const char* what) {
+        out.status = status;
+        out.error = what;
+        if (options.telemetry) recorder.record_note(tag, out.error);
+    };
+    try {
+        out.row = report::run_ee_experiment(job.description, job.netlist, opts);
+        out.status = job_status::ok;
+    } catch (const job_timeout& e) {
+        fail(job_status::timed_out, "job.timeout", e.what());
+    } catch (const sim::budget_exhausted& e) {
+        fail(job_status::budget_exhausted, "job.budget_exhausted", e.what());
+    } catch (const std::exception& e) {
+        fail(job_status::failed, "job.error", e.what());
     }
     out.wall_ms = timer.elapsed_ms();
     // scoped_span closes during unwind, so the trace is well-formed even
-    // when the final attempt threw — a failed job still reports how far it
-    // got and where the time went.
+    // when the job threw — a failed job still reports how far it got and
+    // where the time went.
     out.spans = trace.spans();
-    if (!job_succeeded(out.status)) out.flight = recorder.dump();
+    if (out.status != job_status::ok) out.flight = recorder.dump();
 }
 
 /// Pulls job indices from the shared counter and runs each to its terminal
@@ -125,8 +69,7 @@ void run_job(const fleet_job& job, const report::experiment_options& experiment,
 void fleet_worker(const std::vector<fleet_job>& jobs,
                   const report::experiment_options& experiment,
                   const fleet_options& options, std::atomic<std::size_t>& next,
-                  std::vector<job_result>& results,
-                  std::vector<std::exception_ptr>& errors) {
+                  std::vector<job_result>& results) {
     for (;;) {
         const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
         if (i >= jobs.size()) return;
@@ -136,10 +79,9 @@ void fleet_worker(const std::vector<fleet_job>& jobs,
             results[i].id = jobs[i].id;
             results[i].status = job_status::timed_out;
             results[i].error = "fleet interrupted before job started";
-            results[i].attempts = 0;
             continue;
         }
-        run_job(jobs[i], experiment, options, results[i], errors[i]);
+        run_job(jobs[i], experiment, options, results[i]);
     }
 }
 
@@ -148,24 +90,11 @@ void fleet_worker(const std::vector<fleet_job>& jobs,
 const char* to_string(job_status status) {
     switch (status) {
         case job_status::ok: return "ok";
-        case job_status::retried_ok: return "retried_ok";
         case job_status::failed: return "failed";
         case job_status::timed_out: return "timed_out";
         case job_status::budget_exhausted: return "budget_exhausted";
     }
     return "?";
-}
-
-double retry_backoff_ms(const std::string& job_id, unsigned attempt,
-                        double base_ms) {
-    if (base_ms <= 0.0) return 0.0;
-    const unsigned shift = std::min(attempt > 0 ? attempt - 1 : 0u, 20u);
-    const double expo = base_ms * static_cast<double>(std::uint64_t{1} << shift);
-    const std::uint64_t mixed = bf::splitmix64(fnv1a(job_id) ^ attempt);
-    const double jitter =
-        base_ms * (static_cast<double>(mixed >> 11) *
-                   (1.0 / 9007199254740992.0));  // uniform in [0, base)
-    return expo + jitter;
 }
 
 fleet_result run_fleet(const std::vector<fleet_job>& jobs,
@@ -181,38 +110,29 @@ fleet_result run_fleet(const std::vector<fleet_job>& jobs,
     if (jobs.empty()) return fleet;
 
     report::experiment_options experiment = options.experiment;
-    experiment.ee.num_threads = std::max(options.ee_threads_per_job, 1u);
+    experiment.ee.num_threads = 1;
+    experiment.measure.telemetry = options.telemetry;
 
-    std::vector<std::exception_ptr> errors(jobs.size());
     std::atomic<std::size_t> next{0};
     const wall_timer timer;
     if (threads <= 1) {
-        fleet_worker(jobs, experiment, options, next, fleet.results, errors);
+        fleet_worker(jobs, experiment, options, next, fleet.results);
     } else {
         std::vector<std::thread> pool;
         pool.reserve(threads - 1);
         for (unsigned t = 1; t < threads; ++t) {
             pool.emplace_back([&] {
-                fleet_worker(jobs, experiment, options, next, fleet.results,
-                             errors);
+                fleet_worker(jobs, experiment, options, next, fleet.results);
             });
         }
-        fleet_worker(jobs, experiment, options, next, fleet.results, errors);
+        fleet_worker(jobs, experiment, options, next, fleet.results);
         for (std::thread& t : pool) t.join();
     }
     fleet.wall_ms = timer.elapsed_ms();
 
-    if (options.fail_fast) {
-        for (const std::exception_ptr& e : errors) {
-            if (e) std::rethrow_exception(e);
-        }
-    }
-
     for (const job_result& r : fleet.results) {
-        if (r.attempts > 1) ++fleet.jobs_retried;
         switch (r.status) {
-            case job_status::ok:
-            case job_status::retried_ok: ++fleet.jobs_ok; break;
+            case job_status::ok: ++fleet.jobs_ok; break;
             case job_status::failed: ++fleet.jobs_failed; break;
             case job_status::timed_out: ++fleet.jobs_timed_out; break;
             case job_status::budget_exhausted:
@@ -228,7 +148,7 @@ fleet_result run_fleet(const std::vector<fleet_job>& jobs,
                                  : static_cast<std::uint64_t>(
                                        std::llround(r.wall_ms * 1e3)));
         }
-        if (!job_succeeded(r.status)) continue;
+        if (r.status != job_status::ok) continue;
         fleet.delay_hist_no_ee.merge(r.row.delay_hist_no_ee);
         fleet.delay_hist_ee.merge(r.row.delay_hist_ee);
         fleet.total_pl_gates += r.row.pl_gates;
@@ -250,7 +170,6 @@ fleet_result run_fleet(const std::vector<fleet_job>& jobs,
         reg.get_counter("fleet.jobs_timed_out").add(fleet.jobs_timed_out);
         reg.get_counter("fleet.jobs_budget_exhausted")
             .add(fleet.jobs_budget_exhausted);
-        reg.get_counter("fleet.jobs_retried").add(fleet.jobs_retried);
         reg.get_gauge("fleet.threads").set(static_cast<std::int64_t>(threads));
         reg.get_histogram("fleet.job_wall_us").merge(fleet.job_wall_hist_us);
     }
@@ -267,7 +186,6 @@ report::json to_json(const fleet_result& fleet, bool include_rows) {
     j.set("jobs_timed_out", report::json::number(fleet.jobs_timed_out));
     j.set("jobs_budget_exhausted",
           report::json::number(fleet.jobs_budget_exhausted));
-    j.set("jobs_retried", report::json::number(fleet.jobs_retried));
     j.set("wall_ms", report::json::number(fleet.wall_ms));
     j.set("netlists_per_s", report::json::number(fleet.netlists_per_s()));
     j.set("sweeps_per_s", report::json::number(fleet.sweeps_per_s()));
@@ -298,8 +216,6 @@ report::json to_json(const fleet_result& fleet, bool include_rows) {
             report::json row = report::to_json(r.row);
             row.set("id", report::json::str(r.id));
             row.set("status", report::json::str(to_string(r.status)));
-            row.set("attempts",
-                    report::json::number(static_cast<std::int64_t>(r.attempts)));
             if (!r.error.empty()) row.set("error", report::json::str(r.error));
             row.set("wall_ms", report::json::number(r.wall_ms));
             if (!r.spans.empty()) {

@@ -12,16 +12,12 @@
 // fleet result — including every experiment row — is bit-identical for any
 // thread count and any work interleaving.  Only the wall-clock figures vary.
 //
-// Failure contract (graceful degradation): one pathological job must not
-// discard the rest of the fleet.  Each job runs under its own cancel token
-// (deadline = fleet_options::job_deadline_ms) and lands in one of the
-// job_status states; failed/timed-out/budget-exhausted jobs keep their
-// error text and are skipped by every fleet aggregate, and the fleet
-// completes with partial results.  Transient-classified failures (see
-// rt/errors.hpp; in practice injected faults and future external
-// resources) are retried up to max_retries times with deterministic
-// exponential backoff.  fail_fast restores the old throw-after-join
-// behavior.  See src/runner/README.md for the full semantics.
+// Failure contract: each job runs once, under its own cancel token
+// (deadline = fleet_options::job_deadline_ms), and ends ok, failed,
+// timed_out or budget_exhausted.  A non-ok job keeps its error text and is
+// skipped by every fleet aggregate; run_fleet never throws because a job
+// failed, so the fleet always completes with every job's result.  See
+// src/runner/README.md.
 
 #pragma once
 
@@ -42,7 +38,7 @@ namespace plee::runner {
 /// hence BENCH_fleet.json).  Artifacts without the field predate versioning
 /// (read them as version 0); bump this on any breaking shape change.  See
 /// docs/schemas.md.
-inline constexpr int k_fleet_schema_version = 3;
+inline constexpr int k_fleet_schema_version = 4;
 
 /// One circuit to push through the pipeline.
 struct fleet_job {
@@ -58,51 +54,29 @@ struct fleet_job {
     std::size_t lanes = 0;
 };
 
-/// Terminal state of one job after all its attempts.
+/// Terminal state of one job.
 enum class job_status : std::uint8_t {
-    ok,                ///< first attempt succeeded
-    retried_ok,        ///< succeeded after >= 1 transient-failure retries
-    failed,            ///< permanent failure (or retries exhausted)
+    ok,                ///< the pipeline ran to completion
+    failed,            ///< any other pipeline exception
     timed_out,         ///< job_deadline_ms expired (cooperative cancel)
     budget_exhausted,  ///< simulator event budget tripped
 };
 
 const char* to_string(job_status status);
 
-/// ok and retried_ok are the states whose rows enter fleet aggregates.
-inline bool job_succeeded(job_status status) {
-    return status == job_status::ok || status == job_status::retried_ok;
-}
-
-/// Backoff before retrying `job_id` after failed attempt `attempt`
-/// (1-based): base * 2^(attempt-1) plus a deterministic per-(job, attempt)
-/// jitter in [0, base) — exponential, decorrelated across jobs, and
-/// reproducible run-to-run (no RNG state).
-double retry_backoff_ms(const std::string& job_id, unsigned attempt,
-                        double base_ms);
-
 struct fleet_options {
     /// Worker threads sharding the job list.  0 = one per hardware thread.
     unsigned num_threads = 0;
     /// Per-circuit pipeline knobs (mapping, EE search, measurement).  The
-    /// runner owns ee.num_threads; a value set there is overridden per job.
+    /// runner runs each job's EE search on one thread (the job shards
+    /// already fill the machine) and sets measure.telemetry from
+    /// `telemetry`, overriding the values set here.
     report::experiment_options experiment{};
-    /// Inner EE-search threads per job.  The outer job shards already
-    /// saturate the machine, so the default keeps each pass sequential.
-    unsigned ee_threads_per_job = 1;
-    /// Per-job wall-clock deadline in ms (0 = none).  Each attempt gets a
-    /// fresh cancel token armed with this deadline; the pipeline stages poll
-    /// it cooperatively, so a hung job lands in timed_out within a bounded
-    /// overshoot (one cancel-check interval) instead of hanging its worker.
+    /// Per-job wall-clock deadline in ms (0 = none).  Each job gets a fresh
+    /// cancel token armed with this deadline; the pipeline stages poll it
+    /// cooperatively, so a hung job lands in timed_out within a bounded
+    /// overshoot (one check interval) instead of hanging its worker.
     double job_deadline_ms = 0.0;
-    /// Extra attempts granted to transient-classified failures (permanent
-    /// failures, timeouts and budget exhaustion never retry).
-    unsigned max_retries = 0;
-    /// Base of the exponential retry backoff (see retry_backoff_ms).
-    double retry_backoff_base_ms = 5.0;
-    /// Restore the pre-robustness contract: after all workers join, rethrow
-    /// the first failed job's exception instead of returning partial results.
-    bool fail_fast = false;
     /// Telemetry master switch.  On (default): every job runs with a trace
     /// (stage spans land in job_result::spans), a flight recorder (dumped
     /// into job_result::flight for non-ok jobs), per-vector delay histograms,
@@ -111,8 +85,8 @@ struct fleet_options {
     /// overhead A/B in bench_fleet_scaling.
     bool telemetry = true;
     /// Fleet-wide interrupt token (the tools' SIGINT/SIGTERM hook): chained
-    /// as the parent of every per-attempt job token, and polled between
-    /// jobs, so one cancel() stops the whole fleet at its next checks.
+    /// as the parent of every job token, and polled between jobs, so one
+    /// cancel() stops the whole fleet at its next checks.
     /// Must outlive run_fleet.
     const cancel_token* fleet_cancel = nullptr;
 };
@@ -120,14 +94,13 @@ struct fleet_options {
 struct job_result {
     std::string id;
     report::experiment_row row;  ///< default-initialized unless the job succeeded
-    double wall_ms = 0.0;   ///< this job's wall time across all its attempts
+    double wall_ms = 0.0;  ///< this job's wall time
     job_status status = job_status::ok;
-    std::string error;      ///< what() of the final failure; empty on success
-    unsigned attempts = 1;  ///< pipeline runs consumed (1 = no retries)
-    /// Stage-span breakdown of the *final* attempt (partial but well-formed
-    /// when that attempt died mid-stage).  Empty with telemetry off.
+    std::string error;     ///< what() of the failure; empty on success
+    /// Stage-span breakdown (partial but well-formed when the job died
+    /// mid-stage).  Empty with telemetry off.
     std::vector<obs::span_record> spans;
-    /// Flight-recorder dump — the job's last ~128 progress/fault/error
+    /// Flight-recorder dump — the job's last ~128 progress/error
     /// events.  Populated only for non-ok jobs (the post-mortem payload);
     /// empty for succeeded jobs and with telemetry off.
     std::vector<obs::fr_event> flight;
@@ -138,13 +111,11 @@ struct fleet_result {
     unsigned threads = 1;
     double wall_ms = 0.0;  ///< whole-fleet wall time
 
-    // Outcome census.  jobs_ok counts ok + retried_ok; jobs_retried counts
-    // every job whose attempts > 1 (including ones that still failed).
+    // Outcome census: one count per job_status.
     std::size_t jobs_ok = 0;
     std::size_t jobs_failed = 0;
     std::size_t jobs_timed_out = 0;
     std::size_t jobs_budget_exhausted = 0;
-    std::size_t jobs_retried = 0;
 
     bool all_ok() const { return jobs_ok == results.size(); }
 
@@ -212,10 +183,9 @@ struct fleet_result {
     }
 };
 
-/// Runs every job through the pipeline across the worker pool.  Always
-/// returns all jobs.size() results (graceful degradation — inspect
-/// job_result::status); with options.fail_fast, rethrows the first failed
-/// job's exception after all workers join instead.
+/// Runs every job once through the pipeline across the worker pool and
+/// returns all jobs.size() results; a job's failure lands in its
+/// job_result::status, never in an exception from run_fleet.
 fleet_result run_fleet(const std::vector<fleet_job>& jobs,
                        const fleet_options& options = {});
 

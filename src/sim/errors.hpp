@@ -9,7 +9,6 @@
 // count at failure and the engine ("dataflow" for the sequential-wave
 // protocol, "lane" for run_lanes), and renders them into what() as
 // "(after N events, <engine> engine)", so a single log line is actionable.
-// All are permanent (the simulator is deterministic given its stimulus).
 
 #pragma once
 
@@ -27,8 +26,7 @@ public:
               std::uint64_t events, const char* engine)
         : plee_error("pl_simulator[" + (label.empty() ? "?" : label) +
                          "]: " + message + " (after " + std::to_string(events) +
-                         " events, " + engine + " engine)",
-                     failure_class::permanent),
+                         " events, " + engine + " engine)"),
           events_(events) {}
 
     std::uint64_t events() const { return events_; }

@@ -20,8 +20,7 @@ namespace {
             (options.sim.label.empty() ? "?" : options.sim.label) +
             "]: PL outputs diverge from the synchronous golden model on " +
             std::to_string(mismatched) + " of " + std::to_string(total) +
-            " waves",
-        failure_class::permanent);
+            " waves");
 }
 
 /// Counts the vectors whose outputs differ from the reference's golden
@@ -105,8 +104,18 @@ void measure_lanes(const pl::pl_netlist& pl, const measure_reference& reference,
     }
 }
 
+/// Polled once per stimulus block of the golden run: an expired token
+/// raises job_timeout with the vectors run so far, so a deadline stops the
+/// golden model within one block.
+void poll_golden(const sim_options& sim, std::size_t block) {
+    if (sim.cancel != nullptr && sim.cancel->expired()) {
+        throw job_timeout("sim.golden", sim.label, block * k_lanes);
+    }
+}
+
 /// The golden model's outputs on the reference's stimulus, in its layout.
-void run_golden(const nl::netlist& golden, measure_reference& reference) {
+void run_golden(const nl::netlist& golden, const sim_options& sim,
+                measure_reference& reference) {
     const std::vector<nl::cell_id>& outputs = golden.outputs();
     const std::size_t n = outputs.size();
     reference.golden = true;
@@ -116,6 +125,7 @@ void run_golden(const nl::netlist& golden, measure_reference& reference) {
         nl::sync_simulator gold(golden);
         std::vector<bool> inputs;
         for (std::size_t b = 0; b < reference.blocks.size(); ++b) {
+            poll_golden(sim, b);
             const stimulus_block& block = reference.blocks[b];
             for (std::size_t lane = 0; lane < block.num_vectors; ++lane) {
                 block.extract(lane, inputs);
@@ -132,6 +142,7 @@ void run_golden(const nl::netlist& golden, measure_reference& reference) {
     }
     nl::sync_lane_simulator gold(golden);
     for (std::size_t b = 0; b < reference.blocks.size(); ++b) {
+        poll_golden(sim, b);
         const stimulus_block& block = reference.blocks[b];
         gold.reset();
         gold.set_inputs(block.words.data(), block.width);
@@ -179,7 +190,7 @@ measure_reference make_measure_reference(const nl::netlist* golden,
     reference.blocks = make_stimulus(options.num_vectors, width, options.seed);
     if (golden != nullptr) {
         const obs::scoped_span span(options.trace, "sim.golden");
-        run_golden(*golden, reference);
+        run_golden(*golden, options.sim, reference);
     }
     return reference;
 }

@@ -61,7 +61,7 @@ struct measure_options {
     /// throws std::invalid_argument.
     std::size_t lanes = 1;
     sim_options sim{};
-    /// Throw a permanent plee_error if PL outputs diverge from the golden
+    /// Throw a plee_error if PL outputs diverge from the golden
     /// outputs ("... diverge from the synchronous golden model on k of n
     /// waves"); when false, only measure_result::mismatched_waves says so.
     bool require_functional_match = true;
@@ -125,7 +125,9 @@ std::vector<std::vector<bool>> random_vectors(std::size_t count, std::size_t wid
 
 /// Draws options.num_vectors vectors of `width` inputs from options.seed
 /// and, when `golden` is not null, runs the golden model over them once
-/// under the options.lanes protocol, in a "sim.golden" span.  Throws
+/// under the options.lanes protocol, in a "sim.golden" span.  The golden
+/// run polls options.sim.cancel once per 64-vector stimulus block and
+/// raises plee::job_timeout("sim.golden") when it has expired.  Throws
 /// std::invalid_argument when options.lanes is not 1 or 64,
 /// options.num_vectors is 0, or `width` is not the golden input count.
 measure_reference make_measure_reference(const nl::netlist* golden,

@@ -4,7 +4,6 @@
 #include <bit>
 #include <stdexcept>
 
-#include "fault/injector.hpp"
 #include "sim/errors.hpp"
 
 namespace plee::sim {
@@ -220,15 +219,14 @@ void pl_simulator::begin_run(const char* engine) {
 }
 
 /// The event checks both protocols share: at every multiple of
-/// k_cancel_check_events the count crossed, the cancel poll, the sim.fire
-/// fault point and the progress beat; past max_events, the budget, which
-/// reports exactly max_events + 1 events.
+/// k_cancel_check_events the count crossed, the cancel poll and the
+/// progress beat; past max_events, the budget, which reports exactly
+/// max_events + 1 events.
 void pl_simulator::check_events(const char* engine) {
     while (next_check_ <= stats_.events && next_check_ <= options_.max_events) {
         if (options_.cancel != nullptr && options_.cancel->expired()) {
             throw job_timeout("sim.events", options_.label, next_check_);
         }
-        fault::injector::instance().check("sim.fire", next_check_);
         if (options_.recorder != nullptr) {
             options_.recorder->record("sim.progress", next_check_, waves_stable_);
         }

@@ -50,8 +50,7 @@
 //  * Event count.  stats().events counts token deposits: each firing adds
 //    its out-degree.  A run that exceeds max_events throws at exactly
 //    max_events + 1; whenever the count crosses a multiple of
-//    k_cancel_check_events, the cancel poll, the sim.fire fault point (at
-//    that multiple) and the sim.progress beat run.
+//    k_cancel_check_events, the cancel poll and the sim.progress beat run.
 //  * Trace order.  trace() is emitted per data out-edge in wave order, then
 //    stable-sorted by (time, edge); one edge's deposits stay in wave order.
 //
@@ -98,7 +97,7 @@ struct sim_options {
     /// sim::budget_exhausted (see sim/errors.hpp).
     std::uint64_t max_events = 100'000'000;
     /// Circuit/job label embedded in every typed simulator failure, so fleet
-    /// logs can attribute a throw to its job ("b05", "datapath-like/3#2").
+    /// logs can attribute a throw to its job ("b05", "datapath-like/3").
     std::string label;
     /// Cooperative cancellation: both protocols poll the token once per
     /// k_cancel_check_events processed events and raise plee::job_timeout

@@ -12,6 +12,7 @@
 
 #include "bench_circuits/itc99.hpp"
 #include "plogic/pl_mapper.hpp"
+#include "rt/errors.hpp"
 #include "synth/rtl.hpp"
 
 namespace plee::ee {
@@ -56,6 +57,32 @@ TEST(EeTransform, GraphStaysLiveAndSafe) {
     EXPECT_TRUE(report.well_formed);
     EXPECT_TRUE(report.live);
     EXPECT_TRUE(report.safe);
+}
+
+TEST(EeTransform, CancelledTokenStopsTheSearchBeforeAnyMutation) {
+    cancel_token token;
+    token.cancel();
+    for (const unsigned threads : {1u, 4u}) {
+        pl::map_result mapped = pl::map_to_phased_logic(ripple_adder());
+        const std::size_t gates = mapped.pl.num_gates();
+        const std::size_t edges = mapped.pl.num_edges();
+        ee_options options;
+        options.num_threads = threads;
+        options.cancel = &token;
+        options.context = "adder";
+        try {
+            apply_early_evaluation(mapped.pl, options);
+            FAIL() << "a cancelled search completed at " << threads << " threads";
+        } catch (const job_timeout& e) {
+            EXPECT_NE(std::string(e.what()).find("ee.search[adder]"),
+                      std::string::npos)
+                << e.what();
+        }
+        EXPECT_EQ(mapped.pl.num_trigger_gates(), 0u) << threads;
+        EXPECT_EQ(mapped.pl.num_gates(), gates) << threads;
+        EXPECT_EQ(mapped.pl.num_edges(), edges) << threads;
+        EXPECT_TRUE(mapped.pl.verified()) << threads;
+    }
 }
 
 TEST(EeTransform, NetlistWithoutAPassedCheckGetsTheFullVerify) {

@@ -312,6 +312,33 @@ TEST(LaneSim, RejectsBadArguments) {
     EXPECT_THROW(simulator.run_lanes(empty), std::invalid_argument);
 }
 
+TEST(LaneSim, CancelledTokenStopsTheBlockAtTheFirstCheck) {
+    const built_circuit c =
+        build_preset(wl::scenario::random_dag, 400, 27, false);
+    const std::vector<stimulus_block> blocks =
+        make_stimulus(k_lanes, c.pl.sources().size(), 5);
+    {
+        pl_simulator simulator(c.pl);
+        simulator.run_lanes(blocks.front());
+        ASSERT_GT(simulator.stats().events, k_cancel_check_events);
+    }
+    cancel_token token;
+    token.cancel();
+    sim_options opts;
+    opts.cancel = &token;
+    opts.label = "dag400";
+    pl_simulator simulator(c.pl, opts);
+    try {
+        simulator.run_lanes(blocks.front());
+        FAIL() << "a cancelled block completed";
+    } catch (const job_timeout& e) {
+        EXPECT_EQ(e.progress(), k_cancel_check_events);
+        EXPECT_NE(std::string(e.what()).find("sim.events[dag400]"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
 // --- Measurement path ----------------------------------------------------
 
 TEST(LaneMeasure, MatchesSerialPerVectorReference) {

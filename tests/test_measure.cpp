@@ -261,6 +261,32 @@ TEST(Measure, ReferenceMustMatchTheNetlistAndProtocol) {
     EXPECT_THROW(make_measure_reference(&n, width, opts), std::invalid_argument);
 }
 
+TEST(Measure, CancelledTokenStopsTheGoldenRunInBothProtocols) {
+    const nl::netlist n = alu_netlist();
+    cancel_token token;
+    token.cancel();
+    for (const std::size_t lanes : {std::size_t{1}, k_lanes}) {
+        measure_options opts;
+        opts.num_vectors = 200;
+        opts.lanes = lanes;
+        opts.sim.cancel = &token;
+        opts.sim.label = "alu";
+        try {
+            make_measure_reference(&n, n.inputs().size(), opts);
+            FAIL() << "a cancelled golden run completed at lanes " << lanes;
+        } catch (const job_timeout& e) {
+            EXPECT_EQ(e.progress(), 0u) << lanes;
+            EXPECT_NE(std::string(e.what()).find("sim.golden[alu]"),
+                      std::string::npos)
+                << e.what();
+        }
+        // Without a golden model there is no golden run to poll.
+        EXPECT_EQ(make_measure_reference(nullptr, n.inputs().size(), opts)
+                      .blocks.size(),
+                  4u);
+    }
+}
+
 TEST(Measure, DelayModelScalesResults) {
     const nl::netlist n = alu_netlist();
     const pl::map_result mapped = pl::map_to_phased_logic(n);

@@ -243,9 +243,6 @@ TEST(ObsSpan, ExceptionUnwindClosesSpansAndKeepsTraceWellFormed) {
     { const scoped_span after(&t, "after"); }
     EXPECT_EQ(t.spans()[2].parent, -1);
 
-    t.clear();
-    EXPECT_TRUE(t.spans().empty());
-
     // Null trace is a no-op everywhere.
     { const scoped_span nop(nullptr, "x"); }
 }
@@ -279,22 +276,6 @@ TEST(ObsFlightRecorder, RingWrapsKeepingNewestOldestFirst) {
     flight_recorder tiny(0);
     tiny.record("x");
     EXPECT_EQ(tiny.dump().size(), 1u);
-}
-
-TEST(ObsFlightRecorder, AmbientRecorderScopesNest) {
-    EXPECT_EQ(current_recorder(), nullptr);
-    flight_recorder outer_r;
-    flight_recorder inner_r;
-    {
-        const recorder_scope outer(&outer_r);
-        EXPECT_EQ(current_recorder(), &outer_r);
-        {
-            const recorder_scope inner(&inner_r);
-            EXPECT_EQ(current_recorder(), &inner_r);
-        }
-        EXPECT_EQ(current_recorder(), &outer_r);
-    }
-    EXPECT_EQ(current_recorder(), nullptr);
 }
 
 // --- Sinks ----------------------------------------------------------------
@@ -432,18 +413,15 @@ TEST(ObsEndToEnd, BudgetExhaustedJobReportsFlightDumpAndSpanBreakdown) {
     // flight-recorder dump plus its (partial but well-formed) span breakdown.
     EXPECT_FALSE(r.flight.empty());
     EXPECT_FALSE(r.spans.empty());
-    bool saw_attempt = false;
     bool saw_budget = false;
     for (const fr_event& e : r.flight) {
-        if (std::string(e.tag) == "job.attempt") saw_attempt = true;
         if (std::string(e.tag) == "job.budget_exhausted") saw_budget = true;
     }
-    EXPECT_TRUE(saw_attempt);
     EXPECT_TRUE(saw_budget);
     for (const span_record& s : r.spans) EXPECT_GE(s.dur_ms, 0.0);
 
     const std::string dump = runner::to_json(fleet).dump();
-    EXPECT_NE(dump.find("\"schema_version\": 3"), std::string::npos);
+    EXPECT_NE(dump.find("\"schema_version\": 4"), std::string::npos);
     EXPECT_NE(dump.find("\"flight_recorder\""), std::string::npos);
     EXPECT_NE(dump.find("\"spans\""), std::string::npos);
     EXPECT_NE(dump.find("\"job.budget_exhausted\""), std::string::npos);

@@ -255,9 +255,8 @@ TEST(PlSim, DeadlockDetectedOnBrokenMarking) {
         sim.run({{true}, {false}});
         FAIL() << "expected sim::deadlock_error";
     } catch (const deadlock_error& e) {
-        // The typed failure is permanent (deterministic pipeline) and its
-        // what() carries the liveness diagnostic plus the engine context.
-        EXPECT_EQ(e.classify(), failure_class::permanent);
+        // The typed failure's what() carries the liveness diagnostic plus
+        // the engine context.
         EXPECT_NE(std::string(e.what()).find("deadlock"), std::string::npos);
         EXPECT_NE(std::string(e.what()).find("dataflow engine"),
                   std::string::npos);
@@ -294,6 +293,32 @@ TEST(PlSim, UnsafeNetlistRejectedBeforeTheRun) {
         EXPECT_THROW(sim.run({{true, false}, {true, false}, {true, false}}),
                      invariant_violation);
         EXPECT_EQ(sim.stats().events, 0u);
+    }
+}
+
+TEST(PlSim, CancelledTokenStopsTheRunAtTheFirstCheck) {
+    const pl::map_result mapped = pl::map_to_phased_logic(adder_netlist(8));
+    const std::vector<std::vector<bool>> vectors =
+        random_vectors(40, mapped.pl.sources().size(), 3);
+    {
+        pl_simulator sim(mapped.pl);
+        sim.run(vectors);
+        ASSERT_GT(sim.stats().events, k_cancel_check_events);
+    }
+    cancel_token token;
+    token.cancel();
+    sim_options opts;
+    opts.cancel = &token;
+    opts.label = "adder8";
+    pl_simulator sim(mapped.pl, opts);
+    try {
+        sim.run(vectors);
+        FAIL() << "a cancelled run completed";
+    } catch (const job_timeout& e) {
+        EXPECT_EQ(e.progress(), k_cancel_check_events);
+        EXPECT_NE(std::string(e.what()).find("sim.events[adder8]"),
+                  std::string::npos)
+            << e.what();
     }
 }
 

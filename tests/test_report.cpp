@@ -11,6 +11,8 @@
 #include <string>
 #include <vector>
 
+#include "obs/registry.hpp"
+#include "rt/errors.hpp"
 #include "synth/rtl.hpp"
 
 namespace plee::report {
@@ -94,19 +96,22 @@ TEST(Experiment, ThresholdSuppressesEe) {
     EXPECT_EQ(row.area_increase_pct, 0.0);
 }
 
-TEST(Experiment, TraceNamesEachStageOnceInPipelineOrder) {
-    syn::module_builder m("stages");
+/// A 4-bit registered accumulator: small, and EE finds triggers on it.
+nl::netlist accumulator() {
+    syn::module_builder m("acc");
     const syn::bus a = m.input_bus("a", 4);
     const syn::bus acc = m.new_register("acc", 4, 0);
     m.connect_register(acc, m.add(acc, a).sum);
     m.output_bus("acc", acc);
-    const nl::netlist n = m.build();
+    return m.build();
+}
 
+TEST(Experiment, TraceNamesEachStageOnceInPipelineOrder) {
     obs::trace trace;
     experiment_options opts;
     opts.measure.num_vectors = 10;
     opts.trace = &trace;
-    const experiment_row row = run_ee_experiment("stages", n, opts);
+    const experiment_row row = run_ee_experiment("stages", accumulator(), opts);
     ASSERT_GT(row.ee_gates, 0u);
 
     // One map, one stimulus draw with one golden run, and one span per arm.
@@ -128,6 +133,39 @@ TEST(Experiment, TraceNamesEachStageOnceInPipelineOrder) {
               (std::vector<std::string>{"measure.reference/sim.golden",
                                         "measure.plain/sim.run",
                                         "measure.ee/sim.run"}));
+}
+
+TEST(Experiment, CancelledTokenStopsAtTheMapGate) {
+    cancel_token token;
+    token.cancel();
+    obs::trace trace;
+    experiment_options opts;
+    opts.cancel = &token;
+    opts.trace = &trace;
+    opts.label = "job7";
+    try {
+        run_ee_experiment("cancelled", accumulator(), opts);
+        FAIL() << "a cancelled run completed";
+    } catch (const job_timeout& e) {
+        EXPECT_EQ(e.progress(), 0u);
+        EXPECT_NE(std::string(e.what()).find("pipeline.map[job7]"),
+                  std::string::npos)
+            << e.what();
+    }
+    EXPECT_TRUE(trace.spans().empty());
+}
+
+TEST(Experiment, MeasureTelemetryOffSkipsHistogramsAndTheRegistryFlush) {
+    obs::counter& vectors = obs::registry::global().get_counter("sim.vectors");
+    const std::uint64_t before = vectors.value();
+    experiment_options opts;
+    opts.measure.num_vectors = 10;
+    opts.measure.telemetry = false;
+    const experiment_row row = run_ee_experiment("quiet", accumulator(), opts);
+    EXPECT_EQ(row.vectors_measured, 20u);
+    EXPECT_TRUE(row.delay_hist_no_ee.empty());
+    EXPECT_TRUE(row.delay_hist_ee.empty());
+    EXPECT_EQ(vectors.value(), before);
 }
 
 TEST(Json, SerializesNestedValuesDeterministically) {

@@ -1,15 +1,18 @@
 // Tests for the sharded fleet runner: bit-identical results against the
 // serial single-circuit pipeline on b05/b07/b10 at several thread counts,
-// aggregate accounting, graceful degradation, and error propagation.
+// aggregate accounting, graceful degradation, deadlines and the fleet-wide
+// interrupt.
 
 #include "runner/runner.hpp"
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "bench_circuits/itc99.hpp"
 #include "report/json.hpp"
+#include "rt/cancel.hpp"
 #include "workload/workload.hpp"
 
 namespace plee::runner {
@@ -154,13 +157,15 @@ TEST(FleetRunner, GracefulDegradationKeepsSurvivors) {
     EXPECT_TRUE(fleet.results[0].error.empty());
     EXPECT_EQ(fleet.results[1].status, job_status::failed);
     EXPECT_FALSE(fleet.results[1].error.empty());
-    EXPECT_EQ(fleet.results[1].attempts, 1u);  // validation errors are permanent
+    // The job ran once: its post-mortem holds exactly one terminal note.
+    ASSERT_EQ(fleet.results[1].flight.size(), 1u);
+    EXPECT_EQ(std::string(fleet.results[1].flight[0].tag), "job.error");
+    EXPECT_EQ(fleet.results[1].flight[0].note, fleet.results[1].error);
 
     EXPECT_FALSE(fleet.all_ok());
     EXPECT_EQ(fleet.jobs_ok, 1u);
     EXPECT_EQ(fleet.jobs_failed, 1u);
     EXPECT_EQ(fleet.jobs_timed_out, 0u);
-    EXPECT_EQ(fleet.jobs_retried, 0u);
 
     // The failed job's default-initialized row stays out of the aggregates.
     EXPECT_EQ(fleet.total_pl_gates, fleet.results[0].row.pl_gates);
@@ -172,22 +177,12 @@ TEST(FleetRunner, GracefulDegradationKeepsSurvivors) {
     EXPECT_NE(dump.find("\"error\""), std::string::npos);
 }
 
-TEST(FleetRunner, FailFastRestoresThrowingContract) {
-    fleet_job good;
-    good.id = "ok";
-    good.description = "ok";
-    good.netlist = wl::generate(wl::scenario_params(wl::scenario::random_dag, 20, 1));
-    fleet_options opts;
-    opts.fail_fast = true;
-    EXPECT_THROW(run_fleet({good, malformed_job("bad")}, opts), std::exception);
-}
-
 TEST(FleetRunner, FailingJobsDoNotPerturbSurvivorRows) {
     // The fleet-integrity matrix: two healthy benchmark jobs ride alongside a
     // job that exhausts its (per-job) simulator event budget mid-measurement
     // and a job that fails validation outright.  At every thread count the
-    // fleet must return all four results, classify exactly the two bad jobs
-    // as non-ok, and leave the survivors' rows bit-identical to the serial
+    // fleet must return all four results, mark exactly the two bad jobs
+    // non-ok, and leave the survivors' rows bit-identical to the serial
     // single-circuit pipeline.
     const std::vector<std::string> ids = {"b05", "b07"};
     std::vector<fleet_job> jobs;
@@ -235,6 +230,55 @@ TEST(FleetRunner, FailingJobsDoNotPerturbSurvivorRows) {
                                   ids[i] + " " + label);
         }
     }
+}
+
+TEST(FleetRunner, DeadlineStopsTheGoldenRunWithinOneBlock) {
+    // The golden model over 50000 vectors runs several times longer than
+    // the deadline; polled once per 64-vector block, it stops the job well
+    // within twice the deadline.
+    fleet_job job;
+    job.id = "slow";
+    job.description = "slow";
+    job.netlist = wl::generate(wl::scenario_params(wl::scenario::random_dag, 150, 3));
+    fleet_options opts;
+    opts.num_threads = 1;
+    opts.experiment.measure.num_vectors = 50000;
+    opts.job_deadline_ms = 100.0;
+    const fleet_result fleet = run_fleet({job}, opts);
+    ASSERT_EQ(fleet.results.size(), 1u);
+    const job_result& r = fleet.results[0];
+    EXPECT_EQ(r.status, job_status::timed_out);
+    EXPECT_NE(r.error.find("sim.golden[slow]"), std::string::npos) << r.error;
+    EXPECT_LT(r.wall_ms, 200.0);
+    EXPECT_EQ(fleet.jobs_timed_out, 1u);
+}
+
+TEST(FleetRunner, InterruptedFleetStartsNoJob) {
+    cancel_token interrupt;
+    interrupt.cancel();
+    std::vector<fleet_job> jobs;
+    for (int i = 0; i < 4; ++i) {
+        fleet_job job;
+        job.id = "w" + std::to_string(i);
+        job.description = job.id;
+        job.netlist = wl::generate(wl::scenario_params(
+            wl::scenario::random_dag, 20, static_cast<std::uint64_t>(i)));
+        jobs.push_back(std::move(job));
+    }
+    fleet_options opts;
+    opts.num_threads = 2;
+    opts.fleet_cancel = &interrupt;
+    const fleet_result fleet = run_fleet(jobs, opts);
+    ASSERT_EQ(fleet.results.size(), jobs.size());
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        const job_result& r = fleet.results[i];
+        EXPECT_EQ(r.id, jobs[i].id);
+        EXPECT_EQ(r.status, job_status::timed_out) << r.id;
+        EXPECT_EQ(r.error, "fleet interrupted before job started");
+        EXPECT_TRUE(r.spans.empty()) << r.id;
+    }
+    EXPECT_EQ(fleet.jobs_timed_out, jobs.size());
+    EXPECT_EQ(fleet.jobs_ok, 0u);
 }
 
 TEST(FleetRunner, EmptyFleetIsANoop) {

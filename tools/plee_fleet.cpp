@@ -25,16 +25,9 @@
 // characters; durations finite and >= 0) and --vectors must be > 0; a bad
 // value is a usage error naming the flag (exit 1).
 //
-// Fault tolerance (see src/runner/README.md for the full semantics):
+// Failures (see src/runner/README.md): each job runs once and ends ok,
+// failed, timed_out or budget_exhausted.
 //   --job-deadline-ms MS   per-job wall-clock deadline (0 = none)
-//   --max-retries N        retries for transient-classified failures
-//   --fail-fast            abort the fleet on the first job failure
-//   --inject SPEC          arm the deterministic fault injector, e.g.
-//                          'seed=42;ee.search=0.5;sim.fire=1:delay=5'.
-//                          Points: synth.map | ee.search | sim.fire.  Fates:
-//                          PROB (throw transient), :transient, :permanent,
-//                          :delay=MS.  An unknown point name is a usage error
-//                          (exit 1).
 //
 // Telemetry (see src/obs/README.md and docs/schemas.md):
 //   --metrics-out PATH     write the process metrics registry as Prometheus
@@ -47,9 +40,8 @@
 //
 // Every circuit runs the full synth -> PL-map -> EE -> simulate pipeline
 // with golden-model verification.  Exit status: 0 = every job ok,
-// 2 = fleet completed but some jobs failed/timed out (partial results) or
-// the run was interrupted, 1 = fatal (bad arguments, fail-fast abort,
-// internal error).
+// 2 = fleet completed but some jobs did not end ok (partial results) or
+// the run was interrupted, 1 = fatal (bad arguments, internal error).
 //
 // SIGINT/SIGTERM: the first signal trips a fleet-wide cancel token —
 // in-flight jobs stop at their next cooperative poll, queued jobs never
@@ -69,7 +61,6 @@
 #include <vector>
 
 #include "bench_circuits/itc99.hpp"
-#include "fault/injector.hpp"
 #include "obs/registry.hpp"
 #include "obs/sink.hpp"
 #include "report/json.hpp"
@@ -91,13 +82,8 @@ void usage(const char* argv0) {
         "usage: %s [--circuits N|itc99|bXX,bYY] [--scenario S|mixed]\n"
         "       [--gates G] [--seed S] [--threads N] [--vectors V]\n"
         "       [--lanes 1|64] [--delays default|tie]\n"
-        "       [--job-deadline-ms MS] [--max-retries N] [--fail-fast]\n"
-        "       [--inject SPEC] [--json PATH]\n"
-        "       [--metrics-out PATH] [--trace-out PATH] [--no-telemetry]\n"
-        "\n"
-        "  --inject points: synth.map ee.search sim.fire\n"
-        "  --inject fates:  PROB | PROB:transient | PROB:permanent | "
-        "PROB:delay=MS\n",
+        "       [--job-deadline-ms MS] [--json PATH]\n"
+        "       [--metrics-out PATH] [--trace-out PATH] [--no-telemetry]\n",
         argv0);
 }
 
@@ -128,8 +114,6 @@ std::string trace_jsonl(const runner::fleet_result& fleet) {
         rec.set("type", report::json::str("job"));
         rec.set("id", report::json::str(r.id));
         rec.set("status", report::json::str(runner::to_string(r.status)));
-        rec.set("attempts",
-                report::json::number(static_cast<std::int64_t>(r.attempts)));
         rec.set("wall_ms", report::json::number(r.wall_ms));
         if (!r.error.empty()) rec.set("error", report::json::str(r.error));
         rec.set("spans", obs::spans_to_json(r.spans));
@@ -178,9 +162,6 @@ int main(int argc, char** argv) {
     std::string trace_path;
     bool telemetry = true;
     double job_deadline_ms = 0.0;
-    unsigned max_retries = 0;
-    bool fail_fast = false;
-    std::string inject_spec;
     try {
         for (int i = 1; i < argc; ++i) {
             const char* arg = argv[i];
@@ -223,12 +204,6 @@ int main(int argc, char** argv) {
                 }
             } else if (std::strcmp(arg, "--job-deadline-ms") == 0) {
                 job_deadline_ms = parse_non_negative(arg, value());
-            } else if (std::strcmp(arg, "--max-retries") == 0) {
-                max_retries = parse_unsigned<unsigned>(arg, value());
-            } else if (std::strcmp(arg, "--fail-fast") == 0) {
-                fail_fast = true;
-            } else if (std::strcmp(arg, "--inject") == 0) {
-                inject_spec = value();
             } else if (std::strcmp(arg, "--json") == 0) {
                 json_path = value();
             } else if (std::strcmp(arg, "--metrics-out") == 0) {
@@ -247,17 +222,6 @@ int main(int argc, char** argv) {
         return 1;
     }
 
-    if (!inject_spec.empty()) {
-        try {
-            fault::injector::instance().configure(inject_spec);
-        } catch (const std::invalid_argument& e) {
-            // Unknown point names and malformed specs are usage errors, not
-            // silently-inert configuration.
-            std::fprintf(stderr, "plee_fleet: %s\n", e.what());
-            usage(argv[0]);
-            return 1;
-        }
-    }
     std::signal(SIGINT, on_signal);
     std::signal(SIGTERM, on_signal);
 
@@ -309,8 +273,6 @@ int main(int argc, char** argv) {
         runner::fleet_options opts;
         opts.num_threads = threads;
         opts.job_deadline_ms = job_deadline_ms;
-        opts.max_retries = max_retries;
-        opts.fail_fast = fail_fast;
         opts.experiment.measure.num_vectors = vectors;
         opts.experiment.measure.lanes = lanes;
         if (tie_delays) {
@@ -336,8 +298,8 @@ int main(int argc, char** argv) {
                        report::fmt(r.row.delay_decrease_pct, 0) + "%",
                        report::fmt(r.wall_ms, 1)});
             if (!r.error.empty()) {
-                std::fprintf(stderr, "plee_fleet: %s (attempt %u): %s\n",
-                             r.id.c_str(), r.attempts, r.error.c_str());
+                std::fprintf(stderr, "plee_fleet: %s: %s\n", r.id.c_str(),
+                             r.error.c_str());
             }
         }
         std::printf("%s\n", t.to_string().c_str());
@@ -346,9 +308,9 @@ int main(int argc, char** argv) {
                     fleet.results.size(), fleet.threads, fleet.wall_ms,
                     fleet.netlists_per_s(), fleet.sweeps_per_s());
         std::printf("status: %zu ok, %zu failed, %zu timed out, %zu budget "
-                    "exhausted, %zu retried\n",
+                    "exhausted\n",
                     fleet.jobs_ok, fleet.jobs_failed, fleet.jobs_timed_out,
-                    fleet.jobs_budget_exhausted, fleet.jobs_retried);
+                    fleet.jobs_budget_exhausted);
         std::printf("simulator (%s engine, %zu lanes): %llu events in %.0f ms "
                     "of summed shard time = %.0f events/s per core, %.0f "
                     "vectors/s\n",

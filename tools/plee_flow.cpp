@@ -201,7 +201,6 @@ int main(int argc, char** argv) {
     // fleet job's.
     obs::trace trace;
     obs::flight_recorder recorder;
-    const obs::recorder_scope ambient_recorder(&recorder);
 
     // Sink flushing is shared between the normal exit and the interrupt
     // path, so a cancelled run still lands complete, atomically-renamed
