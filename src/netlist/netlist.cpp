@@ -1,9 +1,9 @@
 #include "netlist/netlist.hpp"
 
 #include <algorithm>
-#include <set>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 
 namespace plee::nl {
 
@@ -111,10 +111,11 @@ std::vector<cell_id> netlist::topo_order() const {
         }
     }
 
+    // Explicit stack of (cell, next fanin index) pairs.
+    std::vector<std::pair<cell_id, std::size_t>> stack;
     for (cell_id root = 0; root < cells_.size(); ++root) {
         if (marks[root] != mark::white || cells_[root].kind != cell_kind::lut) continue;
-        // Explicit stack of (cell, next fanin index) pairs.
-        std::vector<std::pair<cell_id, std::size_t>> stack{{root, 0}};
+        stack.emplace_back(root, 0);
         marks[root] = mark::grey;
         while (!stack.empty()) {
             auto& [id, next] = stack.back();
@@ -163,7 +164,7 @@ std::vector<int> netlist::comb_depth() const {
 }
 
 void netlist::validate() const {
-    std::set<std::string> port_names;
+    std::vector<std::string_view> port_names;
     for (cell_id id = 0; id < cells_.size(); ++id) {
         const cell& c = cells_[id];
         if (c.kind == cell_kind::input || c.kind == cell_kind::output) {
@@ -171,9 +172,7 @@ void netlist::validate() const {
                 throw std::logic_error("validate: port cell " + std::to_string(id) +
                                        " has no name");
             }
-            if (!port_names.insert(c.name).second) {
-                throw std::logic_error("validate: duplicate port name '" + c.name + "'");
-            }
+            port_names.push_back(c.name);
         }
         for (cell_id f : c.fanins) {
             if (f == k_invalid_cell) {
@@ -211,6 +210,12 @@ void netlist::validate() const {
                 }
                 break;
         }
+    }
+    std::sort(port_names.begin(), port_names.end());
+    const auto dup = std::adjacent_find(port_names.begin(), port_names.end());
+    if (dup != port_names.end()) {
+        throw std::logic_error("validate: duplicate port name '" + std::string(*dup) +
+                               "'");
     }
     (void)topo_order();  // throws on combinational cycles
 }

@@ -1,8 +1,9 @@
 // bit_matrix.hpp — flat V×V bit matrix used by the reachability analyses.
 //
 // Both the marked-graph safety checker and the PL mapper's feedback-sharing
-// optimization need dense reachability over token-free subgraphs.  A packed
-// row-major bit matrix keeps those O(V·E) dynamic programs fast at
+// optimization need dense reachability over token-free subgraphs; one
+// dynamic program (token_reach in marked_graph.hpp) computes it for both.  A
+// packed row-major bit matrix keeps that O(V·E) program fast at
 // CPU-benchmark scale (thousands of gates).
 
 #pragma once

@@ -14,15 +14,23 @@
 //    so safety reduces to: every edge lies on a cycle carrying exactly one
 //    token.
 //
-// The checks run in O(V·E/64) using bitset reachability over the token-free
-// subgraph, which keeps full verification practical even for the
-// multi-thousand-gate CPU benchmarks.
+// verify_marked_graph runs the analysis over a flat edge list with CSR
+// out-adjacency (mg_adjacency, each node's out-edges in edge order): Tarjan's
+// strongly connected components decide well-formedness, a Kahn pass over the
+// token-free edges (token_free_order) decides liveness, and bitset
+// reachability over the token-free subgraph (token_reach) decides safety, in
+// O(V·E/64) — practical even for the multi-thousand-gate CPU benchmarks.
+// marked_graph::verify() and pl::pl_netlist::verify() both call it, and the
+// PL mapper's feedback analysis runs token_free_order and token_reach on its
+// data edges.
 
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
+
+#include "plogic/bit_matrix.hpp"
 
 namespace plee::pl {
 
@@ -43,6 +51,44 @@ struct mg_report {
 
     bool ok() const { return well_formed && live && safe; }
 };
+
+/// CSR out-adjacency of a flat edge list: the out-edges of node v are
+/// edge_ids[begin[v], begin[v + 1]), in edge order.  Edge endpoints must be
+/// below num_nodes.
+struct mg_adjacency {
+    mg_adjacency(std::size_t num_nodes, const std::vector<mg_edge>& edges);
+
+    std::size_t num_nodes() const { return begin.size() - 1; }
+
+    std::vector<std::uint32_t> begin;
+    std::vector<std::uint32_t> edge_ids;
+};
+
+/// LIFO Kahn order over the token-free edges: nodes start ready in id order,
+/// the most recently readied node is taken first, and a node releases its
+/// successors in edge order.  Shorter than num_nodes exactly when a
+/// token-free directed cycle exists.
+std::vector<node_id> token_free_order(const std::vector<mg_edge>& edges,
+                                      const mg_adjacency& out);
+
+/// reach0(v, w): w is reachable from v over token-free edges.
+/// reach_le1(v, w): w is reachable from v over edges carrying at most one
+/// token in total.  Both are reflexive; edges with two or more tokens are
+/// not followed.
+struct mg_reach {
+    bit_matrix reach0;
+    bit_matrix reach_le1;
+};
+
+/// Both reachabilities by dynamic programming in reverse `order`, which
+/// must be a complete token_free_order of the graph.
+mg_reach token_reach(const std::vector<mg_edge>& edges, const mg_adjacency& out,
+                     const std::vector<node_id>& order);
+
+/// The full well-formed / live / safe analysis.  The violation text names
+/// the first failing edge in edge order.
+mg_report verify_marked_graph(std::size_t num_nodes,
+                              const std::vector<mg_edge>& edges);
 
 /// A directed graph with a token marking on edges.
 class marked_graph {
@@ -69,13 +115,11 @@ public:
     bool enabled(node_id node) const;
 
     /// Runs the full well-formed / live / safe analysis.
-    mg_report verify() const;
+    mg_report verify() const { return verify_marked_graph(num_nodes_, edges_); }
 
 private:
     std::size_t num_nodes_;
     std::vector<mg_edge> edges_;
-    std::vector<std::vector<std::size_t>> out_edges_;  ///< per node
-    std::vector<std::vector<std::size_t>> in_edges_;   ///< per node
 };
 
 }  // namespace plee::pl

@@ -15,8 +15,15 @@
 //   2. sibling sharing: among consumers of one producer, a consumer that
 //      reaches an acknowledged sibling consumer token-free is covered by the
 //      sibling's ack.
-// The mapper re-verifies the final marked graph (live + safe + well-formed)
-// and throws if the optimization ever produced an invalid network.
+// Both read the reachability of the data edges, which the mapper records as
+// a flat marked-graph edge list while it emits them (token_free_order and
+// token_reach in marked_graph.hpp; the Kahn order ranks the siblings).  The
+// distinct (producer, consumer) fanout pairs are one sorted vector, walked
+// one producer run at a time, so acks are added in (producer, consumer)
+// order.  The input netlist is copied only when a register cycle needs a
+// slack buffer.  The mapper re-verifies the final marked graph (live + safe
+// + well-formed) and throws if the optimization ever produced an invalid
+// network.
 
 #pragma once
 

@@ -160,16 +160,12 @@ std::size_t pl_netlist::num_ack_edges() const {
                       [](const pl_edge& e) { return e.kind == edge_kind::ack; }));
 }
 
-marked_graph pl_netlist::to_marked_graph() const {
-    marked_graph mg(gates_.size());
-    for (const pl_edge& e : edges_) {
-        mg.add_edge(e.from, e.to, e.init_token ? 1 : 0);
-    }
-    return mg;
-}
-
 mg_report pl_netlist::verify() const {
-    mg_report report = to_marked_graph().verify();
+    std::vector<mg_edge> marked(edges_.size());
+    for (std::size_t i = 0; i < edges_.size(); ++i) {
+        marked[i] = {edges_[i].from, edges_[i].to, edges_[i].init_token ? 1 : 0};
+    }
+    mg_report report = verify_marked_graph(gates_.size(), marked);
     if (report.ok()) verified_.pass(edges_.size());
     return report;
 }

@@ -113,9 +113,8 @@ public:
     std::size_t num_ack_edges() const;
 
     // --- Analysis -----------------------------------------------------------
-    /// Marked-graph image (tokens = initial markings) for verification.
-    marked_graph to_marked_graph() const;
-    /// Full well-formed / live / safe verification.  A passed result is
+    /// Full well-formed / live / safe verification: verify_marked_graph over
+    /// the edges, tokens = initial markings.  A passed result is
     /// remembered until the next mutation; every mutator above clears it.
     mg_report verify() const;
     /// The EE transform's check: when every mutation since the last passed

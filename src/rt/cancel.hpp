@@ -4,9 +4,10 @@
 // future plee_serve admission layer) and threaded by pointer through the
 // pipeline stages (report::run_ee_experiment -> ee::apply_early_evaluation,
 // sim::pl_simulator).  The stages poll it at bounded intervals — the
-// simulator event loops every k_cancel_check_events events, the golden model
-// once per 64-vector stimulus block, the EE search at every work-queue
-// chunk — and raise plee::job_timeout when it has tripped, so a
+// simulator event loops every k_cancel_check_events events, the stimulus
+// draw and the golden model once per 64-vector stimulus block, the EE search
+// at every work-queue chunk — and raise plee::job_timeout when it has
+// tripped, so a
 // pathological job stops within a bounded amount of extra work instead of
 // hanging its worker thread forever.
 //

@@ -1,5 +1,6 @@
 #include "sim/measure.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <stdexcept>
@@ -104,12 +105,13 @@ void measure_lanes(const pl::pl_netlist& pl, const measure_reference& reference,
     }
 }
 
-/// Polled once per stimulus block of the golden run: an expired token
-/// raises job_timeout with the vectors run so far, so a deadline stops the
-/// golden model within one block.
-void poll_golden(const sim_options& sim, std::size_t block) {
+/// Polled once per stimulus block while drawing the stimulus (`site`
+/// sim.stimulus) and during the golden run (sim.golden): an expired token
+/// raises job_timeout with the vectors done so far, so a deadline stops
+/// either within one block.
+void poll_block(const sim_options& sim, const char* site, std::size_t block) {
     if (sim.cancel != nullptr && sim.cancel->expired()) {
-        throw job_timeout("sim.golden", sim.label, block * k_lanes);
+        throw job_timeout(site, sim.label, block * k_lanes);
     }
 }
 
@@ -125,7 +127,7 @@ void run_golden(const nl::netlist& golden, const sim_options& sim,
         nl::sync_simulator gold(golden);
         std::vector<bool> inputs;
         for (std::size_t b = 0; b < reference.blocks.size(); ++b) {
-            poll_golden(sim, b);
+            poll_block(sim, "sim.golden", b);
             const stimulus_block& block = reference.blocks[b];
             for (std::size_t lane = 0; lane < block.num_vectors; ++lane) {
                 block.extract(lane, inputs);
@@ -142,7 +144,7 @@ void run_golden(const nl::netlist& golden, const sim_options& sim,
     }
     nl::sync_lane_simulator gold(golden);
     for (std::size_t b = 0; b < reference.blocks.size(); ++b) {
-        poll_golden(sim, b);
+        poll_block(sim, "sim.golden", b);
         const stimulus_block& block = reference.blocks[b];
         gold.reset();
         gold.set_inputs(block.words.data(), block.width);
@@ -187,7 +189,13 @@ measure_reference make_measure_reference(const nl::netlist* golden,
     measure_reference reference;
     reference.lanes = options.lanes;
     reference.width = width;
-    reference.blocks = make_stimulus(options.num_vectors, width, options.seed);
+    stimulus_stream stream(width, options.seed);
+    reference.blocks.reserve((options.num_vectors + k_lanes - 1) / k_lanes);
+    for (std::size_t drawn = 0; drawn < options.num_vectors; drawn += k_lanes) {
+        poll_block(options.sim, "sim.stimulus", drawn / k_lanes);
+        reference.blocks.push_back(
+            stream.next(std::min(k_lanes, options.num_vectors - drawn)));
+    }
     if (golden != nullptr) {
         const obs::scoped_span span(options.trace, "sim.golden");
         run_golden(*golden, options.sim, reference);

@@ -125,9 +125,10 @@ std::vector<std::vector<bool>> random_vectors(std::size_t count, std::size_t wid
 
 /// Draws options.num_vectors vectors of `width` inputs from options.seed
 /// and, when `golden` is not null, runs the golden model over them once
-/// under the options.lanes protocol, in a "sim.golden" span.  The golden
-/// run polls options.sim.cancel once per 64-vector stimulus block and
-/// raises plee::job_timeout("sim.golden") when it has expired.  Throws
+/// under the options.lanes protocol, in a "sim.golden" span.  Both the
+/// draw and the golden run poll options.sim.cancel once per 64-vector
+/// stimulus block and raise plee::job_timeout("sim.stimulus") or
+/// plee::job_timeout("sim.golden") when it has expired.  Throws
 /// std::invalid_argument when options.lanes is not 1 or 64,
 /// options.num_vectors is 0, or `width` is not the golden input count.
 measure_reference make_measure_reference(const nl::netlist* golden,

@@ -1,6 +1,7 @@
 #include "sim/stimulus.hpp"
 
-#include <random>
+#include <algorithm>
+#include <stdexcept>
 
 namespace plee::sim {
 
@@ -9,24 +10,32 @@ void stimulus_block::extract(std::size_t vec, std::vector<bool>& out) const {
     for (std::size_t i = 0; i < width; ++i) out[i] = bit(vec, i);
 }
 
-std::vector<stimulus_block> make_stimulus(std::size_t count, std::size_t width,
-                                          std::uint64_t seed) {
-    std::mt19937_64 rng(seed);
-    std::bernoulli_distribution bit(0.5);
-    std::vector<stimulus_block> blocks((count + k_lanes - 1) / k_lanes);
-    for (std::size_t b = 0; b < blocks.size(); ++b) {
-        blocks[b].width = width;
-        blocks[b].num_vectors = std::min(k_lanes, count - b * k_lanes);
-        blocks[b].words.assign(width, 0);
+stimulus_block stimulus_stream::next(std::size_t num_vectors) {
+    if (num_vectors == 0 || num_vectors > k_lanes) {
+        throw std::invalid_argument("stimulus_stream::next: 1..64 vectors per block");
     }
+    stimulus_block block;
+    block.width = width_;
+    block.num_vectors = num_vectors;
+    block.words.assign(width_, 0);
     // Vector-major draw order — the exact stream random_vectors always used,
     // so per-seed lane contents stay byte-identical to the unpacked form.
-    for (std::size_t v = 0; v < count; ++v) {
-        stimulus_block& block = blocks[v / k_lanes];
-        const std::uint64_t lane_bit = std::uint64_t{1} << (v % k_lanes);
-        for (std::size_t i = 0; i < width; ++i) {
-            if (bit(rng)) block.words[i] |= lane_bit;
+    for (std::size_t v = 0; v < num_vectors; ++v) {
+        const std::uint64_t lane_bit = std::uint64_t{1} << v;
+        for (std::size_t i = 0; i < width_; ++i) {
+            if (bit_(rng_)) block.words[i] |= lane_bit;
         }
+    }
+    return block;
+}
+
+std::vector<stimulus_block> make_stimulus(std::size_t count, std::size_t width,
+                                          std::uint64_t seed) {
+    stimulus_stream stream(width, seed);
+    std::vector<stimulus_block> blocks;
+    blocks.reserve((count + k_lanes - 1) / k_lanes);
+    for (std::size_t drawn = 0; drawn < count; drawn += k_lanes) {
+        blocks.push_back(stream.next(std::min(k_lanes, count - drawn)));
     }
     return blocks;
 }

@@ -18,6 +18,7 @@
 #pragma once
 
 #include <cstdint>
+#include <random>
 #include <vector>
 
 namespace plee::sim {
@@ -47,6 +48,23 @@ struct stimulus_block {
     /// Unpacks one lane into a caller-owned reusable buffer (resized to
     /// width) — the only place a per-vector bool vector is materialized.
     void extract(std::size_t vec, std::vector<bool>& out) const;
+};
+
+/// make_stimulus's stream, one block at a time, so a caller can poll a
+/// deadline between blocks: the blocks of successive next() calls are the
+/// blocks make_stimulus returns for the same width and seed.
+class stimulus_stream {
+public:
+    stimulus_stream(std::size_t width, std::uint64_t seed)
+        : width_(width), rng_(seed) {}
+
+    /// Draws the next block of `num_vectors` (1..64) vectors.
+    stimulus_block next(std::size_t num_vectors);
+
+private:
+    std::size_t width_;
+    std::mt19937_64 rng_;
+    std::bernoulli_distribution bit_{0.5};
 };
 
 /// Deterministic pseudo-random stimulus, packed: ceil(count / 64) blocks,

@@ -261,7 +261,11 @@ TEST(Measure, ReferenceMustMatchTheNetlistAndProtocol) {
     EXPECT_THROW(make_measure_reference(&n, width, opts), std::invalid_argument);
 }
 
-TEST(Measure, CancelledTokenStopsTheGoldenRunInBothProtocols) {
+TEST(Measure, CancelledTokenStopsTheStimulusDrawInBothProtocols) {
+    // The draw polls before every block, so an expired token stops it before
+    // the first one, with or without a golden model to run afterwards.  The
+    // golden run's own poll (site sim.golden) is driven by a real deadline
+    // in test_runner.
     const nl::netlist n = alu_netlist();
     cancel_token token;
     token.cancel();
@@ -271,19 +275,17 @@ TEST(Measure, CancelledTokenStopsTheGoldenRunInBothProtocols) {
         opts.lanes = lanes;
         opts.sim.cancel = &token;
         opts.sim.label = "alu";
-        try {
-            make_measure_reference(&n, n.inputs().size(), opts);
-            FAIL() << "a cancelled golden run completed at lanes " << lanes;
-        } catch (const job_timeout& e) {
-            EXPECT_EQ(e.progress(), 0u) << lanes;
-            EXPECT_NE(std::string(e.what()).find("sim.golden[alu]"),
-                      std::string::npos)
-                << e.what();
+        for (const nl::netlist* golden : {&n, static_cast<const nl::netlist*>(nullptr)}) {
+            try {
+                make_measure_reference(golden, n.inputs().size(), opts);
+                FAIL() << "a cancelled draw completed at lanes " << lanes;
+            } catch (const job_timeout& e) {
+                EXPECT_EQ(e.progress(), 0u) << lanes;
+                EXPECT_NE(std::string(e.what()).find("sim.stimulus[alu]"),
+                          std::string::npos)
+                    << e.what();
+            }
         }
-        // Without a golden model there is no golden run to poll.
-        EXPECT_EQ(make_measure_reference(nullptr, n.inputs().size(), opts)
-                      .blocks.size(),
-                  4u);
     }
 }
 

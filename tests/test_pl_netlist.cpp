@@ -140,16 +140,6 @@ TEST(PlNetlist, TriggerDeepensArrivalOfMaster) {
     EXPECT_GE(after[f.g1], before[f.g1]);
 }
 
-TEST(PlNetlist, MarkedGraphImageMirrorsTokens) {
-    chain_fixture f;
-    const marked_graph mg = f.pl.to_marked_graph();
-    EXPECT_EQ(mg.num_nodes(), f.pl.num_gates());
-    EXPECT_EQ(mg.num_edges(), f.pl.num_edges());
-    int marked = 0;
-    for (const mg_edge& e : mg.edges()) marked += e.tokens;
-    EXPECT_EQ(marked, 4);  // the four initial ack tokens
-}
-
 TEST(PlNetlist, DotOutputContainsTriggersAsDiamonds) {
     chain_fixture f;
     f.pl.attach_trigger(f.g1, ~bf::truth_table::variable(1, 0), 0b01);

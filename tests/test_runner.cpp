@@ -233,16 +233,20 @@ TEST(FleetRunner, FailingJobsDoNotPerturbSurvivorRows) {
 }
 
 TEST(FleetRunner, DeadlineStopsTheGoldenRunWithinOneBlock) {
-    // The golden model over 50000 vectors runs several times longer than
-    // the deadline; polled once per 64-vector block, it stops the job well
-    // within twice the deadline.
+    // The golden model over 80000 vectors of a 1000-LUT netlist runs
+    // several times longer than the deadline (about 350 ms on a 4-vCPU
+    // host); polled once per 64-vector block, it stops the job well within
+    // twice the deadline.  Two inputs keep the stimulus draw, which is
+    // polled too, a few ms even under TSan's slowdown.
     fleet_job job;
     job.id = "slow";
     job.description = "slow";
-    job.netlist = wl::generate(wl::scenario_params(wl::scenario::random_dag, 150, 3));
+    wl::workload_params params = wl::scenario_params(wl::scenario::random_dag, 1000, 3);
+    params.num_inputs = 2;
+    job.netlist = wl::generate(params);
     fleet_options opts;
     opts.num_threads = 1;
-    opts.experiment.measure.num_vectors = 50000;
+    opts.experiment.measure.num_vectors = 80000;
     opts.job_deadline_ms = 100.0;
     const fleet_result fleet = run_fleet({job}, opts);
     ASSERT_EQ(fleet.results.size(), 1u);
@@ -251,6 +255,25 @@ TEST(FleetRunner, DeadlineStopsTheGoldenRunWithinOneBlock) {
     EXPECT_NE(r.error.find("sim.golden[slow]"), std::string::npos) << r.error;
     EXPECT_LT(r.wall_ms, 200.0);
     EXPECT_EQ(fleet.jobs_timed_out, 1u);
+}
+
+TEST(FleetRunner, DeadlineStopsTheStimulusDrawWithinOneBlock) {
+    // Drawing 200000 vectors takes about 60 ms on a 4-vCPU host; polled once
+    // per 64-vector block, a 5 ms deadline stops the job inside the draw.
+    fleet_job job;
+    job.id = "draw";
+    job.description = "draw";
+    job.netlist = wl::generate(wl::scenario_params(wl::scenario::random_dag, 150, 3));
+    fleet_options opts;
+    opts.num_threads = 1;
+    opts.experiment.measure.num_vectors = 200000;
+    opts.job_deadline_ms = 5.0;
+    const fleet_result fleet = run_fleet({job}, opts);
+    ASSERT_EQ(fleet.results.size(), 1u);
+    const job_result& r = fleet.results[0];
+    EXPECT_EQ(r.status, job_status::timed_out);
+    EXPECT_NE(r.error.find("sim.stimulus[draw]"), std::string::npos) << r.error;
+    EXPECT_LT(r.wall_ms, 30.0);
 }
 
 TEST(FleetRunner, InterruptedFleetStartsNoJob) {
