@@ -1,17 +1,16 @@
 // bench_micro — google-benchmark microbenchmarks for the algorithmic
 // building blocks: trigger search throughput (the 14-support-set sweep the
-// paper calls "practical" thanks to the LUT4 restriction) in both the
-// word-parallel and retained-scalar variants, Quine–McCluskey covering,
-// marked-graph verification, PL mapping, and event-simulation throughput.
+// paper calls "practical" thanks to the LUT4 restriction, and the LUT7 and
+// LUT8 sweeps of the wide presets), Quine–McCluskey covering, marked-graph
+// verification, PL mapping, and event-simulation throughput.
 //
-// `--json <path>` additionally writes the captured timings — and the
-// word-vs-scalar speedups derived from them — as BENCH_trigger.json so the
-// perf trajectory stays machine-readable across PRs.
+// `--json <path>` additionally writes the captured timings as
+// BENCH_trigger.json so the perf trajectory stays machine-readable.
 
 #include <benchmark/benchmark.h>
 
+#include <bit>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <exception>
 #include <string>
@@ -44,21 +43,6 @@ void bm_trigger_search_lut4(benchmark::State& state) {
 }
 BENCHMARK(bm_trigger_search_lut4);
 
-void bm_trigger_search_lut4_scalar(benchmark::State& state) {
-    // The retained per-minterm reference kernels on the identical master
-    // stream: the baseline the word-parallel speedup is measured against.
-    std::uint64_t seed = 1;
-    ee::search_options opts;
-    opts.use_scalar_kernels = true;
-    for (auto _ : state) {
-        seed = mix(seed);
-        const bf::truth_table master(4, seed & 0xffff);
-        if (master.support_size() < 2) continue;
-        benchmark::DoNotOptimize(ee::find_best_trigger(master, {0, 1, 2, 3}, opts));
-    }
-}
-BENCHMARK(bm_trigger_search_lut4_scalar);
-
 void bm_trigger_search_cube_list(benchmark::State& state) {
     std::uint64_t seed = 1;
     ee::search_options opts;
@@ -71,20 +55,6 @@ void bm_trigger_search_cube_list(benchmark::State& state) {
     }
 }
 BENCHMARK(bm_trigger_search_cube_list);
-
-void bm_trigger_search_cube_list_scalar(benchmark::State& state) {
-    std::uint64_t seed = 1;
-    ee::search_options opts;
-    opts.method = ee::trigger_method::cube_list;
-    opts.use_scalar_kernels = true;
-    for (auto _ : state) {
-        seed = mix(seed);
-        const bf::truth_table master(4, seed & 0xffff);
-        if (master.support_size() < 2) continue;
-        benchmark::DoNotOptimize(ee::find_best_trigger(master, {0, 1, 2, 3}, opts));
-    }
-}
-BENCHMARK(bm_trigger_search_cube_list_scalar);
 
 void bm_exact_trigger_kernel(benchmark::State& state) {
     // The single-support word kernel in isolation: two conjunctive folds and
@@ -116,6 +86,45 @@ void bm_trigger_search_lut7(benchmark::State& state) {
     }
 }
 BENCHMARK(bm_trigger_search_lut7);
+
+void bm_trigger_search_lut8(benchmark::State& state) {
+    // 8-variable masters with the structure real LUT8 gates have — AND/OR
+    // of literals, a threshold, a mux and a product of sums under random
+    // input negations — so most supports yield a non-zero trigger, unlike
+    // uniform random tables.
+    const std::vector<bf::truth_table> shapes = {
+        bf::truth_table::from_function(8, [](std::uint32_t m) {
+            return (m & 0x07) == 0x07 || (m & 0x18) == 0x18 || (m & 0xe0) == 0xe0;
+        }),
+        bf::truth_table::from_function(
+            8, [](std::uint32_t m) { return std::popcount(m) >= 5; }),
+        bf::truth_table::from_function(8, [](std::uint32_t m) {
+            switch (m >> 6) {  // x6, x7 select one of four data functions
+                case 0: return (m & 0x03) == 0x03;
+                case 1: return (m & 0x0c) != 0;
+                case 2: return ((m >> 4) & 1u) != 0;
+                default: return ((m >> 5) & 1u) != 0;
+            }
+        }),
+        bf::truth_table::from_function(8, [](std::uint32_t m) {
+            return (m & 0x03) && (m & 0x0c) && (m & 0x30) && (m & 0xc0);
+        }),
+    };
+    std::vector<bf::truth_table> masters;
+    std::uint64_t seed = 11;
+    for (int i = 0; i < 64; ++i) {
+        seed = mix(seed);
+        masters.push_back(shapes[static_cast<std::size_t>(i) % shapes.size()]
+                              .negate_inputs(static_cast<std::uint32_t>(seed >> 56)));
+    }
+    const std::vector<int> arrivals = {0, 1, 2, 3, 4, 5, 6, 7};
+    std::size_t i = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(
+            ee::find_best_trigger(masters[i++ % masters.size()], arrivals));
+    }
+}
+BENCHMARK(bm_trigger_search_lut8);
 
 void bm_exact_trigger_kernel_lut8(benchmark::State& state) {
     // The widest kernel: four-word folds and shrink on an 8-variable master.
@@ -195,8 +204,7 @@ void bm_event_sim_b07(benchmark::State& state) {
 BENCHMARK(bm_event_sim_b07);
 
 /// The normal console reporter, additionally capturing every run so --json
-/// can re-emit it (plus derived speedups) through the repository's own
-/// serializer.
+/// can re-emit it through the repository's own serializer.
 class json_collector : public benchmark::ConsoleReporter {
 public:
     struct row {
@@ -213,13 +221,6 @@ public:
         ConsoleReporter::ReportRuns(runs);
     }
 
-    double real_ns_of(const std::string& name) const {
-        for (const row& r : rows) {
-            if (r.name == name) return r.real_ns;
-        }
-        return 0.0;
-    }
-
     std::vector<row> rows;
 };
 
@@ -232,49 +233,11 @@ void write_json(const json_collector& collected, const std::string& path) {
         b.set("cpu_ns_per_op", report::json::number(r.cpu_ns));
         benches.push(std::move(b));
     }
-
-    report::json derived = report::json::object();
-    const double word = collected.real_ns_of("bm_trigger_search_lut4");
-    const double scalar = collected.real_ns_of("bm_trigger_search_lut4_scalar");
-    if (word > 0.0 && scalar > 0.0) {
-        derived.set("exact_search_speedup_vs_scalar",
-                    report::json::number(scalar / word));
-    }
-    const double cword = collected.real_ns_of("bm_trigger_search_cube_list");
-    const double cscalar =
-        collected.real_ns_of("bm_trigger_search_cube_list_scalar");
-    if (cword > 0.0 && cscalar > 0.0) {
-        derived.set("cube_list_search_speedup_vs_scalar",
-                    report::json::number(cscalar / cword));
-    }
-
-    // Fast-path regression row for the multiword truth-table refactor: the
-    // LUT4 exact sweep at the last single-word commit against the current
-    // multiword build.  The baseline is only meaningful when this run uses
-    // the same machine and flags it was measured with, so the row is gated
-    // on the caller supplying it: PLEE_LUT4_BASELINE_NS=<ns> (e.g. 662, the
-    // pre-refactor number behind the committed BENCH_trigger.json).  A
-    // ratio near (or below) 1.0 is the proof the <= 6 variable path still
-    // runs the PR 1 register kernels; CI smoke runs (tiny min_time, other
-    // hardware) leave the variable unset and get no bogus row.
-    const char* baseline_env = std::getenv("PLEE_LUT4_BASELINE_NS");
-    const double baseline_ns = baseline_env != nullptr ? std::atof(baseline_env) : 0.0;
-    if (word > 0.0 && baseline_ns > 0.0) {
-        report::json fast_path = report::json::object();
-        fast_path.set("lut4_exact_ns_before_multiword",
-                      report::json::number(baseline_ns));
-        fast_path.set("lut4_exact_ns_after_multiword", report::json::number(word));
-        fast_path.set("after_over_before",
-                      report::json::number(word / baseline_ns));
-        derived.set("multiword_fast_path", std::move(fast_path));
-    }
-
     report::json root = report::json::object();
     root.set("schema_version",
              report::json::number(report::k_bench_schema_version));
     root.set("bench", report::json::str("trigger"));
     root.set("benchmarks", std::move(benches));
-    root.set("derived", std::move(derived));
     root.write_file(path);
 }
 

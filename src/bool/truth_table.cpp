@@ -279,122 +279,6 @@ truth_table truth_table::cofactor(int var, bool value) const {
     return t;
 }
 
-truth_table truth_table::fold_free_vars(std::uint32_t support,
-                                        bool conjunctive) const {
-    if (num_vars_ <= k_word_vars) {
-        std::uint64_t x = words_[0];
-        for (int v = 0; v < num_vars_; ++v) {
-            if ((support >> v) & 1u) continue;
-            const std::uint64_t m = k_var_mask[v];
-            const int s = 1 << v;
-            std::uint64_t lo = x & ~m;
-            lo |= lo << s;
-            std::uint64_t hi = x & m;
-            hi |= hi >> s;
-            x = conjunctive ? (lo & hi) : (lo | hi);
-        }
-        truth_table t(num_vars_);
-        t.words_[0] = x & word0_mask();
-        return t;
-    }
-    tt_words x = words_;
-    const int nw = num_words();
-    for (int v = 0; v < num_vars_; ++v) {
-        if ((support >> v) & 1u) continue;
-        if (v < k_word_vars) {
-            const std::uint64_t m = k_var_mask[v];
-            const int s = 1 << v;
-            for (int w = 0; w < nw; ++w) {
-                std::uint64_t lo = x[w] & ~m;
-                lo |= lo << s;
-                std::uint64_t hi = x[w] & m;
-                hi |= hi >> s;
-                x[w] = conjunctive ? (lo & hi) : (lo | hi);
-            }
-        } else {
-            const int ws = 1 << (v - k_word_vars);
-            for (int w = 0; w < nw; ++w) {
-                if ((w & ws) != 0) continue;
-                const std::uint64_t r = conjunctive ? (x[w] & x[w | ws])
-                                                    : (x[w] | x[w | ws]);
-                x[w] = r;
-                x[w | ws] = r;
-            }
-        }
-    }
-    truth_table t(num_vars_);
-    t.words_ = x;
-    return t;
-}
-
-truth_table truth_table::shrink_to(std::uint32_t support) const {
-    if ((support & ~((1u << num_vars_) - 1)) != 0) {
-        throw std::invalid_argument("truth_table::shrink_to: support outside arity");
-    }
-    // Sink each support variable to the bottom of the index space (stable,
-    // ascending) with adjacent-variable swaps, then truncate to 2^k rows.
-    if (num_vars_ <= k_word_vars) {
-        // Single-word fast path: the whole compaction runs in one register.
-        std::uint64_t x = words_[0];
-        int target = 0;
-        for (int v = 0; v < num_vars_; ++v) {
-            if (!((support >> v) & 1u)) continue;
-            for (int j = v - 1; j >= target; --j) x = swap_adjacent_word(x, j);
-            ++target;
-        }
-        truth_table t(target);
-        t.words_[0] = x & t.word0_mask();
-        return t;
-    }
-    tt_words x = words_;
-    const int nw = num_words();
-    int target = 0;
-    for (int v = 0; v < num_vars_; ++v) {
-        if (!((support >> v) & 1u)) continue;
-        for (int j = v - 1; j >= target; --j) swap_adjacent(x, j, nw);
-        ++target;
-    }
-    truth_table t(target);
-    const int tw = t.num_words();
-    for (int w = 0; w < tw; ++w) t.words_[w] = x[w];
-    t.words_[0] &= t.word0_mask();
-    return t;
-}
-
-truth_table truth_table::expand_onto(std::uint32_t support, int num_vars) const {
-    check_arity(num_vars);
-    if (std::popcount(support) != num_vars_) {
-        throw std::invalid_argument("truth_table::expand_onto: |support| != arity");
-    }
-    if ((support >> num_vars) != 0) {
-        throw std::invalid_argument("truth_table::expand_onto: support outside arity");
-    }
-    // Vacuously widen, then float each variable up to its support position
-    // (highest first so already-placed variables stay put).
-    tt_words x = words_;
-    const int nw = words_for(num_vars);
-    for (int v = num_vars_; v < num_vars; ++v) {
-        if (v < k_word_vars) {
-            x[0] |= x[0] << (1 << v);
-        } else {
-            const int ws = 1 << (v - k_word_vars);
-            for (int w = 0; w < ws; ++w) x[w + ws] = x[w];
-        }
-    }
-    int member[k_max_vars] = {};
-    int k = 0;
-    for (int v = 0; v < num_vars; ++v) {
-        if ((support >> v) & 1u) member[k++] = v;
-    }
-    for (int i = k - 1; i >= 0; --i) {
-        for (int j = i; j < member[i]; ++j) swap_adjacent(x, j, nw);
-    }
-    truth_table t(num_vars);
-    for (int w = 0; w < nw; ++w) t.words_[w] = x[w];
-    t.words_[0] &= t.word0_mask();
-    return t;
-}
-
 truth_table truth_table::expand(int new_num_vars) const {
     check_arity(new_num_vars);
     if (new_num_vars < num_vars_) {

@@ -7,9 +7,11 @@
 // builds on is arity-independent — so the representation is a fixed word
 // array: one 64-bit word covers every function of up to 6 variables (the
 // LUT4 configuration mask lives in the low 16 bits of word 0, exactly as
-// before), and 7- and 8-variable functions span 2 and 4 words.  Every kernel
-// keeps a single-word fast path for the ≤6-variable case, so the word-
-// parallel trigger search pays nothing for the generalization.
+// before), and 7- and 8-variable functions span 2 and 4 words.  The trigger
+// search's single-word kernel (k_var_mask folds plus swap_adjacent_word
+// compaction, in ee/trigger_search.cpp) serves every master: a 7- or
+// 8-variable one first folds its free word-level variables away with ANDs
+// of word pairs, then runs the single-word kernel on each word left.
 //
 // Variable convention: bit v of a minterm index holds the value of variable
 // v, i.e. minterm m assigns variable v the value (m >> v) & 1.  Minterm m
@@ -59,8 +61,8 @@ inline constexpr std::uint64_t k_var_mask[k_word_vars] = {
 /// shift/mask step (the ABC PMasks): `keep` holds the rows where the two
 /// variables agree, `up` the rows with (x_j, x_j+1) = (1, 0) — which move up
 /// by 2^j — and `down` the rows with (0, 1), which move down by 2^j.
-/// Exposed inline so single-word callers (the trigger-search fast path) can
-/// run the swap entirely in registers.
+/// Exposed inline so the trigger-search kernel can run the swap entirely in
+/// registers.
 struct adjacent_swap_masks {
     std::uint64_t keep, up, down;
 };
@@ -163,26 +165,6 @@ public:
     /// Shannon cofactor with respect to `var` = `value`.  The result has the
     /// same arity but no longer depends on `var`.
     truth_table cofactor(int var, bool value) const;
-
-    /// Folds the variables outside `support` out of the function: the result
-    /// is the AND (`conjunctive`) or OR of f over every assignment of the
-    /// non-support variables, has the same arity, and no longer depends on
-    /// the folded variables.  The conjunctive fold of f (resp. of ~f) marks
-    /// the assignments whose cofactor is constant 1 (resp. constant 0) —
-    /// the universally-determined region the trigger search needs.
-    truth_table fold_free_vars(std::uint32_t support, bool conjunctive) const;
-
-    /// Projects onto `support`: drops every non-support variable by taking
-    /// its 0-cofactor and compacts the surviving variables downward in
-    /// ascending order.  Result arity = |support|.  `support` must lie
-    /// within the current variable range.
-    truth_table shrink_to(std::uint32_t support) const;
-
-    /// Inverse of shrink_to: re-expresses this k-variable function over
-    /// `num_vars` variables with variable i taking the position of the i-th
-    /// (ascending) member of `support`.  The result depends only on support
-    /// variables; |support| must equal the current arity.
-    truth_table expand_onto(std::uint32_t support, int num_vars) const;
 
     /// Re-expresses the function over a wider variable set (new variables are
     /// vacuous).  new_num_vars must be >= num_vars().

@@ -21,14 +21,77 @@ void check_support(const bf::truth_table& master, std::uint32_t support,
     }
 }
 
-/// Expands a compressed assignment of the support pins into a full-width
-/// minterm (non-support pins 0).
-std::uint32_t spread(std::uint32_t packed, const std::vector<int>& members) {
-    std::uint32_t full = 0;
-    for (std::size_t i = 0; i < members.size(); ++i) {
-        if ((packed >> i) & 1u) full |= 1u << members[i];
+/// The single-word kernel.  pos (resp. neg) marks the rows whose cofactor
+/// over the variables folded so far is constant 1 (resp. 0); one shift/AND
+/// per free in-word variable below n_in folds it out of both, and adjacent
+/// swaps then compact the support's in-word members, ascending, into the
+/// low 2^k_in bits of the result.
+std::uint64_t fold_and_compact(std::uint64_t pos, std::uint64_t neg, int n_in,
+                               std::uint32_t support) {
+    for (int v = 0; v < n_in; ++v) {
+        if ((support >> v) & 1u) continue;
+        const std::uint64_t m = bf::k_var_mask[v];
+        const int s = 1 << v;
+        std::uint64_t lo = pos & ~m;
+        lo |= lo << s;
+        std::uint64_t hi = pos & m;
+        hi |= hi >> s;
+        pos = lo & hi;
+        lo = neg & ~m;
+        lo |= lo << s;
+        hi = neg & m;
+        hi |= hi >> s;
+        neg = lo & hi;
     }
-    return full;
+    std::uint64_t det = pos | neg;
+    int target = 0;
+    for (int v = 0; v < n_in; ++v) {
+        if (!((support >> v) & 1u)) continue;
+        for (int j = v - 1; j >= target; --j) det = bf::swap_adjacent_word(det, j);
+        ++target;
+    }
+    return target == bf::k_word_vars ? det
+                                     : det & ((std::uint64_t{1} << (1u << target)) - 1);
+}
+
+/// The exact trigger of `support` in truth-table layout over its members.
+/// Word-level variables (6 and 7) select the word, so a free one folds away
+/// with one AND of word pairs in both polarities; the single-word kernel
+/// then runs on each word left, one per assignment a_word of the support's
+/// word-level members, and its 2^k_in bits land at a_word << k_in: in-word
+/// members take the low bits and word members the high ones, ascending.
+bf::tt_words trigger_words(const bf::truth_table& master, std::uint32_t support) {
+    const int n = master.num_vars();
+    bf::tt_words out{};
+    if (n <= bf::k_word_vars) {
+        const std::uint64_t full = n == bf::k_word_vars
+                                       ? ~std::uint64_t{0}
+                                       : ((std::uint64_t{1} << (1u << n)) - 1);
+        out[0] = fold_and_compact(master.bits(), ~master.bits() & full, n, support);
+        return out;
+    }
+    const int nw = master.num_words();
+    bf::tt_words pos = master.words();
+    bf::tt_words neg;
+    for (int w = 0; w < nw; ++w) neg[w] = ~pos[w];
+    const std::uint32_t word_support = support >> bf::k_word_vars;
+    for (int ws = 1; ws < nw; ws <<= 1) {
+        if (word_support & ws) continue;
+        for (int w = 0; w < nw; ++w) {
+            if (w & ws) continue;
+            pos[w] &= pos[w | ws];
+            neg[w] &= neg[w | ws];
+        }
+    }
+    const int k_in = std::popcount(support & ((1u << bf::k_word_vars) - 1));
+    std::uint32_t a_word = 0;
+    for (int w = 0; w < nw; ++w) {
+        if (w & ~word_support) continue;  // a free word-level variable is 1
+        const std::uint32_t at = a_word++ << k_in;
+        out[at >> 6] |= fold_and_compact(pos[w], neg[w], bf::k_word_vars, support)
+                        << (at & 63);
+    }
+    return out;
 }
 
 }  // namespace
@@ -36,51 +99,7 @@ std::uint32_t spread(std::uint32_t packed, const std::vector<int>& members) {
 bf::truth_table exact_trigger_function(const bf::truth_table& master,
                                        std::uint32_t support) {
     check_support(master, support, "exact_trigger_function");
-    // A support assignment is determined exactly when the cofactor over the
-    // free variables is constant 1 (the conjunctive fold of f survives) or
-    // constant 0 (the conjunctive fold of ~f survives).
-    const int n = master.num_vars();
-    if (n <= bf::k_word_vars) {
-        // Single-word fast path: both polarity folds fused into one pass and
-        // the shrink compaction, all on two register words — this is the
-        // PR 1 hot kernel, kept allocation- and call-free so the multiword
-        // generalization costs the LUT4 sweep nothing.
-        const std::uint64_t full = n == bf::k_word_vars
-                                       ? ~std::uint64_t{0}
-                                       : ((std::uint64_t{1} << (1u << n)) - 1);
-        std::uint64_t pos = master.bits();
-        std::uint64_t neg = ~pos & full;
-        for (int v = 0; v < n; ++v) {
-            if ((support >> v) & 1u) continue;
-            const std::uint64_t m = bf::k_var_mask[v];
-            const int s = 1 << v;
-            std::uint64_t lo = pos & ~m;
-            lo |= lo << s;
-            std::uint64_t hi = pos & m;
-            hi |= hi >> s;
-            pos = lo & hi;
-            lo = neg & ~m;
-            lo |= lo << s;
-            hi = neg & m;
-            hi |= hi >> s;
-            neg = lo & hi;
-        }
-        std::uint64_t det = pos | neg;
-        int target = 0;
-        for (int v = 0; v < n; ++v) {
-            if (!((support >> v) & 1u)) continue;
-            for (int j = v - 1; j >= target; --j) det = bf::swap_adjacent_word(det, j);
-            ++target;
-        }
-        const std::uint64_t full_k =
-            target == bf::k_word_vars
-                ? ~std::uint64_t{0}
-                : ((std::uint64_t{1} << (1u << target)) - 1);
-        return bf::truth_table(target, det & full_k);
-    }
-    const bf::truth_table determined = master.fold_free_vars(support, true) |
-                                       (~master).fold_free_vars(support, true);
-    return determined.shrink_to(support);
+    return bf::truth_table(std::popcount(support), trigger_words(master, support));
 }
 
 bf::truth_table cube_list_trigger_function(const bf::truth_table& master,
@@ -154,77 +173,6 @@ int covered_minterms(const bf::truth_table& master, std::uint32_t support,
     return trigger.count_ones() << (master.num_vars() - trigger.num_vars());
 }
 
-namespace scalar {
-
-bf::truth_table exact_trigger_function(const bf::truth_table& master,
-                                       std::uint32_t support) {
-    check_support(master, support, "scalar::exact_trigger_function");
-    const std::vector<int> members = bf::support_members(support);
-    const int k = static_cast<int>(members.size());
-    // Free (non-support) variables of the master.
-    std::vector<int> free_vars;
-    for (int v = 0; v < master.num_vars(); ++v) {
-        if (!(support & (1u << v))) free_vars.push_back(v);
-    }
-
-    bf::truth_table trig(k);
-    for (std::uint32_t a = 0; a < (1u << k); ++a) {
-        const std::uint32_t base = spread(a, members);
-        // Constant cofactor test: enumerate all completions of the free vars.
-        const bool first = master.eval(base);
-        bool constant = true;
-        for (std::uint32_t b = 1; b < (1u << free_vars.size()) && constant; ++b) {
-            std::uint32_t m = base;
-            for (std::size_t i = 0; i < free_vars.size(); ++i) {
-                if ((b >> i) & 1u) m |= 1u << free_vars[i];
-            }
-            constant = master.eval(m) == first;
-        }
-        if (constant) trig.set(a, true);
-    }
-    return trig;
-}
-
-bf::truth_table cube_list_trigger_function(const bf::truth_table& master,
-                                           const bf::on_off_cover& cover,
-                                           std::uint32_t support) {
-    check_support(master, support, "scalar::cube_list_trigger_function");
-    const std::vector<int> members = bf::support_members(support);
-    const int k = static_cast<int>(members.size());
-
-    bf::truth_table trig(k);
-    auto absorb = [&](const bf::cube_list& cubes) {
-        const bf::cube_list confined = cubes.restricted_to_support(support);
-        for (const bf::cube& c : confined.cubes()) {
-            for (std::uint32_t a = 0; a < (1u << k); ++a) {
-                if (c.contains(spread(a, members))) trig.set(a, true);
-            }
-        }
-    };
-    absorb(cover.on);
-    absorb(cover.off);
-    return trig;
-}
-
-int covered_minterms(const bf::truth_table& master, std::uint32_t support,
-                     const bf::truth_table& trigger) {
-    const std::vector<int> members = bf::support_members(support);
-    if (trigger.num_vars() != static_cast<int>(members.size())) {
-        throw std::invalid_argument("covered_minterms: trigger arity != |support|");
-    }
-    int covered = 0;
-    for (std::uint32_t m = 0; m < master.num_minterms(); ++m) {
-        std::uint32_t packed = 0;
-        for (std::size_t i = 0; i < members.size(); ++i) {
-            if ((m >> members[i]) & 1u) packed |= 1u << i;
-        }
-        if (trigger.eval(packed)) ++covered;
-    }
-    return covered;
-}
-
-}  // namespace scalar
-
 double equation1_cost(double coverage_percent, int master_max_arrival,
                       int trigger_max_arrival) {
     return coverage_percent * (static_cast<double>(master_max_arrival) + 1.0) /
@@ -253,44 +201,38 @@ search_result find_best_trigger(const bf::truth_table& master,
     const std::vector<std::uint32_t>& supports =
         bf::cached_support_subsets(all_pins, options.max_support_size);
     result.all.reserve(supports.size());
+    const int n = master.num_vars();
+    std::size_t best = supports.size();  // index into result.all
     for (std::uint32_t support : supports) {
-        trigger_candidate cand;
-        cand.support = support;
-        if (options.method == trigger_method::exact) {
-            cand.function = options.use_scalar_kernels
-                                ? scalar::exact_trigger_function(master, support)
-                                : exact_trigger_function(master, support);
-        } else {
-            cand.function = options.use_scalar_kernels
-                                ? scalar::cube_list_trigger_function(master, *cover,
-                                                                     support)
-                                : cube_list_trigger_function(master, *cover, support);
-        }
-        if (cand.function.is_constant_zero()) continue;
+        const int k = std::popcount(support);
+        const bf::tt_words trigger =
+            options.method == trigger_method::exact
+                ? trigger_words(master, support)
+                : cube_list_trigger_function(master, *cover, support).words();
+        int ones = 0;
+        for (int w = 0; w < bf::words_for(k); ++w) ones += std::popcount(trigger[w]);
+        // Every firing support assignment covers one completion per
+        // assignment of the free variables.  Full coverage means the master
+        // never needed the other inputs at all — a synthesis artifact, not an
+        // Early Evaluation opportunity.
+        const int covered = ones << (n - k);
+        if (ones == 0 || covered == static_cast<int>(master.num_minterms())) continue;
 
-        cand.covered_minterms =
-            options.use_scalar_kernels
-                ? scalar::covered_minterms(master, support, cand.function)
-                : covered_minterms(master, support, cand.function);
-        cand.coverage_percent =
-            100.0 * cand.covered_minterms / static_cast<double>(master.num_minterms());
-        // Full coverage means the master never needed the other inputs at
-        // all — a synthesis artifact, not an Early Evaluation opportunity.
-        if (cand.covered_minterms == static_cast<int>(master.num_minterms())) continue;
-
-        cand.master_max_arrival = master_max_arrival;
-        cand.trigger_max_arrival = 0;
+        int trigger_max_arrival = 0;
         for (std::uint32_t rest = support; rest != 0; rest &= rest - 1) {
             const int v = std::countr_zero(rest);
-            cand.trigger_max_arrival =
-                std::max(cand.trigger_max_arrival, pin_arrivals[static_cast<std::size_t>(v)]);
+            trigger_max_arrival =
+                std::max(trigger_max_arrival, pin_arrivals[static_cast<std::size_t>(v)]);
         }
-        cand.cost = options.weight_by_arrival
-                        ? equation1_cost(cand.coverage_percent,
-                                         cand.master_max_arrival,
-                                         cand.trigger_max_arrival)
-                        : cand.coverage_percent;
-        result.all.push_back(cand);
+        const double coverage_percent =
+            100.0 * covered / static_cast<double>(master.num_minterms());
+        const double cost = options.weight_by_arrival
+                                ? equation1_cost(coverage_percent, master_max_arrival,
+                                                 trigger_max_arrival)
+                                : coverage_percent;
+        const trigger_candidate& cand = result.all.emplace_back(trigger_candidate{
+            support, bf::truth_table(k, trigger), covered, coverage_percent,
+            master_max_arrival, trigger_max_arrival, cost});
 
         if (options.require_arrival_gain &&
             cand.trigger_max_arrival >= cand.master_max_arrival) {
@@ -298,14 +240,17 @@ search_result find_best_trigger(const bf::truth_table& master,
         }
         if (cand.cost <= options.cost_threshold) continue;
 
+        const trigger_candidate* const b =
+            best < result.all.size() ? &result.all[best] : nullptr;
         const bool better =
-            !result.best || cand.cost > result.best->cost ||
-            (cand.cost == result.best->cost &&
-             (cand.covered_minterms > result.best->covered_minterms ||
-              (cand.covered_minterms == result.best->covered_minterms &&
-               std::popcount(cand.support) < std::popcount(result.best->support))));
-        if (better) result.best = cand;
+            b == nullptr || cand.cost > b->cost ||
+            (cand.cost == b->cost &&
+             (cand.covered_minterms > b->covered_minterms ||
+              (cand.covered_minterms == b->covered_minterms &&
+               k < std::popcount(b->support))));
+        if (better) best = result.all.size() - 1;
     }
+    if (best < result.all.size()) result.best = result.all[best];
     return result;
 }
 

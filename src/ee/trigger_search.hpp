@@ -58,8 +58,12 @@ struct trigger_candidate {
 ///
 /// Computed word-parallel: the conjunctive fold of the master (resp. its
 /// complement) over the free variables marks the constant-1 (resp.
-/// constant-0) cofactors in one shift/AND cascade, and shrinking the union
-/// onto S yields the trigger — no per-minterm eval loop.
+/// constant-0) cofactors in one shift/AND cascade, and compacting the union
+/// onto S yields the trigger — no per-minterm eval loop.  A 7- or 8-input
+/// master first folds its free word-level variables (6 and 7) with ANDs of
+/// word pairs; the single-word kernel then runs on each word left, and the
+/// pieces are placed side by side.  tests/trigger_oracle.hpp holds the
+/// per-minterm reference the tests check this against.
 bf::truth_table exact_trigger_function(const bf::truth_table& master,
                                        std::uint32_t support);
 
@@ -80,21 +84,6 @@ int covered_minterms(const bf::truth_table& master, std::uint32_t support,
 double equation1_cost(double coverage_percent, int master_max_arrival,
                       int trigger_max_arrival);
 
-/// Retained scalar reference implementations of the three kernels above:
-/// the original per-minterm eval() loops, kept verbatim as the ground truth
-/// the word-parallel versions are exhaustively cross-checked against (all
-/// 2^16 LUT4 masters x all support sets) and as the baseline the speedup in
-/// BENCH_trigger.json is measured from.  Semantically identical.
-namespace scalar {
-bf::truth_table exact_trigger_function(const bf::truth_table& master,
-                                       std::uint32_t support);
-bf::truth_table cube_list_trigger_function(const bf::truth_table& master,
-                                           const bf::on_off_cover& cover,
-                                           std::uint32_t support);
-int covered_minterms(const bf::truth_table& master, std::uint32_t support,
-                     const bf::truth_table& trigger);
-}  // namespace scalar
-
 struct search_options {
     trigger_method method = trigger_method::exact;
     int max_support_size = 3;       ///< the paper's "3 or fewer variables"
@@ -106,11 +95,6 @@ struct search_options {
     /// this off selects by raw coverage only — the ablation the paper argues
     /// against ("a large coverage ... may depend on slowly arriving signals").
     bool weight_by_arrival = true;
-    /// Route trigger derivation and coverage counting through the scalar
-    /// reference kernels instead of the word-parallel ones.  For the
-    /// cross-check tests and the baseline leg of bench_micro; results are
-    /// identical either way.
-    bool use_scalar_kernels = false;
 };
 
 struct search_result {
@@ -122,8 +106,10 @@ struct search_result {
 
 /// Evaluates every support subset of the master's inputs and returns the
 /// best implementable candidate (if any) under `options`.  `pin_arrivals`
-/// holds the arrival depth of each master input signal, pin-ordered.  A
-/// pure function of its arguments, so concurrent calls need no locking.
+/// holds the arrival depth of each master input signal, pin-ordered.
+/// Coverage is counted from the trigger's bits, so a truth_table is built
+/// only for a candidate recorded in `all`.  A pure function of its
+/// arguments, so concurrent calls need no locking.
 search_result find_best_trigger(const bf::truth_table& master,
                                 const std::vector<int>& pin_arrivals,
                                 const search_options& options = {});

@@ -110,100 +110,113 @@ void pl_simulator::compile() {
             2 * pos[edge.from] + (edge.kind == pl::edge_kind::ack ? 1u : 0u);
         return (slot << 1) | (edge.init_token ? 1u : 0u);
     };
-    times_.assign(6 * n, 0.0);  // the preset buffer's times stay 0
-    values_.assign(3 * n, 0);
-    desc_.resize(n);
+    times_.assign(4 * n, 0.0);
+    values_.assign(4 * n, 0);
+    recs_.resize(n);
+    preset_.assign(n, 0);
+    deposits_.assign(n + 1, 0);
     trace_off_.assign(n + 1, 0);
+    const delay_model& dm = options_.delays;
     for (std::uint32_t s = 0; s < n; ++s) {
-        const pl::gate_id g = scheduled[s];
-        const pl::pl_gate& gate = pl_.gate(g);
-        gate_desc& d = desc_[s];
-        d.kind = gate.kind;
+        const pl::pl_gate& gate = pl_.gate(scheduled[s]);
+        gate_rec& d = recs_[s];
         d.num_data = static_cast<std::uint8_t>(gate.data_in.size());
-        d.in_begin = static_cast<std::uint32_t>(refs_.size());
-        for (pl::edge_id e : gate.in_edges) refs_.push_back(ref_of(e));
-        d.in_end = d.data_begin = static_cast<std::uint32_t>(refs_.size());
+        d.ref_begin = static_cast<std::uint32_t>(refs_.size());
         for (pl::edge_id e : gate.data_in) refs_.push_back(ref_of(e));
-        if (gate.efire_in != pl::k_invalid_edge) d.efire = ref_of(gate.efire_in);
+        for (pl::edge_id e : gate.in_edges) {
+            if (std::find(gate.data_in.begin(), gate.data_in.end(), e) ==
+                gate.data_in.end()) {
+                refs_.push_back(ref_of(e));
+            }
+        }
+        d.ref_end = static_cast<std::uint32_t>(refs_.size());
 
         bool marked = false;
-        std::uint64_t& preset = values_[2 * n + s];
         for (pl::edge_id e : gate.out_edges) {
             const pl::pl_edge& edge = pl_.edge(e);
-            if (edge.kind == pl::edge_kind::ack) {
-                ++d.ack_outs;
-                continue;
-            }
-            ++d.data_outs;
+            if (edge.kind == pl::edge_kind::ack) continue;
             trace_edges_.push_back(e);
             if (!edge.init_token) continue;
             const std::uint64_t value = edge.init_value ? ~std::uint64_t{0} : 0;
-            if (marked && preset != value) {
+            if (marked && preset_[s] != value) {
                 throw invariant_violation(
-                    "marked data out-edges of gate " + std::to_string(g) + " '" +
-                        gate.name + "' carry different initial values",
+                    "marked data out-edges of gate " +
+                        std::to_string(scheduled[s]) + " '" + gate.name +
+                        "' carry different initial values",
                     options_.label, 0, "schedule");
             }
             marked = true;
-            preset = value;
+            preset_[s] = value;
         }
         trace_off_[s + 1] = static_cast<std::uint32_t>(trace_edges_.size());
+        deposits_[s + 1] = deposits_[s] + gate.out_edges.size();
 
-        const delay_model& dm = options_.delays;
+        // The LUT words: constants and registers get their constant and
+        // identity tables, so every non-environment gate evaluates alike.
+        d.fn_off = static_cast<std::uint32_t>(fn_pool_.size());
         switch (gate.kind) {
             case pl::gate_kind::source:
-            case pl::gate_kind::const_source:
+                d.kind = role::source;
                 d.delay = dm.d_source;
-                d.fn_bits.fill(gate.const_value ? ~std::uint64_t{0} : 0);
+                fn_pool_.push_back(0);
                 break;
             case pl::gate_kind::sink:
+                d.kind = role::sink;
                 d.delay = dm.ack_delay();  // sinks emit acknowledges only
+                fn_pool_.push_back(0);
+                break;
+            case pl::gate_kind::const_source:
+                d.delay = dm.d_source;
+                fn_pool_.push_back(gate.const_value ? ~std::uint64_t{0} : 0);
                 break;
             case pl::gate_kind::through:
                 d.delay = dm.through_delay();
-                d.fn_bits.fill(k_identity_word);
+                fn_pool_.push_back(k_identity_word);
                 break;
             default:
                 d.delay = dm.gate_delay();
-                d.fn_bits = gate.function.words();
+                fn_pool_.insert(fn_pool_.end(), gate.function.words().begin(),
+                                gate.function.words().begin() +
+                                    bf::words_for(d.num_data));
                 break;
         }
-        if (gate.trigger != pl::k_invalid_gate) {
-            // Master of an EE pair: bake the trigger function and its
-            // pin-packing map in, so no firing allocates.
-            const pl::pl_gate& trig = pl_.gate(gate.trigger);
-            d.trig_fn_bits = trig.function.words();
-            std::uint8_t count = 0;
-            for (std::uint8_t v = 0; v < 32; ++v) {
-                if ((trig.trigger_support >> v) & 1u) {
-                    if (count >= sizeof(d.trig_pins)) {
-                        throw std::logic_error(
-                            "pl_simulator: trigger support wider than the "
-                            "LUT pin limit");
-                    }
-                    d.trig_pins[count++] = v;
+        if (gate.trigger == pl::k_invalid_gate) continue;
+        // Master of an EE pair: bake the trigger function and its
+        // pin-packing map in, so no firing allocates.
+        d.kind = role::master;
+        d.efire = ref_of(gate.efire_in);
+        const pl::pl_gate& trig = pl_.gate(gate.trigger);
+        master_trigger& t = triggers_.emplace_back();
+        t.words = trig.function.words();
+        for (std::uint8_t v = 0; v < 32; ++v) {
+            if ((trig.trigger_support >> v) & 1u) {
+                if (t.count >= sizeof(t.pins)) {
+                    throw std::logic_error(
+                        "pl_simulator: trigger support wider than the LUT "
+                        "pin limit");
                 }
+                t.pins[t.count++] = v;
             }
-            d.trig_pin_count = count;
         }
     }
     for (const std::vector<pl::gate_id>* env : {&pl_.sources(), &pl_.sinks()}) {
         for (std::size_t i = 0; i < env->size(); ++i) {
             const std::uint32_t p = pos[(*env)[i]];
-            if (p != k_unscheduled) desc_[p].env_slot = static_cast<std::uint32_t>(i);
+            if (p != k_unscheduled) recs_[p].env_slot = static_cast<std::uint32_t>(i);
         }
     }
 }
 
-void pl_simulator::throw_ee_mismatch(const char* engine) const {
+void pl_simulator::throw_ee_mismatch(std::uint32_t s, const char* engine) {
+    stats_.events = wave_base_ + deposits_[s];
     throw invariant_violation(
         "efire token disagrees with the trigger function (EE invariant "
         "violated)",
         options_.label, stats_.events, engine);
 }
 
-/// Resets the per-run state and raises what compile() found wrong with the
-/// netlist.
+/// Resets the per-run state, writes the wave -1 preset into parity 1 and
+/// raises what compile() found wrong with the netlist.
 void pl_simulator::begin_run(const char* engine) {
     stats_ = {};
     trace_.clear();
@@ -216,6 +229,25 @@ void pl_simulator::begin_run(const char* engine) {
     if (failure_ == failure::invalid) {
         throw invariant_violation(failure_text_, options_.label, 0, engine);
     }
+    for (std::size_t s = 0; s < recs_.size(); ++s) {
+        times_[4 * s + 1] = 0.0;
+        times_[4 * s + 3] = 0.0;
+        values_[4 * s + 1] = preset_[s];
+    }
+}
+
+std::uint32_t pl_simulator::next_stop(std::uint32_t from) const {
+    const std::uint64_t* const first = deposits_.data() + 1;
+    const std::uint64_t* const last = deposits_.data() + deposits_.size();
+    const std::uint64_t need = check_at_ > wave_base_ ? check_at_ - wave_base_ : 0;
+    return static_cast<std::uint32_t>(
+        std::lower_bound(first + from, last, need) - first);
+}
+
+std::uint32_t pl_simulator::reach(std::uint32_t s, const char* engine) {
+    stats_.events = wave_base_ + deposits_[s + 1];
+    check_events(engine);
+    return next_stop(s + 1);
 }
 
 /// The event checks both protocols share: at every multiple of
@@ -308,90 +340,110 @@ std::vector<wave_record> pl_simulator::run_packed(
     return records;
 }
 
-/// Wave k writes parity buffer k & 1 and reads marked refs from buffer
-/// (k - 1) & 1, or from the wave -1 preset when k == 0.  A wave is complete
-/// before the next starts, so a source's release time (the previous wave's
-/// output_stable, non-pipelined) is known when it fires.
+/// Wave k writes parity k & 1 and reads ref ^ (k & 1): a marked ref reads
+/// the previous wave's parity, or the wave -1 preset when k == 0.  A wave is
+/// complete before the next starts, so a source's release time (the
+/// previous wave's output_stable, non-pipelined) is known when it fires.
 void pl_simulator::run_waves(std::vector<wave_record>& records) {
-    const std::size_t n = desc_.size();
-    const gate_desc* const desc = desc_.data();
+    const std::uint32_t n = static_cast<std::uint32_t>(recs_.size());
+    const gate_rec* const recs = recs_.data();
     const in_ref* const refs = refs_.data();
+    const std::uint64_t* const pool = fn_pool_.data();
+    double* const times = times_.data();
+    std::uint64_t* const values = values_.data();
     const delay_model& dm = options_.delays;
     const double ack_delay = dm.ack_delay();
     const double gate_delay = dm.gate_delay();
     const double efire_delay = dm.efire_delay();
+    const double ee_penalty = dm.d_ee_penalty;
     const bool trace_on = options_.collect_trace;
     for (std::size_t k = 0; k < records.size(); ++k) {
         wave_record& rec = records[k];
-        const std::size_t prev = k == 0 ? 2 : (k - 1) & 1;
-        double* const t_cur = times_.data() + (k & 1) * 2 * n;
-        std::uint64_t* const v_cur = values_.data() + (k & 1) * n;
-        const double* const tb[2] = {t_cur, times_.data() + prev * 2 * n};
-        const std::uint64_t* const vb[2] = {v_cur, values_.data() + prev * n};
+        const std::uint32_t par = k & 1;
         if (options_.non_pipelined && k > 0) {
             rec.release_time = records[k - 1].output_stable;
         }
+        const double release = rec.release_time;
+        double input_stable = 0.0;
+        double output_stable = 0.0;
+        std::uint64_t hits = 0;
+        std::uint64_t wins = 0;
+        std::uint64_t masters = 0;
+        wave_base_ = stats_.events;
+        std::uint32_t stop = next_stop(0);
         for (std::uint32_t s = 0; s < n; ++s) {
-            const gate_desc& d = desc[s];
-            double t_ready = d.kind == pl::gate_kind::source ? rec.release_time : 0.0;
-            for (std::uint32_t i = d.in_begin; i < d.in_end; ++i) {
-                const in_ref r = refs[i];
-                t_ready = std::max(t_ready, tb[r & 1][r >> 1]);
-            }
+            const gate_rec& d = recs[s];
+            const in_ref* const r = refs + d.ref_begin;
             std::uint32_t minterm = 0;
-            double t_data = 0.0;
-            for (std::uint8_t pin = 0; pin < d.num_data; ++pin) {
-                const in_ref r = refs[d.data_begin + pin];
-                minterm |= static_cast<std::uint32_t>(vb[r & 1][r >> 2] & 1u) << pin;
-                t_data = std::max(t_data, tb[r & 1][r >> 1]);
+            double t = 0.0;
+            for (std::uint32_t pin = 0; pin < d.num_data; ++pin) {
+                const in_ref x = r[pin] ^ par;
+                minterm |= static_cast<std::uint32_t>(values[x] & 1u) << pin;
+                t = std::max(t, times[x]);
             }
-            bool value = (d.fn_bits[minterm >> 6] >> (minterm & 63)) & 1u;
-            double t_out = t_ready + d.delay;
-            double t_ack = t_ready + ack_delay;
-            if (d.efire != k_no_ref) {
-                // EE master: normal completion pays the extra C-element; a
-                // 1-valued efire token opens the output latch early.
-                const double normal = t_data + gate_delay + dm.d_ee_penalty;
-                const bool efire_value = vb[d.efire & 1][d.efire >> 2] & 1u;
-                if (efire_value) {
-                    const double early = tb[d.efire & 1][d.efire >> 1] + efire_delay;
-                    t_out = std::min(early, normal);
-                    ++stats_.ee_hits;
-                    if (early < normal) ++stats_.ee_wins;
-                } else {
-                    t_out = normal;
-                    ++stats_.ee_misses;
-                }
-                // The EE invariant: the trigger recomputed from the master's
-                // operands through the pin-packing map must equal the efire
-                // token.
-                std::uint32_t packed = 0;
-                for (std::uint8_t i = 0; i < d.trig_pin_count; ++i) {
-                    packed |= ((minterm >> d.trig_pins[i]) & 1u) << i;
-                }
-                if (((d.trig_fn_bits[packed >> 6] >> (packed & 63)) & 1u) !=
-                    static_cast<std::uint64_t>(efire_value)) {
-                    throw_ee_mismatch("dataflow");
-                }
-            } else if (d.kind == pl::gate_kind::source) {
-                value = stim_bit(k, d.env_slot);
-                t_ack = t_out;
-                rec.input_stable = std::max(rec.input_stable, t_out);
-            } else if (d.kind == pl::gate_kind::sink) {
-                rec.outputs[d.env_slot] = (minterm & 1u) != 0;
-                rec.output_stable = std::max(rec.output_stable, t_data);
+            const double t_data = t;
+            for (std::uint32_t i = d.num_data; i < d.ref_end - d.ref_begin; ++i) {
+                t = std::max(t, times[r[i] ^ par]);
             }
-            t_cur[2 * s] = t_out;
-            t_cur[2 * s + 1] = t_ack;
-            v_cur[s] = value;
-            ++stats_.firings;
-            count_events(d.data_outs + d.ack_outs, "dataflow");
+            std::uint64_t value =
+                (pool[d.fn_off + (minterm >> 6)] >> (minterm & 63)) & 1u;
+            double t_out = t + d.delay;
+            double t_ack = t + ack_delay;
+            switch (d.kind) {
+                case role::gate:
+                    break;
+                case role::master: {
+                    // Normal completion pays the extra C-element; a 1-valued
+                    // efire token opens the output latch early.
+                    const in_ref x = d.efire ^ par;
+                    const std::uint64_t efire = values[x] & 1u;
+                    const double normal = t_data + gate_delay + ee_penalty;
+                    const double early = times[x] + efire_delay;
+                    const std::uint64_t win = efire & (early < normal ? 1u : 0u);
+                    t_out = win != 0 ? early : normal;
+                    hits += efire;
+                    wins += win;
+                    // The EE invariant: the trigger recomputed from the
+                    // master's operands through the pin-packing map must
+                    // equal the efire token.
+                    const master_trigger& trig = triggers_[masters++];
+                    std::uint32_t packed = 0;
+                    for (std::uint8_t i = 0; i < trig.count; ++i) {
+                        packed |= ((minterm >> trig.pins[i]) & 1u) << i;
+                    }
+                    if (((trig.words[packed >> 6] >> (packed & 63)) & 1u) != efire) {
+                        throw_ee_mismatch(s, "dataflow");
+                    }
+                    break;
+                }
+                case role::source:
+                    t_out = std::max(t, release) + d.delay;
+                    t_ack = t_out;
+                    value = stim_bit(k, d.env_slot);
+                    input_stable = std::max(input_stable, t_out);
+                    break;
+                case role::sink:
+                    rec.outputs[d.env_slot] = (minterm & 1u) != 0;
+                    output_stable = std::max(output_stable, t_data);
+                    break;
+            }
+            times[4 * s + par] = t_out;
+            times[4 * s + 2 + par] = t_ack;
+            values[4 * s + par] = value;
             if (trace_on) {
                 for (std::uint32_t i = trace_off_[s]; i < trace_off_[s + 1]; ++i) {
-                    trace_.push_back({t_out, trace_edges_[i], value});
+                    trace_.push_back({t_out, trace_edges_[i], value != 0});
                 }
             }
+            if (s == stop) stop = reach(s, "dataflow");
         }
+        stats_.events = wave_base_ + deposits_[n];
+        stats_.firings += n;
+        stats_.ee_hits += hits;
+        stats_.ee_misses += masters - hits;
+        stats_.ee_wins += wins;
+        rec.input_stable = input_stable;
+        rec.output_stable = output_stable;
         waves_stable_ = k + 1;
     }
 }
@@ -434,10 +486,9 @@ lane_block_result pl_simulator::run_lanes(const stimulus_block& block) {
     if (!slab_pool_) {
         // At most one slab per slot; uninitialized, since varies_ gates
         // every read.
-        const std::size_t slots = 2 * desc_.size();
-        slab_pool_ = std::make_unique_for_overwrite<double[]>(slots * k_lanes);
-        varies_.assign(slots, 0);
-        slab_of_.assign(slots, 0);
+        slab_pool_ = std::make_unique_for_overwrite<double[]>(2 * recs_.size() * k_lanes);
+        varies_.assign(times_.size(), 0);
+        slab_of_.assign(times_.size(), 0);
     }
     slabs_used_ = 0;
     run_lane_wave(block);
@@ -456,86 +507,94 @@ lane_block_result pl_simulator::run_lanes(const stimulus_block& block) {
     return result;
 }
 
+/// The lane wave writes parity 0 and reads each ref itself, so a marked ref
+/// reads the wave -1 preset in parity 1.
 void pl_simulator::run_lane_wave(const stimulus_block& block) {
-    const std::size_t n = desc_.size();
+    const std::uint32_t n = static_cast<std::uint32_t>(recs_.size());
     const delay_model& dm = options_.delays;
     const double ack_delay = dm.ack_delay();
+    wave_base_ = 0;
+    std::uint32_t stop = next_stop(0);
+    std::uint32_t master = 0;
     for (std::uint32_t s = 0; s < n; ++s) {
-        const gate_desc& d = desc_[s];
-        bool slab = d.kind == pl::gate_kind::source || d.kind == pl::gate_kind::sink;
-        for (std::uint32_t i = d.in_begin; i < d.in_end && !slab; ++i) {
-            slab = lane_varies(refs_[i]);
-        }
-        ++stats_.firings;
+        const gate_rec& d = recs_[s];
+        const in_ref* const r = refs_.data() + d.ref_begin;
+        const std::uint32_t num_refs = d.ref_end - d.ref_begin;
+        bool slab = d.kind == role::source || d.kind == role::sink;
+        for (std::uint32_t i = 0; i < num_refs && !slab; ++i) slab = varies_[r[i]];
         if (slab) {
-            fire_lanes_slab(s, block);
-            count_events(d.data_outs + d.ack_outs, "lane");
-            continue;
-        }
-
-        // Every input carries one time for all lanes: the scalar arithmetic
-        // of run_waves, on value words.
-        double t_ready = 0.0;
-        for (std::uint32_t i = d.in_begin; i < d.in_end; ++i) {
-            t_ready = std::max(t_ready, lane_time(refs_[i]));
-        }
-        std::uint64_t ins[bf::k_max_vars];
-        lane_operands(d, ins);
-        const std::uint64_t value =
-            bf::truth_table::eval_word_lanes(d.fn_bits.data(), d.num_data, ins);
-        const double t_ack = t_ready + ack_delay;
-        double t_out = t_ready + d.delay;
-        if (d.efire != k_no_ref) {
-            const std::uint64_t efire_word = lane_value(d.efire);
-            check_trigger_lanes(d, ins, efire_word);
-            double t_data = 0.0;
-            for (std::uint8_t pin = 0; pin < d.num_data; ++pin) {
-                t_data = std::max(t_data, lane_time(refs_[d.data_begin + pin]));
+            fire_lanes_slab(s, master, block);
+        } else {
+            // Every input carries one time for all lanes: the scalar
+            // arithmetic of run_waves, on value words.
+            double t = 0.0;
+            for (std::uint32_t i = 0; i < d.num_data; ++i) t = std::max(t, times_[r[i]]);
+            const double t_data = t;
+            for (std::uint32_t i = d.num_data; i < num_refs; ++i) {
+                t = std::max(t, times_[r[i]]);
             }
-            const double normal = t_data + dm.gate_delay() + dm.d_ee_penalty;
-            const double early = lane_time(d.efire) + dm.efire_delay();
-            const std::uint64_t hit = efire_word & lane_mask_;
-            stats_.ee_hits += static_cast<std::uint64_t>(std::popcount(hit));
-            stats_.ee_misses += static_cast<std::uint64_t>(
-                std::popcount(lane_mask_ & ~efire_word));
-            if (early < normal) {
-                stats_.ee_wins += static_cast<std::uint64_t>(std::popcount(hit));
-            }
-            if (hit != 0 && hit != lane_mask_ && early < normal) {
-                // The lanes disagree on which output path wins: per-lane times.
-                ++stats_.lane_splits;
-                double to[k_lanes];
-                double ta[k_lanes];
-                for (std::size_t l = 0; l < k_lanes; ++l) {
-                    to[l] = ((hit >> l) & 1u) ? early : normal;
-                    ta[l] = t_ack;
+            std::uint64_t ins[bf::k_max_vars];
+            lane_operands(d, ins);
+            const std::uint64_t value = bf::truth_table::eval_word_lanes(
+                fn_pool_.data() + d.fn_off, d.num_data, ins);
+            const double t_ack = t + ack_delay;
+            double t_out = t + d.delay;
+            bool split = false;
+            if (d.kind == role::master) {
+                const std::uint64_t efire_word = values_[d.efire];
+                check_trigger_lanes(s, master, ins, efire_word);
+                const double normal = t_data + dm.gate_delay() + dm.d_ee_penalty;
+                const double early = times_[d.efire] + dm.efire_delay();
+                const std::uint64_t hit = efire_word & lane_mask_;
+                stats_.ee_hits += static_cast<std::uint64_t>(std::popcount(hit));
+                stats_.ee_misses += static_cast<std::uint64_t>(
+                    std::popcount(lane_mask_ & ~efire_word));
+                if (early < normal) {
+                    stats_.ee_wins += static_cast<std::uint64_t>(std::popcount(hit));
                 }
-                store_lanes(s, value, to, ta);
-                count_events(d.data_outs + d.ack_outs, "lane");
-                continue;
+                split = hit != 0 && hit != lane_mask_ && early < normal;
+                if (split) {
+                    // The lanes disagree on which output path wins: per-lane
+                    // times.
+                    ++stats_.lane_splits;
+                    double to[k_lanes];
+                    double ta[k_lanes];
+                    for (std::size_t l = 0; l < k_lanes; ++l) {
+                        to[l] = ((hit >> l) & 1u) ? early : normal;
+                        ta[l] = t_ack;
+                    }
+                    store_lanes(s, value, to, ta);
+                }
+                // With early >= normal every lane's t_out is `normal` whatever
+                // its efire bit, so a mixed word stays whole.
+                t_out = hit == lane_mask_ ? std::min(early, normal) : normal;
             }
-            // With early >= normal every lane's t_out is `normal` whatever its
-            // efire bit, so a mixed word stays whole.
-            t_out = hit == lane_mask_ ? std::min(early, normal) : normal;
+            if (!split) {
+                times_[4 * s] = t_out;
+                times_[4 * s + 2] = t_ack;
+                varies_[4 * s] = varies_[4 * s + 2] = 0;
+                values_[4 * s] = value;
+            }
         }
-        times_[2 * s] = t_out;
-        times_[2 * s + 1] = t_ack;
-        varies_[2 * s] = varies_[2 * s + 1] = 0;
-        values_[s] = value;
-        count_events(d.data_outs + d.ack_outs, "lane");
+        if (d.kind == role::master) ++master;
+        if (s == stop) stop = reach(s, "lane");
     }
+    stats_.events = deposits_[n];
+    stats_.firings = n;
 }
 
-void pl_simulator::fire_lanes_slab(std::uint32_t s, const stimulus_block& block) {
-    const gate_desc& d = desc_[s];
+void pl_simulator::fire_lanes_slab(std::uint32_t s, std::uint32_t master,
+                                   const stimulus_block& block) {
+    const gate_rec& d = recs_[s];
+    const in_ref* const r = refs_.data() + d.ref_begin;
     const delay_model& dm = options_.delays;
     double tr[k_lanes];
     std::fill_n(tr, k_lanes, 0.0);
-    gather_lanes(refs_.data() + d.in_begin, d.in_end - d.in_begin, tr);
+    gather_lanes(r, d.ref_end - d.ref_begin, tr);
     double to[k_lanes];
     double ta[k_lanes];
     for (std::size_t l = 0; l < k_lanes; ++l) ta[l] = tr[l] + dm.ack_delay();
-    if (d.kind == pl::gate_kind::source) {
+    if (d.kind == role::source) {
         for (std::size_t l = 0; l < k_lanes; ++l) {
             to[l] = tr[l] + d.delay;
             input_stable_lane_[l] = std::max(input_stable_lane_[l], to[l]);
@@ -543,33 +602,32 @@ void pl_simulator::fire_lanes_slab(std::uint32_t s, const stimulus_block& block)
         store_lanes(s, block.words[d.env_slot], to, to);
         return;
     }
-    if (d.kind == pl::gate_kind::sink) {
-        const in_ref data = refs_[d.data_begin];
+    if (d.kind == role::sink) {
         std::fill_n(to, k_lanes, 0.0);
-        gather_lanes(&data, 1, to);
+        gather_lanes(r, 1, to);
         for (std::size_t l = 0; l < k_lanes; ++l) {
             output_stable_lane_[l] = std::max(output_stable_lane_[l], to[l]);
         }
-        lane_sink_words_[d.env_slot] = lane_value(data);
+        lane_sink_words_[d.env_slot] = values_[r[0]];
         store_lanes(s, 0, ta, ta);
         return;
     }
 
     std::uint64_t ins[bf::k_max_vars];
     lane_operands(d, ins);
-    const std::uint64_t value =
-        bf::truth_table::eval_word_lanes(d.fn_bits.data(), d.num_data, ins);
-    if (d.efire == k_no_ref) {
+    const std::uint64_t value = bf::truth_table::eval_word_lanes(
+        fn_pool_.data() + d.fn_off, d.num_data, ins);
+    if (d.kind != role::master) {
         for (std::size_t l = 0; l < k_lanes; ++l) to[l] = tr[l] + d.delay;
         store_lanes(s, value, to, ta);
         return;
     }
     // An EE master with a slab input: the firing rule per lane.
-    const std::uint64_t efire_word = lane_value(d.efire);
-    check_trigger_lanes(d, ins, efire_word);
+    const std::uint64_t efire_word = values_[d.efire];
+    check_trigger_lanes(s, master, ins, efire_word);
     double td[k_lanes];
     std::fill_n(td, k_lanes, 0.0);
-    gather_lanes(refs_.data() + d.data_begin, d.num_data, td);
+    gather_lanes(r, d.num_data, td);
     double ef[k_lanes];
     std::fill_n(ef, k_lanes, 0.0);
     gather_lanes(&d.efire, 1, ef);
@@ -598,12 +656,12 @@ void pl_simulator::gather_lanes(const in_ref* refs, std::uint32_t n,
                                 double* out) const {
     for (std::uint32_t i = 0; i < n; ++i) {
         const in_ref r = refs[i];
-        if (lane_varies(r)) {
+        if (varies_[r]) {
             const double* const t =
-                slab_pool_.get() + std::size_t{slab_of_[r >> 1]} * k_lanes;
+                slab_pool_.get() + std::size_t{slab_of_[r]} * k_lanes;
             for (std::size_t l = 0; l < k_lanes; ++l) out[l] = std::max(out[l], t[l]);
         } else {
-            const double t = lane_time(r);
+            const double t = times_[r];
             for (std::size_t l = 0; l < k_lanes; ++l) out[l] = std::max(out[l], t);
         }
     }
@@ -611,8 +669,7 @@ void pl_simulator::gather_lanes(const in_ref* refs, std::uint32_t n,
 
 void pl_simulator::store_lanes(std::uint32_t s, std::uint64_t value,
                                const double* to, const double* ta) {
-    const gate_desc& d = desc_[s];
-    values_[s] = value;
+    values_[4 * s] = value;
     const auto store = [this](std::uint32_t slot, const double* t,
                               std::uint32_t outs) {
         if (std::all_of(t + 1, t + k_lanes, [t](double x) { return x == t[0]; })) {
@@ -625,22 +682,21 @@ void pl_simulator::store_lanes(std::uint32_t s, std::uint64_t value,
         std::copy_n(t, k_lanes, slab_pool_.get() + std::size_t{slabs_used_++} * k_lanes);
         stats_.lane_slab_deposits += outs;
     };
-    store(2 * s, to, d.data_outs);
-    store(2 * s + 1, ta, d.ack_outs);
+    store(4 * s, to, data_outs(s));
+    store(4 * s + 2, ta, ack_outs(s));
 }
 
 /// The EE invariant, word-wide for every occupied lane: the trigger
 /// recomputed from the master's operands must equal the efire word.
-void pl_simulator::check_trigger_lanes(const gate_desc& d,
+void pl_simulator::check_trigger_lanes(std::uint32_t s, std::uint32_t master,
                                        const std::uint64_t* ins,
-                                       std::uint64_t efire_word) const {
+                                       std::uint64_t efire_word) {
+    const master_trigger& t = triggers_[master];
     std::uint64_t tins[bf::k_max_vars];
-    for (std::uint8_t i = 0; i < d.trig_pin_count; ++i) {
-        tins[i] = ins[d.trig_pins[i]];
-    }
-    const std::uint64_t trig = bf::truth_table::eval_word_lanes(
-        d.trig_fn_bits.data(), d.trig_pin_count, tins);
-    if ((trig ^ efire_word) & lane_mask_) throw_ee_mismatch("lane");
+    for (std::uint8_t i = 0; i < t.count; ++i) tins[i] = ins[t.pins[i]];
+    const std::uint64_t trig =
+        bf::truth_table::eval_word_lanes(t.words.data(), t.count, tins);
+    if ((trig ^ efire_word) & lane_mask_) throw_ee_mismatch(s, "lane");
 }
 
 }  // namespace plee::sim

@@ -26,11 +26,26 @@
 // initial token is wave -1's).  So a wave is one pass over a fixed
 // topological order of the token-free subgraph, with max-plus arithmetic on
 // the token times — how static timing analysis propagates arrival times
-// without an event list.  The constructor compiles that order once: a FIFO
-// Kahn order, one 32-bit ref per input edge (producer, marked bit, ack
-// bit), and a wave -1 preset per producer (time 0, initial value).  The
-// runs evaluate it over per-gate t_out / t_ack / value slots,
-// double-buffered by wave parity, so a marked ref reads the previous wave.
+// without an event list.  The constructor compiles that order once, and one
+// schedule serves both protocols:
+//
+//  * Record.  One 32-byte record per position (a FIFO Kahn order): the ref
+//    range, the data-pin count, the kind, the efire ref, an offset into one
+//    LUT-word pool, the env slot and the delay.  Side arrays hold the
+//    deposit prefix sums, the masters' trigger pin maps and words (in
+//    schedule order), and the trace edges; only the paths that need them
+//    read them.
+//  * Ref order.  A position lists its data pins first, in pin order, then
+//    its other in-edges (acks and efire), each in-edge once.  A ref is
+//    (slot << 1) | marked, slot = 2 * producer position + (1 for an ack),
+//    so t_data is the running max after the pins and t_ready the max over
+//    all refs.
+//  * Slots.  times_ and values_ interleave the two wave parities as
+//    (slot << 1) | parity; a value sits at the index of its producer's
+//    t_out.  Wave k writes parity k & 1 and reads ref ^ (k & 1), so a
+//    marked ref reads the previous wave; the lane wave writes parity 0 and
+//    reads ref itself, so a marked ref reads parity 1.  Every run first
+//    writes the wave -1 preset (time 0, the initial value) into parity 1.
 //
 //  * run / run_packed — the sequential-wave protocol: the waves back to
 //    back, one bit per value.
@@ -51,6 +66,11 @@
 //    its out-degree.  A run that exceeds max_events throws at exactly
 //    max_events + 1; whenever the count crosses a multiple of
 //    k_cancel_check_events, the cancel poll and the sim.progress beat run.
+//    Every position fires once per wave, so the count is kept per wave: a
+//    wave adds its fixed total at the end, and the checks run at the one
+//    firing whose deposits reach the next check point, found from the
+//    prefix sums.  Budget, beats and the count an EE-mismatch throw names
+//    are those of counting every firing.
 //  * Trace order.  trace() is emitted per data out-edge in wave order, then
 //    stable-sorted by (time, edge); one edge's deposits stay in wave order.
 //
@@ -207,6 +227,7 @@ public:
     /// std::invalid_argument — lane tokens have no single trace value).
     lane_block_result run_lanes(const stimulus_block& block);
 
+    /// After a throw only events is meaningful: the count the error names.
     const sim_run_stats& stats() const { return stats_; }
 
     /// Data-token arrivals recorded by the last run (empty unless
@@ -216,79 +237,80 @@ public:
 
 private:
     /// One input edge as the schedule reads it: (slot << 1) | marked, where
-    /// slot = 2 * producer position + (1 for an ack edge).  Slot 2p holds
-    /// producer p's t_out, slot 2p + 1 its t_ack, and value p its value.
+    /// slot = 2 * producer position + (1 for an ack edge).  Index
+    /// (slot << 1) | parity of times_ holds that slot's time in one wave
+    /// parity, and the same index of values_ the producer's value.
     using in_ref = std::uint32_t;
     static constexpr in_ref k_no_ref = 0xffffffffu;
 
-    /// Precomputed firing metadata of one scheduled gate, in schedule order.
-    /// Cache-line aligned: the scalar fields and the low function word
-    /// share the first line; only >6-input gates (and wide triggers) reach
-    /// into the second.
-    struct alignas(64) gate_desc {
-        pl::gate_kind kind = pl::gate_kind::compute;
-        std::uint8_t num_data = 0;        ///< LUT operand count (<= 8)
-        std::uint8_t trig_pin_count = 0;  ///< master: trigger support size
-        std::uint32_t in_begin = 0, in_end = 0;  ///< refs_ range: every in-edge
-        std::uint32_t data_begin = 0;  ///< refs_ offset of the num_data pin refs
-        in_ref efire = k_no_ref;       ///< master: the efire edge
-        std::uint32_t data_outs = 0;   ///< data out-edges
-        std::uint32_t ack_outs = 0;    ///< acknowledge out-edges
-        std::uint32_t env_slot = 0;    ///< position in sources() / sinks()
-        double delay = 0.0;            ///< t_out - t_ready off the EE path
-        /// Master: trigger pin i taps master data pin trig_pins[i] — the
-        /// pin-packing map that replaces bf::support_members at fire time.
-        std::uint8_t trig_pins[bf::k_max_vars] = {};
-        /// Output function words (minterm m is bit (m & 63) of word
-        /// (m >> 6)); constants and registers get their constant and
-        /// identity tables, so every non-environment gate evaluates alike.
-        std::array<std::uint64_t, bf::k_num_words> fn_bits{};
-        /// Master: trigger function words, same layout over the packed pins.
-        std::array<std::uint64_t, bf::k_num_words> trig_fn_bits{};
+    /// How a position fires: a LUT lookup (compute, trigger, through and
+    /// constant gates), an EE master, or an environment port.
+    enum class role : std::uint8_t { gate, master, source, sink };
+
+    /// One scheduled position.
+    struct alignas(32) gate_rec {
+        std::uint32_t ref_begin = 0;  ///< refs_ range: the data pins, then
+        std::uint32_t ref_end = 0;    ///< the other in-edges
+        std::uint32_t fn_off = 0;     ///< fn_pool_ offset of the LUT words
+        in_ref efire = k_no_ref;      ///< master: the efire edge
+        std::uint32_t env_slot = 0;   ///< position in sources() / sinks()
+        std::uint8_t num_data = 0;    ///< LUT operand count (<= 8)
+        role kind = role::gate;
+        double delay = 0.0;           ///< t_out - t_ready off the EE path
+    };
+    static_assert(sizeof(gate_rec) == 32);
+
+    /// A master's trigger: trigger pin i taps master pin pins[i].
+    struct master_trigger {
+        bf::tt_words words{};
+        std::uint8_t pins[bf::k_max_vars] = {};
+        std::uint8_t count = 0;
     };
 
     /// Builds the schedule; records, instead of throwing, what the first run
     /// must raise.
     void compile();
     void begin_run(const char* engine);
-    /// Adds one firing's deposits to stats_.events; the budget and the
-    /// periodic checks run out of line.
-    void count_events(std::uint32_t deposits, const char* engine) {
-        stats_.events += deposits;
-        if (stats_.events >= check_at_) check_events(engine);
-    }
+    /// The first position at or after `from` whose firing brings the count
+    /// to check_at_, or the position count when no firing of this wave does.
+    std::uint32_t next_stop(std::uint32_t from) const;
+    /// Sets the count per-firing counting has after position s, runs the
+    /// periodic checks and returns the next stop.
+    std::uint32_t reach(std::uint32_t s, const char* engine);
     void check_events(const char* engine);
-    [[noreturn]] void throw_ee_mismatch(const char* engine) const;
+    /// Raises the EE invariant failure of position s, naming the count
+    /// before its firing.
+    [[noreturn]] void throw_ee_mismatch(std::uint32_t s, const char* engine);
 
     void run_waves(std::vector<wave_record>& records);
     /// Runs the lane wave of `block`, firing the schedule in order.
     void run_lane_wave(const stimulus_block& block);
-    /// The per-lane firing of position s: taken when an input carries a
-    /// slab, and by every source and sink.
-    void fire_lanes_slab(std::uint32_t s, const stimulus_block& block);
+    /// The per-lane firing of position s (master index `master`): taken
+    /// when an input carries a slab, and by every source and sink.
+    void fire_lanes_slab(std::uint32_t s, std::uint32_t master,
+                         const stimulus_block& block);
     /// Max-accumulates the per-lane times of refs[0, n) into out[0..63].
     void gather_lanes(const in_ref* refs, std::uint32_t n, double* out) const;
     /// Stores position s's lane firing: the value word and both times, each
     /// as a scalar when its lanes agree and as a slab otherwise.
     void store_lanes(std::uint32_t s, std::uint64_t value, const double* to,
                      const double* ta);
-    void check_trigger_lanes(const gate_desc& d, const std::uint64_t* ins,
-                             std::uint64_t efire_word) const;
+    void check_trigger_lanes(std::uint32_t s, std::uint32_t master,
+                             const std::uint64_t* ins, std::uint64_t efire_word);
     /// Gathers the LUT operand words of d into ins.
-    void lane_operands(const gate_desc& d, std::uint64_t* ins) const {
+    void lane_operands(const gate_rec& d, std::uint64_t* ins) const {
         for (std::uint8_t pin = 0; pin < d.num_data; ++pin) {
-            ins[pin] = lane_value(refs_[d.data_begin + pin]);
+            ins[pin] = values_[refs_[d.ref_begin + pin]];
         }
     }
-    /// A ref's value and time in the lane wave: buffer 0, or the preset
-    /// for a marked ref.
-    std::uint64_t lane_value(in_ref r) const {
-        return values_[(r & 1) * 2 * desc_.size() + (r >> 2)];
+    /// Data and acknowledge deposits of one firing of position s.
+    std::uint32_t data_outs(std::uint32_t s) const {
+        return trace_off_[s + 1] - trace_off_[s];
     }
-    double lane_time(in_ref r) const {
-        return times_[(r & 1) * 4 * desc_.size() + (r >> 1)];
+    std::uint32_t ack_outs(std::uint32_t s) const {
+        return static_cast<std::uint32_t>(deposits_[s + 1] - deposits_[s]) -
+               data_outs(s);
     }
-    bool lane_varies(in_ref r) const { return !(r & 1) && varies_[r >> 1]; }
 
     /// Wave k's value of source slot `slot`: lane (k & 63) of block (k >> 6).
     bool stim_bit(std::size_t wave, std::uint32_t slot) const {
@@ -300,8 +322,13 @@ private:
     sim_run_stats stats_;
 
     // The schedule (built once per netlist by compile()).
-    std::vector<gate_desc> desc_;
+    std::vector<gate_rec> recs_;
     std::vector<in_ref> refs_;
+    std::vector<std::uint64_t> fn_pool_;
+    /// Deposits of positions [0, s), per s in [0, positions].
+    std::vector<std::uint64_t> deposits_;
+    std::vector<master_trigger> triggers_;  ///< per master, schedule order
+    std::vector<std::uint64_t> preset_;     ///< per position: wave -1 value
     std::vector<std::uint32_t> trace_off_;  ///< per position: trace_edges_ range
     std::vector<pl::edge_id> trace_edges_;  ///< data out-edges, per position
     /// compile()'s verdict: the typed failure the first run raises.
@@ -309,24 +336,23 @@ private:
     failure failure_ = failure::none;
     std::string failure_text_;
 
-    // Slots: times_ holds [wave parity 0 | parity 1 | wave -1 preset], each
-    // 2 * positions doubles (t_out, t_ack per position); values_ the same
-    // three buffers of one word per position (bit 0 in scalar runs, 64
-    // lanes in run_lanes).
+    // Slots: 4 per position, (slot << 1) | parity (see in_ref).
     std::vector<double> times_;
     std::vector<std::uint64_t> values_;
 
     // Per-run state.
     std::uint64_t next_check_ = 0;  ///< next periodic-check multiple
     std::uint64_t check_at_ = 0;    ///< min(next_check_, max_events)
+    std::uint64_t wave_base_ = 0;   ///< stats_.events when the wave began
     std::size_t waves_stable_ = 0;
     std::vector<trace_event> trace_;
     const stimulus_block* stim_ = nullptr;     ///< sequential-wave stimulus
     std::vector<stimulus_block> packed_stim_;  ///< run(vectors) pack buffer
 
-    // Lane state: per slot, whether its time is a slab and which one.  A
-    // slot is written by its producer's firing before any same-wave reader,
-    // so neither array is ever cleared; the pool is never zero-filled.
+    // Lane state, per slot index: whether its time is a slab and which one.
+    // A slot is written by its producer's firing before any same-wave
+    // reader, and parity 1 is never a slab, so neither array is ever
+    // cleared; the pool is never zero-filled.
     std::uint64_t lane_mask_ = 0;  ///< the block's occupied lanes
     std::vector<std::uint8_t> varies_;
     std::vector<std::uint32_t> slab_of_;

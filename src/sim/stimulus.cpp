@@ -21,9 +21,8 @@ stimulus_block stimulus_stream::next(std::size_t num_vectors) {
     // Vector-major draw order — the exact stream random_vectors always used,
     // so per-seed lane contents stay byte-identical to the unpacked form.
     for (std::size_t v = 0; v < num_vectors; ++v) {
-        const std::uint64_t lane_bit = std::uint64_t{1} << v;
         for (std::size_t i = 0; i < width_; ++i) {
-            if (bit_(rng_)) block.words[i] |= lane_bit;
+            block.words[i] |= std::uint64_t{draw_bit(rng_())} << v;
         }
     }
     return block;

@@ -8,12 +8,13 @@
 // vectors as `width` words, where bit L of word i is vector L's value of
 // input i.
 //
-// Determinism contract: make_stimulus draws from the same mt19937_64 +
-// bernoulli(1/2) stream, in the same vector-major order, as the historical
-// random_vectors — so lane L of block B is byte-identical to vector
-// 64*B + L of the unpacked representation for any seed.  random_vectors is
-// now implemented by unpacking blocks, which makes the identity structural
-// rather than coincidental.
+// Determinism contract: make_stimulus draws one mt19937_64 output per bit,
+// in vector-major order, and keeps the stream std::bernoulli_distribution
+// (0.5) gave over that engine: draw_bit is the library's own comparison
+// without its u64 -> double conversion (tests/test_lane_sim.cpp pins both).
+// random_vectors unpacks the same blocks, so lane L of block B is
+// byte-identical to vector 64*B + L of the unpacked representation for any
+// seed.
 
 #pragma once
 
@@ -50,6 +51,13 @@ struct stimulus_block {
     void extract(std::size_t vec, std::vector<bool>& out) const;
 };
 
+/// One stimulus bit from one mt19937_64 output x, exactly as
+/// std::bernoulli_distribution(0.5) decides it: double(x) / 2^64 < 0.5.
+/// Under round-to-nearest, double(x) < 2^63 exactly when x < 2^63 - 512
+/// (2^63 - 512 is the midpoint between 2^63 and the double below it, and
+/// the tie rounds to the even 2^63).
+constexpr bool draw_bit(std::uint64_t x) { return x < 0x7FFFFFFFFFFFFE00ull; }
+
 /// make_stimulus's stream, one block at a time, so a caller can poll a
 /// deadline between blocks: the blocks of successive next() calls are the
 /// blocks make_stimulus returns for the same width and seed.
@@ -64,7 +72,6 @@ public:
 private:
     std::size_t width_;
     std::mt19937_64 rng_;
-    std::bernoulli_distribution bit_{0.5};
 };
 
 /// Deterministic pseudo-random stimulus, packed: ceil(count / 64) blocks,

@@ -129,6 +129,49 @@ TEST(LaneStimulus, PackedBlocksMatchRandomVectors) {
     }
 }
 
+TEST(LaneStimulus, DrawMatchesBernoulliDistribution) {
+    // The stream std::bernoulli_distribution(0.5) gives over mt19937_64,
+    // packed by hand: over seeds, widths and partial blocks.
+    for (std::uint64_t seed : {0ull, 1ull, 7ull, 42ull, 0xfeedfacecafebeefull}) {
+        for (std::size_t width : {1u, 3u, 25u, 100u}) {
+            for (std::size_t count : {1u, 63u, 64u, 100u, 200u}) {
+                std::mt19937_64 rng(seed);
+                std::bernoulli_distribution bit(0.5);
+                const std::vector<stimulus_block> blocks =
+                    make_stimulus(count, width, seed);
+                ASSERT_EQ(blocks.size(), (count + k_lanes - 1) / k_lanes);
+                for (std::size_t v = 0; v < count; ++v) {
+                    for (std::size_t i = 0; i < width; ++i) {
+                        ASSERT_EQ(blocks[v / k_lanes].bit(v % k_lanes, i), bit(rng))
+                            << "seed " << seed << " width " << width << " vector " << v;
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST(LaneStimulus, DrawThresholdIsTheLibrarys) {
+    // A generator that returns one fixed output pins the threshold where
+    // rounding decides it: 2^63 - 513 draws 1, 2^63 - 512 and above draw 0.
+    struct fixed_output {
+        using result_type = std::uint64_t;
+        static constexpr result_type min() { return 0; }
+        static constexpr result_type max() { return ~result_type{0}; }
+        result_type x;
+        result_type operator()() const { return x; }
+    };
+    constexpr std::uint64_t half = std::uint64_t{1} << 63;
+    for (std::uint64_t x : {half - 513, half - 512, half - 511, std::uint64_t{0},
+                            half, ~std::uint64_t{0}}) {
+        fixed_output gen{x};
+        EXPECT_EQ(draw_bit(x), std::bernoulli_distribution(0.5)(gen)) << x;
+    }
+    EXPECT_TRUE(draw_bit(half - 513));
+    EXPECT_FALSE(draw_bit(half - 512));
+    EXPECT_FALSE(draw_bit(half - 511));
+}
+
 // --- Synchronous golden model -------------------------------------------
 
 TEST(SyncLanes, MatchesScalarOverMultiCycleTrajectories) {

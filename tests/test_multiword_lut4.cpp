@@ -1,14 +1,15 @@
 // Exhaustive LUT4 regression for the multiword truth-table refactor: the
 // ≤ 6-variable path must be byte-identical to the pre-refactor single-word
 // engine.  Over all 2^16 LUT4 masters and all 14 candidate support sets this
-// locks down the trigger functions against the retained per-minterm scalar
-// oracle — including that their storage stays entirely in word 0.
+// locks down the trigger functions against the per-minterm scalar oracle
+// of trigger_oracle.hpp — including that their storage stays entirely in word 0.
 
 #include <gtest/gtest.h>
 
 #include "bool/support.hpp"
 #include "bool/truth_table.hpp"
 #include "ee/trigger_search.hpp"
+#include "trigger_oracle.hpp"
 
 namespace plee::ee {
 namespace {

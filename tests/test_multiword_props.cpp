@@ -16,6 +16,9 @@
 #include "bool/support.hpp"
 #include "bool/truth_table.hpp"
 #include "ee/trigger_search.hpp"
+#include "netlist/netlist.hpp"
+#include "trigger_oracle.hpp"
+#include "workload/workload.hpp"
 
 namespace plee::bf {
 namespace {
@@ -160,81 +163,6 @@ TEST(MultiwordProps, NegateInputsIsAnInvolutionAndMatchesOracle) {
     }
 }
 
-TEST(MultiwordProps, FoldFreeVarsMatchesQuantifierOracle) {
-    // Budgeted version of the exhaustive single-word quantifier test: a
-    // handful of random supports per function instead of all 2^n.
-    sm_stream rng(5);
-    for (int n : {7, 8}) {
-        for (int trial = 0; trial < 10; ++trial) {
-            const truth_table f = random_table(n, rng);
-            const std::uint32_t all = (1u << n) - 1;
-            for (int pick = 0; pick < 6; ++pick) {
-                const std::uint32_t support =
-                    static_cast<std::uint32_t>(rng.next()) & all;
-                const std::uint32_t free_mask = all & ~support;
-                const truth_table conj = f.fold_free_vars(support, true);
-                const truth_table disj = f.fold_free_vars(support, false);
-                for (std::uint32_t m = 0; m < f.num_minterms(); ++m) {
-                    bool every = true;
-                    bool any = false;
-                    for (std::uint32_t sub = free_mask;;
-                         sub = (sub - 1) & free_mask) {
-                        const bool v = f.eval((m & ~free_mask) | sub);
-                        every = every && v;
-                        any = any || v;
-                        if (sub == 0) break;
-                    }
-                    ASSERT_EQ(conj.eval(m), every)
-                        << "n=" << n << " support=" << support << " m=" << m;
-                    ASSERT_EQ(disj.eval(m), any)
-                        << "n=" << n << " support=" << support << " m=" << m;
-                }
-            }
-        }
-    }
-}
-
-TEST(MultiwordProps, ShrinkExpandAreInverses) {
-    sm_stream rng(6);
-    for (int n : {7, 8}) {
-        for (int trial = 0; trial < 20; ++trial) {
-            const truth_table f = random_table(n, rng);
-            const std::uint32_t all = (1u << n) - 1;
-            for (int pick = 0; pick < 8; ++pick) {
-                std::uint32_t support =
-                    static_cast<std::uint32_t>(rng.next()) & all;
-                if (support == 0) support = 1;
-                const std::vector<int> members = support_members(support);
-                const truth_table shrunk = f.shrink_to(support);
-                ASSERT_EQ(shrunk.num_vars(), static_cast<int>(members.size()));
-                // Oracle: the shrunk table is f restricted to free vars = 0.
-                for (std::uint32_t a = 0; a < shrunk.num_minterms(); ++a) {
-                    std::uint32_t m = 0;
-                    for (std::size_t i = 0; i < members.size(); ++i) {
-                        if ((a >> i) & 1u) m |= 1u << members[i];
-                    }
-                    ASSERT_EQ(shrunk.eval(a), f.eval(m))
-                        << "n=" << n << " support=" << support << " a=" << a;
-                }
-                // expand_onto inverts shrink_to and is vacuous off-support.
-                const truth_table back = shrunk.expand_onto(support, n);
-                ASSERT_EQ(back.num_vars(), n);
-                ASSERT_EQ(back.shrink_to(support), shrunk);
-                ASSERT_EQ(back.support_mask() & ~support, 0u);
-                ASSERT_EQ(back.count_ones(),
-                          shrunk.count_ones()
-                              << std::popcount(all & ~support));
-            }
-            // Plain vacuous widening from every smaller arity.
-            const truth_table narrow = random_table(5, rng);
-            const truth_table wide = narrow.expand(n);
-            for (std::uint32_t m = 0; m < wide.num_minterms(); ++m) {
-                ASSERT_EQ(wide.eval(m), narrow.eval(m & 31u));
-            }
-        }
-    }
-}
-
 TEST(MultiwordProps, IsopCoverRoundTripsWideFunctions) {
     sm_stream rng(7);
     for (int n : {7, 8}) {
@@ -294,6 +222,85 @@ TEST(MultiwordTrigger, ExactTriggerMatchesScalarOracleOnWideMasters) {
     }
 }
 
+/// Wide masters with the structure real LUT7/8 gates have — uniform random
+/// tables almost never have a constant cofactor over five free variables,
+/// so they leave the trigger's word assembly unchecked.  AND/OR of
+/// literals, thresholds and muxes under random input negations, plus the
+/// >= 5-input functions of the lut8-datapath and lut6-dag generators.
+std::vector<truth_table> structured_masters(sm_stream& rng) {
+    std::vector<truth_table> shapes;
+    for (int n : {7, 8}) {
+        shapes.push_back(truth_table::from_function(n, [](std::uint32_t m) {
+            return (m & 0x07) == 0x07 || (m & 0x18) == 0x18 || (m >> 5) == 0x07;
+        }));
+        shapes.push_back(truth_table::from_function(n, [](std::uint32_t m) {
+            return (m & 0x03) != 0 && (m & 0x0c) != 0 && (m & 0x70) != 0;
+        }));
+        shapes.push_back(truth_table::from_function(
+            n, [n](std::uint32_t m) { return std::popcount(m) * 2 > n; }));
+        shapes.push_back(truth_table::from_function(n, [n](std::uint32_t m) {
+            // x(n-1), x(n-2) select x0 & x1, x2 | x3, x4 or x5.
+            switch (m >> (n - 2)) {
+                case 0: return (m & 0x03) == 0x03;
+                case 1: return (m & 0x0c) != 0;
+                case 2: return ((m >> 4) & 1u) != 0;
+                default: return ((m >> 5) & 1u) != 0;
+            }
+        }));
+    }
+    std::vector<truth_table> masters;
+    for (const truth_table& shape : shapes) {
+        for (int i = 0; i < 3; ++i) {
+            masters.push_back(shape.negate_inputs(
+                static_cast<std::uint32_t>(rng.next()) & ((1u << shape.num_vars()) - 1)));
+        }
+    }
+    for (wl::scenario kind : {wl::scenario::lut8_datapath, wl::scenario::lut6_dag}) {
+        const nl::netlist netlist = wl::generate(wl::scenario_params(kind, 120, 2026));
+        std::size_t taken = 0;
+        for (const nl::cell& c : netlist.cells()) {
+            if (c.kind == nl::cell_kind::lut && c.function.num_vars() >= 5 &&
+                !c.function.is_constant() && taken++ < 12) {
+                masters.push_back(c.function);
+            }
+        }
+    }
+    return masters;
+}
+
+TEST(MultiwordTrigger, ExactTriggerMatchesScalarOracleOnStructuredMasters) {
+    sm_stream rng(15);
+    std::size_t pairs = 0;
+    std::size_t non_zero = 0;
+    for (const truth_table& master : structured_masters(rng)) {
+        const int n = master.num_vars();
+        for (std::uint32_t s : bf::cached_support_subsets((1u << n) - 1, n - 1)) {
+            const truth_table word = exact_trigger_function(master, s);
+            ASSERT_EQ(word, scalar::exact_trigger_function(master, s))
+                << "n=" << n << " support=" << s << " master=" << master.to_string();
+            ++pairs;
+            if (!word.is_constant_zero()) ++non_zero;
+        }
+        // The full search agrees with the oracle's, supports up to n - 1.
+        std::vector<int> arrivals;
+        for (int v = 0; v < n; ++v) arrivals.push_back(static_cast<int>(rng.next() % 4));
+        search_options opts;
+        opts.max_support_size = n - 1;
+        const search_result w = find_best_trigger(master, arrivals, opts);
+        const search_result o = scalar::find_best_trigger(master, arrivals, opts);
+        ASSERT_EQ(w.all.size(), o.all.size());
+        for (std::size_t i = 0; i < w.all.size(); ++i) {
+            ASSERT_EQ(w.all[i].function, o.all[i].function);
+            ASSERT_EQ(w.all[i].covered_minterms, o.all[i].covered_minterms);
+        }
+        ASSERT_EQ(w.best.has_value(), o.best.has_value());
+        if (w.best) ASSERT_EQ(w.best->support, o.best->support);
+    }
+    // Guard the draw: most supports of these masters must fire sometimes,
+    // or the assembly of the trigger's bits goes unchecked again.
+    EXPECT_GE(3 * non_zero, pairs) << non_zero << " of " << pairs;
+}
+
 TEST(MultiwordTrigger, ExactTriggerHandlesWideSupports) {
     // Supports with > 6 members: the trigger itself is a multiword table.
     sm_stream rng(12);
@@ -331,9 +338,7 @@ TEST(MultiwordTrigger, CubeListTriggerMatchesScalarOracleOnWideMasters) {
 
 TEST(MultiwordTrigger, FullSearchMatchesScalarKernelsOnWideMasters) {
     sm_stream rng(14);
-    search_options word_opts;
-    search_options scalar_opts;
-    scalar_opts.use_scalar_kernels = true;
+    const search_options opts;
     for (int n : {7, 8}) {
         for (int trial = 0; trial < 12; ++trial) {
             const truth_table master = random_table(n, rng);
@@ -341,8 +346,8 @@ TEST(MultiwordTrigger, FullSearchMatchesScalarKernelsOnWideMasters) {
             for (int v = 0; v < n; ++v) {
                 arrivals.push_back(static_cast<int>(rng.next() % 5));
             }
-            const search_result w = find_best_trigger(master, arrivals, word_opts);
-            const search_result s = find_best_trigger(master, arrivals, scalar_opts);
+            const search_result w = find_best_trigger(master, arrivals, opts);
+            const search_result s = scalar::find_best_trigger(master, arrivals, opts);
             ASSERT_EQ(w.all.size(), s.all.size()) << "n=" << n;
             for (std::size_t i = 0; i < w.all.size(); ++i) {
                 ASSERT_EQ(w.all[i].support, s.all[i].support);

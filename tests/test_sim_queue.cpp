@@ -4,8 +4,11 @@
 // circuit family — the ITC99 suite and all four workload scenario presets —
 // in pipelined and non-pipelined mode, with trace collection on and off, and
 // under stress delay models (tie-heavy, wide-spread, all-zero).  Also locks
-// the evaluator's contracts: the event budget, trace order, early EE outputs
-// timed before the master's own readiness, and the rejection of unsafe,
+// the evaluator's contracts: the event budget at and around wave
+// boundaries, the progress beats and the count an EE-invariant failure
+// names (the counts of counting every firing), trace order, early EE
+// outputs timed before the master's own readiness, the wave -1 preset
+// across mixed protocols on one simulator, and the rejection of unsafe,
 // dead and split-reset netlists on both protocols.
 
 #include <string>
@@ -16,11 +19,13 @@
 #include "bench_circuits/itc99.hpp"
 #include "ee/ee_transform.hpp"
 #include "heap_oracle.hpp"
+#include "obs/flight_recorder.hpp"
 #include "plogic/pl_mapper.hpp"
 #include "plogic/pl_netlist.hpp"
 #include "sim/errors.hpp"
 #include "sim/measure.hpp"
 #include "sim/pl_sim.hpp"
+#include "trigger_oracle.hpp"
 #include "workload/workload.hpp"
 
 namespace plee::sim {
@@ -218,6 +223,183 @@ TEST(SimQueue, EventBudgetExhaustsIdentically) {
     pl_simulator lanes(pl, opts);
     EXPECT_THROW(lanes.run_lanes(blocks.front()), budget_exhausted);
     EXPECT_EQ(lanes.stats().events, 1001u);
+}
+
+/// Events of one wave of `pl`: every gate fires once per wave, so a
+/// one-vector run counts exactly one wave's deposits.
+std::uint64_t events_per_wave(const pl::pl_netlist& pl) {
+    pl_simulator simulator(pl);
+    simulator.run(random_vectors(1, pl.sources().size(), 1));
+    return simulator.stats().events;
+}
+
+TEST(SimQueue, EventBudgetSweepAcrossWaveBoundaries) {
+    // Budgets at and around whole waves and one mid-wave: both protocols
+    // stop at exactly max_events + 1, where the heap oracle stops.
+    const pl::pl_netlist pl = map_with_ee(bench::make_b05());
+    const std::uint64_t e = events_per_wave(pl);
+    ASSERT_GT(e, 8u);
+    const std::vector<std::vector<bool>> vectors =
+        random_vectors(7, pl.sources().size(), 2);
+    const std::vector<stimulus_block> blocks =
+        make_stimulus(64, pl.sources().size(), 2);
+    std::vector<std::uint64_t> budgets = {3 * e + e / 2};
+    for (std::uint64_t w : {1u, 2u, 5u}) {
+        for (std::uint64_t b = e * w - 2; b <= e * w + 2; ++b) budgets.push_back(b);
+    }
+    for (std::uint64_t budget : budgets) {
+        sim_options opts;
+        opts.max_events = budget;
+        testing::heap_oracle oracle(pl, opts);
+        EXPECT_THROW(oracle.run(vectors), budget_exhausted) << budget;
+        EXPECT_EQ(oracle.stats().events, budget + 1);
+        pl_simulator simulator(pl, opts);
+        try {
+            simulator.run(vectors);
+            ADD_FAILURE() << "no budget_exhausted at " << budget;
+        } catch (const budget_exhausted& err) {
+            EXPECT_EQ(err.events(), budget + 1);
+            EXPECT_EQ(simulator.stats().events, budget + 1);
+        }
+        // The lane protocol runs one wave: it runs out below e events.
+        testing::heap_oracle one(pl, opts);
+        const bool oracle_throws = [&] {
+            try {
+                one.run({vectors.front()});
+                return false;
+            } catch (const budget_exhausted&) {
+                return true;
+            }
+        }();
+        pl_simulator lanes(pl, opts);
+        try {
+            lanes.run_lanes(blocks.front());
+            EXPECT_FALSE(oracle_throws) << budget;
+            EXPECT_EQ(lanes.stats().events, e);
+        } catch (const budget_exhausted& err) {
+            EXPECT_TRUE(oracle_throws) << budget;
+            EXPECT_EQ(err.events(), budget + 1);
+        }
+    }
+}
+
+TEST(SimQueue, ProgressBeatsFollowPerFiringCounting) {
+    // One sim.progress beat per multiple of k_cancel_check_events crossed,
+    // stamped with the multiple and the waves completed when the firing
+    // that crossed it ran.
+    const pl::pl_netlist pl = map_with_ee(bench::make_b05());
+    const std::uint64_t e = events_per_wave(pl);
+    const std::size_t waves = 40;
+    obs::flight_recorder recorder(4096);
+    sim_options opts;
+    opts.recorder = &recorder;
+    pl_simulator simulator(pl, opts);
+    simulator.run(random_vectors(waves, pl.sources().size(), 4));
+    const std::vector<obs::fr_event> beats = recorder.dump();
+    ASSERT_EQ(beats.size(), waves * e / k_cancel_check_events);
+    for (std::size_t i = 0; i < beats.size(); ++i) {
+        const std::uint64_t multiple = (i + 1) * k_cancel_check_events;
+        EXPECT_STREQ(beats[i].tag, "sim.progress");
+        EXPECT_EQ(beats[i].a, multiple);
+        EXPECT_EQ(beats[i].b, (multiple - 1) / e) << "beat " << i;
+    }
+
+    // The lane protocol's single wave: every beat lands before it completes.
+    obs::flight_recorder lane_recorder(4096);
+    opts.recorder = &lane_recorder;
+    pl_simulator lanes(pl, opts);
+    lanes.run_lanes(make_stimulus(64, pl.sources().size(), 4).front());
+    const std::vector<obs::fr_event> lane_beats = lane_recorder.dump();
+    ASSERT_EQ(lane_beats.size(), e / k_cancel_check_events);
+    for (std::size_t i = 0; i < lane_beats.size(); ++i) {
+        EXPECT_EQ(lane_beats[i].a, (i + 1) * k_cancel_check_events);
+        EXPECT_EQ(lane_beats[i].b, 0u);
+    }
+}
+
+TEST(SimQueue, EeMismatchNamesTheEventCountBeforeTheFiring) {
+    // A trigger gate whose function disagrees with what its master expects:
+    // an extra tap pin the master's pin map does not know, on which the
+    // trigger turns to 0.  Both protocols throw at the first firing where
+    // the trigger is 1 on the master's pins and the extra pin is 1, naming
+    // the deposits of every firing before it: the counts an evaluator that
+    // counts every firing reports.
+    pl::map_result mapped = pl::map_to_phased_logic(bench::make_b05());
+    const ee::ee_stats stats = ee::apply_early_evaluation(mapped.pl);
+    ASSERT_FALSE(stats.applied.empty());
+    pl::pl_netlist& pl = mapped.pl;
+    const ee::applied_trigger& at = stats.applied.front();
+    const pl::pl_gate& master = pl.gate(at.master);
+    std::uint32_t extra_pin = 0;
+    while ((at.candidate.support >> extra_pin) & 1u) ++extra_pin;
+    const pl::pl_edge tap = pl.edge(master.data_in[extra_pin]);
+    const int k = at.candidate.function.num_vars();
+    pl.add_data_edge(tap.from, at.trigger, k, tap.init_token, tap.init_value);
+    pl.add_ack_edge(at.trigger, tap.from, !tap.init_token);
+    const bf::truth_table trig = at.candidate.function;
+    pl.set_function(at.trigger, bf::truth_table::from_function(
+                                    k + 1, [&](std::uint32_t m) {
+                                        return trig.eval(m & ((1u << k) - 1)) &&
+                                               !((m >> k) & 1u);
+                                    }));
+    ASSERT_TRUE(pl.verify().ok()) << pl.verify().violation;
+
+    pl_simulator simulator(pl);
+    try {
+        simulator.run(random_vectors(100, pl.sources().size(), 9));
+        FAIL() << "expected sim::invariant_violation";
+    } catch (const invariant_violation& err) {
+        EXPECT_NE(std::string(err.what()).find("EE invariant"), std::string::npos);
+        EXPECT_EQ(err.events(), 11056u);
+    }
+    pl_simulator lanes(pl);
+    try {
+        lanes.run_lanes(make_stimulus(64, pl.sources().size(), 9).front());
+        FAIL() << "expected sim::invariant_violation";
+    } catch (const invariant_violation& err) {
+        EXPECT_EQ(err.events(), 701u);
+    }
+}
+
+TEST(SimQueue, MixedProtocolsOnOneSimulatorMatchFreshOnes) {
+    // Registers that reset to 1: a lane run must read the wave -1 preset
+    // even right after a sequential run wrote both wave parities.
+    nl::netlist n;
+    const nl::cell_id a = n.add_input("a");
+    const nl::cell_id b = n.add_input("b");
+    const bf::truth_table x0 = bf::truth_table::variable(2, 0);
+    const bf::truth_table x1 = bf::truth_table::variable(2, 1);
+    const nl::cell_id q0 = n.add_dff(a, true, "q0");
+    const nl::cell_id q1 = n.add_dff(b, true, "q1");
+    const nl::cell_id g0 = n.add_lut(x0 & x1, {a, q1});
+    const nl::cell_id g1 = n.add_lut(x0 | x1, {q0, b});
+    const nl::cell_id g2 = n.add_lut(x0 ^ x1, {g0, g1});
+    n.set_dff_input(q0, g2);
+    n.set_dff_input(q1, g0);
+    n.add_output("o0", g2);
+    n.add_output("o1", q1);
+    const pl::pl_netlist pl = map_with_ee(n);
+    const std::vector<stimulus_block> blocks = make_stimulus(100, 2, 12);
+
+    pl_simulator mixed(pl);
+    for (int round = 0; round < 3; ++round) {
+        const std::vector<wave_record> waves = mixed.run_packed(blocks);
+        const lane_block_result lanes = mixed.run_lanes(blocks[round % 2]);
+        pl_simulator fresh_seq(pl);
+        const std::vector<wave_record> want = fresh_seq.run_packed(blocks);
+        ASSERT_EQ(waves.size(), want.size());
+        for (std::size_t w = 0; w < waves.size(); ++w) {
+            EXPECT_EQ(waves[w].outputs, want[w].outputs) << round << "/" << w;
+            EXPECT_EQ(waves[w].input_stable, want[w].input_stable);
+            EXPECT_EQ(waves[w].output_stable, want[w].output_stable);
+            EXPECT_EQ(waves[w].release_time, want[w].release_time);
+        }
+        pl_simulator fresh_lanes(pl);
+        const lane_block_result lane_want = fresh_lanes.run_lanes(blocks[round % 2]);
+        EXPECT_EQ(lanes.outputs, lane_want.outputs) << round;
+        EXPECT_EQ(lanes.input_stable, lane_want.input_stable);
+        EXPECT_EQ(lanes.output_stable, lane_want.output_stable);
+    }
 }
 
 TEST(SimQueue, OversizedEventBudgetNeedsNoFallback) {

@@ -226,95 +226,6 @@ TEST(TruthTableKernels, DependsOnAndSupportMatchCofactors) {
     }
 }
 
-TEST(TruthTableKernels, FoldFreeVarsIsTheQuantifierPair) {
-    // Conjunctive fold = universal quantification over the free variables,
-    // disjunctive fold = existential, evaluated per support assignment.
-    // Exhaustive over every support up to the single-word limit here; the
-    // multiword (7-8 var) folds are oracle-checked with a sampled-support
-    // budget in test_multiword_props.cpp.
-    std::uint64_t s = 3;
-    for (int trial = 0; trial < 100; ++trial) {
-        for (int n = 2; n <= k_word_vars; ++n) {
-            const truth_table f = random_table(n, s);
-            const std::uint32_t all = (1u << n) - 1;
-            for (std::uint32_t support = 0; support <= all; ++support) {
-                const std::uint32_t free_mask = all & ~support;
-                const truth_table expected_all = truth_table::from_function(
-                    n, [&](std::uint32_t m) {
-                        for (std::uint32_t sub = free_mask;;
-                             sub = (sub - 1) & free_mask) {
-                            if (!f.eval((m & ~free_mask) | sub)) return false;
-                            if (sub == 0) break;
-                        }
-                        return true;
-                    });
-                const truth_table expected_any = truth_table::from_function(
-                    n, [&](std::uint32_t m) {
-                        for (std::uint32_t sub = free_mask;;
-                             sub = (sub - 1) & free_mask) {
-                            if (f.eval((m & ~free_mask) | sub)) return true;
-                            if (sub == 0) break;
-                        }
-                        return false;
-                    });
-                ASSERT_EQ(f.fold_free_vars(support, true), expected_all)
-                    << "n=" << n << " support=" << support;
-                ASSERT_EQ(f.fold_free_vars(support, false), expected_any)
-                    << "n=" << n << " support=" << support;
-            }
-        }
-    }
-}
-
-TEST(TruthTableKernels, ShrinkToExtractsTheZeroSlice) {
-    std::uint64_t s = 4;
-    for (int trial = 0; trial < 200; ++trial) {
-        for (int n = 1; n <= k_max_vars; ++n) {
-            const truth_table f = random_table(n, s);
-            const std::uint32_t all = (1u << n) - 1;
-            for (std::uint32_t support = 0; support <= all; ++support) {
-                std::vector<int> members;
-                for (int v = 0; v < n; ++v) {
-                    if ((support >> v) & 1u) members.push_back(v);
-                }
-                const truth_table shrunk = f.shrink_to(support);
-                ASSERT_EQ(shrunk.num_vars(), static_cast<int>(members.size()));
-                for (std::uint32_t a = 0; a < shrunk.num_minterms(); ++a) {
-                    std::uint32_t m = 0;
-                    for (std::size_t i = 0; i < members.size(); ++i) {
-                        if ((a >> i) & 1u) m |= 1u << members[i];
-                    }
-                    ASSERT_EQ(shrunk.eval(a), f.eval(m))
-                        << "n=" << n << " support=" << support << " a=" << a;
-                }
-            }
-        }
-    }
-}
-
-TEST(TruthTableKernels, ExpandOntoInvertsShrinkTo) {
-    std::uint64_t s = 5;
-    for (int trial = 0; trial < 200; ++trial) {
-        for (int n = 2; n <= k_max_vars; ++n) {
-            const truth_table f = random_table(n, s);
-            const std::uint32_t all = (1u << n) - 1;
-            for (std::uint32_t support = 1; support <= all; ++support) {
-                const truth_table shrunk = f.shrink_to(support);
-                const truth_table back = shrunk.expand_onto(support, n);
-                ASSERT_EQ(back.num_vars(), n);
-                // back must agree with f wherever the free vars are 0, and
-                // must not depend on the free vars at all.
-                ASSERT_EQ(back.shrink_to(support), shrunk);
-                ASSERT_EQ(back.support_mask() & ~support, 0u);
-                // Coverage arithmetic the trigger search relies on: each
-                // support assignment is replicated 2^(free vars) times.
-                ASSERT_EQ(back.count_ones(),
-                          shrunk.count_ones() << std::popcount(all & ~support));
-            }
-        }
-    }
-}
-
 TEST(TruthTableKernels, PermuteMatchesPerMintermModel) {
     std::uint64_t s = 6;
     for (int trial = 0; trial < 100; ++trial) {

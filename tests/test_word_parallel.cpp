@@ -1,5 +1,5 @@
 // Exhaustive equivalence of the word-parallel trigger kernels against the
-// retained scalar reference implementations: every LUT4 master (all 2^16
+// scalar reference of trigger_oracle.hpp: every LUT4 master (all 2^16
 // functions) under every candidate support set, for both the exact and the
 // cube-list derivations, plus the coverage counter.  This is the ground
 // truth that lets the hot path stay branch-free word ops.
@@ -11,6 +11,7 @@
 #include "bool/cube_list.hpp"
 #include "bool/support.hpp"
 #include "ee/trigger_search.hpp"
+#include "trigger_oracle.hpp"
 
 namespace plee::ee {
 namespace {
@@ -55,16 +56,14 @@ TEST(WordParallel, FullSearchMatchesScalarKernels) {
     // The whole driver — candidate list, coverage, Equation 1, best pick —
     // must agree between kernel families on a large random master stream.
     std::uint64_t state = 2026;
-    search_options word_opts;
-    search_options scalar_opts;
-    scalar_opts.use_scalar_kernels = true;
+    const search_options opts;
     for (int trial = 0; trial < 2000; ++trial) {
         state = state * 6364136223846793005ull + 1442695040888963407ull;
         const bf::truth_table master(4, state & 0xffff);
         if (master.support_size() < 2) continue;
         const std::vector<int> arrivals = {3, 1, 2, 0};
-        const search_result w = find_best_trigger(master, arrivals, word_opts);
-        const search_result s = find_best_trigger(master, arrivals, scalar_opts);
+        const search_result w = find_best_trigger(master, arrivals, opts);
+        const search_result s = scalar::find_best_trigger(master, arrivals, opts);
         ASSERT_EQ(w.all.size(), s.all.size());
         for (std::size_t i = 0; i < w.all.size(); ++i) {
             ASSERT_EQ(w.all[i].support, s.all[i].support);
