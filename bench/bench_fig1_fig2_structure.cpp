@@ -12,6 +12,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <string>
 #include <vector>
 
 #include "bool/support.hpp"
@@ -95,7 +96,8 @@ void figure2_structural_dump() {
         const pl::pl_gate& master = mapped.pl.gate(at.master);
         const pl::pl_gate& trig = mapped.pl.gate(at.trigger);
         std::printf("  master gate %u '%s' (LUT %s)\n", at.master,
-                    master.name.c_str(), master.function.to_string().c_str());
+                    std::string(mapped.pl.name(at.master)).c_str(),
+                    master.function.to_string().c_str());
         std::printf("    trigger gate %u over master pins {", at.trigger);
         bool first = true;
         for (int p : bf::support_members(at.candidate.support)) {

@@ -7,6 +7,7 @@
 //   $ ./quickstart
 
 #include <cstdio>
+#include <string>
 
 #include "ee/ee_transform.hpp"
 #include "plogic/pl_mapper.hpp"
@@ -46,7 +47,7 @@ int main() {
                 stats.triggers_added);
     for (const ee::applied_trigger& at : stats.applied) {
         std::printf("  master '%s': trigger %s, coverage %.0f%%, cost %.1f\n",
-                    mapped.pl.gate(at.master).name.c_str(),
+                    std::string(mapped.pl.name(at.master)).c_str(),
                     at.candidate.function.to_string().c_str(),
                     at.candidate.coverage_percent, at.candidate.cost);
     }

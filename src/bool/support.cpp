@@ -1,18 +1,14 @@
 #include "bool/support.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
+#include <mutex>
 #include <stdexcept>
 
 #include "bool/truth_table.hpp"
 
 namespace plee::bf {
-
-namespace {
-/// The variable space the precomputed table spans — the truth_table arity
-/// limit, so every master a trigger sweep can see has a cached list.
-constexpr int truth_table_space = k_max_vars;
-}  // namespace
 
 std::vector<std::uint32_t> enumerate_support_subsets(std::uint32_t full_support,
                                                      int max_size) {
@@ -32,27 +28,20 @@ std::vector<std::uint32_t> enumerate_support_subsets(std::uint32_t full_support,
     return subsets;
 }
 
-const std::vector<std::uint32_t>& cached_support_subsets(
-    std::uint32_t full_support, int max_size) {
-    if (full_support >= (1u << truth_table_space)) {
-        throw std::invalid_argument(
-            "cached_support_subsets: mask outside the 8-variable space");
+const std::vector<std::uint32_t>& support_subsets(int num_vars, int max_size) {
+    if (num_vars < 0 || num_vars > k_max_vars) {
+        throw std::invalid_argument("support_subsets: arity outside [0, 8]");
     }
-    max_size = std::clamp(max_size, 0, truth_table_space);
-    // 256 masks x 9 size limits; built once, thread-safe by magic statics.
-    constexpr std::uint32_t k_masks = 1u << truth_table_space;
-    constexpr std::uint32_t k_sizes = truth_table_space + 1;
-    static const std::vector<std::vector<std::uint32_t>> table = [] {
-        std::vector<std::vector<std::uint32_t>> t(k_masks * k_sizes);
-        for (std::uint32_t fs = 0; fs < k_masks; ++fs) {
-            for (std::uint32_t ms = 0; ms < k_sizes; ++ms) {
-                t[fs * k_sizes + ms] =
-                    enumerate_support_subsets(fs, static_cast<int>(ms));
-            }
-        }
-        return t;
-    }();
-    return table[full_support * k_sizes + static_cast<std::uint32_t>(max_size)];
+    max_size = std::clamp(max_size, 0, k_max_vars);
+    constexpr std::size_t k_sizes = k_max_vars + 1;
+    static std::array<std::vector<std::uint32_t>, k_sizes * k_sizes> lists;
+    static std::array<std::once_flag, k_sizes * k_sizes> built;
+    const std::size_t i = static_cast<std::size_t>(num_vars) * k_sizes +
+                          static_cast<std::size_t>(max_size);
+    std::call_once(built[i], [&] {
+        lists[i] = enumerate_support_subsets((1u << num_vars) - 1, max_size);
+    });
+    return lists[i];
 }
 
 std::vector<int> support_members(std::uint32_t support) {

@@ -18,13 +18,13 @@ namespace plee::bf {
 std::vector<std::uint32_t> enumerate_support_subsets(std::uint32_t full_support,
                                                      int max_size);
 
-/// The same subset list served from a process-wide precomputed table — the
-/// per-gate trigger sweep asks for one of at most 256 x 9 possible lists, so
-/// the netlist-scale pass should not re-enumerate and re-sort per gate.
-/// Requires `full_support` < 256 (the 8-variable space); `max_size` is
-/// clamped to [0, 8].  The reference stays valid for the process lifetime.
-const std::vector<std::uint32_t>& cached_support_subsets(
-    std::uint32_t full_support, int max_size);
+/// enumerate_support_subsets((1 << num_vars) - 1, max_size), the list a
+/// trigger sweep over a num_vars-input master reads, built on its first
+/// request and served from then on, so the netlist-scale pass neither
+/// re-enumerates nor re-sorts per gate.  There are 81 such lists:
+/// `num_vars` must lie in [0, 8] and `max_size` is clamped to [0, 8].
+/// Thread-safe; the reference stays valid for the process lifetime.
+const std::vector<std::uint32_t>& support_subsets(int num_vars, int max_size);
 
 /// The variable indices present in a support mask, ascending.
 std::vector<int> support_members(std::uint32_t support);

@@ -54,14 +54,13 @@ ee_stats apply_early_evaluation(pl::pl_netlist& pl, const ee_options& options) {
     // and edges, which must not perturb the iteration or the arrival model.
     std::vector<search_job> jobs;
     for (pl::gate_id g = 0; g < pl.num_gates(); ++g) {
-        const pl::pl_gate& gate = pl.gate(g);
-        if (gate.kind != pl::gate_kind::compute || gate.data_in.size() < 2) {
+        if (pl.gate(g).kind != pl::gate_kind::compute || pl.data_in(g).size() < 2) {
             continue;
         }
         search_job job;
         job.master = g;
-        job.pin_arrivals.reserve(gate.data_in.size());
-        for (pl::edge_id e : gate.data_in) {
+        job.pin_arrivals.reserve(pl.data_in(g).size());
+        for (pl::edge_id e : pl.data_in(g)) {
             job.pin_arrivals.push_back(arrival[pl.edge(e).from]);
         }
         jobs.push_back(std::move(job));

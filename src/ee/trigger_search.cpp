@@ -188,7 +188,6 @@ search_result find_best_trigger(const bf::truth_table& master,
     search_result result;
     if (master.num_vars() < 2 || master.is_constant()) return result;
 
-    const std::uint32_t all_pins = (1u << master.num_vars()) - 1;
     int master_max_arrival = 0;
     for (int a : pin_arrivals) master_max_arrival = std::max(master_max_arrival, a);
 
@@ -199,7 +198,7 @@ search_result find_best_trigger(const bf::truth_table& master,
     }
 
     const std::vector<std::uint32_t>& supports =
-        bf::cached_support_subsets(all_pins, options.max_support_size);
+        bf::support_subsets(master.num_vars(), options.max_support_size);
     result.all.reserve(supports.size());
     const int n = master.num_vars();
     std::size_t best = supports.size();  // index into result.all

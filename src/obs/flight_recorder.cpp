@@ -50,11 +50,4 @@ std::uint64_t flight_recorder::total_recorded() const {
     return total_;
 }
 
-void flight_recorder::clear() {
-    const std::lock_guard<std::mutex> lock(mu_);
-    for (fr_event& e : ring_) e = fr_event{};
-    total_ = 0;
-    timer_.restart();
-}
-
 }  // namespace plee::obs

@@ -57,9 +57,6 @@ public:
 
     std::size_t capacity() const { return ring_.size(); }
 
-    /// Empties the ring and re-arms the epoch (fresh job, same buffer).
-    void clear();
-
 private:
     void push(fr_event&& e);
 

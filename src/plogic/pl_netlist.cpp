@@ -1,10 +1,9 @@
 #include "plogic/pl_netlist.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <sstream>
 #include <stdexcept>
-
-#include "bool/support.hpp"
 
 namespace plee::pl {
 
@@ -20,12 +19,14 @@ const char* to_string(gate_kind kind) {
     return "?";
 }
 
-gate_id pl_netlist::add_gate(gate_kind kind, std::string name) {
-    verified_.clear();
+gate_id pl_netlist::add_gate(gate_kind kind, std::string_view name) {
+    mutated();
     pl_gate g;
     g.kind = kind;
-    g.name = std::move(name);
-    gates_.push_back(std::move(g));
+    g.name_off = static_cast<std::uint32_t>(names_.size());
+    g.name_len = static_cast<std::uint32_t>(name.size());
+    names_.append(name);
+    gates_.push_back(g);
     const gate_id id = static_cast<gate_id>(gates_.size() - 1);
     if (kind == gate_kind::source) sources_.push_back(id);
     if (kind == gate_kind::sink) sinks_.push_back(id);
@@ -33,7 +34,7 @@ gate_id pl_netlist::add_gate(gate_kind kind, std::string name) {
 }
 
 void pl_netlist::set_function(gate_id g, const bf::truth_table& fn) {
-    verified_.clear();
+    mutated();
     if (gates_[g].kind != gate_kind::compute && gates_[g].kind != gate_kind::trigger) {
         throw std::invalid_argument("set_function: gate has no LUT");
     }
@@ -41,7 +42,7 @@ void pl_netlist::set_function(gate_id g, const bf::truth_table& fn) {
 }
 
 void pl_netlist::set_const_value(gate_id g, bool value) {
-    verified_.clear();
+    mutated();
     if (gates_[g].kind != gate_kind::const_source) {
         throw std::invalid_argument("set_const_value: not a constant source");
     }
@@ -50,46 +51,32 @@ void pl_netlist::set_const_value(gate_id g, bool value) {
 
 edge_id pl_netlist::add_data_edge(gate_id from, gate_id to, int to_pin,
                                   bool init_token, bool init_value) {
-    verified_.clear();
+    mutated();
     if (from >= gates_.size() || to >= gates_.size()) {
         throw std::invalid_argument("add_data_edge: gate out of range");
     }
-    pl_edge e;
-    e.from = from;
-    e.to = to;
-    e.kind = edge_kind::data;
-    e.to_pin = to_pin;
-    e.init_token = init_token;
-    e.init_value = init_value;
-    edges_.push_back(e);
-    const edge_id id = static_cast<edge_id>(edges_.size() - 1);
-    gates_[from].out_edges.push_back(id);
-    gates_[to].in_edges.push_back(id);
+    const edge_id id = static_cast<edge_id>(edges_.size());
     if (to_pin >= 0) {
-        auto& pins = gates_[to].data_in;
-        if (to_pin != static_cast<int>(pins.size())) {
+        pl_gate& g = gates_[to];
+        if (to_pin != g.num_data) {
             throw std::invalid_argument("add_data_edge: pins must arrive in order");
         }
-        pins.push_back(id);
+        if (g.num_data == g.data_pins.size()) {
+            throw std::invalid_argument("add_data_edge: more than 8 data pins");
+        }
+        g.data_pins[g.num_data++] = id;
     }
+    edges_.push_back({from, to, edge_kind::data, to_pin, init_token, init_value});
     return id;
 }
 
 edge_id pl_netlist::add_ack_edge(gate_id from, gate_id to, bool init_token) {
-    verified_.clear();
+    mutated();
     if (from >= gates_.size() || to >= gates_.size()) {
         throw std::invalid_argument("add_ack_edge: gate out of range");
     }
-    pl_edge e;
-    e.from = from;
-    e.to = to;
-    e.kind = edge_kind::ack;
-    e.init_token = init_token;
-    edges_.push_back(e);
-    const edge_id id = static_cast<edge_id>(edges_.size() - 1);
-    gates_[from].out_edges.push_back(id);
-    gates_[to].in_edges.push_back(id);
-    return id;
+    edges_.push_back({from, to, edge_kind::ack, -1, init_token, false});
+    return static_cast<edge_id>(edges_.size() - 1);
 }
 
 gate_id pl_netlist::attach_trigger(gate_id master, const bf::truth_table& fn,
@@ -97,22 +84,23 @@ gate_id pl_netlist::attach_trigger(gate_id master, const bf::truth_table& fn,
     // The gadget only appends edges, each on a one-token 2-cycle, so the
     // edge count of the last passed check survives for reverify().
     const edge_id checked = verified_.edges.load();
-    verified_.clear();
-    pl_gate& m = gates_[master];
+    const pl_gate m = gates_[master];
     if (m.kind != gate_kind::compute) {
         throw std::invalid_argument("attach_trigger: master must be a compute gate");
     }
     if (m.trigger != k_invalid_gate) {
         throw std::logic_error("attach_trigger: master already has a trigger");
     }
-    const std::vector<int> pins = bf::support_members(support_mask);
-    if (fn.num_vars() != static_cast<int>(pins.size())) {
+    if (fn.num_vars() != std::popcount(support_mask)) {
         throw std::invalid_argument("attach_trigger: function arity != support size");
     }
+    if ((support_mask >> m.num_data) != 0) {
+        throw std::invalid_argument("attach_trigger: support names a pin the master lacks");
+    }
 
-    const gate_id trig = add_gate(gate_kind::trigger, m.name.empty()
-                                                          ? "ee"
-                                                          : m.name + "_ee");
+    std::string trig_name(name(master));
+    trig_name += trig_name.empty() ? "ee" : "_ee";
+    const gate_id trig = add_gate(gate_kind::trigger, trig_name);
     gates_[trig].function = fn;
     gates_[trig].master = master;
     gates_[trig].trigger_support = support_mask;
@@ -121,13 +109,13 @@ gate_id pl_netlist::attach_trigger(gate_id master, const bf::truth_table& fn,
     // each producer, plus the acknowledge feedback that keeps the new edge on
     // a single-token cycle.
     int pin = 0;
-    for (int master_pin : pins) {
+    for (std::uint32_t rest = support_mask; rest != 0; rest &= rest - 1) {
         // By value: add_data_edge below grows edges_ and would invalidate a
         // reference into it before init_token is read for the ack edge.
-        const pl_edge src_edge = edges_[gates_[master].data_in[static_cast<std::size_t>(master_pin)]];
-        const gate_id producer = src_edge.from;
-        add_data_edge(producer, trig, pin++, src_edge.init_token, src_edge.init_value);
-        add_ack_edge(trig, producer, !src_edge.init_token);
+        const pl_edge src_edge = edges_[m.data_pins[std::countr_zero(rest)]];
+        add_data_edge(src_edge.from, trig, pin++, src_edge.init_token,
+                      src_edge.init_value);
+        add_ack_edge(trig, src_edge.from, !src_edge.init_token);
     }
 
     // The efire channel: trigger -> master data token each wave, acknowledged
@@ -139,6 +127,33 @@ gate_id pl_netlist::attach_trigger(gate_id master, const bf::truth_table& fn,
     gates_[master].efire_in = efire;
     verified_.edges.store(checked);
     return trig;
+}
+
+void pl_netlist::build_adjacency() const {
+    adjacency& a = adjacency_;
+    const std::lock_guard<std::mutex> lock(a.mu);
+    if (a.built.load(std::memory_order_relaxed)) return;
+    // A counting sort by endpoint keeps each list in edge-id order.
+    const std::size_t n = gates_.size();
+    a.in_begin.assign(n + 1, 0);
+    a.out_begin.assign(n + 1, 0);
+    for (const pl_edge& e : edges_) {
+        ++a.in_begin[e.to + 1];
+        ++a.out_begin[e.from + 1];
+    }
+    for (std::size_t g = 0; g < n; ++g) {
+        a.in_begin[g + 1] += a.in_begin[g];
+        a.out_begin[g + 1] += a.out_begin[g];
+    }
+    a.in_ids.resize(edges_.size());
+    a.out_ids.resize(edges_.size());
+    std::vector<std::uint32_t> in_next(a.in_begin.begin(), a.in_begin.end() - 1);
+    std::vector<std::uint32_t> out_next(a.out_begin.begin(), a.out_begin.end() - 1);
+    for (edge_id i = 0; i < edges_.size(); ++i) {
+        a.in_ids[in_next[edges_[i].to]++] = i;
+        a.out_ids[out_next[edges_[i].from]++] = i;
+    }
+    a.built.store(true, std::memory_order_release);
 }
 
 std::size_t pl_netlist::num_pl_gates() const {
@@ -188,9 +203,9 @@ mg_report verify_appended(const pl_netlist& pl, edge_id first_appended) {
         const pl_edge& e = pl.edge(i);
         // The return edge e.to -> e.from sits in both of these lists; scan
         // the shorter (a trigger's, for every gadget edge).
-        const std::vector<edge_id>& out = pl.gate(e.to).out_edges;
-        const std::vector<edge_id>& in = pl.gate(e.from).in_edges;
-        const std::vector<edge_id>& scan = out.size() <= in.size() ? out : in;
+        const std::span<const edge_id> out = pl.out_edges(e.to);
+        const std::span<const edge_id> in = pl.in_edges(e.from);
+        const std::span<const edge_id> scan = out.size() <= in.size() ? out : in;
         const bool closed = std::any_of(scan.begin(), scan.end(), [&](edge_id b) {
             const pl_edge& back = pl.edge(b);
             return back.from == e.to && back.to == e.from &&
@@ -220,7 +235,7 @@ mg_report verify_appended(const pl_netlist& pl, edge_id first_appended) {
         const gate_id g = ready.back();
         ready.pop_back();
         ++reached;
-        for (edge_id idx : pl.gate(g).out_edges) {
+        for (edge_id idx : pl.out_edges(g)) {
             const pl_edge& e = pl.edge(idx);
             if (!e.init_token && --indeg[e.to] == 0) ready.push_back(e.to);
         }
@@ -268,7 +283,7 @@ std::vector<int> pl_netlist::arrival_depth() const {
         } else {
             depth[g] = 0;  // token providers restart the wave at depth 0
         }
-        for (edge_id idx : gates_[g].out_edges) {
+        for (edge_id idx : out_edges(g)) {
             const pl_edge& e = edges_[idx];
             if (!counts_for_depth(e)) continue;
             in_depth[e.to] = std::max(in_depth[e.to], depth[g]);
@@ -286,7 +301,7 @@ std::string pl_netlist::to_dot(const std::string& graph_name) const {
     os << "digraph " << graph_name << " {\n  rankdir=LR;\n";
     for (gate_id g = 0; g < gates_.size(); ++g) {
         os << "  g" << g << " [label=\"" << to_string(gates_[g].kind);
-        if (!gates_[g].name.empty()) os << "\\n" << gates_[g].name;
+        if (!name(g).empty()) os << "\\n" << name(g);
         os << "\", shape="
            << (gates_[g].kind == gate_kind::trigger ? "diamond" : "ellipse") << "];\n";
     }

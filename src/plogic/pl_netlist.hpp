@@ -14,12 +14,37 @@
 // "efire" token to the master.  A 1-valued efire token lets the master emit
 // its output before the remaining inputs arrive; handshaking still consumes
 // every input token, so the marked-graph marking invariants are preserved.
+//
+// ## Layout
+//
+// The netlist is flat.  A gate is one plain record (pl_gate): its kind,
+// function, constant, EE pairing fields, up to bf::k_max_vars data-pin edge
+// ids and the offset of its name in one character pool (name()).  Edges
+// live in one array in id order.  in_edges(g) and out_edges(g) are spans
+// over a CSR (compressed sparse row) adjacency built from that array, so
+// each list is in edge-id order, the order the edges were added.
+//
+// The CSR is built lazily: the first in_edges/out_edges query after a
+// mutation builds it, in O(V+E), and it serves every query until the next
+// mutation.  The build takes a lock and publishes with an atomic flag, so
+// concurrent const readers of one netlist do not race, as with the verify
+// memo; mutators need exclusive access, as for any container.
+// attach_trigger reads its master's pins from the gate record, so the EE
+// pass, which attaches one trigger per accepted master, rebuilds the CSR
+// once, at its closing check, not once per trigger.  Spans from in_edges,
+// out_edges and data_in, and the view from name(), are valid until the
+// next mutation.
 
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
+#include <mutex>
+#include <span>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "bool/truth_table.hpp"
@@ -60,31 +85,38 @@ struct pl_edge {
     bool init_value = false;  ///< value of the initial token (data edges)
 };
 
+/// One gate: plain data, trivially copyable.  Adjacency lives in the
+/// netlist (in_edges, out_edges); the data pins and the name are read
+/// through it too (data_in, name).
 struct pl_gate {
     gate_kind kind = gate_kind::compute;
-    std::string name;
-    bf::truth_table function{0};  ///< compute/trigger; arity == data pin count
     bool const_value = false;     ///< const_source only
-
-    std::vector<edge_id> in_edges;   ///< all incoming (data + ack + efire)
-    std::vector<edge_id> out_edges;  ///< all outgoing
-    std::vector<edge_id> data_in;    ///< pin-ordered data inputs (LUT operands)
+    std::uint8_t num_data = 0;    ///< data pins wired so far
+    bf::truth_table function{0};  ///< compute/trigger; arity == data pin count
+    /// Pin-ordered data inputs (LUT operands): data_pins[0, num_data).
+    std::array<edge_id, bf::k_max_vars> data_pins{};
 
     // Early Evaluation pairing.
     gate_id trigger = k_invalid_gate;   ///< master gate: its trigger, if any
     gate_id master = k_invalid_gate;    ///< trigger gate: its master
     edge_id efire_in = k_invalid_edge;  ///< master gate: edge carrying efire
     std::uint32_t trigger_support = 0;  ///< trigger gate: pin mask of master inputs
+
+    std::uint32_t name_off = 0;  ///< the name: names pool [name_off, +name_len)
+    std::uint32_t name_len = 0;
 };
+static_assert(std::is_trivially_copyable_v<pl_gate>);
 
 class pl_netlist {
 public:
     // --- Construction ------------------------------------------------------
-    gate_id add_gate(gate_kind kind, std::string name = "");
+    gate_id add_gate(gate_kind kind, std::string_view name = "");
     void set_function(gate_id g, const bf::truth_table& fn);
     void set_const_value(gate_id g, bool value);
     /// Adds a data edge; for compute/trigger consumers, `to_pin` must be the
-    /// LUT operand position and arrive in ascending pin order.
+    /// LUT operand position and arrive in ascending pin order, at most
+    /// bf::k_max_vars pins per gate.  to_pin < 0 adds a data edge that is
+    /// no LUT operand (the efire edge).
     edge_id add_data_edge(gate_id from, gate_id to, int to_pin, bool init_token,
                           bool init_value);
     edge_id add_ack_edge(gate_id from, gate_id to, bool init_token);
@@ -102,6 +134,25 @@ public:
     const pl_edge& edge(edge_id e) const { return edges_[e]; }
     const std::vector<pl_gate>& gates() const { return gates_; }
     const std::vector<pl_edge>& edges() const { return edges_; }
+
+    /// Gate g's incoming edges (data, ack and efire) and outgoing edges, in
+    /// edge-id order; the first query after a mutation builds the CSR.
+    std::span<const edge_id> in_edges(gate_id g) const {
+        const adjacency& a = adjacency_view();
+        return {a.in_ids.data() + a.in_begin[g], a.in_ids.data() + a.in_begin[g + 1]};
+    }
+    std::span<const edge_id> out_edges(gate_id g) const {
+        const adjacency& a = adjacency_view();
+        return {a.out_ids.data() + a.out_begin[g],
+                a.out_ids.data() + a.out_begin[g + 1]};
+    }
+    /// Gate g's pin-ordered data inputs (LUT operands), from its record.
+    std::span<const edge_id> data_in(gate_id g) const {
+        return {gates_[g].data_pins.data(), gates_[g].num_data};
+    }
+    std::string_view name(gate_id g) const {
+        return std::string_view(names_).substr(gates_[g].name_off, gates_[g].name_len);
+    }
 
     const std::vector<gate_id>& sources() const { return sources_; }
     const std::vector<gate_id>& sinks() const { return sinks_; }
@@ -164,10 +215,41 @@ private:
         }
     };
 
+    /// The CSR over edges_: gate g's in-edges are in_ids[in_begin[g],
+    /// in_begin[g + 1]), its out-edges likewise.  built is cleared by every
+    /// mutator and set, under mu, by the first reader after it.  A copied
+    /// or moved-to netlist starts unbuilt, so a copy never reads another
+    /// netlist's CSR while a reader of that netlist builds it.
+    struct adjacency {
+        std::vector<std::uint32_t> in_begin, out_begin;
+        std::vector<edge_id> in_ids, out_ids;
+        std::atomic<bool> built{false};
+        std::mutex mu;
+        adjacency() = default;
+        adjacency(const adjacency&) {}
+        adjacency& operator=(const adjacency&) {
+            built.store(false, std::memory_order_relaxed);
+            return *this;
+        }
+    };
+    /// The CSR, built first when a mutation cleared it.
+    const adjacency& adjacency_view() const {
+        if (!adjacency_.built.load(std::memory_order_acquire)) build_adjacency();
+        return adjacency_;
+    }
+    void build_adjacency() const;
+    /// Every mutator's bookkeeping: the CSR and the verify memo go stale.
+    void mutated() {
+        adjacency_.built.store(false, std::memory_order_relaxed);
+        verified_.clear();
+    }
+
     std::vector<pl_gate> gates_;
     std::vector<pl_edge> edges_;
+    std::string names_;
     std::vector<gate_id> sources_;
     std::vector<gate_id> sinks_;
+    mutable adjacency adjacency_;
     mutable verify_memo verified_;
 };
 

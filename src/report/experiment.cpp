@@ -33,9 +33,9 @@ experiment_row run_ee_experiment(const std::string& description,
     };
 
     // Baseline: plain Phased Logic.  Each stage opens its own top-level span
-    // (sim.golden nests inside measure.reference, sim.run inside each
-    // measure arm), so the trace reads as the stage sequence of the header
-    // comment.
+    // (sim.golden nests inside measure.reference, sim.compile and sim.run
+    // inside each measure arm), so the trace reads as the stage sequence of
+    // the header comment.
     stage_gate("pipeline.map");
     pl::map_result mapped = [&] {
         const obs::scoped_span span(options.trace, "map_to_pl");

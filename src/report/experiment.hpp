@@ -39,8 +39,9 @@ struct experiment_options {
     std::string label;
     /// Per-job trace: the pipeline opens one span per stage, once each
     /// (map_to_pl → measure.reference → measure.plain → ee.search →
-    /// measure.ee), with a sim.golden child inside measure.reference and a
-    /// sim.run child inside each measure arm.  Spans close on exception
+    /// measure.ee), with a sim.golden child inside measure.reference and
+    /// sim.compile (the wave schedule) and sim.run children, in that order,
+    /// inside each measure arm.  Spans close on exception
     /// unwind, so a failed run still carries a partial breakdown.  Not
     /// owned; null = untraced.
     obs::trace* trace = nullptr;

@@ -41,12 +41,18 @@ std::size_t count_mismatches(const measure_reference& reference,
     return mismatched;
 }
 
+/// Compiles pl's wave schedule inside a sim.compile span.
+pl_simulator compile_simulator(const pl::pl_netlist& pl, const measure_options& options) {
+    const obs::scoped_span span(options.trace, "sim.compile");
+    return pl_simulator(pl, options.sim);
+}
+
 /// Sequential-wave protocol: one run over all vectors.  Both protocols
 /// pack the PL outputs like measure_reference::expected into `outputs`.
 void measure_serial(const pl::pl_netlist& pl, const measure_reference& reference,
                     const measure_options& options, measure_result& result,
                     std::vector<std::uint64_t>& outputs) {
-    pl_simulator simulator(pl, options.sim);
+    pl_simulator simulator = compile_simulator(pl, options);
     std::vector<wave_record> waves;
     {
         const obs::scoped_span span(options.trace, "sim.run");
@@ -73,7 +79,7 @@ void measure_serial(const pl::pl_netlist& pl, const measure_reference& reference
 void measure_lanes(const pl::pl_netlist& pl, const measure_reference& reference,
                    const measure_options& options, measure_result& result,
                    std::vector<std::uint64_t>& outputs) {
-    pl_simulator simulator(pl, options.sim);
+    pl_simulator simulator = compile_simulator(pl, options);
     std::vector<lane_block_result> lane_results;
     lane_results.reserve(reference.blocks.size());
     sim_run_stats total{};

@@ -65,8 +65,8 @@ struct measure_options {
     /// outputs ("... diverge from the synchronous golden model on k of n
     /// waves"); when false, only measure_result::mismatched_waves says so.
     bool require_functional_match = true;
-    /// Per-job trace to hang "sim.run" / "sim.golden" spans on.  Not owned;
-    /// null = untraced.
+    /// Per-job trace to hang "sim.compile" / "sim.run" / "sim.golden" spans
+    /// on.  Not owned; null = untraced.
     obs::trace* trace = nullptr;
     /// When false, skips everything observable-only: the per-vector delay
     /// histogram and the registry flush.  This is the "compiled-in-but-idle"

@@ -13,9 +13,9 @@ namespace {
 /// A register's identity table: minterm m maps to m & 1.
 constexpr std::uint64_t k_identity_word = 0xaaaaaaaaaaaaaaaaull;
 
-bool fires(const pl::pl_gate& gate) {
-    return !gate.in_edges.empty() ||
-           (gate.kind == pl::gate_kind::source && !gate.out_edges.empty());
+bool fires(const pl::pl_netlist& pl, pl::gate_id g) {
+    return !pl.in_edges(g).empty() ||
+           (pl.gate(g).kind == pl::gate_kind::source && !pl.out_edges(g).empty());
 }
 
 }  // namespace
@@ -45,7 +45,7 @@ void pl_simulator::compile() {
         if (indeg[g] == 0) order.push_back(g);
     }
     for (std::size_t head = 0; head < order.size(); ++head) {
-        for (pl::edge_id e : pl_.gate(order[head]).out_edges) {
+        for (pl::edge_id e : pl_.out_edges(order[head])) {
             const pl::pl_edge& edge = pl_.edge(e);
             if (!edge.init_token && --indeg[edge.to] == 0) order.push_back(edge.to);
         }
@@ -60,7 +60,7 @@ void pl_simulator::compile() {
         std::vector<bool> seen(num_gates, false);
         while (!seen[g]) {
             seen[g] = true;
-            for (pl::edge_id e : pl_.gate(g).in_edges) {
+            for (pl::edge_id e : pl_.in_edges(g)) {
                 const pl::pl_edge& edge = pl_.edge(e);
                 if (!edge.init_token && indeg[edge.from] != 0) {
                     g = edge.from;
@@ -70,7 +70,7 @@ void pl_simulator::compile() {
         }
         failure_ = failure::deadlock;
         failure_text_ = "token-free cycle through gate " + std::to_string(g) +
-                        " '" + pl_.gate(g).name + "' (" +
+                        " '" + std::string(pl_.name(g)) + "' (" +
                         std::to_string(num_gates - order.size()) + " of " +
                         std::to_string(num_gates) + " gates can never fire)";
         return;
@@ -87,10 +87,10 @@ void pl_simulator::compile() {
         }
     }
     for (pl::gate_id g : pl_.sinks()) {
-        if (pl_.gate(g).data_in.empty()) {
+        if (pl_.data_in(g).empty()) {
             failure_ = failure::deadlock;
             failure_text_ = "sink " + std::to_string(g) + " '" +
-                            pl_.gate(g).name + "' has no data input";
+                            std::string(pl_.name(g)) + "' has no data input";
             return;
         }
     }
@@ -99,7 +99,7 @@ void pl_simulator::compile() {
     std::vector<std::uint32_t> pos(num_gates, k_unscheduled);
     std::vector<pl::gate_id> scheduled;
     for (pl::gate_id g : order) {
-        if (!fires(pl_.gate(g))) continue;
+        if (!fires(pl_, g)) continue;
         pos[g] = static_cast<std::uint32_t>(scheduled.size());
         scheduled.push_back(g);
     }
@@ -118,21 +118,21 @@ void pl_simulator::compile() {
     trace_off_.assign(n + 1, 0);
     const delay_model& dm = options_.delays;
     for (std::uint32_t s = 0; s < n; ++s) {
-        const pl::pl_gate& gate = pl_.gate(scheduled[s]);
+        const pl::gate_id g = scheduled[s];
+        const pl::pl_gate& gate = pl_.gate(g);
+        const std::span<const pl::edge_id> out_edges = pl_.out_edges(g);
         gate_rec& d = recs_[s];
-        d.num_data = static_cast<std::uint8_t>(gate.data_in.size());
+        d.num_data = gate.num_data;
         d.ref_begin = static_cast<std::uint32_t>(refs_.size());
-        for (pl::edge_id e : gate.data_in) refs_.push_back(ref_of(e));
-        for (pl::edge_id e : gate.in_edges) {
-            if (std::find(gate.data_in.begin(), gate.data_in.end(), e) ==
-                gate.data_in.end()) {
-                refs_.push_back(ref_of(e));
-            }
+        // The data pins, then every in-edge that is no LUT operand.
+        for (pl::edge_id e : pl_.data_in(g)) refs_.push_back(ref_of(e));
+        for (pl::edge_id e : pl_.in_edges(g)) {
+            if (pl_.edge(e).to_pin < 0) refs_.push_back(ref_of(e));
         }
         d.ref_end = static_cast<std::uint32_t>(refs_.size());
 
         bool marked = false;
-        for (pl::edge_id e : gate.out_edges) {
+        for (pl::edge_id e : out_edges) {
             const pl::pl_edge& edge = pl_.edge(e);
             if (edge.kind == pl::edge_kind::ack) continue;
             trace_edges_.push_back(e);
@@ -141,7 +141,7 @@ void pl_simulator::compile() {
             if (marked && preset_[s] != value) {
                 throw invariant_violation(
                     "marked data out-edges of gate " +
-                        std::to_string(scheduled[s]) + " '" + gate.name +
+                        std::to_string(g) + " '" + std::string(pl_.name(g)) +
                         "' carry different initial values",
                     options_.label, 0, "schedule");
             }
@@ -149,7 +149,7 @@ void pl_simulator::compile() {
             preset_[s] = value;
         }
         trace_off_[s + 1] = static_cast<std::uint32_t>(trace_edges_.size());
-        deposits_[s + 1] = deposits_[s] + gate.out_edges.size();
+        deposits_[s + 1] = deposits_[s] + out_edges.size();
 
         // The LUT words: constants and registers get their constant and
         // identity tables, so every non-environment gate evaluates alike.
@@ -198,6 +198,11 @@ void pl_simulator::compile() {
                 t.pins[t.count++] = v;
             }
         }
+    }
+    // Which parity-0 slots an unmarked ref reads: the lane wave stores no
+    // slab for any other.
+    for (const in_ref r : refs_) {
+        if ((r & 1u) == 0) recs_[r >> 2].live |= (r & 2u) != 0 ? k_ack_live : k_data_live;
     }
     for (const std::vector<pl::gate_id>* env : {&pl_.sources(), &pl_.sinks()}) {
         for (std::size_t i = 0; i < env->size(); ++i) {
@@ -508,11 +513,16 @@ lane_block_result pl_simulator::run_lanes(const stimulus_block& block) {
 }
 
 /// The lane wave writes parity 0 and reads each ref itself, so a marked ref
-/// reads the wave -1 preset in parity 1.
+/// reads the wave -1 preset in parity 1.  Environment firings whose inputs
+/// are all scalar keep one input_stable and one output_stable maximum,
+/// folded into the per-lane arrays after the wave; max is exact, so the
+/// order does not change a bit.
 void pl_simulator::run_lane_wave(const stimulus_block& block) {
     const std::uint32_t n = static_cast<std::uint32_t>(recs_.size());
     const delay_model& dm = options_.delays;
     const double ack_delay = dm.ack_delay();
+    double input_stable = 0.0;
+    double output_stable = 0.0;
     wave_base_ = 0;
     std::uint32_t stop = next_stop(0);
     std::uint32_t master = 0;
@@ -520,7 +530,7 @@ void pl_simulator::run_lane_wave(const stimulus_block& block) {
         const gate_rec& d = recs_[s];
         const in_ref* const r = refs_.data() + d.ref_begin;
         const std::uint32_t num_refs = d.ref_end - d.ref_begin;
-        bool slab = d.kind == role::source || d.kind == role::sink;
+        bool slab = false;
         for (std::uint32_t i = 0; i < num_refs && !slab; ++i) slab = varies_[r[i]];
         if (slab) {
             fire_lanes_slab(s, master, block);
@@ -533,41 +543,52 @@ void pl_simulator::run_lane_wave(const stimulus_block& block) {
             for (std::uint32_t i = d.num_data; i < num_refs; ++i) {
                 t = std::max(t, times_[r[i]]);
             }
-            std::uint64_t ins[bf::k_max_vars];
-            lane_operands(d, ins);
-            const std::uint64_t value = bf::truth_table::eval_word_lanes(
-                fn_pool_.data() + d.fn_off, d.num_data, ins);
-            const double t_ack = t + ack_delay;
+            double t_ack = t + ack_delay;
             double t_out = t + d.delay;
+            std::uint64_t value = 0;
             bool split = false;
-            if (d.kind == role::master) {
-                const std::uint64_t efire_word = values_[d.efire];
-                check_trigger_lanes(s, master, ins, efire_word);
-                const double normal = t_data + dm.gate_delay() + dm.d_ee_penalty;
-                const double early = times_[d.efire] + dm.efire_delay();
-                const std::uint64_t hit = efire_word & lane_mask_;
-                stats_.ee_hits += static_cast<std::uint64_t>(std::popcount(hit));
-                stats_.ee_misses += static_cast<std::uint64_t>(
-                    std::popcount(lane_mask_ & ~efire_word));
-                if (early < normal) {
-                    stats_.ee_wins += static_cast<std::uint64_t>(std::popcount(hit));
-                }
-                split = hit != 0 && hit != lane_mask_ && early < normal;
-                if (split) {
-                    // The lanes disagree on which output path wins: per-lane
-                    // times.
-                    ++stats_.lane_splits;
-                    double to[k_lanes];
-                    double ta[k_lanes];
-                    for (std::size_t l = 0; l < k_lanes; ++l) {
-                        to[l] = ((hit >> l) & 1u) ? early : normal;
-                        ta[l] = t_ack;
+            if (d.kind == role::source) {
+                // Every lane is a run from reset: released at time 0.
+                t_ack = t_out;
+                value = block.words[d.env_slot];
+                input_stable = std::max(input_stable, t_out);
+            } else if (d.kind == role::sink) {
+                lane_sink_words_[d.env_slot] = values_[r[0]];
+                output_stable = std::max(output_stable, t_data);
+            } else {
+                std::uint64_t ins[bf::k_max_vars];
+                lane_operands(d, ins);
+                value = bf::truth_table::eval_word_lanes(fn_pool_.data() + d.fn_off,
+                                                         d.num_data, ins);
+                if (d.kind == role::master) {
+                    const std::uint64_t efire_word = values_[d.efire];
+                    check_trigger_lanes(s, master, ins, efire_word);
+                    const double normal = t_data + dm.gate_delay() + dm.d_ee_penalty;
+                    const double early = times_[d.efire] + dm.efire_delay();
+                    const std::uint64_t hit = efire_word & lane_mask_;
+                    stats_.ee_hits += static_cast<std::uint64_t>(std::popcount(hit));
+                    stats_.ee_misses += static_cast<std::uint64_t>(
+                        std::popcount(lane_mask_ & ~efire_word));
+                    if (early < normal) {
+                        stats_.ee_wins += static_cast<std::uint64_t>(std::popcount(hit));
                     }
-                    store_lanes(s, value, to, ta);
+                    split = hit != 0 && hit != lane_mask_ && early < normal;
+                    if (split) {
+                        // The lanes disagree on which output path wins:
+                        // per-lane times.
+                        ++stats_.lane_splits;
+                        double to[k_lanes];
+                        double ta[k_lanes];
+                        for (std::size_t l = 0; l < k_lanes; ++l) {
+                            to[l] = ((hit >> l) & 1u) ? early : normal;
+                            ta[l] = t_ack;
+                        }
+                        store_lanes(s, value, to, ta);
+                    }
+                    // With early >= normal every lane's t_out is `normal`
+                    // whatever its efire bit, so a mixed word stays whole.
+                    t_out = hit == lane_mask_ ? std::min(early, normal) : normal;
                 }
-                // With early >= normal every lane's t_out is `normal` whatever
-                // its efire bit, so a mixed word stays whole.
-                t_out = hit == lane_mask_ ? std::min(early, normal) : normal;
             }
             if (!split) {
                 times_[4 * s] = t_out;
@@ -578,6 +599,10 @@ void pl_simulator::run_lane_wave(const stimulus_block& block) {
         }
         if (d.kind == role::master) ++master;
         if (s == stop) stop = reach(s, "lane");
+    }
+    for (std::size_t l = 0; l < k_lanes; ++l) {
+        input_stable_lane_[l] = std::max(input_stable_lane_[l], input_stable);
+        output_stable_lane_[l] = std::max(output_stable_lane_[l], output_stable);
     }
     stats_.events = deposits_[n];
     stats_.firings = n;
@@ -604,7 +629,7 @@ void pl_simulator::fire_lanes_slab(std::uint32_t s, std::uint32_t master,
     }
     if (d.kind == role::sink) {
         std::fill_n(to, k_lanes, 0.0);
-        gather_lanes(r, 1, to);
+        gather_lanes(r, d.num_data, to);
         for (std::size_t l = 0; l < k_lanes; ++l) {
             output_stable_lane_[l] = std::max(output_stable_lane_[l], to[l]);
         }
@@ -671,19 +696,21 @@ void pl_simulator::store_lanes(std::uint32_t s, std::uint64_t value,
                                const double* to, const double* ta) {
     values_[4 * s] = value;
     const auto store = [this](std::uint32_t slot, const double* t,
-                              std::uint32_t outs) {
+                              std::uint32_t outs, bool live) {
         if (std::all_of(t + 1, t + k_lanes, [t](double x) { return x == t[0]; })) {
             times_[slot] = t[0];
             varies_[slot] = 0;
             return;
         }
+        stats_.lane_slab_deposits += outs;
+        if (!live) return;
         varies_[slot] = 1;
         slab_of_[slot] = slabs_used_;
         std::copy_n(t, k_lanes, slab_pool_.get() + std::size_t{slabs_used_++} * k_lanes);
-        stats_.lane_slab_deposits += outs;
     };
-    store(4 * s, to, data_outs(s));
-    store(4 * s + 2, ta, ack_outs(s));
+    const std::uint8_t live = recs_[s].live;
+    store(4 * s, to, data_outs(s), (live & k_data_live) != 0);
+    store(4 * s + 2, ta, ack_outs(s), (live & k_ack_live) != 0);
 }
 
 /// The EE invariant, word-wide for every occupied lane: the trigger

@@ -247,6 +247,11 @@ private:
     /// constant gates), an EE master, or an environment port.
     enum class role : std::uint8_t { gate, master, source, sink };
 
+    /// gate_rec::live bits: an unmarked ref reads the position's data slot
+    /// or its ack slot.  The lane wave reads no other slot of parity 0.
+    static constexpr std::uint8_t k_data_live = 1;
+    static constexpr std::uint8_t k_ack_live = 2;
+
     /// One scheduled position.
     struct alignas(32) gate_rec {
         std::uint32_t ref_begin = 0;  ///< refs_ range: the data pins, then
@@ -256,6 +261,7 @@ private:
         std::uint32_t env_slot = 0;   ///< position in sources() / sinks()
         std::uint8_t num_data = 0;    ///< LUT operand count (<= 8)
         role kind = role::gate;
+        std::uint8_t live = 0;        ///< k_data_live | k_ack_live
         double delay = 0.0;           ///< t_out - t_ready off the EE path
     };
     static_assert(sizeof(gate_rec) == 32);
@@ -286,13 +292,15 @@ private:
     /// Runs the lane wave of `block`, firing the schedule in order.
     void run_lane_wave(const stimulus_block& block);
     /// The per-lane firing of position s (master index `master`): taken
-    /// when an input carries a slab, and by every source and sink.
+    /// when an input carries a slab.
     void fire_lanes_slab(std::uint32_t s, std::uint32_t master,
                          const stimulus_block& block);
     /// Max-accumulates the per-lane times of refs[0, n) into out[0..63].
     void gather_lanes(const in_ref* refs, std::uint32_t n, double* out) const;
     /// Stores position s's lane firing: the value word and both times, each
-    /// as a scalar when its lanes agree and as a slab otherwise.
+    /// as a scalar when its lanes agree and as a slab otherwise.  A slab no
+    /// unmarked ref reads (a dead slot, see gate_rec::live) is counted in
+    /// lane_slab_deposits but not stored.
     void store_lanes(std::uint32_t s, std::uint64_t value, const double* to,
                      const double* ta);
     void check_trigger_lanes(std::uint32_t s, std::uint32_t master,
@@ -350,15 +358,17 @@ private:
     std::vector<stimulus_block> packed_stim_;  ///< run(vectors) pack buffer
 
     // Lane state, per slot index: whether its time is a slab and which one.
-    // A slot is written by its producer's firing before any same-wave
-    // reader, and parity 1 is never a slab, so neither array is ever
-    // cleared; the pool is never zero-filled.
+    // A live slot is written by its producer's firing before any same-wave
+    // reader, a dead one is never read, and parity 1 is never a slab, so
+    // neither array is ever cleared; the pool is never zero-filled.
     std::uint64_t lane_mask_ = 0;  ///< the block's occupied lanes
     std::vector<std::uint8_t> varies_;
     std::vector<std::uint32_t> slab_of_;
     std::unique_ptr<double[]> slab_pool_;
     std::uint32_t slabs_used_ = 0;
     std::vector<std::uint64_t> lane_sink_words_;  ///< per sink
+    /// Per-lane maxima of the slab environment firings; the scalar ones
+    /// fold in once, after the wave.
     std::array<double, k_lanes> input_stable_lane_{};
     std::array<double, k_lanes> output_stable_lane_{};
 };

@@ -20,10 +20,9 @@ std::string vcd_id(std::size_t i) {
 }
 
 std::string signal_name(const pl::pl_netlist& pl, pl::gate_id g) {
-    const pl::pl_gate& gate = pl.gate(g);
-    std::string base = gate.name.empty()
-                           ? std::string(to_string(gate.kind)) + std::to_string(g)
-                           : gate.name;
+    std::string base = pl.name(g).empty()
+                           ? std::string(to_string(pl.gate(g).kind)) + std::to_string(g)
+                           : std::string(pl.name(g));
     // VCD identifiers must not contain whitespace or brackets.
     for (char& c : base) {
         if (c == ' ' || c == '[' || c == ']') c = '_';
@@ -42,7 +41,7 @@ std::string to_vcd(const pl::pl_netlist& pl, const std::vector<trace_event>& tra
     std::vector<pl::edge_id> probe_edge;  // representative edge per signal
     for (pl::gate_id g = 0; g < pl.num_gates(); ++g) {
         if (options.ports_only && pl.gate(g).kind != pl::gate_kind::source) continue;
-        for (pl::edge_id e : pl.gate(g).out_edges) {
+        for (pl::edge_id e : pl.out_edges(g)) {
             if (pl.edge(e).kind == pl::edge_kind::data) {
                 signal_of_gate.emplace(g, gate_of_signal.size());
                 gate_of_signal.push_back(g);
@@ -55,9 +54,8 @@ std::string to_vcd(const pl::pl_netlist& pl, const std::vector<trace_event>& tra
     // feeding the sinks instead.
     if (options.ports_only) {
         for (pl::gate_id s : pl.sinks()) {
-            const pl::pl_gate& sink = pl.gate(s);
-            if (sink.data_in.empty()) continue;
-            const pl::edge_id feed = sink.data_in.front();
+            if (pl.data_in(s).empty()) continue;
+            const pl::edge_id feed = pl.data_in(s).front();
             const pl::gate_id driver = pl.edge(feed).from;
             if (!signal_of_gate.count(driver)) {
                 signal_of_gate.emplace(driver, gate_of_signal.size());

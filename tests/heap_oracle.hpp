@@ -57,7 +57,7 @@ public:
         fired_waves_.assign(pl_.num_gates(), 0);
         tokens_.assign(pl_.num_edges(), {});
         for (pl::gate_id g = 0; g < pl_.num_gates(); ++g) {
-            pending_[g] = pl_.gate(g).in_edges.size();
+            pending_[g] = pl_.in_edges(g).size();
         }
         // Initial marking: tokens in place at t = 0.
         for (pl::edge_id e = 0; e < pl_.num_edges(); ++e) {
@@ -68,10 +68,9 @@ public:
             }
         }
         for (pl::gate_id g = 0; g < pl_.num_gates(); ++g) {
-            const pl::pl_gate& gate = pl_.gate(g);
             if (pending_[g] != 0) continue;
-            if (!gate.in_edges.empty() ||
-                (gate.kind == pl::gate_kind::source && !gate.out_edges.empty())) {
+            if (!pl_.in_edges(g).empty() || (pl_.gate(g).kind == pl::gate_kind::source &&
+                                              !pl_.out_edges(g).empty())) {
                 try_fire(g);
             }
         }
@@ -142,7 +141,7 @@ private:
 
     /// Consumes one token per input edge; returns their latest time.
     double consume(pl::gate_id g, double t_ready) {
-        for (pl::edge_id e : pl_.gate(g).in_edges) {
+        for (pl::edge_id e : pl_.in_edges(g)) {
             t_ready = std::max(t_ready, tokens_[e].time);
             tokens_[e].present = false;
             ++pending_[g];
@@ -162,15 +161,15 @@ private:
                 consume(g, waves_[wave].release_time) + options_.delays.d_source;
             waves_[wave].input_stable = std::max(waves_[wave].input_stable, t_out);
             const bool value = (*vectors_)[wave][slot_[g]];
-            for (pl::edge_id e : pl_.gate(g).out_edges) schedule(e, value, t_out);
+            for (pl::edge_id e : pl_.out_edges(g)) schedule(e, value, t_out);
         }
     }
 
     void record_sink(pl::gate_id g) {
-        const token tok = tokens_[pl_.gate(g).data_in.front()];
+        const token tok = tokens_[pl_.data_in(g).front()];
         const std::size_t wave = fired_waves_[g];
         const double t_ack = consume(g, tok.time) + options_.delays.ack_delay();
-        for (pl::edge_id e : pl_.gate(g).out_edges) schedule(e, false, t_ack);
+        for (pl::edge_id e : pl_.out_edges(g)) schedule(e, false, t_ack);
         wave_record& w = waves_[wave];
         w.outputs[slot_[g]] = tok.value;
         w.output_stable = std::max(w.output_stable, tok.time);
@@ -195,8 +194,9 @@ private:
 
         std::uint32_t minterm = 0;
         double t_data = 0.0;
-        for (std::size_t pin = 0; pin < gate.data_in.size(); ++pin) {
-            const token& tok = tokens_[gate.data_in[pin]];
+        const auto pins = pl_.data_in(g);
+        for (std::size_t pin = 0; pin < pins.size(); ++pin) {
+            const token& tok = tokens_[pins[pin]];
             if (tok.value) minterm |= 1u << pin;
             t_data = std::max(t_data, tok.time);
         }
@@ -244,7 +244,7 @@ private:
             }
         }
         const double t_ack = t_ready + dm.ack_delay();
-        for (pl::edge_id e : gate.out_edges) {
+        for (pl::edge_id e : pl_.out_edges(g)) {
             schedule(e, value,
                      pl_.edge(e).kind == pl::edge_kind::ack ? t_ack : t_out);
         }

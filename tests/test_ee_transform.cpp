@@ -8,7 +8,9 @@
 
 #include <bit>
 #include <limits>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "bench_circuits/itc99.hpp"
 #include "plogic/pl_mapper.hpp"
@@ -113,15 +115,17 @@ TEST(EeTransform, PairingMetadataConsistent) {
         EXPECT_EQ(efire.from, at.trigger);
         EXPECT_EQ(efire.to, at.master);
         // Trigger taps exactly the support pins of the master.
-        EXPECT_EQ(trig.data_in.size(),
+        const auto trig_pins = mapped.pl.data_in(at.trigger);
+        const auto master_pins = mapped.pl.data_in(at.master);
+        EXPECT_EQ(trig_pins.size(),
                   static_cast<std::size_t>(std::popcount(at.candidate.support)));
         EXPECT_EQ(trig.function, at.candidate.function);
         // Tapped producers match the master's pins.
         std::size_t t = 0;
-        for (std::size_t pin = 0; pin < master.data_in.size(); ++pin) {
+        for (std::size_t pin = 0; pin < master_pins.size(); ++pin) {
             if (!(at.candidate.support & (1u << pin))) continue;
-            EXPECT_EQ(mapped.pl.edge(trig.data_in[t]).from,
-                      mapped.pl.edge(master.data_in[pin]).from);
+            EXPECT_EQ(mapped.pl.edge(trig_pins[t]).from,
+                      mapped.pl.edge(master_pins[pin]).from);
             ++t;
         }
     }
@@ -182,19 +186,22 @@ TEST(EeTransform, AppliedCandidatesRespectPolicy) {
 void expect_identical_netlists(const pl::pl_netlist& a, const pl::pl_netlist& b) {
     ASSERT_EQ(a.num_gates(), b.num_gates());
     ASSERT_EQ(a.num_edges(), b.num_edges());
+    const auto list = [](std::span<const pl::edge_id> s) {
+        return std::vector<pl::edge_id>(s.begin(), s.end());
+    };
     for (pl::gate_id g = 0; g < a.num_gates(); ++g) {
         const pl::pl_gate& ga = a.gate(g);
         const pl::pl_gate& gb = b.gate(g);
         ASSERT_EQ(ga.kind, gb.kind) << "gate " << g;
-        ASSERT_EQ(ga.name, gb.name) << "gate " << g;
+        ASSERT_EQ(a.name(g), b.name(g)) << "gate " << g;
         ASSERT_EQ(ga.function, gb.function) << "gate " << g;
         ASSERT_EQ(ga.trigger, gb.trigger) << "gate " << g;
         ASSERT_EQ(ga.master, gb.master) << "gate " << g;
         ASSERT_EQ(ga.efire_in, gb.efire_in) << "gate " << g;
         ASSERT_EQ(ga.trigger_support, gb.trigger_support) << "gate " << g;
-        ASSERT_EQ(ga.in_edges, gb.in_edges) << "gate " << g;
-        ASSERT_EQ(ga.out_edges, gb.out_edges) << "gate " << g;
-        ASSERT_EQ(ga.data_in, gb.data_in) << "gate " << g;
+        ASSERT_EQ(list(a.in_edges(g)), list(b.in_edges(g))) << "gate " << g;
+        ASSERT_EQ(list(a.out_edges(g)), list(b.out_edges(g))) << "gate " << g;
+        ASSERT_EQ(list(a.data_in(g)), list(b.data_in(g))) << "gate " << g;
     }
     for (pl::edge_id e = 0; e < a.num_edges(); ++e) {
         const pl::pl_edge& ea = a.edge(e);

@@ -280,6 +280,125 @@ TEST(LaneSim, DivergenceSplitsStayBitIdentical) {
     EXPECT_LE(lanes.lane_slab_deposits, lanes.events);
 }
 
+// --- Environment firings: scalar and slab --------------------------------
+
+/// y0 = a AND (b through four buffers), y1 = c through two buffers.  The EE
+/// pass triggers the AND on a, so lanes with a = 0 emit y0 early: y0's sink
+/// reads a slab, y1's only scalar times.  Default delays put y1 (4.1 ns)
+/// between y0's early (3.1) and normal (10.6) arrivals, so the lanes' output
+/// stable times need both sinks.
+nl::netlist split_and_scalar_outputs() {
+    nl::netlist n;
+    const nl::cell_id a = n.add_input("a");
+    const nl::cell_id b = n.add_input("b");
+    const nl::cell_id c = n.add_input("c");
+    const bf::truth_table buffer = bf::truth_table::variable(1, 0);
+    nl::cell_id slow = b;
+    for (int i = 0; i < 4; ++i) slow = n.add_lut(buffer, {slow});
+    const nl::cell_id master = n.add_lut(
+        bf::truth_table::variable(2, 0) & bf::truth_table::variable(2, 1), {a, slow}, "m");
+    nl::cell_id side = c;
+    for (int i = 0; i < 2; ++i) side = n.add_lut(buffer, {side});
+    n.add_output("y0", master);
+    n.add_output("y1", side);
+    return n;
+}
+
+TEST(LaneSim, ScalarAndSlabSinksInOneBlockMatchSerial) {
+    built_circuit c;
+    c.sync = split_and_scalar_outputs();
+    pl::map_result mapped = pl::map_to_phased_logic(c.sync);
+    const ee::ee_stats stats = ee::apply_early_evaluation(mapped.pl);
+    ASSERT_EQ(stats.triggers_added, 1u);
+    ASSERT_EQ(stats.applied.front().candidate.support, 0b01u);
+    c.pl = std::move(mapped.pl);
+
+    sim_run_stats lanes{};
+    expect_lanes_match_serial(c.pl, /*seed=*/5, /*count=*/64, {}, &lanes);
+    EXPECT_GT(lanes.lane_splits, 0u);
+
+    const std::vector<stimulus_block> blocks = make_stimulus(64, 3, 5);
+    pl_simulator simulator(c.pl);
+    const lane_block_result r = simulator.run_lanes(blocks.front());
+    const delay_model dm;
+    const double early = dm.d_source + dm.gate_delay() + dm.efire_delay();
+    const double side = dm.d_source + 2 * dm.gate_delay();
+    const double normal = dm.d_source + 5 * dm.gate_delay() + dm.d_ee_penalty;
+    ASSERT_LT(early, side);
+    std::size_t early_lanes = 0;
+    for (std::size_t lane = 0; lane < k_lanes; ++lane) {
+        const bool a = blocks.front().bit(lane, 0);
+        EXPECT_DOUBLE_EQ(r.output_stable[lane], a ? normal : side) << "lane " << lane;
+        early_lanes += a ? 0 : 1;
+    }
+    EXPECT_GT(early_lanes, 0u);
+    EXPECT_LT(early_lanes, k_lanes);
+}
+
+TEST(LaneSim, SourceReadingASlabAckMatchesSerial) {
+    // A source whose data edge is marked has an unmarked acknowledge in-edge,
+    // so it fires after its consumer in the same wave.  Here that consumer,
+    // c = m AND s', sits below an EE master m that splits the lanes, so c's
+    // acknowledge carries a per-lane slab and the source's firing reads it.
+    pl::pl_netlist pl;
+    const pl::gate_id a = pl.add_gate(pl::gate_kind::source, "a");
+    const pl::gate_id b = pl.add_gate(pl::gate_kind::source, "b");
+    const pl::gate_id s = pl.add_gate(pl::gate_kind::source, "s");
+    const bf::truth_table buffer = bf::truth_table::variable(1, 0);
+    const bf::truth_table and2 =
+        bf::truth_table::variable(2, 0) & bf::truth_table::variable(2, 1);
+    const auto wire = [&pl](pl::gate_id from, pl::gate_id to, int pin, bool marked) {
+        pl.add_data_edge(from, to, pin, marked, false);
+        pl.add_ack_edge(to, from, !marked);
+    };
+    pl::gate_id slow = b;
+    for (int i = 0; i < 3; ++i) {
+        const pl::gate_id g = pl.add_gate(pl::gate_kind::compute);
+        pl.set_function(g, buffer);
+        wire(slow, g, 0, false);
+        slow = g;
+    }
+    const pl::gate_id m = pl.add_gate(pl::gate_kind::compute, "m");
+    pl.set_function(m, and2);
+    wire(a, m, 0, false);
+    wire(slow, m, 1, false);
+    const pl::gate_id c = pl.add_gate(pl::gate_kind::compute, "c");
+    pl.set_function(c, and2);
+    wire(m, c, 0, false);
+    wire(s, c, 1, true);
+    const pl::gate_id y = pl.add_gate(pl::gate_kind::sink, "y");
+    wire(c, y, 0, false);
+    pl.attach_trigger(m, ~buffer, 0b01);  // a == 0 forces m to 0 early
+    ASSERT_TRUE(pl.verify().ok()) << pl.verify().violation;
+
+    sim_run_stats lanes{};
+    expect_lanes_match_serial(pl, /*seed=*/9, /*count=*/64, {}, &lanes);
+    EXPECT_GT(lanes.lane_splits, 0u);
+
+    // The slab reached the source: the lanes' input-stable times differ.
+    pl_simulator simulator(pl);
+    const lane_block_result r = simulator.run_lanes(make_stimulus(64, 3, 9).front());
+    EXPECT_NE(*std::min_element(r.input_stable.begin(), r.input_stable.end()),
+              *std::max_element(r.input_stable.begin(), r.input_stable.end()));
+}
+
+TEST(LaneSim, SlabAccountingOnAFixedCircuit) {
+    // lane_slab_deposits counts every deposit that carries a slab, stored
+    // or not; these are the counts of the engine that stores every slab.
+    const built_circuit c = build_preset(wl::scenario::datapath_like, 120, 11, true);
+    pl_simulator simulator(c.pl);
+    sim_run_stats total{};
+    for (const stimulus_block& block : make_stimulus(256, c.pl.sources().size(), 7)) {
+        simulator.run_lanes(block);
+        total.events += simulator.stats().events;
+        total.lane_splits += simulator.stats().lane_splits;
+        total.lane_slab_deposits += simulator.stats().lane_slab_deposits;
+    }
+    EXPECT_EQ(total.events, 2356u);
+    EXPECT_EQ(total.lane_splits, 52u);
+    EXPECT_EQ(total.lane_slab_deposits, 1592u);
+}
+
 // --- Satellite regressions: lane accounting ------------------------------
 
 TEST(LaneSim, DelaySubtractsRecordedReleaseTime) {

@@ -1,14 +1,13 @@
-// Tests for the LEDR-level structural simulator: the physical dual-rail view
+// Tests for the LEDR-level structural oracle: the physical dual-rail view
 // of a PL netlist must agree wave-for-wave with the synchronous golden model
 // and with the token-level event simulator, for ANY gate scan order — the
 // delay-insensitivity property the design style is named for.
-
-#include "plogic/ledr_sim.hpp"
 
 #include <gtest/gtest.h>
 
 #include "bench_circuits/itc99.hpp"
 #include "ee/ee_transform.hpp"
+#include "ledr_oracle.hpp"
 #include "netlist/sync_sim.hpp"
 #include "plogic/pl_mapper.hpp"
 #include "sim/measure.hpp"
@@ -16,6 +15,8 @@
 
 namespace plee::pl {
 namespace {
+
+using testing::ledr_oracle;
 
 nl::netlist small_alu() {
     syn::module_builder m("alu");
@@ -40,7 +41,7 @@ TEST(LedrSim, CombinationalMatchesGolden) {
     const map_result mapped = map_to_phased_logic(n);
     const auto vectors = sim::random_vectors(40, n.inputs().size(), 11);
 
-    ledr_simulator sim(mapped.pl);
+    ledr_oracle sim(mapped.pl);
     const auto waves = sim.run(vectors);
 
     nl::sync_simulator gold(n);
@@ -54,7 +55,7 @@ TEST(LedrSim, SequentialMatchesGolden) {
     const map_result mapped = map_to_phased_logic(n);
     const auto vectors = sim::random_vectors(50, 1, 23);
 
-    ledr_simulator sim(mapped.pl);
+    ledr_oracle sim(mapped.pl);
     const auto waves = sim.run(vectors);
 
     nl::sync_simulator gold(n);
@@ -69,7 +70,7 @@ TEST(LedrSim, AgreesWithTokenSimulatorUnderEe) {
     ee::apply_early_evaluation(mapped.pl);
 
     const auto vectors = sim::random_vectors(30, n.inputs().size(), 5);
-    ledr_simulator structural(mapped.pl);
+    ledr_oracle structural(mapped.pl);
     const auto ledr_waves = structural.run(vectors);
 
     sim::pl_simulator token(mapped.pl);
@@ -89,10 +90,10 @@ TEST_P(LedrScanOrder, DelayInsensitivity) {
     const map_result mapped = map_to_phased_logic(n);
     const auto vectors = sim::random_vectors(25, 1, 99);
 
-    ledr_simulator reference(mapped.pl, 0);
+    ledr_oracle reference(mapped.pl, 0);
     const auto expected = reference.run(vectors);
 
-    ledr_simulator shuffled(mapped.pl, GetParam());
+    ledr_oracle shuffled(mapped.pl, GetParam());
     EXPECT_EQ(shuffled.run(vectors), expected);
 }
 
@@ -103,7 +104,7 @@ TEST(LedrSim, EveryGateFiresOncePerWave) {
     const nl::netlist n = small_counter();
     const map_result mapped = map_to_phased_logic(n);
     const auto vectors = sim::random_vectors(16, 1, 7);
-    ledr_simulator sim(mapped.pl);
+    ledr_oracle sim(mapped.pl);
     sim.run(vectors);
     // compute + through gates fire (at least) once per wave; sinks exactly
     // once; allowance for the +/-1 drain at the measurement horizon.
@@ -117,7 +118,7 @@ TEST(LedrSim, BenchmarkEquivalenceThroughEe) {
     ee::apply_early_evaluation(mapped.pl);
 
     const auto vectors = sim::random_vectors(20, n.inputs().size(), 31);
-    ledr_simulator sim(mapped.pl);
+    ledr_oracle sim(mapped.pl);
     const auto waves = sim.run(vectors);
 
     nl::sync_simulator gold(n);
@@ -128,7 +129,7 @@ TEST(LedrSim, BenchmarkEquivalenceThroughEe) {
 
 TEST(LedrSim, VectorWidthChecked) {
     const map_result mapped = map_to_phased_logic(small_counter());
-    ledr_simulator sim(mapped.pl);
+    ledr_oracle sim(mapped.pl);
     EXPECT_THROW(sim.run({{true, false}}), std::invalid_argument);
 }
 

@@ -208,10 +208,9 @@ truth_table random_table(int n, sm_stream& rng) {
 TEST(MultiwordTrigger, ExactTriggerMatchesScalarOracleOnWideMasters) {
     sm_stream rng(11);
     for (int n : {7, 8}) {
-        const std::uint32_t pins = (1u << n) - 1;
         for (int trial = 0; trial < 30; ++trial) {
             const truth_table master = random_table(n, rng);
-            for (std::uint32_t s : bf::cached_support_subsets(pins, 3)) {
+            for (std::uint32_t s : bf::support_subsets(n, 3)) {
                 const truth_table word = exact_trigger_function(master, s);
                 ASSERT_EQ(word, scalar::exact_trigger_function(master, s))
                     << "n=" << n << " support=" << s;
@@ -274,7 +273,7 @@ TEST(MultiwordTrigger, ExactTriggerMatchesScalarOracleOnStructuredMasters) {
     std::size_t non_zero = 0;
     for (const truth_table& master : structured_masters(rng)) {
         const int n = master.num_vars();
-        for (std::uint32_t s : bf::cached_support_subsets((1u << n) - 1, n - 1)) {
+        for (std::uint32_t s : bf::support_subsets(n, n - 1)) {
             const truth_table word = exact_trigger_function(master, s);
             ASSERT_EQ(word, scalar::exact_trigger_function(master, s))
                 << "n=" << n << " support=" << s << " master=" << master.to_string();
@@ -317,7 +316,6 @@ TEST(MultiwordTrigger, ExactTriggerHandlesWideSupports) {
 TEST(MultiwordTrigger, CubeListTriggerMatchesScalarOracleOnWideMasters) {
     sm_stream rng(13);
     for (int n : {7, 8}) {
-        const std::uint32_t pins = (1u << n) - 1;
         for (int trial = 0; trial < 4; ++trial) {
             // Structured masters keep the QM cover compact at 8 variables: a
             // threshold function plus random input negations.
@@ -327,7 +325,7 @@ TEST(MultiwordTrigger, CubeListTriggerMatchesScalarOracleOnWideMasters) {
             base = base.negate_inputs(static_cast<std::uint32_t>(rng.next()) &
                                       ((1u << n) - 1));
             const bf::on_off_cover cover = bf::make_on_off_cover(base);
-            for (std::uint32_t s : bf::cached_support_subsets(pins, 3)) {
+            for (std::uint32_t s : bf::support_subsets(n, 3)) {
                 ASSERT_EQ(cube_list_trigger_function(base, cover, s),
                           scalar::cube_list_trigger_function(base, cover, s))
                     << "n=" << n << " support=" << s;

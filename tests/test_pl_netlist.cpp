@@ -1,15 +1,25 @@
 // Unit tests for the PL netlist container itself: gate/edge construction
 // rules, trigger attachment wiring, arrival-depth analysis, statistics, the
-// marked-graph image, the verify() memo and the incremental post-EE check.
+// marked-graph image, the verify() memo, the incremental post-EE check and
+// the lazily built CSR adjacency.
 
 #include "plogic/pl_netlist.hpp"
 
+#include <algorithm>
 #include <atomic>
+#include <latch>
+#include <span>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#include "ee/ee_transform.hpp"
+#include "plogic/pl_mapper.hpp"
+#include "sim/pl_sim.hpp"
+#include "sim/stimulus.hpp"
+#include "workload/workload.hpp"
 
 namespace plee::pl {
 namespace {
@@ -52,7 +62,8 @@ TEST(PlNetlist, CountsAndAccessors) {
     EXPECT_EQ(f.pl.num_ack_edges(), 4u);
     EXPECT_EQ(f.pl.sources().size(), 2u);
     EXPECT_EQ(f.pl.sinks().size(), 1u);
-    EXPECT_EQ(f.pl.gate(f.g1).data_in.size(), 2u);
+    EXPECT_EQ(f.pl.data_in(f.g1).size(), 2u);
+    EXPECT_EQ(f.pl.name(f.g1), "g1");
 }
 
 TEST(PlNetlist, VerifiesLiveAndSafe) {
@@ -100,15 +111,16 @@ TEST(PlNetlist, AttachTriggerWiring) {
     EXPECT_EQ(trigger.master, f.g1);
     EXPECT_EQ(trigger.kind, gate_kind::trigger);
     EXPECT_EQ(trigger.trigger_support, 0b01u);
-    ASSERT_EQ(trigger.data_in.size(), 1u);
+    ASSERT_EQ(f.pl.data_in(trig).size(), 1u);
+    EXPECT_EQ(f.pl.name(trig), "g1_ee");
     // The trigger taps the same producer as master pin 0.
-    EXPECT_EQ(f.pl.edge(trigger.data_in[0]).from,
-              f.pl.edge(master.data_in[0]).from);
+    EXPECT_EQ(f.pl.edge(f.pl.data_in(trig)[0]).from,
+              f.pl.edge(f.pl.data_in(f.g1)[0]).from);
     // efire edge runs trigger -> master and is not a LUT pin.
     ASSERT_NE(master.efire_in, k_invalid_edge);
     EXPECT_EQ(f.pl.edge(master.efire_in).from, trig);
     EXPECT_EQ(f.pl.edge(master.efire_in).to_pin, -1);
-    EXPECT_EQ(master.data_in.size(), 2u);  // pins unchanged
+    EXPECT_EQ(f.pl.data_in(f.g1).size(), 2u);  // pins unchanged
 
     // The pairing keeps the marked graph healthy.
     EXPECT_TRUE(f.pl.verify().ok());
@@ -346,6 +358,136 @@ TEST(PlNetlist, IncrementalCheckRejectsMismarkedGadgets) {
     const edge_id first = append_gadget(f, false, -1, true);
     EXPECT_FALSE(verify_appended(f.pl, first).ok());
     EXPECT_TRUE(f.pl.verify().ok());
+}
+
+// --- Adjacency --------------------------------------------------------------
+
+std::vector<edge_id> list(std::span<const edge_id> s) { return {s.begin(), s.end()}; }
+
+/// The adjacency oracle: one scan of the edge array in id order gives every
+/// gate's in- and out-lists, and its data edges ordered by pin give its
+/// data pins.
+void expect_adjacency_matches_edge_scan(const pl_netlist& pl) {
+    std::vector<std::vector<edge_id>> in(pl.num_gates());
+    std::vector<std::vector<edge_id>> out(pl.num_gates());
+    std::vector<std::vector<edge_id>> pins(pl.num_gates());
+    for (edge_id e = 0; e < pl.num_edges(); ++e) {
+        const pl_edge& edge = pl.edge(e);
+        in[edge.to].push_back(e);
+        out[edge.from].push_back(e);
+        if (edge.kind == edge_kind::data && edge.to_pin >= 0) pins[edge.to].push_back(e);
+    }
+    for (gate_id g = 0; g < pl.num_gates(); ++g) {
+        std::stable_sort(pins[g].begin(), pins[g].end(), [&](edge_id a, edge_id b) {
+            return pl.edge(a).to_pin < pl.edge(b).to_pin;
+        });
+        for (std::size_t p = 0; p < pins[g].size(); ++p) {
+            ASSERT_EQ(pl.edge(pins[g][p]).to_pin, static_cast<int>(p)) << "gate " << g;
+        }
+        ASSERT_EQ(list(pl.in_edges(g)), in[g]) << "gate " << g;
+        ASSERT_EQ(list(pl.out_edges(g)), out[g]) << "gate " << g;
+        ASSERT_EQ(list(pl.data_in(g)), pins[g]) << "gate " << g;
+        ASSERT_EQ(pl.gate(g).num_data, pins[g].size()) << "gate " << g;
+    }
+}
+
+/// Maps a seeded preset, checks the oracle, then re-attaches on a fresh map
+/// the triggers the EE pass chose, one at a time, checking after each.
+void expect_adjacency_through_ee(wl::scenario kind, std::size_t gates,
+                                 std::uint64_t seed, bool share_feedbacks) {
+    SCOPED_TRACE(std::string(wl::to_string(kind)) + " seed " + std::to_string(seed));
+    const nl::netlist sync = wl::generate(wl::scenario_params(kind, gates, seed));
+    map_options options;
+    options.share_feedbacks = share_feedbacks;
+    map_result reference = map_to_phased_logic(sync, options);
+    const ee::ee_stats stats = ee::apply_early_evaluation(reference.pl);
+    ASSERT_GT(stats.triggers_added, 0u);
+
+    map_result mapped = map_to_phased_logic(sync, options);
+    expect_adjacency_matches_edge_scan(mapped.pl);
+    for (const ee::applied_trigger& at : stats.applied) {
+        const gate_id trig = mapped.pl.attach_trigger(at.master, at.candidate.function,
+                                                      at.candidate.support);
+        ASSERT_EQ(trig, at.trigger);
+        expect_adjacency_matches_edge_scan(mapped.pl);
+    }
+    EXPECT_TRUE(mapped.pl.reverify().ok());
+    ASSERT_EQ(mapped.pl.num_edges(), reference.pl.num_edges());
+    for (gate_id g = 0; g < mapped.pl.num_gates(); ++g) {
+        ASSERT_EQ(list(mapped.pl.in_edges(g)), list(reference.pl.in_edges(g)));
+        ASSERT_EQ(list(mapped.pl.out_edges(g)), list(reference.pl.out_edges(g)));
+        ASSERT_EQ(mapped.pl.name(g), reference.pl.name(g));
+    }
+}
+
+TEST(PlNetlist, AdjacencyMatchesEdgeScanOnHandBuiltNetlists) {
+    chain_fixture f;
+    expect_adjacency_matches_edge_scan(f.pl);
+    f.pl.attach_trigger(f.g1, ~bf::truth_table::variable(1, 0), 0b01);
+    expect_adjacency_matches_edge_scan(f.pl);
+    // Interleaved queries and mutations: every query sees the latest edges.
+    chain_fixture g;
+    const gate_id t = g.pl.add_gate(gate_kind::compute, "t");
+    g.pl.set_function(t, and2());
+    expect_adjacency_matches_edge_scan(g.pl);
+    g.pl.add_data_edge(g.src_a, t, 0, false, false);
+    expect_adjacency_matches_edge_scan(g.pl);
+    g.pl.add_data_edge(g.g2, t, 1, true, true);
+    g.pl.add_ack_edge(t, g.src_a, true);
+    expect_adjacency_matches_edge_scan(g.pl);
+    // A copy and a moved-to netlist rebuild the lists on their first query.
+    const pl_netlist copy = g.pl;
+    expect_adjacency_matches_edge_scan(copy);
+    pl_netlist moved = std::move(g.pl);
+    expect_adjacency_matches_edge_scan(moved);
+    moved.add_ack_edge(t, g.g2, false);
+    expect_adjacency_matches_edge_scan(moved);
+    expect_adjacency_matches_edge_scan(copy);
+}
+
+TEST(PlNetlist, AdjacencyMatchesEdgeScanThroughEveryAttachTrigger) {
+    expect_adjacency_through_ee(wl::scenario::random_dag, 120, 7, true);
+    expect_adjacency_through_ee(wl::scenario::datapath_like, 120, 11, true);
+    expect_adjacency_through_ee(wl::scenario::control_fsm, 120, 3, false);
+    expect_adjacency_through_ee(wl::scenario::lut8_datapath, 80, 5, true);
+}
+
+TEST(PlNetlist, ConcurrentSimulatorCompilesShareOneLazyAdjacency) {
+    // Several threads compile simulators on one const netlist whose CSR (and
+    // verify memo) a mutation just cleared; each must see the same schedule.
+    const nl::netlist sync =
+        wl::generate(wl::scenario_params(wl::scenario::datapath_like, 600, 9));
+    map_result mapped = map_to_phased_logic(sync);
+    ee::apply_early_evaluation(mapped.pl);
+    gate_id g = 0;
+    while (mapped.pl.gate(g).kind != gate_kind::compute) ++g;
+    mapped.pl.set_function(g, mapped.pl.gate(g).function);
+    ASSERT_FALSE(mapped.pl.verified());
+    const pl_netlist& shared = mapped.pl;
+    const std::vector<sim::stimulus_block> blocks =
+        sim::make_stimulus(64, shared.sources().size(), 4);
+
+    constexpr int k_threads = 4;
+    std::vector<sim::lane_block_result> results(k_threads);
+    std::latch start(k_threads);  // every thread starts its compile at once
+    std::vector<std::thread> threads;
+    for (int t = 0; t < k_threads; ++t) {
+        threads.emplace_back([&shared, &blocks, &results, &start, t] {
+            start.arrive_and_wait();
+            sim::pl_simulator simulator(shared);
+            results[static_cast<std::size_t>(t)] = simulator.run_lanes(blocks.front());
+        });
+    }
+    for (std::thread& t : threads) t.join();
+    EXPECT_TRUE(shared.verified());
+    sim::pl_simulator serial(shared);
+    const sim::lane_block_result expected = serial.run_lanes(blocks.front());
+    for (const sim::lane_block_result& r : results) {
+        EXPECT_EQ(r.outputs, expected.outputs);
+        EXPECT_EQ(r.input_stable, expected.input_stable);
+        EXPECT_EQ(r.output_stable, expected.output_stable);
+    }
+    expect_adjacency_matches_edge_scan(shared);
 }
 
 TEST(PlNetlist, KindNames) {

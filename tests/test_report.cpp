@@ -131,7 +131,9 @@ TEST(Experiment, TraceNamesEachStageOnceInPipelineOrder) {
                                                 "measure.ee"}));
     EXPECT_EQ(children,
               (std::vector<std::string>{"measure.reference/sim.golden",
+                                        "measure.plain/sim.compile",
                                         "measure.plain/sim.run",
+                                        "measure.ee/sim.compile",
                                         "measure.ee/sim.run"}));
 }
 

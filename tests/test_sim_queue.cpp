@@ -157,7 +157,7 @@ TEST(SimQueue, WideArityLut6PlusPipelineBitIdentical) {
         std::size_t wide_masters = 0;
         std::size_t widest_pins = 0;
         for (const ee::applied_trigger& at : stats.applied) {
-            const std::size_t pins = mapped.pl.gate(at.master).data_in.size();
+            const std::size_t pins = mapped.pl.data_in(at.master).size();
             widest_pins = std::max(widest_pins, pins);
             if (pins > 6) ++wide_masters;
             // Every attached trigger re-derives exactly from the master via
@@ -329,10 +329,9 @@ TEST(SimQueue, EeMismatchNamesTheEventCountBeforeTheFiring) {
     ASSERT_FALSE(stats.applied.empty());
     pl::pl_netlist& pl = mapped.pl;
     const ee::applied_trigger& at = stats.applied.front();
-    const pl::pl_gate& master = pl.gate(at.master);
     std::uint32_t extra_pin = 0;
     while ((at.candidate.support >> extra_pin) & 1u) ++extra_pin;
-    const pl::pl_edge tap = pl.edge(master.data_in[extra_pin]);
+    const pl::pl_edge tap = pl.edge(pl.data_in(at.master)[extra_pin]);
     const int k = at.candidate.function.num_vars();
     pl.add_data_edge(tap.from, at.trigger, k, tap.init_token, tap.init_value);
     pl.add_ack_edge(at.trigger, tap.from, !tap.init_token);
@@ -442,9 +441,9 @@ void expect_trace_contract(const pl::pl_netlist& pl,
     std::vector<double> input_stable(waves, 0.0);
     std::vector<double> output_stable(waves, 0.0);
     for (std::size_t i = 0; i < pl.sources().size(); ++i) {
-        const pl::pl_gate& src = pl.gate(pl.sources()[i]);
-        if (src.out_edges.empty()) continue;
-        const auto& deps = by_edge[src.out_edges.front()];
+        const auto outs = pl.out_edges(pl.sources()[i]);
+        if (outs.empty()) continue;
+        const auto& deps = by_edge[outs.front()];
         ASSERT_EQ(deps.size(), waves) << label << " source " << i;
         for (std::size_t k = 0; k < waves; ++k) {
             EXPECT_EQ(deps[k]->value, vectors[k][i]) << label << " wave " << k;
@@ -454,7 +453,7 @@ void expect_trace_contract(const pl::pl_netlist& pl,
     for (std::size_t j = 0; j < pl.sinks().size(); ++j) {
         // A sink fed straight from a register reads wave 0 from the initial
         // marking, which is not traced: its k-th deposit is wave k + 1.
-        const pl::edge_id in = pl.gate(pl.sinks()[j]).data_in.front();
+        const pl::edge_id in = pl.data_in(pl.sinks()[j]).front();
         const std::size_t skip = pl.edge(in).init_token ? 1 : 0;
         const auto& deps = by_edge[in];
         ASSERT_EQ(deps.size(), waves) << label << " sink " << j;

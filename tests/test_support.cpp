@@ -7,6 +7,7 @@
 
 #include <bit>
 #include <set>
+#include <stdexcept>
 
 namespace plee::bf {
 namespace {
@@ -58,6 +59,22 @@ TEST(Support, NonContiguousSupportMask) {
     EXPECT_EQ(subsets.size(), 2u);
     EXPECT_EQ(subsets[0], 0b001u);
     EXPECT_EQ(subsets[1], 0b100u);
+}
+
+TEST(Support, ServedListsMatchTheEnumeration) {
+    // All 81 (arity, size limit) lists, in order, plus the clamped limits.
+    for (int n = 0; n <= 8; ++n) {
+        for (int k = 0; k <= 8; ++k) {
+            EXPECT_EQ(support_subsets(n, k),
+                      enumerate_support_subsets((1u << n) - 1, k))
+                << "n=" << n << " k=" << k;
+        }
+        EXPECT_EQ(&support_subsets(n, 12), &support_subsets(n, 8));
+        EXPECT_EQ(&support_subsets(n, -1), &support_subsets(n, 0));
+    }
+    EXPECT_EQ(support_subsets(4, 3).size(), 14u);
+    EXPECT_THROW(support_subsets(9, 3), std::invalid_argument);
+    EXPECT_THROW(support_subsets(-1, 3), std::invalid_argument);
 }
 
 TEST(Support, MembersAscending) {

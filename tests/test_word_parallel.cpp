@@ -19,7 +19,7 @@ namespace {
 TEST(WordParallel, ExactTriggerMatchesScalarOnAllLut4Masters) {
     for (std::uint32_t f = 0; f <= 0xffffu; ++f) {
         const bf::truth_table master(4, f);
-        for (std::uint32_t s : bf::cached_support_subsets(0xf, 3)) {
+        for (std::uint32_t s : bf::support_subsets(4, 3)) {
             const bf::truth_table word = exact_trigger_function(master, s);
             const bf::truth_table ref = scalar::exact_trigger_function(master, s);
             ASSERT_EQ(word, ref) << "master=" << f << " support=" << s;
@@ -30,7 +30,7 @@ TEST(WordParallel, ExactTriggerMatchesScalarOnAllLut4Masters) {
 TEST(WordParallel, CoveredMintermsMatchesScalarOnAllLut4Masters) {
     for (std::uint32_t f = 0; f <= 0xffffu; ++f) {
         const bf::truth_table master(4, f);
-        for (std::uint32_t s : bf::cached_support_subsets(0xf, 3)) {
+        for (std::uint32_t s : bf::support_subsets(4, 3)) {
             const bf::truth_table trig = exact_trigger_function(master, s);
             ASSERT_EQ(covered_minterms(master, s, trig),
                       scalar::covered_minterms(master, s, trig))
@@ -43,7 +43,7 @@ TEST(WordParallel, CubeListTriggerMatchesScalarOnAllLut4Masters) {
     for (std::uint32_t f = 0; f <= 0xffffu; ++f) {
         const bf::truth_table master(4, f);
         const bf::on_off_cover cover = bf::make_on_off_cover(master);
-        for (std::uint32_t s : bf::cached_support_subsets(0xf, 3)) {
+        for (std::uint32_t s : bf::support_subsets(4, 3)) {
             const bf::truth_table word = cube_list_trigger_function(master, cover, s);
             const bf::truth_table ref =
                 scalar::cube_list_trigger_function(master, cover, s);
@@ -88,8 +88,7 @@ TEST(WordParallel, FiveAndSixVariableMastersMatchScalar) {
             const std::uint64_t mask =
                 n == 6 ? ~std::uint64_t{0} : ((std::uint64_t{1} << (1u << n)) - 1);
             const bf::truth_table master(n, state & mask);
-            const std::uint32_t pins = (1u << n) - 1;
-            for (std::uint32_t s : bf::cached_support_subsets(pins, n - 1)) {
+            for (std::uint32_t s : bf::support_subsets(n, n - 1)) {
                 const bf::truth_table word = exact_trigger_function(master, s);
                 ASSERT_EQ(word, scalar::exact_trigger_function(master, s))
                     << "n=" << n << " support=" << s;

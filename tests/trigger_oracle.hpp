@@ -111,9 +111,8 @@ inline search_result find_best_trigger(const bf::truth_table& master,
     if (options.method == trigger_method::cube_list) {
         cover = bf::make_on_off_cover(master);
     }
-    const std::uint32_t all_pins = (1u << master.num_vars()) - 1;
     for (std::uint32_t support :
-         bf::cached_support_subsets(all_pins, options.max_support_size)) {
+         bf::support_subsets(master.num_vars(), options.max_support_size)) {
         trigger_candidate cand;
         cand.support = support;
         cand.function = options.method == trigger_method::exact

@@ -286,9 +286,9 @@ int main(int argc, char** argv) {
                         if (!pins.empty()) pins += ",";
                         pins += std::to_string(p);
                     }
-                    t.add_row({mapped.pl.gate(at.master).name.empty()
+                    t.add_row({mapped.pl.name(at.master).empty()
                                    ? "g" + std::to_string(at.master)
-                                   : mapped.pl.gate(at.master).name,
+                                   : std::string(mapped.pl.name(at.master)),
                                pins, at.candidate.function.to_string(),
                                report::fmt(at.candidate.coverage_percent, 0) + "%",
                                std::to_string(at.candidate.master_max_arrival),
