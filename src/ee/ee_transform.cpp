@@ -6,8 +6,8 @@
 #include <stdexcept>
 #include <thread>
 
+#include "obs/flight_recorder.hpp"
 #include "obs/registry.hpp"
-#include "rt/errors.hpp"
 
 namespace plee::ee {
 
@@ -22,18 +22,16 @@ struct search_job {
 /// shared counter, writing each best candidate to its own slot — the output
 /// is position-addressed, so any work interleaving yields the same result.
 void search_worker(const pl::pl_netlist& pl, const std::vector<search_job>& jobs,
-                   const ee_options& options, std::atomic<std::size_t>& next,
+                   const search_options& search, const job_context& ctx,
+                   std::atomic<std::size_t>& next,
                    std::vector<std::optional<trigger_candidate>>& best) {
-    const search_options& search = options.search;
     constexpr std::size_t k_chunk = 16;
     for (;;) {
         const std::size_t begin = next.fetch_add(k_chunk, std::memory_order_relaxed);
         if (begin >= jobs.size()) return;
-        if (options.cancel != nullptr && options.cancel->expired()) {
-            throw job_timeout("ee.search", options.context, begin);
-        }
-        if (options.recorder != nullptr) {
-            options.recorder->record("ee.chunk", begin, jobs.size());
+        ctx.poll("ee.search", begin);
+        if (ctx.recorder != nullptr) {
+            ctx.recorder->record("ee.chunk", begin, jobs.size());
         }
         const std::size_t end = std::min(begin + k_chunk, jobs.size());
         for (std::size_t i = begin; i < end; ++i) {
@@ -46,7 +44,8 @@ void search_worker(const pl::pl_netlist& pl, const std::vector<search_job>& jobs
 
 }  // namespace
 
-ee_stats apply_early_evaluation(pl::pl_netlist& pl, const ee_options& options) {
+ee_stats apply_early_evaluation(pl::pl_netlist& pl, const ee_options& options,
+                                const job_context& ctx) {
     ee_stats stats;
     const std::vector<int> arrival = pl.arrival_depth();
 
@@ -78,7 +77,7 @@ ee_stats apply_early_evaluation(pl::pl_netlist& pl, const ee_options& options) {
 
     std::atomic<std::size_t> next{0};
     if (threads <= 1) {
-        search_worker(pl, jobs, options, next, best);
+        search_worker(pl, jobs, options.search, ctx, next, best);
     } else {
         std::vector<std::exception_ptr> errors(threads);
         std::vector<std::thread> pool;
@@ -89,14 +88,14 @@ ee_stats apply_early_evaluation(pl::pl_netlist& pl, const ee_options& options) {
         for (unsigned t = 1; t < threads; ++t) {
             pool.emplace_back([&, t] {
                 try {
-                    search_worker(pl, jobs, options, next, best);
+                    search_worker(pl, jobs, options.search, ctx, next, best);
                 } catch (...) {
                     errors[t] = std::current_exception();
                 }
             });
         }
         try {
-            search_worker(pl, jobs, options, next, best);
+            search_worker(pl, jobs, options.search, ctx, next, best);
         } catch (...) {
             errors[0] = std::current_exception();
         }
@@ -127,12 +126,14 @@ ee_stats apply_early_evaluation(pl::pl_netlist& pl, const ee_options& options) {
     }
 
     // Process-wide pass accounting; one flush per transform, not per gate.
-    static obs::counter& masters =
-        obs::registry::global().get_counter("ee.masters_considered");
-    static obs::counter& triggers =
-        obs::registry::global().get_counter("ee.triggers_added");
-    masters.add(stats.masters_considered);
-    triggers.add(stats.triggers_added);
+    if (ctx.telemetry) {
+        static obs::counter& masters =
+            obs::registry::global().get_counter("ee.masters_considered");
+        static obs::counter& triggers =
+            obs::registry::global().get_counter("ee.triggers_added");
+        masters.add(stats.masters_considered);
+        triggers.add(stats.triggers_added);
+    }
     return stats;
 }
 

@@ -15,13 +15,11 @@
 
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "ee/trigger_search.hpp"
-#include "obs/flight_recorder.hpp"
 #include "plogic/pl_netlist.hpp"
-#include "rt/cancel.hpp"
+#include "rt/job_context.hpp"
 
 namespace plee::ee {
 
@@ -33,20 +31,6 @@ struct ee_options {
     /// netlist mutation phase stays serial in gate order — so the transform
     /// is bit-identical for every thread count.
     unsigned num_threads = 0;
-    /// Cooperative cancellation: every worker polls the token at each
-    /// work-queue chunk and raises plee::job_timeout when it has expired, so
-    /// a pathological search stops within one chunk of extra work.  Not
-    /// owned; null = never cancelled.
-    cancel_token* cancel = nullptr;
-    /// Job label for cancellation messages ("b05" = job id).  Empty is
-    /// fine for standalone passes.
-    std::string context;
-    /// Flight recorder: every worker records an "ee.chunk" event per
-    /// work-queue chunk it claims (the same cadence as the cancel poll), so
-    /// a post-mortem shows how deep the trigger search got.  The recorder is
-    /// internally synchronized, so one per-job instance serves all worker
-    /// threads.  Not owned; null = off.
-    obs::flight_recorder* recorder = nullptr;
 };
 
 /// One applied master/trigger pair, for reporting.
@@ -63,7 +47,13 @@ struct ee_stats {
 };
 
 /// Applies Early Evaluation in place.  Arrival depths are computed once on
-/// the incoming netlist (the paper's static arrival model).
-ee_stats apply_early_evaluation(pl::pl_netlist& pl, const ee_options& options = {});
+/// the incoming netlist (the paper's static arrival model).  Every search
+/// worker polls `ctx` at each work-queue chunk it claims (site "ee.search",
+/// progress = the chunk's first master), so a pathological search stops
+/// within one chunk of extra work, and records an "ee.chunk" beat (first
+/// master, masters) on ctx.recorder.  With ctx.telemetry the pass adds its
+/// stats to the ee.* registry counters.
+ee_stats apply_early_evaluation(pl::pl_netlist& pl, const ee_options& options = {},
+                                const job_context& ctx = {});
 
 }  // namespace plee::ee

@@ -3,56 +3,44 @@
 #include <utility>
 
 #include "obs/sink.hpp"
+#include "obs/span.hpp"
 #include "report/json.hpp"
-#include "rt/errors.hpp"
 
 namespace plee::report {
 
 experiment_row run_ee_experiment(const std::string& description,
                                  const nl::netlist& netlist,
-                                 const experiment_options& options) {
+                                 const experiment_options& options,
+                                 const job_context& context) {
     experiment_row row;
     row.description = description;
 
     // One label for the whole run, so every typed error names the job.
-    const std::string label =
-        options.label.empty() ? description : options.label;
-    sim::measure_options measure = options.measure;
-    measure.sim.label = label;
-    measure.sim.cancel = options.cancel;
-    measure.sim.recorder = options.recorder;
-    measure.trace = options.trace;
-    ee::ee_options ee_opts = options.ee;
-    ee_opts.cancel = options.cancel;
-    ee_opts.context = label;
-    ee_opts.recorder = options.recorder;
-    const auto stage_gate = [&](const char* stage) {
-        if (options.cancel != nullptr && options.cancel->expired()) {
-            throw job_timeout(stage, label, 0);
-        }
-    };
+    job_context ctx = context;
+    if (ctx.label.empty()) ctx.label = description;
 
     // Baseline: plain Phased Logic.  Each stage opens its own top-level span
     // (sim.golden nests inside measure.reference, sim.compile and sim.run
     // inside each measure arm), so the trace reads as the stage sequence of
     // the header comment.
-    stage_gate("pipeline.map");
+    ctx.poll("pipeline.map", 0);
     pl::map_result mapped = [&] {
-        const obs::scoped_span span(options.trace, "map_to_pl");
+        const obs::scoped_span span(ctx.trace, "map_to_pl");
         return pl::map_to_phased_logic(netlist, options.map);
     }();
     row.pl_gates = mapped.pl.num_pl_gates();
     // One stimulus and one golden run serve both arms: the EE transform adds
     // no sources, so both draw the same vectors.
     const sim::measure_reference reference = [&] {
-        const obs::scoped_span span(options.trace, "measure.reference");
+        const obs::scoped_span span(ctx.trace, "measure.reference");
         return sim::make_measure_reference(&netlist, mapped.pl.sources().size(),
-                                           measure);
+                                           options.measure, ctx);
     }();
     sim::measure_result base;
     {
-        const obs::scoped_span span(options.trace, "measure.plain");
-        base = sim::measure_average_delay(mapped.pl, reference, measure);
+        const obs::scoped_span span(ctx.trace, "measure.plain");
+        base = sim::measure_average_delay(mapped.pl, reference, options.measure,
+                                          ctx);
     }
     row.delay_no_ee = base.avg_delay;
     row.stats_no_ee = base.stats;
@@ -61,23 +49,24 @@ experiment_row run_ee_experiment(const std::string& description,
 
     // Early Evaluation applied in place to the measured mapping: its
     // simulator is gone, and row.pl_gates was read above.
-    stage_gate("pipeline.ee");
+    ctx.poll("pipeline.ee", 0);
     {
-        const obs::scoped_span span(options.trace, "ee.search");
-        row.ee_detail = ee::apply_early_evaluation(mapped.pl, ee_opts);
+        const obs::scoped_span span(ctx.trace, "ee.search");
+        row.ee_detail = ee::apply_early_evaluation(mapped.pl, options.ee, ctx);
     }
     row.ee_gates = mapped.pl.num_trigger_gates();
     sim::measure_result with_ee;
     {
-        const obs::scoped_span span(options.trace, "measure.ee");
-        with_ee = sim::measure_average_delay(mapped.pl, reference, measure);
+        const obs::scoped_span span(ctx.trace, "measure.ee");
+        with_ee = sim::measure_average_delay(mapped.pl, reference,
+                                             options.measure, ctx);
     }
     row.delay_ee = with_ee.avg_delay;
     row.stats_ee = with_ee.stats;
     row.sim_wall_ms += with_ee.sim_wall_ms;
     row.delay_hist_ee = std::move(with_ee.delay_hist);
 
-    row.lanes = measure.lanes;
+    row.lanes = options.measure.lanes;
     row.vectors_measured = base.delays.size() + with_ee.delays.size();
 
     row.delay_diff = row.delay_no_ee - row.delay_ee;

@@ -16,11 +16,9 @@
 
 #include "ee/ee_transform.hpp"
 #include "netlist/netlist.hpp"
-#include "obs/flight_recorder.hpp"
 #include "obs/histogram.hpp"
-#include "obs/span.hpp"
 #include "plogic/pl_mapper.hpp"
-#include "rt/cancel.hpp"
+#include "rt/job_context.hpp"
 #include "sim/measure.hpp"
 
 namespace plee::report {
@@ -29,26 +27,6 @@ struct experiment_options {
     pl::map_options map{};
     ee::ee_options ee{};
     sim::measure_options measure{};
-    /// Cooperative cancellation for the whole pipeline run: polled between
-    /// stages, per stimulus block of the golden run, inside the EE search
-    /// chunks and inside the simulator event loops.  Expiry raises
-    /// plee::job_timeout.  Not owned.
-    cancel_token* cancel = nullptr;
-    /// Job label threaded into every typed error; the fleet runner sets the
-    /// job id, standalone runs default to the row description.
-    std::string label;
-    /// Per-job trace: the pipeline opens one span per stage, once each
-    /// (map_to_pl → measure.reference → measure.plain → ee.search →
-    /// measure.ee), with a sim.golden child inside measure.reference and
-    /// sim.compile (the wave schedule) and sim.run children, in that order,
-    /// inside each measure arm.  Spans close on exception
-    /// unwind, so a failed run still carries a partial breakdown.  Not
-    /// owned; null = untraced.
-    obs::trace* trace = nullptr;
-    /// Per-job flight recorder, threaded into both simulator engines and the
-    /// EE search (progress beats at the cancel-check cadence).  Not owned;
-    /// null = off.
-    obs::flight_recorder* recorder = nullptr;
 };
 
 struct experiment_row {
@@ -93,10 +71,19 @@ struct experiment_row {
     }
 };
 
-/// Runs the full pipeline on one benchmark circuit.
+/// Runs the full pipeline on one benchmark circuit, handing `ctx` to every
+/// stage; an empty ctx.label becomes `description`.  `ctx` is polled before
+/// the mapping (site "pipeline.map") and before the EE pass
+/// ("pipeline.ee"), and the stages poll it inside.  On ctx.trace the pass
+/// opens one span per stage, once each (map_to_pl → measure.reference →
+/// measure.plain → ee.search → measure.ee), with a sim.golden child inside
+/// measure.reference and sim.compile (the wave schedule) and sim.run
+/// children, in that order, inside each measure arm.  Spans close on
+/// exception unwind, so a failed run still carries a partial breakdown.
 experiment_row run_ee_experiment(const std::string& description,
                                  const nl::netlist& netlist,
-                                 const experiment_options& options = {});
+                                 const experiment_options& options = {},
+                                 const job_context& ctx = {});
 
 class json;
 

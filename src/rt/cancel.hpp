@@ -1,15 +1,14 @@
 // cancel.hpp — cooperative cancellation/deadline token.
 //
-// A cancel_token is owned by whoever supervises a job (the fleet runner, a
-// future plee_serve admission layer) and threaded by pointer through the
-// pipeline stages (report::run_ee_experiment -> ee::apply_early_evaluation,
-// sim::pl_simulator).  The stages poll it at bounded intervals — the
-// simulator event loops every k_cancel_check_events events, the stimulus
-// draw and the golden model once per 64-vector stimulus block, the EE search
-// at every work-queue chunk — and raise plee::job_timeout when it has
-// tripped, so a
-// pathological job stops within a bounded amount of extra work instead of
-// hanging its worker thread forever.
+// A cancel_token is owned by whoever supervises a job (the fleet runner,
+// plee_flow's signal handler) and reaches the pipeline stages through the
+// job's plee::job_context (rt/job_context.hpp).  The stages poll it at
+// bounded intervals — the simulator every k_cancel_check_events events, the
+// stimulus draw and the golden model once per 64-vector stimulus block, the
+// EE search at every work-queue chunk — and job_context::poll raises
+// plee::job_timeout when it has tripped, so a pathological job stops within
+// a bounded amount of extra work instead of hanging its worker thread
+// forever.
 //
 // The flag is monotonic (set-once); the deadline is fixed before the job
 // starts.  Polling costs one relaxed atomic load; steady_clock::now() is

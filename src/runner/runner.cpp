@@ -16,8 +16,8 @@ namespace plee::runner {
 
 namespace {
 
-/// Runs one job once, under a fresh deadline-armed cancel token, and fills
-/// its slot's row/status/error.  Never throws.
+/// Runs one job once, under a fresh job context with a deadline-armed
+/// cancel token, and fills its slot's row/status/error.  Never throws.
 void run_job(const fleet_job& job, const report::experiment_options& experiment,
              const fleet_options& options, job_result& out) {
     const wall_timer timer;
@@ -31,22 +31,19 @@ void run_job(const fleet_job& job, const report::experiment_options& experiment,
     // Chain under the fleet-wide interrupt token: a SIGINT cancels this job
     // at its next cooperative poll, same path as a deadline.
     token.set_parent(options.fleet_cancel);
-    report::experiment_options opts = experiment;
-    opts.cancel = &token;
-    opts.label = job.id;
-    if (job.max_events != 0) opts.measure.sim.max_events = job.max_events;
-    if (job.lanes != 0) opts.measure.lanes = job.lanes;
-    if (options.telemetry) {
-        opts.trace = &trace;
-        opts.recorder = &recorder;
-    }
+    const job_context ctx{.label = job.id,
+                          .cancel = &token,
+                          .trace = options.telemetry ? &trace : nullptr,
+                          .recorder = options.telemetry ? &recorder : nullptr,
+                          .telemetry = options.telemetry};
     const auto fail = [&](job_status status, const char* tag, const char* what) {
         out.status = status;
         out.error = what;
         if (options.telemetry) recorder.record_note(tag, out.error);
     };
     try {
-        out.row = report::run_ee_experiment(job.description, job.netlist, opts);
+        out.row = report::run_ee_experiment(job.description, job.netlist,
+                                            experiment, ctx);
         out.status = job_status::ok;
     } catch (const job_timeout& e) {
         fail(job_status::timed_out, "job.timeout", e.what());
@@ -111,7 +108,6 @@ fleet_result run_fleet(const std::vector<fleet_job>& jobs,
 
     report::experiment_options experiment = options.experiment;
     experiment.ee.num_threads = 1;
-    experiment.measure.telemetry = options.telemetry;
 
     std::atomic<std::size_t> next{0};
     const wall_timer timer;

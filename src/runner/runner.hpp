@@ -12,12 +12,12 @@
 // fleet result — including every experiment row — is bit-identical for any
 // thread count and any work interleaving.  Only the wall-clock figures vary.
 //
-// Failure contract: each job runs once, under its own cancel token
-// (deadline = fleet_options::job_deadline_ms), and ends ok, failed,
-// timed_out or budget_exhausted.  A non-ok job keeps its error text and is
-// skipped by every fleet aggregate; run_fleet never throws because a job
-// failed, so the fleet always completes with every job's result.  See
-// src/runner/README.md.
+// Failure contract: each job runs once, under its own job_context (label =
+// job id, a cancel token with deadline fleet_options::job_deadline_ms), and
+// ends ok, failed, timed_out or budget_exhausted.  A non-ok job keeps its
+// error text and is skipped by every fleet aggregate; run_fleet never throws
+// because a job failed, so the fleet always completes with every job's
+// result.  See src/runner/README.md.
 
 #pragma once
 
@@ -45,13 +45,6 @@ struct fleet_job {
     std::string id;           ///< short label ("b05", "datapath-like/3", ...)
     std::string description;  ///< free-form, lands in the experiment row
     nl::netlist netlist;
-    /// Per-job override of the simulator event budget (0 = inherit
-    /// experiment.measure.sim.max_events).  Lets one suspect job carry a
-    /// tight budget without constraining the whole fleet.
-    std::uint64_t max_events = 0;
-    /// Per-job override of the measurement lane count (0 = inherit
-    /// experiment.measure.lanes; otherwise 1 or 64).
-    std::size_t lanes = 0;
 };
 
 /// Terminal state of one job.
@@ -69,20 +62,20 @@ struct fleet_options {
     unsigned num_threads = 0;
     /// Per-circuit pipeline knobs (mapping, EE search, measurement).  The
     /// runner runs each job's EE search on one thread (the job shards
-    /// already fill the machine) and sets measure.telemetry from
-    /// `telemetry`, overriding the values set here.
+    /// already fill the machine), overriding ee.num_threads.
     report::experiment_options experiment{};
     /// Per-job wall-clock deadline in ms (0 = none).  Each job gets a fresh
     /// cancel token armed with this deadline; the pipeline stages poll it
     /// cooperatively, so a hung job lands in timed_out within a bounded
     /// overshoot (one check interval) instead of hanging its worker.
     double job_deadline_ms = 0.0;
-    /// Telemetry master switch.  On (default): every job runs with a trace
-    /// (stage spans land in job_result::spans), a flight recorder (dumped
-    /// into job_result::flight for non-ok jobs), per-vector delay histograms,
-    /// and a registry flush.  Off: the pipeline runs with all of it
-    /// compiled in but unwired — the baseline arm of the instrumentation
-    /// overhead A/B in bench_fleet_scaling.
+    /// Telemetry master switch, copied into every job's context.  On
+    /// (default): every job runs with a trace (stage spans land in
+    /// job_result::spans), a flight recorder (dumped into
+    /// job_result::flight for non-ok jobs), per-vector delay histograms,
+    /// and registry flushes.  Off: the pipeline runs with all of it
+    /// compiled in but unwired and leaves the registry alone — the baseline
+    /// arm of the instrumentation overhead A/B in bench_fleet_scaling.
     bool telemetry = true;
     /// Fleet-wide interrupt token (the tools' SIGINT/SIGTERM hook): chained
     /// as the parent of every job token, and polled between jobs, so one

@@ -4,9 +4,9 @@
 // exhaustion, deadlock, and the marked-graph/EE invariant checks —
 // were indistinguishable runtime_error/logic_errors before; a fleet log full
 // of "event budget exhausted" lines could not say which circuit, how far it
-// got, or on which engine.  Each type here carries the circuit label
-// (sim_options::label, set by the fleet runner to the job id), the event
-// count at failure and the engine ("dataflow" for the sequential-wave
+// got, or on which engine.  Each type here carries the circuit label (the
+// job context's label, which the fleet runner sets to the job id), the
+// event count at failure and the engine ("dataflow" for the sequential-wave
 // protocol, "lane" for run_lanes), and renders them into what() as
 // "(after N events, <engine> engine)", so a single log line is actionable.
 

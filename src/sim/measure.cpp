@@ -7,6 +7,7 @@
 
 #include "netlist/sync_sim.hpp"
 #include "obs/registry.hpp"
+#include "obs/span.hpp"
 #include "rt/errors.hpp"
 #include "rt/wall_timer.hpp"
 
@@ -14,11 +15,10 @@ namespace plee::sim {
 
 namespace {
 
-[[noreturn]] void throw_mismatch(const measure_options& options,
-                                 std::size_t mismatched, std::size_t total) {
+[[noreturn]] void throw_mismatch(const job_context& ctx, std::size_t mismatched,
+                                 std::size_t total) {
     throw plee_error(
-        "measure_average_delay[" +
-            (options.sim.label.empty() ? "?" : options.sim.label) +
+        "measure_average_delay[" + (ctx.label.empty() ? "?" : ctx.label) +
             "]: PL outputs diverge from the synchronous golden model on " +
             std::to_string(mismatched) + " of " + std::to_string(total) +
             " waves");
@@ -42,20 +42,21 @@ std::size_t count_mismatches(const measure_reference& reference,
 }
 
 /// Compiles pl's wave schedule inside a sim.compile span.
-pl_simulator compile_simulator(const pl::pl_netlist& pl, const measure_options& options) {
-    const obs::scoped_span span(options.trace, "sim.compile");
-    return pl_simulator(pl, options.sim);
+pl_simulator compile_simulator(const pl::pl_netlist& pl, const measure_options& options,
+                               const job_context& ctx) {
+    const obs::scoped_span span(ctx.trace, "sim.compile");
+    return pl_simulator(pl, options.sim, ctx);
 }
 
 /// Sequential-wave protocol: one run over all vectors.  Both protocols
 /// pack the PL outputs like measure_reference::expected into `outputs`.
 void measure_serial(const pl::pl_netlist& pl, const measure_reference& reference,
-                    const measure_options& options, measure_result& result,
-                    std::vector<std::uint64_t>& outputs) {
-    pl_simulator simulator = compile_simulator(pl, options);
+                    const measure_options& options, const job_context& ctx,
+                    measure_result& result, std::vector<std::uint64_t>& outputs) {
+    pl_simulator simulator = compile_simulator(pl, options, ctx);
     std::vector<wave_record> waves;
     {
-        const obs::scoped_span span(options.trace, "sim.run");
+        const obs::scoped_span span(ctx.trace, "sim.run");
         const wall_timer timer;
         waves = simulator.run_packed(reference.blocks);
         result.sim_wall_ms = timer.elapsed_ms();
@@ -77,14 +78,14 @@ void measure_serial(const pl::pl_netlist& pl, const measure_reference& reference
 
 /// Lane-parallel protocol: 64 independent single-vector runs per block.
 void measure_lanes(const pl::pl_netlist& pl, const measure_reference& reference,
-                   const measure_options& options, measure_result& result,
-                   std::vector<std::uint64_t>& outputs) {
-    pl_simulator simulator = compile_simulator(pl, options);
+                   const measure_options& options, const job_context& ctx,
+                   measure_result& result, std::vector<std::uint64_t>& outputs) {
+    pl_simulator simulator = compile_simulator(pl, options, ctx);
     std::vector<lane_block_result> lane_results;
     lane_results.reserve(reference.blocks.size());
     sim_run_stats total{};
     {
-        const obs::scoped_span span(options.trace, "sim.run");
+        const obs::scoped_span span(ctx.trace, "sim.run");
         const wall_timer timer;
         for (const stimulus_block& block : reference.blocks) {
             lane_results.push_back(simulator.run_lanes(block));
@@ -111,18 +112,10 @@ void measure_lanes(const pl::pl_netlist& pl, const measure_reference& reference,
     }
 }
 
-/// Polled once per stimulus block while drawing the stimulus (`site`
-/// sim.stimulus) and during the golden run (sim.golden): an expired token
-/// raises job_timeout with the vectors done so far, so a deadline stops
-/// either within one block.
-void poll_block(const sim_options& sim, const char* site, std::size_t block) {
-    if (sim.cancel != nullptr && sim.cancel->expired()) {
-        throw job_timeout(site, sim.label, block * k_lanes);
-    }
-}
-
 /// The golden model's outputs on the reference's stimulus, in its layout.
-void run_golden(const nl::netlist& golden, const sim_options& sim,
+/// Polls `ctx` before each block with the vectors done so far, so a
+/// deadline stops it within one block.
+void run_golden(const nl::netlist& golden, const job_context& ctx,
                 measure_reference& reference) {
     const std::vector<nl::cell_id>& outputs = golden.outputs();
     const std::size_t n = outputs.size();
@@ -133,7 +126,7 @@ void run_golden(const nl::netlist& golden, const sim_options& sim,
         nl::sync_simulator gold(golden);
         std::vector<bool> inputs;
         for (std::size_t b = 0; b < reference.blocks.size(); ++b) {
-            poll_block(sim, "sim.golden", b);
+            ctx.poll("sim.golden", b * k_lanes);
             const stimulus_block& block = reference.blocks[b];
             for (std::size_t lane = 0; lane < block.num_vectors; ++lane) {
                 block.extract(lane, inputs);
@@ -150,7 +143,7 @@ void run_golden(const nl::netlist& golden, const sim_options& sim,
     }
     nl::sync_lane_simulator gold(golden);
     for (std::size_t b = 0; b < reference.blocks.size(); ++b) {
-        poll_block(sim, "sim.golden", b);
+        ctx.poll("sim.golden", b * k_lanes);
         const stimulus_block& block = reference.blocks[b];
         gold.reset();
         gold.set_inputs(block.words.data(), block.width);
@@ -175,7 +168,8 @@ std::vector<std::vector<bool>> random_vectors(std::size_t count, std::size_t wid
 
 measure_reference make_measure_reference(const nl::netlist* golden,
                                          std::size_t width,
-                                         const measure_options& options) {
+                                         const measure_options& options,
+                                         const job_context& ctx) {
     if (options.lanes != 1 && options.lanes != k_lanes) {
         throw std::invalid_argument(
             "make_measure_reference: lanes must be 1 or 64");
@@ -198,28 +192,30 @@ measure_reference make_measure_reference(const nl::netlist* golden,
     stimulus_stream stream(width, options.seed);
     reference.blocks.reserve((options.num_vectors + k_lanes - 1) / k_lanes);
     for (std::size_t drawn = 0; drawn < options.num_vectors; drawn += k_lanes) {
-        poll_block(options.sim, "sim.stimulus", drawn / k_lanes);
+        ctx.poll("sim.stimulus", drawn);
         reference.blocks.push_back(
             stream.next(std::min(k_lanes, options.num_vectors - drawn)));
     }
     if (golden != nullptr) {
-        const obs::scoped_span span(options.trace, "sim.golden");
-        run_golden(*golden, options.sim, reference);
+        const obs::scoped_span span(ctx.trace, "sim.golden");
+        run_golden(*golden, ctx, reference);
     }
     return reference;
 }
 
 measure_result measure_average_delay(const pl::pl_netlist& pl,
                                      const nl::netlist* golden,
-                                     const measure_options& options) {
+                                     const measure_options& options,
+                                     const job_context& ctx) {
     return measure_average_delay(
-        pl, make_measure_reference(golden, pl.sources().size(), options),
-        options);
+        pl, make_measure_reference(golden, pl.sources().size(), options, ctx),
+        options, ctx);
 }
 
 measure_result measure_average_delay(const pl::pl_netlist& pl,
                                      const measure_reference& reference,
-                                     const measure_options& options) {
+                                     const measure_options& options,
+                                     const job_context& ctx) {
     if (reference.width != pl.sources().size()) {
         throw std::invalid_argument(
             "measure_average_delay: reference width " +
@@ -243,15 +239,13 @@ measure_result measure_average_delay(const pl::pl_netlist& pl,
     result.lanes = options.lanes;
     std::vector<std::uint64_t> outputs;
     if (options.lanes == 1) {
-        measure_serial(pl, reference, options, result, outputs);
+        measure_serial(pl, reference, options, ctx, result, outputs);
     } else {
-        measure_lanes(pl, reference, options, result, outputs);
+        measure_lanes(pl, reference, options, ctx, result, outputs);
     }
     if (reference.golden) {
-        result.mismatched_waves = count_mismatches(reference, outputs);
-        if (result.mismatched_waves > 0 && options.require_functional_match) {
-            throw_mismatch(options, result.mismatched_waves, result.delays.size());
-        }
+        const std::size_t mismatched = count_mismatches(reference, outputs);
+        if (mismatched > 0) throw_mismatch(ctx, mismatched, result.delays.size());
     }
 
     double sum = 0.0;
@@ -272,7 +266,7 @@ measure_result measure_average_delay(const pl::pl_netlist& pl,
         result.stddev = std::sqrt(variance);
     }
 
-    if (options.telemetry) {
+    if (ctx.telemetry) {
         // Distribution + registry flush happen once per measurement, off the
         // simulator's hot path: the per-event cost of telemetry is zero.
         for (const double d : result.delays) {

@@ -15,9 +15,9 @@
 // it.  Both depend only on the golden netlist, the source count and the
 // options, so a Table 3 row builds one reference and measures its plain and
 // its EE netlist against it (the EE transform adds no sources): one stimulus
-// draw and one golden run per row.  Each measurement still counts its own
-// mismatches.  measure_average_delay(pl, golden, options) builds a
-// reference and measures once.
+// draw and one golden run per row.  Each measurement still checks its own
+// outputs.  measure_average_delay(pl, golden, options) builds a reference
+// and measures once.
 //
 // Two stimulus protocols, selected by measure_options::lanes:
 //
@@ -45,8 +45,8 @@
 
 #include "netlist/netlist.hpp"
 #include "obs/histogram.hpp"
-#include "obs/span.hpp"
 #include "plogic/pl_netlist.hpp"
+#include "rt/job_context.hpp"
 #include "sim/pl_sim.hpp"
 #include "sim/stimulus.hpp"
 
@@ -61,17 +61,6 @@ struct measure_options {
     /// throws std::invalid_argument.
     std::size_t lanes = 1;
     sim_options sim{};
-    /// Throw a plee_error if PL outputs diverge from the golden
-    /// outputs ("... diverge from the synchronous golden model on k of n
-    /// waves"); when false, only measure_result::mismatched_waves says so.
-    bool require_functional_match = true;
-    /// Per-job trace to hang "sim.compile" / "sim.run" / "sim.golden" spans
-    /// on.  Not owned; null = untraced.
-    obs::trace* trace = nullptr;
-    /// When false, skips everything observable-only: the per-vector delay
-    /// histogram and the registry flush.  This is the "compiled-in-but-idle"
-    /// arm of the overhead A/B — the measurement itself is unchanged.
-    bool telemetry = true;
 };
 
 struct measure_result {
@@ -81,7 +70,6 @@ struct measure_result {
     double stddev = 0.0;
     std::vector<double> delays;  ///< per vector
     sim_run_stats stats;
-    std::size_t mismatched_waves = 0;
     /// Wall time of the event-simulation run itself (excludes the golden
     /// comparison) — with stats.events this yields sim events/s, with
     /// delays.size() vectors/s.
@@ -90,8 +78,8 @@ struct measure_result {
     std::size_t lanes = 1;
     /// Per-vector completion-time distribution in integer picoseconds
     /// (delay_ns * 1000 rounded), so the histogram's <0.8% bucket error
-    /// dominates quantization.  Empty when measure_options::telemetry is
-    /// false.
+    /// dominates quantization.  Empty when the job context's telemetry is
+    /// off.
     obs::hist_snapshot delay_hist;
 
     /// Measurement throughput (0 when the run was too fast to time).
@@ -125,31 +113,36 @@ std::vector<std::vector<bool>> random_vectors(std::size_t count, std::size_t wid
 
 /// Draws options.num_vectors vectors of `width` inputs from options.seed
 /// and, when `golden` is not null, runs the golden model over them once
-/// under the options.lanes protocol, in a "sim.golden" span.  Both the
-/// draw and the golden run poll options.sim.cancel once per 64-vector
-/// stimulus block and raise plee::job_timeout("sim.stimulus") or
-/// plee::job_timeout("sim.golden") when it has expired.  Throws
+/// under the options.lanes protocol, in a "sim.golden" span of ctx.trace.
+/// Both the draw and the golden run poll `ctx` once per 64-vector stimulus
+/// block, at site "sim.stimulus" or "sim.golden".  Throws
 /// std::invalid_argument when options.lanes is not 1 or 64,
 /// options.num_vectors is 0, or `width` is not the golden input count.
 measure_reference make_measure_reference(const nl::netlist* golden,
                                          std::size_t width,
-                                         const measure_options& options = {});
+                                         const measure_options& options = {},
+                                         const job_context& ctx = {});
 
-/// Runs the measurement protocol over the reference's stimulus and, when it
-/// carries golden outputs, counts the waves whose PL outputs differ.
-/// options.num_vectors and options.seed are not read: the reference fixes
-/// the stimulus.  Throws std::invalid_argument when the reference's width
-/// is not pl's source count, its protocol is not options.lanes, or its
-/// golden output count is not pl's sink count.
+/// Runs the measurement protocol over the reference's stimulus, with
+/// "sim.compile" and "sim.run" spans on ctx.trace and the simulator under
+/// `ctx`.  When the reference carries golden outputs, any wave whose PL
+/// outputs differ throws a plee_error ("... diverge from the synchronous
+/// golden model on k of n waves").  options.num_vectors and options.seed
+/// are not read: the reference fixes the stimulus.  Throws
+/// std::invalid_argument when the reference's width is not pl's source
+/// count, its protocol is not options.lanes, or its golden output count is
+/// not pl's sink count.
 measure_result measure_average_delay(const pl::pl_netlist& pl,
                                      const measure_reference& reference,
-                                     const measure_options& options = {});
+                                     const measure_options& options = {},
+                                     const job_context& ctx = {});
 
 /// make_measure_reference for pl's sources, then the measurement.
 /// `golden` may be null to skip the functional comparison (e.g. for
 /// hand-built PL netlists).
 measure_result measure_average_delay(const pl::pl_netlist& pl,
                                      const nl::netlist* golden,
-                                     const measure_options& options = {});
+                                     const measure_options& options = {},
+                                     const job_context& ctx = {});
 
 }  // namespace plee::sim

@@ -4,6 +4,7 @@
 #include <bit>
 #include <stdexcept>
 
+#include "obs/flight_recorder.hpp"
 #include "sim/errors.hpp"
 
 namespace plee::sim {
@@ -20,8 +21,9 @@ bool fires(const pl::pl_netlist& pl, pl::gate_id g) {
 
 }  // namespace
 
-pl_simulator::pl_simulator(const pl::pl_netlist& pl, sim_options options)
-    : pl_(pl), options_(std::move(options)) {
+pl_simulator::pl_simulator(const pl::pl_netlist& pl, sim_options options,
+                           const job_context& ctx)
+    : pl_(pl), options_(std::move(options)), ctx_(ctx) {
     compile();
 }
 
@@ -143,7 +145,7 @@ void pl_simulator::compile() {
                     "marked data out-edges of gate " +
                         std::to_string(g) + " '" + std::string(pl_.name(g)) +
                         "' carry different initial values",
-                    options_.label, 0, "schedule");
+                    ctx_.label, 0, "schedule");
             }
             marked = true;
             preset_[s] = value;
@@ -217,7 +219,7 @@ void pl_simulator::throw_ee_mismatch(std::uint32_t s, const char* engine) {
     throw invariant_violation(
         "efire token disagrees with the trigger function (EE invariant "
         "violated)",
-        options_.label, stats_.events, engine);
+        ctx_.label, stats_.events, engine);
 }
 
 /// Resets the per-run state, writes the wave -1 preset into parity 1 and
@@ -229,10 +231,10 @@ void pl_simulator::begin_run(const char* engine) {
     next_check_ = k_cancel_check_events;
     check_at_ = std::min(next_check_, options_.max_events);
     if (failure_ == failure::deadlock) {
-        throw deadlock_error(options_.label, failure_text_, 0, engine);
+        throw deadlock_error(ctx_.label, failure_text_, 0, engine);
     }
     if (failure_ == failure::invalid) {
-        throw invariant_violation(failure_text_, options_.label, 0, engine);
+        throw invariant_violation(failure_text_, ctx_.label, 0, engine);
     }
     for (std::size_t s = 0; s < recs_.size(); ++s) {
         times_[4 * s + 1] = 0.0;
@@ -261,17 +263,15 @@ std::uint32_t pl_simulator::reach(std::uint32_t s, const char* engine) {
 /// max_events + 1 events.
 void pl_simulator::check_events(const char* engine) {
     while (next_check_ <= stats_.events && next_check_ <= options_.max_events) {
-        if (options_.cancel != nullptr && options_.cancel->expired()) {
-            throw job_timeout("sim.events", options_.label, next_check_);
-        }
-        if (options_.recorder != nullptr) {
-            options_.recorder->record("sim.progress", next_check_, waves_stable_);
+        ctx_.poll("sim.events", next_check_);
+        if (ctx_.recorder != nullptr) {
+            ctx_.recorder->record("sim.progress", next_check_, waves_stable_);
         }
         next_check_ += k_cancel_check_events;
     }
     if (stats_.events > options_.max_events) {
         stats_.events = options_.max_events + 1;
-        throw budget_exhausted(options_.label, stats_.events, engine);
+        throw budget_exhausted(ctx_.label, stats_.events, engine);
     }
     check_at_ = std::min(next_check_, options_.max_events);
 }

@@ -98,9 +98,8 @@
 
 #include "bool/truth_table.hpp"
 
-#include "obs/flight_recorder.hpp"
 #include "plogic/pl_netlist.hpp"
-#include "rt/cancel.hpp"
+#include "rt/job_context.hpp"
 #include "sim/delay_model.hpp"
 #include "sim/stimulus.hpp"
 
@@ -116,19 +115,6 @@ struct sim_options {
     /// Hard limit on processed events (runaway guard).  Tripping it raises
     /// sim::budget_exhausted (see sim/errors.hpp).
     std::uint64_t max_events = 100'000'000;
-    /// Circuit/job label embedded in every typed simulator failure, so fleet
-    /// logs can attribute a throw to its job ("b05", "datapath-like/3").
-    std::string label;
-    /// Cooperative cancellation: both protocols poll the token once per
-    /// k_cancel_check_events processed events and raise plee::job_timeout
-    /// (with a partial event-count snapshot) when it has expired.  Not
-    /// owned; null = never cancelled.
-    cancel_token* cancel = nullptr;
-    /// Flight recorder for progress beats: both protocols record a
-    /// "sim.progress" event (events, waves-stable) at the same
-    /// k_cancel_check_events cadence as the cancel poll, so a post-mortem of
-    /// a dead job shows how far the simulation got.  Not owned; null = off.
-    obs::flight_recorder* recorder = nullptr;
 };
 
 /// One recorded token arrival (collect_trace mode).
@@ -202,14 +188,18 @@ public:
     /// Compiles the netlist's wave schedule (see the top of this file).
     /// Throws invariant_violation when two marked data out-edges of one
     /// producer carry different initial values; a netlist verify() rejects
-    /// is reported by the first run instead.
-    explicit pl_simulator(const pl::pl_netlist& pl, sim_options options = {});
+    /// is reported by the first run instead.  Keeps a copy of `ctx`: its
+    /// label names the job in every typed failure, and the periodic checks
+    /// (see Event count above) poll it at site "sim.events" and record its
+    /// "sim.progress" beats (events, waves stable).
+    explicit pl_simulator(const pl::pl_netlist& pl, sim_options options = {},
+                          const job_context& ctx = {});
 
     /// Runs `vectors.size()` waves; vectors[k] holds the wave-k value of each
     /// primary input in pl.sources() order.  Throws the typed failures of
     /// sim/errors.hpp: deadlock_error (a token-free cycle), budget_exhausted,
     /// invariant_violation (a netlist verify() rejects, or the EE
-    /// invariant), and plee::job_timeout when options.cancel expires
+    /// invariant), and plee::job_timeout when the context's token expires
     /// mid-run.  Packs the vectors and delegates to run_packed.
     std::vector<wave_record> run(const std::vector<std::vector<bool>>& vectors);
 
@@ -327,6 +317,7 @@ private:
 
     const pl::pl_netlist& pl_;
     sim_options options_;
+    job_context ctx_;
     sim_run_stats stats_;
 
     // The schedule (built once per netlist by compile()).

@@ -77,7 +77,7 @@ public:
         // Drain to quiescence: the wave-horizon cap bounds the event stream.
         while (!heap_.empty()) {
             if (++stats_.events > options_.max_events) {
-                throw budget_exhausted(options_.label, stats_.events, "heap");
+                throw budget_exhausted("", stats_.events, "heap");
             }
             std::pop_heap(heap_.begin(), heap_.end(), std::greater<>());
             const deposit d = heap_.back();
@@ -90,7 +90,7 @@ public:
                                                      : a.edge < b.edge;
                          });
         if (waves_stable_ < num_waves_) {
-            throw deadlock_error(options_.label,
+            throw deadlock_error("",
                                  std::to_string(waves_stable_) + "/" +
                                      std::to_string(num_waves_) +
                                      " waves stable",
@@ -129,7 +129,7 @@ private:
         if (tok.present) {
             throw invariant_violation("token deposited onto an occupied edge " +
                                           std::to_string(d.edge),
-                                      options_.label, stats_.events, "heap");
+                                      "", stats_.events, "heap");
         }
         tok = {true, d.value, d.time};
         const pl::pl_edge& e = pl_.edge(d.edge);
@@ -240,7 +240,7 @@ private:
             if (trig.function.eval(packed) != efire.value) {
                 throw invariant_violation(
                     "efire token disagrees with the trigger function",
-                    options_.label, stats_.events, "heap");
+                    "", stats_.events, "heap");
             }
         }
         const double t_ack = t_ready + dm.ack_delay();

@@ -70,10 +70,9 @@ TEST(EeTransform, CancelledTokenStopsTheSearchBeforeAnyMutation) {
         const std::size_t edges = mapped.pl.num_edges();
         ee_options options;
         options.num_threads = threads;
-        options.cancel = &token;
-        options.context = "adder";
         try {
-            apply_early_evaluation(mapped.pl, options);
+            apply_early_evaluation(mapped.pl, options,
+                                   {.label = "adder", .cancel = &token});
             FAIL() << "a cancelled search completed at " << threads << " threads";
         } catch (const job_timeout& e) {
             EXPECT_NE(std::string(e.what()).find("ee.search[adder]"),

@@ -113,7 +113,6 @@ TEST(Measure, StatisticsAreConsistent) {
     const measure_result r = measure_average_delay(mapped.pl, &n, opts);
 
     EXPECT_EQ(r.delays.size(), 50u);
-    EXPECT_EQ(r.mismatched_waves, 0u);
     EXPECT_GT(r.avg_delay, 0.0);
     EXPECT_LE(r.min_delay, r.avg_delay);
     EXPECT_GE(r.max_delay, r.avg_delay);
@@ -131,7 +130,6 @@ TEST(Measure, GoldenComparisonPassesThroughEe) {
     measure_options opts;
     opts.num_vectors = 100;  // the paper's count
     const measure_result r = measure_average_delay(mapped.pl, &n, opts);
-    EXPECT_EQ(r.mismatched_waves, 0u);
     EXPECT_GT(r.stats.ee_hits + r.stats.ee_misses, 0u);
 }
 
@@ -141,7 +139,6 @@ TEST(Measure, NullGoldenSkipsComparison) {
     measure_options opts;
     opts.num_vectors = 5;
     const measure_result r = measure_average_delay(mapped.pl, nullptr, opts);
-    EXPECT_EQ(r.mismatched_waves, 0u);
     EXPECT_EQ(r.delays.size(), 5u);
 }
 
@@ -211,27 +208,24 @@ TEST(Measure, AWrongLutFailsTheGoldenCheckInBothProtocols) {
         measure_options opts;
         opts.num_vectors = k_vectors;
         opts.lanes = lanes;
-        try {
-            measure_average_delay(wrong.pl, &golden, opts);
-            ADD_FAILURE() << "a wrong LUT passed the golden check";
-        } catch (const plee_error& e) {
-            EXPECT_NE(std::string(e.what()).find(
-                          "diverge from the synchronous golden model on " +
-                          std::to_string(expected) + " of 100 waves"),
-                      std::string::npos)
-                << e.what();
-        }
-
-        opts.require_functional_match = false;
-        EXPECT_EQ(measure_average_delay(wrong.pl, &golden, opts).mismatched_waves,
-                  expected);
+        const auto expect_divergence = [&](const auto& measure) {
+            try {
+                measure();
+                ADD_FAILURE() << "a wrong LUT passed the golden check";
+            } catch (const plee_error& e) {
+                EXPECT_NE(std::string(e.what()).find(
+                              "diverge from the synchronous golden model on " +
+                              std::to_string(expected) + " of 100 waves"),
+                          std::string::npos)
+                    << e.what();
+            }
+        };
+        expect_divergence([&] { measure_average_delay(wrong.pl, &golden, opts); });
         // One reference serves both netlists, as it does a Table 3 row's arms.
         const measure_reference reference =
             make_measure_reference(&golden, width, opts);
-        EXPECT_EQ(measure_average_delay(wrong.pl, reference, opts).mismatched_waves,
-                  expected);
-        EXPECT_EQ(measure_average_delay(healthy.pl, reference, opts).mismatched_waves,
-                  0u);
+        expect_divergence([&] { measure_average_delay(wrong.pl, reference, opts); });
+        EXPECT_NO_THROW(measure_average_delay(healthy.pl, reference, opts));
     }
 }
 
@@ -273,11 +267,10 @@ TEST(Measure, CancelledTokenStopsTheStimulusDrawInBothProtocols) {
         measure_options opts;
         opts.num_vectors = 200;
         opts.lanes = lanes;
-        opts.sim.cancel = &token;
-        opts.sim.label = "alu";
         for (const nl::netlist* golden : {&n, static_cast<const nl::netlist*>(nullptr)}) {
             try {
-                make_measure_reference(golden, n.inputs().size(), opts);
+                make_measure_reference(golden, n.inputs().size(), opts,
+                                       {.label = "alu", .cancel = &token});
                 FAIL() << "a cancelled draw completed at lanes " << lanes;
             } catch (const job_timeout& e) {
                 EXPECT_EQ(e.progress(), 0u) << lanes;

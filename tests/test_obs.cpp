@@ -378,6 +378,12 @@ TEST(ObsEndToEnd, RegistryCountersMatchRowStatsAtOneAndFourThreads) {
         EXPECT_EQ(reg.get_counter("sim.ee.hits").value(), hits) << threads;
         EXPECT_EQ(reg.get_counter("sim.ee.misses").value(), misses) << threads;
         EXPECT_EQ(reg.get_counter("sim.ee.wins").value(), wins) << threads;
+        EXPECT_EQ(reg.get_counter("ee.masters_considered").value(),
+                  fleet.total_sweeps)
+            << threads;
+        EXPECT_EQ(reg.get_counter("ee.triggers_added").value(),
+                  fleet.total_triggers)
+            << threads;
         EXPECT_EQ(reg.get_counter("fleet.jobs_ok").value(), fleet.jobs_ok)
             << threads;
 
@@ -397,10 +403,10 @@ TEST(ObsEndToEnd, RegistryCountersMatchRowStatsAtOneAndFourThreads) {
 }
 
 TEST(ObsEndToEnd, BudgetExhaustedJobReportsFlightDumpAndSpanBreakdown) {
-    std::vector<runner::fleet_job> jobs = small_fleet(1);
-    jobs[0].max_events = 64;  // trips inside the first measurement
+    const std::vector<runner::fleet_job> jobs = small_fleet(1);
     runner::fleet_options opts;
     opts.experiment.measure.num_vectors = 10;
+    opts.experiment.measure.sim.max_events = 64;  // trips in the first measurement
     const runner::fleet_result fleet = runner::run_fleet(jobs, opts);
     ASSERT_EQ(fleet.results.size(), 1u);
     const runner::job_result& r = fleet.results[0];

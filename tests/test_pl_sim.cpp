@@ -307,10 +307,7 @@ TEST(PlSim, CancelledTokenStopsTheRunAtTheFirstCheck) {
     }
     cancel_token token;
     token.cancel();
-    sim_options opts;
-    opts.cancel = &token;
-    opts.label = "adder8";
-    pl_simulator sim(mapped.pl, opts);
+    pl_simulator sim(mapped.pl, {}, {.label = "adder8", .cancel = &token});
     try {
         sim.run(vectors);
         FAIL() << "a cancelled run completed";

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "obs/registry.hpp"
+#include "obs/span.hpp"
 #include "rt/errors.hpp"
 #include "synth/rtl.hpp"
 
@@ -110,8 +111,9 @@ TEST(Experiment, TraceNamesEachStageOnceInPipelineOrder) {
     obs::trace trace;
     experiment_options opts;
     opts.measure.num_vectors = 10;
-    opts.trace = &trace;
-    const experiment_row row = run_ee_experiment("stages", accumulator(), opts);
+    const experiment_row row =
+        run_ee_experiment("stages", accumulator(), opts,
+                          {.label = "stages", .trace = &trace});
     ASSERT_GT(row.ee_gates, 0u);
 
     // One map, one stimulus draw with one golden run, and one span per arm.
@@ -141,12 +143,9 @@ TEST(Experiment, CancelledTokenStopsAtTheMapGate) {
     cancel_token token;
     token.cancel();
     obs::trace trace;
-    experiment_options opts;
-    opts.cancel = &token;
-    opts.trace = &trace;
-    opts.label = "job7";
     try {
-        run_ee_experiment("cancelled", accumulator(), opts);
+        run_ee_experiment("cancelled", accumulator(), {},
+                          {.label = "job7", .cancel = &token, .trace = &trace});
         FAIL() << "a cancelled run completed";
     } catch (const job_timeout& e) {
         EXPECT_EQ(e.progress(), 0u);
@@ -158,16 +157,25 @@ TEST(Experiment, CancelledTokenStopsAtTheMapGate) {
 }
 
 TEST(Experiment, MeasureTelemetryOffSkipsHistogramsAndTheRegistryFlush) {
-    obs::counter& vectors = obs::registry::global().get_counter("sim.vectors");
-    const std::uint64_t before = vectors.value();
+    obs::registry& reg = obs::registry::global();
+    obs::counter& vectors = reg.get_counter("sim.vectors");
+    obs::counter& masters = reg.get_counter("ee.masters_considered");
+    obs::counter& triggers = reg.get_counter("ee.triggers_added");
+    const std::uint64_t vectors_before = vectors.value();
+    const std::uint64_t masters_before = masters.value();
+    const std::uint64_t triggers_before = triggers.value();
     experiment_options opts;
     opts.measure.num_vectors = 10;
-    opts.measure.telemetry = false;
-    const experiment_row row = run_ee_experiment("quiet", accumulator(), opts);
+    const experiment_row row =
+        run_ee_experiment("quiet", accumulator(), opts,
+                          {.label = "quiet", .telemetry = false});
     EXPECT_EQ(row.vectors_measured, 20u);
+    EXPECT_GT(row.ee_detail.triggers_added, 0u);
     EXPECT_TRUE(row.delay_hist_no_ee.empty());
     EXPECT_TRUE(row.delay_hist_ee.empty());
-    EXPECT_EQ(vectors.value(), before);
+    EXPECT_EQ(vectors.value(), vectors_before);
+    EXPECT_EQ(masters.value(), masters_before);
+    EXPECT_EQ(triggers.value(), triggers_before);
 }
 
 TEST(Json, SerializesNestedValuesDeterministically) {

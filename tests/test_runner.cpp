@@ -179,11 +179,11 @@ TEST(FleetRunner, GracefulDegradationKeepsSurvivors) {
 
 TEST(FleetRunner, FailingJobsDoNotPerturbSurvivorRows) {
     // The fleet-integrity matrix: two healthy benchmark jobs ride alongside a
-    // job that exhausts its (per-job) simulator event budget mid-measurement
-    // and a job that fails validation outright.  At every thread count the
-    // fleet must return all four results, mark exactly the two bad jobs
-    // non-ok, and leave the survivors' rows bit-identical to the serial
-    // single-circuit pipeline.
+    // much larger job that exhausts the fleet-wide simulator event budget
+    // mid-measurement and a job that fails validation outright.  At every
+    // thread count the fleet must return all four results, mark exactly the
+    // two bad jobs non-ok, and leave the survivors' rows bit-identical to the
+    // unbudgeted serial single-circuit pipeline.
     const std::vector<std::string> ids = {"b05", "b07"};
     std::vector<fleet_job> jobs;
     std::vector<report::experiment_row> serial;
@@ -199,8 +199,7 @@ TEST(FleetRunner, FailingJobsDoNotPerturbSurvivorRows) {
     fleet_job starved;  // trips sim::budget_exhausted in the baseline measure
     starved.id = "starved";
     starved.description = "starved";
-    starved.netlist = bench::build_benchmark("b10");
-    starved.max_events = 50;
+    starved.netlist = bench::build_benchmark("b15");
     jobs.push_back(std::move(starved));
     jobs.push_back(malformed_job("bad"));
 
@@ -208,6 +207,9 @@ TEST(FleetRunner, FailingJobsDoNotPerturbSurvivorRows) {
         fleet_options opts;
         opts.num_threads = threads;
         opts.experiment = fast_options();
+        // At 25 vectors a survivor's measurement deposits at most 51725
+        // events (b05 with EE), b15's plain one 201525.
+        opts.experiment.measure.sim.max_events = 100'000;
         const fleet_result fleet = run_fleet(jobs, opts);
         const std::string label = "threads=" + std::to_string(threads);
 

@@ -291,9 +291,7 @@ TEST(SimQueue, ProgressBeatsFollowPerFiringCounting) {
     const std::uint64_t e = events_per_wave(pl);
     const std::size_t waves = 40;
     obs::flight_recorder recorder(4096);
-    sim_options opts;
-    opts.recorder = &recorder;
-    pl_simulator simulator(pl, opts);
+    pl_simulator simulator(pl, {}, {.label = "b05", .recorder = &recorder});
     simulator.run(random_vectors(waves, pl.sources().size(), 4));
     const std::vector<obs::fr_event> beats = recorder.dump();
     ASSERT_EQ(beats.size(), waves * e / k_cancel_check_events);
@@ -306,8 +304,7 @@ TEST(SimQueue, ProgressBeatsFollowPerFiringCounting) {
 
     // The lane protocol's single wave: every beat lands before it completes.
     obs::flight_recorder lane_recorder(4096);
-    opts.recorder = &lane_recorder;
-    pl_simulator lanes(pl, opts);
+    pl_simulator lanes(pl, {}, {.label = "b05", .recorder = &lane_recorder});
     lanes.run_lanes(make_stimulus(64, pl.sources().size(), 4).front());
     const std::vector<obs::fr_event> lane_beats = lane_recorder.dump();
     ASSERT_EQ(lane_beats.size(), e / k_cancel_check_events);
@@ -660,10 +657,8 @@ TEST(SimQueue, MarkedOutEdgesWithDifferentInitialValuesRejected) {
     };
     const pl::pl_netlist split = reg_with_two_sinks(false, true);
     ASSERT_TRUE(split.verify().ok()) << split.verify().violation;
-    sim_options opts;
-    opts.label = "split-reset";
     try {
-        pl_simulator simulator(split, opts);
+        pl_simulator simulator(split, {}, {.label = "split-reset"});
         FAIL() << "expected sim::invariant_violation";
     } catch (const invariant_violation& e) {
         EXPECT_NE(std::string(e.what()).find("gate 1 'reg'"), std::string::npos)

@@ -53,7 +53,6 @@
 #include "bool/support.hpp"
 #include "ee/ee_transform.hpp"
 #include "netlist/blif.hpp"
-#include "obs/flight_recorder.hpp"
 #include "obs/registry.hpp"
 #include "obs/sink.hpp"
 #include "obs/span.hpp"
@@ -61,7 +60,7 @@
 #include "report/json.hpp"
 #include "report/table.hpp"
 #include "rt/atomic_write.hpp"
-#include "rt/cancel.hpp"
+#include "rt/job_context.hpp"
 #include "rt/parse.hpp"
 #include "sim/measure.hpp"
 #include "sim/vcd.hpp"
@@ -196,11 +195,13 @@ int main(int argc, char** argv) {
     std::signal(SIGINT, on_signal);
     std::signal(SIGTERM, on_signal);
 
-    // One trace + flight recorder for the whole flow: stage spans mirror the
-    // fleet pipeline's, so a plee_flow --trace-out record reads like one
-    // fleet job's.
+    // One job context for the whole flow.  Its trace records the flow's own
+    // stages: map_to_pl, ee.search and measure (with sim.golden,
+    // sim.compile and sim.run children) — not a fleet job's five.
     obs::trace trace;
-    obs::flight_recorder recorder;
+    const job_context ctx{.label = o.bench.empty() ? o.blif_in : o.bench,
+                          .cancel = &g_interrupt,
+                          .trace = &trace};
 
     // Sink flushing is shared between the normal exit and the interrupt
     // path, so a cancelled run still lands complete, atomically-renamed
@@ -214,8 +215,7 @@ int main(int argc, char** argv) {
         if (!o.trace_out.empty()) {
             report::json flow = report::json::object();
             flow.set("type", report::json::str("flow"));
-            flow.set("id", report::json::str(o.bench.empty() ? o.blif_in
-                                                             : o.bench));
+            flow.set("id", report::json::str(ctx.label));
             flow.set("spans", obs::spans_to_json(trace.spans()));
             report::json metrics = report::json::object();
             metrics.set("type", report::json::str("metrics"));
@@ -264,11 +264,9 @@ int main(int argc, char** argv) {
             opts.search.cost_threshold = o.threshold;
             opts.search.method = o.method;
             opts.num_threads = o.threads;
-            opts.recorder = &recorder;
-            opts.cancel = &g_interrupt;
             const ee::ee_stats stats = [&] {
                 const obs::scoped_span span(&trace, "ee.search");
-                return ee::apply_early_evaluation(mapped.pl, opts);
+                return ee::apply_early_evaluation(mapped.pl, opts, ctx);
             }();
             std::printf("early evaluation: %zu triggers on %zu masters "
                         "(+%.0f%% area)\n",
@@ -313,13 +311,10 @@ int main(int argc, char** argv) {
             // mixed efire words (and thus divergent lane times).
             mopts.sim.delays = {1.0, 1.0, 1.0, 1.0, 1.0};
         }
-        mopts.sim.recorder = &recorder;
-        mopts.sim.cancel = &g_interrupt;
-        mopts.trace = &trace;
 
         const sim::measure_result r = [&] {
             const obs::scoped_span span(&trace, "measure");
-            return sim::measure_average_delay(mapped.pl, &netlist, mopts);
+            return sim::measure_average_delay(mapped.pl, &netlist, mopts, ctx);
         }();
         std::printf("simulated %zu vectors: avg delay %.2f ns (min %.2f, max "
                     "%.2f, stddev %.2f), outputs match golden model\n",
@@ -366,7 +361,7 @@ int main(int argc, char** argv) {
             // single trace value, so this is the only traced run.
             sim::sim_options sopts = mopts.sim;
             sopts.collect_trace = true;
-            sim::pl_simulator tracer(mapped.pl, sopts);
+            sim::pl_simulator tracer(mapped.pl, sopts, ctx);
             tracer.run(sim::random_vectors(std::min<std::size_t>(o.vectors, 10),
                                            mapped.pl.sources().size(), o.seed));
             atomic_write_text(o.vcd_out, sim::to_vcd(mapped.pl, tracer.trace()));
