@@ -8,7 +8,8 @@
 // Figure 2 is demonstrated structurally: the paper's running example — a
 // full-adder carry master F = C(A+B) + AB paired with the trigger
 // F = AB + A'B' — is built as a real PL netlist and dumped both as a wiring
-// report and as Graphviz (written to fig2_ee_pair.dot).
+// report and as Graphviz (written to fig2_ee_pair.dot).  Exits 1 when the
+// netlist fails its marked-graph check after the EE pass.
 
 #include <cstdio>
 #include <fstream>
@@ -68,7 +69,8 @@ void figure1_behavioural_trace() {
     std::printf("\n");
 }
 
-void figure2_structural_dump() {
+/// Returns whether the EE'd netlist passes verify().
+bool figure2_structural_dump() {
     std::printf("Figure 2. Early Evaluation PL Gate Pair (structural dump)\n");
     std::printf("  master:  F = C(A+B) + AB   (full-adder carry)\n");
     std::printf("  trigger: F = AB + A'B'     (efire into the master)\n\n");
@@ -120,12 +122,12 @@ void figure2_structural_dump() {
     dot << mapped.pl.to_dot("fig2_ee_pair");
     std::printf("Graphviz wiring written to fig2_ee_pair.dot (triggers drawn as "
                 "diamonds, acks dashed, initial tokens starred).\n");
+    return report.ok();
 }
 
 }  // namespace
 
 int main() {
     figure1_behavioural_trace();
-    figure2_structural_dump();
-    return 0;
+    return figure2_structural_dump() ? 0 : 1;
 }

@@ -30,6 +30,7 @@
 
 #include "report/json.hpp"
 #include "report/table.hpp"
+#include "rt/atomic_write.hpp"
 #include "runner/runner.hpp"
 #include "workload/workload.hpp"
 
@@ -239,7 +240,7 @@ int main(int argc, char** argv) {
             ab.set("resolved", report::json::boolean(resolved));
             root.set("obs_overhead", std::move(ab));
             root.set("scaling", std::move(scaling));
-            root.write_file(json_path);
+            atomic_write_text(json_path, root.dump());
         }
         return 0;
     } catch (const std::exception& e) {

@@ -22,6 +22,7 @@
 #include "ee/trigger_search.hpp"
 #include "plogic/pl_mapper.hpp"
 #include "report/json.hpp"
+#include "rt/atomic_write.hpp"
 #include "sim/measure.hpp"
 
 using namespace plee;
@@ -238,7 +239,7 @@ void write_json(const json_collector& collected, const std::string& path) {
              report::json::number(report::k_bench_schema_version));
     root.set("bench", report::json::str("trigger"));
     root.set("benchmarks", std::move(benches));
-    root.write_file(path);
+    atomic_write_text(path, root.dump());
 }
 
 }  // namespace

@@ -51,6 +51,7 @@
 #include "plogic/pl_mapper.hpp"
 #include "report/json.hpp"
 #include "report/table.hpp"
+#include "rt/atomic_write.hpp"
 #include "sim/measure.hpp"
 #include "rt/wall_timer.hpp"
 #include "sim/pl_sim.hpp"
@@ -497,7 +498,7 @@ int main(int argc, char** argv) {
                     obs::hist_to_json(delay_plain, 1e3, /*with_buckets=*/true));
             doc.set("delay_hist_ee_ns",
                     obs::hist_to_json(delay_ee, 1e3, /*with_buckets=*/true));
-            doc.write_file(json_path);
+            atomic_write_text(json_path, doc.dump());
             std::printf("wrote %s\n", json_path.c_str());
         }
         return 0;

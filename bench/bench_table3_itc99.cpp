@@ -31,6 +31,7 @@
 #include "report/experiment.hpp"
 #include "report/json.hpp"
 #include "report/table.hpp"
+#include "rt/atomic_write.hpp"
 #include "runner/runner.hpp"
 
 using namespace plee;
@@ -166,7 +167,7 @@ int main(int argc, char** argv) {
         // The per-row data already lives in "rows" above; embed the summary.
         root.set("fleet", runner::to_json(fleet, /*include_rows=*/false));
         try {
-            root.write_file(json_path);
+            atomic_write_text(json_path, root.dump());
         } catch (const std::exception& e) {
             std::fprintf(stderr, "bench_table3_itc99: %s\n", e.what());
             return 1;

@@ -146,8 +146,6 @@ public:
 
     /// Number of ON-set minterms.
     int count_ones() const;
-    /// Number of OFF-set minterms.
-    int count_zeros() const { return static_cast<int>(num_minterms()) - count_ones(); }
 
     bool is_constant_zero() const;
     bool is_constant_one() const;

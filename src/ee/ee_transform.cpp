@@ -1,13 +1,13 @@
 #include "ee/ee_transform.hpp"
 
+#include <algorithm>
 #include <atomic>
-#include <exception>
 #include <optional>
 #include <stdexcept>
-#include <thread>
 
 #include "obs/flight_recorder.hpp"
 #include "obs/registry.hpp"
+#include "rt/workers.hpp"
 
 namespace plee::ee {
 
@@ -69,41 +69,10 @@ ee_stats apply_early_evaluation(pl::pl_netlist& pl, const ee_options& options,
     // Phase 1 — search, read-only over the netlist and safe to fan out: each
     // master's search is a pure function of its truth table and arrivals.
     std::vector<std::optional<trigger_candidate>> best(jobs.size());
-    unsigned threads = options.num_threads != 0 ? options.num_threads
-                                                : std::thread::hardware_concurrency();
-    if (threads == 0) threads = 1;
-    threads = static_cast<unsigned>(
-        std::min<std::size_t>(threads, std::max<std::size_t>(jobs.size(), 1)));
-
     std::atomic<std::size_t> next{0};
-    if (threads <= 1) {
+    run_workers(worker_count(options.num_threads, jobs.size()), [&] {
         search_worker(pl, jobs, options.search, ctx, next, best);
-    } else {
-        std::vector<std::exception_ptr> errors(threads);
-        std::vector<std::thread> pool;
-        pool.reserve(threads - 1);
-        // A throw inside any leg (including the main-thread one) must still
-        // join the pool and then propagate to the caller, exactly as the
-        // sequential pass would have propagated it.
-        for (unsigned t = 1; t < threads; ++t) {
-            pool.emplace_back([&, t] {
-                try {
-                    search_worker(pl, jobs, options.search, ctx, next, best);
-                } catch (...) {
-                    errors[t] = std::current_exception();
-                }
-            });
-        }
-        try {
-            search_worker(pl, jobs, options.search, ctx, next, best);
-        } catch (...) {
-            errors[0] = std::current_exception();
-        }
-        for (std::thread& t : pool) t.join();
-        for (const std::exception_ptr& e : errors) {
-            if (e) std::rethrow_exception(e);
-        }
-    }
+    });
 
     // Phase 2 — mutate, serial and in gate order: identical output to the
     // original sequential pass regardless of the thread count above.

@@ -47,12 +47,13 @@ struct ee_stats {
 };
 
 /// Applies Early Evaluation in place.  Arrival depths are computed once on
-/// the incoming netlist (the paper's static arrival model).  Every search
-/// worker polls `ctx` at each work-queue chunk it claims (site "ee.search",
-/// progress = the chunk's first master), so a pathological search stops
-/// within one chunk of extra work, and records an "ee.chunk" beat (first
-/// master, masters) on ctx.recorder.  With ctx.telemetry the pass adds its
-/// stats to the ee.* registry counters.
+/// the incoming netlist (the paper's static arrival model), which must be
+/// live: a token-free cycle throws std::logic_error before any trigger is
+/// attached.  Every search worker polls `ctx` at each work-queue chunk it
+/// claims (site "ee.search", progress = the chunk's first master), so a
+/// pathological search stops within one chunk of extra work, and records an
+/// "ee.chunk" beat (first master, masters) on ctx.recorder.  With
+/// ctx.telemetry the pass adds its stats to the ee.* registry counters.
 ee_stats apply_early_evaluation(pl::pl_netlist& pl, const ee_options& options = {},
                                 const job_context& ctx = {});
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <span>
 #include <stdexcept>
 
 #include "plogic/marked_graph.hpp"
@@ -109,13 +110,10 @@ map_result map_to_phased_logic(const nl::netlist& input, const map_options& opti
 
     // --- Data edges ------------------------------------------------------------
     // Only register outputs carry initial tokens.  Each data edge is also
-    // kept as a marked-graph edge, the feedback analysis' input, and as a
-    // (producer, consumer) fanout pair.
+    // kept as a (producer, consumer) fanout pair.
     std::size_t num_data = 0;
     for (const nl::cell& c : nl.cells()) num_data += c.fanins.size();
-    std::vector<mg_edge> data;
     std::vector<std::uint64_t> fanout_pairs;  // producer << 32 | consumer
-    data.reserve(num_data);
     fanout_pairs.reserve(num_data);
     for (nl::cell_id id = 0; id < nl.num_cells(); ++id) {
         const nl::cell& c = nl.cells()[id];
@@ -125,7 +123,6 @@ map_result map_to_phased_logic(const nl::netlist& input, const map_options& opti
             const gate_id u = result.gate_of_cell[c.fanins[pin]];
             const bool token = p.kind == nl::cell_kind::dff;
             pl.add_data_edge(u, g, static_cast<int>(pin), token, p.init_value);
-            data.push_back({u, g, token ? 1 : 0});
             fanout_pairs.push_back(std::uint64_t{u} << 32 | g);
         }
     }
@@ -143,18 +140,15 @@ map_result map_to_phased_logic(const nl::netlist& input, const map_options& opti
     };
 
     if (options.share_feedbacks) {
-        // Token-free-data-subgraph reachability.  The synchronous source was
-        // combinationally acyclic, so the token-free data edges form a DAG;
-        // its LIFO Kahn order ranks the siblings of the sharing pass.
-        const mg_adjacency out(pl.num_gates(), data);
-        const std::vector<node_id> order = token_free_order(data, out);
-        if (order.size() != pl.num_gates()) {
-            throw std::logic_error(
-                "map_to_phased_logic: cyclic token-free data subgraph");
-        }
-        std::vector<std::size_t> topo_pos(order.size());
-        for (std::size_t i = 0; i < order.size(); ++i) topo_pos[order[i]] = i;
-        const mg_reach reach = token_reach(data, out, order);
+        // Reachability over the data edges, so far the netlist's only
+        // edges; the synchronous source was combinationally acyclic, so the
+        // token-free ones form a DAG.  The token-free order ranks the
+        // siblings of the sharing pass; its positions are copied, because
+        // the first add_ack_edge ends the span.
+        const mg_reach reach = token_reach(pl);
+        const std::span<const gate_id> order = pl.token_free_order();
+        std::vector<std::uint32_t> topo_pos(order.size());
+        for (std::uint32_t i = 0; i < order.size(); ++i) topo_pos[order[i]] = i;
 
         // One run of pairs per producer.
         std::vector<gate_id> consumers;

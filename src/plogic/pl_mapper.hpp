@@ -15,14 +15,15 @@
 //   2. sibling sharing: among consumers of one producer, a consumer that
 //      reaches an acknowledged sibling consumer token-free is covered by the
 //      sibling's ack.
-// Both read the reachability of the data edges, which the mapper records as
-// a flat marked-graph edge list while it emits them (token_free_order and
-// token_reach in marked_graph.hpp; the Kahn order ranks the siblings).  The
+// Both read the reachability of the data edges from the PL netlist itself,
+// while it holds only those: token_reach (marked_graph.hpp) over its CSR,
+// with its token-free order (pl_netlist::token_free_order) ranking the
+// siblings.  Which siblings get an ack does not depend on that ranking.  The
 // distinct (producer, consumer) fanout pairs are one sorted vector, walked
-// one producer run at a time, so acks are added in (producer, consumer)
-// order.  The input netlist is copied only when a register cycle needs a
-// slack buffer.  The mapper re-verifies the final marked graph (live + safe
-// + well-formed) and throws if the optimization ever produced an invalid
+// one producer run at a time, so acks are added in producer order.  The
+// input netlist is copied only when a register cycle needs a slack buffer.
+// The mapper re-verifies the final marked graph (live + safe +
+// well-formed) and throws if the optimization ever produced an invalid
 // network.
 
 #pragma once

@@ -33,48 +33,57 @@ gate_id pl_netlist::add_gate(gate_kind kind, std::string_view name) {
     return id;
 }
 
+// The mutators check their arguments before mutated(), so a rejected call
+// leaves the verify memo and the CSR alone.
+
 void pl_netlist::set_function(gate_id g, const bf::truth_table& fn) {
-    mutated();
+    if (g >= gates_.size()) {
+        throw std::invalid_argument("set_function: gate out of range");
+    }
     if (gates_[g].kind != gate_kind::compute && gates_[g].kind != gate_kind::trigger) {
         throw std::invalid_argument("set_function: gate has no LUT");
     }
+    mutated();
     gates_[g].function = fn;
 }
 
 void pl_netlist::set_const_value(gate_id g, bool value) {
-    mutated();
+    if (g >= gates_.size()) {
+        throw std::invalid_argument("set_const_value: gate out of range");
+    }
     if (gates_[g].kind != gate_kind::const_source) {
         throw std::invalid_argument("set_const_value: not a constant source");
     }
+    mutated();
     gates_[g].const_value = value;
 }
 
 edge_id pl_netlist::add_data_edge(gate_id from, gate_id to, int to_pin,
                                   bool init_token, bool init_value) {
-    mutated();
     if (from >= gates_.size() || to >= gates_.size()) {
         throw std::invalid_argument("add_data_edge: gate out of range");
     }
-    const edge_id id = static_cast<edge_id>(edges_.size());
+    pl_gate& g = gates_[to];
     if (to_pin >= 0) {
-        pl_gate& g = gates_[to];
         if (to_pin != g.num_data) {
             throw std::invalid_argument("add_data_edge: pins must arrive in order");
         }
         if (g.num_data == g.data_pins.size()) {
             throw std::invalid_argument("add_data_edge: more than 8 data pins");
         }
-        g.data_pins[g.num_data++] = id;
     }
+    mutated();
+    const edge_id id = static_cast<edge_id>(edges_.size());
+    if (to_pin >= 0) g.data_pins[g.num_data++] = id;
     edges_.push_back({from, to, edge_kind::data, to_pin, init_token, init_value});
     return id;
 }
 
 edge_id pl_netlist::add_ack_edge(gate_id from, gate_id to, bool init_token) {
-    mutated();
     if (from >= gates_.size() || to >= gates_.size()) {
         throw std::invalid_argument("add_ack_edge: gate out of range");
     }
+    mutated();
     edges_.push_back({from, to, edge_kind::ack, -1, init_token, false});
     return static_cast<edge_id>(edges_.size() - 1);
 }
@@ -84,6 +93,9 @@ gate_id pl_netlist::attach_trigger(gate_id master, const bf::truth_table& fn,
     // The gadget only appends edges, each on a one-token 2-cycle, so the
     // edge count of the last passed check survives for reverify().
     const edge_id checked = verified_.edges.load();
+    if (master >= gates_.size()) {
+        throw std::invalid_argument("attach_trigger: gate out of range");
+    }
     const pl_gate m = gates_[master];
     if (m.kind != gate_kind::compute) {
         throw std::invalid_argument("attach_trigger: master must be a compute gate");
@@ -137,9 +149,11 @@ void pl_netlist::build_adjacency() const {
     const std::size_t n = gates_.size();
     a.in_begin.assign(n + 1, 0);
     a.out_begin.assign(n + 1, 0);
+    std::vector<std::uint32_t> indeg(n, 0);  // token-free in-edges
     for (const pl_edge& e : edges_) {
         ++a.in_begin[e.to + 1];
         ++a.out_begin[e.from + 1];
+        if (!e.init_token) ++indeg[e.to];
     }
     for (std::size_t g = 0; g < n; ++g) {
         a.in_begin[g + 1] += a.in_begin[g];
@@ -152,6 +166,20 @@ void pl_netlist::build_adjacency() const {
     for (edge_id i = 0; i < edges_.size(); ++i) {
         a.in_ids[in_next[edges_[i].to]++] = i;
         a.out_ids[out_next[edges_[i].from]++] = i;
+    }
+
+    // The token-free order: FIFO Kahn over the unmarked edges, the gates
+    // with none leading in id order.
+    a.order.clear();
+    for (gate_id g = 0; g < n; ++g) {
+        if (indeg[g] == 0) a.order.push_back(g);
+    }
+    for (std::size_t head = 0; head < a.order.size(); ++head) {
+        const gate_id g = a.order[head];
+        for (std::uint32_t k = a.out_begin[g]; k < a.out_begin[g + 1]; ++k) {
+            const pl_edge& e = edges_[a.out_ids[k]];
+            if (!e.init_token && --indeg[e.to] == 0) a.order.push_back(e.to);
+        }
     }
     a.built.store(true, std::memory_order_release);
 }
@@ -176,11 +204,7 @@ std::size_t pl_netlist::num_ack_edges() const {
 }
 
 mg_report pl_netlist::verify() const {
-    std::vector<mg_edge> marked(edges_.size());
-    for (std::size_t i = 0; i < edges_.size(); ++i) {
-        marked[i] = {edges_[i].from, edges_[i].to, edges_[i].init_token ? 1 : 0};
-    }
-    mg_report report = verify_marked_graph(gates_.size(), marked);
+    mg_report report = verify_marked_graph(*this);
     if (report.ok()) verified_.pass(edges_.size());
     return report;
 }
@@ -222,25 +246,7 @@ mg_report verify_appended(const pl_netlist& pl, edge_id first_appended) {
         }
     }
 
-    std::vector<std::uint32_t> indeg(pl.num_gates(), 0);
-    for (const pl_edge& e : pl.edges()) {
-        if (!e.init_token) ++indeg[e.to];
-    }
-    std::vector<gate_id> ready;
-    for (gate_id g = 0; g < pl.num_gates(); ++g) {
-        if (indeg[g] == 0) ready.push_back(g);
-    }
-    std::size_t reached = 0;
-    while (!ready.empty()) {
-        const gate_id g = ready.back();
-        ready.pop_back();
-        ++reached;
-        for (edge_id idx : pl.out_edges(g)) {
-            const pl_edge& e = pl.edge(idx);
-            if (!e.init_token && --indeg[e.to] == 0) ready.push_back(e.to);
-        }
-    }
-    report.live = reached == pl.num_gates();
+    report.live = pl.token_free_order().size() == pl.num_gates();
     if (!report.live && report.violation.empty()) {
         report.violation = "token-free directed cycle (no token circulation possible)";
     }
@@ -249,49 +255,32 @@ mg_report verify_appended(const pl_netlist& pl, edge_id first_appended) {
 }
 
 std::vector<int> pl_netlist::arrival_depth() const {
-    // Longest path over token-free data edges.  depth[g] is the arrival
-    // depth of g's *output* signal: 0 for token-providing gates (sources,
-    // constant sources, through registers), 1 + max(producer depths) for
-    // compute/trigger gates.  Non-compute producers contribute 0, so only
-    // compute->consumer edges constrain the processing order.
+    // Longest path over token-free data edges, in token-free order.
+    // depth[g] is the arrival depth of g's *output* signal: 0 for
+    // token-providing gates (sources, constant sources, through registers),
+    // 1 + max(producer depths) for compute/trigger gates.  Only
+    // compute/trigger producers pass their depth on.
+    const std::span<const gate_id> order = token_free_order();
+    if (order.size() != gates_.size()) {
+        throw std::logic_error("arrival_depth: token-free directed cycle");
+    }
     std::vector<int> in_depth(gates_.size(), 0);
     std::vector<int> depth(gates_.size(), 0);
-    std::vector<int> indeg(gates_.size(), 0);
-    auto is_gate = [this](gate_id g) {
-        return gates_[g].kind == gate_kind::compute ||
-               gates_[g].kind == gate_kind::trigger;
-    };
-    auto counts_for_depth = [this, &is_gate](const pl_edge& e) {
-        return e.kind == edge_kind::data && !e.init_token && is_gate(e.from);
-    };
-    for (const pl_edge& e : edges_) {
-        if (counts_for_depth(e)) ++indeg[e.to];
-    }
-    std::vector<gate_id> queue;
-    for (gate_id g = 0; g < gates_.size(); ++g) {
-        if (indeg[g] == 0) queue.push_back(g);
-    }
-    std::size_t processed = 0;
-    while (!queue.empty()) {
-        const gate_id g = queue.back();
-        queue.pop_back();
-        ++processed;
-        if (is_gate(g)) {
-            depth[g] = in_depth[g] + 1;
-        } else if (gates_[g].kind == gate_kind::sink) {
-            depth[g] = in_depth[g];  // observed output depth, for reporting
-        } else {
-            depth[g] = 0;  // token providers restart the wave at depth 0
+    for (const gate_id g : order) {
+        const gate_kind kind = gates_[g].kind;
+        if (kind != gate_kind::compute && kind != gate_kind::trigger) {
+            // Sinks keep the observed output depth, for reporting; token
+            // providers restart the wave at depth 0.
+            depth[g] = kind == gate_kind::sink ? in_depth[g] : 0;
+            continue;
         }
-        for (edge_id idx : out_edges(g)) {
+        depth[g] = in_depth[g] + 1;
+        for (const edge_id idx : out_edges(g)) {
             const pl_edge& e = edges_[idx];
-            if (!counts_for_depth(e)) continue;
-            in_depth[e.to] = std::max(in_depth[e.to], depth[g]);
-            if (--indeg[e.to] == 0) queue.push_back(e.to);
+            if (e.kind == edge_kind::data && !e.init_token) {
+                in_depth[e.to] = std::max(in_depth[e.to], depth[g]);
+            }
         }
-    }
-    if (processed != gates_.size()) {
-        throw std::logic_error("arrival_depth: combinational cycle in data edges");
     }
     return depth;
 }

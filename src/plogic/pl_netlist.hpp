@@ -24,16 +24,23 @@
 // over a CSR (compressed sparse row) adjacency built from that array, so
 // each list is in edge-id order, the order the edges were added.
 //
-// The CSR is built lazily: the first in_edges/out_edges query after a
-// mutation builds it, in O(V+E), and it serves every query until the next
-// mutation.  The build takes a lock and publishes with an atomic flag, so
-// concurrent const readers of one netlist do not race, as with the verify
-// memo; mutators need exclusive access, as for any container.
-// attach_trigger reads its master's pins from the gate record, so the EE
-// pass, which attaches one trigger per accepted master, rebuilds the CSR
-// once, at its closing check, not once per trigger.  Spans from in_edges,
-// out_edges and data_in, and the view from name(), are valid until the
-// next mutation.
+// The same build makes the netlist's one token-free order
+// (token_free_order()): a FIFO Kahn order over the edges that carry no
+// initial token.  Gates with no token-free in-edge come first, in id order,
+// and each gate releases its successors in out-edge order.  It is complete,
+// one position per gate, exactly when the netlist is live.  The verifiers,
+// the mapper, arrival_depth and the simulator's schedule all read it.
+//
+// The CSR and the order are built lazily: the first in_edges, out_edges or
+// token_free_order query after a mutation builds them, in O(V+E), and they
+// serve every query until the next mutation.  The build takes a lock and
+// publishes with an atomic flag, so concurrent const readers of one netlist
+// do not race, as with the verify memo; mutators need exclusive access, as
+// for any container.  attach_trigger reads its master's pins from the gate
+// record, so the EE pass, which attaches one trigger per accepted master,
+// rebuilds the CSR once, at its closing check, not once per trigger.  Spans
+// from in_edges, out_edges, data_in and token_free_order, and the view from
+// name(), are valid until the next mutation.
 
 #pragma once
 
@@ -146,6 +153,10 @@ public:
         return {a.out_ids.data() + a.out_begin[g],
                 a.out_ids.data() + a.out_begin[g + 1]};
     }
+    /// The FIFO Kahn order over the edges without an initial token (see
+    /// Layout), built with the CSR.  Its size is num_gates() exactly when
+    /// the netlist is live.
+    std::span<const gate_id> token_free_order() const { return adjacency_view().order; }
     /// Gate g's pin-ordered data inputs (LUT operands), from its record.
     std::span<const edge_id> data_in(gate_id g) const {
         return {gates_[g].data_pins.data(), gates_[g].num_data};
@@ -165,8 +176,9 @@ public:
 
     // --- Analysis -----------------------------------------------------------
     /// Full well-formed / live / safe verification: verify_marked_graph over
-    /// the edges, tokens = initial markings.  A passed result is
-    /// remembered until the next mutation; every mutator above clears it.
+    /// this netlist's CSR and token-free order, tokens = initial markings.
+    /// A passed result is remembered until the next mutation; every mutator
+    /// above clears it.
     mg_report verify() const;
     /// The EE transform's check: when every mutation since the last passed
     /// check was attach_trigger, runs verify_appended() from that check's
@@ -184,7 +196,9 @@ public:
     /// Arrival depth of each gate's output signal: "the maximum path length
     /// in terms of PL gates from the primary circuit inputs" (Section 3).
     /// Sources, constant sources and through gates provide tokens at wave
-    /// start (depth 0); a compute/trigger gate adds one gate of depth.
+    /// start (depth 0); a compute/trigger gate adds one gate of depth.  One
+    /// walk of the token-free order; throws std::logic_error when the
+    /// netlist is not live.
     std::vector<int> arrival_depth() const;
 
     std::string to_dot(const std::string& graph_name = "pl") const;
@@ -216,13 +230,15 @@ private:
     };
 
     /// The CSR over edges_: gate g's in-edges are in_ids[in_begin[g],
-    /// in_begin[g + 1]), its out-edges likewise.  built is cleared by every
-    /// mutator and set, under mu, by the first reader after it.  A copied
-    /// or moved-to netlist starts unbuilt, so a copy never reads another
-    /// netlist's CSR while a reader of that netlist builds it.
+    /// in_begin[g + 1]), its out-edges likewise; order is the token-free
+    /// order.  built is cleared by every mutator and set, under mu, by the
+    /// first reader after it.  A copied or moved-to netlist starts unbuilt,
+    /// so a copy never reads another netlist's CSR while a reader of that
+    /// netlist builds it.
     struct adjacency {
         std::vector<std::uint32_t> in_begin, out_begin;
         std::vector<edge_id> in_ids, out_ids;
+        std::vector<gate_id> order;
         std::atomic<bool> built{false};
         std::mutex mu;
         adjacency() = default;
@@ -255,15 +271,15 @@ private:
 
 /// reverify()'s incremental check, for a netlist whose full verify() passed
 /// when it had `first_appended` edges and that has only gained edges (and
-/// gates) since.  It runs two passes:
+/// gates) since.  It checks two things:
 ///  * every appended edge lies on a 2-cycle whose two edges carry exactly
 ///    one token between them, as each edge of an attach_trigger gadget does
 ///    with its acknowledge;
-///  * one Kahn pass over the token-free edges reaches every gate.
+///  * the token-free order (token_free_order()) reaches every gate.
 /// When both hold, verify() would pass too: appended edges only add
 /// cycles, so the old edges stay well-formed, and once the graph is live,
 /// safe; the 2-cycle makes each appended edge well-formed and safe; the
-/// Kahn pass decides liveness.  The rule is sufficient, not necessary: an
+/// order decides liveness.  The rule is sufficient, not necessary: an
 /// appended edge may close a one-token cycle only through older edges, and
 /// this check rejects it, as not well-formed, while verify() passes it.
 /// O(V+E), and a pure function of the netlist: it leaves the memo alone.

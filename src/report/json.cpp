@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <stdexcept>
 
 namespace plee::report {
@@ -195,17 +194,6 @@ std::string json::dump_compact() const {
     std::string out;
     dump_compact_to(out);
     return out;
-}
-
-void json::write_file(const std::string& path) const {
-    std::ofstream f(path);
-    if (!f) {
-        throw std::runtime_error("json::write_file: cannot open " + path);
-    }
-    f << dump();
-    if (!f) {
-        throw std::runtime_error("json::write_file: write failed for " + path);
-    }
 }
 
 }  // namespace plee::report

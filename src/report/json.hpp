@@ -5,8 +5,9 @@
 // this module is the single serializer behind them.  It builds a value tree
 // (object / array / string / number / bool / null) with insertion-ordered
 // object keys — deterministic output for diffing — and dumps it with
-// standard escaping.  Deliberately write-only: nothing in this project needs
-// a JSON parser.
+// standard escaping.  The benches and tools write the dumped text through
+// atomic_write_text (rt/atomic_write.hpp), like every other artifact.
+// Deliberately write-only: nothing in this project needs a JSON parser.
 
 #pragma once
 
@@ -52,9 +53,6 @@ public:
     /// Serializes on one line with no whitespace and no trailing newline —
     /// the shape JSONL telemetry streams need (one record per line).
     std::string dump_compact() const;
-
-    /// Writes dump() to `path`, throwing std::runtime_error on I/O failure.
-    void write_file(const std::string& path) const;
 
 private:
     enum class kind : std::uint8_t { null, object, array, string, real, integer, boolean };

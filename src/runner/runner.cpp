@@ -3,13 +3,13 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <thread>
 
 #include "obs/registry.hpp"
 #include "obs/sink.hpp"
 #include "report/json.hpp"
 #include "rt/errors.hpp"
 #include "rt/wall_timer.hpp"
+#include "rt/workers.hpp"
 #include "sim/errors.hpp"
 
 namespace plee::runner {
@@ -97,11 +97,7 @@ const char* to_string(job_status status) {
 fleet_result run_fleet(const std::vector<fleet_job>& jobs,
                        const fleet_options& options) {
     fleet_result fleet;
-    unsigned threads = options.num_threads != 0 ? options.num_threads
-                                                : std::thread::hardware_concurrency();
-    if (threads == 0) threads = 1;
-    threads = static_cast<unsigned>(
-        std::min<std::size_t>(threads, std::max<std::size_t>(jobs.size(), 1)));
+    const unsigned threads = worker_count(options.num_threads, jobs.size());
     fleet.threads = threads;
     fleet.results.resize(jobs.size());
     if (jobs.empty()) return fleet;
@@ -111,19 +107,9 @@ fleet_result run_fleet(const std::vector<fleet_job>& jobs,
 
     std::atomic<std::size_t> next{0};
     const wall_timer timer;
-    if (threads <= 1) {
+    run_workers(threads, [&] {
         fleet_worker(jobs, experiment, options, next, fleet.results);
-    } else {
-        std::vector<std::thread> pool;
-        pool.reserve(threads - 1);
-        for (unsigned t = 1; t < threads; ++t) {
-            pool.emplace_back([&] {
-                fleet_worker(jobs, experiment, options, next, fleet.results);
-            });
-        }
-        fleet_worker(jobs, experiment, options, next, fleet.results);
-        for (std::thread& t : pool) t.join();
-    }
+    });
     fleet.wall_ms = timer.elapsed_ms();
 
     for (const job_result& r : fleet.results) {

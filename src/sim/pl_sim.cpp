@@ -28,8 +28,8 @@ pl_simulator::pl_simulator(const pl::pl_netlist& pl, sim_options options,
 }
 
 // ---------------------------------------------------------------------------
-// Compile: the FIFO Kahn order over token-free edges, one in-ref per input
-// edge, and the wave -1 preset.
+// Compile: the netlist's token-free order, one in-ref per input edge, and
+// the wave -1 preset.
 // ---------------------------------------------------------------------------
 
 void pl_simulator::compile() {
@@ -37,34 +37,21 @@ void pl_simulator::compile() {
     if (num_gates >= (std::size_t{1} << 29)) {
         throw std::length_error("pl_simulator: too many gates for a 32-bit ref");
     }
-    std::vector<std::uint32_t> indeg(num_gates, 0);
-    for (const pl::pl_edge& e : pl_.edges()) {
-        if (!e.init_token) ++indeg[e.to];
-    }
-    std::vector<pl::gate_id> order;
-    order.reserve(num_gates);
-    for (pl::gate_id g = 0; g < num_gates; ++g) {
-        if (indeg[g] == 0) order.push_back(g);
-    }
-    for (std::size_t head = 0; head < order.size(); ++head) {
-        for (pl::edge_id e : pl_.out_edges(order[head])) {
-            const pl::pl_edge& edge = pl_.edge(e);
-            if (!edge.init_token && --indeg[edge.to] == 0) order.push_back(edge.to);
-        }
-    }
+    const std::span<const pl::gate_id> order = pl_.token_free_order();
     if (order.size() < num_gates) {
-        // Every gate left over waits on a token-free edge from another one
-        // left over, so walking back along such edges closes the cycle.
+        // Every gate missing from the order waits on a token-free edge from
+        // another missing one, so walking back along such edges from the
+        // first closes the cycle.
+        std::vector<bool> ordered(num_gates, false);
+        for (const pl::gate_id g : order) ordered[g] = true;
         pl::gate_id g = static_cast<pl::gate_id>(
-            std::find_if(indeg.begin(), indeg.end(),
-                         [](std::uint32_t d) { return d != 0; }) -
-            indeg.begin());
+            std::find(ordered.begin(), ordered.end(), false) - ordered.begin());
         std::vector<bool> seen(num_gates, false);
         while (!seen[g]) {
             seen[g] = true;
             for (pl::edge_id e : pl_.in_edges(g)) {
                 const pl::pl_edge& edge = pl_.edge(e);
-                if (!edge.init_token && indeg[edge.from] != 0) {
+                if (!edge.init_token && !ordered[edge.from]) {
                     g = edge.from;
                     break;
                 }

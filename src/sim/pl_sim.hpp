@@ -29,12 +29,13 @@
 // without an event list.  The constructor compiles that order once, and one
 // schedule serves both protocols:
 //
-//  * Record.  One 32-byte record per position (a FIFO Kahn order): the ref
-//    range, the data-pin count, the kind, the efire ref, an offset into one
-//    LUT-word pool, the env slot and the delay.  Side arrays hold the
-//    deposit prefix sums, the masters' trigger pin maps and words (in
-//    schedule order), and the trace edges; only the paths that need them
-//    read them.
+//  * Record.  One 32-byte record per position of the netlist's token-free
+//    order (pl_netlist::token_free_order, a FIFO Kahn order built with its
+//    CSR): the ref range, the data-pin count, the kind, the efire ref, an
+//    offset into one LUT-word pool, the env slot and the delay.  Side
+//    arrays hold the deposit prefix sums, the masters' trigger pin maps and
+//    words (in schedule order), and the trace edges; only the paths that
+//    need them read them.
 //  * Ref order.  A position lists its data pins first, in pin order, then
 //    its other in-edges (acks and efire), each in-edge once.  A ref is
 //    (slot << 1) | marked, slot = 2 * producer position + (1 for an ack),

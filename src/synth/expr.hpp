@@ -42,8 +42,6 @@ public:
     expr_id or_(expr_id a, expr_id b);
     expr_id xor_(expr_id a, expr_id b);
     expr_id xnor_(expr_id a, expr_id b) { return not_(xor_(a, b)); }
-    expr_id nand_(expr_id a, expr_id b) { return not_(and_(a, b)); }
-    expr_id nor_(expr_id a, expr_id b) { return not_(or_(a, b)); }
 
     /// 2:1 multiplexer: sel ? a : b.
     expr_id mux(expr_id sel, expr_id a, expr_id b);

@@ -94,8 +94,6 @@ module_builder::add_result module_builder::add(const bus& a, const bus& b) {
     return add(a, b, lit(false));
 }
 
-bus module_builder::add_mod(const bus& a, const bus& b) { return add(a, b).sum; }
-
 module_builder::sub_result module_builder::sub(const bus& a, const bus& b) {
     // a - b = a + ~b + 1; borrow = NOT carry-out.
     add_result r = add(a, bw_not(b), lit(true));

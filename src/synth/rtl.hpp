@@ -53,8 +53,6 @@ public:
     };
     add_result add(const bus& a, const bus& b, expr_id cin);
     add_result add(const bus& a, const bus& b);
-    /// Modular addition (carry dropped).
-    bus add_mod(const bus& a, const bus& b);
     struct sub_result {
         bus diff;
         expr_id borrow;
@@ -68,9 +66,7 @@ public:
     expr_id ult(const bus& a, const bus& b);  ///< unsigned a < b
     expr_id ule(const bus& a, const bus& b);
     expr_id ugt(const bus& a, const bus& b) { return ult(b, a); }
-    expr_id uge(const bus& a, const bus& b) { return ule(b, a); }
     expr_id reduce_or(const bus& a) { return arena_.or_all(a); }
-    expr_id reduce_and(const bus& a) { return arena_.and_all(a); }
     expr_id reduce_xor(const bus& a) { return arena_.xor_all(a); }
 
     // --- Bitwise / steering -------------------------------------------------

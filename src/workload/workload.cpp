@@ -426,10 +426,4 @@ nl::netlist generate(const workload_params& params) {
     return nl;
 }
 
-std::vector<sim::stimulus_block> stimulus_for(const nl::netlist& netlist,
-                                              std::size_t count,
-                                              std::uint64_t seed) {
-    return sim::make_stimulus(count, netlist.inputs().size(), seed);
-}
-
 }  // namespace plee::wl

@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "netlist/netlist.hpp"
-#include "sim/stimulus.hpp"
 
 namespace plee::wl {
 
@@ -84,12 +83,5 @@ workload_params scenario_params(scenario kind, std::size_t num_gates,
 /// equal params (including seed) produce byte-identical netlists.  Throws
 /// std::invalid_argument on unsatisfiable parameters.
 nl::netlist generate(const workload_params& params);
-
-/// Bit-packed stimulus sized for `netlist`: count vectors over its primary
-/// inputs, in the lane-packed layout the measure path and the lane-parallel
-/// simulators consume directly.  Same stream as sim::random_vectors per seed.
-std::vector<sim::stimulus_block> stimulus_for(const nl::netlist& netlist,
-                                              std::size_t count,
-                                              std::uint64_t seed);
 
 }  // namespace plee::wl

@@ -86,6 +86,23 @@ TEST(EeTransform, CancelledTokenStopsTheSearchBeforeAnyMutation) {
     }
 }
 
+TEST(EeTransform, DeadNetlistThrowsBeforeAnyTrigger) {
+    pl::map_result mapped = pl::map_to_phased_logic(ripple_adder());
+    // Two token-free acknowledges between two compute gates: a token-free
+    // 2-cycle, so the netlist is not live.
+    pl::gate_id a = 0;
+    while (mapped.pl.gate(a).kind != pl::gate_kind::compute) ++a;
+    pl::gate_id b = a + 1;
+    while (mapped.pl.gate(b).kind != pl::gate_kind::compute) ++b;
+    mapped.pl.add_ack_edge(a, b, false);
+    mapped.pl.add_ack_edge(b, a, false);
+    const std::size_t gates = mapped.pl.num_gates();
+    const std::size_t edges = mapped.pl.num_edges();
+    EXPECT_THROW(apply_early_evaluation(mapped.pl), std::logic_error);
+    EXPECT_EQ(mapped.pl.num_gates(), gates);
+    EXPECT_EQ(mapped.pl.num_edges(), edges);
+}
+
 TEST(EeTransform, NetlistWithoutAPassedCheckGetsTheFullVerify) {
     pl::map_result mapped = pl::map_to_phased_logic(ripple_adder());
     // Rewriting a function is a mutation: it drops the mapper's mark.

@@ -1,23 +1,33 @@
-// Tests for marked-graph theory: firing semantics and the well-formed /
-// live / safe verification that Section 2 requires of every PL netlist.
+// Tests for the marked-graph verification that Section 2 requires of every
+// PL netlist: well-formed, live and safe.  Each graph is a pl_netlist whose
+// edges are acknowledges, which the analysis reads as plain marked-graph
+// edges (an initial token is a marking of one).
 
 #include "plogic/marked_graph.hpp"
 
 #include <gtest/gtest.h>
 
+#include "plogic/pl_netlist.hpp"
+
 namespace plee::pl {
 namespace {
 
-// A two-gate ring: a -> b (1 token), b -> a (0 tokens).
-marked_graph make_ring2(int tokens_ab, int tokens_ba) {
-    marked_graph g(2);
-    g.add_edge(0, 1, tokens_ab);
-    g.add_edge(1, 0, tokens_ba);
+pl_netlist make_graph(std::size_t num_nodes) {
+    pl_netlist g;
+    for (std::size_t i = 0; i < num_nodes; ++i) g.add_gate(gate_kind::compute);
+    return g;
+}
+
+// A two-gate ring: a -> b, b -> a.
+pl_netlist make_ring2(bool token_ab, bool token_ba) {
+    pl_netlist g = make_graph(2);
+    g.add_ack_edge(0, 1, token_ab);
+    g.add_ack_edge(1, 0, token_ba);
     return g;
 }
 
 TEST(MarkedGraph, RingWithOneTokenIsLiveAndSafe) {
-    const mg_report r = make_ring2(1, 0).verify();
+    const mg_report r = make_ring2(true, false).verify();
     EXPECT_TRUE(r.well_formed);
     EXPECT_TRUE(r.live);
     EXPECT_TRUE(r.safe);
@@ -26,50 +36,46 @@ TEST(MarkedGraph, RingWithOneTokenIsLiveAndSafe) {
 }
 
 TEST(MarkedGraph, TokenFreeRingIsNotLive) {
-    const mg_report r = make_ring2(0, 0).verify();
+    const mg_report r = make_ring2(false, false).verify();
     EXPECT_TRUE(r.well_formed);
     EXPECT_FALSE(r.live);
     EXPECT_FALSE(r.ok());
-    EXPECT_FALSE(r.violation.empty());
+    EXPECT_EQ(r.violation, "token-free directed cycle (no token circulation possible)");
 }
 
 TEST(MarkedGraph, DoubleTokenRingIsNotSafe) {
-    const mg_report r = make_ring2(1, 1).verify();
+    const mg_report r = make_ring2(true, true).verify();
     EXPECT_TRUE(r.well_formed);
     EXPECT_TRUE(r.live);
     EXPECT_FALSE(r.safe);
-}
-
-TEST(MarkedGraph, EdgeWithTwoTokensIsNotSafe) {
-    const mg_report r = make_ring2(2, 0).verify();
-    EXPECT_FALSE(r.safe);
+    EXPECT_EQ(r.violation, "edge 0 (0->1, m=1) is on no single-token cycle");
 }
 
 TEST(MarkedGraph, DanglingEdgeIsNotWellFormed) {
-    marked_graph g(3);
-    g.add_edge(0, 1, 1);
-    g.add_edge(1, 0, 0);
-    g.add_edge(1, 2, 1);  // node 2 has no path back: not on any circuit
+    pl_netlist g = make_graph(3);
+    g.add_ack_edge(0, 1, true);
+    g.add_ack_edge(1, 0, false);
+    g.add_ack_edge(1, 2, true);  // node 2 has no path back: not on any circuit
     const mg_report r = g.verify();
     EXPECT_FALSE(r.well_formed);
+    EXPECT_EQ(r.violation, "edge 2 (1->2) lies on no directed cycle");
 }
 
 TEST(MarkedGraph, SelfLoopWithTokenIsFine) {
-    marked_graph g(1);
-    g.add_edge(0, 0, 1);
+    pl_netlist g = make_graph(1);
+    g.add_ack_edge(0, 0, true);
     const mg_report r = g.verify();
     EXPECT_TRUE(r.ok());
 }
 
 TEST(MarkedGraph, LongPipelineAlternatingTokens) {
-    // 6-stage ring with forward data edges (tokens on stage 0 only) and
-    // backward ack edges carrying the complementary marking: live and safe.
-    marked_graph g(6);
-    for (node_id i = 0; i < 6; ++i) {
-        const node_id j = (i + 1) % 6;
-        const int m = i == 0 ? 1 : 0;
-        g.add_edge(i, j, m);
-        g.add_edge(j, i, 1 - m);
+    // 6-stage ring with forward edges (a token on stage 0 only) and backward
+    // edges carrying the complementary marking: live and safe.
+    pl_netlist g = make_graph(6);
+    for (gate_id i = 0; i < 6; ++i) {
+        const gate_id j = (i + 1) % 6;
+        g.add_ack_edge(i, j, i == 0);
+        g.add_ack_edge(j, i, i != 0);
     }
     EXPECT_TRUE(g.verify().ok());
 }
@@ -77,85 +83,30 @@ TEST(MarkedGraph, LongPipelineAlternatingTokens) {
 TEST(MarkedGraph, ThreeRingWithTwoTokensIsNotSafe) {
     // The only cycle carries two tokens, so both can pile up on the edge
     // into node 0 (occupancy bound = min cycle count = 2): unsafe.
-    marked_graph g(3);
-    g.add_edge(0, 1, 1);
-    g.add_edge(1, 2, 1);
-    g.add_edge(2, 0, 0);
+    pl_netlist g = make_graph(3);
+    g.add_ack_edge(0, 1, true);
+    g.add_ack_edge(1, 2, true);
+    g.add_ack_edge(2, 0, false);
     const mg_report r = g.verify();
     EXPECT_TRUE(r.well_formed);
     EXPECT_TRUE(r.live);
     EXPECT_FALSE(r.safe);
+    EXPECT_EQ(r.violation, "edge 0 (0->1, m=1) is on no single-token cycle");
 }
 
 TEST(MarkedGraph, TwoTokenOuterCycleWithSafeInnerCyclesIsSafe) {
     // The outer cycle 0->1->2->0 carries two tokens, but every edge also
     // lies on a single-token 2-cycle, so per the occupancy theorem no edge
     // ever holds more than one token: the marking is safe.
-    marked_graph g(3);
-    g.add_edge(0, 1, 1);
-    g.add_edge(1, 0, 0);
-    g.add_edge(1, 2, 1);
-    g.add_edge(2, 1, 0);
-    g.add_edge(2, 0, 0);
-    g.add_edge(0, 2, 1);
+    pl_netlist g = make_graph(3);
+    g.add_ack_edge(0, 1, true);
+    g.add_ack_edge(1, 0, false);
+    g.add_ack_edge(1, 2, true);
+    g.add_ack_edge(2, 1, false);
+    g.add_ack_edge(2, 0, false);
+    g.add_ack_edge(0, 2, true);
     const mg_report r = g.verify();
     EXPECT_TRUE(r.ok());
-}
-
-TEST(MarkedGraph, FiringMovesTokens) {
-    marked_graph g = make_ring2(1, 0);
-    EXPECT_TRUE(g.enabled(1));
-    EXPECT_FALSE(g.enabled(0));
-    EXPECT_TRUE(g.fire(1));
-    EXPECT_EQ(g.edges()[0].tokens, 0);
-    EXPECT_EQ(g.edges()[1].tokens, 1);
-    EXPECT_TRUE(g.enabled(0));
-    EXPECT_FALSE(g.fire(1));  // no longer enabled
-}
-
-TEST(MarkedGraph, TokenCountOnCyclesInvariantUnderFiring) {
-    marked_graph g(3);
-    g.add_edge(0, 1, 1);
-    g.add_edge(1, 2, 0);
-    g.add_edge(2, 0, 0);
-    const int before = g.total_tokens();
-    ASSERT_TRUE(g.fire(1));
-    ASSERT_TRUE(g.fire(2));
-    ASSERT_TRUE(g.fire(0));
-    EXPECT_EQ(g.total_tokens(), before);
-    EXPECT_TRUE(g.verify().ok());
-}
-
-TEST(MarkedGraph, LivenessPreservedByFiring) {
-    // Firing never changes cycle token counts, so verify() is invariant.
-    marked_graph g(4);
-    for (node_id i = 0; i < 4; ++i) {
-        const node_id j = (i + 1) % 4;
-        g.add_edge(i, j, i == 0 ? 1 : 0);
-        g.add_edge(j, i, i == 0 ? 0 : 1);
-    }
-    ASSERT_TRUE(g.verify().ok());
-    for (int round = 0; round < 8; ++round) {
-        for (node_id n = 0; n < 4; ++n) {
-            if (g.enabled(n)) g.fire(n);
-        }
-        EXPECT_TRUE(g.verify().ok()) << "round " << round;
-    }
-}
-
-TEST(MarkedGraph, RejectsBadEdges) {
-    marked_graph g(2);
-    EXPECT_THROW(g.add_edge(0, 5, 0), std::invalid_argument);
-    EXPECT_THROW(g.add_edge(0, 1, -1), std::invalid_argument);
-}
-
-TEST(MarkedGraph, AddNodeGrowsGraph) {
-    marked_graph g(1);
-    const node_id n = g.add_node();
-    EXPECT_EQ(n, 1u);
-    g.add_edge(0, 1, 1);
-    g.add_edge(1, 0, 0);
-    EXPECT_TRUE(g.verify().ok());
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Unit tests for the PL netlist container itself: gate/edge construction
 // rules, trigger attachment wiring, arrival-depth analysis, statistics, the
-// marked-graph image, the verify() memo, the incremental post-EE check and
-// the lazily built CSR adjacency.
+// verify() memo, the incremental post-EE check, and the lazily built CSR
+// adjacency and token-free order.
 
 #include "plogic/pl_netlist.hpp"
 
@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include "bench_circuits/itc99.hpp"
 #include "ee/ee_transform.hpp"
 #include "plogic/pl_mapper.hpp"
 #include "sim/pl_sim.hpp"
@@ -96,7 +97,12 @@ TEST(PlNetlist, FunctionOnlyOnLutGates) {
     EXPECT_THROW(pl.set_function(s, and2()), std::invalid_argument);
     const gate_id c = pl.add_gate(gate_kind::const_source, "k");
     EXPECT_NO_THROW(pl.set_const_value(c, true));
+    // A rejected call changes nothing, so the memo of a passed check stays.
+    ASSERT_TRUE(pl.verify().ok());
     EXPECT_THROW(pl.set_const_value(s, true), std::invalid_argument);
+    EXPECT_TRUE(pl.verified());
+    EXPECT_THROW(pl.set_function(c, and2()), std::invalid_argument);
+    EXPECT_TRUE(pl.verified());
 }
 
 TEST(PlNetlist, AttachTriggerWiring) {
@@ -165,6 +171,9 @@ TEST(PlNetlist, EdgeRangeChecks) {
     const gate_id s = pl.add_gate(gate_kind::source, "s");
     EXPECT_THROW(pl.add_data_edge(s, 42, 0, false, false), std::invalid_argument);
     EXPECT_THROW(pl.add_ack_edge(42, s, false), std::invalid_argument);
+    EXPECT_THROW(pl.set_function(42, and2()), std::invalid_argument);
+    EXPECT_THROW(pl.set_const_value(42, true), std::invalid_argument);
+    EXPECT_THROW(pl.attach_trigger(42, and2(), 0b11), std::invalid_argument);
 }
 
 TEST(PlNetlist, EveryMutatorClearsTheVerifyMemo) {
@@ -488,6 +497,67 @@ TEST(PlNetlist, ConcurrentSimulatorCompilesShareOneLazyAdjacency) {
         EXPECT_EQ(r.output_stable, expected.output_stable);
     }
     expect_adjacency_matches_edge_scan(shared);
+}
+
+/// The token-free order's contract: each gate at most once, the gates with
+/// no token-free in-edge first and in id order, every token-free edge
+/// pointing forward (a gate missing from the order feeds only missing
+/// gates), and complete exactly when verify() finds the netlist live.
+void expect_token_free_order(const pl_netlist& pl) {
+    const std::span<const gate_id> order = pl.token_free_order();
+    constexpr std::size_t k_missing = static_cast<std::size_t>(-1);
+    std::vector<std::size_t> pos(pl.num_gates(), k_missing);
+    for (std::size_t i = 0; i < order.size(); ++i) {
+        ASSERT_EQ(pos[order[i]], k_missing) << "gate " << order[i] << " twice";
+        pos[order[i]] = i;
+    }
+    std::vector<bool> fed(pl.num_gates(), false);
+    for (edge_id e = 0; e < pl.num_edges(); ++e) {
+        const pl_edge& edge = pl.edge(e);
+        if (edge.init_token) continue;
+        fed[edge.to] = true;
+        if (pos[edge.from] == k_missing) {
+            EXPECT_EQ(pos[edge.to], k_missing) << "edge " << e;
+        } else if (pos[edge.to] != k_missing) {
+            EXPECT_LT(pos[edge.from], pos[edge.to]) << "edge " << e;
+        }
+    }
+    std::vector<gate_id> leaders;
+    for (gate_id g = 0; g < pl.num_gates(); ++g) {
+        if (!fed[g]) leaders.push_back(g);
+    }
+    ASSERT_GE(order.size(), leaders.size());
+    EXPECT_EQ(std::vector<gate_id>(order.begin(), order.begin() + leaders.size()),
+              leaders);
+    EXPECT_EQ(order.size() == pl.num_gates(), pl.verify().live);
+}
+
+TEST(PlNetlist, TokenFreeOrderIsCompleteExactlyWhenLive) {
+    {
+        SCOPED_TRACE("chain");
+        chain_fixture f;
+        expect_token_free_order(f.pl);
+        EXPECT_EQ(f.pl.token_free_order().size(), f.pl.num_gates());
+    }
+    {
+        SCOPED_TRACE("b05");
+        map_result mapped = map_to_phased_logic(bench::build_benchmark("b05"));
+        expect_token_free_order(mapped.pl);
+        ASSERT_GT(ee::apply_early_evaluation(mapped.pl).triggers_added, 0u);
+        expect_token_free_order(mapped.pl);
+        EXPECT_EQ(mapped.pl.token_free_order().size(), mapped.pl.num_gates());
+    }
+    {
+        // g1 <-> g2 without tokens: the cycle and the sink it feeds never
+        // enter the order.
+        SCOPED_TRACE("token-free cycle");
+        chain_fixture f;
+        f.pl.add_data_edge(f.g2, f.g1, -1, false, false);
+        expect_token_free_order(f.pl);
+        EXPECT_EQ(f.pl.token_free_order().size(), 2u);
+        EXPECT_FALSE(f.pl.verify().live);
+        EXPECT_THROW(f.pl.arrival_depth(), std::logic_error);
+    }
 }
 
 TEST(PlNetlist, KindNames) {
