@@ -9,10 +9,11 @@
 // full-adder carry master F = C(A+B) + AB paired with the trigger
 // F = AB + A'B' — is built as a real PL netlist and dumped both as a wiring
 // report and as Graphviz (written to fig2_ee_pair.dot).  Exits 1 when the
-// netlist fails its marked-graph check after the EE pass.
+// netlist fails its marked-graph check after the EE pass, or when
+// fig2_ee_pair.dot cannot be written (the error names the file).
 
 #include <cstdio>
-#include <fstream>
+#include <exception>
 #include <string>
 #include <vector>
 
@@ -20,6 +21,7 @@
 #include "ee/ee_transform.hpp"
 #include "plogic/ledr.hpp"
 #include "plogic/pl_mapper.hpp"
+#include "rt/atomic_write.hpp"
 #include "synth/rtl.hpp"
 
 using namespace plee;
@@ -118,8 +120,13 @@ bool figure2_structural_dump() {
     std::printf("\nmarked graph after EE: well-formed=%d live=%d safe=%d\n",
                 report.well_formed, report.live, report.safe);
 
-    std::ofstream dot("fig2_ee_pair.dot");
-    dot << mapped.pl.to_dot("fig2_ee_pair");
+    try {
+        atomic_write_text("fig2_ee_pair.dot", mapped.pl.to_dot("fig2_ee_pair"));
+    } catch (const std::exception& e) {
+        std::fprintf(stderr, "bench_fig1_fig2_structure: cannot write fig2_ee_pair.dot: %s\n",
+                     e.what());
+        return false;
+    }
     std::printf("Graphviz wiring written to fig2_ee_pair.dot (triggers drawn as "
                 "diamonds, acks dashed, initial tokens starred).\n");
     return report.ok();

@@ -1,8 +1,10 @@
 // bench_micro — google-benchmark microbenchmarks for the algorithmic
 // building blocks: trigger search throughput (the 14-support-set sweep the
 // paper calls "practical" thanks to the LUT4 restriction, and the LUT7 and
-// LUT8 sweeps of the wide presets), Quine–McCluskey covering, marked-graph
-// verification, PL mapping, and event-simulation throughput.
+// LUT8 sweeps of the wide presets, each timing trigger_candidates over
+// every support; and find_best_trigger over the wide-search workload's
+// masters, the EE pass's own traffic), Quine–McCluskey covering,
+// marked-graph verification, PL mapping, and event-simulation throughput.
 //
 // `--json <path>` additionally writes the captured timings as
 // BENCH_trigger.json so the perf trajectory stays machine-readable.
@@ -18,12 +20,14 @@
 
 #include "bench_circuits/itc99.hpp"
 #include "bool/cube_list.hpp"
+#include "bool/splitmix64.hpp"
 #include "ee/ee_transform.hpp"
 #include "ee/trigger_search.hpp"
 #include "plogic/pl_mapper.hpp"
 #include "report/json.hpp"
 #include "rt/atomic_write.hpp"
 #include "sim/measure.hpp"
+#include "workload/workload.hpp"
 
 using namespace plee;
 
@@ -39,7 +43,7 @@ void bm_trigger_search_lut4(benchmark::State& state) {
         seed = mix(seed);
         const bf::truth_table master(4, seed & 0xffff);
         if (master.support_size() < 2) continue;
-        benchmark::DoNotOptimize(ee::find_best_trigger(master, {0, 1, 2, 3}));
+        benchmark::DoNotOptimize(ee::trigger_candidates(master, {0, 1, 2, 3}));
     }
 }
 BENCHMARK(bm_trigger_search_lut4);
@@ -52,7 +56,7 @@ void bm_trigger_search_cube_list(benchmark::State& state) {
         seed = mix(seed);
         const bf::truth_table master(4, seed & 0xffff);
         if (master.support_size() < 2) continue;
-        benchmark::DoNotOptimize(ee::find_best_trigger(master, {0, 1, 2, 3}, opts));
+        benchmark::DoNotOptimize(ee::trigger_candidates(master, {0, 1, 2, 3}, opts));
     }
 }
 BENCHMARK(bm_trigger_search_cube_list);
@@ -83,7 +87,7 @@ void bm_trigger_search_lut7(benchmark::State& state) {
     for (auto _ : state) {
         const bf::truth_table master = random_wide_table(7, seed);
         if (master.support_size() < 2) continue;
-        benchmark::DoNotOptimize(ee::find_best_trigger(master, arrivals));
+        benchmark::DoNotOptimize(ee::trigger_candidates(master, arrivals));
     }
 }
 BENCHMARK(bm_trigger_search_lut7);
@@ -122,10 +126,47 @@ void bm_trigger_search_lut8(benchmark::State& state) {
     std::size_t i = 0;
     for (auto _ : state) {
         benchmark::DoNotOptimize(
-            ee::find_best_trigger(masters[i++ % masters.size()], arrivals));
+            ee::trigger_candidates(masters[i++ % masters.size()], arrivals));
     }
 }
 BENCHMARK(bm_trigger_search_lut8);
+
+void bm_find_best_trigger_wide(benchmark::State& state) {
+    // The traffic the EE pass serves on the wide-search workload: every
+    // compute master with >= 2 pins of its seed-7 netlists (10 x 150 LUTs,
+    // lut6-dag and lut8-datapath alternating, generator seed
+    // splitmix64(7 * 64 + i)), with the arrival depths of its mapped
+    // netlist, searched in turn by the pruned winner search.
+    struct master {
+        bf::truth_table function;
+        std::vector<int> arrivals;
+    };
+    std::vector<master> masters;
+    for (std::uint64_t i = 0; i < 10; ++i) {
+        const wl::scenario kind =
+            i % 2 == 0 ? wl::scenario::lut6_dag : wl::scenario::lut8_datapath;
+        const pl::map_result mapped = pl::map_to_phased_logic(
+            wl::generate(wl::scenario_params(kind, 150, bf::splitmix64(7 * 64 + i))));
+        const std::vector<int> arrival = mapped.pl.arrival_depth();
+        for (pl::gate_id g = 0; g < mapped.pl.num_gates(); ++g) {
+            if (mapped.pl.gate(g).kind != pl::gate_kind::compute ||
+                mapped.pl.data_in(g).size() < 2) {
+                continue;
+            }
+            master m{mapped.pl.gate(g).function, {}};
+            for (pl::edge_id e : mapped.pl.data_in(g)) {
+                m.arrivals.push_back(arrival[mapped.pl.edge(e).from]);
+            }
+            masters.push_back(std::move(m));
+        }
+    }
+    std::size_t i = 0;
+    for (auto _ : state) {
+        const master& m = masters[i++ % masters.size()];
+        benchmark::DoNotOptimize(ee::find_best_trigger(m.function, m.arrivals));
+    }
+}
+BENCHMARK(bm_find_best_trigger_wide);
 
 void bm_exact_trigger_kernel_lut8(benchmark::State& state) {
     // The widest kernel: four-word folds and shrink on an 8-variable master.

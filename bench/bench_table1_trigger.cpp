@@ -10,6 +10,7 @@
 // candidate, demonstrating Equation 1 end to end.
 
 #include <cstdio>
+#include <optional>
 
 #include "bool/cube_list.hpp"
 #include "bool/support.hpp"
@@ -89,10 +90,9 @@ int main() {
     {
         ee::search_options opts;
         opts.require_arrival_gain = false;  // show every candidate's score
-        const ee::search_result r =
-            ee::find_best_trigger(master, {0, 0, 2}, opts);
         report::text_table t({"Support", "Trigger", "Coverage", "Mmax", "Tmax", "Cost"});
-        for (const ee::trigger_candidate& c : r.all) {
+        for (const ee::trigger_candidate& c :
+             ee::trigger_candidates(master, {0, 0, 2}, opts)) {
             t.add_row({support_name(c.support), c.function.to_string(),
                        report::fmt(c.coverage_percent, 0) + "%",
                        std::to_string(c.master_max_arrival),
@@ -100,12 +100,12 @@ int main() {
                        report::fmt(c.cost, 1)});
         }
         std::printf("%s\n", t.to_string().c_str());
-        if (r.best) {
+        if (const std::optional<ee::trigger_candidate> best =
+                ee::find_best_trigger(master, {0, 0, 2}, opts)) {
             std::printf("Best candidate: support %s, trigger %s, coverage %.0f%% "
                         "(the paper's ab + a'b' generate/kill detector).\n",
-                        support_name(r.best->support).c_str(),
-                        r.best->function.to_string().c_str(),
-                        r.best->coverage_percent);
+                        support_name(best->support).c_str(),
+                        best->function.to_string().c_str(), best->coverage_percent);
         }
     }
     return 0;

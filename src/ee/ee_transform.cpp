@@ -13,31 +13,33 @@ namespace plee::ee {
 
 namespace {
 
-struct search_job {
-    pl::gate_id master = pl::k_invalid_gate;
-    std::vector<int> pin_arrivals;
-};
-
-/// Runs the trigger search for jobs [begin, end) pulled in chunks from a
-/// shared counter, writing each best candidate to its own slot — the output
-/// is position-addressed, so any work interleaving yields the same result.
-void search_worker(const pl::pl_netlist& pl, const std::vector<search_job>& jobs,
+/// Runs the trigger search for masters pulled in chunks from a shared
+/// counter, writing each winner to its own slot — the output is
+/// position-addressed, so any work interleaving yields the same result.
+/// Each master's pin arrivals go into one buffer the worker reuses.
+void search_worker(const pl::pl_netlist& pl, const std::vector<int>& arrival,
+                   const std::vector<pl::gate_id>& masters,
                    const search_options& search, const job_context& ctx,
                    std::atomic<std::size_t>& next,
                    std::vector<std::optional<trigger_candidate>>& best) {
     constexpr std::size_t k_chunk = 16;
+    std::vector<int> pin_arrivals;
+    pin_arrivals.reserve(bf::k_max_vars);
     for (;;) {
         const std::size_t begin = next.fetch_add(k_chunk, std::memory_order_relaxed);
-        if (begin >= jobs.size()) return;
+        if (begin >= masters.size()) return;
         ctx.poll("ee.search", begin);
         if (ctx.recorder != nullptr) {
-            ctx.recorder->record("ee.chunk", begin, jobs.size());
+            ctx.recorder->record("ee.chunk", begin, masters.size());
         }
-        const std::size_t end = std::min(begin + k_chunk, jobs.size());
+        const std::size_t end = std::min(begin + k_chunk, masters.size());
         for (std::size_t i = begin; i < end; ++i) {
-            best[i] = find_best_trigger(pl.gate(jobs[i].master).function,
-                                        jobs[i].pin_arrivals, search)
-                          .best;
+            pin_arrivals.clear();
+            for (pl::edge_id e : pl.data_in(masters[i])) {
+                pin_arrivals.push_back(arrival[pl.edge(e).from]);
+            }
+            best[i] = find_best_trigger(pl.gate(masters[i]).function, pin_arrivals,
+                                        search);
         }
     }
 }
@@ -51,36 +53,29 @@ ee_stats apply_early_evaluation(pl::pl_netlist& pl, const ee_options& options,
 
     // Snapshot the candidate masters first: attaching triggers appends gates
     // and edges, which must not perturb the iteration or the arrival model.
-    std::vector<search_job> jobs;
+    std::vector<pl::gate_id> masters;
     for (pl::gate_id g = 0; g < pl.num_gates(); ++g) {
-        if (pl.gate(g).kind != pl::gate_kind::compute || pl.data_in(g).size() < 2) {
-            continue;
+        if (pl.gate(g).kind == pl::gate_kind::compute && pl.data_in(g).size() >= 2) {
+            masters.push_back(g);
         }
-        search_job job;
-        job.master = g;
-        job.pin_arrivals.reserve(pl.data_in(g).size());
-        for (pl::edge_id e : pl.data_in(g)) {
-            job.pin_arrivals.push_back(arrival[pl.edge(e).from]);
-        }
-        jobs.push_back(std::move(job));
     }
-    stats.masters_considered = jobs.size();
+    stats.masters_considered = masters.size();
 
     // Phase 1 — search, read-only over the netlist and safe to fan out: each
     // master's search is a pure function of its truth table and arrivals.
-    std::vector<std::optional<trigger_candidate>> best(jobs.size());
+    std::vector<std::optional<trigger_candidate>> best(masters.size());
     std::atomic<std::size_t> next{0};
-    run_workers(worker_count(options.num_threads, jobs.size()), [&] {
-        search_worker(pl, jobs, options.search, ctx, next, best);
+    run_workers(worker_count(options.num_threads, masters.size()), [&] {
+        search_worker(pl, arrival, masters, options.search, ctx, next, best);
     });
 
     // Phase 2 — mutate, serial and in gate order: identical output to the
     // original sequential pass regardless of the thread count above.
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
+    for (std::size_t i = 0; i < masters.size(); ++i) {
         if (!best[i]) continue;
         const pl::gate_id trig =
-            pl.attach_trigger(jobs[i].master, best[i]->function, best[i]->support);
-        stats.applied.push_back({jobs[i].master, trig, *best[i]});
+            pl.attach_trigger(masters[i], best[i]->function, best[i]->support);
+        stats.applied.push_back({masters[i], trig, *best[i]});
         ++stats.triggers_added;
     }
 

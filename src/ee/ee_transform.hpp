@@ -3,7 +3,10 @@
 // "EE circuitry was added to all PL gates where a speedup was possible"
 // (Section 4): for every compute gate, run the trigger search weighted by the
 // gate's input arrival depths; when an implementable candidate exists, attach
-// a trigger gate (the paper's master/trigger EE pair, Figure 2).  The pass
+// a trigger gate (the paper's master/trigger EE pair, Figure 2).  Under the
+// default search.require_arrival_gain a trigger is computed only over early
+// pins, those arriving before the master's last one (find_best_trigger); a
+// master whose pins all arrive together costs no trigger work.  The pass
 // checks the marked graph afterwards with pl_netlist::reverify(): every
 // added edge closes a single-token 2-cycle with its acknowledge, so on a
 // netlist verified before the pass (every mapped one) only the new edges

@@ -94,6 +94,72 @@ bf::tt_words trigger_words(const bf::truth_table& master, std::uint32_t support)
     return out;
 }
 
+/// Mmax, the latest arrival over the master's pins, after checking that
+/// there is one depth per pin and none is negative.
+int latest_arrival(const bf::truth_table& master, const std::vector<int>& pin_arrivals,
+                   const char* who) {
+    if (static_cast<int>(pin_arrivals.size()) != master.num_vars()) {
+        throw std::invalid_argument(std::string(who) + ": arrival count != arity");
+    }
+    int latest = 0;
+    for (int a : pin_arrivals) {
+        if (a < 0) throw std::invalid_argument(std::string(who) + ": negative arrival");
+        latest = std::max(latest, a);
+    }
+    return latest;
+}
+
+/// The candidate of one support, scored with Equation 1; none when its
+/// trigger never fires or covers every minterm.  `cover` is the master's
+/// cover for the cube-list method and null for the exact one.
+std::optional<trigger_candidate> candidate_for(const bf::truth_table& master,
+                                               const bf::on_off_cover* cover,
+                                               const std::vector<int>& pin_arrivals,
+                                               int master_max_arrival,
+                                               std::uint32_t support,
+                                               bool weight_by_arrival) {
+    const int n = master.num_vars();
+    const int k = std::popcount(support);
+    const bf::tt_words trigger =
+        cover == nullptr ? trigger_words(master, support)
+                         : cube_list_trigger_function(master, *cover, support).words();
+    int ones = 0;
+    for (int w = 0; w < bf::words_for(k); ++w) ones += std::popcount(trigger[w]);
+    // Every firing support assignment covers one completion per assignment
+    // of the free variables.  Full coverage means the master never needed
+    // the other inputs at all — a synthesis artifact, not an Early
+    // Evaluation opportunity.
+    const int covered = ones << (n - k);
+    if (ones == 0 || covered == static_cast<int>(master.num_minterms())) {
+        return std::nullopt;
+    }
+    int trigger_max_arrival = 0;
+    for (std::uint32_t rest = support; rest != 0; rest &= rest - 1) {
+        const int v = std::countr_zero(rest);
+        trigger_max_arrival =
+            std::max(trigger_max_arrival, pin_arrivals[static_cast<std::size_t>(v)]);
+    }
+    const double coverage_percent =
+        100.0 * covered / static_cast<double>(master.num_minterms());
+    const double cost = weight_by_arrival ? equation1_cost(coverage_percent,
+                                                           master_max_arrival,
+                                                           trigger_max_arrival)
+                                          : coverage_percent;
+    return trigger_candidate{support, bf::truth_table(k, trigger), covered,
+                             coverage_percent, master_max_arrival,
+                             trigger_max_arrival, cost};
+}
+
+/// The winner's order: the higher cost, then more covered minterms, then
+/// the smaller support.
+bool outranks(const trigger_candidate& a, const trigger_candidate& b) {
+    return a.cost > b.cost ||
+           (a.cost == b.cost &&
+            (a.covered_minterms > b.covered_minterms ||
+             (a.covered_minterms == b.covered_minterms &&
+              std::popcount(a.support) < std::popcount(b.support))));
+}
+
 }  // namespace
 
 bf::truth_table exact_trigger_function(const bf::truth_table& master,
@@ -179,78 +245,66 @@ double equation1_cost(double coverage_percent, int master_max_arrival,
            (static_cast<double>(trigger_max_arrival) + 1.0);
 }
 
-search_result find_best_trigger(const bf::truth_table& master,
-                                const std::vector<int>& pin_arrivals,
-                                const search_options& options) {
-    if (static_cast<int>(pin_arrivals.size()) != master.num_vars()) {
-        throw std::invalid_argument("find_best_trigger: arrival count != arity");
+std::optional<trigger_candidate> find_best_trigger(const bf::truth_table& master,
+                                                   const std::vector<int>& pin_arrivals,
+                                                   const search_options& options) {
+    const int master_max_arrival =
+        latest_arrival(master, pin_arrivals, "find_best_trigger");
+    const int n = master.num_vars();
+    if (n < 2 || master.is_constant()) return std::nullopt;
+
+    // Tmax < Mmax holds exactly for the supports inside the early pins.
+    std::uint32_t early = (1u << n) - 1;
+    if (options.require_arrival_gain) {
+        early = 0;
+        for (int v = 0; v < n; ++v) {
+            if (pin_arrivals[static_cast<std::size_t>(v)] < master_max_arrival) {
+                early |= 1u << v;
+            }
+        }
+        if (early == 0) return std::nullopt;
     }
-    search_result result;
-    if (master.num_vars() < 2 || master.is_constant()) return result;
 
-    int master_max_arrival = 0;
-    for (int a : pin_arrivals) master_max_arrival = std::max(master_max_arrival, a);
+    std::optional<bf::on_off_cover> cover;
+    std::optional<trigger_candidate> best;
+    for (std::uint32_t support : bf::support_subsets(n, options.max_support_size)) {
+        if ((support & ~early) != 0) continue;
+        if (options.method == trigger_method::cube_list && !cover) {
+            cover = bf::make_on_off_cover(master);
+        }
+        std::optional<trigger_candidate> cand =
+            candidate_for(master, cover ? &*cover : nullptr, pin_arrivals,
+                          master_max_arrival, support, options.weight_by_arrival);
+        if (!cand || cand->cost <= options.cost_threshold) continue;
+        if (!best || outranks(*cand, *best)) best = std::move(cand);
+    }
+    return best;
+}
 
-    // The cube covers are shared across all 14 support sets.
+std::vector<trigger_candidate> trigger_candidates(const bf::truth_table& master,
+                                                  const std::vector<int>& pin_arrivals,
+                                                  const search_options& options) {
+    const int master_max_arrival =
+        latest_arrival(master, pin_arrivals, "trigger_candidates");
+    std::vector<trigger_candidate> all;
+    const int n = master.num_vars();
+    if (n < 2 || master.is_constant()) return all;
+
+    // The cube covers are shared across all the support sets.
     std::optional<bf::on_off_cover> cover;
     if (options.method == trigger_method::cube_list) {
         cover = bf::make_on_off_cover(master);
     }
-
     const std::vector<std::uint32_t>& supports =
-        bf::support_subsets(master.num_vars(), options.max_support_size);
-    result.all.reserve(supports.size());
-    const int n = master.num_vars();
-    std::size_t best = supports.size();  // index into result.all
+        bf::support_subsets(n, options.max_support_size);
+    all.reserve(supports.size());
     for (std::uint32_t support : supports) {
-        const int k = std::popcount(support);
-        const bf::tt_words trigger =
-            options.method == trigger_method::exact
-                ? trigger_words(master, support)
-                : cube_list_trigger_function(master, *cover, support).words();
-        int ones = 0;
-        for (int w = 0; w < bf::words_for(k); ++w) ones += std::popcount(trigger[w]);
-        // Every firing support assignment covers one completion per
-        // assignment of the free variables.  Full coverage means the master
-        // never needed the other inputs at all — a synthesis artifact, not an
-        // Early Evaluation opportunity.
-        const int covered = ones << (n - k);
-        if (ones == 0 || covered == static_cast<int>(master.num_minterms())) continue;
-
-        int trigger_max_arrival = 0;
-        for (std::uint32_t rest = support; rest != 0; rest &= rest - 1) {
-            const int v = std::countr_zero(rest);
-            trigger_max_arrival =
-                std::max(trigger_max_arrival, pin_arrivals[static_cast<std::size_t>(v)]);
-        }
-        const double coverage_percent =
-            100.0 * covered / static_cast<double>(master.num_minterms());
-        const double cost = options.weight_by_arrival
-                                ? equation1_cost(coverage_percent, master_max_arrival,
-                                                 trigger_max_arrival)
-                                : coverage_percent;
-        const trigger_candidate& cand = result.all.emplace_back(trigger_candidate{
-            support, bf::truth_table(k, trigger), covered, coverage_percent,
-            master_max_arrival, trigger_max_arrival, cost});
-
-        if (options.require_arrival_gain &&
-            cand.trigger_max_arrival >= cand.master_max_arrival) {
-            continue;  // recorded for diagnostics, never implemented
-        }
-        if (cand.cost <= options.cost_threshold) continue;
-
-        const trigger_candidate* const b =
-            best < result.all.size() ? &result.all[best] : nullptr;
-        const bool better =
-            b == nullptr || cand.cost > b->cost ||
-            (cand.cost == b->cost &&
-             (cand.covered_minterms > b->covered_minterms ||
-              (cand.covered_minterms == b->covered_minterms &&
-               k < std::popcount(b->support))));
-        if (better) best = result.all.size() - 1;
+        std::optional<trigger_candidate> cand =
+            candidate_for(master, cover ? &*cover : nullptr, pin_arrivals,
+                          master_max_arrival, support, options.weight_by_arrival);
+        if (cand) all.push_back(std::move(*cand));
     }
-    if (best < result.all.size()) result.best = result.all[best];
-    return result;
+    return all;
 }
 
 }  // namespace plee::ee

@@ -89,7 +89,9 @@ struct search_options {
     int max_support_size = 3;       ///< the paper's "3 or fewer variables"
     double cost_threshold = 0.0;    ///< implement only candidates with cost > threshold
     /// Require Tmax < Mmax: a trigger whose slowest input is as slow as the
-    /// master's cannot produce an output any earlier.
+    /// master's cannot produce an output any earlier.  find_best_trigger
+    /// applies it before any trigger work: only supports of early pins
+    /// (arrival below Mmax) are searched at all.
     bool require_arrival_gain = true;
     /// Weight coverage by the Mmax/Tmax arrival ratio (Equation 1).  Turning
     /// this off selects by raw coverage only — the ablation the paper argues
@@ -97,21 +99,34 @@ struct search_options {
     bool weight_by_arrival = true;
 };
 
-struct search_result {
-    std::optional<trigger_candidate> best;
-    /// Every evaluated candidate (14 for a 4-input master), for diagnostics,
-    /// the Table 1/2 reproduction and the ablation benches.
-    std::vector<trigger_candidate> all;
-};
+/// The best implementable candidate under `options`, or none: the highest
+/// cost above `cost_threshold`, ties going to more covered minterms, then
+/// to the smaller support, then to the earlier support in
+/// bf::support_subsets order.  This is the one place a winner is picked.
+/// `pin_arrivals` holds the arrival depth (>= 0) of each master input
+/// signal, pin-ordered.
+///
+/// With `require_arrival_gain` only supports of early pins are searched: a
+/// pin is early when its arrival is below Mmax.  That is exact.  A support
+/// holding a pin at Mmax has Tmax = Mmax and would be scored only to be
+/// rejected, and the remaining supports are visited in the same order, so
+/// the winner is the one a sweep over every support picks.  A master with
+/// no early pin returns at once, and the cube-list cover is built only when
+/// some support is searched.  No candidate list is built: the search keeps
+/// only the best so far.  A pure function of its arguments, so concurrent
+/// calls need no locking.
+std::optional<trigger_candidate> find_best_trigger(
+    const bf::truth_table& master, const std::vector<int>& pin_arrivals,
+    const search_options& options = {});
 
-/// Evaluates every support subset of the master's inputs and returns the
-/// best implementable candidate (if any) under `options`.  `pin_arrivals`
-/// holds the arrival depth of each master input signal, pin-ordered.
-/// Coverage is counted from the trigger's bits, so a truth_table is built
-/// only for a candidate recorded in `all`.  A pure function of its
-/// arguments, so concurrent calls need no locking.
-search_result find_best_trigger(const bf::truth_table& master,
-                                const std::vector<int>& pin_arrivals,
-                                const search_options& options = {});
+/// Every support's candidate (14 for a 4-input master), in
+/// bf::support_subsets order, whatever its arrival gain or cost: the
+/// supports whose trigger is empty or covers every minterm give none.
+/// Arguments as for find_best_trigger.  For the Table 1/2 reproduction,
+/// the micro-benchmarks and diagnostics; the EE pass calls
+/// find_best_trigger, which searches fewer supports.
+std::vector<trigger_candidate> trigger_candidates(
+    const bf::truth_table& master, const std::vector<int>& pin_arrivals,
+    const search_options& options = {});
 
 }  // namespace plee::ee

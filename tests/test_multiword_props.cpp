@@ -8,7 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
+#include <optional>
 #include <vector>
 
 #include "bool/cube_list.hpp"
@@ -285,15 +287,21 @@ TEST(MultiwordTrigger, ExactTriggerMatchesScalarOracleOnStructuredMasters) {
         for (int v = 0; v < n; ++v) arrivals.push_back(static_cast<int>(rng.next() % 4));
         search_options opts;
         opts.max_support_size = n - 1;
-        const search_result w = find_best_trigger(master, arrivals, opts);
-        const search_result o = scalar::find_best_trigger(master, arrivals, opts);
-        ASSERT_EQ(w.all.size(), o.all.size());
-        for (std::size_t i = 0; i < w.all.size(); ++i) {
-            ASSERT_EQ(w.all[i].function, o.all[i].function);
-            ASSERT_EQ(w.all[i].covered_minterms, o.all[i].covered_minterms);
+        const std::vector<trigger_candidate> all =
+            trigger_candidates(master, arrivals, opts);
+        const std::optional<trigger_candidate> best =
+            find_best_trigger(master, arrivals, opts);
+        const scalar::search_result o = scalar::find_best_trigger(master, arrivals, opts);
+        ASSERT_EQ(all.size(), o.all.size());
+        for (std::size_t i = 0; i < all.size(); ++i) {
+            ASSERT_EQ(all[i].function, o.all[i].function);
+            ASSERT_EQ(all[i].covered_minterms, o.all[i].covered_minterms);
         }
-        ASSERT_EQ(w.best.has_value(), o.best.has_value());
-        if (w.best) ASSERT_EQ(w.best->support, o.best->support);
+        ASSERT_EQ(best.has_value(), o.best.has_value());
+        if (best) {
+            ASSERT_EQ(best->support, o.best->support);
+        }
+        ASSERT_TRUE(scalar::matches_oracle(best, all, o)) << master.to_string();
     }
     // Guard the draw: most supports of these masters must fire sometimes,
     // or the assembly of the trigger's bits goes unchecked again.
@@ -344,22 +352,78 @@ TEST(MultiwordTrigger, FullSearchMatchesScalarKernelsOnWideMasters) {
             for (int v = 0; v < n; ++v) {
                 arrivals.push_back(static_cast<int>(rng.next() % 5));
             }
-            const search_result w = find_best_trigger(master, arrivals, opts);
-            const search_result s = scalar::find_best_trigger(master, arrivals, opts);
-            ASSERT_EQ(w.all.size(), s.all.size()) << "n=" << n;
-            for (std::size_t i = 0; i < w.all.size(); ++i) {
-                ASSERT_EQ(w.all[i].support, s.all[i].support);
-                ASSERT_EQ(w.all[i].function, s.all[i].function);
-                ASSERT_EQ(w.all[i].covered_minterms, s.all[i].covered_minterms);
-                ASSERT_EQ(w.all[i].cost, s.all[i].cost);
+            const std::vector<trigger_candidate> all =
+                trigger_candidates(master, arrivals, opts);
+            const std::optional<trigger_candidate> best =
+                find_best_trigger(master, arrivals, opts);
+            const scalar::search_result s = scalar::find_best_trigger(master, arrivals, opts);
+            ASSERT_EQ(all.size(), s.all.size()) << "n=" << n;
+            for (std::size_t i = 0; i < all.size(); ++i) {
+                ASSERT_EQ(all[i].support, s.all[i].support);
+                ASSERT_EQ(all[i].function, s.all[i].function);
+                ASSERT_EQ(all[i].covered_minterms, s.all[i].covered_minterms);
+                ASSERT_EQ(all[i].cost, s.all[i].cost);
             }
-            ASSERT_EQ(w.best.has_value(), s.best.has_value());
-            if (w.best) {
-                ASSERT_EQ(w.best->support, s.best->support);
-                ASSERT_EQ(w.best->function, s.best->function);
+            ASSERT_EQ(best.has_value(), s.best.has_value());
+            if (best) {
+                ASSERT_EQ(best->support, s.best->support);
+                ASSERT_EQ(best->function, s.best->function);
             }
+            ASSERT_TRUE(scalar::matches_oracle(best, all, s)) << "n=" << n;
         }
     }
+}
+
+TEST(MultiwordTrigger, PrunedSearchMatchesTheOracleUnderMixedOptions) {
+    // The mixed-options sweep: masters of 2 to 8 inputs (a uniform table
+    // for a drawn arity up to 6, else one of the structured masters above,
+    // 5 to 8 inputs) under drawn options — both
+    // methods (cube-list up to 6 inputs, where the QM cover stays cheap),
+    // arrival gain and weighting both ways, thresholds, support sizes up to
+    // n — with arrivals drawn from a few levels, so many masters have both
+    // early pins and pins at Mmax.  The pruned winner must be the full
+    // sweep's, field by field, and the candidate list the sweep's list.
+    sm_stream rng(16);
+    const std::vector<truth_table> wide = structured_masters(rng);
+    std::size_t winners = 0;
+    std::size_t pruned = 0;
+    constexpr int k_trials = 1500;
+    for (int trial = 0; trial < k_trials; ++trial) {
+        const int n = 2 + static_cast<int>(rng.next() % 7);
+        const truth_table master =
+            n <= bf::k_word_vars
+                ? truth_table(n, rng.next() & bf::truth_table::constant(n, true).bits())
+                : wide[rng.next() % wide.size()];
+        std::vector<int> arrivals;
+        for (int v = 0; v < master.num_vars(); ++v) {
+            arrivals.push_back(static_cast<int>(rng.next() % 3) * 2);
+        }
+        const std::uint64_t draw = rng.next();
+        search_options opts;
+        opts.method = (draw & 1) && master.num_vars() <= bf::k_word_vars
+                          ? trigger_method::cube_list
+                          : trigger_method::exact;
+        opts.require_arrival_gain = (draw & 2) != 0;
+        opts.weight_by_arrival = (draw & 4) != 0;
+        opts.cost_threshold = (draw >> 3) % 3 * 60.0;
+        opts.max_support_size = 1 + static_cast<int>((draw >> 8) % master.num_vars());
+        const std::optional<trigger_candidate> best =
+            find_best_trigger(master, arrivals, opts);
+        ASSERT_TRUE(scalar::matches_oracle(
+            best, trigger_candidates(master, arrivals, opts),
+            scalar::find_best_trigger(master, arrivals, opts)))
+            << "trial=" << trial << " master=" << master.to_string();
+        if (best) ++winners;
+        const int latest = *std::max_element(arrivals.begin(), arrivals.end());
+        if (opts.require_arrival_gain &&
+            std::count(arrivals.begin(), arrivals.end(), latest) <
+                static_cast<std::ptrdiff_t>(arrivals.size())) {
+            ++pruned;
+        }
+    }
+    // Guard the draw: both the pruned path and winners must be common.
+    EXPECT_GE(5 * winners, static_cast<std::size_t>(k_trials)) << winners;
+    EXPECT_GE(4 * pruned, static_cast<std::size_t>(k_trials)) << pruned;
 }
 
 }  // namespace

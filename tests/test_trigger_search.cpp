@@ -7,9 +7,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
+#include <optional>
+#include <stdexcept>
+#include <string>
+#include <tuple>
+#include <vector>
 
+#include "bench_circuits/itc99.hpp"
+#include "bool/splitmix64.hpp"
 #include "bool/support.hpp"
+#include "plogic/pl_mapper.hpp"
+#include "trigger_oracle.hpp"
+#include "workload/workload.hpp"
 
 namespace plee::ee {
 namespace {
@@ -84,9 +95,8 @@ TEST(TriggerSearch, XorHasNoTrigger) {
     const bf::truth_table master = bf::truth_table::variable(3, 0) ^
                                    bf::truth_table::variable(3, 1) ^
                                    bf::truth_table::variable(3, 2);
-    const search_result r = find_best_trigger(master, {0, 0, 0});
-    EXPECT_FALSE(r.best.has_value());
-    for (const trigger_candidate& c : r.all) {
+    EXPECT_FALSE(find_best_trigger(master, {0, 0, 0}).has_value());
+    for (const trigger_candidate& c : trigger_candidates(master, {0, 0, 0})) {
         EXPECT_EQ(c.covered_minterms, 0);
     }
 }
@@ -96,9 +106,8 @@ TEST(TriggerSearch, FourteenSupportSetsEvaluatedForLut4) {
     // support sets yield a candidate (any 1 in the subset forces output 1).
     const bf::truth_table master = bf::truth_table::from_function(
         4, [](std::uint32_t m) { return m != 0; });
-    const search_result r = find_best_trigger(master, {3, 2, 1, 0});
-    EXPECT_EQ(r.all.size(), 14u);
-    ASSERT_TRUE(r.best.has_value());
+    EXPECT_EQ(trigger_candidates(master, {3, 2, 1, 0}).size(), 14u);
+    ASSERT_TRUE(find_best_trigger(master, {3, 2, 1, 0}).has_value());
 }
 
 TEST(TriggerSearch, EquationOneArrivalWeighting) {
@@ -107,30 +116,27 @@ TEST(TriggerSearch, EquationOneArrivalWeighting) {
     // signals and thus not be as effective".
     const bf::truth_table master = carry_master();
     // Arrivals: a fast (depth 0), b fast (0), c slow (5).
-    const search_result r = find_best_trigger(master, {0, 0, 5});
-    ASSERT_TRUE(r.best.has_value());
-    EXPECT_EQ(r.best->support, 0b011u);  // {a, b}: avoids the slow carry-in
-    EXPECT_EQ(r.best->master_max_arrival, 5);
-    EXPECT_EQ(r.best->trigger_max_arrival, 0);
+    const std::optional<trigger_candidate> best = find_best_trigger(master, {0, 0, 5});
+    ASSERT_TRUE(best.has_value());
+    EXPECT_EQ(best->support, 0b011u);  // {a, b}: avoids the slow carry-in
+    EXPECT_EQ(best->master_max_arrival, 5);
+    EXPECT_EQ(best->trigger_max_arrival, 0);
 }
 
 TEST(TriggerSearch, RequireArrivalGainFiltersSlowTriggers) {
     // All inputs arrive simultaneously: no support subset can be faster, so
     // nothing is implementable under the default policy.
-    const search_result r = find_best_trigger(carry_master(), {2, 2, 2});
-    EXPECT_FALSE(r.best.has_value());
+    EXPECT_FALSE(find_best_trigger(carry_master(), {2, 2, 2}).has_value());
 
     search_options relaxed;
     relaxed.require_arrival_gain = false;
-    const search_result r2 = find_best_trigger(carry_master(), {2, 2, 2}, relaxed);
-    EXPECT_TRUE(r2.best.has_value());
+    EXPECT_TRUE(find_best_trigger(carry_master(), {2, 2, 2}, relaxed).has_value());
 }
 
 TEST(TriggerSearch, CostThresholdFilters) {
     search_options opts;
     opts.cost_threshold = 1e9;  // nothing can clear this bar
-    const search_result r = find_best_trigger(carry_master(), {0, 0, 5}, opts);
-    EXPECT_FALSE(r.best.has_value());
+    EXPECT_FALSE(find_best_trigger(carry_master(), {0, 0, 5}, opts).has_value());
 }
 
 TEST(TriggerSearch, Equation1CostFormula) {
@@ -145,8 +151,18 @@ TEST(TriggerSearch, FullCoverageCandidatesAreRejected) {
     // master = x0 (expressed over 2 vars): support {x0} determines the
     // output for every assignment — a vacuous-input artifact, not EE.
     const bf::truth_table master = bf::truth_table::variable(2, 0);
-    const search_result r = find_best_trigger(master, {0, 5});
-    EXPECT_FALSE(r.best.has_value());
+    EXPECT_FALSE(find_best_trigger(master, {0, 5}).has_value());
+}
+
+TEST(TriggerSearch, ArrivalsMustMatchTheArityAndBeDepths) {
+    // The early-pin mask is exact only for depths >= 0: both entry points
+    // reject a negative arrival, and a list of the wrong length.
+    for (const std::vector<int>& arrivals :
+         {std::vector<int>{0, 0}, std::vector<int>{0, -1, 2}}) {
+        EXPECT_THROW(find_best_trigger(carry_master(), arrivals), std::invalid_argument);
+        EXPECT_THROW(trigger_candidates(carry_master(), arrivals),
+                     std::invalid_argument);
+    }
 }
 
 TEST(TriggerSearch, CubeListCoverageNeverExceedsExact) {
@@ -168,6 +184,89 @@ TEST(TriggerSearch, CubeListCoverageNeverExceedsExact) {
             EXPECT_TRUE((cubes & ~exact).is_constant_zero());
         }
     }
+}
+
+/// One master of a mapped netlist as the EE pass sees it: its function and
+/// the arrival depth of each pin.
+struct workload_master {
+    std::string where;
+    bf::truth_table function{0};
+    std::vector<int> arrivals;
+};
+
+/// Every compute master with >= 2 pins of `netlist` once mapped.
+void collect_masters(const std::string& where, const nl::netlist& netlist,
+                     std::vector<workload_master>& out) {
+    const pl::map_result mapped = pl::map_to_phased_logic(netlist);
+    const std::vector<int> arrival = mapped.pl.arrival_depth();
+    for (pl::gate_id g = 0; g < mapped.pl.num_gates(); ++g) {
+        const pl::pl_gate& gate = mapped.pl.gate(g);
+        if (gate.kind != pl::gate_kind::compute || mapped.pl.data_in(g).size() < 2) {
+            continue;
+        }
+        workload_master m{where + "/" + std::to_string(g), gate.function, {}};
+        for (pl::edge_id e : mapped.pl.data_in(g)) {
+            m.arrivals.push_back(arrival[mapped.pl.edge(e).from]);
+        }
+        out.push_back(std::move(m));
+    }
+}
+
+TEST(TriggerSearch, PrunedSearchMatchesTheOracleOnWorkloadMasters) {
+    // The masters the EE pass serves: ITC99, and the first seed-7 netlist of
+    // each preset as the benchmark workloads build it (generator seed
+    // splitmix64(7 * 64 + i), 400 LUTs for the LUT4 presets, 150 for the
+    // wide ones).  The pruned winner must be the full sweep's, field by
+    // field, and trigger_candidates the sweep's list, under both arrival
+    // policies, two thresholds and both methods (cube-list up to 6 pins).
+    std::vector<workload_master> masters;
+    for (const bench::benchmark_info& b : bench::itc99_suite()) {
+        collect_masters(b.id, b.build(), masters);
+    }
+    // (preset, LUTs, index i in its workload's fleet)
+    const std::tuple<wl::scenario, std::size_t, std::uint64_t> presets[] = {
+        {wl::scenario::random_dag, 400, 0},  {wl::scenario::datapath_like, 400, 1},
+        {wl::scenario::control_fsm, 400, 2}, {wl::scenario::wide_adder, 400, 3},
+        {wl::scenario::lut6_dag, 150, 0},    {wl::scenario::lut8_datapath, 150, 1}};
+    for (const auto& [kind, gates, i] : presets) {
+        collect_masters(wl::to_string(kind),
+                        wl::generate(wl::scenario_params(kind, gates,
+                                                         bf::splitmix64(7 * 64 + i))),
+                        masters);
+    }
+    std::size_t searches = 0;
+    std::size_t winners = 0;
+    std::size_t partly_early = 0;  // masters with early pins and pins at Mmax
+    for (const workload_master& m : masters) {
+        const int latest = *std::max_element(m.arrivals.begin(), m.arrivals.end());
+        if (std::count(m.arrivals.begin(), m.arrivals.end(), latest) <
+            static_cast<std::ptrdiff_t>(m.arrivals.size())) {
+            ++partly_early;
+        }
+        for (int policy = 0; policy < 8; ++policy) {
+            search_options opts;
+            opts.require_arrival_gain = (policy & 1) != 0;
+            opts.cost_threshold = (policy & 2) ? 60.0 : 0.0;
+            opts.method = (policy & 4) ? trigger_method::cube_list : trigger_method::exact;
+            if (opts.method == trigger_method::cube_list &&
+                m.function.num_vars() > bf::k_word_vars) {
+                continue;
+            }
+            const std::optional<trigger_candidate> best =
+                find_best_trigger(m.function, m.arrivals, opts);
+            ASSERT_TRUE(scalar::matches_oracle(
+                best, trigger_candidates(m.function, m.arrivals, opts),
+                scalar::find_best_trigger(m.function, m.arrivals, opts)))
+                << m.where << " policy=" << policy;
+            ++searches;
+            if (best) ++winners;
+        }
+    }
+    // Guard the inputs: pruning and winners must both be common, or the
+    // comparison checks little.
+    EXPECT_GE(masters.size(), 2000u);
+    EXPECT_GE(4 * partly_early, masters.size()) << partly_early;
+    EXPECT_GE(4 * winners, searches) << winners << " of " << searches;
 }
 
 // Property: a trigger firing on an assignment really determines the master.

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <optional>
+#include <vector>
 
 #include "bool/cube_list.hpp"
 #include "bool/support.hpp"
@@ -62,20 +64,24 @@ TEST(WordParallel, FullSearchMatchesScalarKernels) {
         const bf::truth_table master(4, state & 0xffff);
         if (master.support_size() < 2) continue;
         const std::vector<int> arrivals = {3, 1, 2, 0};
-        const search_result w = find_best_trigger(master, arrivals, opts);
-        const search_result s = scalar::find_best_trigger(master, arrivals, opts);
-        ASSERT_EQ(w.all.size(), s.all.size());
-        for (std::size_t i = 0; i < w.all.size(); ++i) {
-            ASSERT_EQ(w.all[i].support, s.all[i].support);
-            ASSERT_EQ(w.all[i].function, s.all[i].function);
-            ASSERT_EQ(w.all[i].covered_minterms, s.all[i].covered_minterms);
-            ASSERT_EQ(w.all[i].cost, s.all[i].cost);
+        const std::vector<trigger_candidate> all =
+            trigger_candidates(master, arrivals, opts);
+        const std::optional<trigger_candidate> best =
+            find_best_trigger(master, arrivals, opts);
+        const scalar::search_result s = scalar::find_best_trigger(master, arrivals, opts);
+        ASSERT_EQ(all.size(), s.all.size());
+        for (std::size_t i = 0; i < all.size(); ++i) {
+            ASSERT_EQ(all[i].support, s.all[i].support);
+            ASSERT_EQ(all[i].function, s.all[i].function);
+            ASSERT_EQ(all[i].covered_minterms, s.all[i].covered_minterms);
+            ASSERT_EQ(all[i].cost, s.all[i].cost);
         }
-        ASSERT_EQ(w.best.has_value(), s.best.has_value());
-        if (w.best) {
-            ASSERT_EQ(w.best->support, s.best->support);
-            ASSERT_EQ(w.best->function, s.best->function);
+        ASSERT_EQ(best.has_value(), s.best.has_value());
+        if (best) {
+            ASSERT_EQ(best->support, s.best->support);
+            ASSERT_EQ(best->function, s.best->function);
         }
+        ASSERT_TRUE(scalar::matches_oracle(best, all, s)) << "master=" << master.to_string();
     }
 }
 

@@ -5,15 +5,18 @@
 // swaps, so they share no code with the word-parallel kernels of
 // ee/trigger_search.cpp they check.  find_best_trigger here is the search
 // loop over those kernels: the same candidate filters, Equation 1 cost and
-// tie-breaks, computed the slow way.
+// tie-breaks, computed the slow way over every support.
 
 #pragma once
+
+#include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <optional>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "bool/cube_list.hpp"
@@ -99,7 +102,17 @@ inline int covered_minterms(const bf::truth_table& master, std::uint32_t support
     return covered;
 }
 
-/// ee::find_best_trigger over the kernels above.
+/// The unpruned sweep's result: the winner, and every support's candidate
+/// in bf::support_subsets order.
+struct search_result {
+    std::optional<trigger_candidate> best;
+    std::vector<trigger_candidate> all;
+};
+
+/// The reference for ee::find_best_trigger (`best`) and
+/// ee::trigger_candidates (`all`) over the kernels above.  Every support is
+/// scored before the arrival-gain filter, so it checks the pruned search's
+/// skip of supports with a pin at Mmax.
 inline search_result find_best_trigger(const bf::truth_table& master,
                                        const std::vector<int>& pin_arrivals,
                                        const search_options& options = {}) {
@@ -147,6 +160,51 @@ inline search_result find_best_trigger(const bf::truth_table& master,
         if (better) result.best = cand;
     }
     return result;
+}
+
+/// The first field in which two candidates differ, or empty when none does.
+inline std::string candidate_diff(const trigger_candidate& got,
+                                  const trigger_candidate& want) {
+    if (got.support != want.support) return "support";
+    if (got.function != want.function) return "function";
+    if (got.covered_minterms != want.covered_minterms) return "covered_minterms";
+    if (got.coverage_percent != want.coverage_percent) return "coverage_percent";
+    if (got.master_max_arrival != want.master_max_arrival) return "master_max_arrival";
+    if (got.trigger_max_arrival != want.trigger_max_arrival) return "trigger_max_arrival";
+    if (got.cost != want.cost) return "cost";
+    return {};
+}
+
+/// ee::find_best_trigger's winner against the sweep's `best` and
+/// ee::trigger_candidates' list against its `all`, field by field.
+inline ::testing::AssertionResult matches_oracle(
+    const std::optional<trigger_candidate>& best,
+    const std::vector<trigger_candidate>& all, const search_result& want) {
+    if (best.has_value() != want.best.has_value()) {
+        return ::testing::AssertionFailure()
+               << "winner " << (best ? "found" : "missing") << ", oracle's "
+               << (want.best ? "found" : "missing");
+    }
+    if (best) {
+        const std::string diff = candidate_diff(*best, *want.best);
+        if (!diff.empty()) {
+            return ::testing::AssertionFailure()
+                   << "winner differs in " << diff << " (support " << best->support
+                   << ", oracle's " << want.best->support << ")";
+        }
+    }
+    if (all.size() != want.all.size()) {
+        return ::testing::AssertionFailure() << all.size() << " candidates, oracle's "
+                                             << want.all.size();
+    }
+    for (std::size_t i = 0; i < all.size(); ++i) {
+        const std::string diff = candidate_diff(all[i], want.all[i]);
+        if (!diff.empty()) {
+            return ::testing::AssertionFailure()
+                   << "candidate " << i << " differs in " << diff;
+        }
+    }
+    return ::testing::AssertionSuccess();
 }
 
 }  // namespace plee::ee::scalar
