@@ -9,11 +9,11 @@
 // longest propagate run (O(log n) on random inputs).
 
 #include <cstdio>
-#include <cstdlib>
 
 #include "report/experiment.hpp"
 #include "report/table.hpp"
 #include "synth/rtl.hpp"
+#include "vectors_env.hpp"
 
 using namespace plee;
 
@@ -32,10 +32,7 @@ nl::netlist make_adder(int width) {
 }  // namespace
 
 int main() {
-    std::size_t vectors = 100;
-    if (const char* env = std::getenv("PLEE_VECTORS")) {
-        vectors = static_cast<std::size_t>(std::atoi(env));
-    }
+    const std::size_t vectors = bench::vectors_from_env();
 
     std::printf("Ripple-carry adder scaling (%zu random vectors per width)\n\n",
                 vectors);

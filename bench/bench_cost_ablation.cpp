@@ -14,11 +14,11 @@
 //   no-gain-filter   — also implement triggers with Tmax >= Mmax
 
 #include <cstdio>
-#include <cstdlib>
 
 #include "bench_circuits/itc99.hpp"
 #include "report/experiment.hpp"
 #include "report/table.hpp"
+#include "vectors_env.hpp"
 
 using namespace plee;
 
@@ -32,10 +32,7 @@ struct policy {
 }  // namespace
 
 int main() {
-    std::size_t vectors = 100;
-    if (const char* env = std::getenv("PLEE_VECTORS")) {
-        vectors = static_cast<std::size_t>(std::atoi(env));
-    }
+    const std::size_t vectors = bench::vectors_from_env();
 
     policy policies[4];
     policies[0].name = "equation1";

@@ -22,8 +22,8 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -31,6 +31,7 @@
 #include "report/json.hpp"
 #include "report/table.hpp"
 #include "rt/atomic_write.hpp"
+#include "rt/parse.hpp"
 #include "runner/runner.hpp"
 #include "workload/workload.hpp"
 
@@ -43,27 +44,37 @@ int main(int argc, char** argv) {
     std::uint64_t seed = 1;
     std::size_t vectors = 10;
     std::string json_path;
-    for (int i = 1; i < argc; ++i) {
-        auto next = [&]() -> const char* { return i + 1 < argc ? argv[++i] : nullptr; };
-        if (std::strcmp(argv[i], "--circuits") == 0) {
-            if (const char* v = next()) circuits = std::strtoull(v, nullptr, 10);
-        } else if (std::strcmp(argv[i], "--gates") == 0) {
-            if (const char* v = next()) gates = std::strtoull(v, nullptr, 10);
-        } else if (std::strcmp(argv[i], "--scenario") == 0) {
-            if (const char* v = next()) scenario_name = v;
-        } else if (std::strcmp(argv[i], "--seed") == 0) {
-            if (const char* v = next()) seed = std::strtoull(v, nullptr, 10);
-        } else if (std::strcmp(argv[i], "--vectors") == 0) {
-            if (const char* v = next()) vectors = std::strtoull(v, nullptr, 10);
-        } else if (std::strcmp(argv[i], "--json") == 0) {
-            if (const char* v = next()) json_path = v;
-        } else {
-            std::fprintf(stderr,
-                         "usage: %s [--circuits N] [--gates G] [--scenario S] "
-                         "[--seed S] [--vectors V] [--json PATH]\n",
-                         argv[0]);
-            return 2;
+    const auto usage = [&] {
+        std::fprintf(stderr,
+                     "usage: %s [--circuits N] [--gates G] [--scenario S] "
+                     "[--seed S] [--vectors V] [--json PATH]\n",
+                     argv[0]);
+        return 2;
+    };
+    try {
+        if (argc % 2 == 0) return usage();  // every option takes a value
+        for (int i = 1; i < argc; i += 2) {
+            const char* arg = argv[i];
+            const char* v = argv[i + 1];
+            if (std::strcmp(arg, "--circuits") == 0) {
+                circuits = parse_unsigned<std::size_t>(arg, v);
+            } else if (std::strcmp(arg, "--gates") == 0) {
+                gates = parse_unsigned<std::size_t>(arg, v);
+            } else if (std::strcmp(arg, "--scenario") == 0) {
+                scenario_name = v;
+            } else if (std::strcmp(arg, "--seed") == 0) {
+                seed = parse_unsigned<std::uint64_t>(arg, v);
+            } else if (std::strcmp(arg, "--vectors") == 0) {
+                vectors = parse_positive<std::size_t>(arg, v);
+            } else if (std::strcmp(arg, "--json") == 0) {
+                json_path = v;
+            } else {
+                return usage();
+            }
         }
+    } catch (const std::invalid_argument& e) {
+        std::fprintf(stderr, "bench_fleet_scaling: %s\n", e.what());
+        return usage();
     }
 
     try {

@@ -12,13 +12,13 @@
 // throughput gain can even exceed the vector-at-a-time latency gain.
 
 #include <cstdio>
-#include <cstdlib>
 
 #include "bench_circuits/itc99.hpp"
 #include "ee/ee_transform.hpp"
 #include "plogic/pl_mapper.hpp"
 #include "report/table.hpp"
 #include "sim/measure.hpp"
+#include "vectors_env.hpp"
 
 using namespace plee;
 
@@ -58,10 +58,7 @@ mode_result run_modes(const pl::pl_netlist& pl, std::size_t vectors,
 }  // namespace
 
 int main() {
-    std::size_t vectors = 100;
-    if (const char* env = std::getenv("PLEE_VECTORS")) {
-        vectors = static_cast<std::size_t>(std::atoi(env));
-    }
+    const std::size_t vectors = bench::vectors_from_env();
 
     std::printf("Vector-at-a-time latency vs pipelined throughput "
                 "(%zu vectors)\n\n", vectors);

@@ -30,18 +30,18 @@
 //   --lane-vectors LV  vectors for the sync lanes A/B        (default 8192)
 //   --seed S           generator + stimulus seed             (default 1)
 //   --repeat R         timed repetitions per protocol        (default 3)
-//   --threads T        worker threads for the fleet-mix row  (default 1)
+//   --threads T        worker threads for the fleet-mix row  (default 1;
+//                      0 = one per hardware thread)
 //   --json PATH        write BENCH_sim.json for cross-PR perf tracking
 
 #include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <map>
+#include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "ee/ee_transform.hpp"
@@ -52,8 +52,10 @@
 #include "report/json.hpp"
 #include "report/table.hpp"
 #include "rt/atomic_write.hpp"
-#include "sim/measure.hpp"
+#include "rt/parse.hpp"
 #include "rt/wall_timer.hpp"
+#include "rt/workers.hpp"
+#include "sim/measure.hpp"
 #include "sim/pl_sim.hpp"
 #include "sim/stimulus.hpp"
 #include "workload/workload.hpp"
@@ -71,17 +73,17 @@ struct circuit {
 };
 
 /// Wall ms of the simulation runs themselves for every circuit in `group`,
-/// fanned over `threads` workers (atomic work queue, same scheme as the
-/// fleet runner).  Simulator construction (the schedule compile) happens
-/// outside the clock — this is the same cut measure_average_delay uses for
-/// sim_wall_ms, so events/s here and the fleet's sim_events_per_s measure
-/// the same thing.
+/// fanned over worker_count(threads, group) workers pulling from a shared
+/// counter, as the fleet runner does.  Simulator construction (the schedule
+/// compile) happens outside the clock — this is the same cut
+/// measure_average_delay uses for sim_wall_ms, so events/s here and the
+/// fleet's sim_events_per_s measure the same thing.
 double timed_pass(const std::vector<const circuit*>& group, unsigned threads,
                   std::uint64_t* events_out) {
     std::atomic<std::size_t> next{0};
     std::atomic<std::uint64_t> events{0};
     std::atomic<std::int64_t> wall_ns{0};
-    const auto worker = [&]() {
+    run_workers(worker_count(threads, group.size()), [&] {
         for (;;) {
             const std::size_t i = next.fetch_add(1);
             if (i >= group.size()) return;
@@ -93,14 +95,7 @@ double timed_pass(const std::vector<const circuit*>& group, unsigned threads,
             wall_ns.fetch_add(
                 static_cast<std::int64_t>(std::llround(timer.elapsed_ms() * 1e6)));
         }
-    };
-    std::vector<std::thread> pool;
-    if (threads <= 1) {
-        worker();
-    } else {
-        for (unsigned t = 0; t < threads; ++t) pool.emplace_back(worker);
-        for (std::thread& t : pool) t.join();
-    }
+    });
     *events_out = events.load();
     // Summed per-run wall time: with T workers this is T x the elapsed time,
     // so events / wall stays per-core throughput at any thread count.
@@ -109,10 +104,10 @@ double timed_pass(const std::vector<const circuit*>& group, unsigned threads,
 
 /// Best-of-R events/s over a circuit group.
 double best_events_per_s(const std::vector<const circuit*>& group,
-                         unsigned threads, int repeat,
+                         unsigned threads, unsigned repeat,
                          std::uint64_t* events_out) {
     double best = 0.0;
-    for (int r = 0; r < repeat; ++r) {
+    for (unsigned r = 0; r < repeat; ++r) {
         std::uint64_t events = 0;
         const double ms = timed_pass(group, threads, &events);
         if (ms > 0.0) best = std::max(best, 1000.0 * static_cast<double>(events) / ms);
@@ -248,38 +243,47 @@ int main(int argc, char** argv) {
     std::size_t vectors = 60;
     std::size_t lane_vectors = 8192;
     std::uint64_t seed = 1;
-    int repeat = 3;
+    unsigned repeat = 3;
     unsigned threads = 1;
     std::string json_path;
-    for (int i = 1; i < argc; ++i) {
-        auto next = [&]() -> const char* { return i + 1 < argc ? argv[++i] : nullptr; };
-        if (std::strcmp(argv[i], "--circuits") == 0) {
-            if (const char* v = next()) circuits = std::strtoull(v, nullptr, 10);
-        } else if (std::strcmp(argv[i], "--gates") == 0) {
-            if (const char* v = next()) gates = std::strtoull(v, nullptr, 10);
-        } else if (std::strcmp(argv[i], "--vectors") == 0) {
-            if (const char* v = next()) vectors = std::strtoull(v, nullptr, 10);
-        } else if (std::strcmp(argv[i], "--lane-vectors") == 0) {
-            if (const char* v = next()) lane_vectors = std::strtoull(v, nullptr, 10);
-        } else if (std::strcmp(argv[i], "--seed") == 0) {
-            if (const char* v = next()) seed = std::strtoull(v, nullptr, 10);
-        } else if (std::strcmp(argv[i], "--repeat") == 0) {
-            if (const char* v = next()) repeat = std::atoi(v);
-        } else if (std::strcmp(argv[i], "--threads") == 0) {
-            if (const char* v = next())
-                threads = static_cast<unsigned>(std::strtoul(v, nullptr, 10));
-        } else if (std::strcmp(argv[i], "--json") == 0) {
-            if (const char* v = next()) json_path = v;
-        } else {
-            std::fprintf(stderr,
-                         "usage: %s [--circuits N] [--gates G] [--vectors V] "
-                         "[--lane-vectors LV] [--seed S] [--repeat R] "
-                         "[--threads T] [--json PATH]\n",
-                         argv[0]);
-            return 2;
+    const auto usage = [&] {
+        std::fprintf(stderr,
+                     "usage: %s [--circuits N] [--gates G] [--vectors V] "
+                     "[--lane-vectors LV] [--seed S] [--repeat R] "
+                     "[--threads T] [--json PATH]\n",
+                     argv[0]);
+        return 2;
+    };
+    try {
+        if (argc % 2 == 0) return usage();  // every option takes a value
+        for (int i = 1; i < argc; i += 2) {
+            const char* arg = argv[i];
+            const char* v = argv[i + 1];
+            if (std::strcmp(arg, "--circuits") == 0) {
+                circuits = parse_unsigned<std::size_t>(arg, v);
+            } else if (std::strcmp(arg, "--gates") == 0) {
+                gates = parse_unsigned<std::size_t>(arg, v);
+            } else if (std::strcmp(arg, "--vectors") == 0) {
+                vectors = parse_positive<std::size_t>(arg, v);
+            } else if (std::strcmp(arg, "--lane-vectors") == 0) {
+                lane_vectors = parse_positive<std::size_t>(arg, v);
+            } else if (std::strcmp(arg, "--seed") == 0) {
+                seed = parse_unsigned<std::uint64_t>(arg, v);
+            } else if (std::strcmp(arg, "--repeat") == 0) {
+                repeat = parse_unsigned<unsigned>(arg, v);
+            } else if (std::strcmp(arg, "--threads") == 0) {
+                threads = parse_unsigned<unsigned>(arg, v);
+            } else if (std::strcmp(arg, "--json") == 0) {
+                json_path = v;
+            } else {
+                return usage();
+            }
         }
+    } catch (const std::invalid_argument& e) {
+        std::fprintf(stderr, "bench_sim_queue: %s\n", e.what());
+        return usage();
     }
-    if (threads == 0) threads = std::max(1u, std::thread::hardware_concurrency());
+    threads = worker_count(threads, circuits);
 
     try {
         // Fleet mix: the four presets round-robin, EE applied, shared stimulus
@@ -331,7 +335,7 @@ int main(int argc, char** argv) {
             add_row(name, group, /*row_threads=*/1);
         }
         add_row("fleet-mix", all, threads);
-        std::printf("%zu circuits x %zu gates, %zu vectors, best of %d "
+        std::printf("%zu circuits x %zu gates, %zu vectors, best of %u "
                     "(fleet-mix at %u threads)\n\n%s\n",
                     circuits, gates, vectors, repeat, threads,
                     t.to_string().c_str());
@@ -379,7 +383,7 @@ int main(int argc, char** argv) {
             sync_blocks.push_back(sim::make_stimulus(
                 lane_vectors, mix[i].pl.sources().size(), s));
         }
-        for (int r = 0; r < repeat; ++r) {
+        for (unsigned r = 0; r < repeat; ++r) {
             double sc = 0.0, sl = 0.0, es = 0.0, el = 0.0;
             for (std::size_t i = 0; i < mix.size(); ++i) {
                 sc += sync_scalar_pass(mix[i], sync_vecs[i], &scalar_sink);
@@ -413,7 +417,7 @@ int main(int argc, char** argv) {
         const double pl_speedup =
             pl_serial_vps > 0.0 ? pl_lane_vps / pl_serial_vps : 0.0;
         std::printf("\nlanes row (%zu lanes, %zu vectors/circuit on the sync "
-                    "path, best of %d):\n",
+                    "path, best of %u):\n",
                     sim::k_lanes, lane_vectors, repeat);
         std::printf("  sync golden path: scalar %.0f vec/s, lane %.0f vec/s "
                     "= %.1fx\n",

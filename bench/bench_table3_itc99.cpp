@@ -22,8 +22,8 @@
 // BENCH_itc99.json for cross-PR perf tracking.
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -32,7 +32,9 @@
 #include "report/json.hpp"
 #include "report/table.hpp"
 #include "rt/atomic_write.hpp"
+#include "rt/parse.hpp"
 #include "runner/runner.hpp"
+#include "vectors_env.hpp"
 
 using namespace plee;
 
@@ -67,25 +69,29 @@ int main(int argc, char** argv) {
     unsigned threads = 0;  // 0 = hardware_concurrency
     sim::measure_options default_measure;
     std::uint64_t seed = default_measure.seed;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-            json_path = argv[++i];
-        } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-            threads = static_cast<unsigned>(std::strtoul(argv[++i], nullptr, 10));
-        } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-            seed = std::strtoull(argv[++i], nullptr, 10);
-        } else {
-            std::fprintf(stderr,
-                         "usage: %s [--json <path>] [--threads N] [--seed S]\n",
-                         argv[0]);
-            return 2;
+    const auto usage = [&] {
+        std::fprintf(stderr, "usage: %s [--json <path>] [--threads N] [--seed S]\n",
+                     argv[0]);
+        return 2;
+    };
+    try {
+        for (int i = 1; i < argc; ++i) {
+            if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
+                json_path = argv[++i];
+            } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
+                threads = parse_unsigned<unsigned>("--threads", argv[++i]);
+            } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
+                seed = parse_unsigned<std::uint64_t>("--seed", argv[++i]);
+            } else {
+                return usage();
+            }
         }
+    } catch (const std::invalid_argument& e) {
+        std::fprintf(stderr, "bench_table3_itc99: %s\n", e.what());
+        return usage();
     }
 
-    std::size_t vectors = 100;
-    if (const char* env = std::getenv("PLEE_VECTORS")) {
-        vectors = static_cast<std::size_t>(std::atoi(env));
-    }
+    const std::size_t vectors = bench::vectors_from_env();
 
     std::printf("Table 3. Experimental Results Comparing the Use of EE in PL "
                 "Synthesis\n(%zu random vectors per circuit; paper reference "

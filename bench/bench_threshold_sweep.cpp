@@ -11,20 +11,17 @@
 // decrease relative to the no-EE baseline.
 
 #include <cstdio>
-#include <cstdlib>
 #include <limits>
 
 #include "bench_circuits/itc99.hpp"
 #include "report/experiment.hpp"
 #include "report/table.hpp"
+#include "vectors_env.hpp"
 
 using namespace plee;
 
 int main() {
-    std::size_t vectors = 100;
-    if (const char* env = std::getenv("PLEE_VECTORS")) {
-        vectors = static_cast<std::size_t>(std::atoi(env));
-    }
+    const std::size_t vectors = bench::vectors_from_env();
 
     const double thresholds[] = {0.0, 60.0, 120.0, 240.0, 480.0, 960.0,
                                  std::numeric_limits<double>::infinity()};

@@ -7,6 +7,7 @@
 
 #include "obs/flight_recorder.hpp"
 #include "obs/registry.hpp"
+#include "obs/span.hpp"
 #include "rt/workers.hpp"
 
 namespace plee::ee {
@@ -48,6 +49,7 @@ void search_worker(const pl::pl_netlist& pl, const std::vector<int>& arrival,
 
 ee_stats apply_early_evaluation(pl::pl_netlist& pl, const ee_options& options,
                                 const job_context& ctx) {
+    const obs::scoped_span pass_span(ctx.trace, "ee.pass");
     ee_stats stats;
     const std::vector<int> arrival = pl.arrival_depth();
 
@@ -64,10 +66,13 @@ ee_stats apply_early_evaluation(pl::pl_netlist& pl, const ee_options& options,
     // Phase 1 — search, read-only over the netlist and safe to fan out: each
     // master's search is a pure function of its truth table and arrivals.
     std::vector<std::optional<trigger_candidate>> best(masters.size());
-    std::atomic<std::size_t> next{0};
-    run_workers(worker_count(options.num_threads, masters.size()), [&] {
-        search_worker(pl, arrival, masters, options.search, ctx, next, best);
-    });
+    {
+        const obs::scoped_span search_span(ctx.trace, "ee.search");
+        std::atomic<std::size_t> next{0};
+        run_workers(worker_count(options.num_threads, masters.size()), [&] {
+            search_worker(pl, arrival, masters, options.search, ctx, next, best);
+        });
+    }
 
     // Phase 2 — mutate, serial and in gate order: identical output to the
     // original sequential pass regardless of the thread count above.

@@ -55,8 +55,10 @@ struct ee_stats {
 /// attached.  Every search worker polls `ctx` at each work-queue chunk it
 /// claims (site "ee.search", progress = the chunk's first master), so a
 /// pathological search stops within one chunk of extra work, and records an
-/// "ee.chunk" beat (first master, masters) on ctx.recorder.  With
-/// ctx.telemetry the pass adds its stats to the ee.* registry counters.
+/// "ee.chunk" beat (first master, masters) on ctx.recorder.  On ctx.trace
+/// the pass opens an "ee.pass" span with one child, "ee.search", around the
+/// trigger search alone.  With ctx.telemetry the pass adds its stats to the
+/// ee.* registry counters.
 ee_stats apply_early_evaluation(pl::pl_netlist& pl, const ee_options& options = {},
                                 const job_context& ctx = {});
 

@@ -148,21 +148,6 @@ std::vector<cell_id> netlist::topo_order() const {
     return order;
 }
 
-std::vector<int> netlist::comb_depth() const {
-    std::vector<int> depth(cells_.size(), 0);
-    for (cell_id id : topo_order()) {
-        const cell& c = cells_[id];
-        if (c.kind == cell_kind::lut) {
-            int d = 0;
-            for (cell_id f : c.fanins) d = std::max(d, depth[f]);
-            depth[id] = d + 1;
-        } else if (c.kind == cell_kind::output) {
-            depth[id] = depth[c.fanins.front()];
-        }
-    }
-    return depth;
-}
-
 void netlist::validate() const {
     std::vector<std::string_view> port_names;
     for (cell_id id = 0; id < cells_.size(); ++id) {

@@ -77,11 +77,6 @@ public:
     /// cycle exists.
     std::vector<cell_id> topo_order() const;
 
-    /// Combinational depth per cell: sources are 0, a LUT is 1 + max(fanins).
-    /// This is the arrival-time model the EE cost function uses ("maximum
-    /// path length in terms of PL gates from the primary circuit inputs").
-    std::vector<int> comb_depth() const;
-
     /// Structural checks: fanins resolved and in range, LUT arity matches,
     /// port names unique and non-empty, no combinational cycles.  Throws
     /// std::logic_error with a description on the first violation.

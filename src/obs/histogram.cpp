@@ -1,46 +1,63 @@
 #include "obs/histogram.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 
 namespace plee::obs {
 
-void hist_snapshot::record_n(std::uint64_t value, std::uint64_t n) {
-    if (n == 0) return;
+namespace {
+
+bool by_bucket(const std::pair<std::uint32_t, std::uint64_t>& entry,
+               std::uint32_t index) {
+    return entry.first < index;
+}
+
+}  // namespace
+
+void hist_snapshot::record(std::uint64_t value) {
     const std::uint32_t idx = hist_bucket_index(value);
-    auto it = std::lower_bound(
-        buckets.begin(), buckets.end(), idx,
-        [](const auto& entry, std::uint32_t key) { return entry.first < key; });
+    const auto it =
+        std::lower_bound(buckets.begin(), buckets.end(), idx, by_bucket);
     if (it != buckets.end() && it->first == idx) {
-        it->second += n;
+        ++it->second;
     } else {
-        buckets.insert(it, {idx, n});
+        buckets.insert(it, {idx, 1});
     }
     if (count == 0 || value < min) min = value;
     if (value > max) max = value;
-    count += n;
-    sum += value * n;
+    ++count;
+    sum += value;
 }
 
 void hist_snapshot::merge(const hist_snapshot& other) {
     if (other.count == 0) return;
-    std::vector<std::pair<std::uint32_t, std::uint64_t>> merged;
-    merged.reserve(buckets.size() + other.buckets.size());
-    auto a = buckets.begin();
-    auto b = other.buckets.begin();
-    while (a != buckets.end() || b != other.buckets.end()) {
-        if (b == other.buckets.end() ||
-            (a != buckets.end() && a->first < b->first)) {
-            merged.push_back(*a++);
-        } else if (a == buckets.end() || b->first < a->first) {
-            merged.push_back(*b++);
+    // In place: counts of buckets both hold are added where they lie, and
+    // only the buckets `other` alone holds are merged in, from the back, so
+    // a histogram whose buckets have settled takes a merge without moving or
+    // allocating anything.
+    std::size_t fresh = 0;
+    auto it = buckets.begin();
+    for (const auto& entry : other.buckets) {
+        it = std::lower_bound(it, buckets.end(), entry.first, by_bucket);
+        if (it != buckets.end() && it->first == entry.first) {
+            it->second += entry.second;
         } else {
-            merged.emplace_back(a->first, a->second + b->second);
-            ++a, ++b;
+            ++fresh;
         }
     }
-    buckets = std::move(merged);
+    std::size_t a = buckets.size();
+    std::size_t b = other.buckets.size();
+    buckets.resize(a + fresh);
+    for (std::size_t out = buckets.size(); out > a;) {
+        const auto& theirs = other.buckets[b - 1];
+        if (a > 0 && buckets[a - 1].first >= theirs.first) {
+            if (buckets[a - 1].first == theirs.first) --b;  // added above
+            buckets[--out] = buckets[--a];
+        } else {
+            buckets[--out] = theirs;
+            --b;
+        }
+    }
     min = count == 0 ? other.min : std::min(min, other.min);
     max = std::max(max, other.max);
     count += other.count;
@@ -63,70 +80,24 @@ std::uint64_t hist_snapshot::value_at_percentile(double p) const {
     return max;  // unreachable for a consistent snapshot
 }
 
-histogram::histogram()
-    : counts_(std::make_unique<std::atomic<std::uint64_t>[]>(
-          k_hist_num_buckets)) {}
-
-void histogram::record_n(std::uint64_t value, std::uint64_t n) {
-    if (n == 0) return;
-    counts_[hist_bucket_index(value)].fetch_add(n, std::memory_order_relaxed);
-    scalars_.count.fetch_add(n, std::memory_order_relaxed);
-    scalars_.sum.fetch_add(value * n, std::memory_order_relaxed);
-    std::uint64_t seen = scalars_.min.load(std::memory_order_relaxed);
-    while (value < seen &&
-           !scalars_.min.compare_exchange_weak(seen, value,
-                                               std::memory_order_relaxed)) {
-    }
-    seen = scalars_.max.load(std::memory_order_relaxed);
-    while (value > seen &&
-           !scalars_.max.compare_exchange_weak(seen, value,
-                                               std::memory_order_relaxed)) {
-    }
+void histogram::record(std::uint64_t value) {
+    const std::lock_guard<std::mutex> lock(mu_);
+    value_.record(value);
 }
 
 void histogram::merge(const hist_snapshot& snapshot) {
-    if (snapshot.count == 0) return;
-    for (const auto& [idx, n] : snapshot.buckets) {
-        counts_[idx].fetch_add(n, std::memory_order_relaxed);
-    }
-    scalars_.count.fetch_add(snapshot.count, std::memory_order_relaxed);
-    scalars_.sum.fetch_add(snapshot.sum, std::memory_order_relaxed);
-    std::uint64_t seen = scalars_.min.load(std::memory_order_relaxed);
-    while (snapshot.min < seen &&
-           !scalars_.min.compare_exchange_weak(seen, snapshot.min,
-                                               std::memory_order_relaxed)) {
-    }
-    seen = scalars_.max.load(std::memory_order_relaxed);
-    while (snapshot.max > seen &&
-           !scalars_.max.compare_exchange_weak(seen, snapshot.max,
-                                               std::memory_order_relaxed)) {
-    }
+    const std::lock_guard<std::mutex> lock(mu_);
+    value_.merge(snapshot);
 }
 
 hist_snapshot histogram::snapshot() const {
-    hist_snapshot out;
-    out.count = scalars_.count.load(std::memory_order_relaxed);
-    if (out.count == 0) return out;
-    out.sum = scalars_.sum.load(std::memory_order_relaxed);
-    out.min = scalars_.min.load(std::memory_order_relaxed);
-    out.max = scalars_.max.load(std::memory_order_relaxed);
-    for (std::size_t i = 0; i < k_hist_num_buckets; ++i) {
-        const std::uint64_t n = counts_[i].load(std::memory_order_relaxed);
-        if (n != 0) {
-            out.buckets.emplace_back(static_cast<std::uint32_t>(i), n);
-        }
-    }
-    return out;
+    const std::lock_guard<std::mutex> lock(mu_);
+    return value_;
 }
 
 void histogram::reset() {
-    for (std::size_t i = 0; i < k_hist_num_buckets; ++i) {
-        counts_[i].store(0, std::memory_order_relaxed);
-    }
-    scalars_.count.store(0, std::memory_order_relaxed);
-    scalars_.sum.store(0, std::memory_order_relaxed);
-    scalars_.min.store(~std::uint64_t{0}, std::memory_order_relaxed);
-    scalars_.max.store(0, std::memory_order_relaxed);
+    const std::lock_guard<std::mutex> lock(mu_);
+    value_ = {};
 }
 
 }  // namespace plee::obs

@@ -16,14 +16,14 @@
 //
 // Two representations share the bucket math:
 //
-//  * histogram — the resident, registry-owned form: one atomic slot per
-//    bucket, lock-free record() (relaxed fetch_adds plus CAS min/max), safe
-//    from any thread.  ~58 KiB per instance; intended for the handful of
-//    process-wide metrics, not per-object use.
 //  * hist_snapshot — the value form: sparse sorted (bucket, count) pairs.
 //    Cheap to carry in results, exactly mergeable (merge is associative and
 //    commutative, bucket-for-bucket — asserted by tests/test_obs.cpp), and
 //    the unit of JSON serialization.
+//  * histogram — the resident, registry-owned form: one hist_snapshot
+//    behind a mutex, safe from any thread.  Its writers flush once per
+//    measurement or fleet (a local snapshot merged in, or one record), so
+//    one lock per flush is the whole synchronization cost.
 //
 // Readout is exact-rank over the recorded buckets: value_at_percentile(p)
 // walks the cumulative counts to rank ceil(p/100 * count) and returns that
@@ -33,10 +33,9 @@
 
 #pragma once
 
-#include <atomic>
 #include <bit>
 #include <cstdint>
-#include <memory>
+#include <mutex>
 #include <utility>
 #include <vector>
 
@@ -80,8 +79,7 @@ struct hist_snapshot {
     /// Occupied buckets only, sorted by bucket index.
     std::vector<std::pair<std::uint32_t, std::uint64_t>> buckets;
 
-    void record(std::uint64_t value) { record_n(value, 1); }
-    void record_n(std::uint64_t value, std::uint64_t n);
+    void record(std::uint64_t value);
 
     /// Adds `other` in: exact bucket-for-bucket accumulation (associative
     /// and commutative, so fleet aggregates are order-independent).
@@ -101,38 +99,30 @@ struct hist_snapshot {
     bool operator==(const hist_snapshot&) const = default;
 };
 
-/// The resident form: lock-free multi-thread recording for the registry.
+/// The resident form: a hist_snapshot behind a mutex, for the registry.
+/// Each call takes the lock and applies the value form's operation.
 class histogram {
 public:
-    histogram();
+    histogram() = default;
     histogram(const histogram&) = delete;
     histogram& operator=(const histogram&) = delete;
 
-    void record(std::uint64_t value) { record_n(value, 1); }
-    void record_n(std::uint64_t value, std::uint64_t n);
+    void record(std::uint64_t value);
 
     /// Folds a snapshot in (the bulk path measure uses: build a local
     /// snapshot on one thread, merge once).
     void merge(const hist_snapshot& snapshot);
 
-    /// A consistent-enough copy for reporting: each bucket is read once with
-    /// relaxed loads, so a snapshot taken while writers run may be mid-batch
-    /// but never corrupt; quiescent snapshots are exact.
+    /// An exact copy: writers hold the same lock, so it never sees half a
+    /// flush.
     hist_snapshot snapshot() const;
 
-    /// Zeroes every bucket (registry reset between test runs).
+    /// Empties the histogram (registry reset between test runs).
     void reset();
 
 private:
-    struct alignas(64) scalar_block {
-        std::atomic<std::uint64_t> count{0};
-        std::atomic<std::uint64_t> sum{0};
-        std::atomic<std::uint64_t> min{~std::uint64_t{0}};
-        std::atomic<std::uint64_t> max{0};
-    };
-
-    scalar_block scalars_;
-    std::unique_ptr<std::atomic<std::uint64_t>[]> counts_;
+    mutable std::mutex mu_;
+    hist_snapshot value_;
 };
 
 }  // namespace plee::obs

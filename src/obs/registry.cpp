@@ -2,13 +2,6 @@
 
 namespace plee::obs {
 
-std::size_t counter::home_shard() {
-    static std::atomic<std::size_t> next{0};
-    thread_local const std::size_t mine =
-        next.fetch_add(1, std::memory_order_relaxed) % k_counter_shards;
-    return mine;
-}
-
 registry& registry::global() {
     static registry instance;
     return instance;

@@ -2,13 +2,14 @@
 //
 // One `registry::global()` instance owns every named counter, gauge and
 // histogram in the process.  Lookup (`get_counter` & co.) takes a mutex and
-// a map walk, so callers cache the returned reference once — typically in a
-// function-local `static` — and the hot path is then a single relaxed
-// atomic add with no lock and no hash:
+// a map walk, so callers cache the returned reference once, in a
+// function-local `static`, and flush into it once per unit of work: the
+// writers add a measurement's, an EE pass's or a fleet's totals in one call
+// each, never per event.
 //
 //     static obs::counter& triggers =
 //         obs::registry::global().get_counter("ee.triggers_added");
-//     triggers.add();
+//     triggers.add(stats.triggers_added);
 //
 // References returned by the getters are stable for the life of the process:
 // reset() zeroes values but never destroys or reallocates a metric, so cached
@@ -21,10 +22,10 @@
 // dimensioned (`_ms`, `_us`, `_ps`).  Counters count events; gauges hold a
 // last-written level; histograms hold distributions.
 //
-// Counters are sharded across 16 cacheline-aligned atomic slots with a
-// per-thread home slot, so a fleet of workers bumping the same counter does
-// not ping-pong one cache line; value() sums the slots (a momentarily-stale
-// read while writers run, exact at quiescence).
+// Once looked up, a metric is safe from any thread: a counter or gauge is
+// one relaxed atomic, and a histogram is one hist_snapshot behind its own
+// mutex (histogram.hpp).  A snapshot taken while writers run may miss their
+// latest flushes; at quiescence every value is exact.
 
 #pragma once
 
@@ -41,9 +42,7 @@
 
 namespace plee::obs {
 
-inline constexpr std::size_t k_counter_shards = 16;
-
-/// Monotonic event count, sharded to keep concurrent add() cheap.
+/// Monotonic event count.
 class counter {
 public:
     counter() = default;
@@ -51,31 +50,13 @@ public:
     counter& operator=(const counter&) = delete;
 
     void add(std::uint64_t n = 1) {
-        shards_[home_shard()].value.fetch_add(n, std::memory_order_relaxed);
+        value_.fetch_add(n, std::memory_order_relaxed);
     }
-
-    std::uint64_t value() const {
-        std::uint64_t total = 0;
-        for (const slot& s : shards_) {
-            total += s.value.load(std::memory_order_relaxed);
-        }
-        return total;
-    }
-
-    void reset() {
-        for (slot& s : shards_) s.value.store(0, std::memory_order_relaxed);
-    }
+    std::uint64_t value() const { return value_.load(std::memory_order_relaxed); }
+    void reset() { value_.store(0, std::memory_order_relaxed); }
 
 private:
-    struct alignas(64) slot {
-        std::atomic<std::uint64_t> value{0};
-    };
-
-    /// Round-robin thread→slot assignment; cheaper and more uniform than
-    /// hashing thread ids.
-    static std::size_t home_shard();
-
-    slot shards_[k_counter_shards];
+    std::atomic<std::uint64_t> value_{0};
 };
 
 /// A last-written level (queue depth, in-flight jobs).
@@ -86,9 +67,6 @@ public:
     gauge& operator=(const gauge&) = delete;
 
     void set(std::int64_t v) { value_.store(v, std::memory_order_relaxed); }
-    void add(std::int64_t d = 1) {
-        value_.fetch_add(d, std::memory_order_relaxed);
-    }
     std::int64_t value() const { return value_.load(std::memory_order_relaxed); }
     void reset() { set(0); }
 

@@ -21,8 +21,8 @@ experiment_row run_ee_experiment(const std::string& description,
 
     // Baseline: plain Phased Logic.  Each stage opens its own top-level span
     // (sim.golden nests inside measure.reference, sim.compile and sim.run
-    // inside each measure arm), so the trace reads as the stage sequence of
-    // the header comment.
+    // inside each measure arm; the EE pass opens ee.pass itself), so the
+    // trace reads as the stage sequence of the header comment.
     ctx.poll("pipeline.map", 0);
     pl::map_result mapped = [&] {
         const obs::scoped_span span(ctx.trace, "map_to_pl");
@@ -50,10 +50,7 @@ experiment_row run_ee_experiment(const std::string& description,
     // Early Evaluation applied in place to the measured mapping: its
     // simulator is gone, and row.pl_gates was read above.
     ctx.poll("pipeline.ee", 0);
-    {
-        const obs::scoped_span span(ctx.trace, "ee.search");
-        row.ee_detail = ee::apply_early_evaluation(mapped.pl, options.ee, ctx);
-    }
+    row.ee_detail = ee::apply_early_evaluation(mapped.pl, options.ee, ctx);
     row.ee_gates = mapped.pl.num_trigger_gates();
     sim::measure_result with_ee;
     {

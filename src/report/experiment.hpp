@@ -76,10 +76,11 @@ struct experiment_row {
 /// the mapping (site "pipeline.map") and before the EE pass
 /// ("pipeline.ee"), and the stages poll it inside.  On ctx.trace the pass
 /// opens one span per stage, once each (map_to_pl → measure.reference →
-/// measure.plain → ee.search → measure.ee), with a sim.golden child inside
-/// measure.reference and sim.compile (the wave schedule) and sim.run
-/// children, in that order, inside each measure arm.  Spans close on
-/// exception unwind, so a failed run still carries a partial breakdown.
+/// measure.plain → ee.pass → measure.ee), with a sim.golden child inside
+/// measure.reference, an ee.search child (the trigger search alone) inside
+/// ee.pass, and sim.compile (the wave schedule) and sim.run children, in
+/// that order, inside each measure arm.  Spans close on exception unwind,
+/// so a failed run still carries a partial breakdown.
 experiment_row run_ee_experiment(const std::string& description,
                                  const nl::netlist& netlist,
                                  const experiment_options& options = {},

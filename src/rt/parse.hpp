@@ -37,6 +37,18 @@ T parse_unsigned(std::string_view flag, std::string_view text) {
     return value;
 }
 
+/// parse_unsigned for a count that must be at least 1 ("--vectors 0" would
+/// measure nothing).
+template <class T>
+T parse_positive(std::string_view flag, std::string_view text) {
+    const T value = parse_unsigned<T>(flag, text);
+    if (value == 0) {
+        throw std::invalid_argument(std::string(flag) + ": must be > 0, got '" +
+                                    std::string(text) + "'");
+    }
+    return value;
+}
+
 /// The whole of `text` as a finite double >= 0 (no "nan", "inf" or
 /// negative values, nothing trailing).
 double parse_non_negative(std::string_view flag, std::string_view text);

@@ -1,5 +1,5 @@
-// Unit tests for the synchronous netlist container: structure, validation,
-// topological analysis, and the arrival-depth model used by Equation 1.
+// Unit tests for the synchronous netlist container: structure, validation
+// and topological analysis.
 
 #include "netlist/netlist.hpp"
 
@@ -103,26 +103,6 @@ TEST(Netlist, TopoOrderRespectsDependencies) {
     EXPECT_LT(pos(g1), pos(g2));
     EXPECT_LT(pos(g2), pos(g3));
     EXPECT_EQ(order.size(), n.num_cells());
-}
-
-TEST(Netlist, CombDepthMatchesLongestPath) {
-    netlist n;
-    const cell_id a = n.add_input("a");
-    const cell_id b = n.add_input("b");
-    const cell_id q = n.add_dff(k_invalid_cell, true, "q");
-    const cell_id g1 = n.add_lut(and2(), {a, b});   // depth 1
-    const cell_id g2 = n.add_lut(xor2(), {g1, q});  // depth 2
-    const cell_id g3 = n.add_lut(xor2(), {g2, b});  // depth 3
-    n.set_dff_input(q, g3);
-    n.add_output("y", g3);
-
-    const std::vector<int> depth = n.comb_depth();
-    EXPECT_EQ(depth[a], 0);
-    EXPECT_EQ(depth[q], 0);  // register outputs are wave sources
-    EXPECT_EQ(depth[g1], 1);
-    EXPECT_EQ(depth[g2], 2);
-    EXPECT_EQ(depth[g3], 3);
-    EXPECT_EQ(depth[n.outputs().front()], 3);
 }
 
 TEST(Netlist, FaninLimitQuery) {

@@ -1,5 +1,5 @@
 // Tests for the telemetry subsystem (src/obs/): histogram bucket math and
-// exact-rank percentiles, snapshot merge algebra, the sharded registry,
+// exact-rank percentiles, snapshot merge algebra, the registry,
 // trace span nesting (including exception unwind), flight-recorder ring
 // semantics, the JSON / Prometheus sinks, and the end-to-end contracts the
 // runner exposes — registry counters reconciling with per-row simulator
@@ -98,7 +98,8 @@ TEST(ObsHistogram, PercentilesWithinBucketErrorOnLargeValues) {
 }
 
 TEST(ObsHistogram, MergeIsAssociativeCommutativeAndExact) {
-    const auto fill = [](std::uint64_t seed, int n) {
+    hist_snapshot all;  // every value recorded into one snapshot
+    const auto fill = [&all](std::uint64_t seed, int n) {
         hist_snapshot h;
         std::uint64_t x = seed;
         for (int i = 0; i < n; ++i) {
@@ -106,6 +107,7 @@ TEST(ObsHistogram, MergeIsAssociativeCommutativeAndExact) {
             x ^= x >> 7;
             x ^= x << 17;
             h.record(x % 100000);
+            all.record(x % 100000);
         }
         return h;
     };
@@ -128,6 +130,17 @@ TEST(ObsHistogram, MergeIsAssociativeCommutativeAndExact) {
     EXPECT_EQ(ab_c, a_bc);
     EXPECT_EQ(ab_c.count, 1500u);
     EXPECT_EQ(ab_c.sum, a.sum + b.sum + c.sum);
+    EXPECT_EQ(ab_c, all);  // bucket for bucket what recording gives
+
+    // Merging buckets that are all present already doubles each count.
+    hist_snapshot aa = a;
+    aa.merge(a);
+    ASSERT_EQ(aa.buckets.size(), a.buckets.size());
+    for (std::size_t i = 0; i < a.buckets.size(); ++i) {
+        EXPECT_EQ(aa.buckets[i].first, a.buckets[i].first);
+        EXPECT_EQ(aa.buckets[i].second, 2 * a.buckets[i].second);
+    }
+    EXPECT_EQ(aa.count, 2 * a.count);
 
     // Merging an empty snapshot is the identity, both ways.
     hist_snapshot a_empty = a;
@@ -138,28 +151,28 @@ TEST(ObsHistogram, MergeIsAssociativeCommutativeAndExact) {
     EXPECT_EQ(empty_a, a);
 }
 
-TEST(ObsHistogram, AtomicFormMatchesSparseFormAndIsThreadSafe) {
-    histogram atomic_h;
+TEST(ObsHistogram, ResidentFormMatchesSparseFormAndIsThreadSafe) {
+    histogram resident;
     hist_snapshot sparse;
     for (std::uint64_t v : {0ull, 1ull, 127ull, 128ull, 4096ull, 999999ull}) {
-        atomic_h.record(v);
+        resident.record(v);
         sparse.record(v);
     }
-    EXPECT_EQ(atomic_h.snapshot(), sparse);
+    EXPECT_EQ(resident.snapshot(), sparse);
 
-    atomic_h.reset();
-    EXPECT_TRUE(atomic_h.snapshot().empty());
+    resident.reset();
+    EXPECT_TRUE(resident.snapshot().empty());
 
     std::vector<std::thread> pool;
     for (int t = 0; t < 4; ++t) {
-        pool.emplace_back([&atomic_h, t] {
+        pool.emplace_back([&resident, t] {
             for (int i = 0; i < 1000; ++i) {
-                atomic_h.record(static_cast<std::uint64_t>(t * 1000 + i));
+                resident.record(static_cast<std::uint64_t>(t * 1000 + i));
             }
         });
     }
     for (std::thread& t : pool) t.join();
-    const hist_snapshot snap = atomic_h.snapshot();
+    const hist_snapshot snap = resident.snapshot();
     EXPECT_EQ(snap.count, 4000u);
     EXPECT_EQ(snap.min, 0u);
     EXPECT_EQ(snap.max, 3999u);
@@ -168,7 +181,7 @@ TEST(ObsHistogram, AtomicFormMatchesSparseFormAndIsThreadSafe) {
 
 // --- Registry -------------------------------------------------------------
 
-TEST(ObsRegistry, ShardedCounterSumsAcrossThreads) {
+TEST(ObsRegistry, CounterSumsAcrossThreads) {
     counter c;
     std::vector<std::thread> pool;
     for (int t = 0; t < 8; ++t) {

@@ -129,12 +129,13 @@ TEST(Experiment, TraceNamesEachStageOnceInPipelineOrder) {
         }
     }
     EXPECT_EQ(stages, (std::vector<std::string>{"map_to_pl", "measure.reference",
-                                                "measure.plain", "ee.search",
+                                                "measure.plain", "ee.pass",
                                                 "measure.ee"}));
     EXPECT_EQ(children,
               (std::vector<std::string>{"measure.reference/sim.golden",
                                         "measure.plain/sim.compile",
                                         "measure.plain/sim.run",
+                                        "ee.pass/ee.search",
                                         "measure.ee/sim.compile",
                                         "measure.ee/sim.run"}));
 }

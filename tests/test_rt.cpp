@@ -118,6 +118,23 @@ TEST(Parse, UnsignedAcceptsOnlyWholeInRangeIntegers) {
     }
 }
 
+TEST(Parse, PositiveRejectsZeroNamingTheFlagAndValue) {
+    EXPECT_EQ(parse_positive<std::size_t>("--vectors", "1"), 1u);
+    for (const char* bad : {"0", "00", "-5", "abc", ""}) {
+        EXPECT_THROW(parse_positive<std::size_t>("--vectors", bad),
+                     std::invalid_argument)
+            << "'" << bad << "'";
+    }
+    try {
+        parse_positive<std::size_t>("PLEE_VECTORS", "0");
+        FAIL() << "parsed '0'";
+    } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find("PLEE_VECTORS"), std::string::npos)
+            << e.what();
+        EXPECT_NE(std::string(e.what()).find("'0'"), std::string::npos) << e.what();
+    }
+}
+
 TEST(Parse, NonNegativeAcceptsOnlyFiniteValuesAtLeastZero) {
     EXPECT_EQ(parse_non_negative("--threshold", "0"), 0.0);
     EXPECT_EQ(parse_non_negative("--threshold", "2.5"), 2.5);

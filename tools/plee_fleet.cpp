@@ -185,10 +185,7 @@ int main(int argc, char** argv) {
             } else if (std::strcmp(arg, "--threads") == 0) {
                 threads = parse_unsigned<unsigned>(arg, value());
             } else if (std::strcmp(arg, "--vectors") == 0) {
-                vectors = parse_unsigned<std::size_t>(arg, value());
-                if (vectors == 0) {
-                    throw std::invalid_argument("--vectors: must be > 0");
-                }
+                vectors = parse_positive<std::size_t>(arg, value());
             } else if (std::strcmp(arg, "--lanes") == 0) {
                 lanes = parse_unsigned<std::size_t>(arg, value());
                 if (lanes != 1 && lanes != sim::k_lanes) {
@@ -232,11 +229,7 @@ int main(int argc, char** argv) {
             circuits.find_first_not_of("0123456789") == std::string::npos;
         if (synthetic) {
             const std::size_t count =
-                parse_unsigned<std::size_t>("--circuits", circuits);
-            if (count == 0) {
-                std::fprintf(stderr, "plee_fleet: --circuits must be > 0\n");
-                return 1;
-            }
+                parse_positive<std::size_t>("--circuits", circuits);
             // The generator seed defaults to a small fixed value; the large
             // fixed stimulus seed stays on the measurement side.
             const std::uint64_t gen_seed = seed_given ? seed : 1;

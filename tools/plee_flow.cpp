@@ -113,8 +113,7 @@ std::optional<cli_options> parse(int argc, char** argv) {
         } else if (arg == "--vectors") {
             const char* v = next();
             if (v == nullptr) return std::nullopt;
-            o.vectors = parse_unsigned<std::size_t>(arg, v);
-            if (o.vectors == 0) throw std::invalid_argument("--vectors: must be > 0");
+            o.vectors = parse_positive<std::size_t>(arg, v);
         } else if (arg == "--threshold") {
             if (const char* v = next()) o.threshold = parse_non_negative(arg, v);
             else return std::nullopt;
@@ -196,8 +195,9 @@ int main(int argc, char** argv) {
     std::signal(SIGTERM, on_signal);
 
     // One job context for the whole flow.  Its trace records the flow's own
-    // stages: map_to_pl, ee.search and measure (with sim.golden,
-    // sim.compile and sim.run children) — not a fleet job's five.
+    // stages: map_to_pl, ee.pass (with an ee.search child) and measure
+    // (with sim.golden, sim.compile and sim.run children) — not a fleet
+    // job's five.
     obs::trace trace;
     const job_context ctx{.label = o.bench.empty() ? o.blif_in : o.bench,
                           .cancel = &g_interrupt,
@@ -264,10 +264,8 @@ int main(int argc, char** argv) {
             opts.search.cost_threshold = o.threshold;
             opts.search.method = o.method;
             opts.num_threads = o.threads;
-            const ee::ee_stats stats = [&] {
-                const obs::scoped_span span(&trace, "ee.search");
-                return ee::apply_early_evaluation(mapped.pl, opts, ctx);
-            }();
+            const ee::ee_stats stats =
+                ee::apply_early_evaluation(mapped.pl, opts, ctx);
             std::printf("early evaluation: %zu triggers on %zu masters "
                         "(+%.0f%% area)\n",
                         stats.triggers_added, stats.masters_considered,
