@@ -6,7 +6,9 @@
 // at 1, 2 and hardware_concurrency() worker threads.  Reported per thread
 // level: wall time, netlists/s and trigger-search sweeps/s.  The
 // per-circuit results are bit-identical across the levels (asserted here),
-// so the scaling numbers measure the runner, not noise.  A final telemetry
+// so the scaling numbers measure the runner, not noise.  A job that does not
+// end ok in any fleet is named on stderr and the bench exits 1: failed
+// jobs' default rows would compare equal across levels.  A final telemetry
 // on/off A/B (20 interleaved rounds at one thread, each the ratio of the
 // arms' fastest of 3 fleets) reports the median per-round wall ratio with
 // its quartiles, and prints "unresolved" when the quartiles are further
@@ -28,6 +30,7 @@
 #include <thread>
 #include <vector>
 
+#include "fleet_status.hpp"
 #include "report/json.hpp"
 #include "report/table.hpp"
 #include "rt/atomic_write.hpp"
@@ -112,6 +115,7 @@ int main(int argc, char** argv) {
             opts.num_threads = threads;
             opts.experiment.measure.num_vectors = vectors;
             runner::fleet_result fleet = runner::run_fleet(jobs, opts);
+            if (bench::report_failed_jobs("bench_fleet_scaling", fleet)) return 1;
             if (threads == 1) base_wall = fleet.wall_ms;
             t.add_row({std::to_string(fleet.threads),
                        report::fmt(fleet.wall_ms, 0),
@@ -193,6 +197,7 @@ int main(int argc, char** argv) {
                 opts.experiment.measure.num_vectors = vectors;
                 opts.telemetry = on;
                 const runner::fleet_result fleet = runner::run_fleet(jobs, opts);
+                if (bench::report_failed_jobs("bench_fleet_scaling", fleet)) return 1;
                 std::vector<double>& best = fastest[on];
                 best.resize(fleet.results.size(), 0.0);
                 for (std::size_t j = 0; j < best.size(); ++j) {

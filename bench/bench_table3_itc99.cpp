@@ -20,6 +20,10 @@
 // prior PR used, so runs stay reproducible).  `--json <path>` additionally
 // writes every row, the suite averages and the fleet summary as
 // BENCH_itc99.json for cross-PR perf tracking.
+//
+// A job that does not end ok (a golden mismatch, the event budget, ...) is
+// named on stderr, and the bench exits 1 with no table, averages or JSON;
+// exit 2 is a usage error.
 
 #include <cstdio>
 #include <cstring>
@@ -28,6 +32,7 @@
 #include <vector>
 
 #include "bench_circuits/itc99.hpp"
+#include "fleet_status.hpp"
 #include "report/experiment.hpp"
 #include "report/json.hpp"
 #include "report/table.hpp"
@@ -113,6 +118,7 @@ int main(int argc, char** argv) {
     fleet_opts.experiment.measure.num_vectors = vectors;
     fleet_opts.experiment.measure.seed = seed;
     const runner::fleet_result fleet = runner::run_fleet(jobs, fleet_opts);
+    if (bench::report_failed_jobs("bench_table3_itc99", fleet)) return 1;
 
     report::text_table t({"Description", "PL Gates", "EE Gates", "Avg Delay (ns)",
                           "Avg Delay EE (ns)", "Delay Diff", "% Area Incr.",

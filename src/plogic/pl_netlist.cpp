@@ -109,6 +109,11 @@ gate_id pl_netlist::attach_trigger(gate_id master, const bf::truth_table& fn,
     if ((support_mask >> m.num_data) != 0) {
         throw std::invalid_argument("attach_trigger: support names a pin the master lacks");
     }
+    if (support_mask == 0 || std::popcount(support_mask) == m.num_data) {
+        throw std::invalid_argument(
+            "attach_trigger: support must be a non-empty proper subset of the "
+            "master's pins");
+    }
 
     std::string trig_name(name(master));
     trig_name += trig_name.empty() ? "ee" : "_ee";

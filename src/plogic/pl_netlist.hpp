@@ -131,6 +131,8 @@ public:
     /// Wires a trigger gate for `master` computing `fn` over the master pins
     /// selected by `support_mask` (taps the same producer signals, adds the
     /// efire data edge and all acknowledge feedback).  Returns the trigger id.
+    /// The support must be a non-empty proper subset of the master's pins,
+    /// and `fn`'s arity its size (std::invalid_argument otherwise).
     gate_id attach_trigger(gate_id master, const bf::truth_table& fn,
                            std::uint32_t support_mask);
 

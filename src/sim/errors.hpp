@@ -54,10 +54,10 @@ public:
 };
 
 /// A netlist pl_netlist::verify() rejects (raised by the first run, before
-/// any firing), marked out-edges of one producer with different initial
-/// values (raised by the constructor, engine "schedule"), or an efire token
-/// that disagrees with its trigger function — always a bug in the netlist
-/// or the transform, never recoverable.
+/// any firing), or marked out-edges of one producer with different initial
+/// values or an EE pair that fails its proof (both raised by the
+/// constructor, engine "schedule") — always a bug in the netlist or the
+/// transform, never recoverable.
 class invariant_violation : public sim_error {
 public:
     invariant_violation(const std::string& message, const std::string& label,

@@ -4,6 +4,7 @@
 #include <bit>
 #include <stdexcept>
 
+#include "ee/trigger_search.hpp"
 #include "obs/flight_recorder.hpp"
 #include "sim/errors.hpp"
 
@@ -170,23 +171,9 @@ void pl_simulator::compile() {
                 break;
         }
         if (gate.trigger == pl::k_invalid_gate) continue;
-        // Master of an EE pair: bake the trigger function and its
-        // pin-packing map in, so no firing allocates.
         d.kind = role::master;
         d.efire = ref_of(gate.efire_in);
-        const pl::pl_gate& trig = pl_.gate(gate.trigger);
-        master_trigger& t = triggers_.emplace_back();
-        t.words = trig.function.words();
-        for (std::uint8_t v = 0; v < 32; ++v) {
-            if ((trig.trigger_support >> v) & 1u) {
-                if (t.count >= sizeof(t.pins)) {
-                    throw std::logic_error(
-                        "pl_simulator: trigger support wider than the LUT "
-                        "pin limit");
-                }
-                t.pins[t.count++] = v;
-            }
-        }
+        check_ee_pair(g);
     }
     // Which parity-0 slots an unmarked ref reads: the lane wave stores no
     // slab for any other.
@@ -201,12 +188,32 @@ void pl_simulator::compile() {
     }
 }
 
-void pl_simulator::throw_ee_mismatch(std::uint32_t s, const char* engine) {
-    stats_.events = wave_base_ + deposits_[s];
-    throw invariant_violation(
-        "efire token disagrees with the trigger function (EE invariant "
-        "violated)",
-        ctx_.label, stats_.events, engine);
+/// The pin count is the whole wiring proof: attach_trigger, the only code
+/// that pairs a master with a trigger, taps each support pin's producer
+/// with the same marking; edges never change after that, and pins are only
+/// appended.  So a trigger with popcount(support) pins reads the master's
+/// support operands, and, values being timing-independent, its efire token
+/// is their trigger in every wave and lane.  The arity checks keep the
+/// soundness test, the paper's definition of a trigger, from throwing
+/// untyped.
+void pl_simulator::check_ee_pair(pl::gate_id master) const {
+    const pl::pl_gate& m = pl_.gate(master);
+    const pl::pl_gate& t = pl_.gate(m.trigger);
+    const int k = std::popcount(t.trigger_support);
+    const char* failed = nullptr;
+    if (t.num_data != k || t.function.num_vars() != k) {
+        failed = "its trigger's pin count or arity differs from its support size";
+    } else if (m.function.num_vars() != m.num_data) {
+        failed = "its function's arity differs from its pin count";
+    } else if (!(t.function & ~ee::exact_trigger_function(m.function, t.trigger_support))
+                    .is_constant_zero()) {
+        failed = "its trigger fires where its output still depends on another pin";
+    }
+    if (failed != nullptr) {
+        throw invariant_violation("EE master gate " + std::to_string(master) + " '" +
+                                      std::string(pl_.name(master)) + "': " + failed,
+                                  ctx_.label, 0, "schedule");
+    }
 }
 
 /// Resets the per-run state, writes the wave -1 preset into parity 1 and
@@ -395,17 +402,7 @@ void pl_simulator::run_waves(std::vector<wave_record>& records) {
                     t_out = win != 0 ? early : normal;
                     hits += efire;
                     wins += win;
-                    // The EE invariant: the trigger recomputed from the
-                    // master's operands through the pin-packing map must
-                    // equal the efire token.
-                    const master_trigger& trig = triggers_[masters++];
-                    std::uint32_t packed = 0;
-                    for (std::uint8_t i = 0; i < trig.count; ++i) {
-                        packed |= ((minterm >> trig.pins[i]) & 1u) << i;
-                    }
-                    if (((trig.words[packed >> 6] >> (packed & 63)) & 1u) != efire) {
-                        throw_ee_mismatch(s, "dataflow");
-                    }
+                    ++masters;
                     break;
                 }
                 case role::source:
@@ -512,7 +509,6 @@ void pl_simulator::run_lane_wave(const stimulus_block& block) {
     double output_stable = 0.0;
     wave_base_ = 0;
     std::uint32_t stop = next_stop(0);
-    std::uint32_t master = 0;
     for (std::uint32_t s = 0; s < n; ++s) {
         const gate_rec& d = recs_[s];
         const in_ref* const r = refs_.data() + d.ref_begin;
@@ -520,7 +516,7 @@ void pl_simulator::run_lane_wave(const stimulus_block& block) {
         bool slab = false;
         for (std::uint32_t i = 0; i < num_refs && !slab; ++i) slab = varies_[r[i]];
         if (slab) {
-            fire_lanes_slab(s, master, block);
+            fire_lanes_slab(s, block);
         } else {
             // Every input carries one time for all lanes: the scalar
             // arithmetic of run_waves, on value words.
@@ -549,7 +545,6 @@ void pl_simulator::run_lane_wave(const stimulus_block& block) {
                                                          d.num_data, ins);
                 if (d.kind == role::master) {
                     const std::uint64_t efire_word = values_[d.efire];
-                    check_trigger_lanes(s, master, ins, efire_word);
                     const double normal = t_data + dm.gate_delay() + dm.d_ee_penalty;
                     const double early = times_[d.efire] + dm.efire_delay();
                     const std::uint64_t hit = efire_word & lane_mask_;
@@ -584,7 +579,6 @@ void pl_simulator::run_lane_wave(const stimulus_block& block) {
                 values_[4 * s] = value;
             }
         }
-        if (d.kind == role::master) ++master;
         if (s == stop) stop = reach(s, "lane");
     }
     for (std::size_t l = 0; l < k_lanes; ++l) {
@@ -595,8 +589,7 @@ void pl_simulator::run_lane_wave(const stimulus_block& block) {
     stats_.firings = n;
 }
 
-void pl_simulator::fire_lanes_slab(std::uint32_t s, std::uint32_t master,
-                                   const stimulus_block& block) {
+void pl_simulator::fire_lanes_slab(std::uint32_t s, const stimulus_block& block) {
     const gate_rec& d = recs_[s];
     const in_ref* const r = refs_.data() + d.ref_begin;
     const delay_model& dm = options_.delays;
@@ -636,7 +629,6 @@ void pl_simulator::fire_lanes_slab(std::uint32_t s, std::uint32_t master,
     }
     // An EE master with a slab input: the firing rule per lane.
     const std::uint64_t efire_word = values_[d.efire];
-    check_trigger_lanes(s, master, ins, efire_word);
     double td[k_lanes];
     std::fill_n(td, k_lanes, 0.0);
     gather_lanes(r, d.num_data, td);
@@ -698,19 +690,6 @@ void pl_simulator::store_lanes(std::uint32_t s, std::uint64_t value,
     const std::uint8_t live = recs_[s].live;
     store(4 * s, to, data_outs(s), (live & k_data_live) != 0);
     store(4 * s + 2, ta, ack_outs(s), (live & k_ack_live) != 0);
-}
-
-/// The EE invariant, word-wide for every occupied lane: the trigger
-/// recomputed from the master's operands must equal the efire word.
-void pl_simulator::check_trigger_lanes(std::uint32_t s, std::uint32_t master,
-                                       const std::uint64_t* ins,
-                                       std::uint64_t efire_word) {
-    const master_trigger& t = triggers_[master];
-    std::uint64_t tins[bf::k_max_vars];
-    for (std::uint8_t i = 0; i < t.count; ++i) tins[i] = ins[t.pins[i]];
-    const std::uint64_t trig =
-        bf::truth_table::eval_word_lanes(t.words.data(), t.count, tins);
-    if ((trig ^ efire_word) & lane_mask_) throw_ee_mismatch(s, "lane");
 }
 
 }  // namespace plee::sim

@@ -33,9 +33,9 @@
 //    order (pl_netlist::token_free_order, a FIFO Kahn order built with its
 //    CSR): the ref range, the data-pin count, the kind, the efire ref, an
 //    offset into one LUT-word pool, the env slot and the delay.  Side
-//    arrays hold the deposit prefix sums, the masters' trigger pin maps and
-//    words (in schedule order), and the trace edges; only the paths that
-//    need them read them.
+//    arrays hold the deposit prefix sums and the trace edges; only the
+//    paths that need them read them.  A master's trigger is an ordinary
+//    position: no firing reads a trigger's function or support.
 //  * Ref order.  A position lists its data pins first, in pin order, then
 //    its other in-edges (acks and efire), each in-edge once.  A ref is
 //    (slot << 1) | marked, slot = 2 * producer position + (1 for an ack),
@@ -63,6 +63,11 @@
 //    invariant_violation, both from the first run / run_lanes.  All marked
 //    data out-edges of one producer must carry the same initial value; the
 //    constructor throws invariant_violation otherwise.
+//  * EE invariant.  The constructor proves each EE pair once: the trigger
+//    reads exactly its support pins, and it is sound (where it is 1, the
+//    master's output no longer depends on its other pins).  A failure
+//    throws invariant_violation (engine "schedule", 0 events) naming the
+//    master.  See check_ee_pair.
 //  * Event count.  stats().events counts token deposits: each firing adds
 //    its out-degree.  A run that exceeds max_events throws at exactly
 //    max_events + 1; whenever the count crosses a multiple of
@@ -70,8 +75,7 @@
 //    Every position fires once per wave, so the count is kept per wave: a
 //    wave adds its fixed total at the end, and the checks run at the one
 //    firing whose deposits reach the next check point, found from the
-//    prefix sums.  Budget, beats and the count an EE-mismatch throw names
-//    are those of counting every firing.
+//    prefix sums.  Budget and beats are those of counting every firing.
 //  * Trace order.  trace() is emitted per data out-edge in wave order, then
 //    stable-sorted by (time, edge); one edge's deposits stay in wave order.
 //
@@ -96,8 +100,6 @@
 #include <memory>
 #include <string>
 #include <vector>
-
-#include "bool/truth_table.hpp"
 
 #include "plogic/pl_netlist.hpp"
 #include "rt/job_context.hpp"
@@ -187,21 +189,23 @@ struct lane_block_result {
 class pl_simulator {
 public:
     /// Compiles the netlist's wave schedule (see the top of this file).
-    /// Throws invariant_violation when two marked data out-edges of one
-    /// producer carry different initial values; a netlist verify() rejects
-    /// is reported by the first run instead.  Keeps a copy of `ctx`: its
-    /// label names the job in every typed failure, and the periodic checks
-    /// (see Event count above) poll it at site "sim.events" and record its
-    /// "sim.progress" beats (events, waves stable).
+    /// Throws invariant_violation (engine "schedule", 0 events) when two
+    /// marked data out-edges of one producer carry different initial
+    /// values, or when an EE pair fails its proof (see EE invariant above);
+    /// a netlist verify() rejects is reported by the first run instead.
+    /// Keeps a copy of `ctx`: its label names the job in every typed
+    /// failure, and the periodic checks (see Event count above) poll it at
+    /// site "sim.events" and record its "sim.progress" beats (events, waves
+    /// stable).
     explicit pl_simulator(const pl::pl_netlist& pl, sim_options options = {},
                           const job_context& ctx = {});
 
     /// Runs `vectors.size()` waves; vectors[k] holds the wave-k value of each
     /// primary input in pl.sources() order.  Throws the typed failures of
     /// sim/errors.hpp: deadlock_error (a token-free cycle), budget_exhausted,
-    /// invariant_violation (a netlist verify() rejects, or the EE
-    /// invariant), and plee::job_timeout when the context's token expires
-    /// mid-run.  Packs the vectors and delegates to run_packed.
+    /// invariant_violation (a netlist verify() rejects), and
+    /// plee::job_timeout when the context's token expires mid-run.  Packs
+    /// the vectors and delegates to run_packed.
     std::vector<wave_record> run(const std::vector<std::vector<bool>>& vectors);
 
     /// The same sequential-wave protocol over bit-packed stimulus: wave k is
@@ -257,16 +261,12 @@ private:
     };
     static_assert(sizeof(gate_rec) == 32);
 
-    /// A master's trigger: trigger pin i taps master pin pins[i].
-    struct master_trigger {
-        bf::tt_words words{};
-        std::uint8_t pins[bf::k_max_vars] = {};
-        std::uint8_t count = 0;
-    };
-
     /// Builds the schedule; records, instead of throwing, what the first run
     /// must raise.
     void compile();
+    /// Proves the EE invariant of `master` and its trigger, or throws
+    /// invariant_violation (engine "schedule", 0 events) naming the master.
+    void check_ee_pair(pl::gate_id master) const;
     void begin_run(const char* engine);
     /// The first position at or after `from` whose firing brings the count
     /// to check_at_, or the position count when no firing of this wave does.
@@ -275,17 +275,13 @@ private:
     /// periodic checks and returns the next stop.
     std::uint32_t reach(std::uint32_t s, const char* engine);
     void check_events(const char* engine);
-    /// Raises the EE invariant failure of position s, naming the count
-    /// before its firing.
-    [[noreturn]] void throw_ee_mismatch(std::uint32_t s, const char* engine);
 
     void run_waves(std::vector<wave_record>& records);
     /// Runs the lane wave of `block`, firing the schedule in order.
     void run_lane_wave(const stimulus_block& block);
-    /// The per-lane firing of position s (master index `master`): taken
-    /// when an input carries a slab.
-    void fire_lanes_slab(std::uint32_t s, std::uint32_t master,
-                         const stimulus_block& block);
+    /// The per-lane firing of position s: taken when an input carries a
+    /// slab.
+    void fire_lanes_slab(std::uint32_t s, const stimulus_block& block);
     /// Max-accumulates the per-lane times of refs[0, n) into out[0..63].
     void gather_lanes(const in_ref* refs, std::uint32_t n, double* out) const;
     /// Stores position s's lane firing: the value word and both times, each
@@ -294,8 +290,6 @@ private:
     /// lane_slab_deposits but not stored.
     void store_lanes(std::uint32_t s, std::uint64_t value, const double* to,
                      const double* ta);
-    void check_trigger_lanes(std::uint32_t s, std::uint32_t master,
-                             const std::uint64_t* ins, std::uint64_t efire_word);
     /// Gathers the LUT operand words of d into ins.
     void lane_operands(const gate_rec& d, std::uint64_t* ins) const {
         for (std::uint8_t pin = 0; pin < d.num_data; ++pin) {
@@ -327,7 +321,6 @@ private:
     std::vector<std::uint64_t> fn_pool_;
     /// Deposits of positions [0, s), per s in [0, positions].
     std::vector<std::uint64_t> deposits_;
-    std::vector<master_trigger> triggers_;  ///< per master, schedule order
     std::vector<std::uint64_t> preset_;     ///< per position: wave -1 value
     std::vector<std::uint32_t> trace_off_;  ///< per position: trace_edges_ range
     std::vector<pl::edge_id> trace_edges_;  ///< data out-edges, per position

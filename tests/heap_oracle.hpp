@@ -3,12 +3,13 @@
 // The seed's binary-heap engine: every token deposit is an event, popped in
 // (time, seq) order from a std::push_heap min-heap over array-of-structs
 // token slots.  It runs the sequential-wave protocol of
-// sim::pl_simulator::run — same firing rule, delay model, wave horizon,
-// EE invariant check and typed failures — but replays deposits in time
-// order instead of following a compiled wave schedule, so it is an
-// independent oracle for pl_simulator's evaluator.  It is built only
-// on pl::pl_netlist's public API and shares no code with the engine it
-// checks.  Header-only; slow and simple by design.
+// sim::pl_simulator::run — same firing rule, delay model, wave horizon and
+// typed failures — but replays deposits in time order instead of following
+// a compiled wave schedule, so it is an independent oracle for
+// pl_simulator's evaluator.  It checks the EE invariant at every master
+// firing, which pl_simulator proves once, when it compiles.  It is built
+// only on pl::pl_netlist's public API and shares no code with the engine
+// it checks.  Header-only; slow and simple by design.
 
 #pragma once
 

@@ -141,6 +141,10 @@ TEST(PlNetlist, AttachTriggerRejectsBadRequests) {
     EXPECT_THROW(f.pl.attach_trigger(f.g1, kill, 0b11), std::invalid_argument);
     // Non-compute master.
     EXPECT_THROW(f.pl.attach_trigger(f.src_a, kill, 0b01), std::invalid_argument);
+    // Empty and full supports, each with a function of matching arity: a
+    // trigger over no pin or over every pin is no early evaluation.
+    EXPECT_THROW(f.pl.attach_trigger(f.g1, bf::truth_table(0), 0), std::invalid_argument);
+    EXPECT_THROW(f.pl.attach_trigger(f.g1, and2(), 0b11), std::invalid_argument);
     // Double attachment.
     f.pl.attach_trigger(f.g1, kill, 0b01);
     EXPECT_THROW(f.pl.attach_trigger(f.g1, kill, 0b01), std::logic_error);

@@ -1,9 +1,11 @@
 // Differential harness for the simulator: seeded random configurations of
 // the workload generator's knobs (scenario preset, size, arity weights,
-// latch fraction, depth, locality), each mapped plain and with EE, run
-// under five delay models (default, tie, spread, zero and one seeded
-// random model) in both environment modes.  Three independent references
-// must agree with pl_simulator:
+// latch fraction, depth, locality), each mapped plain and with EE under a
+// drawn trigger search (method and cost threshold), run under five delay
+// models (default, tie, spread, zero and one seeded random model) in both
+// environment modes.  Every EE netlist must pass the schedule's proof of
+// its pairs, and three independent references must agree with
+// pl_simulator:
 //
 //  (a) the synchronous golden model (nl::sync_simulator and
 //      nl::sync_lane_simulator) on every output of every vector;
@@ -50,6 +52,7 @@ struct config {
     wl::workload_params params;
     delay_model random_delays;
     std::size_t lane_vectors = 0;
+    ee::search_options search;
     std::string text;  ///< the drawn parameters, for failure messages
 };
 
@@ -78,6 +81,13 @@ config draw_config(std::uint64_t seed) {
         *component = 2.0 * d.unit();
     }
     c.lane_vectors = 1 + d.below(k_lanes);
+    // The paper's thresholded trigger sets, and its cube-list triggers where
+    // they are cheap: a cube-list search of a LUT7/8 netlist takes ~25x
+    // the exact one.
+    c.search.cost_threshold = 60.0 * static_cast<double>(d.below(3));
+    if (c.params.max_arity <= 6 && d.below(2) == 0) {
+        c.search.method = ee::trigger_method::cube_list;
+    }
 
     std::ostringstream os;
     os << "config seed " << seed << ": " << wl::to_string(kind) << ", "
@@ -90,7 +100,9 @@ config draw_config(std::uint64_t seed) {
        << c.random_delays.d_lut << ", latch " << c.random_delays.d_latch
        << ", ee_penalty " << c.random_delays.d_ee_penalty << ", source "
        << c.random_delays.d_source << "}, " << c.lane_vectors
-       << " lane vectors";
+       << " lane vectors, EE search "
+       << (c.search.method == ee::trigger_method::cube_list ? "cube_list" : "exact")
+       << " with cost_threshold " << c.search.cost_threshold;
     c.text = os.str();
     return c;
 }
@@ -236,7 +248,7 @@ TEST(SimDifferential, RandomConfigurationsAgreeWithEveryReference) {
         pl::map_result plain = pl::map_to_phased_logic(sync);
         check_netlist(c, sync, plain.pl, "plain");
         pl::map_result with_ee = pl::map_to_phased_logic(sync);
-        ee::apply_early_evaluation(with_ee.pl);
+        ee::apply_early_evaluation(with_ee.pl, {.search = c.search});
         // The transform's incremental check passed; the full one must agree.
         ASSERT_TRUE(with_ee.pl.verified());
         const pl::mg_report full = with_ee.pl.verify();

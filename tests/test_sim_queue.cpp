@@ -5,11 +5,11 @@
 // in pipelined and non-pipelined mode, with trace collection on and off, and
 // under stress delay models (tie-heavy, wide-spread, all-zero).  Also locks
 // the evaluator's contracts: the event budget at and around wave
-// boundaries, the progress beats and the count an EE-invariant failure
-// names (the counts of counting every firing), trace order, early EE
-// outputs timed before the master's own readiness, the wave -1 preset
-// across mixed protocols on one simulator, and the rejection of unsafe,
-// dead and split-reset netlists on both protocols.
+// boundaries and the progress beats (the counts of counting every firing),
+// trace order, early EE outputs timed before the master's own readiness,
+// the wave -1 preset across mixed protocols on one simulator, the
+// rejection of unsafe, dead and split-reset netlists on both protocols,
+// and the compile-time rejection of miswired and unsound EE pairs.
 
 #include <string>
 #include <vector>
@@ -314,18 +314,43 @@ TEST(SimQueue, ProgressBeatsFollowPerFiringCounting) {
     }
 }
 
-TEST(SimQueue, EeMismatchNamesTheEventCountBeforeTheFiring) {
+/// Expects the pl_simulator constructor to reject `pl` after 0 events, on
+/// the schedule engine, naming EE master `master`.
+void expect_rejected_pair(const pl::pl_netlist& pl, pl::gate_id master) {
+    try {
+        pl_simulator simulator(pl, {}, {.label = "ee-pair"});
+        FAIL() << "expected sim::invariant_violation";
+    } catch (const invariant_violation& err) {
+        const std::string what = err.what();
+        EXPECT_EQ(err.events(), 0u);
+        EXPECT_NE(what.find("schedule engine"), std::string::npos) << what;
+        EXPECT_NE(what.find("EE master gate " + std::to_string(master) + " '" +
+                            std::string(pl.name(master)) + "'"),
+                  std::string::npos)
+            << what;
+        EXPECT_NE(what.find("ee-pair"), std::string::npos) << what;
+    }
+}
+
+TEST(SimQueue, MiswiredTriggerIsRejectedWhenTheScheduleCompiles) {
     // A trigger gate whose function disagrees with what its master expects:
-    // an extra tap pin the master's pin map does not know, on which the
-    // trigger turns to 0.  Both protocols throw at the first firing where
-    // the trigger is 1 on the master's pins and the extra pin is 1, naming
-    // the deposits of every firing before it: the counts an evaluator that
-    // counts every firing reports.
+    // an extra tap pin outside the support, on which the trigger turns to
+    // 0.  The schedule's proof rejects it before any firing, whatever the
+    // stimulus; the heap oracle, which recomputes every trigger at run
+    // time, still throws at the first firing where the trigger is 1 on the
+    // master's pins and the extra pin is 1.
     pl::map_result mapped = pl::map_to_phased_logic(bench::make_b05());
     const ee::ee_stats stats = ee::apply_early_evaluation(mapped.pl);
     ASSERT_FALSE(stats.applied.empty());
     pl::pl_netlist& pl = mapped.pl;
     const ee::applied_trigger& at = stats.applied.front();
+
+    // A master whose function's arity stops matching its pins after the
+    // pair was attached is rejected too, before the proof reads it.
+    pl::pl_netlist narrowed = pl;
+    narrowed.set_function(at.master, bf::truth_table::variable(1, 0));
+    expect_rejected_pair(narrowed, at.master);
+
     std::uint32_t extra_pin = 0;
     while ((at.candidate.support >> extra_pin) & 1u) ++extra_pin;
     const pl::pl_edge tap = pl.edge(pl.data_in(at.master)[extra_pin]);
@@ -340,21 +365,10 @@ TEST(SimQueue, EeMismatchNamesTheEventCountBeforeTheFiring) {
                                     }));
     ASSERT_TRUE(pl.verify().ok()) << pl.verify().violation;
 
-    pl_simulator simulator(pl);
-    try {
-        simulator.run(random_vectors(100, pl.sources().size(), 9));
-        FAIL() << "expected sim::invariant_violation";
-    } catch (const invariant_violation& err) {
-        EXPECT_NE(std::string(err.what()).find("EE invariant"), std::string::npos);
-        EXPECT_EQ(err.events(), 11056u);
-    }
-    pl_simulator lanes(pl);
-    try {
-        lanes.run_lanes(make_stimulus(64, pl.sources().size(), 9).front());
-        FAIL() << "expected sim::invariant_violation";
-    } catch (const invariant_violation& err) {
-        EXPECT_EQ(err.events(), 701u);
-    }
+    expect_rejected_pair(pl, at.master);
+    testing::heap_oracle oracle(pl);
+    EXPECT_THROW(oracle.run(random_vectors(100, pl.sources().size(), 9)),
+                 invariant_violation);
 }
 
 TEST(SimQueue, MixedProtocolsOnOneSimulatorMatchFreshOnes) {
@@ -498,11 +512,12 @@ TEST(SimQueue, TraceSortedByTimeThenEdgeInWaveOrder) {
 }
 
 /// Sources a and b feed the EE master m = a AND c, where c is b behind a
-/// chain of `chain` inverters; m's trigger fires on a == 0.  Every data
-/// edge has its own initially marked acknowledge, so the netlist is live
-/// and safe.  With a == 0 the early output is timed before the slow input
-/// arrives, i.e. before m's own t_ready.
-pl::pl_netlist ee_pair_behind_slow_input(int chain) {
+/// chain of `chain` inverters; m's trigger over a is `trigger`, by default
+/// a == 0.  Every data edge has its own initially marked acknowledge, so
+/// the netlist is live and safe.  With a == 0 the early output is timed
+/// before the slow input arrives, i.e. before m's own t_ready.
+pl::pl_netlist ee_pair_behind_slow_input(
+    int chain, const bf::truth_table& trigger = ~bf::truth_table::variable(1, 0)) {
     pl::pl_netlist pl;
     const pl::gate_id a = pl.add_gate(pl::gate_kind::source, "a");
     const pl::gate_id b = pl.add_gate(pl::gate_kind::source, "b");
@@ -525,7 +540,7 @@ pl::pl_netlist ee_pair_behind_slow_input(int chain) {
     const pl::gate_id y = pl.add_gate(pl::gate_kind::sink, "y");
     pl.add_data_edge(m, y, 0, false, false);
     pl.add_ack_edge(y, m, true);
-    pl.attach_trigger(m, ~bf::truth_table::variable(1, 0), 0b01);
+    pl.attach_trigger(m, trigger, 0b01);
     return pl;
 }
 
@@ -552,6 +567,32 @@ TEST(SimQueue, EarlyOutputBeforeMasterReadyMatchesHeap) {
             expect_identical(heap, dataflow, label);
         }
     }
+}
+
+TEST(SimQueue, UnsoundTriggerIsRejectedWhenTheScheduleCompiles) {
+    // Correctly wired pairs whose trigger fires where the master's output
+    // still depends on its other pin.  A run would time the master's full
+    // value at the early time, so every output would still match the
+    // golden model while the delay is understated.
+    const auto only_master = [](const pl::pl_netlist& pl) {
+        pl::gate_id g = 0;
+        while (pl.gate(g).trigger == pl::k_invalid_gate) ++g;
+        return g;
+    };
+    // m = a AND c with trigger a: a == 1 leaves the output open.
+    const pl::pl_netlist fires_on_one =
+        ee_pair_behind_slow_input(3, bf::truth_table::variable(1, 0));
+    ASSERT_TRUE(fires_on_one.verify().ok());
+    expect_rejected_pair(fires_on_one, only_master(fires_on_one));
+
+    // The sound pair, after the master's function changes to XOR: no
+    // value of a alone decides it.
+    pl::pl_netlist xor_master = ee_pair_behind_slow_input(3);
+    const pl::gate_id m = only_master(xor_master);
+    xor_master.set_function(m, bf::truth_table::variable(2, 0) ^
+                                   bf::truth_table::variable(2, 1));
+    ASSERT_TRUE(xor_master.verify().ok());
+    expect_rejected_pair(xor_master, m);
 }
 
 TEST(SimQueue, UnsafeNetlistRejectedByFirstRunInBothModes) {
