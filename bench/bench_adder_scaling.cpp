@@ -10,6 +10,7 @@
 
 #include <cstdio>
 
+#include "fleet_status.hpp"
 #include "report/experiment.hpp"
 #include "report/table.hpp"
 #include "synth/rtl.hpp"
@@ -19,8 +20,8 @@ using namespace plee;
 
 namespace {
 
-nl::netlist make_adder(int width) {
-    syn::module_builder m("adder" + std::to_string(width));
+nl::netlist make_adder(const std::string& name, int width) {
+    syn::module_builder m(name);
     const syn::bus a = m.input_bus("a", width);
     const syn::bus b = m.input_bus("b", width);
     const auto r = m.add(a, b);
@@ -42,8 +43,10 @@ int main() {
     for (int width : {4, 8, 12, 16, 24, 32}) {
         report::experiment_options opts;
         opts.measure.num_vectors = vectors;
-        const report::experiment_row row =
-            report::run_ee_experiment("adder", make_adder(width), opts);
+        const std::string name = "adder" + std::to_string(width);
+        const report::experiment_row row = bench::run_row(
+            "bench_adder_scaling", name,
+            [&] { return report::run_ee_experiment(name, make_adder(name, width), opts); });
         const double hits = static_cast<double>(row.stats_ee.ee_hits);
         const double total =
             hits + static_cast<double>(row.stats_ee.ee_misses);

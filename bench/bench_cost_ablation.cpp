@@ -16,6 +16,7 @@
 #include <cstdio>
 
 #include "bench_circuits/itc99.hpp"
+#include "fleet_status.hpp"
 #include "report/experiment.hpp"
 #include "report/table.hpp"
 #include "vectors_env.hpp"
@@ -52,7 +53,9 @@ int main() {
             report::experiment_options opts;
             opts.measure.num_vectors = vectors;
             opts.ee.search = p.search;
-            const report::experiment_row row = report::run_ee_experiment(id, n, opts);
+            const report::experiment_row row =
+                bench::run_row("bench_cost_ablation", std::string(id) + " " + p.name,
+                               [&] { return report::run_ee_experiment(id, n, opts); });
             t.add_row({p.name, std::to_string(row.ee_gates),
                        report::fmt(row.area_increase_pct, 0) + "%",
                        report::fmt(row.delay_ee, 1),

@@ -71,7 +71,7 @@ void figure1_behavioural_trace() {
     std::printf("\n");
 }
 
-/// Returns whether the EE'd netlist passes verify().
+/// Returns whether the EE'd netlist passes the full marked-graph analysis.
 bool figure2_structural_dump() {
     std::printf("Figure 2. Early Evaluation PL Gate Pair (structural dump)\n");
     std::printf("  master:  F = C(A+B) + AB   (full-adder carry)\n");
@@ -116,7 +116,7 @@ bool figure2_structural_dump() {
                     "trigger (the extra Muller-C pair)\n");
     }
 
-    const pl::mg_report report = mapped.pl.verify();
+    const pl::mg_report report = pl::verify_marked_graph(mapped.pl);
     std::printf("\nmarked graph after EE: well-formed=%d live=%d safe=%d\n",
                 report.well_formed, report.live, report.safe);
 

@@ -14,6 +14,7 @@
 #include <limits>
 
 #include "bench_circuits/itc99.hpp"
+#include "fleet_status.hpp"
 #include "report/experiment.hpp"
 #include "report/table.hpp"
 #include "vectors_env.hpp"
@@ -37,14 +38,15 @@ int main() {
             report::experiment_options opts;
             opts.measure.num_vectors = vectors;
             opts.ee.search.cost_threshold = threshold;
-            const report::experiment_row row =
-                report::run_ee_experiment(id, n, opts);
+            const std::string label = threshold == std::numeric_limits<double>::infinity()
+                                          ? "inf (no EE)"
+                                          : report::fmt(threshold, 0);
+            const report::experiment_row row = bench::run_row(
+                "bench_threshold_sweep", std::string(id) + " threshold " + label,
+                [&] { return report::run_ee_experiment(id, n, opts); });
             if (baseline_delay == 0.0) baseline_delay = row.delay_no_ee;
 
-            t.add_row({threshold == std::numeric_limits<double>::infinity()
-                           ? "inf (no EE)"
-                           : report::fmt(threshold, 0),
-                       std::to_string(row.ee_gates),
+            t.add_row({label, std::to_string(row.ee_gates),
                        report::fmt(row.area_increase_pct, 0) + "%",
                        report::fmt(row.delay_ee, 1),
                        report::fmt(row.delay_decrease_pct, 1) + "%"});

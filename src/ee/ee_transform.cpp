@@ -84,11 +84,11 @@ ee_stats apply_early_evaluation(pl::pl_netlist& pl, const ee_options& options,
         ++stats.triggers_added;
     }
 
-    // Check the result (throws on failure); the pass is remembered on the
-    // netlist for the simulator.  On a netlist that passed verify() before
-    // the pass, as every mapped netlist has, this checks only the appended
-    // gadgets and liveness, in O(V+E); otherwise it is the full verify().
-    const pl::mg_report report = pl.reverify();
+    // Check the result (throws on failure); a pass is remembered on the
+    // netlist for the simulator.  A netlist that passed verify() before the
+    // pass, as every mapped netlist has, still holds that pass, since
+    // attach_trigger keeps it; any other gets the full analysis here.
+    const pl::mg_report report = pl.verify();
     if (!report.ok()) {
         throw std::logic_error("apply_early_evaluation: marked graph invalid: " +
                                report.violation);

@@ -7,10 +7,11 @@
 // default search.require_arrival_gain a trigger is computed only over early
 // pins, those arriving before the master's last one (find_best_trigger); a
 // master whose pins all arrive together costs no trigger work.  The pass
-// checks the marked graph afterwards with pl_netlist::reverify(): every
-// added edge closes a single-token 2-cycle with its acknowledge, so on a
-// netlist verified before the pass (every mapped one) only the new edges
-// and liveness need checking; any other netlist gets the full verify().
+// ends with pl_netlist::verify().  A trigger attached to a well-formed, live
+// and safe netlist keeps it so (pl_netlist::attach_trigger has the proof),
+// so on a netlist verified before the pass (every mapped one) that check
+// returns the remembered pass at once; any other netlist gets the full
+// analysis.
 //
 // Setting `search.cost_threshold` > 0 reproduces the paper's area/delay
 // trade-off: "Thresholding the cost function allows for a tradeoff in area

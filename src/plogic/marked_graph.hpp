@@ -22,9 +22,11 @@
 // the completeness of the netlist's token-free order
 // (pl_netlist::token_free_order), and decides safety by bitset reachability
 // over the token-free subgraph (token_reach), in O(V·E/64) — practical even
-// for the multi-thousand-gate CPU benchmarks.  pl_netlist::verify() calls
-// it, and the PL mapper's feedback analysis runs token_reach on its netlist
-// while that holds only its data edges.
+// for the multi-thousand-gate CPU benchmarks.  pl_netlist::verify() runs it
+// and remembers a pass, which attach_trigger keeps, so a pipeline row pays
+// for one analysis, the mapper's closing check; the tests call it directly
+// as the independent oracle.  The PL mapper's feedback analysis runs
+// token_reach on its netlist while that holds only its data edges.
 
 #pragma once
 

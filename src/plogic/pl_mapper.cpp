@@ -204,7 +204,7 @@ map_result map_to_phased_logic(const nl::netlist& input, const map_options& opti
     }
 
     // Full marked-graph verification; a pass is remembered on the netlist,
-    // so the simulator does not repeat it.
+    // so neither the EE pass nor the simulator repeats it.
     const mg_report report = pl.verify();
     if (!report.ok()) {
         throw std::logic_error("map_to_phased_logic: marked graph invalid: " +

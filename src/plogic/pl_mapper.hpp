@@ -22,9 +22,12 @@
 // distinct (producer, consumer) fanout pairs are one sorted vector, walked
 // one producer run at a time, so acks are added in producer order.  The
 // input netlist is copied only when a register cycle needs a slack buffer.
-// The mapper re-verifies the final marked graph (live + safe +
-// well-formed) and throws if the optimization ever produced an invalid
-// network.
+// The mapper verifies the final marked graph (live + safe + well-formed)
+// and throws if the optimization ever produced an invalid network.  The
+// pass is remembered on the netlist and survives the EE pass's
+// attach_trigger calls, so this is the one marked-graph analysis of a
+// pipeline row: the EE pass's closing check and both simulator compiles
+// read it.
 
 #pragma once
 

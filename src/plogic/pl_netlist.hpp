@@ -28,7 +28,7 @@
 // (token_free_order()): a FIFO Kahn order over the edges that carry no
 // initial token.  Gates with no token-free in-edge come first, in id order,
 // and each gate releases its successors in out-edge order.  It is complete,
-// one position per gate, exactly when the netlist is live.  The verifiers,
+// one position per gate, exactly when the netlist is live.  The verifier,
 // the mapper, arrival_depth and the simulator's schedule all read it.
 //
 // The CSR and the order are built lazily: the first in_edges, out_edges or
@@ -38,9 +38,10 @@
 // do not race, as with the verify memo; mutators need exclusive access, as
 // for any container.  attach_trigger reads its master's pins from the gate
 // record, so the EE pass, which attaches one trigger per accepted master,
-// rebuilds the CSR once, at its closing check, not once per trigger.  Spans
-// from in_edges, out_edges, data_in and token_free_order, and the view from
-// name(), are valid until the next mutation.
+// leaves the CSR to be rebuilt once, by the first query after the pass (the
+// simulator's compile), not once per trigger.  Spans from in_edges,
+// out_edges, data_in and token_free_order, and the view from name(), are
+// valid until the next mutation.
 
 #pragma once
 
@@ -128,11 +129,33 @@ public:
                           bool init_value);
     edge_id add_ack_edge(gate_id from, gate_id to, bool init_token);
 
-    /// Wires a trigger gate for `master` computing `fn` over the master pins
-    /// selected by `support_mask` (taps the same producer signals, adds the
-    /// efire data edge and all acknowledge feedback).  Returns the trigger id.
-    /// The support must be a non-empty proper subset of the master's pins,
-    /// and `fn`'s arity its size (std::invalid_argument otherwise).
+    /// Wires a trigger gate t for `master` M computing `fn` over the master
+    /// pins selected by `support_mask`.  For each support pin P_i -> M it
+    /// adds a tap P_i -> t with the pin's marking and an acknowledge
+    /// t -> P_i with the opposite one; then the efire edge t -> M, unmarked,
+    /// and its acknowledge M -> t, marked.  Returns the trigger id.  The
+    /// support must be a non-empty proper subset of the master's pins, and
+    /// `fn`'s arity its size (std::invalid_argument otherwise).
+    ///
+    /// It is the one mutator that keeps a passed verify(): on a
+    /// well-formed, live and safe netlist the gadget keeps all three.
+    ///  * Well-formed, and safe once live.  Each tap and its acknowledge
+    ///    form a 2-cycle carrying one token, and so do the efire edge and
+    ///    its acknowledge.  Old edges keep their old cycles.
+    ///  * Still live.  Suppose t lies on a token-free cycle; take it simple,
+    ///    so apart from its two edges at t it uses old edges only.  It
+    ///    enters t by an unmarked tap from some P_i, so the pin P_i -> M is
+    ///    unmarked.  It leaves t either by the efire edge t -> M or by the
+    ///    unmarked acknowledge t -> P_j of a marked pin P_j -> M.
+    ///     - Leaving by efire needs a token-free path M ~> P_i.  With
+    ///       P_i -> M, that path closes a token-free cycle in the old
+    ///       netlist.
+    ///     - Leaving by the acknowledge needs a token-free path P_j ~> P_i.
+    ///       The old netlist's safety puts the marked pin P_j -> M on a
+    ///       one-token cycle, so it has a token-free return path M ~> P_j.
+    ///       So P_i -> M ~> P_j ~> P_i already closed a token-free cycle.
+    ///    Both cases contradict the old netlist's liveness.  By induction,
+    ///    the many attaches of one EE pass keep all three too.
     gate_id attach_trigger(gate_id master, const bf::truth_table& fn,
                            std::uint32_t support_mask);
 
@@ -177,23 +200,17 @@ public:
     std::size_t num_ack_edges() const;
 
     // --- Analysis -----------------------------------------------------------
-    /// Full well-formed / live / safe verification: verify_marked_graph over
-    /// this netlist's CSR and token-free order, tokens = initial markings.
-    /// A passed result is remembered until the next mutation; every mutator
-    /// above clears it.
+    /// Well-formed / live / safe verification, tokens = initial markings.
+    /// A passed result is remembered and returned at once; otherwise this
+    /// runs verify_marked_graph over the netlist's CSR and token-free order
+    /// and remembers a pass.  attach_trigger keeps the memo (its comment
+    /// has the proof), every other mutator clears it.  So the mapper's one
+    /// analysis also serves the EE pass's closing check and every
+    /// simulator compile.  A caller that wants the analysis itself, as an
+    /// independent oracle, calls verify_marked_graph.
     mg_report verify() const;
-    /// The EE transform's check: when every mutation since the last passed
-    /// check was attach_trigger, runs verify_appended() from that check's
-    /// edge count (verified_edges()); otherwise the full verify().  A pass
-    /// is remembered exactly like verify()'s.
-    mg_report reverify() const;
-    /// True when verify() or reverify() has passed since the last mutation.
-    /// The simulator runs verify() only when this is false, so a netlist
-    /// the mapper or the EE transform just checked is not checked twice.
+    /// True when a passed verify() is remembered (the test hook of the memo).
     bool verified() const { return verified_.passed.load(); }
-    /// num_edges() at the last passed check.  attach_trigger keeps it,
-    /// every other mutator resets it to k_invalid_edge.
-    edge_id verified_edges() const { return verified_.edges.load(); }
 
     /// Arrival depth of each gate's output signal: "the maximum path length
     /// in terms of PL gates from the primary circuit inputs" (Section 3).
@@ -206,28 +223,20 @@ public:
     std::string to_dot(const std::string& graph_name = "pl") const;
 
 private:
-    /// The memo of verify() and reverify().  Atomic, so concurrent checks
-    /// on one const netlist do not race; a copy carries the values.
+    /// The memo of verify(): one atomic flag, so concurrent checks on one
+    /// const netlist do not race; a copy carries its value.
     struct verify_memo {
         std::atomic<bool> passed{false};
-        std::atomic<edge_id> edges{k_invalid_edge};  ///< see verified_edges()
         verify_memo() = default;
-        verify_memo(const verify_memo& other)
-            : passed(other.passed.load()), edges(other.edges.load()) {}
+        verify_memo(const verify_memo& other) : passed(other.passed.load()) {}
         verify_memo& operator=(const verify_memo& other) {
             passed.store(other.passed.load());
-            edges.store(other.edges.load());
             return *this;
         }
-        void pass(std::size_t num_edges) {
-            edges.store(static_cast<edge_id>(num_edges));
-            passed.store(true);
-        }
-        /// Called by every mutator: locked stores only when set, so
-        /// building a netlist edge by edge pays two plain loads per call.
+        /// Called by every mutator: a locked store only when set, so
+        /// building a netlist edge by edge pays one plain load per call.
         void clear() {
             if (passed.load()) passed.store(false);
-            if (edges.load() != k_invalid_edge) edges.store(k_invalid_edge);
         }
     };
 
@@ -270,21 +279,5 @@ private:
     mutable adjacency adjacency_;
     mutable verify_memo verified_;
 };
-
-/// reverify()'s incremental check, for a netlist whose full verify() passed
-/// when it had `first_appended` edges and that has only gained edges (and
-/// gates) since.  It checks two things:
-///  * every appended edge lies on a 2-cycle whose two edges carry exactly
-///    one token between them, as each edge of an attach_trigger gadget does
-///    with its acknowledge;
-///  * the token-free order (token_free_order()) reaches every gate.
-/// When both hold, verify() would pass too: appended edges only add
-/// cycles, so the old edges stay well-formed, and once the graph is live,
-/// safe; the 2-cycle makes each appended edge well-formed and safe; the
-/// order decides liveness.  The rule is sufficient, not necessary: an
-/// appended edge may close a one-token cycle only through older edges, and
-/// this check rejects it, as not well-formed, while verify() passes it.
-/// O(V+E), and a pure function of the netlist: it leaves the memo alone.
-mg_report verify_appended(const pl_netlist& pl, edge_id first_appended);
 
 }  // namespace plee::pl

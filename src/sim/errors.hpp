@@ -6,9 +6,11 @@
 // of "event budget exhausted" lines could not say which circuit, how far it
 // got, or on which engine.  Each type here carries the circuit label (the
 // job context's label, which the fleet runner sets to the job id), the
-// event count at failure and the engine ("dataflow" for the sequential-wave
-// protocol, "lane" for run_lanes), and renders them into what() as
-// "(after N events, <engine> engine)", so a single log line is actionable.
+// event count at failure and the engine ("schedule" for what the
+// constructor finds while compiling the netlist, "dataflow" for the
+// sequential-wave protocol, "lane" for run_lanes), and renders them into
+// what() as "(after N events, <engine> engine)", so a single log line is
+// actionable.
 
 #pragma once
 
@@ -45,7 +47,8 @@ public:
 
 /// The netlist cannot complete a wave: a token-free cycle (the message
 /// names a gate on it and how many gates can never fire) or a sink without
-/// a data input.  Raised by the first run, before any firing.
+/// a data input.  pl_simulator raises it from its constructor, engine
+/// "schedule".
 class deadlock_error : public sim_error {
 public:
     deadlock_error(const std::string& label, const std::string& diagnostic,
@@ -53,11 +56,11 @@ public:
         : sim_error("deadlock — " + diagnostic, label, events, engine) {}
 };
 
-/// A netlist pl_netlist::verify() rejects (raised by the first run, before
-/// any firing), or marked out-edges of one producer with different initial
-/// values or an EE pair that fails its proof (both raised by the
-/// constructor, engine "schedule") — always a bug in the netlist or the
-/// transform, never recoverable.
+/// A netlist pl_netlist::verify() rejects, marked out-edges of one producer
+/// with different initial values, a LUT whose function's arity is not its
+/// pin count, or an EE pair that fails its proof — all raised by
+/// pl_simulator's constructor, engine "schedule"; always a bug in the
+/// netlist or the transform, never recoverable.
 class invariant_violation : public sim_error {
 public:
     invariant_violation(const std::string& message, const std::string& label,

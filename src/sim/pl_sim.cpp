@@ -15,6 +15,11 @@ namespace {
 /// A register's identity table: minterm m maps to m & 1.
 constexpr std::uint64_t k_identity_word = 0xaaaaaaaaaaaaaaaaull;
 
+/// "<id> '<name>'", how the schedule's failures name a gate.
+std::string gate_text(const pl::pl_netlist& pl, pl::gate_id g) {
+    return std::to_string(g) + " '" + std::string(pl.name(g)) + "'";
+}
+
 bool fires(const pl::pl_netlist& pl, pl::gate_id g) {
     return !pl.in_edges(g).empty() ||
            (pl.gate(g).kind == pl::gate_kind::source && !pl.out_edges(g).empty());
@@ -58,30 +63,26 @@ void pl_simulator::compile() {
                 }
             }
         }
-        failure_ = failure::deadlock;
-        failure_text_ = "token-free cycle through gate " + std::to_string(g) +
-                        " '" + std::string(pl_.name(g)) + "' (" +
-                        std::to_string(num_gates - order.size()) + " of " +
-                        std::to_string(num_gates) + " gates can never fire)";
-        return;
+        throw deadlock_error(ctx_.label,
+                             "token-free cycle through gate " + gate_text(pl_, g) +
+                                 " (" + std::to_string(num_gates - order.size()) +
+                                 " of " + std::to_string(num_gates) +
+                                 " gates can never fire)",
+                             0, "schedule");
     }
-    // Safety is a precondition, checked once: the mapper and the EE
-    // transform leave a passed check remembered on the netlist.
-    if (!pl_.verified()) {
-        const pl::mg_report report = pl_.verify();
-        if (!report.ok()) {
-            failure_ = failure::invalid;
-            failure_text_ =
-                "netlist fails marked-graph verification: " + report.violation;
-            return;
-        }
+    // Safety is a precondition, checked once: the mapper leaves a passed
+    // check remembered on the netlist, and the EE pass keeps it.
+    const pl::mg_report report = pl_.verify();
+    if (!report.ok()) {
+        throw invariant_violation(
+            "netlist fails marked-graph verification: " + report.violation, ctx_.label,
+            0, "schedule");
     }
     for (pl::gate_id g : pl_.sinks()) {
         if (pl_.data_in(g).empty()) {
-            failure_ = failure::deadlock;
-            failure_text_ = "sink " + std::to_string(g) + " '" +
-                            std::string(pl_.name(g)) + "' has no data input";
-            return;
+            throw deadlock_error(ctx_.label,
+                                 "sink " + gate_text(pl_, g) + " has no data input", 0,
+                                 "schedule");
         }
     }
 
@@ -129,11 +130,10 @@ void pl_simulator::compile() {
             if (!edge.init_token) continue;
             const std::uint64_t value = edge.init_value ? ~std::uint64_t{0} : 0;
             if (marked && preset_[s] != value) {
-                throw invariant_violation(
-                    "marked data out-edges of gate " +
-                        std::to_string(g) + " '" + std::string(pl_.name(g)) +
-                        "' carry different initial values",
-                    ctx_.label, 0, "schedule");
+                throw invariant_violation("marked data out-edges of gate " +
+                                              gate_text(pl_, g) +
+                                              " carry different initial values",
+                                          ctx_.label, 0, "schedule");
             }
             marked = true;
             preset_[s] = value;
@@ -164,6 +164,14 @@ void pl_simulator::compile() {
                 fn_pool_.push_back(k_identity_word);
                 break;
             default:
+                // A LUT evaluates its table at the minterm its pins form,
+                // so the table must have exactly one variable per pin.
+                if (gate.function.num_vars() != d.num_data) {
+                    throw invariant_violation(
+                        "gate " + gate_text(pl_, g) +
+                            ": its function's arity differs from its pin count",
+                        ctx_.label, 0, "schedule");
+                }
                 d.delay = dm.gate_delay();
                 fn_pool_.insert(fn_pool_.end(), gate.function.words().begin(),
                                 gate.function.words().begin() +
@@ -193,43 +201,34 @@ void pl_simulator::compile() {
 /// with the same marking; edges never change after that, and pins are only
 /// appended.  So a trigger with popcount(support) pins reads the master's
 /// support operands, and, values being timing-independent, its efire token
-/// is their trigger in every wave and lane.  The arity checks keep the
-/// soundness test, the paper's definition of a trigger, from throwing
-/// untyped.
+/// is their trigger in every wave and lane.  Both gates' arities were
+/// checked when compile() reached them (the trigger first, through the
+/// token-free efire edge), so the soundness test, the paper's definition of
+/// a trigger, cannot throw untyped.
 void pl_simulator::check_ee_pair(pl::gate_id master) const {
     const pl::pl_gate& m = pl_.gate(master);
     const pl::pl_gate& t = pl_.gate(m.trigger);
-    const int k = std::popcount(t.trigger_support);
     const char* failed = nullptr;
-    if (t.num_data != k || t.function.num_vars() != k) {
-        failed = "its trigger's pin count or arity differs from its support size";
-    } else if (m.function.num_vars() != m.num_data) {
-        failed = "its function's arity differs from its pin count";
+    if (t.num_data != std::popcount(t.trigger_support)) {
+        failed = "its trigger's pin count differs from its support size";
     } else if (!(t.function & ~ee::exact_trigger_function(m.function, t.trigger_support))
                     .is_constant_zero()) {
         failed = "its trigger fires where its output still depends on another pin";
     }
     if (failed != nullptr) {
-        throw invariant_violation("EE master gate " + std::to_string(master) + " '" +
-                                      std::string(pl_.name(master)) + "': " + failed,
-                                  ctx_.label, 0, "schedule");
+        throw invariant_violation(
+            "EE master gate " + gate_text(pl_, master) + ": " + failed, ctx_.label, 0,
+            "schedule");
     }
 }
 
-/// Resets the per-run state, writes the wave -1 preset into parity 1 and
-/// raises what compile() found wrong with the netlist.
-void pl_simulator::begin_run(const char* engine) {
+/// Resets the per-run state and writes the wave -1 preset into parity 1.
+void pl_simulator::begin_run() {
     stats_ = {};
     trace_.clear();
     waves_stable_ = 0;
     next_check_ = k_cancel_check_events;
     check_at_ = std::min(next_check_, options_.max_events);
-    if (failure_ == failure::deadlock) {
-        throw deadlock_error(ctx_.label, failure_text_, 0, engine);
-    }
-    if (failure_ == failure::invalid) {
-        throw invariant_violation(failure_text_, ctx_.label, 0, engine);
-    }
     for (std::size_t s = 0; s < recs_.size(); ++s) {
         times_[4 * s + 1] = 0.0;
         times_[4 * s + 3] = 0.0;
@@ -318,7 +317,7 @@ std::vector<wave_record> pl_simulator::run_packed(
         throw std::invalid_argument("pl_simulator::run: netlist has no outputs");
     }
 
-    begin_run("dataflow");
+    begin_run();
     stim_ = blocks.data();
     std::vector<wave_record> records(count);
     for (wave_record& rec : records) rec.outputs.assign(pl_.sinks().size(), false);
@@ -465,7 +464,7 @@ lane_block_result pl_simulator::run_lanes(const stimulus_block& block) {
             "protocol (lane tokens have no single trace value)");
     }
 
-    begin_run("lane");
+    begin_run();
     stats_.lane_blocks = 1;
     stats_.lane_vectors = block.num_vectors;
     lane_mask_ = block.lane_mask();

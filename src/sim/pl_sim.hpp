@@ -57,12 +57,13 @@
 // check the evaluator against a time-ordered binary-heap oracle,
 // tests/heap_oracle.hpp):
 //
-//  * Safety is a precondition.  The constructor runs pl_netlist::verify()
-//    unless a passed result is remembered on the netlist.  A token-free
-//    cycle raises deadlock_error and any other violation raises
-//    invariant_violation, both from the first run / run_lanes.  All marked
-//    data out-edges of one producer must carry the same initial value; the
-//    constructor throws invariant_violation otherwise.
+//  * Safety is a precondition.  The constructor calls pl_netlist::verify(),
+//    which returns a remembered pass at once.  Every schedule finding
+//    throws from the constructor, engine "schedule", 0 events: a token-free
+//    cycle or a sink without a data input raises deadlock_error; any other
+//    verify() failure, marked data out-edges of one producer with
+//    different initial values, or a compute or trigger gate whose
+//    function's arity is not its pin count raises invariant_violation.
 //  * EE invariant.  The constructor proves each EE pair once: the trigger
 //    reads exactly its support pins, and it is sound (where it is 1, the
 //    master's output no longer depends on its other pins).  A failure
@@ -98,7 +99,6 @@
 #include <array>
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "plogic/pl_netlist.hpp"
@@ -188,24 +188,20 @@ struct lane_block_result {
 
 class pl_simulator {
 public:
-    /// Compiles the netlist's wave schedule (see the top of this file).
-    /// Throws invariant_violation (engine "schedule", 0 events) when two
-    /// marked data out-edges of one producer carry different initial
-    /// values, or when an EE pair fails its proof (see EE invariant above);
-    /// a netlist verify() rejects is reported by the first run instead.
-    /// Keeps a copy of `ctx`: its label names the job in every typed
-    /// failure, and the periodic checks (see Event count above) poll it at
-    /// site "sim.events" and record its "sim.progress" beats (events, waves
-    /// stable).
+    /// Compiles the netlist's wave schedule (see the top of this file), or
+    /// throws what makes the netlist unrunnable (see Safety and EE
+    /// invariant above): deadlock_error or invariant_violation, engine
+    /// "schedule", 0 events.  Keeps a copy of `ctx`: its label names the
+    /// job in every typed failure, and the periodic checks (see Event count
+    /// above) poll it at site "sim.events" and record its "sim.progress"
+    /// beats (events, waves stable).
     explicit pl_simulator(const pl::pl_netlist& pl, sim_options options = {},
                           const job_context& ctx = {});
 
     /// Runs `vectors.size()` waves; vectors[k] holds the wave-k value of each
-    /// primary input in pl.sources() order.  Throws the typed failures of
-    /// sim/errors.hpp: deadlock_error (a token-free cycle), budget_exhausted,
-    /// invariant_violation (a netlist verify() rejects), and
-    /// plee::job_timeout when the context's token expires mid-run.  Packs
-    /// the vectors and delegates to run_packed.
+    /// primary input in pl.sources() order.  Throws budget_exhausted
+    /// (sim/errors.hpp), and plee::job_timeout when the context's token
+    /// expires mid-run.  Packs the vectors and delegates to run_packed.
     std::vector<wave_record> run(const std::vector<std::vector<bool>>& vectors);
 
     /// The same sequential-wave protocol over bit-packed stimulus: wave k is
@@ -261,13 +257,12 @@ private:
     };
     static_assert(sizeof(gate_rec) == 32);
 
-    /// Builds the schedule; records, instead of throwing, what the first run
-    /// must raise.
+    /// Builds the schedule, or throws (see the constructor).
     void compile();
     /// Proves the EE invariant of `master` and its trigger, or throws
     /// invariant_violation (engine "schedule", 0 events) naming the master.
     void check_ee_pair(pl::gate_id master) const;
-    void begin_run(const char* engine);
+    void begin_run();
     /// The first position at or after `from` whose firing brings the count
     /// to check_at_, or the position count when no firing of this wave does.
     std::uint32_t next_stop(std::uint32_t from) const;
@@ -324,10 +319,6 @@ private:
     std::vector<std::uint64_t> preset_;     ///< per position: wave -1 value
     std::vector<std::uint32_t> trace_off_;  ///< per position: trace_edges_ range
     std::vector<pl::edge_id> trace_edges_;  ///< data out-edges, per position
-    /// compile()'s verdict: the typed failure the first run raises.
-    enum class failure : std::uint8_t { none, deadlock, invalid };
-    failure failure_ = failure::none;
-    std::string failure_text_;
 
     // Slots: 4 per position, (slot << 1) | parity (see in_ref).
     std::vector<double> times_;

@@ -59,7 +59,7 @@ class BenchmarkPipeline : public ::testing::TestWithParam<const char*> {};
 TEST_P(BenchmarkPipeline, PlMappingIsLiveSafeAndEquivalent) {
     const nl::netlist n = build_benchmark(GetParam());
     const pl::map_result mapped = pl::map_to_phased_logic(n);
-    EXPECT_TRUE(mapped.pl.verify().ok());
+    EXPECT_TRUE(pl::verify_marked_graph(mapped.pl).ok());
 
     // measure_average_delay throws if any wave diverges from the golden
     // synchronous simulation.
@@ -74,9 +74,9 @@ TEST_P(BenchmarkPipeline, EarlyEvaluationPreservesBehaviour) {
     const nl::netlist n = build_benchmark(GetParam());
     pl::map_result mapped = pl::map_to_phased_logic(n);
     const ee::ee_stats stats = ee::apply_early_evaluation(mapped.pl);
-    // The transform's incremental check passed; the full one must agree.
+    // The mapper's pass survived the transform; the full analysis must agree.
     EXPECT_TRUE(mapped.pl.verified());
-    EXPECT_TRUE(mapped.pl.verify().ok());
+    EXPECT_TRUE(pl::verify_marked_graph(mapped.pl).ok());
 
     sim::measure_options opts;
     opts.num_vectors = 40;
@@ -101,7 +101,7 @@ TEST_P(CpuPipeline, EndToEndEquivalence) {
     pl::map_result mapped = pl::map_to_phased_logic(n);
     ee::apply_early_evaluation(mapped.pl);
     EXPECT_TRUE(mapped.pl.verified());
-    EXPECT_TRUE(mapped.pl.verify().ok());
+    EXPECT_TRUE(pl::verify_marked_graph(mapped.pl).ok());
 
     sim::measure_options opts;
     opts.num_vectors = 10;

@@ -46,16 +46,14 @@ TEST(EeTransform, AddsTriggersToAdder) {
 
 TEST(EeTransform, GraphStaysLiveAndSafe) {
     pl::map_result mapped = pl::map_to_phased_logic(ripple_adder());
-    // The mapper's verify() leaves its edge count for the incremental check.
+    // The mapper's passed check survives every attach_trigger, so the
+    // pass's closing verify() reads it; the full analysis must agree.
+    ASSERT_TRUE(mapped.pl.verified());
     const std::size_t mapped_edges = mapped.pl.num_edges();
-    ASSERT_EQ(mapped.pl.verified_edges(), mapped_edges);
     apply_early_evaluation(mapped.pl);
     ASSERT_GT(mapped.pl.num_edges(), mapped_edges);
     EXPECT_TRUE(mapped.pl.verified());
-    EXPECT_EQ(mapped.pl.verified_edges(), mapped.pl.num_edges());
-    EXPECT_TRUE(
-        pl::verify_appended(mapped.pl, static_cast<pl::edge_id>(mapped_edges)).ok());
-    const pl::mg_report report = mapped.pl.verify();
+    const pl::mg_report report = pl::verify_marked_graph(mapped.pl);
     EXPECT_TRUE(report.well_formed);
     EXPECT_TRUE(report.live);
     EXPECT_TRUE(report.safe);
@@ -109,11 +107,10 @@ TEST(EeTransform, NetlistWithoutAPassedCheckGetsTheFullVerify) {
     pl::gate_id g = 0;
     while (mapped.pl.gate(g).kind != pl::gate_kind::compute) ++g;
     mapped.pl.set_function(g, mapped.pl.gate(g).function);
-    ASSERT_EQ(mapped.pl.verified_edges(), pl::k_invalid_edge);
+    ASSERT_FALSE(mapped.pl.verified());
     const ee_stats stats = apply_early_evaluation(mapped.pl);
     EXPECT_GT(stats.triggers_added, 0u);
     EXPECT_TRUE(mapped.pl.verified());
-    EXPECT_EQ(mapped.pl.verified_edges(), mapped.pl.num_edges());
 }
 
 TEST(EeTransform, PairingMetadataConsistent) {
@@ -168,7 +165,7 @@ TEST(EeTransform, CubeListMethodAlsoWorks) {
     opts.search.method = trigger_method::cube_list;
     const ee_stats stats = apply_early_evaluation(mapped.pl, opts);
     EXPECT_GT(stats.triggers_added, 0u);
-    EXPECT_TRUE(mapped.pl.verify().ok());
+    EXPECT_TRUE(pl::verify_marked_graph(mapped.pl).ok());
 }
 
 TEST(EeTransform, NoTriggersWithoutArrivalSkew) {

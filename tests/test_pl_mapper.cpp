@@ -39,7 +39,7 @@ TEST(PlMapper, CombinationalMapping) {
     EXPECT_EQ(r.pl.sources().size(), 2u);
     EXPECT_EQ(r.pl.sinks().size(), 1u);
     EXPECT_EQ(r.pl.num_pl_gates(), n.num_pl_mappable());
-    EXPECT_TRUE(r.pl.verify().ok());
+    EXPECT_TRUE(verify_marked_graph(r.pl).ok());
 }
 
 TEST(PlMapper, EveryCellHasAGate) {
@@ -72,7 +72,7 @@ TEST(PlMapper, AckMarkingComplementsDataMarking) {
 
 TEST(PlMapper, SequentialMappingIsLiveAndSafe) {
     const map_result r = map_to_phased_logic(tiny_counter());
-    const mg_report report = r.pl.verify();
+    const mg_report report = verify_marked_graph(r.pl);
     EXPECT_TRUE(report.well_formed);
     EXPECT_TRUE(report.live);
     EXPECT_TRUE(report.safe);
@@ -83,7 +83,7 @@ TEST(PlMapper, ConservativeModeAcksEveryFanoutPair) {
     conservative.share_feedbacks = false;
     const nl::netlist n = tiny_counter();
     const map_result r = map_to_phased_logic(n, conservative);
-    EXPECT_TRUE(r.pl.verify().ok());
+    EXPECT_TRUE(verify_marked_graph(r.pl).ok());
     EXPECT_EQ(r.stats.acks_saved_by_natural_cycles, 0u);
     EXPECT_EQ(r.stats.acks_saved_by_sharing, 0u);
 
@@ -114,7 +114,7 @@ TEST(PlMapper, SharingSavesAcks) {
                   opt.stats.acks_saved_by_sharing,
               0u);
     EXPECT_LT(opt.pl.num_ack_edges(), cons.pl.num_ack_edges());
-    EXPECT_TRUE(opt.pl.verify().ok());
+    EXPECT_TRUE(verify_marked_graph(opt.pl).ok());
 }
 
 TEST(PlMapper, MapsWideLutsUpToTheTruthTableLimit) {
@@ -129,7 +129,7 @@ TEST(PlMapper, MapsWideLutsUpToTheTruthTableLimit) {
             k, [](std::uint32_t m) { return m != 0; });
         n.add_output("y", n.add_lut(or_k, ins));
         const map_result mapped = map_to_phased_logic(n);
-        EXPECT_TRUE(mapped.pl.verify().ok()) << "k=" << k;
+        EXPECT_TRUE(verify_marked_graph(mapped.pl).ok()) << "k=" << k;
     }
     // Beyond 8 inputs there is no truth table to put in the LUT at all.
     EXPECT_THROW(bf::truth_table(9), std::invalid_argument);
@@ -146,7 +146,7 @@ TEST(PlMapper, ConstantsBecomeConstSources) {
     const pl_gate& g = r.pl.gate(r.gate_of_cell[one]);
     EXPECT_EQ(g.kind, gate_kind::const_source);
     EXPECT_TRUE(g.const_value);
-    EXPECT_TRUE(r.pl.verify().ok());
+    EXPECT_TRUE(verify_marked_graph(r.pl).ok());
 }
 
 TEST(PlMapper, ArrivalDepthMatchesCombDepth) {
@@ -191,7 +191,7 @@ TEST(PlMapper, FsmBenchmarkVerifies) {
     fsm.finalize();
     const nl::netlist n = m.build();
     const map_result r = map_to_phased_logic(n);
-    EXPECT_TRUE(r.pl.verify().ok());
+    EXPECT_TRUE(verify_marked_graph(r.pl).ok());
     EXPECT_GT(r.stats.acks_added, 0u);
 }
 

@@ -1,6 +1,6 @@
 // Unit tests for the PL netlist container itself: gate/edge construction
 // rules, trigger attachment wiring, arrival-depth analysis, statistics, the
-// verify() memo, the incremental post-EE check, and the lazily built CSR
+// verify() memo (which attach_trigger keeps), and the lazily built CSR
 // adjacency and token-free order.
 
 #include "plogic/pl_netlist.hpp"
@@ -180,18 +180,15 @@ TEST(PlNetlist, EdgeRangeChecks) {
     EXPECT_THROW(pl.attach_trigger(42, and2(), 0b11), std::invalid_argument);
 }
 
-TEST(PlNetlist, EveryMutatorClearsTheVerifyMemo) {
+TEST(PlNetlist, EveryMutatorButAttachTriggerClearsTheVerifyMemo) {
     chain_fixture f;
     EXPECT_FALSE(f.pl.verified());
-    EXPECT_EQ(f.pl.verified_edges(), k_invalid_edge);
     const auto pass_check = [&f] {
         ASSERT_TRUE(f.pl.verify().ok());
         ASSERT_TRUE(f.pl.verified());
-        ASSERT_EQ(f.pl.verified_edges(), f.pl.num_edges());
     };
     const auto cleared = [&f](const char* mutator) {
         EXPECT_FALSE(f.pl.verified()) << mutator;
-        EXPECT_EQ(f.pl.verified_edges(), k_invalid_edge) << mutator;
     };
     pass_check();
     const gate_id k = f.pl.add_gate(gate_kind::const_source, "k");
@@ -203,21 +200,17 @@ TEST(PlNetlist, EveryMutatorClearsTheVerifyMemo) {
     f.pl.set_function(f.g2, bf::truth_table::variable(1, 0));
     cleared("set_function");
     pass_check();
-    // attach_trigger clears verified() but keeps the edge count of the last
-    // passed check, for reverify().
-    const edge_id checked = static_cast<edge_id>(f.pl.num_edges());
+    // attach_trigger keeps a passed check: the gadget leaves a well-formed,
+    // live and safe netlist so (its header comment has the proof).
     f.pl.attach_trigger(f.g1, ~bf::truth_table::variable(1, 0), 0b01);
-    EXPECT_FALSE(f.pl.verified()) << "attach_trigger";
-    EXPECT_EQ(f.pl.verified_edges(), checked) << "attach_trigger";
-    // An acknowledge added after it drops the mark, so the next check is the
-    // full verify().  This one closes a one-token cycle through g1 and g2
-    // only: verify() accepts it, the 2-cycle rule from the old mark would not.
+    EXPECT_TRUE(f.pl.verified()) << "attach_trigger";
+    EXPECT_TRUE(verify_marked_graph(f.pl).ok());
+    // An acknowledge added after it clears the memo, so the next verify()
+    // runs the full analysis.  This one closes a one-token cycle through g1
+    // and g2 only, and the analysis accepts it.
     f.pl.add_ack_edge(f.g2, f.src_a, true);
     cleared("add_ack_edge after attach_trigger");
-    EXPECT_FALSE(verify_appended(f.pl, checked).ok());
-    EXPECT_TRUE(f.pl.reverify().ok());
-    EXPECT_TRUE(f.pl.verified());
-    EXPECT_EQ(f.pl.verified_edges(), f.pl.num_edges());
+    pass_check();
     const gate_id y2 = f.pl.add_gate(gate_kind::sink, "y2");
     pass_check();
     f.pl.add_data_edge(f.g2, y2, 0, false, false);
@@ -250,7 +243,6 @@ TEST(PlNetlist, CopiesCarryTheVerifyMemo) {
     ASSERT_TRUE(f.pl.verify().ok());
     const pl_netlist copy = f.pl;
     EXPECT_TRUE(copy.verified());
-    EXPECT_EQ(copy.verified_edges(), f.pl.num_edges());
     pl_netlist assigned;
     assigned = f.pl;
     EXPECT_TRUE(assigned.verified());
@@ -264,113 +256,90 @@ TEST(PlNetlist, CopiesCarryTheVerifyMemo) {
 }
 
 TEST(PlNetlist, ConcurrentVerifyOnOneConstNetlist) {
-    // Unverified before attach_trigger: reverify() is the full verify().
-    // Verified before it: reverify() is the incremental check.
-    for (const bool incremental : {false, true}) {
-        SCOPED_TRACE(incremental ? "incremental" : "full");
+    // Without the memo both threads may run the full analysis at once; with
+    // it, kept through attach_trigger, both read it.
+    for (const bool memo : {false, true}) {
+        SCOPED_TRACE(memo ? "memo" : "full");
         chain_fixture f;
-        if (incremental) {
+        if (memo) {
             ASSERT_TRUE(f.pl.verify().ok());
         }
         f.pl.attach_trigger(f.g1, ~bf::truth_table::variable(1, 0), 0b01);
-        ASSERT_EQ(f.pl.verified_edges() != k_invalid_edge, incremental);
+        ASSERT_EQ(f.pl.verified(), memo);
         const pl_netlist& shared = f.pl;
         std::atomic<int> passed{0};
         std::vector<std::thread> threads;
         for (int t = 0; t < 2; ++t) {
-            threads.emplace_back([&shared, &passed, t] {
+            threads.emplace_back([&shared, &passed] {
                 for (int i = 0; i < 50; ++i) {
-                    const mg_report r = t == 0 ? shared.verify() : shared.reverify();
-                    if (r.ok() && shared.verified()) ++passed;
+                    if (shared.verify().ok() && shared.verified()) ++passed;
                 }
             });
         }
         for (std::thread& t : threads) t.join();
         EXPECT_EQ(passed.load(), 100);
         EXPECT_TRUE(shared.verified());
-        EXPECT_EQ(shared.verified_edges(), shared.num_edges());
     }
 }
 
 /// Appends a trigger gadget for g1 over pin 0 by hand, with the given
-/// markings; returns the first appended edge.  attach_trigger marks the tap
-/// like g1's pin-0 edge (unmarked), the tap ack and the efire ack, and
-/// leaves the efire edge unmarked.  tap_ack < 0 leaves the tap without one.
-edge_id append_gadget(chain_fixture& f, bool tap, int tap_ack, bool efire_ack) {
-    const edge_id first = static_cast<edge_id>(f.pl.num_edges());
+/// markings.  attach_trigger marks the tap like g1's pin-0 edge (unmarked),
+/// the tap ack and the efire ack, and leaves the efire edge unmarked.
+/// tap_ack < 0 leaves the tap without one.
+void append_gadget(chain_fixture& f, bool tap, int tap_ack, bool efire_ack) {
     const gate_id t = f.pl.add_gate(gate_kind::trigger, "t");
     f.pl.set_function(t, ~bf::truth_table::variable(1, 0));
     f.pl.add_data_edge(f.src_a, t, 0, tap, false);
     if (tap_ack >= 0) f.pl.add_ack_edge(t, f.src_a, tap_ack != 0);
     f.pl.add_data_edge(t, f.g1, -1, false, false);
     f.pl.add_ack_edge(f.g1, t, efire_ack);
-    return first;
 }
 
-TEST(PlNetlist, IncrementalCheckAcceptsTriggerGadgets) {
-    chain_fixture f;
-    ASSERT_TRUE(f.pl.verify().ok());
-    const edge_id before = static_cast<edge_id>(f.pl.num_edges());
-    EXPECT_TRUE(verify_appended(f.pl, before).ok()) << "nothing appended";
-    f.pl.attach_trigger(f.g1, ~bf::truth_table::variable(1, 0), 0b01);
-    EXPECT_TRUE(verify_appended(f.pl, before).ok());
-    EXPECT_FALSE(f.pl.verified()) << "the check is pure";
-    EXPECT_TRUE(f.pl.reverify().ok());
-    EXPECT_TRUE(f.pl.verified());
-
-    chain_fixture g;
-    ASSERT_TRUE(g.pl.verify().ok());
-    const edge_id first = append_gadget(g, false, 1, true);
-    EXPECT_TRUE(verify_appended(g.pl, first).ok()) << "attach_trigger's marking";
-    EXPECT_THROW(verify_appended(g.pl, static_cast<edge_id>(g.pl.num_edges() + 1)),
-                 std::invalid_argument);
-}
-
-TEST(PlNetlist, IncrementalCheckRejectsMismarkedGadgets) {
+TEST(PlNetlist, VerifyRejectsHandBuiltMismarkedGadgets) {
     struct bad_gadget {
         const char* name;
         bool tap;
         int tap_ack;
         bool efire_ack;
-        bool live;  ///< what the Kahn pass alone says
+        bool live;  ///< what the token-free order alone says
     };
-    // Every case is also one the full verify() rejects, so a reverify() that
-    // falls back to it (hand-added edges drop the mark) must fail as well.
+    // Built edge by edge after a passed check: add_data_edge and
+    // add_ack_edge clear the memo, so verify() runs the full analysis.
     const bad_gadget cases[] = {
         // A tap and its ack both marked: a two-token cycle.  Unsafe, and
-        // invisible to the Kahn pass.  The only other cycles back to the
-        // source run through g1's marked ack, so verify() rejects it too.
+        // invisible to the token-free order.  The only other cycles back
+        // to the source run through g1's marked ack, which carry two
+        // tokens too.
         {"two-token tap cycle", true, 1, true, true},
         // The efire ack left unmarked: trigger -> g1 -> trigger is
         // token-free.
         {"token-free efire cycle", false, 1, false, false},
-        // A tap without its ack.  Marked, so its cycles through g1's marked
-        // ack carry two tokens and verify() rejects it; an unmarked one
-        // would close a one-token cycle there, which verify() accepts.
+        // A marked tap without its ack: its cycles through g1's marked ack
+        // carry two tokens.
         {"tap without its ack", true, -1, true, true},
     };
     for (const bad_gadget& c : cases) {
         SCOPED_TRACE(c.name);
         chain_fixture f;
         ASSERT_TRUE(f.pl.verify().ok());
-        const edge_id first = append_gadget(f, c.tap, c.tap_ack, c.efire_ack);
-        const mg_report r = verify_appended(f.pl, first);
+        append_gadget(f, c.tap, c.tap_ack, c.efire_ack);
+        EXPECT_FALSE(f.pl.verified());
+        const mg_report r = f.pl.verify();
         EXPECT_FALSE(r.ok());
         EXPECT_EQ(r.live, c.live);
         EXPECT_FALSE(r.violation.empty());
         EXPECT_FALSE(f.pl.verified());
-        EXPECT_FALSE(f.pl.verify().ok());
-        EXPECT_FALSE(f.pl.reverify().ok());
-        EXPECT_FALSE(f.pl.verified());
     }
 
-    // The 2-cycle rule is sufficient, not necessary: an unmarked tap without
-    // its ack closes a one-token cycle through g1's ack of the source.
-    chain_fixture f;
-    ASSERT_TRUE(f.pl.verify().ok());
-    const edge_id first = append_gadget(f, false, -1, true);
-    EXPECT_FALSE(verify_appended(f.pl, first).ok());
-    EXPECT_TRUE(f.pl.verify().ok());
+    // The analysis accepts attach_trigger's marking built by hand, and an
+    // unmarked tap without its ack, which closes a one-token cycle through
+    // g1's ack of the source.
+    for (const int tap_ack : {1, -1}) {
+        chain_fixture f;
+        ASSERT_TRUE(f.pl.verify().ok());
+        append_gadget(f, false, tap_ack, true);
+        EXPECT_TRUE(f.pl.verify().ok()) << tap_ack;
+    }
 }
 
 // --- Adjacency --------------------------------------------------------------
@@ -424,7 +393,8 @@ void expect_adjacency_through_ee(wl::scenario kind, std::size_t gates,
         ASSERT_EQ(trig, at.trigger);
         expect_adjacency_matches_edge_scan(mapped.pl);
     }
-    EXPECT_TRUE(mapped.pl.reverify().ok());
+    EXPECT_TRUE(mapped.pl.verified());
+    EXPECT_TRUE(verify_marked_graph(mapped.pl).ok());
     ASSERT_EQ(mapped.pl.num_edges(), reference.pl.num_edges());
     for (gate_id g = 0; g < mapped.pl.num_gates(); ++g) {
         ASSERT_EQ(list(mapped.pl.in_edges(g)), list(reference.pl.in_edges(g)));

@@ -250,15 +250,15 @@ TEST(PlSim, DeadlockDetectedOnBrokenMarking) {
     pl.add_ack_edge(snk, g, true);
     pl.add_ack_edge(g, src, false);  // never marked: the source starves
 
-    pl_simulator sim(pl);
     try {
-        sim.run({{true}, {false}});
+        pl_simulator sim(pl);
         FAIL() << "expected sim::deadlock_error";
     } catch (const deadlock_error& e) {
         // The typed failure's what() carries the liveness diagnostic plus
         // the engine context.
+        EXPECT_EQ(e.events(), 0u);
         EXPECT_NE(std::string(e.what()).find("deadlock"), std::string::npos);
-        EXPECT_NE(std::string(e.what()).find("dataflow engine"),
+        EXPECT_NE(std::string(e.what()).find("schedule engine"),
                   std::string::npos);
         // The diagnostic names a gate on the token-free cycle in -> g -> in.
         EXPECT_NE(std::string(e.what()).find("token-free cycle through gate 0 'in'"),
@@ -270,8 +270,8 @@ TEST(PlSim, DeadlockDetectedOnBrokenMarking) {
 TEST(PlSim, UnsafeNetlistRejectedBeforeTheRun) {
     // A producer with NO feedback at all can overrun its consumer: the
     // source could fire wave 2 while wave 1's token still sits on the edge.
-    // verify() rejects it, so the first run throws before any firing, in
-    // both environment modes.
+    // verify() rejects it, so the constructor throws, in both environment
+    // modes.
     pl::pl_netlist pl;
     const pl::gate_id src = pl.add_gate(pl::gate_kind::source, "in");
     const pl::gate_id slow = pl.add_gate(pl::gate_kind::compute, "slow");
@@ -289,11 +289,70 @@ TEST(PlSim, UnsafeNetlistRejectedBeforeTheRun) {
     for (bool non_pipelined : {true, false}) {
         sim_options opts;
         opts.non_pipelined = non_pipelined;
-        pl_simulator sim(pl, opts);
-        EXPECT_THROW(sim.run({{true, false}, {true, false}, {true, false}}),
-                     invariant_violation);
-        EXPECT_EQ(sim.stats().events, 0u);
+        try {
+            pl_simulator sim(pl, opts);
+            FAIL() << "expected sim::invariant_violation";
+        } catch (const invariant_violation& e) {
+            EXPECT_EQ(e.events(), 0u);
+            EXPECT_NE(std::string(e.what()).find("schedule engine"),
+                      std::string::npos);
+        }
     }
+}
+
+TEST(PlSim, MisSizedLutRejectedWhenTheScheduleCompiles) {
+    // A LUT evaluates its table at the minterm its pins form, so a table
+    // with fewer variables than pins would be read past its end: a 2-pin
+    // gate given the 1-variable function "a" would output 0 for a = b = 1.
+    // verify() checks only the marked graph, so it passes the netlist; the
+    // constructor rejects it, naming the gate.
+    const auto expect_rejected = [](const pl::pl_netlist& pl, const std::string& gate) {
+        try {
+            pl_simulator sim(pl, {}, {.label = "lut"});
+            FAIL() << "expected sim::invariant_violation";
+        } catch (const invariant_violation& e) {
+            const std::string what = e.what();
+            EXPECT_EQ(e.events(), 0u);
+            EXPECT_NE(what.find("gate " + gate + ": its function's arity differs"),
+                      std::string::npos)
+                << what;
+            EXPECT_NE(what.find("schedule engine"), std::string::npos) << what;
+            EXPECT_NE(what.find("lut"), std::string::npos) << what;
+        }
+    };
+    const auto and_gate = [] {
+        pl::pl_netlist pl;
+        const pl::gate_id a = pl.add_gate(pl::gate_kind::source, "a");
+        const pl::gate_id b = pl.add_gate(pl::gate_kind::source, "b");
+        const pl::gate_id g = pl.add_gate(pl::gate_kind::compute, "g");
+        pl.set_function(g, bf::truth_table::variable(2, 0) &
+                               bf::truth_table::variable(2, 1));
+        const pl::gate_id y = pl.add_gate(pl::gate_kind::sink, "y");
+        pl.add_data_edge(a, g, 0, false, false);
+        pl.add_data_edge(b, g, 1, false, false);
+        pl.add_data_edge(g, y, 0, false, false);
+        pl.add_ack_edge(g, a, true);
+        pl.add_ack_edge(g, b, true);
+        pl.add_ack_edge(y, g, true);
+        return pl;
+    };
+    // The well-sized gate simulates.
+    const pl::pl_netlist sized = and_gate();
+    pl_simulator simulator(sized);
+    EXPECT_EQ(simulator.run({{true, true}}).front().outputs, std::vector<bool>{true});
+
+    pl::pl_netlist narrowed = and_gate();
+    narrowed.set_function(2, bf::truth_table::variable(1, 0));
+    ASSERT_TRUE(narrowed.verify().ok());
+    expect_rejected(narrowed, "2 'g'");
+
+    // A trigger gate is a LUT too: the 1-pin trigger of g (a == 0 forces
+    // g to 0) given a 2-variable function.
+    pl::pl_netlist trig = and_gate();
+    const pl::gate_id t = trig.attach_trigger(2, ~bf::truth_table::variable(1, 0), 0b01);
+    trig.set_function(t, bf::truth_table::variable(2, 0));
+    ASSERT_TRUE(trig.verify().ok());
+    expect_rejected(trig, std::to_string(t) + " 'g_ee'");
 }
 
 TEST(PlSim, CancelledTokenStopsTheRunAtTheFirstCheck) {

@@ -68,7 +68,7 @@ class RandomCircuit : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(RandomCircuit, MappingIsAlwaysLiveAndSafe) {
     const nl::netlist n = random_netlist(GetParam(), 5, 24, 4);
     const pl::map_result r = pl::map_to_phased_logic(n);
-    const pl::mg_report report = r.pl.verify();
+    const pl::mg_report report = pl::verify_marked_graph(r.pl);
     EXPECT_TRUE(report.well_formed) << report.violation;
     EXPECT_TRUE(report.live) << report.violation;
     EXPECT_TRUE(report.safe) << report.violation;
@@ -98,7 +98,7 @@ TEST_P(RandomCircuit, EeIsFunctionallyTransparent) {
     pl::map_result base = pl::map_to_phased_logic(n);
     pl::map_result with_ee = pl::map_to_phased_logic(n);
     ee::apply_early_evaluation(with_ee.pl);
-    EXPECT_TRUE(with_ee.pl.verify().ok());
+    EXPECT_TRUE(pl::verify_marked_graph(with_ee.pl).ok());
 
     const auto vectors = sim::random_vectors(40, n.inputs().size(), GetParam());
     sim::pl_simulator s_base(base.pl);

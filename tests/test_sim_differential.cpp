@@ -3,9 +3,11 @@
 // latch fraction, depth, locality), each mapped plain and with EE under a
 // drawn trigger search (method and cost threshold), run under five delay
 // models (default, tie, spread, zero and one seeded random model) in both
-// environment modes.  Every EE netlist must pass the schedule's proof of
-// its pairs, and three independent references must agree with
-// pl_simulator:
+// environment modes.  On every netlist, plain and EE, verify() (the memo
+// the mapper set and the EE pass kept) must equal the full
+// verify_marked_graph field for field; every EE netlist must pass the
+// schedule's proof of its pairs; and three independent references must
+// agree with pl_simulator:
 //
 //  (a) the synchronous golden model (nl::sync_simulator and
 //      nl::sync_lane_simulator) on every output of every vector;
@@ -209,15 +211,29 @@ void expect_lanes_match_oracle(const nl::netlist& sync, const pl::pl_netlist& pl
     EXPECT_EQ(ls.ee_wins, oracle_total.ee_wins);
 }
 
+/// The netlist's verify(), a memo read after the mapper and the EE pass,
+/// must equal the full analysis field for field.
+void expect_verify_matches_full_analysis(const pl::pl_netlist& pl) {
+    EXPECT_TRUE(pl.verified());
+    const pl::mg_report memo = pl.verify();
+    const pl::mg_report full = pl::verify_marked_graph(pl);
+    EXPECT_EQ(memo.well_formed, full.well_formed);
+    EXPECT_EQ(memo.live, full.live);
+    EXPECT_EQ(memo.safe, full.safe);
+    EXPECT_EQ(memo.violation, full.violation);
+}
+
 void check_netlist(const config& c, const nl::netlist& sync,
                    const pl::pl_netlist& pl, const std::string& arm) {
+    SCOPED_TRACE(arm);
+    expect_verify_matches_full_analysis(pl);
     const std::vector<std::vector<bool>> vectors =
         random_vectors(k_waves, pl.sources().size(), c.seed);
     const std::vector<stimulus_block> blocks =
         make_stimulus(c.lane_vectors, pl.sources().size(), ~c.seed);
     for (const auto& [name, delays] : delay_models(c)) {
         for (bool non_pipelined : {true, false}) {
-            SCOPED_TRACE(arm + ", " + name + " delays, " +
+            SCOPED_TRACE(name + " delays, " +
                          (non_pipelined ? "non-pipelined" : "pipelined"));
             sim_options opts;
             opts.delays = delays;
@@ -249,10 +265,6 @@ TEST(SimDifferential, RandomConfigurationsAgreeWithEveryReference) {
         check_netlist(c, sync, plain.pl, "plain");
         pl::map_result with_ee = pl::map_to_phased_logic(sync);
         ee::apply_early_evaluation(with_ee.pl, {.search = c.search});
-        // The transform's incremental check passed; the full one must agree.
-        ASSERT_TRUE(with_ee.pl.verified());
-        const pl::mg_report full = with_ee.pl.verify();
-        ASSERT_TRUE(full.ok()) << full.violation;
         check_netlist(c, sync, with_ee.pl, "ee");
         if (HasFailure()) return;  // the first failing configuration is enough
     }

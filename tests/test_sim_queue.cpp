@@ -315,8 +315,8 @@ TEST(SimQueue, ProgressBeatsFollowPerFiringCounting) {
 }
 
 /// Expects the pl_simulator constructor to reject `pl` after 0 events, on
-/// the schedule engine, naming EE master `master`.
-void expect_rejected_pair(const pl::pl_netlist& pl, pl::gate_id master) {
+/// the schedule engine, with a message that contains `text`.
+void expect_schedule_rejects(const pl::pl_netlist& pl, const std::string& text) {
     try {
         pl_simulator simulator(pl, {}, {.label = "ee-pair"});
         FAIL() << "expected sim::invariant_violation";
@@ -324,12 +324,15 @@ void expect_rejected_pair(const pl::pl_netlist& pl, pl::gate_id master) {
         const std::string what = err.what();
         EXPECT_EQ(err.events(), 0u);
         EXPECT_NE(what.find("schedule engine"), std::string::npos) << what;
-        EXPECT_NE(what.find("EE master gate " + std::to_string(master) + " '" +
-                            std::string(pl.name(master)) + "'"),
-                  std::string::npos)
-            << what;
+        EXPECT_NE(what.find(text), std::string::npos) << what;
         EXPECT_NE(what.find("ee-pair"), std::string::npos) << what;
     }
+}
+
+/// The same, naming EE master `master`.
+void expect_rejected_pair(const pl::pl_netlist& pl, pl::gate_id master) {
+    expect_schedule_rejects(pl, "EE master gate " + std::to_string(master) + " '" +
+                                    std::string(pl.name(master)) + "'");
 }
 
 TEST(SimQueue, MiswiredTriggerIsRejectedWhenTheScheduleCompiles) {
@@ -346,10 +349,13 @@ TEST(SimQueue, MiswiredTriggerIsRejectedWhenTheScheduleCompiles) {
     const ee::applied_trigger& at = stats.applied.front();
 
     // A master whose function's arity stops matching its pins after the
-    // pair was attached is rejected too, before the proof reads it.
+    // pair was attached is rejected as a mis-sized LUT, before the proof
+    // reads it.
     pl::pl_netlist narrowed = pl;
     narrowed.set_function(at.master, bf::truth_table::variable(1, 0));
-    expect_rejected_pair(narrowed, at.master);
+    expect_schedule_rejects(narrowed, "gate " + std::to_string(at.master) + " '" +
+                                          std::string(pl.name(at.master)) +
+                                          "': its function's arity differs");
 
     std::uint32_t extra_pin = 0;
     while ((at.candidate.support >> extra_pin) & 1u) ++extra_pin;
@@ -595,9 +601,9 @@ TEST(SimQueue, UnsoundTriggerIsRejectedWhenTheScheduleCompiles) {
     expect_rejected_pair(xor_master, m);
 }
 
-TEST(SimQueue, UnsafeNetlistRejectedByFirstRunInBothModes) {
+TEST(SimQueue, UnsafeNetlistRejectedByTheConstructorInBothModes) {
     // A source with no acknowledge input free-runs, so verify() rejects the
-    // netlist.  Safety is a precondition of the schedule: the first run
+    // netlist.  Safety is a precondition of the schedule: the constructor
     // raises the violation in both environment modes, where the oracle's
     // timing hides the overrun (the consumer fires between the two
     // deposits there).
@@ -615,15 +621,14 @@ TEST(SimQueue, UnsafeNetlistRejectedByFirstRunInBothModes) {
     for (bool non_pipelined : {true, false}) {
         sim_options opts;
         opts.non_pipelined = non_pipelined;
-        pl_simulator dataflow(pl, opts);
         try {
-            dataflow.run(vectors);
+            pl_simulator dataflow(pl, opts);
             FAIL() << "expected sim::invariant_violation";
         } catch (const invariant_violation& e) {
             EXPECT_EQ(e.events(), 0u);
             EXPECT_NE(std::string(e.what()).find("lies on no directed cycle"),
                       std::string::npos);
-            EXPECT_NE(std::string(e.what()).find("dataflow engine"),
+            EXPECT_NE(std::string(e.what()).find("schedule engine"),
                       std::string::npos);
         }
         testing::heap_oracle heap(pl, opts);
@@ -652,12 +657,11 @@ TEST(SimQueue, SafetyAndLivenessViolationsDetectedOnBothProtocols) {
         {true, false}, {true, false}, {true, false}};
     testing::heap_oracle oracle(pl, opts);
     EXPECT_THROW(oracle.run(overrun), invariant_violation);
-    pl_simulator dataflow(pl, opts);
-    EXPECT_THROW(dataflow.run(overrun), invariant_violation);
+    EXPECT_THROW(pl_simulator(pl, opts), invariant_violation);
 
-    // The lane protocol on a netlist whose consumer waits for an
-    // acknowledge that only its own output could earn: buf -> out -> buf is
-    // a token-free cycle, so run_lanes reports the deadlock.
+    // A netlist whose consumer waits for an acknowledge that only its own
+    // output could earn: buf -> out -> buf is a token-free cycle, so the
+    // constructor reports the deadlock before either protocol runs.
     pl::pl_netlist marked;
     const pl::gate_id in = marked.add_gate(pl::gate_kind::source, "in");
     const pl::gate_id buf = marked.add_gate(pl::gate_kind::compute, "buf");
@@ -666,16 +670,14 @@ TEST(SimQueue, SafetyAndLivenessViolationsDetectedOnBothProtocols) {
     marked.add_data_edge(in, buf, 0, true, false);
     marked.add_data_edge(buf, out, 0, false, false);
     marked.add_ack_edge(out, buf, false);
-    pl_simulator lanes(marked);
-    const std::vector<stimulus_block> blocks = make_stimulus(64, 1, 5);
     try {
-        lanes.run_lanes(blocks.front());
+        pl_simulator lanes(marked);
         FAIL() << "expected sim::deadlock_error";
     } catch (const deadlock_error& e) {
         EXPECT_NE(std::string(e.what()).find("token-free cycle through gate 1 'buf'"),
                   std::string::npos)
             << e.what();
-        EXPECT_NE(std::string(e.what()).find("lane engine"), std::string::npos);
+        EXPECT_NE(std::string(e.what()).find("schedule engine"), std::string::npos);
     }
 }
 
