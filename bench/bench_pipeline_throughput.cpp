@@ -12,6 +12,7 @@
 // throughput gain can even exceed the vector-at-a-time latency gain.
 
 #include <cstdio>
+#include <utility>
 
 #include "bench_circuits/itc99.hpp"
 #include "ee/ee_transform.hpp"
@@ -29,30 +30,42 @@ struct mode_result {
     double throughput = 0.0;  ///< waves per microsecond (pipelined)
 };
 
-mode_result run_modes(const pl::pl_netlist& pl, std::size_t vectors,
-                      std::uint64_t seed) {
-    mode_result r;
+double waves_per_us(std::size_t waves, double makespan) {
+    return makespan > 0 ? 1000.0 * static_cast<double>(waves) / makespan : 0.0;
+}
+
+/// Both protocols on the EE netlist `pl`, each run timing both arms: the
+/// plain arm (pl without its triggers, the mapping before the EE pass) and
+/// the EE arm.  Returns {plain, ee}.
+std::pair<mode_result, mode_result> run_modes(const pl::pl_netlist& pl,
+                                              std::size_t vectors,
+                                              std::uint64_t seed) {
+    mode_result plain;
+    mode_result ee;
     const auto stimulus = sim::random_vectors(vectors, pl.sources().size(), seed);
     {
         sim::sim_options opts;
         opts.non_pipelined = true;
         sim::pl_simulator simulator(pl, opts);
         const auto waves = simulator.run(stimulus);
+        double plain_sum = 0;
         double sum = 0;
-        for (const auto& w : waves) sum += w.delay();
-        r.latency = sum / static_cast<double>(waves.size());
+        for (const auto& w : waves) {
+            plain_sum += w.plain_delay();
+            sum += w.delay();
+        }
+        plain.latency = plain_sum / static_cast<double>(waves.size());
+        ee.latency = sum / static_cast<double>(waves.size());
     }
     {
         sim::sim_options opts;
         opts.non_pipelined = false;
         sim::pl_simulator simulator(pl, opts);
         const auto waves = simulator.run(stimulus);
-        const double makespan = waves.back().output_stable;
-        r.throughput = makespan > 0 ? 1000.0 * static_cast<double>(waves.size()) /
-                                          makespan
-                                    : 0.0;
+        plain.throughput = waves_per_us(waves.size(), waves.back().plain_output_stable);
+        ee.throughput = waves_per_us(waves.size(), waves.back().output_stable);
     }
-    return r;
+    return {plain, ee};
 }
 
 }  // namespace
@@ -67,13 +80,9 @@ int main() {
                           "Thru gain"});
 
     for (const char* id : {"b05", "b11", "b14"}) {
-        const nl::netlist n = bench::build_benchmark(id);
-        pl::map_result base = pl::map_to_phased_logic(n);
-        pl::map_result eed = pl::map_to_phased_logic(n);
-        ee::apply_early_evaluation(eed.pl);
-
-        const mode_result mb = run_modes(base.pl, vectors, 77);
-        const mode_result me = run_modes(eed.pl, vectors, 77);
+        pl::map_result mapped = pl::map_to_phased_logic(bench::build_benchmark(id));
+        ee::apply_early_evaluation(mapped.pl);
+        const auto [mb, me] = run_modes(mapped.pl, vectors, 77);
 
         t.add_row({id, report::fmt(mb.latency, 1), report::fmt(me.latency, 1),
                    report::fmt_pct(100.0 * (mb.latency - me.latency) / mb.latency, 0),

@@ -452,23 +452,23 @@ int main(int argc, char** argv) {
         // --- Completion-time distributions: plain PL vs EE ----------------
         // The paper's comparison is distributional — EE shifts the shape of
         // the per-vector completion-time distribution, not just its mean.
-        // Measure the same mix both ways (fresh plain mapping vs the
-        // EE-applied netlists above, identical stimulus seeds) and merge the
-        // per-vector histograms fleet-wide.  Recorded in integer ps, printed
-        // and emitted in ns.
+        // One measurement of each EE-applied netlist above gives both arms
+        // (its plain time plane is the mapping without the triggers); merge
+        // the per-vector histograms fleet-wide.  Recorded in integer ps,
+        // printed and emitted in ns.
         obs::hist_snapshot delay_plain;
         obs::hist_snapshot delay_ee;
         for (std::size_t i = 0; i < mix.size(); ++i) {
             sim::measure_options mopts;
             mopts.num_vectors = vectors;
             mopts.seed = seed ^ (i * 0x9e3779b97f4a7c15ull);
-            pl::map_result plain = pl::map_to_phased_logic(mix[i].sync);
-            const sim::measure_result base =
-                sim::measure_average_delay(plain.pl, &mix[i].sync, mopts);
-            const sim::measure_result with_ee =
-                sim::measure_average_delay(mix[i].pl, &mix[i].sync, mopts);
-            delay_plain.merge(base.delay_hist);
-            delay_ee.merge(with_ee.delay_hist);
+            const sim::measure_arms arms = sim::measure_both_arms(
+                mix[i].pl,
+                sim::make_measure_reference(&mix[i].sync, mix[i].pl.sources().size(),
+                                            mopts),
+                mopts);
+            delay_plain.merge(arms.plain.delay_hist);
+            delay_ee.merge(arms.ee.delay_hist);
         }
         const auto pctl = [](const obs::hist_snapshot& h, double p) {
             return static_cast<double>(h.value_at_percentile(p)) / 1e3;

@@ -40,18 +40,20 @@ int main() {
     m.output("cout", sum.carry);
     const nl::netlist netlist = m.build();
 
-    pl::map_result base = pl::map_to_phased_logic(netlist);
-    pl::map_result with_ee = pl::map_to_phased_logic(netlist);
-    const ee::ee_stats stats = ee::apply_early_evaluation(with_ee.pl);
+    pl::map_result mapped = pl::map_to_phased_logic(netlist);
 
     // Arrival-depth profile: how late each gate's inputs get.
-    const std::vector<int> depth = base.pl.arrival_depth();
+    const std::vector<int> depth = mapped.pl.arrival_depth();
     int max_depth = 0;
-    for (pl::gate_id g = 0; g < base.pl.num_gates(); ++g) {
+    for (pl::gate_id g = 0; g < mapped.pl.num_gates(); ++g) {
         max_depth = std::max(max_depth, depth[g]);
     }
     std::printf("8-bit ripple adder: %zu PL gates, carry chain depth %d\n",
-                base.pl.num_pl_gates(), max_depth);
+                mapped.pl.num_pl_gates(), max_depth);
+
+    // EE in place: the EE netlist still holds the plain mapping, so one
+    // measurement of it gives both arms.
+    const ee::ee_stats stats = ee::apply_early_evaluation(mapped.pl);
 
     std::printf("\nEE masters (%zu):\n", stats.triggers_added);
     for (const ee::applied_trigger& at : stats.applied) {
@@ -68,10 +70,12 @@ int main() {
 
     sim::measure_options opts;
     opts.num_vectors = 200;
-    const sim::measure_result r_base =
-        sim::measure_average_delay(base.pl, &netlist, opts);
-    const sim::measure_result r_ee =
-        sim::measure_average_delay(with_ee.pl, &netlist, opts);
+    const sim::measure_arms arms = sim::measure_both_arms(
+        mapped.pl,
+        sim::make_measure_reference(&netlist, mapped.pl.sources().size(), opts),
+        opts);
+    const sim::measure_result& r_base = arms.plain;
+    const sim::measure_result& r_ee = arms.ee;
 
     std::printf("\nwithout EE: avg %.2f ns (min %.2f, max %.2f, stddev %.2f)\n",
                 r_base.avg_delay, r_base.min_delay, r_base.max_delay,

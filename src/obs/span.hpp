@@ -2,10 +2,11 @@
 //
 // A `trace` is a per-job record of nested, timed stages: every
 // `run_ee_experiment` call carries one, and each pipeline stage
-// (map_to_pl → measure.reference → measure.plain → ee.pass → measure.ee,
-// with a sim.golden child inside measure.reference, an ee.search child
-// inside ee.pass, and sim.compile and sim.run children inside each measure
-// arm) opens a `scoped_span` on entry and closes it on scope exit.  The result — start offset,
+// (map_to_pl → measure.reference → ee.pass → measure, with a sim.golden
+// child inside measure.reference, an ee.search child inside ee.pass, and
+// sim.compile and sim.run children inside measure, the one simulation that
+// measures both arms) opens a `scoped_span` on entry and closes it on scope
+// exit.  The result — start offset,
 // duration, and parent index per span — rides in `job_result` so a fleet
 // report can answer "where did this job's time go" per job, not just in
 // aggregate.

@@ -19,10 +19,10 @@ experiment_row run_ee_experiment(const std::string& description,
     job_context ctx = context;
     if (ctx.label.empty()) ctx.label = description;
 
-    // Baseline: plain Phased Logic.  Each stage opens its own top-level span
-    // (sim.golden nests inside measure.reference, sim.compile and sim.run
-    // inside each measure arm; the EE pass opens ee.pass itself), so the
-    // trace reads as the stage sequence of the header comment.
+    // Each stage opens its own top-level span (sim.golden nests inside
+    // measure.reference, sim.compile and sim.run inside measure; the EE
+    // pass opens ee.pass itself), so the trace reads as the stage sequence
+    // of the header comment.
     ctx.poll("pipeline.map", 0);
     pl::map_result mapped = [&] {
         const obs::scoped_span span(ctx.trace, "map_to_pl");
@@ -36,35 +36,29 @@ experiment_row run_ee_experiment(const std::string& description,
         return sim::make_measure_reference(&netlist, mapped.pl.sources().size(),
                                            options.measure, ctx);
     }();
-    sim::measure_result base;
-    {
-        const obs::scoped_span span(ctx.trace, "measure.plain");
-        base = sim::measure_average_delay(mapped.pl, reference, options.measure,
-                                          ctx);
-    }
-    row.delay_no_ee = base.avg_delay;
-    row.stats_no_ee = base.stats;
-    row.sim_wall_ms += base.sim_wall_ms;
-    row.delay_hist_no_ee = std::move(base.delay_hist);
 
-    // Early Evaluation applied in place to the measured mapping: its
-    // simulator is gone, and row.pl_gates was read above.
+    // Early Evaluation applied in place.  The EE pass only appends trigger
+    // gates and their edges, so the EE netlist still holds the plain mapping,
+    // and one simulation of it measures both arms (pl_sim.hpp's two time
+    // planes).
     ctx.poll("pipeline.ee", 0);
     row.ee_detail = ee::apply_early_evaluation(mapped.pl, options.ee, ctx);
     row.ee_gates = mapped.pl.num_trigger_gates();
-    sim::measure_result with_ee;
+    sim::measure_arms arms;
     {
-        const obs::scoped_span span(ctx.trace, "measure.ee");
-        with_ee = sim::measure_average_delay(mapped.pl, reference,
-                                             options.measure, ctx);
+        const obs::scoped_span span(ctx.trace, "measure");
+        arms = sim::measure_both_arms(mapped.pl, reference, options.measure, ctx);
     }
-    row.delay_ee = with_ee.avg_delay;
-    row.stats_ee = with_ee.stats;
-    row.sim_wall_ms += with_ee.sim_wall_ms;
-    row.delay_hist_ee = std::move(with_ee.delay_hist);
+    row.delay_no_ee = arms.plain.avg_delay;
+    row.stats_no_ee = arms.plain.stats;
+    row.delay_hist_no_ee = std::move(arms.plain.delay_hist);
+    row.delay_ee = arms.ee.avg_delay;
+    row.stats_ee = arms.ee.stats;
+    row.delay_hist_ee = std::move(arms.ee.delay_hist);
+    row.sim_wall_ms = arms.ee.sim_wall_ms;
 
     row.lanes = options.measure.lanes;
-    row.vectors_measured = base.delays.size() + with_ee.delays.size();
+    row.vectors_measured = arms.plain.delays.size() + arms.ee.delays.size();
 
     row.delay_diff = row.delay_no_ee - row.delay_ee;
     row.area_increase_pct =

@@ -2,13 +2,14 @@
 //
 // One row of the paper's Table 3 is produced by one pass:
 //   synchronous netlist -> PL mapping -> stimulus and golden outputs
-//     -> measure (100 random vectors) -> EE transform, in place
-//     -> measure again, on the same vectors
+//     -> EE transform, in place -> measure (100 random vectors)
 // and reporting: PL gate count, EE gate count, both average delays, the
 // delay difference, % area increase (EE gates / PL gates) and % delay
-// decrease.  The netlist is mapped once and the golden model runs once;
-// each measurement checks its PL outputs against those golden outputs
-// wave by wave and fails on its own mismatches.
+// decrease.  The netlist is mapped once, the golden model runs once, and
+// one simulation of the EE netlist measures both arms: its plain time
+// plane is the mapping without the triggers (sim::measure_both_arms).  The
+// arms' PL outputs are the same words, checked against the golden outputs
+// wave by wave.
 
 #pragma once
 
@@ -41,13 +42,14 @@ struct experiment_row {
     sim::sim_run_stats stats_no_ee;
     sim::sim_run_stats stats_ee;
     ee::ee_stats ee_detail;
-    /// Event-simulation wall time across both measurements (ms) — with the
-    /// stats' event counts this tracks simulator events/s per circuit.
+    /// Wall time of the one event-simulation run that measured both arms
+    /// (ms) — with both arms' event counts this tracks simulator events/s
+    /// per circuit.
     double sim_wall_ms = 0.0;
     /// Stimulus lanes per engine pass (measure_options::lanes: 1 or 64).
     std::size_t lanes = 1;
-    /// Vectors measured across both runs — with sim_wall_ms this tracks
-    /// measurement vectors/s per circuit.
+    /// Vectors measured across both arms (twice the stimulus) — with
+    /// sim_wall_ms this tracks measurement vectors/s per circuit.
     std::size_t vectors_measured = 0;
     /// Per-vector completion-time distributions (integer picoseconds; see
     /// measure_result::delay_hist).  Empty when telemetry was off.
@@ -60,7 +62,7 @@ struct experiment_row {
                    ? static_cast<double>(vectors_measured) * 1e3 / sim_wall_ms
                    : 0.0;
     }
-    /// Lane mode: the share of both measurements' sim events that carried a
+    /// Lane mode: the share of both arms' sim events that carried a
     /// per-lane time slab — the divergent EE cones' share of the work.
     double divergent_share() const {
         const std::uint64_t events = stats_no_ee.events + stats_ee.events;
@@ -76,11 +78,11 @@ struct experiment_row {
 /// the mapping (site "pipeline.map") and before the EE pass
 /// ("pipeline.ee"), and the stages poll it inside.  On ctx.trace the pass
 /// opens one span per stage, once each (map_to_pl → measure.reference →
-/// measure.plain → ee.pass → measure.ee), with a sim.golden child inside
-/// measure.reference, an ee.search child (the trigger search alone) inside
-/// ee.pass, and sim.compile (the wave schedule) and sim.run children, in
-/// that order, inside each measure arm.  Spans close on exception unwind,
-/// so a failed run still carries a partial breakdown.
+/// ee.pass → measure), with a sim.golden child inside measure.reference, an
+/// ee.search child (the trigger search alone) inside ee.pass, and
+/// sim.compile (the wave schedule) and sim.run children, in that order,
+/// inside measure.  Spans close on exception unwind, so a failed run still
+/// carries a partial breakdown.
 experiment_row run_ee_experiment(const std::string& description,
                                  const nl::netlist& netlist,
                                  const experiment_options& options = {},

@@ -122,14 +122,15 @@ struct fleet_result {
     /// each) summed over the fleet — the engine-throughput unit.
     std::size_t total_sweeps = 0;
     std::uint64_t total_sim_events = 0;
-    /// Vectors measured across the succeeded jobs (both measurements each).
+    /// Vectors measured across the succeeded jobs (both arms each).
     std::size_t total_vectors = 0;
     /// Lane-engine deposits that carried a per-lane time slab, summed over
     /// the succeeded jobs (0 at lanes = 1).
     std::uint64_t total_lane_slab_deposits = 0;
-    /// Summed per-job event-simulation wall time (ms).  Unlike wall_ms this
-    /// excludes synthesis/mapping/EE-search, so events/s measures the
-    /// simulator engine itself.
+    /// Summed per-job event-simulation wall time (ms): one run per job,
+    /// which measures both arms.  Unlike wall_ms this excludes
+    /// synthesis/mapping/EE-search, so events/s measures the simulator
+    /// engine itself.
     double total_sim_wall_ms = 0.0;
     /// Fleet-wide per-vector completion-time distributions (integer ps),
     /// merged bucket-exactly over the succeeded jobs — plain PL vs EE, the

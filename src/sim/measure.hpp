@@ -13,11 +13,16 @@
 //
 // A measure_reference holds the stimulus and the golden model's outputs on
 // it.  Both depend only on the golden netlist, the source count and the
-// options, so a Table 3 row builds one reference and measures its plain and
-// its EE netlist against it (the EE transform adds no sources): one stimulus
-// draw and one golden run per row.  Each measurement still checks its own
-// outputs.  measure_average_delay(pl, golden, options) builds a reference
+// options.  measure_average_delay(pl, golden, options) builds a reference
 // and measures once.
+//
+// A Table 3 row measures both arms in one simulation: measure_both_arms
+// compiles and runs the EE netlist once and reads the simulator's two time
+// planes (pl_sim.hpp), `ee` for the netlist as it is and `plain` for the
+// netlist with every trigger gate and its edges removed, which is the
+// mapping before the EE pass.  The planes share their values, so the
+// arms' outputs are the same words and one golden comparison checks both:
+// one stimulus draw, one golden run, one compile and one run per row.
 //
 // Two stimulus protocols, selected by measure_options::lanes:
 //
@@ -72,7 +77,8 @@ struct measure_result {
     sim_run_stats stats;
     /// Wall time of the event-simulation run itself (excludes the golden
     /// comparison) — with stats.events this yields sim events/s, with
-    /// delays.size() vectors/s.
+    /// delays.size() vectors/s.  Both arms of measure_both_arms carry the
+    /// one run's time: do not add them.
     double sim_wall_ms = 0.0;
     /// The lane count the measurement actually used.
     std::size_t lanes = 1;
@@ -131,11 +137,31 @@ measure_reference make_measure_reference(const nl::netlist* golden,
 /// are not read: the reference fixes the stimulus.  Throws
 /// std::invalid_argument when the reference's width is not pl's source
 /// count, its protocol is not options.lanes, or its golden output count is
-/// not pl's sink count.
+/// not pl's sink count.  The result is measure_both_arms's `ee` arm, pl as
+/// it is, and only that arm flushes into the registry: the single-arm API.
 measure_result measure_average_delay(const pl::pl_netlist& pl,
                                      const measure_reference& reference,
                                      const measure_options& options = {},
                                      const job_context& ctx = {});
+
+/// The two arms of a Table 3 row, measured by measure_both_arms.
+struct measure_arms {
+    measure_result plain;  ///< the netlist without its trigger gates
+    measure_result ee;     ///< the netlist as it is
+};
+
+/// Both arms of a Table 3 row from one simulation of the EE netlist `pl`:
+/// `plain` measures pl with every trigger gate and its edges removed (the
+/// mapping before the EE pass), `ee` measures pl as it is.  One "sim.compile"
+/// and one "sim.run" span, one golden comparison (the arms' outputs are the
+/// same words) and the checks and throws of measure_average_delay, whose
+/// result is the `ee` arm.  With ctx.telemetry, both arms flush into the
+/// registry (sim.events, sim.vectors, sim.ee.*, sim.vector_delay_ps) and
+/// the run adds one sim.measure_wall_us sample.
+measure_arms measure_both_arms(const pl::pl_netlist& pl,
+                               const measure_reference& reference,
+                               const measure_options& options = {},
+                               const job_context& ctx = {});
 
 /// make_measure_reference for pl's sources, then the measurement.
 /// `golden` may be null to skip the functional comparison (e.g. for

@@ -101,7 +101,7 @@ void pl_simulator::compile() {
             2 * pos[edge.from] + (edge.kind == pl::edge_kind::ack ? 1u : 0u);
         return (slot << 1) | (edge.init_token ? 1u : 0u);
     };
-    times_.assign(4 * n, 0.0);
+    times_.assign(4 * n, time2{0.0, 0.0});
     values_.assign(4 * n, 0);
     recs_.resize(n);
     preset_.assign(n, 0);
@@ -140,6 +140,18 @@ void pl_simulator::compile() {
         }
         trace_off_[s + 1] = static_cast<std::uint32_t>(trace_edges_.size());
         deposits_[s + 1] = deposits_[s] + out_edges.size();
+        if (gate.kind == pl::gate_kind::trigger) {
+            d.live |= k_trigger;
+        } else {
+            // The plain plane's deposits: every edge with a trigger at one
+            // end came with the EE pass.
+            ++plain_firings_;
+            for (pl::edge_id e : out_edges) {
+                if (pl_.gate(pl_.edge(e).to).kind != pl::gate_kind::trigger) {
+                    ++plain_events_;
+                }
+            }
+        }
 
         // The LUT words: constants and registers get their constant and
         // identity tables, so every non-environment gate evaluates alike.
@@ -225,13 +237,14 @@ void pl_simulator::check_ee_pair(pl::gate_id master) const {
 /// Resets the per-run state and writes the wave -1 preset into parity 1.
 void pl_simulator::begin_run() {
     stats_ = {};
+    plain_stats_ = {};
     trace_.clear();
     waves_stable_ = 0;
     next_check_ = k_cancel_check_events;
     check_at_ = std::min(next_check_, options_.max_events);
     for (std::size_t s = 0; s < recs_.size(); ++s) {
-        times_[4 * s + 1] = 0.0;
-        times_[4 * s + 3] = 0.0;
+        times_[4 * s + 1] = time2{0.0, 0.0};
+        times_[4 * s + 3] = time2{0.0, 0.0};
         values_[4 * s + 1] = preset_[s];
     }
 }
@@ -327,6 +340,8 @@ std::vector<wave_record> pl_simulator::run_packed(
                                              std::size_t{1} << 20));
     }
     run_waves(records);
+    plain_stats_.events = count * plain_events_;
+    plain_stats_.firings = count * plain_firings_;
 
     // The trace contract: sorted by (time, edge), one edge's deposits in
     // wave order (the stable sort keeps the emission order per edge).
@@ -342,12 +357,13 @@ std::vector<wave_record> pl_simulator::run_packed(
 /// the previous wave's parity, or the wave -1 preset when k == 0.  A wave is
 /// complete before the next starts, so a source's release time (the
 /// previous wave's output_stable, non-pipelined) is known when it fires.
+/// Each time is a {plain, ee} pair (see the top of pl_sim.hpp).
 void pl_simulator::run_waves(std::vector<wave_record>& records) {
     const std::uint32_t n = static_cast<std::uint32_t>(recs_.size());
     const gate_rec* const recs = recs_.data();
     const in_ref* const refs = refs_.data();
     const std::uint64_t* const pool = fn_pool_.data();
-    double* const times = times_.data();
+    time2* const times = times_.data();
     std::uint64_t* const values = values_.data();
     const delay_model& dm = options_.delays;
     const double ack_delay = dm.ack_delay();
@@ -360,10 +376,11 @@ void pl_simulator::run_waves(std::vector<wave_record>& records) {
         const std::uint32_t par = k & 1;
         if (options_.non_pipelined && k > 0) {
             rec.release_time = records[k - 1].output_stable;
+            rec.plain_release_time = records[k - 1].plain_output_stable;
         }
-        const double release = rec.release_time;
-        double input_stable = 0.0;
-        double output_stable = 0.0;
+        const time2 release = {rec.plain_release_time, rec.release_time};
+        time2 input_stable = {0.0, 0.0};
+        time2 output_stable = {0.0, 0.0};
         std::uint64_t hits = 0;
         std::uint64_t wins = 0;
         std::uint64_t masters = 0;
@@ -373,46 +390,48 @@ void pl_simulator::run_waves(std::vector<wave_record>& records) {
             const gate_rec& d = recs[s];
             const in_ref* const r = refs + d.ref_begin;
             std::uint32_t minterm = 0;
-            double t = 0.0;
+            time2 t = {0.0, 0.0};
             for (std::uint32_t pin = 0; pin < d.num_data; ++pin) {
                 const in_ref x = r[pin] ^ par;
                 minterm |= static_cast<std::uint32_t>(values[x] & 1u) << pin;
-                t = std::max(t, times[x]);
+                t = max2(t, times[x]);
             }
-            const double t_data = t;
+            const time2 t_data = t;
             for (std::uint32_t i = d.num_data; i < d.ref_end - d.ref_begin; ++i) {
-                t = std::max(t, times[r[i] ^ par]);
+                t = max2(t, times[r[i] ^ par]);
             }
             std::uint64_t value =
                 (pool[d.fn_off + (minterm >> 6)] >> (minterm & 63)) & 1u;
-            double t_out = t + d.delay;
-            double t_ack = t + ack_delay;
+            time2 t_out = t + d.delay;
+            time2 t_ack = t + ack_delay;
             switch (d.kind) {
                 case role::gate:
+                    if ((d.live & k_trigger) != 0) t_out[0] = t_ack[0] = 0.0;
                     break;
                 case role::master: {
                     // Normal completion pays the extra C-element; a 1-valued
-                    // efire token opens the output latch early.
+                    // efire token opens the output latch early.  The plain
+                    // plane keeps t_ready + gate_delay.
                     const in_ref x = d.efire ^ par;
                     const std::uint64_t efire = values[x] & 1u;
-                    const double normal = t_data + gate_delay + ee_penalty;
-                    const double early = times[x] + efire_delay;
+                    const double normal = t_data[1] + gate_delay + ee_penalty;
+                    const double early = times[x][1] + efire_delay;
                     const std::uint64_t win = efire & (early < normal ? 1u : 0u);
-                    t_out = win != 0 ? early : normal;
+                    t_out[1] = win != 0 ? early : normal;
                     hits += efire;
                     wins += win;
                     ++masters;
                     break;
                 }
                 case role::source:
-                    t_out = std::max(t, release) + d.delay;
+                    t_out = max2(t, release) + d.delay;
                     t_ack = t_out;
                     value = stim_bit(k, d.env_slot);
-                    input_stable = std::max(input_stable, t_out);
+                    input_stable = max2(input_stable, t_out);
                     break;
                 case role::sink:
                     rec.outputs[d.env_slot] = (minterm & 1u) != 0;
-                    output_stable = std::max(output_stable, t_data);
+                    output_stable = max2(output_stable, t_data);
                     break;
             }
             times[4 * s + par] = t_out;
@@ -420,7 +439,7 @@ void pl_simulator::run_waves(std::vector<wave_record>& records) {
             values[4 * s + par] = value;
             if (trace_on) {
                 for (std::uint32_t i = trace_off_[s]; i < trace_off_[s + 1]; ++i) {
-                    trace_.push_back({t_out, trace_edges_[i], value != 0});
+                    trace_.push_back({t_out[1], trace_edges_[i], value != 0});
                 }
             }
             if (s == stop) stop = reach(s, "dataflow");
@@ -430,8 +449,10 @@ void pl_simulator::run_waves(std::vector<wave_record>& records) {
         stats_.ee_hits += hits;
         stats_.ee_misses += masters - hits;
         stats_.ee_wins += wins;
-        rec.input_stable = input_stable;
-        rec.output_stable = output_stable;
+        rec.input_stable = input_stable[1];
+        rec.output_stable = output_stable[1];
+        rec.plain_input_stable = input_stable[0];
+        rec.plain_output_stable = output_stable[0];
         waves_stable_ = k + 1;
     }
 }
@@ -444,6 +465,8 @@ void pl_simulator::run_waves(std::vector<wave_record>& records) {
 // EE master whose mixed efire word lets some lanes take the early path.
 // Such a slot holds a 64-double slab instead, flagged in varies_; times
 // that reconverge (a max absorbed the early token) drop back to a scalar.
+// The flag and the slab are the EE plane's: the plain plane has no master,
+// so its time is one scalar per slot for every lane.
 // ---------------------------------------------------------------------------
 
 lane_block_result pl_simulator::run_lanes(const stimulus_block& block) {
@@ -471,6 +494,8 @@ lane_block_result pl_simulator::run_lanes(const stimulus_block& block) {
     lane_sink_words_.assign(pl_.sinks().size(), 0);
     input_stable_lane_.fill(0.0);
     output_stable_lane_.fill(0.0);
+    plain_input_stable_ = 0.0;
+    plain_output_stable_ = 0.0;
     if (!slab_pool_) {
         // At most one slab per slot; uninitialized, since varies_ gates
         // every read.
@@ -481,6 +506,10 @@ lane_block_result pl_simulator::run_lanes(const stimulus_block& block) {
     slabs_used_ = 0;
     run_lane_wave(block);
     waves_stable_ = 1;
+    plain_stats_.events = plain_events_;
+    plain_stats_.firings = plain_firings_;
+    plain_stats_.lane_blocks = 1;
+    plain_stats_.lane_vectors = block.num_vectors;
 
     lane_block_result result;
     result.num_vectors = block.num_vectors;
@@ -492,6 +521,8 @@ lane_block_result pl_simulator::run_lanes(const stimulus_block& block) {
         result.input_stable[lane] = input_stable_lane_[lane];
         result.output_stable[lane] = output_stable_lane_[lane];
     }
+    result.plain_input_stable = plain_input_stable_;
+    result.plain_output_stable = plain_output_stable_;
     return result;
 }
 
@@ -504,8 +535,8 @@ void pl_simulator::run_lane_wave(const stimulus_block& block) {
     const std::uint32_t n = static_cast<std::uint32_t>(recs_.size());
     const delay_model& dm = options_.delays;
     const double ack_delay = dm.ack_delay();
-    double input_stable = 0.0;
-    double output_stable = 0.0;
+    time2 input_stable = {0.0, 0.0};
+    time2 output_stable = {0.0, 0.0};
     wave_base_ = 0;
     std::uint32_t stop = next_stop(0);
     for (std::uint32_t s = 0; s < n; ++s) {
@@ -519,33 +550,34 @@ void pl_simulator::run_lane_wave(const stimulus_block& block) {
         } else {
             // Every input carries one time for all lanes: the scalar
             // arithmetic of run_waves, on value words.
-            double t = 0.0;
-            for (std::uint32_t i = 0; i < d.num_data; ++i) t = std::max(t, times_[r[i]]);
-            const double t_data = t;
+            time2 t = {0.0, 0.0};
+            for (std::uint32_t i = 0; i < d.num_data; ++i) t = max2(t, times_[r[i]]);
+            const time2 t_data = t;
             for (std::uint32_t i = d.num_data; i < num_refs; ++i) {
-                t = std::max(t, times_[r[i]]);
+                t = max2(t, times_[r[i]]);
             }
-            double t_ack = t + ack_delay;
-            double t_out = t + d.delay;
+            time2 t_ack = t + ack_delay;
+            time2 t_out = t + d.delay;
             std::uint64_t value = 0;
             bool split = false;
             if (d.kind == role::source) {
                 // Every lane is a run from reset: released at time 0.
                 t_ack = t_out;
                 value = block.words[d.env_slot];
-                input_stable = std::max(input_stable, t_out);
+                input_stable = max2(input_stable, t_out);
             } else if (d.kind == role::sink) {
                 lane_sink_words_[d.env_slot] = values_[r[0]];
-                output_stable = std::max(output_stable, t_data);
+                output_stable = max2(output_stable, t_data);
             } else {
                 std::uint64_t ins[bf::k_max_vars];
                 lane_operands(d, ins);
                 value = bf::truth_table::eval_word_lanes(fn_pool_.data() + d.fn_off,
                                                          d.num_data, ins);
+                if ((d.live & k_trigger) != 0) t_out[0] = t_ack[0] = 0.0;
                 if (d.kind == role::master) {
                     const std::uint64_t efire_word = values_[d.efire];
-                    const double normal = t_data + dm.gate_delay() + dm.d_ee_penalty;
-                    const double early = times_[d.efire] + dm.efire_delay();
+                    const double normal = t_data[1] + dm.gate_delay() + dm.d_ee_penalty;
+                    const double early = times_[d.efire][1] + dm.efire_delay();
                     const std::uint64_t hit = efire_word & lane_mask_;
                     stats_.ee_hits += static_cast<std::uint64_t>(std::popcount(hit));
                     stats_.ee_misses += static_cast<std::uint64_t>(
@@ -562,13 +594,13 @@ void pl_simulator::run_lane_wave(const stimulus_block& block) {
                         double ta[k_lanes];
                         for (std::size_t l = 0; l < k_lanes; ++l) {
                             to[l] = ((hit >> l) & 1u) ? early : normal;
-                            ta[l] = t_ack;
+                            ta[l] = t_ack[1];
                         }
-                        store_lanes(s, value, to, ta);
+                        store_lanes(s, value, to, ta, t_out[0], t_ack[0]);
                     }
                     // With early >= normal every lane's t_out is `normal`
                     // whatever its efire bit, so a mixed word stays whole.
-                    t_out = hit == lane_mask_ ? std::min(early, normal) : normal;
+                    t_out[1] = hit == lane_mask_ ? std::min(early, normal) : normal;
                 }
             }
             if (!split) {
@@ -581,20 +613,34 @@ void pl_simulator::run_lane_wave(const stimulus_block& block) {
         if (s == stop) stop = reach(s, "lane");
     }
     for (std::size_t l = 0; l < k_lanes; ++l) {
-        input_stable_lane_[l] = std::max(input_stable_lane_[l], input_stable);
-        output_stable_lane_[l] = std::max(output_stable_lane_[l], output_stable);
+        input_stable_lane_[l] = std::max(input_stable_lane_[l], input_stable[1]);
+        output_stable_lane_[l] = std::max(output_stable_lane_[l], output_stable[1]);
     }
+    plain_input_stable_ = std::max(plain_input_stable_, input_stable[0]);
+    plain_output_stable_ = std::max(plain_output_stable_, output_stable[0]);
     stats_.events = deposits_[n];
     stats_.firings = n;
 }
 
+/// The EE plane per lane; the plain plane, which never varies, is one
+/// scalar max over the refs' plain times.
 void pl_simulator::fire_lanes_slab(std::uint32_t s, const stimulus_block& block) {
     const gate_rec& d = recs_[s];
     const in_ref* const r = refs_.data() + d.ref_begin;
+    const std::uint32_t num_refs = d.ref_end - d.ref_begin;
     const delay_model& dm = options_.delays;
+    double plain = 0.0;
+    for (std::uint32_t i = 0; i < d.num_data; ++i) plain = std::max(plain, times_[r[i]][0]);
+    const double plain_data = plain;
+    for (std::uint32_t i = d.num_data; i < num_refs; ++i) {
+        plain = std::max(plain, times_[r[i]][0]);
+    }
+    const bool in_plain = (d.live & k_trigger) == 0;
+    const double plain_out = in_plain ? plain + d.delay : 0.0;
+    const double plain_ack = in_plain ? plain + dm.ack_delay() : 0.0;
     double tr[k_lanes];
     std::fill_n(tr, k_lanes, 0.0);
-    gather_lanes(r, d.ref_end - d.ref_begin, tr);
+    gather_lanes(r, num_refs, tr);
     double to[k_lanes];
     double ta[k_lanes];
     for (std::size_t l = 0; l < k_lanes; ++l) ta[l] = tr[l] + dm.ack_delay();
@@ -603,7 +649,8 @@ void pl_simulator::fire_lanes_slab(std::uint32_t s, const stimulus_block& block)
             to[l] = tr[l] + d.delay;
             input_stable_lane_[l] = std::max(input_stable_lane_[l], to[l]);
         }
-        store_lanes(s, block.words[d.env_slot], to, to);
+        plain_input_stable_ = std::max(plain_input_stable_, plain_out);
+        store_lanes(s, block.words[d.env_slot], to, to, plain_out, plain_out);
         return;
     }
     if (d.kind == role::sink) {
@@ -612,8 +659,9 @@ void pl_simulator::fire_lanes_slab(std::uint32_t s, const stimulus_block& block)
         for (std::size_t l = 0; l < k_lanes; ++l) {
             output_stable_lane_[l] = std::max(output_stable_lane_[l], to[l]);
         }
+        plain_output_stable_ = std::max(plain_output_stable_, plain_data);
         lane_sink_words_[d.env_slot] = values_[r[0]];
-        store_lanes(s, 0, ta, ta);
+        store_lanes(s, 0, ta, ta, plain_ack, plain_ack);
         return;
     }
 
@@ -623,7 +671,7 @@ void pl_simulator::fire_lanes_slab(std::uint32_t s, const stimulus_block& block)
         fn_pool_.data() + d.fn_off, d.num_data, ins);
     if (d.kind != role::master) {
         for (std::size_t l = 0; l < k_lanes; ++l) to[l] = tr[l] + d.delay;
-        store_lanes(s, value, to, ta);
+        store_lanes(s, value, to, ta, plain_out, plain_ack);
         return;
     }
     // An EE master with a slab input: the firing rule per lane.
@@ -652,7 +700,7 @@ void pl_simulator::fire_lanes_slab(std::uint32_t s, const stimulus_block& block)
         static_cast<std::uint64_t>(std::popcount(lane_mask_ & ~efire_word));
     stats_.ee_wins += static_cast<std::uint64_t>(std::popcount(divergent));
     if (hit != 0 && hit != lane_mask_ && divergent != 0) ++stats_.lane_splits;
-    store_lanes(s, value, to, ta);
+    store_lanes(s, value, to, ta, plain_out, plain_ack);
 }
 
 void pl_simulator::gather_lanes(const in_ref* refs, std::uint32_t n,
@@ -664,31 +712,33 @@ void pl_simulator::gather_lanes(const in_ref* refs, std::uint32_t n,
                 slab_pool_.get() + std::size_t{slab_of_[r]} * k_lanes;
             for (std::size_t l = 0; l < k_lanes; ++l) out[l] = std::max(out[l], t[l]);
         } else {
-            const double t = times_[r];
+            const double t = times_[r][1];
             for (std::size_t l = 0; l < k_lanes; ++l) out[l] = std::max(out[l], t);
         }
     }
 }
 
 void pl_simulator::store_lanes(std::uint32_t s, std::uint64_t value,
-                               const double* to, const double* ta) {
+                               const double* to, const double* ta,
+                               double plain_out, double plain_ack) {
     values_[4 * s] = value;
-    const auto store = [this](std::uint32_t slot, const double* t,
+    const auto store = [this](std::uint32_t slot, const double* t, double plain,
                               std::uint32_t outs, bool live) {
         if (std::all_of(t + 1, t + k_lanes, [t](double x) { return x == t[0]; })) {
-            times_[slot] = t[0];
+            times_[slot] = time2{plain, t[0]};
             varies_[slot] = 0;
             return;
         }
         stats_.lane_slab_deposits += outs;
         if (!live) return;
+        times_[slot][0] = plain;
         varies_[slot] = 1;
         slab_of_[slot] = slabs_used_;
         std::copy_n(t, k_lanes, slab_pool_.get() + std::size_t{slabs_used_++} * k_lanes);
     };
     const std::uint8_t live = recs_[s].live;
-    store(4 * s, to, data_outs(s), (live & k_data_live) != 0);
-    store(4 * s + 2, ta, ack_outs(s), (live & k_ack_live) != 0);
+    store(4 * s, to, plain_out, data_outs(s), (live & k_data_live) != 0);
+    store(4 * s + 2, ta, plain_ack, ack_outs(s), (live & k_ack_live) != 0);
 }
 
 }  // namespace plee::sim

@@ -47,6 +47,17 @@
 //    marked ref reads the previous wave; the lane wave writes parity 0 and
 //    reads ref itself, so a marked ref reads parity 1.  Every run first
 //    writes the wave -1 preset (time 0, the initial value) into parity 1.
+//  * Two time planes.  Each slot holds two times, {plain, ee}: `ee` times
+//    the netlist as it is, and `plain` the same netlist with every trigger
+//    gate and its edges removed, the mapping before the EE pass
+//    (attach_trigger only appends a trigger, its taps and acknowledges, the
+//    efire edge and its acknowledge).  A trigger writes 0.0 to both of its
+//    plain slots, and every max starts from 0.0, so no plain firing sees an
+//    EE-only ref; a master's plain time is the compute-gate rule, t_ready +
+//    gate_delay.  Each ref is one 16-byte load and one two-lane max.  Values
+//    are shared: they do not depend on timing, and EE changes no operand
+//    edge.  So one compile and one run of an EE netlist measure both arms of
+//    a Table 3 row.
 //
 //  * run / run_packed — the sequential-wave protocol: the waves back to
 //    back, one bit per value.
@@ -142,6 +153,15 @@ struct wave_record {
     /// non-pipelined mode (in pipelined mode release_time is 0 and this is
     /// the absolute stabilization time).
     double delay() const { return output_stable - release_time; }
+
+    /// The plain plane's release_time, input_stable and output_stable: the
+    /// same wave of the netlist with every trigger gate and its edges
+    /// removed (see pl_simulator).  `outputs` serves both planes.
+    double plain_release_time = 0.0;
+    double plain_input_stable = 0.0;
+    double plain_output_stable = 0.0;
+    /// delay() of the plain plane.
+    double plain_delay() const { return plain_output_stable - plain_release_time; }
 };
 
 struct sim_run_stats {
@@ -184,6 +204,16 @@ struct lane_block_result {
     double delay(std::size_t lane) const {
         return output_stable[lane] - release[lane];
     }
+
+    /// The plain plane's stable times (see pl_simulator).  The plain
+    /// circuit has no EE master and every lane runs from reset, so its times
+    /// agree across lanes: one value per block.
+    double plain_input_stable = 0.0;
+    double plain_output_stable = 0.0;
+    /// delay(lane) of the plain plane.
+    double plain_delay(std::size_t lane) const {
+        return plain_output_stable - release[lane];
+    }
 };
 
 class pl_simulator {
@@ -221,6 +251,14 @@ public:
     /// After a throw only events is meaningful: the count the error names.
     const sim_run_stats& stats() const { return stats_; }
 
+    /// stats() of the last run's plain plane, which are static: per wave,
+    /// `events` counts the deposits of non-trigger positions on edges with
+    /// no trigger at either end, and `firings` the non-trigger positions.
+    /// The ee_* counters, lane_splits and lane_slab_deposits are 0;
+    /// lane_blocks and lane_vectors equal stats()'s.  Not set by a run that
+    /// throws.
+    const sim_run_stats& plain_stats() const { return plain_stats_; }
+
     /// Data-token arrivals recorded by the last run (empty unless
     /// options.collect_trace), sorted by (time, edge); one edge's deposits
     /// are in wave order.
@@ -242,6 +280,14 @@ private:
     /// or its ack slot.  The lane wave reads no other slot of parity 0.
     static constexpr std::uint8_t k_data_live = 1;
     static constexpr std::uint8_t k_ack_live = 2;
+    /// gate_rec::live bit: a trigger gate, absent from the plain plane.
+    static constexpr std::uint8_t k_trigger = 4;
+
+    /// One slot's two times, {plain, ee} (see the top of this file).  A
+    /// GCC/Clang vector, so a ref's max is one two-lane operation.
+    using time2 = double __attribute__((vector_size(16)));
+    /// The two-lane max, lane for lane std::max(a, b).
+    static time2 max2(time2 a, time2 b) { return a < b ? b : a; }
 
     /// One scheduled position.
     struct alignas(32) gate_rec {
@@ -252,7 +298,7 @@ private:
         std::uint32_t env_slot = 0;   ///< position in sources() / sinks()
         std::uint8_t num_data = 0;    ///< LUT operand count (<= 8)
         role kind = role::gate;
-        std::uint8_t live = 0;        ///< k_data_live | k_ack_live
+        std::uint8_t live = 0;        ///< k_data_live | k_ack_live | k_trigger
         double delay = 0.0;           ///< t_out - t_ready off the EE path
     };
     static_assert(sizeof(gate_rec) == 32);
@@ -279,12 +325,12 @@ private:
     void fire_lanes_slab(std::uint32_t s, const stimulus_block& block);
     /// Max-accumulates the per-lane times of refs[0, n) into out[0..63].
     void gather_lanes(const in_ref* refs, std::uint32_t n, double* out) const;
-    /// Stores position s's lane firing: the value word and both times, each
-    /// as a scalar when its lanes agree and as a slab otherwise.  A slab no
-    /// unmarked ref reads (a dead slot, see gate_rec::live) is counted in
-    /// lane_slab_deposits but not stored.
+    /// Stores position s's lane firing: the value word, both EE times, each
+    /// as a scalar when its lanes agree and as a slab otherwise, and both
+    /// plain times.  A slab no unmarked ref reads (a dead slot, see
+    /// gate_rec::live) is counted in lane_slab_deposits but not stored.
     void store_lanes(std::uint32_t s, std::uint64_t value, const double* to,
-                     const double* ta);
+                     const double* ta, double plain_out, double plain_ack);
     /// Gathers the LUT operand words of d into ins.
     void lane_operands(const gate_rec& d, std::uint64_t* ins) const {
         for (std::uint8_t pin = 0; pin < d.num_data; ++pin) {
@@ -309,6 +355,7 @@ private:
     sim_options options_;
     job_context ctx_;
     sim_run_stats stats_;
+    sim_run_stats plain_stats_;
 
     // The schedule (built once per netlist by compile()).
     std::vector<gate_rec> recs_;
@@ -319,9 +366,11 @@ private:
     std::vector<std::uint64_t> preset_;     ///< per position: wave -1 value
     std::vector<std::uint32_t> trace_off_;  ///< per position: trace_edges_ range
     std::vector<pl::edge_id> trace_edges_;  ///< data out-edges, per position
+    std::uint64_t plain_events_ = 0;   ///< plain_stats() events per wave
+    std::uint64_t plain_firings_ = 0;  ///< plain_stats() firings per wave
 
     // Slots: 4 per position, (slot << 1) | parity (see in_ref).
-    std::vector<double> times_;
+    std::vector<time2> times_;
     std::vector<std::uint64_t> values_;
 
     // Per-run state.
@@ -347,6 +396,9 @@ private:
     /// fold in once, after the wave.
     std::array<double, k_lanes> input_stable_lane_{};
     std::array<double, k_lanes> output_stable_lane_{};
+    /// The plain plane's maxima of the slab environment firings.
+    double plain_input_stable_ = 0.0;
+    double plain_output_stable_ = 0.0;
 };
 
 }  // namespace plee::sim

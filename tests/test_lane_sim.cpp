@@ -52,8 +52,8 @@ built_circuit build_bench(const std::string& id, bool with_ee) {
 
 /// The shared oracle: run_lanes over every block must reproduce, lane for
 /// lane, a serial single-vector run — sink values, input/output stable
-/// times — and the summed EE counters of the lane runs must equal the
-/// summed counters of the serial runs.
+/// times and delay of both time planes — and the summed EE counters of the
+/// lane runs must equal the summed counters of the serial runs.
 void expect_lanes_match_serial(const pl::pl_netlist& plnl, std::uint64_t seed,
                                std::size_t count, sim_options opts = {},
                                sim_run_stats* lane_out = nullptr) {
@@ -91,6 +91,10 @@ void expect_lanes_match_serial(const pl::pl_netlist& plnl, std::uint64_t seed,
             EXPECT_DOUBLE_EQ(lr.output_stable[lane], w.output_stable)
                 << "lane " << lane;
             EXPECT_DOUBLE_EQ(lr.delay(lane), w.delay()) << "lane " << lane;
+            EXPECT_EQ(lr.plain_input_stable, w.plain_input_stable) << "lane " << lane;
+            EXPECT_EQ(lr.plain_output_stable, w.plain_output_stable)
+                << "lane " << lane;
+            EXPECT_EQ(lr.plain_delay(lane), w.plain_delay()) << "lane " << lane;
             ASSERT_EQ(lr.outputs.size(), w.outputs.size());
             for (std::size_t j = 0; j < w.outputs.size(); ++j) {
                 EXPECT_EQ(((lr.outputs[j] >> lane) & 1u) != 0, w.outputs[j])
@@ -325,10 +329,14 @@ TEST(LaneSim, ScalarAndSlabSinksInOneBlockMatchSerial) {
     const double side = dm.d_source + 2 * dm.gate_delay();
     const double normal = dm.d_source + 5 * dm.gate_delay() + dm.d_ee_penalty;
     ASSERT_LT(early, side);
+    // The plain plane times m as a compute gate: no penalty, no early path.
+    const double plain = dm.d_source + 5 * dm.gate_delay();
+    ASSERT_LT(side, plain);
     std::size_t early_lanes = 0;
     for (std::size_t lane = 0; lane < k_lanes; ++lane) {
         const bool a = blocks.front().bit(lane, 0);
         EXPECT_DOUBLE_EQ(r.output_stable[lane], a ? normal : side) << "lane " << lane;
+        EXPECT_DOUBLE_EQ(r.plain_delay(lane), plain) << "lane " << lane;
         early_lanes += a ? 0 : 1;
     }
     EXPECT_GT(early_lanes, 0u);

@@ -1,6 +1,6 @@
 // Tests for the measurement harness (Section 4's protocol): random stimulus
-// generation, delay statistics, the golden functional cross-check and the
-// shared measure_reference.
+// generation, delay statistics, the golden functional cross-check, the
+// shared measure_reference and both arms from one simulation.
 
 #include "sim/measure.hpp"
 
@@ -10,6 +10,8 @@
 
 #include "ee/ee_transform.hpp"
 #include "netlist/sync_sim.hpp"
+#include "obs/registry.hpp"
+#include "plain_plane.hpp"
 #include "plogic/pl_mapper.hpp"
 #include "rt/errors.hpp"
 #include "synth/rtl.hpp"
@@ -225,7 +227,56 @@ TEST(Measure, AWrongLutFailsTheGoldenCheckInBothProtocols) {
         const measure_reference reference =
             make_measure_reference(&golden, width, opts);
         expect_divergence([&] { measure_average_delay(wrong.pl, reference, opts); });
+        expect_divergence([&] { measure_both_arms(wrong.pl, reference, opts); });
         EXPECT_NO_THROW(measure_average_delay(healthy.pl, reference, opts));
+    }
+}
+
+TEST(Measure, BothArmsEqualSeparateMeasurementsInBothProtocols) {
+    // One run of the EE netlist measures both arms: `plain` equals a
+    // measurement of the mapping before the EE pass and `ee` one of the EE
+    // netlist, delay for delay and counter for counter.  Both arms flush
+    // into the registry, and the run adds one wall-time sample.
+    const nl::netlist n = accumulator_netlist();
+    const pl::map_result plain = pl::map_to_phased_logic(n);
+    pl::pl_netlist with_ee = plain.pl;
+    ASSERT_GT(ee::apply_early_evaluation(with_ee).triggers_added, 0u);
+    obs::registry& reg = obs::registry::global();
+    const obs::counter& vectors = reg.get_counter("sim.vectors");
+    const obs::counter& events = reg.get_counter("sim.events");
+    obs::histogram& runs = reg.get_histogram("sim.measure_wall_us");
+    for (const std::size_t lanes : {std::size_t{1}, k_lanes}) {
+        SCOPED_TRACE("lanes=" + std::to_string(lanes));
+        measure_options opts;
+        opts.num_vectors = 100;
+        opts.lanes = lanes;
+        const measure_reference reference =
+            make_measure_reference(&n, plain.pl.sources().size(), opts);
+        const measure_result want_plain =
+            measure_average_delay(plain.pl, reference, opts);
+        const measure_result want_ee = measure_average_delay(with_ee, reference, opts);
+        const std::uint64_t vectors_before = vectors.value();
+        const std::uint64_t events_before = events.value();
+        const std::uint64_t runs_before = runs.snapshot().count;
+        const measure_arms arms = measure_both_arms(with_ee, reference, opts);
+        for (const auto& [want, got] : {std::pair{&want_plain, &arms.plain},
+                                        std::pair{&want_ee, &arms.ee}}) {
+            const std::string arm = want == &want_plain ? "plain" : "ee";
+            EXPECT_EQ(want->delays, got->delays) << arm;
+            EXPECT_EQ(want->avg_delay, got->avg_delay) << arm;
+            EXPECT_EQ(want->min_delay, got->min_delay) << arm;
+            EXPECT_EQ(want->max_delay, got->max_delay) << arm;
+            EXPECT_EQ(want->stddev, got->stddev) << arm;
+            EXPECT_EQ(want->lanes, got->lanes) << arm;
+            EXPECT_TRUE(want->delay_hist == got->delay_hist) << arm;
+            testing::expect_same_stats(want->stats, got->stats, arm);
+        }
+        EXPECT_GT(arms.ee.stats.ee_hits + arms.ee.stats.ee_misses, 0u);
+        EXPECT_EQ(arms.plain.sim_wall_ms, arms.ee.sim_wall_ms);
+        EXPECT_EQ(vectors.value() - vectors_before, 200u);
+        EXPECT_EQ(events.value() - events_before,
+                  arms.plain.stats.events + arms.ee.stats.events);
+        EXPECT_EQ(runs.snapshot().count - runs_before, 1u);
     }
 }
 

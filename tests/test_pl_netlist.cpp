@@ -7,8 +7,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <exception>
 #include <latch>
 #include <span>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -450,25 +452,42 @@ TEST(PlNetlist, ConcurrentSimulatorCompilesShareOneLazyAdjacency) {
     const std::vector<sim::stimulus_block> blocks =
         sim::make_stimulus(64, shared.sources().size(), 4);
 
-    constexpr int k_threads = 4;
+    constexpr std::size_t k_threads = 4;
     std::vector<sim::lane_block_result> results(k_threads);
+    // A throw must not leave a thread body: it would end the whole binary
+    // before it names the failure or runs a later test.
+    std::vector<std::string> errors(k_threads);
     std::latch start(k_threads);  // every thread starts its compile at once
     std::vector<std::thread> threads;
-    for (int t = 0; t < k_threads; ++t) {
-        threads.emplace_back([&shared, &blocks, &results, &start, t] {
+    for (std::size_t t = 0; t < k_threads; ++t) {
+        threads.emplace_back([&shared, &blocks, &results, &errors, &start, t] {
             start.arrive_and_wait();
-            sim::pl_simulator simulator(shared);
-            results[static_cast<std::size_t>(t)] = simulator.run_lanes(blocks.front());
+            try {
+                sim::pl_simulator simulator(shared);
+                results[t] = simulator.run_lanes(blocks.front());
+            } catch (const std::exception& e) {
+                errors[t] = e.what();
+            } catch (...) {
+                errors[t] = "an exception not derived from std::exception";
+            }
         });
     }
     for (std::thread& t : threads) t.join();
+    for (std::size_t t = 0; t < k_threads; ++t) {
+        if (!errors[t].empty()) ADD_FAILURE() << "thread " << t << " threw: " << errors[t];
+    }
     EXPECT_TRUE(shared.verified());
     sim::pl_simulator serial(shared);
     const sim::lane_block_result expected = serial.run_lanes(blocks.front());
-    for (const sim::lane_block_result& r : results) {
-        EXPECT_EQ(r.outputs, expected.outputs);
-        EXPECT_EQ(r.input_stable, expected.input_stable);
-        EXPECT_EQ(r.output_stable, expected.output_stable);
+    for (std::size_t t = 0; t < k_threads; ++t) {
+        if (!errors[t].empty()) continue;
+        const sim::lane_block_result& r = results[t];
+        EXPECT_EQ(r.outputs, expected.outputs) << "thread " << t;
+        EXPECT_EQ(r.input_stable, expected.input_stable) << "thread " << t;
+        EXPECT_EQ(r.output_stable, expected.output_stable) << "thread " << t;
+        EXPECT_EQ(r.plain_input_stable, expected.plain_input_stable) << "thread " << t;
+        EXPECT_EQ(r.plain_output_stable, expected.plain_output_stable)
+            << "thread " << t;
     }
     expect_adjacency_matches_edge_scan(shared);
 }

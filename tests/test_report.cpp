@@ -116,7 +116,8 @@ TEST(Experiment, TraceNamesEachStageOnceInPipelineOrder) {
                           {.label = "stages", .trace = &trace});
     ASSERT_GT(row.ee_gates, 0u);
 
-    // One map, one stimulus draw with one golden run, and one span per arm.
+    // One map, one stimulus draw with one golden run, and one measurement
+    // (one compile, one run) for both arms.
     const std::vector<obs::span_record>& spans = trace.spans();
     std::vector<std::string> stages;
     std::vector<std::string> children;
@@ -129,15 +130,11 @@ TEST(Experiment, TraceNamesEachStageOnceInPipelineOrder) {
         }
     }
     EXPECT_EQ(stages, (std::vector<std::string>{"map_to_pl", "measure.reference",
-                                                "measure.plain", "ee.pass",
-                                                "measure.ee"}));
+                                                "ee.pass", "measure"}));
     EXPECT_EQ(children,
               (std::vector<std::string>{"measure.reference/sim.golden",
-                                        "measure.plain/sim.compile",
-                                        "measure.plain/sim.run",
-                                        "ee.pass/ee.search",
-                                        "measure.ee/sim.compile",
-                                        "measure.ee/sim.run"}));
+                                        "ee.pass/ee.search", "measure/sim.compile",
+                                        "measure/sim.run"}));
 }
 
 TEST(Experiment, CancelledTokenStopsAtTheMapGate) {

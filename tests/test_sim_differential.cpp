@@ -14,7 +14,11 @@
 //  (b) the time-ordered heap oracle (heap_oracle.hpp) on run()'s waves,
 //      every stat and the trace;
 //  (c) for run_lanes, a heap-oracle run of each lane's vector alone: sink
-//      values, stable times, per-lane delay and the summed EE counters.
+//      values, stable times, per-lane delay and the summed EE counters;
+//  (d) the plain time plane of the EE netlist, on both protocols, against
+//      a run of the mapping without the triggers: outputs, every time and
+//      every counter (plain_plane.hpp).  On the mapping itself the two
+//      planes agree.
 //
 // A failure prints the configuration's seed and every drawn parameter.
 
@@ -29,6 +33,7 @@
 #include "ee/ee_transform.hpp"
 #include "heap_oracle.hpp"
 #include "netlist/sync_sim.hpp"
+#include "plain_plane.hpp"
 #include "plogic/pl_mapper.hpp"
 #include "sim/measure.hpp"
 #include "sim/pl_sim.hpp"
@@ -256,6 +261,39 @@ void check_netlist(const config& c, const nl::netlist& sync,
     }
 }
 
+/// (d) for both protocols, every delay model and both environment modes.
+void expect_plain_plane(const config& c, const pl::pl_netlist& plain,
+                        const pl::pl_netlist& ee) {
+    const std::vector<std::vector<bool>> vectors =
+        random_vectors(k_waves, plain.sources().size(), c.seed);
+    const stimulus_block block =
+        make_stimulus(c.lane_vectors, plain.sources().size(), ~c.seed).front();
+    for (const auto& [name, delays] : delay_models(c)) {
+        for (bool non_pipelined : {true, false}) {
+            SCOPED_TRACE("plain plane, " + name + " delays, " +
+                         (non_pipelined ? "non-pipelined" : "pipelined"));
+            sim_options opts;
+            opts.delays = delays;
+            opts.non_pipelined = non_pipelined;
+            pl_simulator want(plain, opts);
+            pl_simulator got(ee, opts);
+            const std::vector<wave_record> waves = want.run(vectors);
+            const sim_run_stats stats = want.stats();
+            testing::expect_plain_waves(waves, waves, "mapping");
+            testing::expect_same_stats(stats, want.plain_stats(), "mapping");
+            testing::expect_plain_waves(waves, got.run(vectors), "ee");
+            testing::expect_same_stats(stats, got.plain_stats(), "ee");
+
+            const lane_block_result lanes = want.run_lanes(block);
+            const sim_run_stats lane_stats = want.stats();
+            testing::expect_plain_lanes(lanes, lanes, "mapping lanes");
+            testing::expect_same_stats(lane_stats, want.plain_stats(), "mapping lanes");
+            testing::expect_plain_lanes(lanes, got.run_lanes(block), "ee lanes");
+            testing::expect_same_stats(lane_stats, got.plain_stats(), "ee lanes");
+        }
+    }
+}
+
 TEST(SimDifferential, RandomConfigurationsAgreeWithEveryReference) {
     for (int i = 1; i <= k_configs; ++i) {
         const config c = draw_config(static_cast<std::uint64_t>(i));
@@ -266,6 +304,7 @@ TEST(SimDifferential, RandomConfigurationsAgreeWithEveryReference) {
         pl::map_result with_ee = pl::map_to_phased_logic(sync);
         ee::apply_early_evaluation(with_ee.pl, {.search = c.search});
         check_netlist(c, sync, with_ee.pl, "ee");
+        expect_plain_plane(c, plain.pl, with_ee.pl);
         if (HasFailure()) return;  // the first failing configuration is enough
     }
 }

@@ -7,7 +7,9 @@
 // the evaluator's contracts: the event budget at and around wave
 // boundaries and the progress beats (the counts of counting every firing),
 // trace order, early EE outputs timed before the master's own readiness,
-// the wave -1 preset across mixed protocols on one simulator, the
+// the plain time plane of an EE netlist against the oracle on the mapping
+// without its triggers, the wave -1 preset across mixed protocols on one
+// simulator, the
 // rejection of unsafe, dead and split-reset netlists on both protocols,
 // and the compile-time rejection of miswired and unsound EE pairs.
 
@@ -20,6 +22,7 @@
 #include "ee/ee_transform.hpp"
 #include "heap_oracle.hpp"
 #include "obs/flight_recorder.hpp"
+#include "plain_plane.hpp"
 #include "plogic/pl_mapper.hpp"
 #include "plogic/pl_netlist.hpp"
 #include "sim/errors.hpp"
@@ -122,9 +125,35 @@ pl::pl_netlist map_with_ee(const nl::netlist& netlist) {
     return std::move(mapped.pl);
 }
 
+/// The plain time plane of `ee`, an EE netlist, against the heap oracle on
+/// `plain`, the same netlist without its triggers: outputs, every wave's
+/// times and every counter, in both environment modes.
+void expect_plain_plane_matches_oracle(const pl::pl_netlist& plain,
+                                       const pl::pl_netlist& ee,
+                                       const std::string& label,
+                                       std::size_t num_vectors) {
+    const std::vector<std::vector<bool>> vectors =
+        random_vectors(num_vectors, plain.sources().size(), 0x5eed);
+    for (bool non_pipelined : {true, false}) {
+        const std::string mode =
+            label + " plain plane" + (non_pipelined ? " non-pipelined" : " pipelined");
+        sim_options opts;
+        opts.non_pipelined = non_pipelined;
+        testing::heap_oracle oracle(plain, opts);
+        const std::vector<wave_record> want = oracle.run(vectors);
+        pl_simulator simulator(ee, opts);
+        testing::expect_plain_waves(want, simulator.run(vectors), mode);
+        testing::expect_same_stats(oracle.stats(), simulator.plain_stats(), mode);
+    }
+}
+
 TEST(SimQueue, Itc99SuiteBitIdentical) {
     for (const bench::benchmark_info& info : bench::itc99_suite()) {
-        check_all_modes(map_with_ee(info.build()), info.id, 6);
+        const pl::map_result plain = pl::map_to_phased_logic(info.build());
+        pl::pl_netlist ee = plain.pl;
+        ee::apply_early_evaluation(ee);
+        check_all_modes(ee, info.id, 6);
+        expect_plain_plane_matches_oracle(plain.pl, ee, info.id, 6);
     }
 }
 
@@ -134,10 +163,11 @@ TEST(SimQueue, WorkloadPresetsBitIdentical) {
             wl::generate(wl::scenario_params(kind, 120, 99));
         // Plain PL mapping and the EE-transformed circuit both count: the
         // EE masters exercise the efire path and the invariant checker.
-        check_all_modes(pl::map_to_phased_logic(netlist).pl,
-                        std::string(wl::to_string(kind)) + "/plain", 8);
-        check_all_modes(map_with_ee(netlist),
-                        std::string(wl::to_string(kind)) + "/ee", 8);
+        const pl::pl_netlist plain = pl::map_to_phased_logic(netlist).pl;
+        const pl::pl_netlist ee = map_with_ee(netlist);
+        check_all_modes(plain, std::string(wl::to_string(kind)) + "/plain", 8);
+        check_all_modes(ee, std::string(wl::to_string(kind)) + "/ee", 8);
+        expect_plain_plane_matches_oracle(plain, ee, wl::to_string(kind), 8);
     }
 }
 
@@ -409,12 +439,17 @@ TEST(SimQueue, MixedProtocolsOnOneSimulatorMatchFreshOnes) {
             EXPECT_EQ(waves[w].input_stable, want[w].input_stable);
             EXPECT_EQ(waves[w].output_stable, want[w].output_stable);
             EXPECT_EQ(waves[w].release_time, want[w].release_time);
+            EXPECT_EQ(waves[w].plain_input_stable, want[w].plain_input_stable);
+            EXPECT_EQ(waves[w].plain_output_stable, want[w].plain_output_stable);
+            EXPECT_EQ(waves[w].plain_release_time, want[w].plain_release_time);
         }
         pl_simulator fresh_lanes(pl);
         const lane_block_result lane_want = fresh_lanes.run_lanes(blocks[round % 2]);
         EXPECT_EQ(lanes.outputs, lane_want.outputs) << round;
         EXPECT_EQ(lanes.input_stable, lane_want.input_stable);
         EXPECT_EQ(lanes.output_stable, lane_want.output_stable);
+        EXPECT_EQ(lanes.plain_input_stable, lane_want.plain_input_stable);
+        EXPECT_EQ(lanes.plain_output_stable, lane_want.plain_output_stable);
     }
 }
 
@@ -517,13 +552,10 @@ TEST(SimQueue, TraceSortedByTimeThenEdgeInWaveOrder) {
     }
 }
 
-/// Sources a and b feed the EE master m = a AND c, where c is b behind a
-/// chain of `chain` inverters; m's trigger over a is `trigger`, by default
-/// a == 0.  Every data edge has its own initially marked acknowledge, so
-/// the netlist is live and safe.  With a == 0 the early output is timed
-/// before the slow input arrives, i.e. before m's own t_ready.
-pl::pl_netlist ee_pair_behind_slow_input(
-    int chain, const bf::truth_table& trigger = ~bf::truth_table::variable(1, 0)) {
+/// Sources a and b feed m = a AND c (gate chain + 2), where c is b behind a
+/// chain of `chain` inverters, and m feeds sink y.  Every data edge has its
+/// own initially marked acknowledge, so the netlist is live and safe.
+pl::pl_netlist pair_behind_slow_input(int chain) {
     pl::pl_netlist pl;
     const pl::gate_id a = pl.add_gate(pl::gate_kind::source, "a");
     const pl::gate_id b = pl.add_gate(pl::gate_kind::source, "b");
@@ -546,7 +578,18 @@ pl::pl_netlist ee_pair_behind_slow_input(
     const pl::gate_id y = pl.add_gate(pl::gate_kind::sink, "y");
     pl.add_data_edge(m, y, 0, false, false);
     pl.add_ack_edge(y, m, true);
-    pl.attach_trigger(m, trigger, 0b01);
+    return pl;
+}
+
+/// pair_behind_slow_input with m made an EE master whose trigger over the
+/// `support` pins (by default a) is `trigger`, by default "the pin is 0".
+/// With a == 0 the early output is timed before the slow input arrives,
+/// i.e. before m's own t_ready.
+pl::pl_netlist ee_pair_behind_slow_input(
+    int chain, const bf::truth_table& trigger = ~bf::truth_table::variable(1, 0),
+    std::uint32_t support = 0b01) {
+    pl::pl_netlist pl = pair_behind_slow_input(chain);
+    pl.attach_trigger(static_cast<pl::gate_id>(chain + 2), trigger, support);
     return pl;
 }
 
@@ -572,6 +615,57 @@ TEST(SimQueue, EarlyOutputBeforeMasterReadyMatchesHeap) {
             EXPECT_GT(dataflow.stats.ee_wins, 0u) << label;
             expect_identical(heap, dataflow, label);
         }
+    }
+}
+
+TEST(SimQueue, PlainPlaneOfAnEePairMatchesTheGadgetFreeNetlist) {
+    // The plain plane of a run of an EE netlist must time the netlist
+    // without the trigger exactly as the heap oracle times that netlist, on
+    // both protocols.  Two pairs: the trigger over the fast pin a wins (with
+    // a == 0, m's output lands before its slow input, while m waits for it
+    // in the plain plane), and the trigger over the slow pin arrives after
+    // m's other pins, so a plain plane that saw it would read m late.
+    constexpr int k_chain = 3;
+    const pl::pl_netlist plain = pair_behind_slow_input(k_chain);
+    ASSERT_TRUE(plain.verify().ok()) << plain.verify().violation;
+    std::vector<std::vector<bool>> vectors;
+    for (int k = 0; k < 16; ++k) vectors.push_back({k % 3 == 2, (k & 1) != 0});
+    const stimulus_block block = make_stimulus(64, 2, 3).front();
+    const delay_model d{};
+    const double slow_arrival = d.d_source + k_chain * d.gate_delay();
+    for (const std::uint32_t support : {0b01u, 0b10u}) {
+        const pl::pl_netlist ee = ee_pair_behind_slow_input(
+            k_chain, ~bf::truth_table::variable(1, 0), support);
+        for (bool non_pipelined : {true, false}) {
+            const std::string mode = "support " + std::to_string(support) +
+                                     (non_pipelined ? " non-pipelined" : " pipelined");
+            sim_options opts;
+            opts.non_pipelined = non_pipelined;
+            testing::heap_oracle oracle(plain, opts);
+            const std::vector<wave_record> want = oracle.run(vectors);
+            pl_simulator simulator(ee, opts);
+            const std::vector<wave_record> waves = simulator.run(vectors);
+            if (support == 0b01u) {
+                EXPECT_LT(waves[0].output_stable, slow_arrival) << mode;
+                EXPECT_GT(waves[0].plain_output_stable, slow_arrival) << mode;
+                EXPECT_GT(simulator.stats().ee_wins, 0u) << mode;
+            }
+            testing::expect_plain_waves(want, waves, mode);
+            testing::expect_same_stats(oracle.stats(), simulator.plain_stats(), mode);
+        }
+
+        // With the trigger over a, lanes with a == 0 take the early path, so
+        // the EE plane splits; the plain plane stays one time for every
+        // lane, that of the netlist without the trigger.
+        pl_simulator want(plain);
+        const lane_block_result want_lanes = want.run_lanes(block);
+        pl_simulator got(ee);
+        const lane_block_result got_lanes = got.run_lanes(block);
+        if (support == 0b01u) {
+            EXPECT_GT(got.stats().lane_splits, 0u);
+        }
+        testing::expect_plain_lanes(want_lanes, got_lanes, "lanes");
+        testing::expect_same_stats(want.stats(), got.plain_stats(), "lanes");
     }
 }
 
