@@ -10,15 +10,17 @@
 // cut measure_average_delay uses for sim_wall_ms.
 //
 // Reported per scenario and for the whole mix: events/s of the
-// sequential-wave protocol (run / run_packed).  The mix row can fan
+// sequential-wave protocol (run / run_packed), counting the events of both
+// time planes, as the fleet's sim_events_per_s does.  The mix row can fan
 // circuits across worker threads (--threads) to mirror how the fleet runner
 // drives shards.  tests/test_sim_queue.cpp checks the evaluator against a
 // time-ordered reference.
 //
-// The `lanes` row measures the lane protocol (run_lanes) on the same mix.
-// Before timing, run_lanes is cross-checked against 64 serial per-vector
-// runs on every circuit (bit-identical outputs, times, delays and EE
-// counters, non-zero exit on mismatch).  Then an interleaved A/B times the
+// The `lanes` row measures the lane protocol (one run_lanes call over a
+// circuit's blocks) on the same mix.  Before timing, run_lanes is
+// cross-checked against 64 serial per-vector runs on every circuit
+// (bit-identical outputs, times, delays and EE counters, non-zero exit on
+// mismatch).  Then an interleaved A/B times the
 // synchronous measure path — the lanes=1 golden loop (set/eval/read/latch
 // per vector) against the 64-lane word-parallel loop — plus the PL serial
 // runs against run_lanes, reporting vectors/s each way and the divergent
@@ -76,8 +78,9 @@ struct circuit {
 /// fanned over worker_count(threads, group) workers pulling from a shared
 /// counter, as the fleet runner does.  Simulator construction (the schedule
 /// compile) happens outside the clock — this is the same cut
-/// measure_average_delay uses for sim_wall_ms, so events/s here and the
-/// fleet's sim_events_per_s measure the same thing.
+/// measure_both_arms uses for sim_wall_ms — and the events are both
+/// planes' (stats() and plain_stats()), so events/s here and the fleet's
+/// sim_events_per_s measure the same thing.
 double timed_pass(const std::vector<const circuit*>& group, unsigned threads,
                   std::uint64_t* events_out) {
     std::atomic<std::size_t> next{0};
@@ -91,7 +94,8 @@ double timed_pass(const std::vector<const circuit*>& group, unsigned threads,
             sim::pl_simulator simulator(c.pl);
             const wall_timer timer;
             simulator.run(c.vectors);
-            events.fetch_add(simulator.stats().events);
+            events.fetch_add(simulator.stats().events +
+                             simulator.plain_stats().events);
             wall_ns.fetch_add(
                 static_cast<std::int64_t>(std::llround(timer.elapsed_ms() * 1e6)));
         }
@@ -132,25 +136,24 @@ struct lane_check {
     }
 };
 
-/// Lane protocol golden gate: run_lanes over every block of `c` must match 64
-/// serial single-vector runs bit for bit — sink values, per-vector stable
-/// times — and the summed EE counters must be equal.
+/// Lane protocol golden gate: run_lanes over the blocks of `c` must match 64
+/// serial single-vector runs per block bit for bit — sink values,
+/// per-vector stable times and delays — and the summed EE counters must be
+/// equal.
 lane_check check_lanes_vs_serial(const circuit& c) {
+    sim::pl_simulator lane_sim(c.pl);
+    sim::pl_simulator ref(c.pl);
+    const std::vector<sim::lane_block_result> results = lane_sim.run_lanes(c.blocks);
+    const sim::sim_run_stats& ls = lane_sim.stats();
     lane_check out;
-    sim::pl_simulator lane_sim(c.pl, sim::sim_options{});
-    sim::pl_simulator ref(c.pl, sim::sim_options{});
-    sim::sim_run_stats lane_total{};
+    out.events = ls.events;
+    out.lane_splits = ls.lane_splits;
+    out.lane_slab_deposits = ls.lane_slab_deposits;
     sim::sim_run_stats ref_total{};
     std::vector<std::vector<bool>> one(1);
-    for (const sim::stimulus_block& block : c.blocks) {
-        const sim::lane_block_result lr = lane_sim.run_lanes(block);
-        const sim::sim_run_stats& ls = lane_sim.stats();
-        lane_total.ee_hits += ls.ee_hits;
-        lane_total.ee_misses += ls.ee_misses;
-        lane_total.ee_wins += ls.ee_wins;
-        out.events += ls.events;
-        out.lane_splits += ls.lane_splits;
-        out.lane_slab_deposits += ls.lane_slab_deposits;
+    for (std::size_t b = 0; b < c.blocks.size(); ++b) {
+        const sim::stimulus_block& block = c.blocks[b];
+        const sim::lane_block_result& lr = results[b];
         for (std::size_t lane = 0; lane < block.num_vectors; ++lane) {
             block.extract(lane, one[0]);
             const std::vector<sim::wave_record> waves = ref.run(one);
@@ -161,7 +164,7 @@ lane_check check_lanes_vs_serial(const circuit& c) {
             const sim::wave_record& w = waves.front();
             if (w.input_stable != lr.input_stable[lane] ||
                 w.output_stable != lr.output_stable[lane] ||
-                w.delay() != lr.delay(lane)) {
+                w.delay() != lr.output_stable[lane]) {
                 out.ok = false;
                 return out;
             }
@@ -173,14 +176,13 @@ lane_check check_lanes_vs_serial(const circuit& c) {
             }
         }
     }
-    out.ok = lane_total.ee_hits == ref_total.ee_hits &&
-             lane_total.ee_misses == ref_total.ee_misses &&
-             lane_total.ee_wins == ref_total.ee_wins;
+    out.ok = ls.ee_hits == ref_total.ee_hits && ls.ee_misses == ref_total.ee_misses &&
+             ls.ee_wins == ref_total.ee_wins;
     return out;
 }
 
 /// One timed pass of the lanes=1 golden loop (set/eval/read/latch per
-/// vector, the measure_serial hot loop) over a circuit's stimulus.
+/// vector, measure's golden run at lanes 1) over a circuit's stimulus.
 double sync_scalar_pass(const circuit& c,
                         const std::vector<std::vector<bool>>& vecs,
                         std::size_t* sink) {
@@ -197,7 +199,7 @@ double sync_scalar_pass(const circuit& c,
 }
 
 /// One timed pass of the lanes=64 golden loop (reset/set/eval/read per
-/// block, the measure_lanes hot loop) over the same stimulus, packed.
+/// block, measure's golden run at lanes 64) over the same stimulus, packed.
 double sync_lane_pass(const circuit& c,
                       const std::vector<sim::stimulus_block>& blocks,
                       std::uint64_t* sink) {
@@ -227,11 +229,11 @@ double pl_serial_pass(const circuit& c) {
     return timer.elapsed_ms();
 }
 
-/// One timed pass of the lane protocol, run_lanes per block.
+/// One timed pass of the lane protocol, one run_lanes call over every block.
 double pl_lane_pass(const circuit& c) {
     sim::pl_simulator simulator(c.pl);
     const wall_timer timer;
-    for (const sim::stimulus_block& b : c.blocks) simulator.run_lanes(b);
+    simulator.run_lanes(c.blocks);
     return timer.elapsed_ms();
 }
 
@@ -462,11 +464,8 @@ int main(int argc, char** argv) {
             sim::measure_options mopts;
             mopts.num_vectors = vectors;
             mopts.seed = seed ^ (i * 0x9e3779b97f4a7c15ull);
-            const sim::measure_arms arms = sim::measure_both_arms(
-                mix[i].pl,
-                sim::make_measure_reference(&mix[i].sync, mix[i].pl.sources().size(),
-                                            mopts),
-                mopts);
+            const sim::measure_arms arms =
+                sim::measure_both_arms(mix[i].pl, &mix[i].sync, mopts);
             delay_plain.merge(arms.plain.delay_hist);
             delay_ee.merge(arms.ee.delay_hist);
         }

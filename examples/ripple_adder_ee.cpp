@@ -70,10 +70,7 @@ int main() {
 
     sim::measure_options opts;
     opts.num_vectors = 200;
-    const sim::measure_arms arms = sim::measure_both_arms(
-        mapped.pl,
-        sim::make_measure_reference(&netlist, mapped.pl.sources().size(), opts),
-        opts);
+    const sim::measure_arms arms = sim::measure_both_arms(mapped.pl, &netlist, opts);
     const sim::measure_result& r_base = arms.plain;
     const sim::measure_result& r_ee = arms.ee;
 

@@ -2,14 +2,12 @@
 //
 // A `trace` is a per-job record of nested, timed stages: every
 // `run_ee_experiment` call carries one, and each pipeline stage
-// (map_to_pl → measure.reference → ee.pass → measure, with a sim.golden
-// child inside measure.reference, an ee.search child inside ee.pass, and
-// sim.compile and sim.run children inside measure, the one simulation that
-// measures both arms) opens a `scoped_span` on entry and closes it on scope
-// exit.  The result — start offset,
-// duration, and parent index per span — rides in `job_result` so a fleet
-// report can answer "where did this job's time go" per job, not just in
-// aggregate.
+// (map_to_pl → ee.pass → measure, with an ee.search child inside ee.pass,
+// and sim.golden, sim.compile and sim.run children inside measure, the one
+// measurement that gives both arms) opens a `scoped_span` on entry and
+// closes it on scope exit.  The result — start offset, duration, and parent
+// index per span — rides in `job_result` so a fleet report can answer
+// "where did this job's time go" per job, not just in aggregate.
 //
 // Design points:
 //  * Nesting is by parent index into the span vector, maintained by a

@@ -19,23 +19,15 @@ experiment_row run_ee_experiment(const std::string& description,
     job_context ctx = context;
     if (ctx.label.empty()) ctx.label = description;
 
-    // Each stage opens its own top-level span (sim.golden nests inside
-    // measure.reference, sim.compile and sim.run inside measure; the EE
-    // pass opens ee.pass itself), so the trace reads as the stage sequence
-    // of the header comment.
+    // Each stage opens its own top-level span (the EE pass opens ee.pass
+    // itself; sim.golden, sim.compile and sim.run nest inside measure), so
+    // the trace reads as the stage sequence of the header comment.
     ctx.poll("pipeline.map", 0);
     pl::map_result mapped = [&] {
         const obs::scoped_span span(ctx.trace, "map_to_pl");
         return pl::map_to_phased_logic(netlist, options.map);
     }();
     row.pl_gates = mapped.pl.num_pl_gates();
-    // One stimulus and one golden run serve both arms: the EE transform adds
-    // no sources, so both draw the same vectors.
-    const sim::measure_reference reference = [&] {
-        const obs::scoped_span span(ctx.trace, "measure.reference");
-        return sim::make_measure_reference(&netlist, mapped.pl.sources().size(),
-                                           options.measure, ctx);
-    }();
 
     // Early Evaluation applied in place.  The EE pass only appends trigger
     // gates and their edges, so the EE netlist still holds the plain mapping,
@@ -44,11 +36,10 @@ experiment_row run_ee_experiment(const std::string& description,
     ctx.poll("pipeline.ee", 0);
     row.ee_detail = ee::apply_early_evaluation(mapped.pl, options.ee, ctx);
     row.ee_gates = mapped.pl.num_trigger_gates();
-    sim::measure_arms arms;
-    {
+    sim::measure_arms arms = [&] {
         const obs::scoped_span span(ctx.trace, "measure");
-        arms = sim::measure_both_arms(mapped.pl, reference, options.measure, ctx);
-    }
+        return sim::measure_both_arms(mapped.pl, &netlist, options.measure, ctx);
+    }();
     row.delay_no_ee = arms.plain.avg_delay;
     row.stats_no_ee = arms.plain.stats;
     row.delay_hist_no_ee = std::move(arms.plain.delay_hist);

@@ -1,15 +1,15 @@
 // experiment.hpp — the end-to-end Table 3 experiment pipeline.
 //
 // One row of the paper's Table 3 is produced by one pass:
-//   synchronous netlist -> PL mapping -> stimulus and golden outputs
-//     -> EE transform, in place -> measure (100 random vectors)
+//   synchronous netlist -> PL mapping -> EE transform, in place
+//     -> measure (100 random vectors: stimulus, golden outputs, one run)
 // and reporting: PL gate count, EE gate count, both average delays, the
 // delay difference, % area increase (EE gates / PL gates) and % delay
-// decrease.  The netlist is mapped once, the golden model runs once, and
-// one simulation of the EE netlist measures both arms: its plain time
-// plane is the mapping without the triggers (sim::measure_both_arms).  The
-// arms' PL outputs are the same words, checked against the golden outputs
-// wave by wave.
+// decrease.  The netlist is mapped once, and one measurement of the EE
+// netlist (sim::measure_both_arms) gives both arms: it draws the stimulus,
+// runs the golden model once and simulates once, and the simulation's plain
+// time plane is the mapping without the triggers.  The arms' PL outputs
+// are the same words, checked against the golden outputs wave by wave.
 
 #pragma once
 
@@ -77,12 +77,12 @@ struct experiment_row {
 /// stage; an empty ctx.label becomes `description`.  `ctx` is polled before
 /// the mapping (site "pipeline.map") and before the EE pass
 /// ("pipeline.ee"), and the stages poll it inside.  On ctx.trace the pass
-/// opens one span per stage, once each (map_to_pl → measure.reference →
-/// ee.pass → measure), with a sim.golden child inside measure.reference, an
-/// ee.search child (the trigger search alone) inside ee.pass, and
-/// sim.compile (the wave schedule) and sim.run children, in that order,
-/// inside measure.  Spans close on exception unwind, so a failed run still
-/// carries a partial breakdown.
+/// opens one span per stage, once each (map_to_pl → ee.pass → measure),
+/// with an ee.search child (the trigger search alone) inside ee.pass, and
+/// sim.golden (the stimulus's golden outputs), sim.compile (the wave
+/// schedule) and sim.run children, in that order, inside measure.  Spans
+/// close on exception unwind, so a failed run still carries a partial
+/// breakdown.
 experiment_row run_ee_experiment(const std::string& description,
                                  const nl::netlist& netlist,
                                  const experiment_options& options = {},

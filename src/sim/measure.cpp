@@ -20,108 +20,83 @@ namespace {
 [[noreturn]] void throw_mismatch(const job_context& ctx, std::size_t mismatched,
                                  std::size_t total) {
     throw plee_error(
-        "measure_average_delay[" + (ctx.label.empty() ? "?" : ctx.label) +
+        "measure[" + (ctx.label.empty() ? "?" : ctx.label) +
             "]: PL outputs diverge from the synchronous golden model on " +
             std::to_string(mismatched) + " of " + std::to_string(total) +
             " waves");
 }
 
-/// Counts the vectors whose outputs differ from the reference's golden
-/// outputs; `got` has the layout of measure_reference::expected.
-std::size_t count_mismatches(const measure_reference& reference,
+/// The stimulus of a measurement, drawn block by block.  Polls `ctx` before
+/// each block with the vectors drawn so far.
+std::vector<stimulus_block> draw_stimulus(std::size_t width, const measure_options& options,
+                                          const job_context& ctx) {
+    stimulus_stream stream(width, options.seed);
+    std::vector<stimulus_block> blocks;
+    blocks.reserve((options.num_vectors + k_lanes - 1) / k_lanes);
+    for (std::size_t drawn = 0; drawn < options.num_vectors; drawn += k_lanes) {
+        ctx.poll("sim.stimulus", drawn);
+        blocks.push_back(stream.next(std::min(k_lanes, options.num_vectors - drawn)));
+    }
+    return blocks;
+}
+
+/// The golden model's outputs on `blocks` under the `lanes` protocol, one
+/// word per output per block: bit L of word b * n + j is output j of
+/// vector 64*b + L.  At lanes 1 that vector is wave 64*b + L of one
+/// sequential run; at lanes 64 it runs alone from reset.  Lanes past a
+/// block's num_vectors are zero.  Polls `ctx` before each block with the
+/// vectors done so far, so a deadline stops it within one block.
+std::vector<std::uint64_t> run_golden(const nl::netlist& golden,
+                                      const std::vector<stimulus_block>& blocks,
+                                      std::size_t lanes, const job_context& ctx) {
+    const std::vector<nl::cell_id>& outputs = golden.outputs();
+    const std::size_t n = outputs.size();
+    std::vector<std::uint64_t> expected(blocks.size() * n, 0);
+    if (lanes == 1) {
+        nl::sync_simulator gold(golden);
+        std::vector<bool> inputs;
+        for (std::size_t b = 0; b < blocks.size(); ++b) {
+            ctx.poll("sim.golden", b * k_lanes);
+            const stimulus_block& block = blocks[b];
+            for (std::size_t lane = 0; lane < block.num_vectors; ++lane) {
+                block.extract(lane, inputs);
+                gold.set_inputs(inputs);
+                gold.eval();
+                for (std::size_t j = 0; j < n; ++j) {
+                    expected[b * n + j] |= std::uint64_t{gold.value_of(outputs[j])}
+                                           << lane;
+                }
+                gold.latch();
+            }
+        }
+        return expected;
+    }
+    nl::sync_lane_simulator gold(golden);
+    for (std::size_t b = 0; b < blocks.size(); ++b) {
+        ctx.poll("sim.golden", b * k_lanes);
+        const stimulus_block& block = blocks[b];
+        gold.reset();
+        gold.set_inputs(block.words.data(), block.width);
+        gold.eval();
+        std::uint64_t* words = expected.data() + b * n;
+        gold.output_values(words);
+        for (std::size_t j = 0; j < n; ++j) words[j] &= block.lane_mask();
+    }
+    return expected;
+}
+
+/// Counts the vectors whose `n` outputs `got` differ from `expected`, both
+/// in run_golden's layout.
+std::size_t count_mismatches(const std::vector<stimulus_block>& blocks, std::size_t n,
+                             const std::vector<std::uint64_t>& expected,
                              const std::vector<std::uint64_t>& got) {
     std::size_t mismatched = 0;
-    const std::size_t n = reference.num_outputs;
-    for (std::size_t b = 0; b < reference.blocks.size(); ++b) {
+    for (std::size_t b = 0; b < blocks.size(); ++b) {
         std::uint64_t diff = 0;
-        for (std::size_t j = 0; j < n; ++j) {
-            diff |= got[b * n + j] ^ reference.expected[b * n + j];
-        }
-        mismatched += static_cast<std::size_t>(
-            std::popcount(diff & reference.blocks[b].lane_mask()));
+        for (std::size_t j = 0; j < n; ++j) diff |= got[b * n + j] ^ expected[b * n + j];
+        mismatched += static_cast<std::size_t>(std::popcount(diff & blocks[b].lane_mask()));
     }
     return mismatched;
-}
-
-/// Compiles pl's wave schedule inside a sim.compile span.
-pl_simulator compile_simulator(const pl::pl_netlist& pl, const measure_options& options,
-                               const job_context& ctx) {
-    const obs::scoped_span span(ctx.trace, "sim.compile");
-    return pl_simulator(pl, options.sim, ctx);
-}
-
-/// Adds every counter of `s` to `total`.
-void add_stats(sim_run_stats& total, const sim_run_stats& s) {
-    total.events += s.events;
-    total.firings += s.firings;
-    total.ee_hits += s.ee_hits;
-    total.ee_misses += s.ee_misses;
-    total.ee_wins += s.ee_wins;
-    total.lane_blocks += s.lane_blocks;
-    total.lane_vectors += s.lane_vectors;
-    total.lane_splits += s.lane_splits;
-    total.lane_slab_deposits += s.lane_slab_deposits;
-}
-
-/// Sequential-wave protocol: one run over all vectors.  Both protocols
-/// read both time planes into the arms and pack the PL outputs like
-/// measure_reference::expected into `outputs`.
-void measure_serial(const pl::pl_netlist& pl, const measure_reference& reference,
-                    const measure_options& options, const job_context& ctx,
-                    measure_arms& arms, std::vector<std::uint64_t>& outputs) {
-    pl_simulator simulator = compile_simulator(pl, options, ctx);
-    std::vector<wave_record> waves;
-    {
-        const obs::scoped_span span(ctx.trace, "sim.run");
-        const wall_timer timer;
-        waves = simulator.run_packed(reference.blocks);
-        arms.ee.sim_wall_ms = timer.elapsed_ms();
-    }
-    arms.ee.stats = simulator.stats();
-    arms.plain.stats = simulator.plain_stats();
-
-    const std::size_t n = pl.sinks().size();
-    outputs.assign(reference.blocks.size() * n, 0);
-    for (std::size_t w = 0; w < waves.size(); ++w) {
-        for (std::size_t j = 0; j < n; ++j) {
-            outputs[(w / k_lanes) * n + j] |=
-                std::uint64_t{waves[w].outputs[j]} << (w % k_lanes);
-        }
-    }
-
-    arms.ee.delays.reserve(waves.size());
-    arms.plain.delays.reserve(waves.size());
-    for (const wave_record& w : waves) {
-        arms.ee.delays.push_back(w.delay());
-        arms.plain.delays.push_back(w.plain_delay());
-    }
-}
-
-/// Lane-parallel protocol: 64 independent single-vector runs per block.
-void measure_lanes(const pl::pl_netlist& pl, const measure_reference& reference,
-                   const measure_options& options, const job_context& ctx,
-                   measure_arms& arms, std::vector<std::uint64_t>& outputs) {
-    pl_simulator simulator = compile_simulator(pl, options, ctx);
-    std::vector<lane_block_result> lane_results;
-    lane_results.reserve(reference.blocks.size());
-    {
-        const obs::scoped_span span(ctx.trace, "sim.run");
-        const wall_timer timer;
-        for (const stimulus_block& block : reference.blocks) {
-            lane_results.push_back(simulator.run_lanes(block));
-            add_stats(arms.ee.stats, simulator.stats());
-            add_stats(arms.plain.stats, simulator.plain_stats());
-        }
-        arms.ee.sim_wall_ms = timer.elapsed_ms();
-    }
-
-    for (const lane_block_result& r : lane_results) {
-        outputs.insert(outputs.end(), r.outputs.begin(), r.outputs.end());
-        for (std::size_t lane = 0; lane < r.num_vectors; ++lane) {
-            arms.ee.delays.push_back(r.delay(lane));
-            arms.plain.delays.push_back(r.plain_delay(lane));
-        }
-    }
 }
 
 /// The delay statistics of one arm, and with telemetry its distribution.
@@ -183,88 +158,89 @@ void flush(std::initializer_list<const measure_result*> arms, double sim_wall_ms
                          : static_cast<std::uint64_t>(std::llround(sim_wall_ms * 1e3)));
 }
 
-/// One compile, one run and one golden comparison: both arms, unflushed.
-measure_arms measure_planes(const pl::pl_netlist& pl, const measure_reference& reference,
+/// The measurement: checks, draw, golden run, one compile, one run and one
+/// golden comparison.  Both arms, unflushed.
+measure_arms measure_planes(const pl::pl_netlist& pl, const nl::netlist* golden,
                             const measure_options& options, const job_context& ctx) {
-    if (reference.width != pl.sources().size()) {
+    if (golden != nullptr && golden->inputs().size() != pl.sources().size()) {
         throw std::invalid_argument(
-            "measure_average_delay: reference width " +
-            std::to_string(reference.width) + " != " +
-            std::to_string(pl.sources().size()) + " sources");
+            "measure: golden model has " + std::to_string(golden->inputs().size()) +
+            " inputs, netlist " + std::to_string(pl.sources().size()) + " sources");
     }
-    if (reference.lanes != options.lanes) {
+    if (golden != nullptr && golden->outputs().size() != pl.sinks().size()) {
         throw std::invalid_argument(
-            "measure_average_delay: reference built for lanes " +
-            std::to_string(reference.lanes) + ", measuring lanes " +
-            std::to_string(options.lanes));
+            "measure: golden model has " + std::to_string(golden->outputs().size()) +
+            " outputs, netlist " + std::to_string(pl.sinks().size()) + " sinks");
     }
-    if (reference.golden && reference.num_outputs != pl.sinks().size()) {
-        throw std::invalid_argument(
-            "measure_average_delay: golden model has " +
-            std::to_string(reference.num_outputs) + " outputs, netlist " +
-            std::to_string(pl.sinks().size()) + " sinks");
+    if (options.lanes != 1 && options.lanes != k_lanes) {
+        throw std::invalid_argument("measure: lanes must be 1 or 64");
+    }
+    // An average over no vectors is not a measurement: without this check
+    // the run "succeeds" with a 0 ns delay and nothing verified.
+    if (options.num_vectors == 0) {
+        throw std::invalid_argument("measure: num_vectors must be > 0");
     }
 
-    measure_arms arms;
-    std::vector<std::uint64_t> outputs;
-    if (options.lanes == 1) {
-        measure_serial(pl, reference, options, ctx, arms, outputs);
-    } else {
-        measure_lanes(pl, reference, options, ctx, arms, outputs);
+    const std::vector<stimulus_block> blocks =
+        draw_stimulus(pl.sources().size(), options, ctx);
+    std::vector<std::uint64_t> expected;
+    if (golden != nullptr) {
+        const obs::scoped_span span(ctx.trace, "sim.golden");
+        expected = run_golden(*golden, blocks, options.lanes, ctx);
     }
+    pl_simulator simulator = [&] {
+        const obs::scoped_span span(ctx.trace, "sim.compile");
+        return pl_simulator(pl, options.sim, ctx);
+    }();
+
+    // One run reads both time planes into the arms, and the PL outputs into
+    // run_golden's layout.
+    measure_arms arms;
+    const std::size_t n = pl.sinks().size();
+    const auto timed_run = [&](auto run) {
+        const obs::scoped_span span(ctx.trace, "sim.run");
+        const wall_timer timer;
+        auto result = run();
+        arms.ee.sim_wall_ms = timer.elapsed_ms();
+        return result;
+    };
+    std::vector<std::uint64_t> outputs;
+    arms.plain.delays.reserve(options.num_vectors);
+    arms.ee.delays.reserve(options.num_vectors);
+    if (options.lanes == 1) {
+        const std::vector<wave_record> waves =
+            timed_run([&] { return simulator.run_packed(blocks); });
+        outputs.assign(blocks.size() * n, 0);
+        for (std::size_t w = 0; w < waves.size(); ++w) {
+            for (std::size_t j = 0; j < n; ++j) {
+                outputs[(w / k_lanes) * n + j] |=
+                    std::uint64_t{waves[w].outputs[j]} << (w % k_lanes);
+            }
+            arms.ee.delays.push_back(waves[w].delay());
+            arms.plain.delays.push_back(waves[w].plain_delay());
+        }
+    } else {
+        for (const lane_block_result& r :
+             timed_run([&] { return simulator.run_lanes(blocks); })) {
+            outputs.insert(outputs.end(), r.outputs.begin(), r.outputs.end());
+            arms.ee.delays.insert(arms.ee.delays.end(), r.output_stable.begin(),
+                                  r.output_stable.begin() + r.num_vectors);
+            arms.plain.delays.insert(arms.plain.delays.end(), r.num_vectors,
+                                     r.plain_output_stable);
+        }
+    }
+    arms.ee.stats = simulator.stats();
+    arms.plain.stats = simulator.plain_stats();
+
     // The planes share their values, so one comparison checks both arms.
-    if (reference.golden) {
-        const std::size_t mismatched = count_mismatches(reference, outputs);
+    if (golden != nullptr) {
+        const std::size_t mismatched = count_mismatches(blocks, n, expected, outputs);
         if (mismatched > 0) throw_mismatch(ctx, mismatched, arms.ee.delays.size());
     }
     arms.plain.sim_wall_ms = arms.ee.sim_wall_ms;
-    for (measure_result* arm : {&arms.plain, &arms.ee}) {
-        arm->lanes = options.lanes;
-        summarize(*arm, ctx.telemetry);
-    }
+    summarize(arms.plain, ctx.telemetry);
+    summarize(arms.ee, ctx.telemetry);
     return arms;
-}
-
-/// The golden model's outputs on the reference's stimulus, in its layout.
-/// Polls `ctx` before each block with the vectors done so far, so a
-/// deadline stops it within one block.
-void run_golden(const nl::netlist& golden, const job_context& ctx,
-                measure_reference& reference) {
-    const std::vector<nl::cell_id>& outputs = golden.outputs();
-    const std::size_t n = outputs.size();
-    reference.golden = true;
-    reference.num_outputs = n;
-    reference.expected.assign(reference.blocks.size() * n, 0);
-    if (reference.lanes == 1) {
-        nl::sync_simulator gold(golden);
-        std::vector<bool> inputs;
-        for (std::size_t b = 0; b < reference.blocks.size(); ++b) {
-            ctx.poll("sim.golden", b * k_lanes);
-            const stimulus_block& block = reference.blocks[b];
-            for (std::size_t lane = 0; lane < block.num_vectors; ++lane) {
-                block.extract(lane, inputs);
-                gold.set_inputs(inputs);
-                gold.eval();
-                for (std::size_t j = 0; j < n; ++j) {
-                    reference.expected[b * n + j] |=
-                        std::uint64_t{gold.value_of(outputs[j])} << lane;
-                }
-                gold.latch();
-            }
-        }
-        return;
-    }
-    nl::sync_lane_simulator gold(golden);
-    for (std::size_t b = 0; b < reference.blocks.size(); ++b) {
-        ctx.poll("sim.golden", b * k_lanes);
-        const stimulus_block& block = reference.blocks[b];
-        gold.reset();
-        gold.set_inputs(block.words.data(), block.width);
-        gold.eval();
-        std::uint64_t* expected = reference.expected.data() + b * n;
-        gold.output_values(expected);
-        for (std::size_t j = 0; j < n; ++j) expected[j] &= block.lane_mask();
-    }
 }
 
 }  // namespace
@@ -279,66 +255,19 @@ std::vector<std::vector<bool>> random_vectors(std::size_t count, std::size_t wid
     return vectors;
 }
 
-measure_reference make_measure_reference(const nl::netlist* golden,
-                                         std::size_t width,
-                                         const measure_options& options,
-                                         const job_context& ctx) {
-    if (options.lanes != 1 && options.lanes != k_lanes) {
-        throw std::invalid_argument(
-            "make_measure_reference: lanes must be 1 or 64");
-    }
-    // An average over no vectors is not a measurement: without this check
-    // the run "succeeds" with a 0 ns delay and nothing verified.
-    if (options.num_vectors == 0) {
-        throw std::invalid_argument(
-            "make_measure_reference: num_vectors must be > 0");
-    }
-    if (golden != nullptr && golden->inputs().size() != width) {
-        throw std::invalid_argument(
-            "make_measure_reference: width " + std::to_string(width) +
-            " != " + std::to_string(golden->inputs().size()) +
-            " golden inputs");
-    }
-    measure_reference reference;
-    reference.lanes = options.lanes;
-    reference.width = width;
-    stimulus_stream stream(width, options.seed);
-    reference.blocks.reserve((options.num_vectors + k_lanes - 1) / k_lanes);
-    for (std::size_t drawn = 0; drawn < options.num_vectors; drawn += k_lanes) {
-        ctx.poll("sim.stimulus", drawn);
-        reference.blocks.push_back(
-            stream.next(std::min(k_lanes, options.num_vectors - drawn)));
-    }
-    if (golden != nullptr) {
-        const obs::scoped_span span(ctx.trace, "sim.golden");
-        run_golden(*golden, ctx, reference);
-    }
-    return reference;
-}
-
 measure_result measure_average_delay(const pl::pl_netlist& pl,
                                      const nl::netlist* golden,
                                      const measure_options& options,
                                      const job_context& ctx) {
-    return measure_average_delay(
-        pl, make_measure_reference(golden, pl.sources().size(), options, ctx),
-        options, ctx);
-}
-
-measure_result measure_average_delay(const pl::pl_netlist& pl,
-                                     const measure_reference& reference,
-                                     const measure_options& options,
-                                     const job_context& ctx) {
-    measure_arms arms = measure_planes(pl, reference, options, ctx);
+    measure_arms arms = measure_planes(pl, golden, options, ctx);
     if (ctx.telemetry) flush({&arms.ee}, arms.ee.sim_wall_ms);
     return std::move(arms.ee);
 }
 
-measure_arms measure_both_arms(const pl::pl_netlist& pl,
-                               const measure_reference& reference,
+measure_arms measure_both_arms(const pl::pl_netlist& pl, const nl::netlist* golden,
                                const measure_options& options,
                                const job_context& ctx) {
-    measure_arms arms = measure_planes(pl, reference, options, ctx);
+    measure_arms arms = measure_planes(pl, golden, options, ctx);
     if (ctx.telemetry) flush({&arms.plain, &arms.ee}, arms.ee.sim_wall_ms);
     return arms;
 }

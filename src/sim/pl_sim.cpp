@@ -469,13 +469,16 @@ void pl_simulator::run_waves(std::vector<wave_record>& records) {
 // so its time is one scalar per slot for every lane.
 // ---------------------------------------------------------------------------
 
-lane_block_result pl_simulator::run_lanes(const stimulus_block& block) {
-    if (block.width != pl_.sources().size()) {
-        throw std::invalid_argument("pl_simulator::run_lanes: width mismatch");
-    }
-    if (block.num_vectors == 0 || block.num_vectors > k_lanes) {
-        throw std::invalid_argument(
-            "pl_simulator::run_lanes: block must hold 1..64 vectors");
+std::vector<lane_block_result> pl_simulator::run_lanes(
+    const std::vector<stimulus_block>& blocks) {
+    for (const stimulus_block& block : blocks) {
+        if (block.width != pl_.sources().size()) {
+            throw std::invalid_argument("pl_simulator::run_lanes: width mismatch");
+        }
+        if (block.num_vectors == 0 || block.num_vectors > k_lanes) {
+            throw std::invalid_argument(
+                "pl_simulator::run_lanes: every block must hold 1..64 vectors");
+        }
     }
     if (pl_.sinks().empty()) {
         throw std::invalid_argument(
@@ -488,14 +491,6 @@ lane_block_result pl_simulator::run_lanes(const stimulus_block& block) {
     }
 
     begin_run();
-    stats_.lane_blocks = 1;
-    stats_.lane_vectors = block.num_vectors;
-    lane_mask_ = block.lane_mask();
-    lane_sink_words_.assign(pl_.sinks().size(), 0);
-    input_stable_lane_.fill(0.0);
-    output_stable_lane_.fill(0.0);
-    plain_input_stable_ = 0.0;
-    plain_output_stable_ = 0.0;
     if (!slab_pool_) {
         // At most one slab per slot; uninitialized, since varies_ gates
         // every read.
@@ -503,41 +498,34 @@ lane_block_result pl_simulator::run_lanes(const stimulus_block& block) {
         varies_.assign(times_.size(), 0);
         slab_of_.assign(times_.size(), 0);
     }
-    slabs_used_ = 0;
-    run_lane_wave(block);
-    waves_stable_ = 1;
-    plain_stats_.events = plain_events_;
-    plain_stats_.firings = plain_firings_;
-    plain_stats_.lane_blocks = 1;
-    plain_stats_.lane_vectors = block.num_vectors;
-
-    lane_block_result result;
-    result.num_vectors = block.num_vectors;
-    result.outputs.resize(lane_sink_words_.size());
-    for (std::size_t j = 0; j < lane_sink_words_.size(); ++j) {
-        result.outputs[j] = lane_sink_words_[j] & lane_mask_;
+    std::vector<lane_block_result> results(blocks.size());
+    for (std::size_t b = 0; b < blocks.size(); ++b) {
+        run_lane_wave(blocks[b], results[b]);
+        waves_stable_ = b + 1;
     }
-    for (std::size_t lane = 0; lane < block.num_vectors; ++lane) {
-        result.input_stable[lane] = input_stable_lane_[lane];
-        result.output_stable[lane] = output_stable_lane_[lane];
-    }
-    result.plain_input_stable = plain_input_stable_;
-    result.plain_output_stable = plain_output_stable_;
-    return result;
+    plain_stats_.events = blocks.size() * plain_events_;
+    plain_stats_.firings = blocks.size() * plain_firings_;
+    plain_stats_.lane_blocks = stats_.lane_blocks;
+    plain_stats_.lane_vectors = stats_.lane_vectors;
+    return results;
 }
 
 /// The lane wave writes parity 0 and reads each ref itself, so a marked ref
-/// reads the wave -1 preset in parity 1.  Environment firings whose inputs
-/// are all scalar keep one input_stable and one output_stable maximum,
-/// folded into the per-lane arrays after the wave; max is exact, so the
-/// order does not change a bit.
-void pl_simulator::run_lane_wave(const stimulus_block& block) {
+/// reads the wave -1 preset in parity 1, which no lane wave overwrites.
+/// Environment firings whose inputs are all scalar keep one input_stable
+/// and one output_stable maximum, folded into the per-lane arrays after the
+/// wave; max is exact, so the order does not change a bit.
+void pl_simulator::run_lane_wave(const stimulus_block& block, lane_block_result& out) {
     const std::uint32_t n = static_cast<std::uint32_t>(recs_.size());
     const delay_model& dm = options_.delays;
     const double ack_delay = dm.ack_delay();
+    lane_mask_ = block.lane_mask();
+    slabs_used_ = 0;
+    out.num_vectors = block.num_vectors;
+    out.outputs.assign(pl_.sinks().size(), 0);
     time2 input_stable = {0.0, 0.0};
     time2 output_stable = {0.0, 0.0};
-    wave_base_ = 0;
+    wave_base_ = stats_.events;
     std::uint32_t stop = next_stop(0);
     for (std::uint32_t s = 0; s < n; ++s) {
         const gate_rec& d = recs_[s];
@@ -546,7 +534,7 @@ void pl_simulator::run_lane_wave(const stimulus_block& block) {
         bool slab = false;
         for (std::uint32_t i = 0; i < num_refs && !slab; ++i) slab = varies_[r[i]];
         if (slab) {
-            fire_lanes_slab(s, block);
+            fire_lanes_slab(s, block, out);
         } else {
             // Every input carries one time for all lanes: the scalar
             // arithmetic of run_waves, on value words.
@@ -566,7 +554,7 @@ void pl_simulator::run_lane_wave(const stimulus_block& block) {
                 value = block.words[d.env_slot];
                 input_stable = max2(input_stable, t_out);
             } else if (d.kind == role::sink) {
-                lane_sink_words_[d.env_slot] = values_[r[0]];
+                out.outputs[d.env_slot] = values_[r[0]] & lane_mask_;
                 output_stable = max2(output_stable, t_data);
             } else {
                 std::uint64_t ins[bf::k_max_vars];
@@ -613,18 +601,24 @@ void pl_simulator::run_lane_wave(const stimulus_block& block) {
         if (s == stop) stop = reach(s, "lane");
     }
     for (std::size_t l = 0; l < k_lanes; ++l) {
-        input_stable_lane_[l] = std::max(input_stable_lane_[l], input_stable[1]);
-        output_stable_lane_[l] = std::max(output_stable_lane_[l], output_stable[1]);
+        const bool occupied = l < block.num_vectors;
+        out.input_stable[l] =
+            occupied ? std::max(out.input_stable[l], input_stable[1]) : 0.0;
+        out.output_stable[l] =
+            occupied ? std::max(out.output_stable[l], output_stable[1]) : 0.0;
     }
-    plain_input_stable_ = std::max(plain_input_stable_, input_stable[0]);
-    plain_output_stable_ = std::max(plain_output_stable_, output_stable[0]);
-    stats_.events = deposits_[n];
-    stats_.firings = n;
+    out.plain_input_stable = std::max(out.plain_input_stable, input_stable[0]);
+    out.plain_output_stable = std::max(out.plain_output_stable, output_stable[0]);
+    stats_.events = wave_base_ + deposits_[n];
+    stats_.firings += n;
+    ++stats_.lane_blocks;
+    stats_.lane_vectors += block.num_vectors;
 }
 
 /// The EE plane per lane; the plain plane, which never varies, is one
 /// scalar max over the refs' plain times.
-void pl_simulator::fire_lanes_slab(std::uint32_t s, const stimulus_block& block) {
+void pl_simulator::fire_lanes_slab(std::uint32_t s, const stimulus_block& block,
+                                   lane_block_result& out) {
     const gate_rec& d = recs_[s];
     const in_ref* const r = refs_.data() + d.ref_begin;
     const std::uint32_t num_refs = d.ref_end - d.ref_begin;
@@ -647,9 +641,9 @@ void pl_simulator::fire_lanes_slab(std::uint32_t s, const stimulus_block& block)
     if (d.kind == role::source) {
         for (std::size_t l = 0; l < k_lanes; ++l) {
             to[l] = tr[l] + d.delay;
-            input_stable_lane_[l] = std::max(input_stable_lane_[l], to[l]);
+            out.input_stable[l] = std::max(out.input_stable[l], to[l]);
         }
-        plain_input_stable_ = std::max(plain_input_stable_, plain_out);
+        out.plain_input_stable = std::max(out.plain_input_stable, plain_out);
         store_lanes(s, block.words[d.env_slot], to, to, plain_out, plain_out);
         return;
     }
@@ -657,10 +651,10 @@ void pl_simulator::fire_lanes_slab(std::uint32_t s, const stimulus_block& block)
         std::fill_n(to, k_lanes, 0.0);
         gather_lanes(r, d.num_data, to);
         for (std::size_t l = 0; l < k_lanes; ++l) {
-            output_stable_lane_[l] = std::max(output_stable_lane_[l], to[l]);
+            out.output_stable[l] = std::max(out.output_stable[l], to[l]);
         }
-        plain_output_stable_ = std::max(plain_output_stable_, plain_data);
-        lane_sink_words_[d.env_slot] = values_[r[0]];
+        out.plain_output_stable = std::max(out.plain_output_stable, plain_data);
+        out.outputs[d.env_slot] = values_[r[0]] & lane_mask_;
         store_lanes(s, 0, ta, ta, plain_ack, plain_ack);
         return;
     }

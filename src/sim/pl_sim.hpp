@@ -61,8 +61,8 @@
 //
 //  * run / run_packed — the sequential-wave protocol: the waves back to
 //    back, one bit per value.
-//  * run_lanes — 64 independent single-vector runs in one wave over 64-bit
-//    value words (below).
+//  * run_lanes — per stimulus block, 64 independent single-vector runs in
+//    one wave over 64-bit value words (below); the blocks back to back.
 //
 // Contracts (tests/test_sim_queue.cpp and tests/test_sim_differential.cpp
 // check the evaluator against a time-ordered binary-heap oracle,
@@ -88,6 +88,8 @@
 //    wave adds its fixed total at the end, and the checks run at the one
 //    firing whose deposits reach the next check point, found from the
 //    prefix sums.  Budget and beats are those of counting every firing.
+//    A run is one call: the count, the budget and the beats carry across
+//    the waves of run_packed and across the blocks of run_lanes alike.
 //  * Trace order.  trace() is emitted per data out-edge in wave order, then
 //    stable-sorted by (time, edge); one edge's deposits stay in wave order.
 //
@@ -185,35 +187,23 @@ struct sim_run_stats {
     std::uint64_t lane_slab_deposits = 0;
 };
 
-/// Result of one lane-parallel block run: per-lane measurements plus the
+/// One stimulus block of a lane-parallel run: per-lane measurements plus the
 /// primary output values in lane-packed form (bit L of outputs[j] = lane L's
-/// value of sink j).  Lane L reproduces run({vector L}) bit for bit.
+/// value of sink j).  Lane L reproduces run({vector L}) bit for bit.  Every
+/// lane is released at time 0, so output_stable[L] is lane L's delay, the
+/// wave_record::delay() of that run.
 struct lane_block_result {
     std::size_t num_vectors = 0;  ///< occupied lanes (== block.num_vectors)
     std::vector<std::uint64_t> outputs;       ///< per sink, lane-packed
     std::array<double, k_lanes> input_stable{};   ///< per lane
     std::array<double, k_lanes> output_stable{};  ///< per lane
-    /// Per-lane release time — when the environment could present the
-    /// lane's inputs.  Every lane is an independent single-vector run from
-    /// reset, so this is 0.0 today, but delay() subtracts it (mirroring
-    /// wave_record::delay) rather than assuming it, so a nonzero release
-    /// epoch can never silently inflate the reported delay.
-    std::array<double, k_lanes> release{};
-    /// The paper's per-vector delay for lane L, measured exactly like the
-    /// scalar wave_record::delay(): stable output minus release.
-    double delay(std::size_t lane) const {
-        return output_stable[lane] - release[lane];
-    }
 
     /// The plain plane's stable times (see pl_simulator).  The plain
     /// circuit has no EE master and every lane runs from reset, so its times
-    /// agree across lanes: one value per block.
+    /// agree across lanes: one value per block, plain_output_stable being
+    /// every lane's plain delay.
     double plain_input_stable = 0.0;
     double plain_output_stable = 0.0;
-    /// delay(lane) of the plain plane.
-    double plain_delay(std::size_t lane) const {
-        return plain_output_stable - release[lane];
-    }
 };
 
 class pl_simulator {
@@ -239,14 +229,18 @@ public:
     /// full (64 vectors).  This is the allocation-light path measure uses.
     std::vector<wave_record> run_packed(const std::vector<stimulus_block>& blocks);
 
-    /// Lane-parallel mode: simulates every occupied lane of `block` as an
-    /// independent single-vector run from reset, all lanes in one pass.
-    /// Lane L of the result is bit-identical to run({vector L}).  stats()
-    /// afterwards covers the whole block: events/firings count evaluator
-    /// work, ee_* count per-lane semantics.  Throws the same typed failures
-    /// as run.  Requires options.collect_trace == false (throws
+    /// Lane-parallel mode: simulates every occupied lane of each block as an
+    /// independent single-vector run from reset, all lanes of a block in
+    /// one pass, the blocks in order.  Returns one result per block; lane L
+    /// of result b is bit-identical to run({vector L of blocks[b]}).  Each
+    /// block holds 1..64 vectors.  Like run_packed, this is one run:
+    /// stats() afterwards covers every block (events/firings count
+    /// evaluator work, ee_* count per-lane semantics), and the event
+    /// budget, the cancel poll and the sim.progress beats (stamped with the
+    /// blocks done) see the count of the whole run.  Throws the same typed
+    /// failures as run.  Requires options.collect_trace == false (throws
     /// std::invalid_argument — lane tokens have no single trace value).
-    lane_block_result run_lanes(const stimulus_block& block);
+    std::vector<lane_block_result> run_lanes(const std::vector<stimulus_block>& blocks);
 
     /// After a throw only events is meaningful: the count the error names.
     const sim_run_stats& stats() const { return stats_; }
@@ -318,11 +312,13 @@ private:
     void check_events(const char* engine);
 
     void run_waves(std::vector<wave_record>& records);
-    /// Runs the lane wave of `block`, firing the schedule in order.
-    void run_lane_wave(const stimulus_block& block);
+    /// Runs the lane wave of `block`, firing the schedule in order, into
+    /// `out` (value-initialized); adds the wave to stats().
+    void run_lane_wave(const stimulus_block& block, lane_block_result& out);
     /// The per-lane firing of position s: taken when an input carries a
     /// slab.
-    void fire_lanes_slab(std::uint32_t s, const stimulus_block& block);
+    void fire_lanes_slab(std::uint32_t s, const stimulus_block& block,
+                         lane_block_result& out);
     /// Max-accumulates the per-lane times of refs[0, n) into out[0..63].
     void gather_lanes(const in_ref* refs, std::uint32_t n, double* out) const;
     /// Stores position s's lane firing: the value word, both EE times, each
@@ -391,14 +387,6 @@ private:
     std::vector<std::uint32_t> slab_of_;
     std::unique_ptr<double[]> slab_pool_;
     std::uint32_t slabs_used_ = 0;
-    std::vector<std::uint64_t> lane_sink_words_;  ///< per sink
-    /// Per-lane maxima of the slab environment firings; the scalar ones
-    /// fold in once, after the wave.
-    std::array<double, k_lanes> input_stable_lane_{};
-    std::array<double, k_lanes> output_stable_lane_{};
-    /// The plain plane's maxima of the slab environment firings.
-    double plain_input_stable_ = 0.0;
-    double plain_output_stable_ = 0.0;
 };
 
 }  // namespace plee::sim

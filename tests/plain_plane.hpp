@@ -62,7 +62,6 @@ inline void expect_plain_lanes(const lane_block_result& want,
             << label << " lane " << lane;
         EXPECT_EQ(want.output_stable[lane], got.plain_output_stable)
             << label << " lane " << lane;
-        EXPECT_EQ(want.delay(lane), got.plain_delay(lane)) << label << " lane " << lane;
     }
 }
 

@@ -50,10 +50,10 @@ built_circuit build_bench(const std::string& id, bool with_ee) {
     return c;
 }
 
-/// The shared oracle: run_lanes over every block must reproduce, lane for
-/// lane, a serial single-vector run — sink values, input/output stable
-/// times and delay of both time planes — and the summed EE counters of the
-/// lane runs must equal the summed counters of the serial runs.
+/// The shared oracle: one run_lanes call over every block must reproduce,
+/// lane for lane, a serial single-vector run — sink values, input/output
+/// stable times and delay of both time planes — and the EE counters of the
+/// lane run must equal the summed counters of the serial runs.
 void expect_lanes_match_serial(const pl::pl_netlist& plnl, std::uint64_t seed,
                                std::size_t count, sim_options opts = {},
                                sim_run_stats* lane_out = nullptr) {
@@ -61,22 +61,18 @@ void expect_lanes_match_serial(const pl::pl_netlist& plnl, std::uint64_t seed,
         make_stimulus(count, plnl.sources().size(), seed);
     pl_simulator lane_sim(plnl, opts);
     pl_simulator ref(plnl, opts);
-    sim_run_stats lane_total{};
+    const std::vector<lane_block_result> results = lane_sim.run_lanes(blocks);
+    ASSERT_EQ(results.size(), blocks.size());
+    const sim_run_stats& lane_total = lane_sim.stats();
+    EXPECT_EQ(lane_total.lane_blocks, blocks.size());
+    EXPECT_EQ(lane_total.lane_vectors, count);
+    EXPECT_LE(lane_total.lane_slab_deposits, lane_total.events);
     sim_run_stats ref_total{};
     std::vector<std::vector<bool>> one(1);
-    for (const stimulus_block& block : blocks) {
-        const lane_block_result lr = lane_sim.run_lanes(block);
+    for (std::size_t b = 0; b < blocks.size(); ++b) {
+        const stimulus_block& block = blocks[b];
+        const lane_block_result& lr = results[b];
         ASSERT_EQ(lr.num_vectors, block.num_vectors);
-        const sim_run_stats& ls = lane_sim.stats();
-        EXPECT_EQ(ls.lane_blocks, 1u);
-        EXPECT_EQ(ls.lane_vectors, block.num_vectors);
-        EXPECT_LE(ls.lane_slab_deposits, ls.events);
-        lane_total.ee_hits += ls.ee_hits;
-        lane_total.ee_misses += ls.ee_misses;
-        lane_total.ee_wins += ls.ee_wins;
-        lane_total.events += ls.events;
-        lane_total.lane_splits += ls.lane_splits;
-        lane_total.lane_slab_deposits += ls.lane_slab_deposits;
         for (std::size_t lane = 0; lane < block.num_vectors; ++lane) {
             block.extract(lane, one[0]);
             const std::vector<wave_record> waves = ref.run(one);
@@ -90,11 +86,11 @@ void expect_lanes_match_serial(const pl::pl_netlist& plnl, std::uint64_t seed,
                 << "lane " << lane;
             EXPECT_DOUBLE_EQ(lr.output_stable[lane], w.output_stable)
                 << "lane " << lane;
-            EXPECT_DOUBLE_EQ(lr.delay(lane), w.delay()) << "lane " << lane;
+            EXPECT_DOUBLE_EQ(lr.output_stable[lane], w.delay()) << "lane " << lane;
             EXPECT_EQ(lr.plain_input_stable, w.plain_input_stable) << "lane " << lane;
             EXPECT_EQ(lr.plain_output_stable, w.plain_output_stable)
                 << "lane " << lane;
-            EXPECT_EQ(lr.plain_delay(lane), w.plain_delay()) << "lane " << lane;
+            EXPECT_EQ(lr.plain_output_stable, w.plain_delay()) << "lane " << lane;
             ASSERT_EQ(lr.outputs.size(), w.outputs.size());
             for (std::size_t j = 0; j < w.outputs.size(); ++j) {
                 EXPECT_EQ(((lr.outputs[j] >> lane) & 1u) != 0, w.outputs[j])
@@ -323,7 +319,7 @@ TEST(LaneSim, ScalarAndSlabSinksInOneBlockMatchSerial) {
 
     const std::vector<stimulus_block> blocks = make_stimulus(64, 3, 5);
     pl_simulator simulator(c.pl);
-    const lane_block_result r = simulator.run_lanes(blocks.front());
+    const lane_block_result r = simulator.run_lanes(blocks).front();
     const delay_model dm;
     const double early = dm.d_source + dm.gate_delay() + dm.efire_delay();
     const double side = dm.d_source + 2 * dm.gate_delay();
@@ -336,7 +332,7 @@ TEST(LaneSim, ScalarAndSlabSinksInOneBlockMatchSerial) {
     for (std::size_t lane = 0; lane < k_lanes; ++lane) {
         const bool a = blocks.front().bit(lane, 0);
         EXPECT_DOUBLE_EQ(r.output_stable[lane], a ? normal : side) << "lane " << lane;
-        EXPECT_DOUBLE_EQ(r.plain_delay(lane), plain) << "lane " << lane;
+        EXPECT_DOUBLE_EQ(r.plain_output_stable, plain) << "lane " << lane;
         early_lanes += a ? 0 : 1;
     }
     EXPECT_GT(early_lanes, 0u);
@@ -385,42 +381,24 @@ TEST(LaneSim, SourceReadingASlabAckMatchesSerial) {
 
     // The slab reached the source: the lanes' input-stable times differ.
     pl_simulator simulator(pl);
-    const lane_block_result r = simulator.run_lanes(make_stimulus(64, 3, 9).front());
+    const lane_block_result r = simulator.run_lanes(make_stimulus(64, 3, 9)).front();
     EXPECT_NE(*std::min_element(r.input_stable.begin(), r.input_stable.end()),
               *std::max_element(r.input_stable.begin(), r.input_stable.end()));
 }
 
 TEST(LaneSim, SlabAccountingOnAFixedCircuit) {
     // lane_slab_deposits counts every deposit that carries a slab, stored
-    // or not; these are the counts of the engine that stores every slab.
+    // or not; these are the counts of the engine that stores every slab,
+    // summed over the run's four blocks.
     const built_circuit c = build_preset(wl::scenario::datapath_like, 120, 11, true);
     pl_simulator simulator(c.pl);
-    sim_run_stats total{};
-    for (const stimulus_block& block : make_stimulus(256, c.pl.sources().size(), 7)) {
-        simulator.run_lanes(block);
-        total.events += simulator.stats().events;
-        total.lane_splits += simulator.stats().lane_splits;
-        total.lane_slab_deposits += simulator.stats().lane_slab_deposits;
-    }
-    EXPECT_EQ(total.events, 2356u);
-    EXPECT_EQ(total.lane_splits, 52u);
-    EXPECT_EQ(total.lane_slab_deposits, 1592u);
+    simulator.run_lanes(make_stimulus(256, c.pl.sources().size(), 7));
+    EXPECT_EQ(simulator.stats().events, 2356u);
+    EXPECT_EQ(simulator.stats().lane_splits, 52u);
+    EXPECT_EQ(simulator.stats().lane_slab_deposits, 1592u);
 }
 
 // --- Satellite regressions: lane accounting ------------------------------
-
-TEST(LaneSim, DelaySubtractsRecordedReleaseTime) {
-    // delay(lane) must mirror wave_record::delay() — stable output minus
-    // the recorded release — not assume a zero release epoch.
-    lane_block_result r;
-    r.num_vectors = 2;
-    r.output_stable[0] = 7.5;
-    r.release[0] = 2.5;
-    r.output_stable[1] = 4.0;
-    r.release[1] = 0.0;
-    EXPECT_DOUBLE_EQ(r.delay(0), 5.0);
-    EXPECT_DOUBLE_EQ(r.delay(1), 4.0);
-}
 
 TEST(LaneSim, EeCountersAreOrderIndependentOnSequentialCircuits) {
     // Regression: EE hit/miss counters used to depend on how far the
@@ -455,7 +433,7 @@ TEST(LaneSim, PureLockstepWithoutEarlyEvaluation) {
     const std::vector<stimulus_block> blocks =
         make_stimulus(64, c.pl.sources().size(), 31);
     pl_simulator simulator(c.pl);
-    simulator.run_lanes(blocks.front());
+    simulator.run_lanes(blocks);
     EXPECT_EQ(simulator.stats().lane_slab_deposits, 0u);
     EXPECT_EQ(simulator.stats().lane_splits, 0u);
 }
@@ -469,17 +447,19 @@ TEST(LaneSim, RejectsBadArguments) {
     trace_opts.collect_trace = true;
     pl_simulator tracing(c.pl, trace_opts);
     const std::vector<stimulus_block> ok = make_stimulus(8, width, 1);
-    EXPECT_THROW(tracing.run_lanes(ok.front()), std::invalid_argument);
+    EXPECT_THROW(tracing.run_lanes(ok), std::invalid_argument);
 
     pl_simulator simulator(c.pl);
     const std::vector<stimulus_block> narrow = make_stimulus(8, width + 1, 1);
-    EXPECT_THROW(simulator.run_lanes(narrow.front()), std::invalid_argument);
+    EXPECT_THROW(simulator.run_lanes(narrow), std::invalid_argument);
 
+    // Every block is checked before the first one runs.
     stimulus_block empty;
     empty.width = width;
     empty.num_vectors = 0;
     empty.words.assign(width, 0);
-    EXPECT_THROW(simulator.run_lanes(empty), std::invalid_argument);
+    EXPECT_THROW(simulator.run_lanes({ok.front(), empty}), std::invalid_argument);
+    EXPECT_EQ(simulator.stats().events, 0u);
 }
 
 TEST(LaneSim, CancelledTokenStopsTheBlockAtTheFirstCheck) {
@@ -489,14 +469,14 @@ TEST(LaneSim, CancelledTokenStopsTheBlockAtTheFirstCheck) {
         make_stimulus(k_lanes, c.pl.sources().size(), 5);
     {
         pl_simulator simulator(c.pl);
-        simulator.run_lanes(blocks.front());
+        simulator.run_lanes(blocks);
         ASSERT_GT(simulator.stats().events, k_cancel_check_events);
     }
     cancel_token token;
     token.cancel();
     pl_simulator simulator(c.pl, {}, {.label = "dag400", .cancel = &token});
     try {
-        simulator.run_lanes(blocks.front());
+        simulator.run_lanes(blocks);
         FAIL() << "a cancelled block completed";
     } catch (const job_timeout& e) {
         EXPECT_EQ(e.progress(), k_cancel_check_events);
@@ -506,7 +486,59 @@ TEST(LaneSim, CancelledTokenStopsTheBlockAtTheFirstCheck) {
     }
 }
 
+TEST(LaneSim, CancelledTokenStopsARunOfSmallBlocksAtTheFirstCheck) {
+    // No block of this netlist reaches a check point alone, but one run
+    // carries its event count across its blocks, so the first multiple of
+    // k_cancel_check_events polls the cancelled token.
+    const built_circuit c = build_preset(wl::scenario::random_dag, 40, 7, true);
+    const std::vector<stimulus_block> blocks =
+        make_stimulus(40 * k_lanes, c.pl.sources().size(), 5);
+    {
+        pl_simulator simulator(c.pl);
+        simulator.run_lanes({blocks.front()});
+        ASSERT_LT(simulator.stats().events, k_cancel_check_events);
+    }
+    cancel_token token;
+    token.cancel();
+    pl_simulator simulator(c.pl, {}, {.label = "dag40", .cancel = &token});
+    try {
+        simulator.run_lanes(blocks);
+        FAIL() << "a cancelled run completed";
+    } catch (const job_timeout& e) {
+        EXPECT_EQ(e.progress(), k_cancel_check_events);
+        EXPECT_NE(std::string(e.what()).find("sim.events[dag40]"), std::string::npos)
+            << e.what();
+    }
+}
+
 // --- Measurement path ----------------------------------------------------
+
+TEST(LaneMeasure, EventBudgetCoversTheWholeMeasurement) {
+    // A measurement is one simulator run on both protocols: blocks that each
+    // stay under the budget exhaust it together, at exactly max_events + 1,
+    // as the waves of a sequential run do.
+    const built_circuit c = build_preset(wl::scenario::random_dag, 40, 7, true);
+    pl_simulator probe(c.pl);
+    probe.run_lanes(make_stimulus(k_lanes, c.pl.sources().size(), 1));
+    const std::uint64_t per_block = probe.stats().events;
+    for (const std::size_t lanes : {std::size_t{1}, k_lanes}) {
+        SCOPED_TRACE("lanes=" + std::to_string(lanes));
+        measure_options opts;
+        opts.num_vectors = 4 * k_lanes;
+        opts.lanes = lanes;
+        opts.sim.max_events = 2 * per_block + per_block / 2;
+        try {
+            measure_average_delay(c.pl, &c.sync, opts, {.label = "dag40"});
+            ADD_FAILURE() << "a measurement past its event budget completed";
+        } catch (const budget_exhausted& e) {
+            EXPECT_EQ(e.events(), opts.sim.max_events + 1);
+            EXPECT_NE(std::string(e.what()).find(lanes == 1 ? "dataflow engine"
+                                                            : "lane engine"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+}
 
 TEST(LaneMeasure, MatchesSerialPerVectorReference) {
     const built_circuit c =
@@ -516,7 +548,6 @@ TEST(LaneMeasure, MatchesSerialPerVectorReference) {
     opts.seed = 4242;
     opts.lanes = k_lanes;
     const measure_result r = measure_average_delay(c.pl, &c.sync, opts);
-    EXPECT_EQ(r.lanes, k_lanes);
     ASSERT_EQ(r.delays.size(), 100u);
     EXPECT_LE(r.stats.lane_slab_deposits, r.stats.events);
 

@@ -1,6 +1,6 @@
 // Tests for the measurement harness (Section 4's protocol): random stimulus
 // generation, delay statistics, the golden functional cross-check, the
-// shared measure_reference and both arms from one simulation.
+// checks made before any draw and both arms from one simulation.
 
 #include "sim/measure.hpp"
 
@@ -223,12 +223,8 @@ TEST(Measure, AWrongLutFailsTheGoldenCheckInBothProtocols) {
             }
         };
         expect_divergence([&] { measure_average_delay(wrong.pl, &golden, opts); });
-        // One reference serves both netlists, as it does a Table 3 row's arms.
-        const measure_reference reference =
-            make_measure_reference(&golden, width, opts);
-        expect_divergence([&] { measure_average_delay(wrong.pl, reference, opts); });
-        expect_divergence([&] { measure_both_arms(wrong.pl, reference, opts); });
-        EXPECT_NO_THROW(measure_average_delay(healthy.pl, reference, opts));
+        expect_divergence([&] { measure_both_arms(wrong.pl, &golden, opts); });
+        EXPECT_NO_THROW(measure_average_delay(healthy.pl, &golden, opts));
     }
 }
 
@@ -250,15 +246,12 @@ TEST(Measure, BothArmsEqualSeparateMeasurementsInBothProtocols) {
         measure_options opts;
         opts.num_vectors = 100;
         opts.lanes = lanes;
-        const measure_reference reference =
-            make_measure_reference(&n, plain.pl.sources().size(), opts);
-        const measure_result want_plain =
-            measure_average_delay(plain.pl, reference, opts);
-        const measure_result want_ee = measure_average_delay(with_ee, reference, opts);
+        const measure_result want_plain = measure_average_delay(plain.pl, &n, opts);
+        const measure_result want_ee = measure_average_delay(with_ee, &n, opts);
         const std::uint64_t vectors_before = vectors.value();
         const std::uint64_t events_before = events.value();
         const std::uint64_t runs_before = runs.snapshot().count;
-        const measure_arms arms = measure_both_arms(with_ee, reference, opts);
+        const measure_arms arms = measure_both_arms(with_ee, &n, opts);
         for (const auto& [want, got] : {std::pair{&want_plain, &arms.plain},
                                         std::pair{&want_ee, &arms.ee}}) {
             const std::string arm = want == &want_plain ? "plain" : "ee";
@@ -267,7 +260,6 @@ TEST(Measure, BothArmsEqualSeparateMeasurementsInBothProtocols) {
             EXPECT_EQ(want->min_delay, got->min_delay) << arm;
             EXPECT_EQ(want->max_delay, got->max_delay) << arm;
             EXPECT_EQ(want->stddev, got->stddev) << arm;
-            EXPECT_EQ(want->lanes, got->lanes) << arm;
             EXPECT_TRUE(want->delay_hist == got->delay_hist) << arm;
             testing::expect_same_stats(want->stats, got->stats, arm);
         }
@@ -280,30 +272,52 @@ TEST(Measure, BothArmsEqualSeparateMeasurementsInBothProtocols) {
     }
 }
 
-TEST(Measure, ReferenceMustMatchTheNetlistAndProtocol) {
+TEST(Measure, GoldenModelAndProtocolAreCheckedBeforeAnyDraw) {
+    // Every check runs before the stimulus draw, whose first poll would
+    // otherwise stop the cancelled measurement at sim.stimulus.
     const nl::netlist n = alu_netlist();
     const pl::map_result mapped = pl::map_to_phased_logic(n);
-    const std::size_t width = mapped.pl.sources().size();
+    nl::netlist extra_input = n;
+    extra_input.add_input("spare");
+    nl::netlist extra_output = n;
+    extra_output.add_output("spare", n.inputs().front());
     measure_options opts;
     opts.num_vectors = 10;
-    const measure_reference reference = make_measure_reference(&n, width, opts);
-    EXPECT_EQ(measure_average_delay(mapped.pl, reference, opts).delays.size(), 10u);
+    EXPECT_EQ(measure_average_delay(mapped.pl, &n, opts).delays.size(), 10u);
 
-    EXPECT_THROW(make_measure_reference(&n, width - 1, opts),
-                 std::invalid_argument);
-    const measure_reference narrow =
-        make_measure_reference(nullptr, width - 1, opts);
-    EXPECT_THROW(measure_average_delay(mapped.pl, narrow, opts),
-                 std::invalid_argument);
+    cancel_token token;
+    token.cancel();
+    const job_context cancelled{.label = "alu", .cancel = &token};
+    const auto expect_rejected = [&](const nl::netlist* golden,
+                                     const measure_options& options,
+                                     const std::string& text) {
+        for (const bool both : {false, true}) {
+            try {
+                if (both) {
+                    measure_both_arms(mapped.pl, golden, options, cancelled);
+                } else {
+                    measure_average_delay(mapped.pl, golden, options, cancelled);
+                }
+                ADD_FAILURE() << text << " was measured";
+            } catch (const std::invalid_argument& e) {
+                EXPECT_NE(std::string(e.what()).find(text), std::string::npos)
+                    << e.what();
+            } catch (const job_timeout& e) {
+                ADD_FAILURE() << text << " was drawn before it was checked: "
+                              << e.what();
+            }
+        }
+    };
+    expect_rejected(&extra_input, opts, "inputs, netlist");
+    expect_rejected(&extra_output, opts, "outputs, netlist");
     measure_options lanes = opts;
-    lanes.lanes = k_lanes;
-    EXPECT_THROW(measure_average_delay(mapped.pl, reference, lanes),
-                 std::invalid_argument);
-    // Both protocol checks happen before any stimulus is drawn.
     lanes.lanes = 8;
-    EXPECT_THROW(make_measure_reference(&n, width, lanes), std::invalid_argument);
-    opts.num_vectors = 0;
-    EXPECT_THROW(make_measure_reference(&n, width, opts), std::invalid_argument);
+    expect_rejected(&n, lanes, "lanes must be 1 or 64");
+    expect_rejected(nullptr, lanes, "lanes must be 1 or 64");
+    measure_options none = opts;
+    none.num_vectors = 0;
+    expect_rejected(&n, none, "num_vectors must be > 0");
+    expect_rejected(nullptr, none, "num_vectors must be > 0");
 }
 
 TEST(Measure, CancelledTokenStopsTheStimulusDrawInBothProtocols) {
@@ -312,6 +326,7 @@ TEST(Measure, CancelledTokenStopsTheStimulusDrawInBothProtocols) {
     // golden run's own poll (site sim.golden) is driven by a real deadline
     // in test_runner.
     const nl::netlist n = alu_netlist();
+    const pl::map_result mapped = pl::map_to_phased_logic(n);
     cancel_token token;
     token.cancel();
     for (const std::size_t lanes : {std::size_t{1}, k_lanes}) {
@@ -320,8 +335,8 @@ TEST(Measure, CancelledTokenStopsTheStimulusDrawInBothProtocols) {
         opts.lanes = lanes;
         for (const nl::netlist* golden : {&n, static_cast<const nl::netlist*>(nullptr)}) {
             try {
-                make_measure_reference(golden, n.inputs().size(), opts,
-                                       {.label = "alu", .cancel = &token});
+                measure_average_delay(mapped.pl, golden, opts,
+                                      {.label = "alu", .cancel = &token});
                 FAIL() << "a cancelled draw completed at lanes " << lanes;
             } catch (const job_timeout& e) {
                 EXPECT_EQ(e.progress(), 0u) << lanes;

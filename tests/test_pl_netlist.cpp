@@ -464,7 +464,7 @@ TEST(PlNetlist, ConcurrentSimulatorCompilesShareOneLazyAdjacency) {
             start.arrive_and_wait();
             try {
                 sim::pl_simulator simulator(shared);
-                results[t] = simulator.run_lanes(blocks.front());
+                results[t] = simulator.run_lanes(blocks).front();
             } catch (const std::exception& e) {
                 errors[t] = e.what();
             } catch (...) {
@@ -478,7 +478,7 @@ TEST(PlNetlist, ConcurrentSimulatorCompilesShareOneLazyAdjacency) {
     }
     EXPECT_TRUE(shared.verified());
     sim::pl_simulator serial(shared);
-    const sim::lane_block_result expected = serial.run_lanes(blocks.front());
+    const sim::lane_block_result expected = serial.run_lanes(blocks).front();
     for (std::size_t t = 0; t < k_threads; ++t) {
         if (!errors[t].empty()) continue;
         const sim::lane_block_result& r = results[t];

@@ -116,8 +116,8 @@ TEST(Experiment, TraceNamesEachStageOnceInPipelineOrder) {
                           {.label = "stages", .trace = &trace});
     ASSERT_GT(row.ee_gates, 0u);
 
-    // One map, one stimulus draw with one golden run, and one measurement
-    // (one compile, one run) for both arms.
+    // One map, one EE pass, and one measurement for both arms: one golden
+    // run over the stimulus, one compile and one run.
     const std::vector<obs::span_record>& spans = trace.spans();
     std::vector<std::string> stages;
     std::vector<std::string> children;
@@ -129,12 +129,10 @@ TEST(Experiment, TraceNamesEachStageOnceInPipelineOrder) {
                                "/" + s.name);
         }
     }
-    EXPECT_EQ(stages, (std::vector<std::string>{"map_to_pl", "measure.reference",
-                                                "ee.pass", "measure"}));
+    EXPECT_EQ(stages, (std::vector<std::string>{"map_to_pl", "ee.pass", "measure"}));
     EXPECT_EQ(children,
-              (std::vector<std::string>{"measure.reference/sim.golden",
-                                        "ee.pass/ee.search", "measure/sim.compile",
-                                        "measure/sim.run"}));
+              (std::vector<std::string>{"ee.pass/ee.search", "measure/sim.golden",
+                                        "measure/sim.compile", "measure/sim.run"}));
 }
 
 TEST(Experiment, CancelledTokenStopsAtTheMapGate) {

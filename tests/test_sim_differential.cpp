@@ -178,7 +178,7 @@ void expect_lanes_match_oracle(const nl::netlist& sync, const pl::pl_netlist& pl
                                const sim_options& opts,
                                const stimulus_block& block) {
     pl_simulator lanes(pl, opts);
-    const lane_block_result lr = lanes.run_lanes(block);
+    const lane_block_result lr = lanes.run_lanes({block}).front();
     const sim_run_stats ls = lanes.stats();
     EXPECT_LE(ls.lane_slab_deposits, ls.events);
 
@@ -205,7 +205,7 @@ void expect_lanes_match_oracle(const nl::netlist& sync, const pl::pl_netlist& pl
         oracle_total.ee_wins += oracle.stats().ee_wins;
         EXPECT_EQ(lr.input_stable[lane], w.input_stable) << "lane " << lane;
         EXPECT_EQ(lr.output_stable[lane], w.output_stable) << "lane " << lane;
-        EXPECT_EQ(lr.delay(lane), w.delay()) << "lane " << lane;
+        EXPECT_EQ(lr.output_stable[lane], w.delay()) << "lane " << lane;
         for (std::size_t j = 0; j < w.outputs.size(); ++j) {
             EXPECT_EQ(((lr.outputs[j] >> lane) & 1u) != 0, w.outputs[j])
                 << "lane " << lane << " sink " << j;
@@ -284,11 +284,12 @@ void expect_plain_plane(const config& c, const pl::pl_netlist& plain,
             testing::expect_plain_waves(waves, got.run(vectors), "ee");
             testing::expect_same_stats(stats, got.plain_stats(), "ee");
 
-            const lane_block_result lanes = want.run_lanes(block);
+            const lane_block_result lanes = want.run_lanes({block}).front();
             const sim_run_stats lane_stats = want.stats();
             testing::expect_plain_lanes(lanes, lanes, "mapping lanes");
             testing::expect_same_stats(lane_stats, want.plain_stats(), "mapping lanes");
-            testing::expect_plain_lanes(lanes, got.run_lanes(block), "ee lanes");
+            testing::expect_plain_lanes(lanes, got.run_lanes({block}).front(),
+                                        "ee lanes");
             testing::expect_same_stats(lane_stats, got.plain_stats(), "ee lanes");
         }
     }

@@ -251,7 +251,7 @@ TEST(SimQueue, EventBudgetExhaustsIdentically) {
     const std::vector<stimulus_block> blocks =
         make_stimulus(64, pl.sources().size(), 1);
     pl_simulator lanes(pl, opts);
-    EXPECT_THROW(lanes.run_lanes(blocks.front()), budget_exhausted);
+    EXPECT_THROW(lanes.run_lanes(blocks), budget_exhausted);
     EXPECT_EQ(lanes.stats().events, 1001u);
 }
 
@@ -303,7 +303,7 @@ TEST(SimQueue, EventBudgetSweepAcrossWaveBoundaries) {
         }();
         pl_simulator lanes(pl, opts);
         try {
-            lanes.run_lanes(blocks.front());
+            lanes.run_lanes(blocks);
             EXPECT_FALSE(oracle_throws) << budget;
             EXPECT_EQ(lanes.stats().events, e);
         } catch (const budget_exhausted& err) {
@@ -332,15 +332,17 @@ TEST(SimQueue, ProgressBeatsFollowPerFiringCounting) {
         EXPECT_EQ(beats[i].b, (multiple - 1) / e) << "beat " << i;
     }
 
-    // The lane protocol's single wave: every beat lands before it completes.
+    // The lane protocol, one wave per block: its run carries the count
+    // across the blocks, and each beat is stamped with the blocks done.
     obs::flight_recorder lane_recorder(4096);
     pl_simulator lanes(pl, {}, {.label = "b05", .recorder = &lane_recorder});
-    lanes.run_lanes(make_stimulus(64, pl.sources().size(), 4).front());
+    lanes.run_lanes(make_stimulus(waves * k_lanes, pl.sources().size(), 4));
     const std::vector<obs::fr_event> lane_beats = lane_recorder.dump();
-    ASSERT_EQ(lane_beats.size(), e / k_cancel_check_events);
+    ASSERT_EQ(lane_beats.size(), waves * e / k_cancel_check_events);
     for (std::size_t i = 0; i < lane_beats.size(); ++i) {
-        EXPECT_EQ(lane_beats[i].a, (i + 1) * k_cancel_check_events);
-        EXPECT_EQ(lane_beats[i].b, 0u);
+        const std::uint64_t multiple = (i + 1) * k_cancel_check_events;
+        EXPECT_EQ(lane_beats[i].a, multiple);
+        EXPECT_EQ(lane_beats[i].b, (multiple - 1) / e) << "beat " << i;
     }
 }
 
@@ -430,7 +432,7 @@ TEST(SimQueue, MixedProtocolsOnOneSimulatorMatchFreshOnes) {
     pl_simulator mixed(pl);
     for (int round = 0; round < 3; ++round) {
         const std::vector<wave_record> waves = mixed.run_packed(blocks);
-        const lane_block_result lanes = mixed.run_lanes(blocks[round % 2]);
+        const lane_block_result lanes = mixed.run_lanes({blocks[round % 2]}).front();
         pl_simulator fresh_seq(pl);
         const std::vector<wave_record> want = fresh_seq.run_packed(blocks);
         ASSERT_EQ(waves.size(), want.size());
@@ -444,7 +446,8 @@ TEST(SimQueue, MixedProtocolsOnOneSimulatorMatchFreshOnes) {
             EXPECT_EQ(waves[w].plain_release_time, want[w].plain_release_time);
         }
         pl_simulator fresh_lanes(pl);
-        const lane_block_result lane_want = fresh_lanes.run_lanes(blocks[round % 2]);
+        const lane_block_result lane_want =
+            fresh_lanes.run_lanes({blocks[round % 2]}).front();
         EXPECT_EQ(lanes.outputs, lane_want.outputs) << round;
         EXPECT_EQ(lanes.input_stable, lane_want.input_stable);
         EXPECT_EQ(lanes.output_stable, lane_want.output_stable);
@@ -658,9 +661,9 @@ TEST(SimQueue, PlainPlaneOfAnEePairMatchesTheGadgetFreeNetlist) {
         // the EE plane splits; the plain plane stays one time for every
         // lane, that of the netlist without the trigger.
         pl_simulator want(plain);
-        const lane_block_result want_lanes = want.run_lanes(block);
+        const lane_block_result want_lanes = want.run_lanes({block}).front();
         pl_simulator got(ee);
-        const lane_block_result got_lanes = got.run_lanes(block);
+        const lane_block_result got_lanes = got.run_lanes({block}).front();
         if (support == 0b01u) {
             EXPECT_GT(got.stats().lane_splits, 0u);
         }

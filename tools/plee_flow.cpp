@@ -194,10 +194,10 @@ int main(int argc, char** argv) {
     std::signal(SIGINT, on_signal);
     std::signal(SIGTERM, on_signal);
 
-    // One job context for the whole flow.  Its trace records the flow's own
-    // stages: map_to_pl, ee.pass (with an ee.search child) and measure
-    // (with sim.golden, sim.compile and sim.run children) — not a fleet
-    // job's five.
+    // One job context for the whole flow.  Its trace records a fleet job's
+    // stages: map_to_pl, ee.pass (with an ee.search child; absent with
+    // --no-ee) and measure (with sim.golden, sim.compile and sim.run
+    // children).
     obs::trace trace;
     const job_context ctx{.label = o.bench.empty() ? o.blif_in : o.bench,
                           .cancel = &g_interrupt,
