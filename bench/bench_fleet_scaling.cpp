@@ -21,6 +21,8 @@
 //   --seed S       generator base seed                      (default 1)
 //   --vectors V    random vectors per measurement           (default 10)
 //   --json PATH    write BENCH_fleet.json for cross-PR perf tracking
+//
+// N and V must be > 0; a bad value exits 2 naming the flag.
 
 #include <algorithm>
 #include <cstdio>
@@ -60,7 +62,7 @@ int main(int argc, char** argv) {
             const char* arg = argv[i];
             const char* v = argv[i + 1];
             if (std::strcmp(arg, "--circuits") == 0) {
-                circuits = parse_unsigned<std::size_t>(arg, v);
+                circuits = parse_positive<std::size_t>(arg, v);
             } else if (std::strcmp(arg, "--gates") == 0) {
                 gates = parse_unsigned<std::size_t>(arg, v);
             } else if (std::strcmp(arg, "--scenario") == 0) {

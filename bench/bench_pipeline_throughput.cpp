@@ -10,12 +10,17 @@
 // loop (register -> logic -> register); Early Evaluation shortens the
 // forward path inside those loops, so the loop period shrinks and the
 // throughput gain can even exceed the vector-at-a-time latency gain.
+//
+// Each mode is one measurement of the EE netlist, which gives both arms
+// (the plain arm is the netlist without its triggers, the mapping before
+// the EE pass) and checks every wave against the synchronous golden model.
+// A failed measurement names the circuit on stderr and exits 1.
 
 #include <cstdio>
-#include <utility>
 
 #include "bench_circuits/itc99.hpp"
 #include "ee/ee_transform.hpp"
+#include "fleet_status.hpp"
 #include "plogic/pl_mapper.hpp"
 #include "report/table.hpp"
 #include "sim/measure.hpp"
@@ -25,47 +30,13 @@ using namespace plee;
 
 namespace {
 
-struct mode_result {
-    double latency = 0.0;     ///< avg per-wave delay (non-pipelined)
-    double throughput = 0.0;  ///< waves per microsecond (pipelined)
-};
-
-double waves_per_us(std::size_t waves, double makespan) {
-    return makespan > 0 ? 1000.0 * static_cast<double>(waves) / makespan : 0.0;
-}
-
-/// Both protocols on the EE netlist `pl`, each run timing both arms: the
-/// plain arm (pl without its triggers, the mapping before the EE pass) and
-/// the EE arm.  Returns {plain, ee}.
-std::pair<mode_result, mode_result> run_modes(const pl::pl_netlist& pl,
-                                              std::size_t vectors,
-                                              std::uint64_t seed) {
-    mode_result plain;
-    mode_result ee;
-    const auto stimulus = sim::random_vectors(vectors, pl.sources().size(), seed);
-    {
-        sim::sim_options opts;
-        opts.non_pipelined = true;
-        sim::pl_simulator simulator(pl, opts);
-        const auto waves = simulator.run(stimulus);
-        double plain_sum = 0;
-        double sum = 0;
-        for (const auto& w : waves) {
-            plain_sum += w.plain_delay();
-            sum += w.delay();
-        }
-        plain.latency = plain_sum / static_cast<double>(waves.size());
-        ee.latency = sum / static_cast<double>(waves.size());
-    }
-    {
-        sim::sim_options opts;
-        opts.non_pipelined = false;
-        sim::pl_simulator simulator(pl, opts);
-        const auto waves = simulator.run(stimulus);
-        plain.throughput = waves_per_us(waves.size(), waves.back().plain_output_stable);
-        ee.throughput = waves_per_us(waves.size(), waves.back().output_stable);
-    }
-    return {plain, ee};
+/// Waves per microsecond of a pipelined arm.  Release is 0 in pipelined
+/// mode, so the last wave's delay is the makespan.
+double waves_per_us(const sim::measure_result& streamed) {
+    const double makespan = streamed.delays.back();
+    return makespan > 0
+               ? 1000.0 * static_cast<double>(streamed.delays.size()) / makespan
+               : 0.0;
 }
 
 }  // namespace
@@ -80,15 +51,29 @@ int main() {
                           "Thru gain"});
 
     for (const char* id : {"b05", "b11", "b14"}) {
-        pl::map_result mapped = pl::map_to_phased_logic(bench::build_benchmark(id));
+        const nl::netlist netlist = bench::build_benchmark(id);
+        pl::map_result mapped = pl::map_to_phased_logic(netlist);
         ee::apply_early_evaluation(mapped.pl);
-        const auto [mb, me] = run_modes(mapped.pl, vectors, 77);
+        const auto measure = [&](bool non_pipelined) {
+            sim::measure_options opts;
+            opts.num_vectors = vectors;
+            opts.seed = 77;
+            opts.sim.non_pipelined = non_pipelined;
+            return bench::run_row("bench_pipeline_throughput", id, [&] {
+                return sim::measure_both_arms(mapped.pl, &netlist, opts);
+            });
+        };
+        const sim::measure_arms latency = measure(true);
+        const sim::measure_arms streamed = measure(false);
+        const double lb = latency.plain.avg_delay;
+        const double le = latency.ee.avg_delay;
+        const double tb = waves_per_us(streamed.plain);
+        const double te = waves_per_us(streamed.ee);
 
-        t.add_row({id, report::fmt(mb.latency, 1), report::fmt(me.latency, 1),
-                   report::fmt_pct(100.0 * (mb.latency - me.latency) / mb.latency, 0),
-                   report::fmt(mb.throughput, 1), report::fmt(me.throughput, 1),
-                   report::fmt_pct(100.0 * (me.throughput - mb.throughput) /
-                                       mb.throughput, 0)});
+        t.add_row({id, report::fmt(lb, 1), report::fmt(le, 1),
+                   report::fmt_pct(100.0 * (lb - le) / lb, 0),
+                   report::fmt(tb, 1), report::fmt(te, 1),
+                   report::fmt_pct(100.0 * (te - tb) / tb, 0)});
         std::fflush(stdout);
     }
     std::printf("%s\n", t.to_string().c_str());

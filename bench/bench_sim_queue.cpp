@@ -2,39 +2,40 @@
 // protocols.
 //
 // The measure phase is the dominant per-circuit cost of a fleet job, so this
-// bench times the simulator alone: a fleet mix of generated circuits (all
-// six scenario presets round-robin) is mapped, EE-transformed, and then
-// simulated repeatedly with identical stimulus.  pl_simulator compiles each
-// netlist into a static wave schedule in its constructor; every timed pass
-// constructs its simulator (and so compiles) outside the clock, the same
-// cut measure_average_delay uses for sim_wall_ms.
+// bench times the simulator alone, the way a measurement runs it: a fleet
+// mix of generated circuits (the six scenario presets round-robin) is
+// mapped and EE-transformed and its stimulus drawn into blocks, once.  A
+// timed pass builds (compiles) each circuit's simulator outside the clock
+// and times one run_packed (lanes 1, the sequential-wave protocol) or one
+// run_lanes (lanes 64) call over the circuit's blocks: the cut
+// measure_both_arms uses for sim_wall_ms.
 //
-// Reported per scenario and for the whole mix: events/s of the
-// sequential-wave protocol (run / run_packed), counting the events of both
-// time planes, as the fleet's sim_events_per_s does.  The mix row can fan
-// circuits across worker threads (--threads) to mirror how the fleet runner
-// drives shards.  tests/test_sim_queue.cpp checks the evaluator against a
-// time-ordered reference.
+// Rows: each scenario and the whole mix, once per protocol, in events/s
+// counting both time planes' events (stats() plus plain_stats()), as the
+// fleet's sim_events_per_s does.  The mix rows fan circuits across worker
+// threads (--threads), as the fleet runner drives shards.  Lane rows add
+// the lane engine's divergent EE firings and slab deposits, and
+// divergent_share = slab deposits / events, the fleet's ratio.  The
+// protocols' correctness is checked in tests (test_sim_queue,
+// test_lane_sim, test_sim_differential), not here.
 //
-// The `lanes` row measures the lane protocol (one run_lanes call over a
-// circuit's blocks) on the same mix.  Before timing, run_lanes is
-// cross-checked against 64 serial per-vector runs on every circuit
-// (bit-identical outputs, times, delays and EE counters, non-zero exit on
-// mismatch).  Then an interleaved A/B times the
-// synchronous measure path — the lanes=1 golden loop (set/eval/read/latch
-// per vector) against the 64-lane word-parallel loop — plus the PL serial
-// runs against run_lanes, reporting vectors/s each way and the divergent
-// share (the lane deposits that carried a per-lane time slab).
+// The golden row is an interleaved A/B of the synchronous golden model as a
+// measurement runs it: the lanes=1 loop (per vector: extract, set, eval,
+// read each output, latch) against the 64-lane loop (per block: reset, set,
+// eval, read), in vectors/s.  Last, one measurement per circuit gives both
+// arms' completion-time distributions.
 //
 //   --circuits N       netlists in the mix                   (default 12)
 //   --gates G          LUTs per netlist                      (default 150)
 //   --vectors V        random vectors per run                (default 60)
-//   --lane-vectors LV  vectors for the sync lanes A/B        (default 8192)
+//   --lane-vectors LV  vectors for the golden A/B            (default 8192)
 //   --seed S           generator + stimulus seed             (default 1)
-//   --repeat R         timed repetitions per protocol        (default 3)
-//   --threads T        worker threads for the fleet-mix row  (default 1;
+//   --repeat R         timed repetitions per row             (default 3)
+//   --threads T        worker threads for the fleet-mix rows (default 1;
 //                      0 = one per hardware thread)
 //   --json PATH        write BENCH_sim.json for cross-PR perf tracking
+//
+// N, V, LV and R must be > 0; a bad value exits 2 naming the flag.
 
 #include <algorithm>
 #include <atomic>
@@ -68,23 +69,29 @@ namespace {
 
 struct circuit {
     std::string scenario;
-    nl::netlist sync;  ///< the synchronous source, for the golden-path A/B
+    nl::netlist sync;  ///< the synchronous source: the golden model
     pl::pl_netlist pl;
-    std::vector<std::vector<bool>> vectors;
-    std::vector<sim::stimulus_block> blocks;  ///< same stimulus, lane-packed
+    std::vector<sim::stimulus_block> blocks;
 };
 
-/// Wall ms of the simulation runs themselves for every circuit in `group`,
-/// fanned over worker_count(threads, group) workers pulling from a shared
-/// counter, as the fleet runner does.  Simulator construction (the schedule
-/// compile) happens outside the clock — this is the same cut
-/// measure_both_arms uses for sim_wall_ms — and the events are both
-/// planes' (stats() and plain_stats()), so events/s here and the fleet's
-/// sim_events_per_s measure the same thing.
-double timed_pass(const std::vector<const circuit*>& group, unsigned threads,
-                  std::uint64_t* events_out) {
+/// What one timed pass over a circuit group ran and simulated.
+struct pass_result {
+    double ms = 0.0;            ///< summed per-run wall time
+    std::uint64_t events = 0;   ///< both planes'
+    std::uint64_t lane_splits = 0;
+    std::uint64_t lane_slab_deposits = 0;
+};
+
+/// One timed pass of every circuit in `group` under the `lanes` protocol
+/// (1 or 64), fanned over worker_count(threads, group) workers pulling
+/// from a shared counter, as the fleet runner does.  Each simulator is
+/// built outside the clock, and its run takes all the circuit's blocks.
+pass_result timed_pass(const std::vector<const circuit*>& group, unsigned threads,
+                       std::size_t lanes) {
     std::atomic<std::size_t> next{0};
     std::atomic<std::uint64_t> events{0};
+    std::atomic<std::uint64_t> lane_splits{0};
+    std::atomic<std::uint64_t> lane_slab_deposits{0};
     std::atomic<std::int64_t> wall_ns{0};
     run_workers(worker_count(threads, group.size()), [&] {
         for (;;) {
@@ -93,113 +100,51 @@ double timed_pass(const std::vector<const circuit*>& group, unsigned threads,
             const circuit& c = *group[i];
             sim::pl_simulator simulator(c.pl);
             const wall_timer timer;
-            simulator.run(c.vectors);
-            events.fetch_add(simulator.stats().events +
-                             simulator.plain_stats().events);
+            if (lanes == 1) {
+                simulator.run_packed(c.blocks);
+            } else {
+                simulator.run_lanes(c.blocks);
+            }
             wall_ns.fetch_add(
                 static_cast<std::int64_t>(std::llround(timer.elapsed_ms() * 1e6)));
+            const sim::sim_run_stats& s = simulator.stats();
+            events.fetch_add(s.events + simulator.plain_stats().events);
+            lane_splits.fetch_add(s.lane_splits);
+            lane_slab_deposits.fetch_add(s.lane_slab_deposits);
         }
     });
-    *events_out = events.load();
     // Summed per-run wall time: with T workers this is T x the elapsed time,
     // so events / wall stays per-core throughput at any thread count.
-    return static_cast<double>(wall_ns.load()) * 1e-6;
+    return {static_cast<double>(wall_ns.load()) * 1e-6, events.load(),
+            lane_splits.load(), lane_slab_deposits.load()};
 }
 
-/// Best-of-R events/s over a circuit group.
-double best_events_per_s(const std::vector<const circuit*>& group,
-                         unsigned threads, unsigned repeat,
-                         std::uint64_t* events_out) {
-    double best = 0.0;
-    for (unsigned r = 0; r < repeat; ++r) {
-        std::uint64_t events = 0;
-        const double ms = timed_pass(group, threads, &events);
-        if (ms > 0.0) best = std::max(best, 1000.0 * static_cast<double>(events) / ms);
-        *events_out = events;
-    }
-    return best;
-}
-
-// --- Lane-parallel section ----------------------------------------------
-
-struct lane_check {
-    bool ok = true;
-    std::uint64_t events = 0;
-    std::uint64_t lane_splits = 0;
-    std::uint64_t lane_slab_deposits = 0;
-
-    /// The lane deposits that carried a per-lane time slab, per event.
-    double divergent_share() const {
-        return events == 0 ? 0.0
-                           : static_cast<double>(lane_slab_deposits) /
-                                 static_cast<double>(events);
-    }
-};
-
-/// Lane protocol golden gate: run_lanes over the blocks of `c` must match 64
-/// serial single-vector runs per block bit for bit — sink values,
-/// per-vector stable times and delays — and the summed EE counters must be
-/// equal.
-lane_check check_lanes_vs_serial(const circuit& c) {
-    sim::pl_simulator lane_sim(c.pl);
-    sim::pl_simulator ref(c.pl);
-    const std::vector<sim::lane_block_result> results = lane_sim.run_lanes(c.blocks);
-    const sim::sim_run_stats& ls = lane_sim.stats();
-    lane_check out;
-    out.events = ls.events;
-    out.lane_splits = ls.lane_splits;
-    out.lane_slab_deposits = ls.lane_slab_deposits;
-    sim::sim_run_stats ref_total{};
-    std::vector<std::vector<bool>> one(1);
-    for (std::size_t b = 0; b < c.blocks.size(); ++b) {
-        const sim::stimulus_block& block = c.blocks[b];
-        const sim::lane_block_result& lr = results[b];
-        for (std::size_t lane = 0; lane < block.num_vectors; ++lane) {
-            block.extract(lane, one[0]);
-            const std::vector<sim::wave_record> waves = ref.run(one);
-            const sim::sim_run_stats& rs = ref.stats();
-            ref_total.ee_hits += rs.ee_hits;
-            ref_total.ee_misses += rs.ee_misses;
-            ref_total.ee_wins += rs.ee_wins;
-            const sim::wave_record& w = waves.front();
-            if (w.input_stable != lr.input_stable[lane] ||
-                w.output_stable != lr.output_stable[lane] ||
-                w.delay() != lr.output_stable[lane]) {
-                out.ok = false;
-                return out;
-            }
-            for (std::size_t j = 0; j < w.outputs.size(); ++j) {
-                if (w.outputs[j] != (((lr.outputs[j] >> lane) & 1u) != 0)) {
-                    out.ok = false;
-                    return out;
-                }
-            }
-        }
-    }
-    out.ok = ls.ee_hits == ref_total.ee_hits && ls.ee_misses == ref_total.ee_misses &&
-             ls.ee_wins == ref_total.ee_wins;
-    return out;
-}
-
-/// One timed pass of the lanes=1 golden loop (set/eval/read/latch per
-/// vector, measure's golden run at lanes 1) over a circuit's stimulus.
+/// One timed pass of the lanes=1 golden loop over a circuit's stimulus,
+/// read as measure's golden run reads it: per vector, extract its lane,
+/// set, eval, read each output, latch.
 double sync_scalar_pass(const circuit& c,
-                        const std::vector<std::vector<bool>>& vecs,
-                        std::size_t* sink) {
+                        const std::vector<sim::stimulus_block>& blocks,
+                        std::uint64_t* sink) {
     nl::sync_simulator gold(c.sync);
-    const std::vector<bool> expected(c.sync.outputs().size(), false);
+    const std::vector<nl::cell_id>& outputs = c.sync.outputs();
+    std::vector<bool> inputs;
     const wall_timer timer;
-    for (const std::vector<bool>& v : vecs) {
-        gold.set_inputs(v);
-        gold.eval();
-        *sink += gold.outputs_equal(expected) ? 1u : 0u;
-        gold.latch();
+    for (const sim::stimulus_block& b : blocks) {
+        for (std::size_t lane = 0; lane < b.num_vectors; ++lane) {
+            b.extract(lane, inputs);
+            gold.set_inputs(inputs);
+            gold.eval();
+            for (const nl::cell_id o : outputs) {
+                *sink ^= std::uint64_t{gold.value_of(o)} << lane;
+            }
+            gold.latch();
+        }
     }
     return timer.elapsed_ms();
 }
 
 /// One timed pass of the lanes=64 golden loop (reset/set/eval/read per
-/// block, measure's golden run at lanes 64) over the same stimulus, packed.
+/// block, measure's golden run at lanes 64) over the same stimulus.
 double sync_lane_pass(const circuit& c,
                       const std::vector<sim::stimulus_block>& blocks,
                       std::uint64_t* sink) {
@@ -213,27 +158,6 @@ double sync_lane_pass(const circuit& c,
         gold.output_values(out.data());
         for (const std::uint64_t w : out) *sink ^= w;
     }
-    return timer.elapsed_ms();
-}
-
-/// One timed pass of the sequential-wave protocol, one single-vector run
-/// per vector (the serial reference the lane protocol is checked against).
-double pl_serial_pass(const circuit& c) {
-    sim::pl_simulator simulator(c.pl, sim::sim_options{});
-    std::vector<std::vector<bool>> one(1);
-    const wall_timer timer;
-    for (const std::vector<bool>& v : c.vectors) {
-        one[0] = v;
-        simulator.run(one);
-    }
-    return timer.elapsed_ms();
-}
-
-/// One timed pass of the lane protocol, one run_lanes call over every block.
-double pl_lane_pass(const circuit& c) {
-    sim::pl_simulator simulator(c.pl);
-    const wall_timer timer;
-    simulator.run_lanes(c.blocks);
     return timer.elapsed_ms();
 }
 
@@ -262,7 +186,7 @@ int main(int argc, char** argv) {
             const char* arg = argv[i];
             const char* v = argv[i + 1];
             if (std::strcmp(arg, "--circuits") == 0) {
-                circuits = parse_unsigned<std::size_t>(arg, v);
+                circuits = parse_positive<std::size_t>(arg, v);
             } else if (std::strcmp(arg, "--gates") == 0) {
                 gates = parse_unsigned<std::size_t>(arg, v);
             } else if (std::strcmp(arg, "--vectors") == 0) {
@@ -272,7 +196,7 @@ int main(int argc, char** argv) {
             } else if (std::strcmp(arg, "--seed") == 0) {
                 seed = parse_unsigned<std::uint64_t>(arg, v);
             } else if (std::strcmp(arg, "--repeat") == 0) {
-                repeat = parse_unsigned<unsigned>(arg, v);
+                repeat = parse_positive<unsigned>(arg, v);
             } else if (std::strcmp(arg, "--threads") == 0) {
                 threads = parse_unsigned<unsigned>(arg, v);
             } else if (std::strcmp(arg, "--json") == 0) {
@@ -288,7 +212,7 @@ int main(int argc, char** argv) {
     threads = worker_count(threads, circuits);
 
     try {
-        // Fleet mix: the four presets round-robin, EE applied, shared stimulus
+        // Fleet mix: the presets round-robin, EE applied, shared stimulus
         // seed — the same shape the fleet runner simulates per shard.
         std::vector<circuit> mix;
         for (std::size_t i = 0; i < circuits; ++i) {
@@ -302,8 +226,6 @@ int main(int argc, char** argv) {
             c.pl = std::move(mapped.pl);
             c.blocks = sim::make_stimulus(vectors, c.pl.sources().size(),
                                           seed ^ (i * 0x9e3779b97f4a7c15ull));
-            c.vectors = sim::random_vectors(vectors, c.pl.sources().size(),
-                                            seed ^ (i * 0x9e3779b97f4a7c15ull));
             mix.push_back(std::move(c));
         }
 
@@ -314,140 +236,108 @@ int main(int argc, char** argv) {
             all.push_back(&c);
         }
 
-        report::text_table t({"Workload", "Sequential-wave ev/s"});
+        report::text_table t({"Workload", "Sequential-wave ev/s", "Lane ev/s",
+                              "Divergent share"});
         report::json rows = report::json::array();
-        const auto add_row = [&](const std::string& name,
-                                 const std::vector<const circuit*>& group,
-                                 unsigned row_threads) {
-            std::uint64_t events = 0;
-            const double rate =
-                best_events_per_s(group, row_threads, repeat, &events);
-            t.add_row({name, report::fmt(rate, 0)});
-            report::json j = report::json::object();
-            j.set("workload", report::json::str(name));
-            j.set("threads",
-                  report::json::number(static_cast<std::int64_t>(row_threads)));
-            j.set("events_per_run",
-                  report::json::number(static_cast<std::int64_t>(events)));
-            j.set("events_per_s", report::json::number(rate));
-            rows.push(std::move(j));
+        // One row per protocol: best-of-R events/s, and the counts of a pass
+        // (every pass simulates the same events).
+        const auto add_rows = [&](const std::string& name,
+                                  const std::vector<const circuit*>& group,
+                                  unsigned row_threads) {
+            std::vector<std::string> cells{name};
+            for (const std::size_t lanes : {std::size_t{1}, sim::k_lanes}) {
+                double rate = 0.0;
+                pass_result pass;
+                for (unsigned r = 0; r < repeat; ++r) {
+                    pass = timed_pass(group, row_threads, lanes);
+                    if (pass.ms > 0.0) {
+                        rate = std::max(
+                            rate, 1000.0 * static_cast<double>(pass.events) / pass.ms);
+                    }
+                }
+                cells.push_back(report::fmt(rate, 0));
+                report::json j = report::json::object();
+                j.set("workload", report::json::str(name));
+                j.set("lanes", report::json::number(static_cast<std::int64_t>(lanes)));
+                j.set("threads",
+                      report::json::number(static_cast<std::int64_t>(row_threads)));
+                j.set("events_per_run",
+                      report::json::number(static_cast<std::int64_t>(pass.events)));
+                j.set("events_per_s", report::json::number(rate));
+                if (lanes == sim::k_lanes) {
+                    // The fleet's divergent_share: the deposits that carried a
+                    // per-lane time slab, per event of both planes.
+                    const double share =
+                        pass.events == 0 ? 0.0
+                                         : static_cast<double>(pass.lane_slab_deposits) /
+                                               static_cast<double>(pass.events);
+                    cells.push_back(report::fmt(share, 4));
+                    j.set("lane_splits", report::json::number(
+                                             static_cast<std::int64_t>(pass.lane_splits)));
+                    j.set("lane_slab_deposits",
+                          report::json::number(
+                              static_cast<std::int64_t>(pass.lane_slab_deposits)));
+                    j.set("divergent_share", report::json::number(share));
+                }
+                rows.push(std::move(j));
+            }
+            t.add_row(cells);
         };
-
         for (const auto& [name, group] : by_scenario) {
-            add_row(name, group, /*row_threads=*/1);
+            add_rows(name, group, /*row_threads=*/1);
         }
-        add_row("fleet-mix", all, threads);
+        add_rows("fleet-mix", all, threads);
         std::printf("%zu circuits x %zu gates, %zu vectors, best of %u "
                     "(fleet-mix at %u threads)\n\n%s\n",
                     circuits, gates, vectors, repeat, threads,
                     t.to_string().c_str());
 
-        // --- Lanes row: 64-vector word-parallel mode on the same mix -----
-
-        // Golden gate: run_lanes vs 64 serial per-vector runs, bit for bit.
-        lane_check lanes{};
-        for (const circuit& c : mix) {
-            const lane_check lc = check_lanes_vs_serial(c);
-            if (!lc.ok) {
-                std::fprintf(stderr,
-                             "FAIL: lane protocol diverges from serial runs on "
-                             "%s (gates=%zu seed=%llu)\n",
-                             c.scenario.c_str(), gates,
-                             static_cast<unsigned long long>(seed));
-                return 1;
-            }
-            lanes.events += lc.events;
-            lanes.lane_splits += lc.lane_splits;
-            lanes.lane_slab_deposits += lc.lane_slab_deposits;
-        }
-        std::printf("cross-check: lane protocol bit-identical to serial runs on "
-                    "%zu circuits (%llu divergent EE firings, divergent share "
-                    "%.4f)\n",
-                    mix.size(),
-                    static_cast<unsigned long long>(lanes.lane_splits),
-                    lanes.divergent_share());
-
+        // --- Golden row: the synchronous golden model, scalar vs 64 lanes --
         // Interleaved A/B: within every repetition each circuit runs the
         // scalar pass immediately followed by the lane pass, so frequency
         // drift hits both sides alike; best-of-R on the summed ms.
-        double sync_scalar_ms = 1e300;
-        double sync_lane_ms = 1e300;
-        double pl_serial_ms = 1e300;
-        double pl_lane_ms = 1e300;
-        std::size_t scalar_sink = 0;
-        std::uint64_t lane_sink = 0;
-        std::vector<std::vector<std::vector<bool>>> sync_vecs;
-        std::vector<std::vector<sim::stimulus_block>> sync_blocks;
+        std::vector<std::vector<sim::stimulus_block>> golden_blocks;
         for (std::size_t i = 0; i < mix.size(); ++i) {
-            const std::uint64_t s = seed ^ ((i + circuits) * 0x9e3779b97f4a7c15ull);
-            sync_vecs.push_back(sim::random_vectors(
-                lane_vectors, mix[i].pl.sources().size(), s));
-            sync_blocks.push_back(sim::make_stimulus(
-                lane_vectors, mix[i].pl.sources().size(), s));
+            golden_blocks.push_back(sim::make_stimulus(
+                lane_vectors, mix[i].pl.sources().size(),
+                seed ^ ((i + circuits) * 0x9e3779b97f4a7c15ull)));
         }
+        double scalar_ms = 1e300;
+        double lane_ms = 1e300;
+        std::uint64_t sink = 0;
         for (unsigned r = 0; r < repeat; ++r) {
-            double sc = 0.0, sl = 0.0, es = 0.0, el = 0.0;
+            double sc = 0.0;
+            double sl = 0.0;
             for (std::size_t i = 0; i < mix.size(); ++i) {
-                sc += sync_scalar_pass(mix[i], sync_vecs[i], &scalar_sink);
-                sl += sync_lane_pass(mix[i], sync_blocks[i], &lane_sink);
-                es += pl_serial_pass(mix[i]);
-                el += pl_lane_pass(mix[i]);
+                sc += sync_scalar_pass(mix[i], golden_blocks[i], &sink);
+                sl += sync_lane_pass(mix[i], golden_blocks[i], &sink);
             }
-            sync_scalar_ms = std::min(sync_scalar_ms, sc);
-            sync_lane_ms = std::min(sync_lane_ms, sl);
-            pl_serial_ms = std::min(pl_serial_ms, es);
-            pl_lane_ms = std::min(pl_lane_ms, el);
+            scalar_ms = std::min(scalar_ms, sc);
+            lane_ms = std::min(lane_ms, sl);
         }
-        // Keep the per-vector output reads observable so the timed passes
-        // cannot be optimized away.
-        if (scalar_sink == static_cast<std::size_t>(-1) && lane_sink == 1) {
-            std::printf("\n");
-        }
-        const double total_sync_vectors =
-            static_cast<double>(lane_vectors * mix.size());
-        const double total_pl_vectors =
-            static_cast<double>(vectors * mix.size());
-        const auto vps = [](double count, double ms) {
-            return ms > 0.0 ? 1000.0 * count / ms : 0.0;
+        // Keep the output reads observable so the timed passes cannot be
+        // optimized away.
+        if (sink == 1) std::printf("\n");
+        const auto vps = [&](double ms) {
+            return ms > 0.0
+                       ? 1000.0 * static_cast<double>(lane_vectors * mix.size()) / ms
+                       : 0.0;
         };
-        const double sync_scalar_vps = vps(total_sync_vectors, sync_scalar_ms);
-        const double sync_lane_vps = vps(total_sync_vectors, sync_lane_ms);
-        const double pl_serial_vps = vps(total_pl_vectors, pl_serial_ms);
-        const double pl_lane_vps = vps(total_pl_vectors, pl_lane_ms);
-        const double sync_speedup =
-            sync_scalar_vps > 0.0 ? sync_lane_vps / sync_scalar_vps : 0.0;
-        const double pl_speedup =
-            pl_serial_vps > 0.0 ? pl_lane_vps / pl_serial_vps : 0.0;
-        std::printf("\nlanes row (%zu lanes, %zu vectors/circuit on the sync "
-                    "path, best of %u):\n",
-                    sim::k_lanes, lane_vectors, repeat);
-        std::printf("  sync golden path: scalar %.0f vec/s, lane %.0f vec/s "
-                    "= %.1fx\n",
-                    sync_scalar_vps, sync_lane_vps, sync_speedup);
-        std::printf("  pl protocols    : serial %.0f vec/s, lane %.0f vec/s "
-                    "= %.1fx\n\n",
-                    pl_serial_vps, pl_lane_vps, pl_speedup);
+        const double scalar_vps = vps(scalar_ms);
+        const double lane_vps = vps(lane_ms);
+        const double sync_speedup = scalar_vps > 0.0 ? lane_vps / scalar_vps : 0.0;
+        std::printf("golden model (%zu vectors/circuit, best of %u): scalar %.0f "
+                    "vec/s, %zu lanes %.0f vec/s = %.1fx\n\n",
+                    lane_vectors, repeat, scalar_vps, sim::k_lanes, lane_vps,
+                    sync_speedup);
         {
             report::json j = report::json::object();
-            j.set("workload", report::json::str("lanes"));
-            j.set("lanes", report::json::number(
-                               static_cast<std::int64_t>(sim::k_lanes)));
+            j.set("workload", report::json::str("golden"));
             j.set("lane_vectors", report::json::number(
                                       static_cast<std::int64_t>(lane_vectors)));
-            j.set("sync_scalar_vectors_per_s",
-                  report::json::number(sync_scalar_vps));
-            j.set("sync_lane_vectors_per_s",
-                  report::json::number(sync_lane_vps));
+            j.set("sync_scalar_vectors_per_s", report::json::number(scalar_vps));
+            j.set("sync_lane_vectors_per_s", report::json::number(lane_vps));
             j.set("sync_speedup", report::json::number(sync_speedup));
-            j.set("pl_serial_vectors_per_s",
-                  report::json::number(pl_serial_vps));
-            j.set("pl_lane_vectors_per_s", report::json::number(pl_lane_vps));
-            j.set("pl_speedup", report::json::number(pl_speedup));
-            j.set("lane_splits",
-                  report::json::number(
-                      static_cast<std::int64_t>(lanes.lane_splits)));
-            j.set("divergent_share",
-                  report::json::number(lanes.divergent_share()));
             rows.push(std::move(j));
         }
 

@@ -88,7 +88,7 @@ public:
     std::vector<bool> cycle(const std::vector<bool>& inputs);
 
     /// Allocation-free comparison of the post-eval() primary outputs against
-    /// `expected` (netlist output order) — the golden-check hot path.
+    /// `expected` (netlist output order).
     bool outputs_equal(const std::vector<bool>& expected) const;
 
 private:

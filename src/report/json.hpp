@@ -23,7 +23,7 @@ namespace plee::report {
 /// fleet artifact carries runner::k_fleet_schema_version instead).
 /// Artifacts without the field predate versioning — read them as version 0.
 /// Bump on any breaking shape change; see docs/schemas.md.
-inline constexpr int k_bench_schema_version = 3;
+inline constexpr int k_bench_schema_version = 4;
 
 class json {
 public:

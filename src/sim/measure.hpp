@@ -31,10 +31,10 @@
 //    single-vector simulation from reset, and 64 of them advance through one
 //    lane-parallel wave; one pl_simulator::run_lanes call runs every block.
 //    Per-vector results are bit-identical to running each vector alone; the
-//    golden check runs through the 64-lane synchronous model.  This is the
-//    path the BENCH_sim.json `lanes` row measures (~an order of magnitude
-//    more vectors/s on the sync golden model, and several times the serial
-//    PL vectors/s).
+//    golden check runs through the 64-lane synchronous model.
+//    BENCH_sim.json's `lanes: 64` rows time this run, and its golden row
+//    the two golden models (about 9x the scalar model's vectors/s at 64
+//    lanes).
 //
 // The two protocols measure different quantities for sequential hand-off
 // reasons (wave k's delay starts at wave k-1's stabilization in the

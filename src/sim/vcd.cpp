@@ -32,42 +32,24 @@ std::string signal_name(const pl::pl_netlist& pl, pl::gate_id g) {
 
 }  // namespace
 
-std::string to_vcd(const pl::pl_netlist& pl, const std::vector<trace_event>& trace,
-                   const vcd_options& options) {
+std::string to_vcd(const pl::pl_netlist& pl, const std::vector<trace_event>& trace) {
     // One signal per gate that drives at least one data edge; a gate's data
     // fanout edges all carry the same token, so the first one represents it.
-    std::map<pl::gate_id, std::size_t> signal_of_gate;  // -> signal index
     std::vector<pl::gate_id> gate_of_signal;
     std::vector<pl::edge_id> probe_edge;  // representative edge per signal
     for (pl::gate_id g = 0; g < pl.num_gates(); ++g) {
-        if (options.ports_only && pl.gate(g).kind != pl::gate_kind::source) continue;
         for (pl::edge_id e : pl.out_edges(g)) {
             if (pl.edge(e).kind == pl::edge_kind::data) {
-                signal_of_gate.emplace(g, gate_of_signal.size());
                 gate_of_signal.push_back(g);
                 probe_edge.push_back(e);
                 break;
             }
         }
     }
-    // Sinks observe, they do not drive; in ports_only mode expose the wires
-    // feeding the sinks instead.
-    if (options.ports_only) {
-        for (pl::gate_id s : pl.sinks()) {
-            if (pl.data_in(s).empty()) continue;
-            const pl::edge_id feed = pl.data_in(s).front();
-            const pl::gate_id driver = pl.edge(feed).from;
-            if (!signal_of_gate.count(driver)) {
-                signal_of_gate.emplace(driver, gate_of_signal.size());
-                gate_of_signal.push_back(driver);
-                probe_edge.push_back(feed);
-            }
-        }
-    }
 
     std::ostringstream os;
     os << "$date plee self-timed trace $end\n";
-    os << "$timescale " << options.timescale << " $end\n";
+    os << "$timescale 1ps $end\n";
     os << "$scope module pl $end\n";
     for (std::size_t i = 0; i < gate_of_signal.size(); ++i) {
         os << "$var wire 1 " << vcd_id(i) << " "
@@ -99,7 +81,7 @@ std::string to_vcd(const pl::pl_netlist& pl, const std::vector<trace_event>& tra
         auto it = signal_of_edge.find(ev.edge);
         if (it == signal_of_edge.end()) continue;
         changes.push_back({static_cast<long long>(
-                               std::llround(ev.time * options.ns_to_ticks)),
+                               std::llround(ev.time * 1000.0)),
                            it->second, ev.value});
     }
     std::stable_sort(changes.begin(), changes.end(),

@@ -15,17 +15,10 @@
 
 namespace plee::sim {
 
-struct vcd_options {
-    /// Dump only primary inputs and outputs (default: every wire).
-    bool ports_only = false;
-    /// VCD timescale; simulation times (ns) are emitted at this resolution.
-    std::string timescale = "1ps";
-    double ns_to_ticks = 1000.0;  ///< ns -> timescale ticks
-};
-
-/// Renders a VCD document for `trace` over `pl`.  Events are grouped per
-/// producing gate; only value *changes* are emitted after the initial dump.
-std::string to_vcd(const pl::pl_netlist& pl, const std::vector<trace_event>& trace,
-                   const vcd_options& options = {});
+/// Renders a VCD document for `trace` over `pl`: one signal per gate that
+/// drives a data edge, times in ns written as integer picoseconds
+/// ($timescale 1ps).  Events are grouped per producing gate; only value
+/// *changes* are emitted after the initial dump.
+std::string to_vcd(const pl::pl_netlist& pl, const std::vector<trace_event>& trace);
 
 }  // namespace plee::sim

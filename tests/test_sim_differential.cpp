@@ -14,11 +14,13 @@
 //  (b) the time-ordered heap oracle (heap_oracle.hpp) on run()'s waves,
 //      every stat and the trace;
 //  (c) for run_lanes, a heap-oracle run of each lane's vector alone: sink
-//      values, stable times, per-lane delay and the summed EE counters;
+//      values, stable times, per-lane delay and the summed EE counters, on
+//      every block of one run (1 to 192 vectors, so up to three blocks,
+//      the last one partly filled);
 //  (d) the plain time plane of the EE netlist, on both protocols, against
 //      a run of the mapping without the triggers: outputs, every time and
-//      every counter (plain_plane.hpp).  On the mapping itself the two
-//      planes agree.
+//      every counter (plain_plane.hpp), on every block of the lane run.
+//      On the mapping itself the two planes agree.
 //
 // A failure prints the configuration's seed and every drawn parameter.
 
@@ -87,7 +89,7 @@ config draw_config(std::uint64_t seed) {
           &c.random_delays.d_source}) {
         *component = 2.0 * d.unit();
     }
-    c.lane_vectors = 1 + d.below(k_lanes);
+    c.lane_vectors = 1 + d.below(3 * k_lanes);
     // The paper's thresholded trigger sets, and its cube-list triggers where
     // they are cheap: a cube-list search of a LUT7/8 netlist takes ~25x
     // the exact one.
@@ -172,43 +174,51 @@ void expect_same_run(const std::vector<wave_record>& oracle_waves,
     }
 }
 
-/// (c) and (a) for run_lanes: lane L against an oracle run of vector L
-/// alone, and every lane against the 64-lane golden model from reset.
+/// (c) and (a) for run_lanes: one run over every block, lane L of block b
+/// against an oracle run of that vector alone, and every lane against the
+/// 64-lane golden model from reset.
 void expect_lanes_match_oracle(const nl::netlist& sync, const pl::pl_netlist& pl,
                                const sim_options& opts,
-                               const stimulus_block& block) {
+                               const std::vector<stimulus_block>& blocks) {
     pl_simulator lanes(pl, opts);
-    const lane_block_result lr = lanes.run_lanes({block}).front();
+    const std::vector<lane_block_result> results = lanes.run_lanes(blocks);
     const sim_run_stats ls = lanes.stats();
     EXPECT_LE(ls.lane_slab_deposits, ls.events);
+    ASSERT_EQ(results.size(), blocks.size());
 
     nl::sync_lane_simulator gold(sync);
-    gold.reset();
-    gold.set_inputs(block.words.data(), block.width);
-    gold.eval();
     std::vector<std::uint64_t> expected(sync.outputs().size());
-    gold.output_values(expected.data());
-    ASSERT_EQ(lr.outputs.size(), expected.size());
-    for (std::size_t j = 0; j < expected.size(); ++j) {
-        EXPECT_EQ(lr.outputs[j], expected[j] & block.lane_mask()) << "sink " << j;
-    }
-
     sim_run_stats oracle_total{};
     std::vector<std::vector<bool>> one(1);
-    for (std::size_t lane = 0; lane < block.num_vectors; ++lane) {
-        block.extract(lane, one[0]);
-        testing::heap_oracle oracle(pl, opts);
-        const std::vector<wave_record> waves = oracle.run(one);
-        const wave_record& w = waves.front();
-        oracle_total.ee_hits += oracle.stats().ee_hits;
-        oracle_total.ee_misses += oracle.stats().ee_misses;
-        oracle_total.ee_wins += oracle.stats().ee_wins;
-        EXPECT_EQ(lr.input_stable[lane], w.input_stable) << "lane " << lane;
-        EXPECT_EQ(lr.output_stable[lane], w.output_stable) << "lane " << lane;
-        EXPECT_EQ(lr.output_stable[lane], w.delay()) << "lane " << lane;
-        for (std::size_t j = 0; j < w.outputs.size(); ++j) {
-            EXPECT_EQ(((lr.outputs[j] >> lane) & 1u) != 0, w.outputs[j])
-                << "lane " << lane << " sink " << j;
+    for (std::size_t b = 0; b < blocks.size(); ++b) {
+        SCOPED_TRACE("block " + std::to_string(b));
+        const stimulus_block& block = blocks[b];
+        const lane_block_result& lr = results[b];
+        ASSERT_EQ(lr.num_vectors, block.num_vectors);
+        gold.reset();
+        gold.set_inputs(block.words.data(), block.width);
+        gold.eval();
+        gold.output_values(expected.data());
+        ASSERT_EQ(lr.outputs.size(), expected.size());
+        for (std::size_t j = 0; j < expected.size(); ++j) {
+            EXPECT_EQ(lr.outputs[j], expected[j] & block.lane_mask()) << "sink " << j;
+        }
+
+        for (std::size_t lane = 0; lane < block.num_vectors; ++lane) {
+            block.extract(lane, one[0]);
+            testing::heap_oracle oracle(pl, opts);
+            const std::vector<wave_record> waves = oracle.run(one);
+            const wave_record& w = waves.front();
+            oracle_total.ee_hits += oracle.stats().ee_hits;
+            oracle_total.ee_misses += oracle.stats().ee_misses;
+            oracle_total.ee_wins += oracle.stats().ee_wins;
+            EXPECT_EQ(lr.input_stable[lane], w.input_stable) << "lane " << lane;
+            EXPECT_EQ(lr.output_stable[lane], w.output_stable) << "lane " << lane;
+            EXPECT_EQ(lr.output_stable[lane], w.delay()) << "lane " << lane;
+            for (std::size_t j = 0; j < w.outputs.size(); ++j) {
+                EXPECT_EQ(((lr.outputs[j] >> lane) & 1u) != 0, w.outputs[j])
+                    << "lane " << lane << " sink " << j;
+            }
         }
     }
     EXPECT_EQ(ls.ee_hits, oracle_total.ee_hits);
@@ -256,7 +266,7 @@ void check_netlist(const config& c, const nl::netlist& sync,
             pl_simulator untraced(pl, opts);
             expect_same_run(oracle_waves, oracle.stats(), {}, untraced,
                             untraced.run(vectors));
-            expect_lanes_match_oracle(sync, pl, opts, blocks.front());
+            expect_lanes_match_oracle(sync, pl, opts, blocks);
         }
     }
 }
@@ -266,8 +276,8 @@ void expect_plain_plane(const config& c, const pl::pl_netlist& plain,
                         const pl::pl_netlist& ee) {
     const std::vector<std::vector<bool>> vectors =
         random_vectors(k_waves, plain.sources().size(), c.seed);
-    const stimulus_block block =
-        make_stimulus(c.lane_vectors, plain.sources().size(), ~c.seed).front();
+    const std::vector<stimulus_block> blocks =
+        make_stimulus(c.lane_vectors, plain.sources().size(), ~c.seed);
     for (const auto& [name, delays] : delay_models(c)) {
         for (bool non_pipelined : {true, false}) {
             SCOPED_TRACE("plain plane, " + name + " delays, " +
@@ -284,12 +294,17 @@ void expect_plain_plane(const config& c, const pl::pl_netlist& plain,
             testing::expect_plain_waves(waves, got.run(vectors), "ee");
             testing::expect_same_stats(stats, got.plain_stats(), "ee");
 
-            const lane_block_result lanes = want.run_lanes({block}).front();
+            const std::vector<lane_block_result> lanes = want.run_lanes(blocks);
             const sim_run_stats lane_stats = want.stats();
-            testing::expect_plain_lanes(lanes, lanes, "mapping lanes");
+            const std::vector<lane_block_result> ee_lanes = got.run_lanes(blocks);
+            ASSERT_EQ(lanes.size(), blocks.size());
+            ASSERT_EQ(ee_lanes.size(), blocks.size());
+            for (std::size_t b = 0; b < blocks.size(); ++b) {
+                const std::string at = " block " + std::to_string(b);
+                testing::expect_plain_lanes(lanes[b], lanes[b], "mapping lanes" + at);
+                testing::expect_plain_lanes(lanes[b], ee_lanes[b], "ee lanes" + at);
+            }
             testing::expect_same_stats(lane_stats, want.plain_stats(), "mapping lanes");
-            testing::expect_plain_lanes(lanes, got.run_lanes({block}).front(),
-                                        "ee lanes");
             testing::expect_same_stats(lane_stats, got.plain_stats(), "ee lanes");
         }
     }

@@ -79,34 +79,5 @@ TEST(Vcd, TimestampsAreMonotone) {
     EXPECT_GE(prev, 0);
 }
 
-TEST(Vcd, PortsOnlyModeShrinksSignalCount) {
-    // A 4-bit adder has internal carry wires beyond the ports.
-    syn::module_builder m("add");
-    const syn::bus a = m.input_bus("a", 4);
-    const syn::bus b = m.input_bus("b", 4);
-    m.output_bus("s", m.add(a, b).sum);
-    const auto mapped = pl::map_to_phased_logic(m.build());
-    sim_options opts;
-    opts.collect_trace = true;
-    pl_simulator sim(mapped.pl, opts);
-    sim.run(random_vectors(4, 8, 2));
-
-    vcd_options full;
-    vcd_options ports;
-    ports.ports_only = true;
-    const std::string all = to_vcd(mapped.pl, sim.trace(), full);
-    const std::string io = to_vcd(mapped.pl, sim.trace(), ports);
-    auto count_vars = [](const std::string& s) {
-        std::size_t n = 0, pos = 0;
-        while ((pos = s.find("$var", pos)) != std::string::npos) {
-            ++n;
-            pos += 4;
-        }
-        return n;
-    };
-    EXPECT_LT(count_vars(io), count_vars(all));
-    EXPECT_GE(count_vars(io), 9u);  // 8 inputs + at least one output wire
-}
-
 }  // namespace
 }  // namespace plee::sim
