@@ -25,12 +25,19 @@
 // eval, read), in vectors/s.  Last, one measurement per circuit gives both
 // arms' completion-time distributions.
 //
+// The run is R rounds, each timing one pass of every engine row and one of
+// the golden A/B, and every row reports its best: its R passes are spread
+// over the whole run, so a host stall of a few hundred ms costs it a few
+// passes, not its result.
+//
 //   --circuits N       netlists in the mix                   (default 12)
 //   --gates G          LUTs per netlist                      (default 150)
 //   --vectors V        random vectors per run                (default 60)
 //   --lane-vectors LV  vectors for the golden A/B            (default 8192)
 //   --seed S           generator + stimulus seed             (default 1)
-//   --repeat R         timed repetitions per row             (default 3)
+//   --repeat R         timed repetitions per row             (default 50;
+//                      five back-to-back runs then agree within ~10%
+//                      on the fleet-mix rows of a shared host)
 //   --threads T        worker threads for the fleet-mix rows (default 1;
 //                      0 = one per hardware thread)
 //   --json PATH        write BENCH_sim.json for cross-PR perf tracking
@@ -169,7 +176,7 @@ int main(int argc, char** argv) {
     std::size_t vectors = 60;
     std::size_t lane_vectors = 8192;
     std::uint64_t seed = 1;
-    unsigned repeat = 3;
+    unsigned repeat = 50;
     unsigned threads = 1;
     std::string json_path;
     const auto usage = [&] {
@@ -236,76 +243,50 @@ int main(int argc, char** argv) {
             all.push_back(&c);
         }
 
-        report::text_table t({"Workload", "Sequential-wave ev/s", "Lane ev/s",
-                              "Divergent share"});
-        report::json rows = report::json::array();
-        // One row per protocol: best-of-R events/s, and the counts of a pass
-        // (every pass simulates the same events).
-        const auto add_rows = [&](const std::string& name,
-                                  const std::vector<const circuit*>& group,
-                                  unsigned row_threads) {
-            std::vector<std::string> cells{name};
-            for (const std::size_t lanes : {std::size_t{1}, sim::k_lanes}) {
-                double rate = 0.0;
-                pass_result pass;
-                for (unsigned r = 0; r < repeat; ++r) {
-                    pass = timed_pass(group, row_threads, lanes);
-                    if (pass.ms > 0.0) {
-                        rate = std::max(
-                            rate, 1000.0 * static_cast<double>(pass.events) / pass.ms);
-                    }
-                }
-                cells.push_back(report::fmt(rate, 0));
-                report::json j = report::json::object();
-                j.set("workload", report::json::str(name));
-                j.set("lanes", report::json::number(static_cast<std::int64_t>(lanes)));
-                j.set("threads",
-                      report::json::number(static_cast<std::int64_t>(row_threads)));
-                j.set("events_per_run",
-                      report::json::number(static_cast<std::int64_t>(pass.events)));
-                j.set("events_per_s", report::json::number(rate));
-                if (lanes == sim::k_lanes) {
-                    // The fleet's divergent_share: the deposits that carried a
-                    // per-lane time slab, per event of both planes.
-                    const double share =
-                        pass.events == 0 ? 0.0
-                                         : static_cast<double>(pass.lane_slab_deposits) /
-                                               static_cast<double>(pass.events);
-                    cells.push_back(report::fmt(share, 4));
-                    j.set("lane_splits", report::json::number(
-                                             static_cast<std::int64_t>(pass.lane_splits)));
-                    j.set("lane_slab_deposits",
-                          report::json::number(
-                              static_cast<std::int64_t>(pass.lane_slab_deposits)));
-                    j.set("divergent_share", report::json::number(share));
-                }
-                rows.push(std::move(j));
-            }
-            t.add_row(cells);
+        // Engine rows: one per scenario and protocol, and two for the whole
+        // mix.  A row reports its best pass's events/s and the counts of a
+        // pass (every pass simulates the same events).
+        struct engine_row {
+            std::string name;
+            const std::vector<const circuit*>* group = nullptr;
+            unsigned threads = 1;
+            std::size_t lanes = 1;
+            double rate = 0.0;
+            pass_result pass;
         };
+        std::vector<engine_row> engine;
         for (const auto& [name, group] : by_scenario) {
-            add_rows(name, group, /*row_threads=*/1);
+            for (const std::size_t lanes : {std::size_t{1}, sim::k_lanes}) {
+                engine.push_back({name, &group, 1, lanes, 0.0, {}});
+            }
         }
-        add_rows("fleet-mix", all, threads);
-        std::printf("%zu circuits x %zu gates, %zu vectors, best of %u "
-                    "(fleet-mix at %u threads)\n\n%s\n",
-                    circuits, gates, vectors, repeat, threads,
-                    t.to_string().c_str());
-
-        // --- Golden row: the synchronous golden model, scalar vs 64 lanes --
-        // Interleaved A/B: within every repetition each circuit runs the
-        // scalar pass immediately followed by the lane pass, so frequency
-        // drift hits both sides alike; best-of-R on the summed ms.
+        for (const std::size_t lanes : {std::size_t{1}, sim::k_lanes}) {
+            engine.push_back({"fleet-mix", &all, threads, lanes, 0.0, {}});
+        }
+        // The golden row's stimulus: its own vectors per circuit.
         std::vector<std::vector<sim::stimulus_block>> golden_blocks;
         for (std::size_t i = 0; i < mix.size(); ++i) {
             golden_blocks.push_back(sim::make_stimulus(
                 lane_vectors, mix[i].pl.sources().size(),
                 seed ^ ((i + circuits) * 0x9e3779b97f4a7c15ull)));
         }
+        // R rounds, each one timed pass of every engine row and one of the
+        // golden A/B, so each row's passes are spread over the whole run: a
+        // stall of a shared host costs a row a few of them, not all.
         double scalar_ms = 1e300;
         double lane_ms = 1e300;
         std::uint64_t sink = 0;
         for (unsigned r = 0; r < repeat; ++r) {
+            for (engine_row& e : engine) {
+                e.pass = timed_pass(*e.group, e.threads, e.lanes);
+                if (e.pass.ms > 0.0) {
+                    e.rate = std::max(
+                        e.rate, 1000.0 * static_cast<double>(e.pass.events) / e.pass.ms);
+                }
+            }
+            // Interleaved A/B: each circuit runs the golden scalar pass
+            // immediately followed by the lane pass, so frequency drift hits
+            // both sides alike; best-of-R on the summed ms.
             double sc = 0.0;
             double sl = 0.0;
             for (std::size_t i = 0; i < mix.size(); ++i) {
@@ -315,6 +296,45 @@ int main(int argc, char** argv) {
             scalar_ms = std::min(scalar_ms, sc);
             lane_ms = std::min(lane_ms, sl);
         }
+
+        report::text_table t({"Workload", "Sequential-wave ev/s", "Lane ev/s",
+                              "Divergent share"});
+        report::json rows = report::json::array();
+        std::vector<std::string> cells;
+        for (const engine_row& e : engine) {
+            if (e.lanes == 1) cells = {e.name};
+            cells.push_back(report::fmt(e.rate, 0));
+            report::json j = report::json::object();
+            j.set("workload", report::json::str(e.name));
+            j.set("lanes", report::json::number(static_cast<std::int64_t>(e.lanes)));
+            j.set("threads", report::json::number(static_cast<std::int64_t>(e.threads)));
+            j.set("events_per_run",
+                  report::json::number(static_cast<std::int64_t>(e.pass.events)));
+            j.set("events_per_s", report::json::number(e.rate));
+            if (e.lanes == sim::k_lanes) {
+                // The fleet's divergent_share: the deposits that carried a
+                // per-lane time slab, per event of both planes.
+                const double share =
+                    e.pass.events == 0 ? 0.0
+                                       : static_cast<double>(e.pass.lane_slab_deposits) /
+                                             static_cast<double>(e.pass.events);
+                cells.push_back(report::fmt(share, 4));
+                j.set("lane_splits", report::json::number(
+                                         static_cast<std::int64_t>(e.pass.lane_splits)));
+                j.set("lane_slab_deposits",
+                      report::json::number(
+                          static_cast<std::int64_t>(e.pass.lane_slab_deposits)));
+                j.set("divergent_share", report::json::number(share));
+                t.add_row(cells);
+            }
+            rows.push(std::move(j));
+        }
+        std::printf("%zu circuits x %zu gates, %zu vectors, best of %u "
+                    "(fleet-mix at %u threads)\n\n%s\n",
+                    circuits, gates, vectors, repeat, threads,
+                    t.to_string().c_str());
+
+        // --- Golden row: the synchronous golden model, scalar vs 64 lanes --
         // Keep the output reads observable so the timed passes cannot be
         // optimized away.
         if (sink == 1) std::printf("\n");
@@ -381,6 +401,7 @@ int main(int argc, char** argv) {
             doc.set("vectors", report::json::number(vectors));
             doc.set("seed",
                     report::json::number(static_cast<std::int64_t>(seed)));
+            doc.set("repeat", report::json::number(static_cast<std::int64_t>(repeat)));
             doc.set("rows", std::move(rows));
             doc.set("lanes", report::json::number(
                                  static_cast<std::int64_t>(sim::k_lanes)));

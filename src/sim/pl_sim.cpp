@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <limits>
 #include <stdexcept>
 
 #include "ee/trigger_search.hpp"
@@ -370,6 +371,7 @@ void pl_simulator::run_waves(std::vector<wave_record>& records) {
     const double gate_delay = dm.gate_delay();
     const double efire_delay = dm.efire_delay();
     const double ee_penalty = dm.d_ee_penalty;
+    constexpr double k_closed[2] = {std::numeric_limits<double>::infinity(), 0.0};
     const bool trace_on = options_.collect_trace;
     for (std::size_t k = 0; k < records.size(); ++k) {
         wave_record& rec = records[k];
@@ -411,13 +413,14 @@ void pl_simulator::run_waves(std::vector<wave_record>& records) {
                 case role::master: {
                     // Normal completion pays the extra C-element; a 1-valued
                     // efire token opens the output latch early.  The plain
-                    // plane keeps t_ready + gate_delay.
+                    // plane keeps t_ready + gate_delay.  A 0-valued token
+                    // adds +inf to the early time, so the select is a min.
                     const in_ref x = d.efire ^ par;
                     const std::uint64_t efire = values[x] & 1u;
                     const double normal = t_data[1] + gate_delay + ee_penalty;
-                    const double early = times[x][1] + efire_delay;
-                    const std::uint64_t win = efire & (early < normal ? 1u : 0u);
-                    t_out[1] = win != 0 ? early : normal;
+                    const double early = times[x][1] + efire_delay + k_closed[efire];
+                    const std::uint64_t win = early < normal ? 1u : 0u;
+                    t_out[1] = early < normal ? early : normal;
                     hits += efire;
                     wins += win;
                     ++masters;
@@ -492,11 +495,13 @@ std::vector<lane_block_result> pl_simulator::run_lanes(
 
     begin_run();
     if (!slab_pool_) {
-        // At most one slab per slot; uninitialized, since varies_ gates
+        // One slab per parity-0 slot; uninitialized, since varies_ gates
         // every read.
-        slab_pool_ = std::make_unique_for_overwrite<double[]>(2 * recs_.size() * k_lanes);
+        slab_pool_ = std::make_unique_for_overwrite<time2[]>(recs_.size() * k_lanes);
         varies_.assign(times_.size(), 0);
-        slab_of_.assign(times_.size(), 0);
+        std::uint32_t max_refs = 0;
+        for (const gate_rec& d : recs_) max_refs = std::max(max_refs, d.ref_end - d.ref_begin);
+        lane_slabs_.resize(max_refs);
     }
     std::vector<lane_block_result> results(blocks.size());
     for (std::size_t b = 0; b < blocks.size(); ++b) {
@@ -519,8 +524,8 @@ void pl_simulator::run_lane_wave(const stimulus_block& block, lane_block_result&
     const std::uint32_t n = static_cast<std::uint32_t>(recs_.size());
     const delay_model& dm = options_.delays;
     const double ack_delay = dm.ack_delay();
+    const time2** const slabs = lane_slabs_.data();
     lane_mask_ = block.lane_mask();
-    slabs_used_ = 0;
     out.num_vectors = block.num_vectors;
     out.outputs.assign(pl_.sinks().size(), 0);
     time2 input_stable = {0.0, 0.0};
@@ -531,72 +536,80 @@ void pl_simulator::run_lane_wave(const stimulus_block& block, lane_block_result&
         const gate_rec& d = recs_[s];
         const in_ref* const r = refs_.data() + d.ref_begin;
         const std::uint32_t num_refs = d.ref_end - d.ref_begin;
-        bool slab = false;
-        for (std::uint32_t i = 0; i < num_refs && !slab; ++i) slab = varies_[r[i]];
-        if (slab) {
-            fire_lanes_slab(s, block, out);
+        // One pass over the refs: both planes' maxes, in which a slab's EE
+        // time reads 0.0, and the slabs, the data pins' first.
+        time2 t = {0.0, 0.0};
+        std::uint32_t num_slabs = 0;
+        const auto read = [&](in_ref x) {
+            t = max2(t, times_[x]);
+            slabs[num_slabs] = slab_at(x);
+            num_slabs += varies_[x];
+        };
+        for (std::uint32_t i = 0; i < d.num_data; ++i) read(r[i]);
+        const time2 t_data = t;
+        const std::uint32_t data_slabs = num_slabs;
+        for (std::uint32_t i = d.num_data; i < num_refs; ++i) read(r[i]);
+        std::uint64_t value = 0;
+        if (d.kind == role::source) {
+            value = block.words[d.env_slot];
+        } else if (d.kind == role::sink) {
+            out.outputs[d.env_slot] = values_[r[0]] & lane_mask_;
+        } else {
+            std::uint64_t ins[bf::k_max_vars];
+            lane_operands(d, ins);
+            value = bf::truth_table::eval_word_lanes(fn_pool_.data() + d.fn_off,
+                                                     d.num_data, ins);
+        }
+        values_[4 * s] = value;
+        time2 t_ack = t + ack_delay;
+        time2 t_out = t + d.delay;
+        if ((d.live & k_trigger) != 0) t_out[0] = t_ack[0] = 0.0;
+        bool split = num_slabs != 0;
+        if (d.kind == role::master) {
+            const std::uint64_t efire_word = values_[d.efire];
+            const std::uint64_t hit = efire_word & lane_mask_;
+            stats_.ee_hits += static_cast<std::uint64_t>(std::popcount(hit));
+            stats_.ee_misses +=
+                static_cast<std::uint64_t>(std::popcount(lane_mask_ & ~efire_word));
+            const double normal = t_data[1] + dm.gate_delay() + dm.d_ee_penalty;
+            const double early = times_[d.efire][1] + dm.efire_delay();
+            // The lanes disagree on which output path wins: per-lane times.
+            split = split || (hit != 0 && hit != lane_mask_ && early < normal);
+            if (!split && early < normal) {
+                stats_.ee_wins += static_cast<std::uint64_t>(std::popcount(hit));
+            }
+            // With early >= normal every lane's t_out is `normal` whatever
+            // its efire bit, so a mixed word stays whole.
+            t_out[1] = hit == lane_mask_ ? std::min(early, normal) : normal;
+        }
+        if (split) {
+            switch (d.kind) {
+                case role::gate:
+                    fire_lanes_slab<role::gate>(s, t, t_data, data_slabs, num_slabs, out);
+                    break;
+                case role::master:
+                    fire_lanes_slab<role::master>(s, t, t_data, data_slabs, num_slabs, out);
+                    break;
+                case role::source:
+                    fire_lanes_slab<role::source>(s, t, t_data, data_slabs, num_slabs, out);
+                    break;
+                case role::sink:
+                    fire_lanes_slab<role::sink>(s, t, t_data, data_slabs, num_slabs, out);
+                    break;
+            }
         } else {
             // Every input carries one time for all lanes: the scalar
             // arithmetic of run_waves, on value words.
-            time2 t = {0.0, 0.0};
-            for (std::uint32_t i = 0; i < d.num_data; ++i) t = max2(t, times_[r[i]]);
-            const time2 t_data = t;
-            for (std::uint32_t i = d.num_data; i < num_refs; ++i) {
-                t = max2(t, times_[r[i]]);
-            }
-            time2 t_ack = t + ack_delay;
-            time2 t_out = t + d.delay;
-            std::uint64_t value = 0;
-            bool split = false;
             if (d.kind == role::source) {
                 // Every lane is a run from reset: released at time 0.
                 t_ack = t_out;
-                value = block.words[d.env_slot];
                 input_stable = max2(input_stable, t_out);
             } else if (d.kind == role::sink) {
-                out.outputs[d.env_slot] = values_[r[0]] & lane_mask_;
                 output_stable = max2(output_stable, t_data);
-            } else {
-                std::uint64_t ins[bf::k_max_vars];
-                lane_operands(d, ins);
-                value = bf::truth_table::eval_word_lanes(fn_pool_.data() + d.fn_off,
-                                                         d.num_data, ins);
-                if ((d.live & k_trigger) != 0) t_out[0] = t_ack[0] = 0.0;
-                if (d.kind == role::master) {
-                    const std::uint64_t efire_word = values_[d.efire];
-                    const double normal = t_data[1] + dm.gate_delay() + dm.d_ee_penalty;
-                    const double early = times_[d.efire][1] + dm.efire_delay();
-                    const std::uint64_t hit = efire_word & lane_mask_;
-                    stats_.ee_hits += static_cast<std::uint64_t>(std::popcount(hit));
-                    stats_.ee_misses += static_cast<std::uint64_t>(
-                        std::popcount(lane_mask_ & ~efire_word));
-                    if (early < normal) {
-                        stats_.ee_wins += static_cast<std::uint64_t>(std::popcount(hit));
-                    }
-                    split = hit != 0 && hit != lane_mask_ && early < normal;
-                    if (split) {
-                        // The lanes disagree on which output path wins:
-                        // per-lane times.
-                        ++stats_.lane_splits;
-                        double to[k_lanes];
-                        double ta[k_lanes];
-                        for (std::size_t l = 0; l < k_lanes; ++l) {
-                            to[l] = ((hit >> l) & 1u) ? early : normal;
-                            ta[l] = t_ack[1];
-                        }
-                        store_lanes(s, value, to, ta, t_out[0], t_ack[0]);
-                    }
-                    // With early >= normal every lane's t_out is `normal`
-                    // whatever its efire bit, so a mixed word stays whole.
-                    t_out[1] = hit == lane_mask_ ? std::min(early, normal) : normal;
-                }
             }
-            if (!split) {
-                times_[4 * s] = t_out;
-                times_[4 * s + 2] = t_ack;
-                varies_[4 * s] = varies_[4 * s + 2] = 0;
-                values_[4 * s] = value;
-            }
+            times_[4 * s] = t_out;
+            times_[4 * s + 2] = t_ack;
+            varies_[4 * s] = varies_[4 * s + 2] = 0;
         }
         if (s == stop) stop = reach(s, "lane");
     }
@@ -615,124 +628,114 @@ void pl_simulator::run_lane_wave(const stimulus_block& block, lane_block_result&
     stats_.lane_vectors += block.num_vectors;
 }
 
-/// The EE plane per lane; the plain plane, which never varies, is one
-/// scalar max over the refs' plain times.
-void pl_simulator::fire_lanes_slab(std::uint32_t s, const stimulus_block& block,
+/// The EE plane per lane, eight lanes (four time2) at a time; the plain
+/// plane, which never varies, is t's and t_data's scalar.  One instance per
+/// role, so the chunk loop tests no role.
+template <pl_simulator::role K>
+void pl_simulator::fire_lanes_slab(std::uint32_t s, time2 t, time2 t_data,
+                                   std::uint32_t data_slabs, std::uint32_t num_slabs,
                                    lane_block_result& out) {
+    using mask2 = decltype(time2{} < time2{});
+    constexpr double inf = std::numeric_limits<double>::infinity();
+    // Added to a pair of lanes' early times, indexed by the pair's hit
+    // bits: +inf keeps a lane whose efire token is 0, or that is empty, on
+    // its normal path, and + 0.0 changes no time.
+    static constexpr time2 k_closed[4] = {{inf, inf}, {0.0, inf}, {inf, 0.0}, {0.0, 0.0}};
     const gate_rec& d = recs_[s];
-    const in_ref* const r = refs_.data() + d.ref_begin;
-    const std::uint32_t num_refs = d.ref_end - d.ref_begin;
     const delay_model& dm = options_.delays;
-    double plain = 0.0;
-    for (std::uint32_t i = 0; i < d.num_data; ++i) plain = std::max(plain, times_[r[i]][0]);
-    const double plain_data = plain;
-    for (std::uint32_t i = d.num_data; i < num_refs; ++i) {
-        plain = std::max(plain, times_[r[i]][0]);
-    }
-    const bool in_plain = (d.live & k_trigger) == 0;
-    const double plain_out = in_plain ? plain + d.delay : 0.0;
-    const double plain_ack = in_plain ? plain + dm.ack_delay() : 0.0;
-    double tr[k_lanes];
-    std::fill_n(tr, k_lanes, 0.0);
-    gather_lanes(r, num_refs, tr);
-    double to[k_lanes];
-    double ta[k_lanes];
-    for (std::size_t l = 0; l < k_lanes; ++l) ta[l] = tr[l] + dm.ack_delay();
-    if (d.kind == role::source) {
-        for (std::size_t l = 0; l < k_lanes; ++l) {
-            to[l] = tr[l] + d.delay;
-            out.input_stable[l] = std::max(out.input_stable[l], to[l]);
+    const time2* const* const in = lane_slabs_.data();
+    const std::uint64_t hit = K == role::master ? values_[d.efire] & lane_mask_ : 0;
+    const time2* const efire =
+        K == role::master && varies_[d.efire] != 0 ? slab_at(d.efire) : nullptr;
+    const double efire_time = K == role::master ? times_[d.efire][1] : 0.0;
+    // A dead slot's slab is never read, so it is not written.
+    time2* const to = (d.live & k_data_live) != 0 ? slab_at(4 * s) : nullptr;
+    time2* const ta = (d.live & k_ack_live) != 0 ? slab_at(4 * s + 2) : nullptr;
+    // Mins and maxes over all 64 lanes: a time's lanes agree when its min is
+    // its max.  Adding a delay rounds monotonically, so t_ready's give those
+    // of every time but a master's output.
+    time2 lo_r = {inf, inf};
+    time2 hi_r = {-inf, -inf};
+    time2 lo_o = lo_r;
+    time2 hi_o = hi_r;
+    mask2 wins = {0, 0};
+    for (std::size_t k = 0; k < k_lanes / 2; k += 4) {
+        time2 data[4];
+        time2 ready[4];
+        time2 o[4];
+        for (std::size_t j = 0; j < 4; ++j) data[j] = time2{t_data[1], t_data[1]};
+        for (std::uint32_t i = 0; i < data_slabs; ++i) {
+            for (std::size_t j = 0; j < 4; ++j) data[j] = max2(data[j], in[i][k + j]);
         }
-        out.plain_input_stable = std::max(out.plain_input_stable, plain_out);
-        store_lanes(s, block.words[d.env_slot], to, to, plain_out, plain_out);
-        return;
-    }
-    if (d.kind == role::sink) {
-        std::fill_n(to, k_lanes, 0.0);
-        gather_lanes(r, d.num_data, to);
-        for (std::size_t l = 0; l < k_lanes; ++l) {
-            out.output_stable[l] = std::max(out.output_stable[l], to[l]);
+        for (std::size_t j = 0; j < 4; ++j) ready[j] = max2(data[j], time2{t[1], t[1]});
+        for (std::uint32_t i = data_slabs; i < num_slabs; ++i) {
+            for (std::size_t j = 0; j < 4; ++j) ready[j] = max2(ready[j], in[i][k + j]);
         }
-        out.plain_output_stable = std::max(out.plain_output_stable, plain_data);
-        out.outputs[d.env_slot] = values_[r[0]] & lane_mask_;
-        store_lanes(s, 0, ta, ta, plain_ack, plain_ack);
-        return;
-    }
-
-    std::uint64_t ins[bf::k_max_vars];
-    lane_operands(d, ins);
-    const std::uint64_t value = bf::truth_table::eval_word_lanes(
-        fn_pool_.data() + d.fn_off, d.num_data, ins);
-    if (d.kind != role::master) {
-        for (std::size_t l = 0; l < k_lanes; ++l) to[l] = tr[l] + d.delay;
-        store_lanes(s, value, to, ta, plain_out, plain_ack);
-        return;
-    }
-    // An EE master with a slab input: the firing rule per lane.
-    const std::uint64_t efire_word = values_[d.efire];
-    double td[k_lanes];
-    std::fill_n(td, k_lanes, 0.0);
-    gather_lanes(r, d.num_data, td);
-    double ef[k_lanes];
-    std::fill_n(ef, k_lanes, 0.0);
-    gather_lanes(&d.efire, 1, ef);
-    const std::uint64_t hit = efire_word & lane_mask_;
-    std::uint64_t divergent = 0;
-    for (std::size_t l = 0; l < k_lanes; ++l) {
-        const double normal = td[l] + dm.gate_delay() + dm.d_ee_penalty;
-        to[l] = normal;
-        if ((hit >> l) & 1u) {
-            const double early = ef[l] + dm.efire_delay();
-            if (early < normal) {
-                to[l] = early;
-                divergent |= std::uint64_t{1} << l;
+        for (std::size_t j = 0; j < 4; ++j) {
+            lo_r = min2(lo_r, ready[j]);
+            hi_r = max2(hi_r, ready[j]);
+            o[j] = ready[j] + d.delay;
+            if constexpr (K == role::master) {
+                const time2 normal = data[j] + dm.gate_delay() + dm.d_ee_penalty;
+                const time2 early =
+                    (efire != nullptr ? efire[k + j] : time2{efire_time, efire_time}) +
+                    dm.efire_delay() + k_closed[(hit >> (2 * (k + j))) & 3];
+                const mask2 win = early < normal;
+                wins -= win;
+                o[j] = win ? early : normal;
+                lo_o = min2(lo_o, o[j]);
+                hi_o = max2(hi_o, o[j]);
+            }
+        }
+        if (to != nullptr) {
+            for (std::size_t j = 0; j < 4; ++j) to[k + j] = o[j];
+        }
+        if (ta != nullptr) {
+            for (std::size_t j = 0; j < 4; ++j) {
+                ta[k + j] = K == role::source ? o[j] : ready[j] + dm.ack_delay();
+            }
+        }
+        if constexpr (K == role::source) {
+            for (std::size_t l = 0; l < 8; ++l) {
+                double& x = out.input_stable[2 * k + l];
+                x = std::max(x, o[l / 2][l % 2]);
+            }
+        } else if constexpr (K == role::sink) {
+            for (std::size_t l = 0; l < 8; ++l) {
+                double& x = out.output_stable[2 * k + l];
+                x = std::max(x, data[l / 2][l % 2]);
             }
         }
     }
-    stats_.ee_hits += static_cast<std::uint64_t>(std::popcount(hit));
-    stats_.ee_misses +=
-        static_cast<std::uint64_t>(std::popcount(lane_mask_ & ~efire_word));
-    stats_.ee_wins += static_cast<std::uint64_t>(std::popcount(divergent));
-    if (hit != 0 && hit != lane_mask_ && divergent != 0) ++stats_.lane_splits;
-    store_lanes(s, value, to, ta, plain_out, plain_ack);
-}
-
-void pl_simulator::gather_lanes(const in_ref* refs, std::uint32_t n,
-                                double* out) const {
-    for (std::uint32_t i = 0; i < n; ++i) {
-        const in_ref r = refs[i];
-        if (varies_[r]) {
-            const double* const t =
-                slab_pool_.get() + std::size_t{slab_of_[r]} * k_lanes;
-            for (std::size_t l = 0; l < k_lanes; ++l) out[l] = std::max(out[l], t[l]);
-        } else {
-            const double t = times_[r][1];
-            for (std::size_t l = 0; l < k_lanes; ++l) out[l] = std::max(out[l], t);
-        }
+    const auto low = [](time2 x) { return x[1] < x[0] ? x[1] : x[0]; };
+    const auto high = [](time2 x) { return x[0] < x[1] ? x[1] : x[0]; };
+    const double o_lo = K == role::master ? low(lo_o) : low(lo_r) + d.delay;
+    const double o_hi = K == role::master ? high(hi_o) : high(hi_r) + d.delay;
+    const double a_lo = K == role::source ? o_lo : low(lo_r) + dm.ack_delay();
+    const double a_hi = K == role::source ? o_hi : high(hi_r) + dm.ack_delay();
+    const bool in_plain = (d.live & k_trigger) == 0;
+    const double plain_out = in_plain ? t[0] + d.delay : 0.0;
+    const double plain_ack =
+        K == role::source ? plain_out : in_plain ? t[0] + dm.ack_delay() : 0.0;
+    if constexpr (K == role::source) {
+        out.plain_input_stable = std::max(out.plain_input_stable, plain_out);
+    } else if constexpr (K == role::sink) {
+        out.plain_output_stable = std::max(out.plain_output_stable, t_data[0]);
+    } else if constexpr (K == role::master) {
+        const auto won = static_cast<std::uint64_t>(wins[0] + wins[1]);
+        stats_.ee_wins += won;
+        if (won != 0 && hit != lane_mask_) ++stats_.lane_splits;
     }
-}
-
-void pl_simulator::store_lanes(std::uint32_t s, std::uint64_t value,
-                               const double* to, const double* ta,
-                               double plain_out, double plain_ack) {
-    values_[4 * s] = value;
-    const auto store = [this](std::uint32_t slot, const double* t, double plain,
-                              std::uint32_t outs, bool live) {
-        if (std::all_of(t + 1, t + k_lanes, [t](double x) { return x == t[0]; })) {
-            times_[slot] = time2{plain, t[0]};
-            varies_[slot] = 0;
-            return;
-        }
-        stats_.lane_slab_deposits += outs;
-        if (!live) return;
-        times_[slot][0] = plain;
-        varies_[slot] = 1;
-        slab_of_[slot] = slabs_used_;
-        std::copy_n(t, k_lanes, slab_pool_.get() + std::size_t{slabs_used_++} * k_lanes);
+    // A slot whose lanes agree stores its scalar; a slab no unmarked ref
+    // reads (a dead slot, see gate_rec::live) only counts its deposits.
+    const auto settle = [&](std::uint32_t slot, double lo, double hi, double plain,
+                            std::uint32_t outs, bool live) {
+        if (lo != hi) stats_.lane_slab_deposits += outs;
+        varies_[slot] = lo != hi && live;
+        times_[slot] = time2{plain, varies_[slot] != 0 ? 0.0 : lo};
     };
-    const std::uint8_t live = recs_[s].live;
-    store(4 * s, to, plain_out, data_outs(s), (live & k_data_live) != 0);
-    store(4 * s + 2, ta, plain_ack, ack_outs(s), (live & k_ack_live) != 0);
+    settle(4 * s, o_lo, o_hi, plain_out, data_outs(s), to != nullptr);
+    settle(4 * s + 2, a_lo, a_hi, plain_ack, ack_outs(s), ta != nullptr);
 }
 
 }  // namespace plee::sim

@@ -106,6 +106,19 @@
 // slab (64 doubles) while everything upstream and reconverged keeps one
 // shared scalar time.  Each lane's result is bit-identical to a serial
 // run({vector}) of that lane.  See src/sim/README.md.
+//
+// A lane firing reads its refs once, for both planes' maxes (a slab's EE
+// time reads 0.0) and the list of its refs' slabs; with none and no split
+// it stores scalars.  Otherwise fire_lanes_slab, one instance per role,
+// makes one pass over eight 8-lane chunks (four time2 each), with no
+// per-lane branch: it maxes the slabs in registers, selects a master's
+// early or normal time by its efire bits, writes the times into the
+// position's own pool slabs (one reserved per parity-0 slot; a dead slot,
+// see gate_rec::live, gets none) and keeps t_ready's min and max over all
+// 64 lanes.  A slot whose min is its max stores a scalar.  rdtsc on the
+// seed-7 lut4-lanes netlists: ~310 ticks per master slab firing and ~165
+// per other, against ~1,040 and ~320 for the gather, select and copy
+// passes this replaced.
 
 #pragma once
 
@@ -280,8 +293,10 @@ private:
     /// One slot's two times, {plain, ee} (see the top of this file).  A
     /// GCC/Clang vector, so a ref's max is one two-lane operation.
     using time2 = double __attribute__((vector_size(16)));
-    /// The two-lane max, lane for lane std::max(a, b).
+    /// The two-lane max and min, lane for lane std::max(a, b) and
+    /// std::min(a, b).
     static time2 max2(time2 a, time2 b) { return a < b ? b : a; }
+    static time2 min2(time2 a, time2 b) { return b < a ? b : a; }
 
     /// One scheduled position.
     struct alignas(32) gate_rec {
@@ -315,18 +330,20 @@ private:
     /// Runs the lane wave of `block`, firing the schedule in order, into
     /// `out` (value-initialized); adds the wave to stats().
     void run_lane_wave(const stimulus_block& block, lane_block_result& out);
-    /// The per-lane firing of position s: taken when an input carries a
-    /// slab.
-    void fire_lanes_slab(std::uint32_t s, const stimulus_block& block,
-                         lane_block_result& out);
-    /// Max-accumulates the per-lane times of refs[0, n) into out[0..63].
-    void gather_lanes(const in_ref* refs, std::uint32_t n, double* out) const;
-    /// Stores position s's lane firing: the value word, both EE times, each
-    /// as a scalar when its lanes agree and as a slab otherwise, and both
-    /// plain times.  A slab no unmarked ref reads (a dead slot, see
-    /// gate_rec::live) is counted in lane_slab_deposits but not stored.
-    void store_lanes(std::uint32_t s, std::uint64_t value, const double* to,
-                     const double* ta, double plain_out, double plain_ack);
+    /// The per-lane firing of position s, whose role is K, taken when an
+    /// input carries a slab or a master's lanes split: one pass over 8-lane
+    /// chunks that writes both EE times into the position's live slabs, then
+    /// stores each as a scalar when its 64 lanes agree.  `t` and `t_data`
+    /// are both planes' maxes over all refs and over the data pins, in which
+    /// a slab ref's EE time reads 0.0; lane_slabs_[0, num_slabs) are the
+    /// refs' slabs, the data pins' [0, data_slabs) first.
+    template <role K>
+    void fire_lanes_slab(std::uint32_t s, time2 t, time2 t_data, std::uint32_t data_slabs,
+                         std::uint32_t num_slabs, lane_block_result& out);
+    /// The slab of parity-0 slot index r: the slot's own, 32 pairs of lanes.
+    time2* slab_at(in_ref r) const {
+        return slab_pool_.get() + std::size_t{r >> 1} * (k_lanes / 2);
+    }
     /// Gathers the LUT operand words of d into ins.
     void lane_operands(const gate_rec& d, std::uint64_t* ins) const {
         for (std::uint8_t pin = 0; pin < d.num_data; ++pin) {
@@ -378,15 +395,16 @@ private:
     const stimulus_block* stim_ = nullptr;     ///< sequential-wave stimulus
     std::vector<stimulus_block> packed_stim_;  ///< run(vectors) pack buffer
 
-    // Lane state, per slot index: whether its time is a slab and which one.
-    // A live slot is written by its producer's firing before any same-wave
-    // reader, a dead one is never read, and parity 1 is never a slab, so
-    // neither array is ever cleared; the pool is never zero-filled.
+    // Lane state: per slot index, whether its EE time is a slab; per
+    // parity-0 slot, its slab (slab_at).  A live slot is written by its
+    // producer's firing before any same-wave reader, a dead one is never
+    // read, and parity 1 is never a slab, so nothing is ever cleared and the
+    // pool is never zero-filled.
     std::uint64_t lane_mask_ = 0;  ///< the block's occupied lanes
     std::vector<std::uint8_t> varies_;
-    std::vector<std::uint32_t> slab_of_;
-    std::unique_ptr<double[]> slab_pool_;
-    std::uint32_t slabs_used_ = 0;
+    std::unique_ptr<time2[]> slab_pool_;
+    /// One firing's slab refs, sized to the longest ref range.
+    std::vector<const time2*> lane_slabs_;
 };
 
 }  // namespace plee::sim

@@ -396,6 +396,15 @@ TEST(LaneSim, SlabAccountingOnAFixedCircuit) {
     EXPECT_EQ(simulator.stats().events, 2356u);
     EXPECT_EQ(simulator.stats().lane_splits, 52u);
     EXPECT_EQ(simulator.stats().lane_slab_deposits, 1592u);
+
+    // 200 vectors: the last block holds 8.  Its empty lanes fire too, each
+    // on every master's normal path, and a slot's lanes agree only when all
+    // 64 do, so an engine that compared the occupied lanes alone would
+    // store scalars here and count fewer slab deposits.
+    simulator.run_lanes(make_stimulus(200, c.pl.sources().size(), 7));
+    EXPECT_EQ(simulator.stats().events, 2356u);
+    EXPECT_EQ(simulator.stats().lane_splits, 51u);
+    EXPECT_EQ(simulator.stats().lane_slab_deposits, 1587u);
 }
 
 // --- Satellite regressions: lane accounting ------------------------------
