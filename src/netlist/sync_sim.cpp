@@ -61,23 +61,6 @@ void sync_simulator::reset() {
     }
 }
 
-void sync_simulator::set_input(cell_id input, bool value) {
-    if (nl_.at(input).kind != cell_kind::input) {
-        throw std::invalid_argument("set_input: cell is not a primary input");
-    }
-    values_[input] = value ? 1 : 0;
-}
-
-void sync_simulator::set_input(const std::string& name, bool value) {
-    for (cell_id id : nl_.inputs()) {
-        if (nl_.at(id).name == name) {
-            values_[id] = value ? 1 : 0;
-            return;
-        }
-    }
-    throw std::invalid_argument("set_input: no input named '" + name + "'");
-}
-
 void sync_simulator::set_inputs(const std::vector<bool>& values) {
     if (values.size() != nl_.inputs().size()) {
         throw std::invalid_argument("set_inputs: value count != input count");
@@ -120,23 +103,11 @@ void sync_simulator::latch() {
     }
 }
 
-void sync_simulator::step() {
-    eval();
-    latch();
-}
-
 std::vector<bool> sync_simulator::cycle(const std::vector<bool>& inputs) {
     set_inputs(inputs);
-    step();
+    eval();
+    latch();
     return output_values();
-}
-
-bool sync_simulator::outputs_equal(const std::vector<bool>& expected) const {
-    if (expected.size() != program_.outputs.size()) return false;
-    for (std::size_t i = 0; i < expected.size(); ++i) {
-        if ((values_[program_.outputs[i].first] != 0) != expected[i]) return false;
-    }
-    return true;
 }
 
 // ---------------------------------------------------------------------------
@@ -154,13 +125,6 @@ void sync_lane_simulator::reset() {
     for (std::size_t k = 0; k < state_.size(); ++k) {
         state_[k] = program_.dffs[k].init ? ~std::uint64_t{0} : 0;
     }
-}
-
-void sync_lane_simulator::set_input(cell_id input, std::uint64_t lanes) {
-    if (nl_.at(input).kind != cell_kind::input) {
-        throw std::invalid_argument("set_input: cell is not a primary input");
-    }
-    values_[input] = lanes;
 }
 
 void sync_lane_simulator::set_inputs(const std::uint64_t* lane_words,
@@ -197,11 +161,6 @@ void sync_lane_simulator::latch() {
     for (std::size_t k = 0; k < state_.size(); ++k) {
         state_[k] = values_[program_.dffs[k].d];
     }
-}
-
-void sync_lane_simulator::step() {
-    eval();
-    latch();
 }
 
 void sync_lane_simulator::output_values(std::uint64_t* out) const {

@@ -19,7 +19,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -62,8 +61,6 @@ public:
     /// Resets all DFFs to their initial values and clears inputs to 0.
     void reset();
 
-    void set_input(cell_id input, bool value);
-    void set_input(const std::string& name, bool value);
     /// Assigns all primary inputs in netlist input order.
     void set_inputs(const std::vector<bool>& values);
 
@@ -80,16 +77,9 @@ public:
     /// ran eval() can latch without paying a second propagation pass.
     void latch();
 
-    /// eval() followed by a clock edge (DFF states <= D values).
-    void step();
-
     /// Convenience: applies `inputs`, runs one full cycle and returns the
     /// output values observed *before* the clock edge.
     std::vector<bool> cycle(const std::vector<bool>& inputs);
-
-    /// Allocation-free comparison of the post-eval() primary outputs against
-    /// `expected` (netlist output order).
-    bool outputs_equal(const std::vector<bool>& expected) const;
 
 private:
     const netlist& nl_;
@@ -115,8 +105,6 @@ public:
     /// Resets every lane: DFFs to their initial values, inputs to 0.
     void reset();
 
-    /// Assigns one input across all 64 lanes (bit L = lane L's value).
-    void set_input(cell_id input, std::uint64_t lanes);
     /// Assigns all primary inputs in netlist input order, one word each.
     void set_inputs(const std::uint64_t* lane_words, std::size_t count);
 
@@ -125,8 +113,6 @@ public:
     void eval();
     /// The clock edge alone (DFF states <= D values), all lanes.
     void latch();
-    /// eval() followed by the clock edge.
-    void step();
 
     /// Lane word on the net driven by `id` after the last eval().
     std::uint64_t value_of(cell_id id) const { return values_[id]; }

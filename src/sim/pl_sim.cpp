@@ -89,13 +89,12 @@ void pl_simulator::compile() {
 
     constexpr std::uint32_t k_unscheduled = 0xffffffffu;
     std::vector<std::uint32_t> pos(num_gates, k_unscheduled);
-    std::vector<pl::gate_id> scheduled;
     for (pl::gate_id g : order) {
         if (!fires(pl_, g)) continue;
-        pos[g] = static_cast<std::uint32_t>(scheduled.size());
-        scheduled.push_back(g);
+        pos[g] = static_cast<std::uint32_t>(gate_of_.size());
+        gate_of_.push_back(g);
     }
-    const std::size_t n = scheduled.size();
+    const std::size_t n = gate_of_.size();
     const auto ref_of = [&](pl::edge_id e) {
         const pl::pl_edge& edge = pl_.edge(e);
         const std::uint32_t slot =
@@ -107,10 +106,10 @@ void pl_simulator::compile() {
     recs_.resize(n);
     preset_.assign(n, 0);
     deposits_.assign(n + 1, 0);
-    trace_off_.assign(n + 1, 0);
+    data_deposits_.assign(n + 1, 0);
     const delay_model& dm = options_.delays;
     for (std::uint32_t s = 0; s < n; ++s) {
-        const pl::gate_id g = scheduled[s];
+        const pl::gate_id g = gate_of_[s];
         const pl::pl_gate& gate = pl_.gate(g);
         const std::span<const pl::edge_id> out_edges = pl_.out_edges(g);
         gate_rec& d = recs_[s];
@@ -124,10 +123,11 @@ void pl_simulator::compile() {
         d.ref_end = static_cast<std::uint32_t>(refs_.size());
 
         bool marked = false;
+        std::uint32_t data_outs = 0;
         for (pl::edge_id e : out_edges) {
             const pl::pl_edge& edge = pl_.edge(e);
             if (edge.kind == pl::edge_kind::ack) continue;
-            trace_edges_.push_back(e);
+            ++data_outs;
             if (!edge.init_token) continue;
             const std::uint64_t value = edge.init_value ? ~std::uint64_t{0} : 0;
             if (marked && preset_[s] != value) {
@@ -139,7 +139,7 @@ void pl_simulator::compile() {
             marked = true;
             preset_[s] = value;
         }
-        trace_off_[s + 1] = static_cast<std::uint32_t>(trace_edges_.size());
+        data_deposits_[s + 1] = data_deposits_[s] + data_outs;
         deposits_[s + 1] = deposits_[s] + out_edges.size();
         if (gate.kind == pl::gate_kind::trigger) {
             d.live |= k_trigger;
@@ -239,7 +239,6 @@ void pl_simulator::check_ee_pair(pl::gate_id master) const {
 void pl_simulator::begin_run() {
     stats_ = {};
     plain_stats_ = {};
-    trace_.clear();
     waves_stable_ = 0;
     next_check_ = k_cancel_check_events;
     check_at_ = std::min(next_check_, options_.max_events);
@@ -289,6 +288,38 @@ void pl_simulator::check_events(const char* engine) {
 
 std::vector<wave_record> pl_simulator::run(
     const std::vector<std::vector<bool>>& vectors) {
+    return run_packed(pack(vectors));
+}
+
+std::vector<wave_record> pl_simulator::run(
+    const std::vector<std::vector<bool>>& vectors, std::vector<trace_event>& trace) {
+    std::vector<wave_record> records = begin_waves(pack(vectors));
+    trace.clear();
+    run_waves(records, [&](std::uint32_t s, double t_out, std::uint64_t value) {
+        for (const pl::edge_id e : pl_.out_edges(gate_of_[s])) {
+            if (pl_.edge(e).kind == pl::edge_kind::data) {
+                trace.push_back({t_out, e, value != 0});
+            }
+        }
+    });
+    // The trace contract: sorted by (time, edge), one edge's deposits in
+    // wave order (the stable sort keeps the emission order per edge).
+    std::stable_sort(trace.begin(), trace.end(),
+                     [](const trace_event& a, const trace_event& b) {
+                         return a.time != b.time ? a.time < b.time : a.edge < b.edge;
+                     });
+    return records;
+}
+
+std::vector<wave_record> pl_simulator::run_packed(
+    const std::vector<stimulus_block>& blocks) {
+    std::vector<wave_record> records = begin_waves(blocks);
+    run_waves(records, [](std::uint32_t, double, std::uint64_t) {});
+    return records;
+}
+
+const std::vector<stimulus_block>& pl_simulator::pack(
+    const std::vector<std::vector<bool>>& vectors) {
     for (const auto& v : vectors) {
         if (v.size() != pl_.sources().size()) {
             throw std::invalid_argument("pl_simulator::run: vector width mismatch");
@@ -309,10 +340,10 @@ std::vector<wave_record> pl_simulator::run(
             if (vectors[w][i]) block.words[i] |= lane_bit;
         }
     }
-    return run_packed(packed_stim_);
+    return packed_stim_;
 }
 
-std::vector<wave_record> pl_simulator::run_packed(
+std::vector<wave_record> pl_simulator::begin_waves(
     const std::vector<stimulus_block>& blocks) {
     std::size_t count = 0;
     for (std::size_t b = 0; b < blocks.size(); ++b) {
@@ -335,22 +366,6 @@ std::vector<wave_record> pl_simulator::run_packed(
     stim_ = blocks.data();
     std::vector<wave_record> records(count);
     for (wave_record& rec : records) rec.outputs.assign(pl_.sinks().size(), false);
-    if (options_.collect_trace) {
-        // One data token per data edge per wave.
-        trace_.reserve(std::min<std::size_t>(count * trace_edges_.size(),
-                                             std::size_t{1} << 20));
-    }
-    run_waves(records);
-    plain_stats_.events = count * plain_events_;
-    plain_stats_.firings = count * plain_firings_;
-
-    // The trace contract: sorted by (time, edge), one edge's deposits in
-    // wave order (the stable sort keeps the emission order per edge).
-    std::stable_sort(trace_.begin(), trace_.end(),
-                     [](const trace_event& a, const trace_event& b) {
-                         return a.time != b.time ? a.time < b.time
-                                                 : a.edge < b.edge;
-                     });
     return records;
 }
 
@@ -359,7 +374,8 @@ std::vector<wave_record> pl_simulator::run_packed(
 /// complete before the next starts, so a source's release time (the
 /// previous wave's output_stable, non-pipelined) is known when it fires.
 /// Each time is a {plain, ee} pair (see the top of pl_sim.hpp).
-void pl_simulator::run_waves(std::vector<wave_record>& records) {
+template <class OnFire>
+void pl_simulator::run_waves(std::vector<wave_record>& records, OnFire on_fire) {
     const std::uint32_t n = static_cast<std::uint32_t>(recs_.size());
     const gate_rec* const recs = recs_.data();
     const in_ref* const refs = refs_.data();
@@ -372,7 +388,6 @@ void pl_simulator::run_waves(std::vector<wave_record>& records) {
     const double efire_delay = dm.efire_delay();
     const double ee_penalty = dm.d_ee_penalty;
     constexpr double k_closed[2] = {std::numeric_limits<double>::infinity(), 0.0};
-    const bool trace_on = options_.collect_trace;
     for (std::size_t k = 0; k < records.size(); ++k) {
         wave_record& rec = records[k];
         const std::uint32_t par = k & 1;
@@ -440,11 +455,7 @@ void pl_simulator::run_waves(std::vector<wave_record>& records) {
             times[4 * s + par] = t_out;
             times[4 * s + 2 + par] = t_ack;
             values[4 * s + par] = value;
-            if (trace_on) {
-                for (std::uint32_t i = trace_off_[s]; i < trace_off_[s + 1]; ++i) {
-                    trace_.push_back({t_out[1], trace_edges_[i], value != 0});
-                }
-            }
+            on_fire(s, t_out[1], value);
             if (s == stop) stop = reach(s, "dataflow");
         }
         stats_.events = wave_base_ + deposits_[n];
@@ -458,6 +469,8 @@ void pl_simulator::run_waves(std::vector<wave_record>& records) {
         rec.plain_output_stable = output_stable[0];
         waves_stable_ = k + 1;
     }
+    plain_stats_.events = records.size() * plain_events_;
+    plain_stats_.firings = records.size() * plain_firings_;
 }
 
 // ---------------------------------------------------------------------------
@@ -487,12 +500,6 @@ std::vector<lane_block_result> pl_simulator::run_lanes(
         throw std::invalid_argument(
             "pl_simulator::run_lanes: netlist has no outputs");
     }
-    if (options_.collect_trace) {
-        throw std::invalid_argument(
-            "pl_simulator::run_lanes: waveform tracing requires the scalar "
-            "protocol (lane tokens have no single trace value)");
-    }
-
     begin_run();
     if (!slab_pool_) {
         // One slab per parity-0 slot; uninitialized, since varies_ gates

@@ -33,9 +33,10 @@
 //    order (pl_netlist::token_free_order, a FIFO Kahn order built with its
 //    CSR): the ref range, the data-pin count, the kind, the efire ref, an
 //    offset into one LUT-word pool, the env slot and the delay.  Side
-//    arrays hold the deposit prefix sums and the trace edges; only the
-//    paths that need them read them.  A master's trigger is an ordinary
-//    position: no firing reads a trigger's function or support.
+//    arrays hold the deposit prefix sums (all deposits, and data deposits
+//    for the lane accounting) and each position's gate.  A master's
+//    trigger is an ordinary position: no firing reads a trigger's function
+//    or support.
 //  * Ref order.  A position lists its data pins first, in pin order, then
 //    its other in-edges (acks and efire), each in-edge once.  A ref is
 //    (slot << 1) | marked, slot = 2 * producer position + (1 for an ack),
@@ -61,6 +62,11 @@
 //
 //  * run / run_packed — the sequential-wave protocol: the waves back to
 //    back, one bit per value.
+//  * run(vectors, trace) — the same run, recording every data-token
+//    arrival for waveform (VCD) export.  The wave loop takes a per-firing
+//    observer as a template argument: this overload passes a recorder, and
+//    every other run an empty one, so a measurement's loop has no trace
+//    branch and its schedule no trace edges.
 //  * run_lanes — per stimulus block, 64 independent single-vector runs in
 //    one wave over 64-bit value words (below); the blocks back to back.
 //
@@ -90,8 +96,9 @@
 //    prefix sums.  Budget and beats are those of counting every firing.
 //    A run is one call: the count, the budget and the beats carry across
 //    the waves of run_packed and across the blocks of run_lanes alike.
-//  * Trace order.  trace() is emitted per data out-edge in wave order, then
-//    stable-sorted by (time, edge); one edge's deposits stay in wave order.
+//  * Trace order.  The traced run emits one event per data out-edge per
+//    firing in wave order, then stable-sorts them by (time, edge); one
+//    edge's deposits stay in wave order.
 //
 // ## Lane-parallel mode (run_lanes)
 //
@@ -139,14 +146,13 @@ struct sim_options {
     /// Environment mode: true = vector-at-a-time (the paper's measurement),
     /// false = streaming tokens limited only by the handshakes.
     bool non_pipelined = true;
-    /// Record every data-token arrival for waveform (VCD) export.
-    bool collect_trace = false;
     /// Hard limit on processed events (runaway guard).  Tripping it raises
     /// sim::budget_exhausted (see sim/errors.hpp).
     std::uint64_t max_events = 100'000'000;
 };
 
-/// One recorded token arrival (collect_trace mode).
+/// One recorded data-token arrival (see pl_simulator::run's traced
+/// overload).
 struct trace_event {
     double time = 0.0;
     pl::edge_id edge = pl::k_invalid_edge;
@@ -237,6 +243,13 @@ public:
     /// expires mid-run.  Packs the vectors and delegates to run_packed.
     std::vector<wave_record> run(const std::vector<std::vector<bool>>& vectors);
 
+    /// run(vectors), recording every data-token arrival into `trace`, whose
+    /// contents it replaces: one event per data edge per wave, sorted by
+    /// (time, edge), one edge's deposits in wave order.  The only traced
+    /// run; waves and stats() are run(vectors)'s.
+    std::vector<wave_record> run(const std::vector<std::vector<bool>>& vectors,
+                                 std::vector<trace_event>& trace);
+
     /// The same sequential-wave protocol over bit-packed stimulus: wave k is
     /// lane (k % 64) of blocks[k / 64].  Every block except the last must be
     /// full (64 vectors).  This is the allocation-light path measure uses.
@@ -251,8 +264,7 @@ public:
     /// evaluator work, ee_* count per-lane semantics), and the event
     /// budget, the cancel poll and the sim.progress beats (stamped with the
     /// blocks done) see the count of the whole run.  Throws the same typed
-    /// failures as run.  Requires options.collect_trace == false (throws
-    /// std::invalid_argument — lane tokens have no single trace value).
+    /// failures as run.
     std::vector<lane_block_result> run_lanes(const std::vector<stimulus_block>& blocks);
 
     /// After a throw only events is meaningful: the count the error names.
@@ -265,11 +277,6 @@ public:
     /// lane_blocks and lane_vectors equal stats()'s.  Not set by a run that
     /// throws.
     const sim_run_stats& plain_stats() const { return plain_stats_; }
-
-    /// Data-token arrivals recorded by the last run (empty unless
-    /// options.collect_trace), sorted by (time, edge); one edge's deposits
-    /// are in wave order.
-    const std::vector<trace_event>& trace() const { return trace_; }
 
 private:
     /// One input edge as the schedule reads it: (slot << 1) | marked, where
@@ -326,7 +333,15 @@ private:
     std::uint32_t reach(std::uint32_t s, const char* engine);
     void check_events(const char* engine);
 
-    void run_waves(std::vector<wave_record>& records);
+    /// Checks `vectors` and packs them into packed_stim_.
+    const std::vector<stimulus_block>& pack(const std::vector<std::vector<bool>>& vectors);
+    /// Checks `blocks`, starts a run over them and returns its records, one
+    /// per vector, for run_waves to fill.
+    std::vector<wave_record> begin_waves(const std::vector<stimulus_block>& blocks);
+    /// Evaluates the waves of `records`, calling on_fire(s, t_out, value)
+    /// after each firing of position s with its EE output time and value.
+    template <class OnFire>
+    void run_waves(std::vector<wave_record>& records, OnFire on_fire);
     /// Runs the lane wave of `block`, firing the schedule in order, into
     /// `out` (value-initialized); adds the wave to stats().
     void run_lane_wave(const stimulus_block& block, lane_block_result& out);
@@ -352,7 +367,7 @@ private:
     }
     /// Data and acknowledge deposits of one firing of position s.
     std::uint32_t data_outs(std::uint32_t s) const {
-        return trace_off_[s + 1] - trace_off_[s];
+        return data_deposits_[s + 1] - data_deposits_[s];
     }
     std::uint32_t ack_outs(std::uint32_t s) const {
         return static_cast<std::uint32_t>(deposits_[s + 1] - deposits_[s]) -
@@ -376,9 +391,10 @@ private:
     std::vector<std::uint64_t> fn_pool_;
     /// Deposits of positions [0, s), per s in [0, positions].
     std::vector<std::uint64_t> deposits_;
-    std::vector<std::uint64_t> preset_;     ///< per position: wave -1 value
-    std::vector<std::uint32_t> trace_off_;  ///< per position: trace_edges_ range
-    std::vector<pl::edge_id> trace_edges_;  ///< data out-edges, per position
+    /// Data deposits of positions [0, s), per s in [0, positions].
+    std::vector<std::uint32_t> data_deposits_;
+    std::vector<std::uint64_t> preset_;  ///< per position: wave -1 value
+    std::vector<pl::gate_id> gate_of_;   ///< per position: its gate
     std::uint64_t plain_events_ = 0;   ///< plain_stats() events per wave
     std::uint64_t plain_firings_ = 0;  ///< plain_stats() firings per wave
 
@@ -391,7 +407,6 @@ private:
     std::uint64_t check_at_ = 0;    ///< min(next_check_, max_events)
     std::uint64_t wave_base_ = 0;   ///< stats_.events when the wave began
     std::size_t waves_stable_ = 0;
-    std::vector<trace_event> trace_;
     const stimulus_block* stim_ = nullptr;     ///< sequential-wave stimulus
     std::vector<stimulus_block> packed_stim_;  ///< run(vectors) pack buffer
 

@@ -1,8 +1,6 @@
 #include "sim/vcd.hpp"
 
-#include <algorithm>
 #include <cmath>
-#include <map>
 #include <sstream>
 
 namespace plee::sim {
@@ -64,39 +62,25 @@ std::string to_vcd(const pl::pl_netlist& pl, const std::vector<trace_event>& tra
     }
     os << "$end\n";
 
-    // Events, time-ordered, restricted to the representative edges and
-    // filtered to actual value changes.
-    struct change {
-        long long ticks;
-        std::size_t signal;
-        bool value;
-    };
-    std::map<pl::edge_id, std::size_t> signal_of_edge;
-    for (std::size_t i = 0; i < probe_edge.size(); ++i) {
-        signal_of_edge.emplace(probe_edge[i], i);
-    }
-    std::vector<change> changes;
-    changes.reserve(trace.size());
-    for (const trace_event& ev : trace) {
-        auto it = signal_of_edge.find(ev.edge);
-        if (it == signal_of_edge.end()) continue;
-        changes.push_back({static_cast<long long>(
-                               std::llround(ev.time * 1000.0)),
-                           it->second, ev.value});
-    }
-    std::stable_sort(changes.begin(), changes.end(),
-                     [](const change& a, const change& b) { return a.ticks < b.ticks; });
+    // Events in trace order, restricted to the representative edges and
+    // filtered to actual value changes.  The trace is sorted by time and
+    // rounding to picoseconds is monotone, so the ticks never decrease.
+    constexpr std::size_t k_no_signal = ~std::size_t{0};
+    std::vector<std::size_t> signal_of_edge(pl.num_edges(), k_no_signal);
+    for (std::size_t i = 0; i < probe_edge.size(); ++i) signal_of_edge[probe_edge[i]] = i;
 
     std::vector<int> last(gate_of_signal.size(), -1);
     long long current_time = -1;
-    for (const change& c : changes) {
-        if (last[c.signal] == static_cast<int>(c.value)) continue;
-        if (c.ticks != current_time) {
-            os << "#" << c.ticks << "\n";
-            current_time = c.ticks;
+    for (const trace_event& ev : trace) {
+        const std::size_t signal = signal_of_edge[ev.edge];
+        if (signal == k_no_signal || last[signal] == static_cast<int>(ev.value)) continue;
+        const long long ticks = std::llround(ev.time * 1000.0);
+        if (ticks != current_time) {
+            os << "#" << ticks << "\n";
+            current_time = ticks;
         }
-        os << (c.value ? "1" : "0") << vcd_id(c.signal) << "\n";
-        last[c.signal] = static_cast<int>(c.value);
+        os << (ev.value ? "1" : "0") << vcd_id(signal) << "\n";
+        last[signal] = static_cast<int>(ev.value);
     }
     return os.str();
 }

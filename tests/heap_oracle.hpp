@@ -85,11 +85,6 @@ public:
             heap_.pop_back();
             place(d);
         }
-        std::stable_sort(trace_.begin(), trace_.end(),
-                         [](const trace_event& a, const trace_event& b) {
-                             return a.time != b.time ? a.time < b.time
-                                                     : a.edge < b.edge;
-                         });
         if (waves_stable_ < num_waves_) {
             throw deadlock_error("",
                                  std::to_string(waves_stable_) + "/" +
@@ -101,8 +96,18 @@ public:
     }
 
     const sim_run_stats& stats() const { return stats_; }
-    /// Data-token arrivals, sorted by (time, edge) like pl_simulator::trace.
-    const std::vector<trace_event>& trace() const { return trace_; }
+    /// Data-token arrivals of the last run, sorted by (time, edge) like
+    /// pl_simulator::run's traced overload.  Every run records them; only a
+    /// caller that reads them pays for the sort.
+    std::vector<trace_event> trace() const {
+        std::vector<trace_event> sorted = trace_;
+        std::stable_sort(sorted.begin(), sorted.end(),
+                         [](const trace_event& a, const trace_event& b) {
+                             return a.time != b.time ? a.time < b.time
+                                                     : a.edge < b.edge;
+                         });
+        return sorted;
+    }
 
 private:
     struct token {
@@ -134,9 +139,7 @@ private:
         }
         tok = {true, d.value, d.time};
         const pl::pl_edge& e = pl_.edge(d.edge);
-        if (options_.collect_trace && e.kind == pl::edge_kind::data) {
-            trace_.push_back({d.time, d.edge, d.value});
-        }
+        if (e.kind == pl::edge_kind::data) trace_.push_back({d.time, d.edge, d.value});
         if (--pending_[e.to] == 0) try_fire(e.to);
     }
 

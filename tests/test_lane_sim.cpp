@@ -452,13 +452,8 @@ TEST(LaneSim, RejectsBadArguments) {
         build_preset(wl::scenario::random_dag, 40, 19, false);
     const std::size_t width = c.pl.sources().size();
 
-    sim_options trace_opts;
-    trace_opts.collect_trace = true;
-    pl_simulator tracing(c.pl, trace_opts);
-    const std::vector<stimulus_block> ok = make_stimulus(8, width, 1);
-    EXPECT_THROW(tracing.run_lanes(ok), std::invalid_argument);
-
     pl_simulator simulator(c.pl);
+    const std::vector<stimulus_block> ok = make_stimulus(8, width, 1);
     const std::vector<stimulus_block> narrow = make_stimulus(8, width + 1, 1);
     EXPECT_THROW(simulator.run_lanes(narrow), std::invalid_argument);
 

@@ -141,15 +141,14 @@ void expect_golden_waves(const nl::netlist& sync,
     for (std::size_t k = 0; k < vectors.size(); ++k) {
         gold.set_inputs(vectors[k]);
         gold.eval();
-        EXPECT_TRUE(gold.outputs_equal(waves[k].outputs)) << "wave " << k;
+        EXPECT_EQ(gold.output_values(), waves[k].outputs) << "wave " << k;
         gold.latch();
     }
 }
 
-/// (b) oracle == evaluator: waves, every stat, the trace.
+/// (b) oracle == evaluator: waves and every stat.
 void expect_same_run(const std::vector<wave_record>& oracle_waves,
                      const sim_run_stats& oracle_stats,
-                     const std::vector<trace_event>& oracle_trace,
                      const pl_simulator& evaluator,
                      const std::vector<wave_record>& waves) {
     ASSERT_EQ(oracle_waves.size(), waves.size());
@@ -165,7 +164,11 @@ void expect_same_run(const std::vector<wave_record>& oracle_waves,
     EXPECT_EQ(oracle_stats.ee_hits, s.ee_hits);
     EXPECT_EQ(oracle_stats.ee_misses, s.ee_misses);
     EXPECT_EQ(oracle_stats.ee_wins, s.ee_wins);
-    const std::vector<trace_event>& trace = evaluator.trace();
+}
+
+/// (b) for the traced run: the trace, event for event.
+void expect_same_trace(const std::vector<trace_event>& oracle_trace,
+                       const std::vector<trace_event>& trace) {
     ASSERT_EQ(oracle_trace.size(), trace.size());
     for (std::size_t i = 0; i < trace.size(); ++i) {
         ASSERT_EQ(oracle_trace[i].time, trace[i].time) << "trace #" << i;
@@ -190,6 +193,7 @@ void expect_lanes_match_oracle(const nl::netlist& sync, const pl::pl_netlist& pl
     std::vector<std::uint64_t> expected(sync.outputs().size());
     sim_run_stats oracle_total{};
     std::vector<std::vector<bool>> one(1);
+    testing::heap_oracle oracle(pl, opts);
     for (std::size_t b = 0; b < blocks.size(); ++b) {
         SCOPED_TRACE("block " + std::to_string(b));
         const stimulus_block& block = blocks[b];
@@ -206,7 +210,6 @@ void expect_lanes_match_oracle(const nl::netlist& sync, const pl::pl_netlist& pl
 
         for (std::size_t lane = 0; lane < block.num_vectors; ++lane) {
             block.extract(lane, one[0]);
-            testing::heap_oracle oracle(pl, opts);
             const std::vector<wave_record> waves = oracle.run(one);
             const wave_record& w = waves.front();
             oracle_total.ee_hits += oracle.stats().ee_hits;
@@ -253,18 +256,17 @@ void check_netlist(const config& c, const nl::netlist& sync,
             sim_options opts;
             opts.delays = delays;
             opts.non_pipelined = non_pipelined;
-            opts.collect_trace = true;
             testing::heap_oracle oracle(pl, opts);
             const std::vector<wave_record> oracle_waves = oracle.run(vectors);
             pl_simulator traced(pl, opts);
-            const std::vector<wave_record> waves = traced.run(vectors);
+            std::vector<trace_event> trace;
+            const std::vector<wave_record> waves = traced.run(vectors, trace);
             expect_golden_waves(sync, vectors, waves);
-            expect_same_run(oracle_waves, oracle.stats(), oracle.trace(),
-                            traced, waves);
+            expect_same_run(oracle_waves, oracle.stats(), traced, waves);
+            expect_same_trace(oracle.trace(), trace);
             // The untraced run is the one measurements take.
-            opts.collect_trace = false;
             pl_simulator untraced(pl, opts);
-            expect_same_run(oracle_waves, oracle.stats(), {}, untraced,
+            expect_same_run(oracle_waves, oracle.stats(), untraced,
                             untraced.run(vectors));
             expect_lanes_match_oracle(sync, pl, opts, blocks);
         }

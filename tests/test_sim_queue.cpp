@@ -2,14 +2,14 @@
 // against the time-ordered binary-heap oracle (heap_oracle.hpp): the two
 // must produce bit-identical wave records, stats and traces on every
 // circuit family — the ITC99 suite and all four workload scenario presets —
-// in pipelined and non-pipelined mode, with trace collection on and off, and
-// under stress delay models (tie-heavy, wide-spread, all-zero).  Also locks
-// the evaluator's contracts: the event budget at and around wave
+// in pipelined and non-pipelined mode, on the traced run and the untraced
+// one, and under stress delay models (tie-heavy, wide-spread, all-zero).
+// Also locks the evaluator's contracts: the event budget at and around wave
 // boundaries and the progress beats (the counts of counting every firing),
 // trace order, early EE outputs timed before the master's own readiness,
 // the plain time plane of an EE netlist against the oracle on the mapping
-// without its triggers, the wave -1 preset across mixed protocols on one
-// simulator, the
+// without its triggers, the wave -1 preset and the traced run's trace
+// across mixed protocols on one simulator, the
 // rejection of unsafe, dead and split-reset netlists on both protocols,
 // and the compile-time rejection of miswired and unsound EE pairs.
 
@@ -47,30 +47,36 @@ const char* to_string(engine e) {
     return e == engine::heap_oracle ? "heap" : "dataflow";
 }
 
-template <class Simulator>
-engine_run run_engine(Simulator& simulator,
-                      const std::vector<std::vector<bool>>& vectors) {
-    engine_run run;
-    run.waves = simulator.run(vectors);
-    run.stats = simulator.stats();
-    run.trace = simulator.trace();
-    return run;
-}
-
-engine_run simulate(const pl::pl_netlist& pl, engine which,
-                    bool non_pipelined, bool collect_trace,
-                    const std::vector<std::vector<bool>>& vectors,
+/// One run of `which`; with `traced`, the dataflow engine's traced run and
+/// the oracle's trace, otherwise the untraced run and an empty trace.
+engine_run simulate(const pl::pl_netlist& pl, engine which, bool non_pipelined,
+                    bool traced, const std::vector<std::vector<bool>>& vectors,
                     const delay_model& delays = {}) {
     sim_options opts;
     opts.non_pipelined = non_pipelined;
-    opts.collect_trace = collect_trace;
     opts.delays = delays;
+    engine_run run;
     if (which == engine::heap_oracle) {
         testing::heap_oracle oracle(pl, opts);
-        return run_engine(oracle, vectors);
+        run.waves = oracle.run(vectors);
+        run.stats = oracle.stats();
+        if (traced) run.trace = oracle.trace();
+        return run;
     }
     pl_simulator simulator(pl, opts);
-    return run_engine(simulator, vectors);
+    run.waves = traced ? simulator.run(vectors, run.trace) : simulator.run(vectors);
+    run.stats = simulator.stats();
+    return run;
+}
+
+void expect_same_trace(const std::vector<trace_event>& want,
+                       const std::vector<trace_event>& got, const std::string& label) {
+    ASSERT_EQ(want.size(), got.size()) << label;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(want[i].time, got[i].time) << label << " #" << i;
+        EXPECT_EQ(want[i].edge, got[i].edge) << label << " #" << i;
+        EXPECT_EQ(want[i].value, got[i].value) << label << " #" << i;
+    }
 }
 
 /// Bit-identical means exact: outputs, all three timestamps of every wave,
@@ -91,12 +97,7 @@ void expect_identical(const engine_run& heap, const engine_run& cal,
     EXPECT_EQ(heap.stats.ee_hits, cal.stats.ee_hits) << label;
     EXPECT_EQ(heap.stats.ee_misses, cal.stats.ee_misses) << label;
     EXPECT_EQ(heap.stats.ee_wins, cal.stats.ee_wins) << label;
-    ASSERT_EQ(heap.trace.size(), cal.trace.size()) << label;
-    for (std::size_t i = 0; i < heap.trace.size(); ++i) {
-        EXPECT_EQ(heap.trace[i].time, cal.trace[i].time) << label << " #" << i;
-        EXPECT_EQ(heap.trace[i].edge, cal.trace[i].edge) << label << " #" << i;
-        EXPECT_EQ(heap.trace[i].value, cal.trace[i].value) << label << " #" << i;
-    }
+    expect_same_trace(heap.trace, cal.trace, label);
 }
 
 /// The oracle and the dataflow engine across all four (pipelined x trace)
@@ -411,7 +412,9 @@ TEST(SimQueue, MiswiredTriggerIsRejectedWhenTheScheduleCompiles) {
 
 TEST(SimQueue, MixedProtocolsOnOneSimulatorMatchFreshOnes) {
     // Registers that reset to 1: a lane run must read the wave -1 preset
-    // even right after a sequential run wrote both wave parities.
+    // even right after a sequential run wrote both wave parities.  The
+    // traced run takes its turn too, twice per round into one vector, so
+    // each trace replaces the last instead of appending to it.
     nl::netlist n;
     const nl::cell_id a = n.add_input("a");
     const nl::cell_id b = n.add_input("b");
@@ -428,15 +431,30 @@ TEST(SimQueue, MixedProtocolsOnOneSimulatorMatchFreshOnes) {
     n.add_output("o1", q1);
     const pl::pl_netlist pl = map_with_ee(n);
     const std::vector<stimulus_block> blocks = make_stimulus(100, 2, 12);
+    std::vector<std::vector<bool>> vectors(100);
+    for (std::size_t w = 0; w < vectors.size(); ++w) {
+        blocks[w / k_lanes].extract(w % k_lanes, vectors[w]);
+    }
+    pl_simulator fresh_tracer(pl);
+    std::vector<trace_event> trace_want;
+    fresh_tracer.run(vectors, trace_want);
+    ASSERT_FALSE(trace_want.empty());
 
     pl_simulator mixed(pl);
+    std::vector<trace_event> trace;
     for (int round = 0; round < 3; ++round) {
+        const std::string at = "round " + std::to_string(round);
+        const std::vector<wave_record> traced = mixed.run(vectors, trace);
+        expect_same_trace(trace_want, trace, at + " traced");
         const std::vector<wave_record> waves = mixed.run_packed(blocks);
         const lane_block_result lanes = mixed.run_lanes({blocks[round % 2]}).front();
         pl_simulator fresh_seq(pl);
         const std::vector<wave_record> want = fresh_seq.run_packed(blocks);
         ASSERT_EQ(waves.size(), want.size());
+        ASSERT_EQ(traced.size(), want.size());
         for (std::size_t w = 0; w < waves.size(); ++w) {
+            EXPECT_EQ(traced[w].outputs, want[w].outputs) << round << "/" << w;
+            EXPECT_EQ(traced[w].output_stable, want[w].output_stable);
             EXPECT_EQ(waves[w].outputs, want[w].outputs) << round << "/" << w;
             EXPECT_EQ(waves[w].input_stable, want[w].input_stable);
             EXPECT_EQ(waves[w].output_stable, want[w].output_stable);
@@ -453,6 +471,9 @@ TEST(SimQueue, MixedProtocolsOnOneSimulatorMatchFreshOnes) {
         EXPECT_EQ(lanes.output_stable, lane_want.output_stable);
         EXPECT_EQ(lanes.plain_input_stable, lane_want.plain_input_stable);
         EXPECT_EQ(lanes.plain_output_stable, lane_want.plain_output_stable);
+        const std::vector<trace_event> first = trace;
+        mixed.run(vectors, trace);
+        expect_same_trace(first, trace, at + " traced again");
     }
 }
 

@@ -28,26 +28,13 @@ TEST(SyncSim, CombinationalEval) {
     n.add_output("y", g);
 
     sync_simulator sim(n);
-    for (int av = 0; av < 2; ++av) {
-        for (int bv = 0; bv < 2; ++bv) {
-            sim.set_input(a, av);
-            sim.set_input(b, bv);
+    for (bool av : {false, true}) {
+        for (bool bv : {false, true}) {
+            sim.set_inputs({av, bv});
             sim.eval();
             EXPECT_EQ(sim.value_of(g), av != bv);
         }
     }
-}
-
-TEST(SyncSim, NamedInputAssignment) {
-    netlist n;
-    n.add_input("enable");
-    const cell_id a = n.inputs().front();
-    n.add_output("y", a);
-    sync_simulator sim(n);
-    sim.set_input("enable", true);
-    sim.eval();
-    EXPECT_TRUE(sim.output_values().front());
-    EXPECT_THROW(sim.set_input("nope", true), std::invalid_argument);
 }
 
 TEST(SyncSim, ToggleRegister) {
@@ -62,7 +49,8 @@ TEST(SyncSim, ToggleRegister) {
     sync_simulator sim(n);
     std::vector<bool> seen;
     for (int i = 0; i < 6; ++i) {
-        sim.step();
+        sim.eval();
+        sim.latch();
         seen.push_back(sim.output_values().front());
     }
     EXPECT_EQ(seen, (std::vector<bool>{false, true, false, true, false, true}));
@@ -76,7 +64,7 @@ TEST(SyncSim, DffInitialValueRespected) {
     sync_simulator sim(n);
     sim.eval();
     EXPECT_TRUE(sim.value_of(q));
-    sim.step();
+    sim.latch();
     sim.eval();
     EXPECT_TRUE(sim.value_of(q));
 }
@@ -90,7 +78,8 @@ TEST(SyncSim, ResetRestoresInitialState) {
     n.add_output("y", q);
 
     sync_simulator sim(n);
-    sim.step();
+    sim.eval();
+    sim.latch();
     sim.eval();
     EXPECT_TRUE(sim.value_of(q));
     sim.reset();
@@ -123,15 +112,6 @@ TEST(SyncSim, SetInputsChecksWidth) {
     sync_simulator sim(n);
     EXPECT_THROW(sim.set_inputs({true}), std::invalid_argument);
     EXPECT_NO_THROW(sim.set_inputs({true, false}));
-}
-
-TEST(SyncSim, RejectsNonInputCell) {
-    netlist n;
-    const cell_id a = n.add_input("a");
-    const cell_id g = n.add_lut(~bf::truth_table::variable(1, 0), {a});
-    n.add_output("y", g);
-    sync_simulator sim(n);
-    EXPECT_THROW(sim.set_input(g, true), std::invalid_argument);
 }
 
 /// Hand-built corners: constant cells (one feeding a LUT, one an output),

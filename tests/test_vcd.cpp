@@ -1,10 +1,11 @@
-// Tests for trace collection and VCD export.
+// Tests for the traced run and VCD export.
 
 #include "sim/vcd.hpp"
 
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <vector>
 
 #include "plogic/pl_mapper.hpp"
 #include "sim/measure.hpp"
@@ -22,21 +23,13 @@ nl::netlist xor_chain() {
     return m.build();
 }
 
-TEST(Vcd, TraceIsEmptyUnlessRequested) {
-    const auto mapped = pl::map_to_phased_logic(xor_chain());
-    pl_simulator sim(mapped.pl);
-    sim.run(random_vectors(4, 3, 1));
-    EXPECT_TRUE(sim.trace().empty());
-}
-
 TEST(Vcd, TraceRecordsDataTokens) {
     const auto mapped = pl::map_to_phased_logic(xor_chain());
-    sim_options opts;
-    opts.collect_trace = true;
-    pl_simulator sim(mapped.pl, opts);
-    sim.run(random_vectors(4, 3, 1));
-    EXPECT_FALSE(sim.trace().empty());
-    for (const trace_event& ev : sim.trace()) {
+    pl_simulator sim(mapped.pl);
+    std::vector<trace_event> trace;
+    sim.run(random_vectors(4, 3, 1), trace);
+    EXPECT_FALSE(trace.empty());
+    for (const trace_event& ev : trace) {
         EXPECT_EQ(mapped.pl.edge(ev.edge).kind, pl::edge_kind::data);
         EXPECT_GE(ev.time, 0.0);
     }
@@ -44,12 +37,11 @@ TEST(Vcd, TraceRecordsDataTokens) {
 
 TEST(Vcd, DocumentIsWellFormed) {
     const auto mapped = pl::map_to_phased_logic(xor_chain());
-    sim_options opts;
-    opts.collect_trace = true;
-    pl_simulator sim(mapped.pl, opts);
-    sim.run(random_vectors(6, 3, 9));
+    pl_simulator sim(mapped.pl);
+    std::vector<trace_event> trace;
+    sim.run(random_vectors(6, 3, 9), trace);
 
-    const std::string vcd = to_vcd(mapped.pl, sim.trace());
+    const std::string vcd = to_vcd(mapped.pl, trace);
     EXPECT_NE(vcd.find("$timescale 1ps $end"), std::string::npos);
     EXPECT_NE(vcd.find("$var wire 1"), std::string::npos);
     EXPECT_NE(vcd.find("$enddefinitions"), std::string::npos);
@@ -61,12 +53,11 @@ TEST(Vcd, DocumentIsWellFormed) {
 
 TEST(Vcd, TimestampsAreMonotone) {
     const auto mapped = pl::map_to_phased_logic(xor_chain());
-    sim_options opts;
-    opts.collect_trace = true;
-    pl_simulator sim(mapped.pl, opts);
-    sim.run(random_vectors(8, 3, 4));
+    pl_simulator sim(mapped.pl);
+    std::vector<trace_event> trace;
+    sim.run(random_vectors(8, 3, 4), trace);
 
-    const std::string vcd = to_vcd(mapped.pl, sim.trace());
+    const std::string vcd = to_vcd(mapped.pl, trace);
     long long prev = -1;
     std::istringstream is(vcd);
     std::string line;

@@ -367,13 +367,13 @@ int main(int argc, char** argv) {
         if (!o.vcd_out.empty()) {
             // A short dedicated sequential-wave run under the measurement's
             // own options keeps the file readable; lane tokens carry no
-            // single trace value, so this is the only traced run.
-            sim::sim_options sopts = mopts.sim;
-            sopts.collect_trace = true;
-            sim::pl_simulator tracer(mapped.pl, sopts, ctx);
+            // single trace value, so the traced run is a sequential one.
+            sim::pl_simulator tracer(mapped.pl, mopts.sim, ctx);
+            std::vector<sim::trace_event> trace;
             tracer.run(sim::random_vectors(std::min<std::size_t>(o.vectors, 10),
-                                           mapped.pl.sources().size(), o.seed));
-            atomic_write_text(o.vcd_out, sim::to_vcd(mapped.pl, tracer.trace()));
+                                           mapped.pl.sources().size(), o.seed),
+                       trace);
+            atomic_write_text(o.vcd_out, sim::to_vcd(mapped.pl, trace));
             std::printf("wrote %s (first %zu vectors)\n", o.vcd_out.c_str(),
                         std::min<std::size_t>(o.vectors, 10));
         }
